@@ -56,14 +56,35 @@ let prefix_match t ~value ~len =
     (List.init len (fun i ->
          if bit_of_const t value i then Bdd.var t.(i) else Bdd.nvar t.(i)))
 
-let decode t assignment =
+(* One byte per variable up to the largest assigned one: '\000'
+   unassigned, '\001' false, '\002' true. *)
+type valuation = Bytes.t
+
+let valuation assignment =
+  let size = List.fold_left (fun m (v, _) -> max m (v + 1)) 0 assignment in
+  let vals = Bytes.make size '\000' in
+  List.iter
+    (fun (v, b) ->
+      (* The first binding of a variable wins, as with [List.assoc_opt]. *)
+      if v >= 0 && Bytes.get vals v = '\000' then
+        Bytes.set vals v (if b then '\002' else '\001'))
+    assignment;
+  vals
+
+let value vals v =
+  if v < 0 || v >= Bytes.length vals then None
+  else
+    match Bytes.get vals v with
+    | '\001' -> Some false
+    | '\002' -> Some true
+    | _ -> None
+
+let read t vals =
   let value = ref 0 in
-  let w = width t in
+  let w = width t and size = Bytes.length vals in
   for i = 0 to w - 1 do
-    let b = match List.assoc_opt t.(i) assignment with
-      | Some b -> b
-      | None -> false
-    in
-    if b then value := !value lor (1 lsl (w - 1 - i))
+    let v = t.(i) in
+    if v < size && Bytes.get vals v = '\002' then
+      value := !value lor (1 lsl (w - 1 - i))
   done;
   !value

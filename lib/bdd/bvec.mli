@@ -30,9 +30,24 @@ val prefix_match : t -> value:int -> len:int -> Bdd.t
 (** Constrain the [len] most significant bits to those of [value]
     (itself interpreted as a full-width constant). *)
 
-val decode : t -> (int * bool) list -> int
-(** Read the vector's value back from a partial assignment; unassigned
-    bits default to 0. *)
+(** {2 Reading models} *)
+
+type valuation
+(** A partial assignment indexed by variable, so that every field and
+    atom of one {!Bdd.any_sat} path is read from a single pass over it
+    instead of a list search per bit. *)
+
+val valuation : (int * bool) list -> valuation
+(** Index a partial assignment, in time linear in its length and its
+    largest variable. When a variable is bound more than once the first
+    binding wins, as with [List.assoc_opt]; negative variables are
+    ignored. *)
+
+val value : valuation -> int -> bool option
+(** A variable's value, [None] when unassigned. *)
+
+val read : t -> valuation -> int
+(** The vector's value under the valuation; unassigned bits read as 0. *)
 
 val check_const : t -> int -> unit
 (** @raise Invalid_argument if the constant does not fit the width. *)

@@ -59,6 +59,13 @@ let apply_set db (r : Bgp.Route.t) = function
 
 let apply_sets db r sets = List.fold_left (apply_set db) r sets
 
+(** What a stanza with this action and these set clauses does to a
+    route it handles. *)
+let apply_action db action sets r =
+  match action with
+  | Action.Permit -> Accept (apply_sets db r sets)
+  | Action.Deny -> Reject
+
 (** The stanza handling the route (the paper's function [M]), if any. *)
 let matching_stanza db (rm : Route_map.t) r =
   List.find_opt (fun s -> stanza_matches db s r) rm.Route_map.stanzas
@@ -66,10 +73,7 @@ let matching_stanza db (rm : Route_map.t) r =
 (** First-match evaluation with Cisco's implicit trailing deny. *)
 let eval_route_map db (rm : Route_map.t) r =
   match matching_stanza db rm r with
-  | Some s -> (
-      match s.action with
-      | Action.Permit -> Accept (apply_sets db r s.sets)
-      | Action.Deny -> Reject)
+  | Some s -> apply_action db s.action s.sets r
   | None -> Reject
 
 (** Evaluate a chain of route-maps applied in order; a route must be

@@ -13,6 +13,16 @@ val stanza_matches : Database.t -> Route_map.stanza -> Bgp.Route.t -> bool
 val apply_set : Database.t -> Bgp.Route.t -> Route_map.set_clause -> Bgp.Route.t
 val apply_sets : Database.t -> Bgp.Route.t -> Route_map.set_clause list -> Bgp.Route.t
 
+val apply_action :
+  Database.t ->
+  Action.t ->
+  Route_map.set_clause list ->
+  Bgp.Route.t ->
+  route_result
+(** What a stanza with this action and these set clauses does to a route
+    it handles: [Reject] on a deny, [Accept] with the sets applied on a
+    permit. *)
+
 val matching_stanza :
   Database.t -> Route_map.t -> Bgp.Route.t -> Route_map.stanza option
 (** The stanza handling the route (the paper's function [M]), if any. *)

@@ -27,8 +27,9 @@ val adjacent_insertions :
     with one witness packet per position. Incremental by default (one
     symbolic execution of the target, one conjunction per position);
     [~naive] forces per-position two-ACL comparison, and when omitted
-    {!Boundary_mode.naive_requested} decides. [~pool] splits positions
-    into one contiguous chunk per worker domain. Both strategies return
+    {!Boundary_mode.naive_requested} decides. [~pool] executes the
+    target once into a frozen base manager and walks stealable slices
+    of 8 positions under private deltas. Both strategies return
     identical results. *)
 
 type batch_sweep = {

@@ -74,10 +74,6 @@ let sample_route ctx ~db_a ~db_b op_a op_b region =
   in
   match targeted with Some r -> Some r | None -> Ctx.to_route ctx region
 
-let concrete_results ~db_a ~db_b rm_a rm_b route =
-  ( Config.Semantics.eval_route_map db_a rm_a route,
-    Config.Semantics.eval_route_map db_b rm_b route )
-
 (** All behavioural differences, one example per differing pair of
     execution cells, capped at [limit]. Reaching the cap exits the cell
     product immediately, so [first_difference] stops at the first
@@ -122,7 +118,8 @@ let compare ?(limit = max_int) ~db_a ~db_b (rm_a : Config.Route_map.t)
                | None -> ()
                | Some route ->
                    emit route
-                     (concrete_results ~db_a ~db_b rm_a rm_b route)
+                     ( Config.Semantics.eval_route_map db_a rm_a route,
+                       Config.Semantics.eval_route_map db_b rm_b route )
                      ca.stanza_seq cb.stanza_seq)
            cells_b)
        cells_a
@@ -148,9 +145,10 @@ let equal_behavior ~db_a ~db_b rm_a rm_b =
    fall-through(0..i-1) ∧ match(s_i): the candidate region at position
    i is one conjunction, [cell_i.guard ∧ match(new)], against a single
    shared compilation — no per-position map construction or
-   re-execution. The pair-filtering, sampling and concrete-replay logic
-   below mirrors [compare] exactly so that witnesses are byte-identical
-   to the naive per-position sweep. *)
+   re-execution. The pair filtering and sampling below mirror [compare]
+   exactly, so witnesses are byte-identical to the naive per-position
+   sweep; the two outcomes come from the two stanzas that handle the
+   witness, not from evaluating either map. *)
 
 let naive_chunk ~db ~target stanza (start, len) =
   Obs.Counter.incr ~by:len Metrics.adjacent_contexts;
@@ -166,13 +164,15 @@ let naive_chunk ~db ~target stanza (start, len) =
 
 (* Boundaries of one candidate stanza against a pre-executed partition
    of the target: position [i]'s candidate region is
-   [cells.(i).guard ∧ match(stanza)], sampled and replayed concretely
-   exactly as [compare] would, so witnesses match the naive sweep. *)
-let cell_boundaries ctx cells ~db ~(target : Config.Route_map.t) stanza
-    (start, len) =
+   [cells.(i).guard ∧ match(stanza)], sampled exactly as [compare] would,
+   so witnesses match the naive sweep. A witness falls through stanzas
+   0..i-1 and matches both the candidate and s_i, so the candidate
+   handles it when inserted at i and s_i when inserted at i+1: applying
+   those two stanzas' actions and sets gives both maps' outcomes, at a
+   cost independent of the width. *)
+let cell_boundaries ctx cells ~db stanza (start, len) =
   let match_new = Ctx.of_stanza ctx db stanza in
   let t_new = Config.Transform.of_sets db stanza.Config.Route_map.sets in
-  let map_at p = Config.Route_map.insert_at target p stanza in
   List.filter_map
     (fun i ->
       let (c : Ctx.cell) = cells.(i) in
@@ -193,9 +193,12 @@ let cell_boundaries ctx cells ~db ~(target : Config.Route_map.t) stanza
         match sample_route ctx ~db_a:db ~db_b:db op_a op_b region with
         | None -> None
         | Some route ->
-            let result_a, result_b =
-              concrete_results ~db_a:db ~db_b:db (map_at i) (map_at (i + 1))
-                route
+            let result_a =
+              Config.Semantics.apply_action db stanza.Config.Route_map.action
+                stanza.Config.Route_map.sets route
+            in
+            let result_b =
+              Config.Semantics.apply_action db c.action c.sets route
             in
             if Config.Semantics.route_result_equal result_a result_b then None
             else
@@ -214,7 +217,7 @@ let incremental_chunk ~db ~(target : Config.Route_map.t) stanza (start, len) =
      function of the referenced community sets only. *)
   let ctx = context ~db_a:db ~db_b:db (Config.Route_map.insert_at target 0 stanza) target in
   let cells = Array.of_list (Ctx.exec ctx db target) in
-  cell_boundaries ctx cells ~db ~target stanza (start, len)
+  cell_boundaries ctx cells ~db stanza (start, len)
 
 let adjacent_insertions ?naive ?pool ~db ~(target : Config.Route_map.t)
     (stanza : Config.Route_map.stanza) =
@@ -267,7 +270,7 @@ let adjacent_insertions ?naive ?pool ~db ~(target : Config.Route_map.t)
           List.concat
             (Parallel.Pool.map ~bdd_base:base pool
                ~f:(fun slice ->
-                 cell_boundaries (Ctx.fork ctx) cells ~db ~target stanza slice)
+                 cell_boundaries (Ctx.fork ctx) cells ~db stanza slice)
                (Parallel.Pool.ranges ~grain:8 n))
         end
     | _ -> if n = 0 then [] else run_chunk (0, n)
@@ -348,13 +351,11 @@ let batch_insertions ?pool ~db ~(target : Config.Route_map.t) stanzas =
           with
           | None -> (i, j, Pair_overlap)
           | Some route ->
-              let map_of s =
-                Config.Route_map.make target.Config.Route_map.name [ s ]
+              (* The witness matches both candidates. *)
+              let result_of (s : Config.Route_map.stanza) =
+                Config.Semantics.apply_action db s.action s.sets route
               in
-              let result_a, result_b =
-                concrete_results ~db_a:db ~db_b:db (map_of si) (map_of sj)
-                  route
-              in
+              let result_a = result_of si and result_b = result_of sj in
               if Config.Semantics.route_result_equal result_a result_b then
                 (i, j, Pair_overlap)
               else
@@ -400,8 +401,8 @@ let batch_insertions ?pool ~db ~(target : Config.Route_map.t) stanzas =
             Parallel.Pool.map ~bdd_base:base pool
               ~f:(fun k ->
                 ( k,
-                  cell_boundaries (Ctx.fork ctx) cells ~db ~target
-                    candidates.(k) (0, n) ))
+                  cell_boundaries (Ctx.fork ctx) cells ~db candidates.(k)
+                    (0, n) ))
               (List.init ncand Fun.id)
           in
           let pairs =
@@ -416,8 +417,7 @@ let batch_insertions ?pool ~db ~(target : Config.Route_map.t) stanzas =
           ( List.map
               (fun k ->
                 ( k,
-                  cell_boundaries ctx cells ~db ~target candidates.(k) (0, n)
-                ))
+                  cell_boundaries ctx cells ~db candidates.(k) (0, n) ))
               (List.init ncand Fun.id),
             List.map (classify_pair ctx) all_pairs )
     in

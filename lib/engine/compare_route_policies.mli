@@ -54,15 +54,20 @@ val adjacent_insertions :
     By default the sweep is incremental: the target map is symbolically
     executed once and position [i]'s candidate region is
     [cell_i.guard ∧ match(stanza)], so the whole sweep costs one
-    compilation instead of the naive [n] two-map comparisons. [~naive]
-    forces either strategy explicitly; when omitted,
-    {!Boundary_mode.naive_requested} decides (the
-    [CLARIFY_NAIVE_BOUNDARIES] escape hatch). Both strategies return
-    identical results — the property suite enforces byte-equality.
+    compilation instead of the naive [n] two-map comparisons. A witness
+    of that region is handled by the stanza when inserted at [i] and by
+    stanza [i] when inserted at [i + 1], so the two outcomes are those
+    two stanzas' actions and sets applied to it: each position costs
+    the same whatever the width. [~naive] forces either strategy
+    explicitly; when omitted, {!Boundary_mode.naive_requested} decides
+    (the [CLARIFY_NAIVE_BOUNDARIES] escape hatch). Both strategies
+    return identical results — the property suite enforces
+    byte-equality.
 
-    [~pool] splits the sweep into one contiguous chunk of positions per
-    worker domain; each chunk compiles its own context (BDDs never
-    cross domains), and results are re-assembled in position order. *)
+    [~pool] compiles the context and partition once into a frozen base
+    manager, then splits the positions into stealable slices of 8, each
+    walked by a worker under a private delta on that base with its own
+    fork of the context; results are re-assembled in position order. *)
 
 type batch_sweep = {
   per_candidate : (int * difference) list array;
@@ -83,8 +88,8 @@ val batch_insertions :
   batch_sweep
 (** Multi-stanza sweep for batch synthesis: boundary sweeps for every
     candidate plus the pairwise inter-intent overlap/conflict graph,
-    all against one compiled first-match partition of [target] (one
-    symbolic context serially; one per chunk under [~pool]). The
+    all against one compiled first-match partition of [target] (under
+    [~pool], compiled once into a frozen base that every task forks). The
     symbolic scope always includes every candidate, so witnesses are
     independent of how the work is sharded. Increments
     {!Metrics.batch_conflict_pairs} by the number of conflicts. *)

@@ -417,7 +417,11 @@ let worker_main slot gen0 () =
       match joined with
       | None -> ()
       | Some b ->
-          if t_park >= 0. && Obs.enabled () then
+          (* Only instrumented batches, whose submitter forced
+             [park_ns] before publishing: two domains forcing one lazy
+             at once raise [Lazy.Undefined], which would kill this
+             worker after it joined and hang the submitter. *)
+          if t_park >= 0. && Array.length b.metrics > 0 then
             Obs.Histogram.observe_ns (Lazy.force park_ns)
               ((Obs.now () -. t_park) *. 1e9);
           (try participate b slot
@@ -578,6 +582,7 @@ let map ?(grain = 1) ?bdd_base pool ~f items =
       in
       if enabled then begin
         Obs.Counter.incr (Lazy.force batches);
+        ignore (Lazy.force park_ns);
         Obs.Gauge.set (Lazy.force pool_domains) (float_of_int pool.domains);
         Obs.Gauge.set (Lazy.force active_workers) (float_of_int parts)
       end;

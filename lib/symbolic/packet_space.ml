@@ -152,8 +152,8 @@ let to_packet bdd =
       | Some refined -> refined
       | None -> bdd
     in
-    let a = Bdd.any_sat bdd in
-    let field bv = Bvec.decode bv a in
+    let a = Bvec.valuation (Bdd.any_sat bdd) in
+    let field bv = Bvec.read bv a in
     let protocol_v = Config.Packet.protocol_of_number (field protocol) in
     Some
       {
@@ -163,9 +163,7 @@ let to_packet bdd =
         src_port = field src_port;
         dst_port = field dst_port;
         established =
-          (match List.assoc_opt established_var a with
-          | Some b -> b
-          | None -> false);
+          Option.value ~default:false (Bvec.value a established_var);
       }
 
 (** A packet matched by both rules, if any — the overlap witness. *)

@@ -126,6 +126,11 @@ let scan_route_map db (rm : Config.Route_map.t) =
     rm.Config.Route_map.stanzas;
   (!comms, !regexes, !as_lists)
 
+(* What [build_comm_universe] adds as the community matching no regex
+   when there are none. The witness search costs ~60 µs, more than the
+   rest of a context over a narrow map, so it runs once. *)
+let any_community = Sre.Community_regex.sat_witness ~pos:[] ~neg:[]
+
 let build_comm_universe concrete regexes =
   let u = ref (List.sort_uniq Bgp.Community.compare concrete) in
   let add = function
@@ -146,7 +151,10 @@ let build_comm_universe concrete regexes =
             add (Sre.Community_regex.sat_witness ~pos:[ r1 ] ~neg:[ r2 ]))
         regexes)
     regexes;
-  add (Sre.Community_regex.sat_witness ~pos:[] ~neg:regexes);
+  add
+    (match regexes with
+    | [] -> any_community
+    | _ -> Sre.Community_regex.sat_witness ~pos:[] ~neg:regexes);
   Array.of_list (List.sort Bgp.Community.compare !u)
 
 let create ?(extra_communities = []) ?(extra_comm_regexes = [])
@@ -181,8 +189,10 @@ let create ?(extra_communities = []) ?(extra_comm_regexes = [])
 let fork ctx =
   { ctx with combo_table = Hashtbl.copy ctx.combo_table }
 
-(** Routes representable in this context: prefix length at most 32. *)
-let valid _ctx = Bvec.le_const pfx_len 32
+(** Routes representable in this context: prefix length at most 32.
+    Context-independent, so built once per manager. *)
+let valid _ctx =
+  Bdd.cached ~key:"route.valid" (fun () -> Bvec.le_const pfx_len 32)
 
 (* ------------------------------------------------------------------ *)
 (* Match-condition compilation                                        *)
@@ -412,12 +422,10 @@ let rec completions = function
 
 (* Find a feasible as-path valuation extending the assignment; also
    returns the chosen combo for blocking bookkeeping. *)
-let feasible_path ctx assignment =
+let feasible_path ctx vals =
   let n = as_path_atom_count ctx in
   let base = atom_base + Array.length ctx.comm_universe in
-  let partial =
-    List.init n (fun i -> List.assoc_opt (base + i) assignment)
-  in
+  let partial = List.init n (fun i -> Bvec.value vals (base + i)) in
   match
     List.find_map
       (fun combo ->
@@ -430,14 +438,14 @@ let feasible_path ctx assignment =
   | None -> None
 
 (* Conjoin the negation of the partial atom cube into [blocked]. *)
-let block ctx assignment =
+let block ctx vals =
   let base = atom_base + Array.length ctx.comm_universe in
   let n = as_path_atom_count ctx in
   let cube =
     Bdd.conj_list
       (List.filter_map
          (fun i ->
-           match List.assoc_opt (base + i) assignment with
+           match Bvec.value vals (base + i) with
            | Some true -> Some (Bdd.var (base + i))
            | Some false -> Some (Bdd.nvar (base + i))
            | None -> None)
@@ -448,42 +456,45 @@ let block ctx assignment =
 (** Extract a concrete route from a region of the space, or [None] if
     the region is empty (after removing infeasible as-path valuations). *)
 (* Bias unconstrained attributes toward BGP defaults (local-pref 100,
-   metric/tag 0) so extracted examples look like real advertisements. *)
+   metric/tag 0) so extracted examples look like real advertisements.
+   The cubes are built once per manager. *)
 let prefer_defaults b =
+  let default key bv n = Bdd.cached ~key (fun () -> Bvec.eq_const bv n) in
   List.fold_left
     (fun b c ->
       let b' = Bdd.conj b c in
       if Bdd.is_sat b' then b' else b)
     b
     [
-      Bvec.eq_const local_pref 100;
-      Bvec.eq_const metric 0;
-      Bvec.eq_const tag 0;
+      default "route.default.local_pref" local_pref 100;
+      default "route.default.metric" metric 0;
+      default "route.default.tag" tag 0;
     ]
 
 let rec to_route ctx bdd =
   let b = Bdd.conj_list [ bdd; valid ctx; ctx.blocked ] in
   if Bdd.is_zero b then None
   else
-    let a = Bdd.any_sat (prefer_defaults b) in
+    (* Every field and atom is read from one indexing of the path. *)
+    let a = Bvec.valuation (Bdd.any_sat (prefer_defaults b)) in
     match feasible_path ctx a with
     | None ->
         block ctx a;
         to_route ctx bdd
     | Some (path, _) ->
-        let len = Bvec.decode pfx_len a in
-        let ip = Netaddr.Ipv4.of_int (Bvec.decode pfx_ip a) in
+        let len = Bvec.read pfx_len a in
+        let ip = Netaddr.Ipv4.of_int (Bvec.read pfx_ip a) in
         let communities =
           List.filteri
             (fun i _ ->
-              List.assoc_opt (atom_base + i) a = Some true)
+              Option.value ~default:false (Bvec.value a (atom_base + i)))
             (Array.to_list ctx.comm_universe)
         in
         Some
           (Bgp.Route.make
              ~as_path:path ~communities
-             ~local_pref:(Bvec.decode local_pref a)
-             ~metric:(Bvec.decode metric a) ~tag:(Bvec.decode tag a)
+             ~local_pref:(Bvec.read local_pref a)
+             ~metric:(Bvec.read metric a) ~tag:(Bvec.read tag a)
              (Netaddr.Prefix.make ip len))
 
 (** Satisfiability of a region under the feasibility constraints,

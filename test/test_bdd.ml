@@ -230,15 +230,53 @@ let prop_bvec_ge =
 let prop_bvec_decode =
   QCheck.Test.make ~name:"decode(any_sat(eq n)) = n" ~count:200
     QCheck.(int_range 0 255)
-    (fun n -> Bvec.decode bv8 (Bdd.any_sat (Bvec.eq_const bv8 n)) = n)
+    (fun n ->
+      Bvec.read bv8 (Bvec.valuation (Bdd.any_sat (Bvec.eq_const bv8 n))) = n)
 
 let prop_bvec_range_decode =
   QCheck.Test.make ~name:"range witness decodes inside range" ~count:200
     QCheck.(pair (int_range 0 255) (int_range 0 255))
     (fun (a, b) ->
       let lo = min a b and hi = max a b in
-      let v = Bvec.decode bv8 (Bdd.any_sat (Bvec.in_range bv8 lo hi)) in
+      let v =
+        Bvec.read bv8 (Bvec.valuation (Bdd.any_sat (Bvec.in_range bv8 lo hi)))
+      in
       v >= lo && v <= hi)
+
+(* The decode the valuation replaced: one search of the whole
+   assignment per bit, unassigned bits reading as 0. *)
+let assoc_decode bv assignment =
+  let w = Bvec.width bv in
+  snd
+    (List.fold_left
+       (fun (i, acc) v ->
+         match List.assoc_opt v assignment with
+         | Some true -> (i + 1, acc lor (1 lsl (w - 1 - i)))
+         | _ -> (i + 1, acc))
+       (0, 0) (Bvec.vars bv))
+
+(* Vectors over arbitrary (not sequential, possibly repeated) variables
+   and assignments that miss some of their bits, bind variables outside
+   them, and may bind one variable twice. *)
+let arb_decode_case =
+  QCheck.make
+    ~print:QCheck.Print.(pair (array int) (list (pair int bool)))
+    QCheck.Gen.(
+      pair
+        (array_size (int_range 1 24) (int_bound 39))
+        (list_size (int_bound 40) (pair (int_bound 47) bool)))
+
+let prop_valuation_decode =
+  QCheck.Test.make ~name:"valuation decode = assoc-list decode" ~count:500
+    arb_decode_case
+    (fun (vars, assignment) ->
+      let bv = Bvec.make vars in
+      let vals = Bvec.valuation assignment in
+      let expected = assoc_decode bv assignment in
+      Bvec.read bv vals = expected
+      && List.for_all
+           (fun v -> Bvec.value vals v = List.assoc_opt v assignment)
+           (List.init 52 (fun v -> v - 2)))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -267,5 +305,6 @@ let () =
           q prop_bvec_ge;
           q prop_bvec_decode;
           q prop_bvec_range_decode;
+          q prop_valuation_decode;
         ] );
     ]

@@ -32,7 +32,9 @@ let check_same ~what ~case ~render naive incremental =
 (* Route-maps                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let random_sets rng =
+(* [deletable] names a community list in the case's database, so that
+   list deletions reach the [Comm_update {delete}] pipeline. *)
+let random_sets rng ~deletable =
   List.filter_map
     (fun c -> c)
     [
@@ -54,10 +56,30 @@ let random_sets rng =
       (if Random.State.int rng 4 = 0 then
          Some (Config.Route_map.Set_tag (Random.State.int rng 100))
        else None);
+      (if Random.State.int rng 3 = 0 then
+         Some (Config.Route_map.Set_comm_list_delete deletable)
+       else None);
     ]
 
-let route_map_case rng case =
-  let stanzas = 1 + Random.State.int rng 7 in
+(* A community list matching some of the communities [random_sets] may
+   add, standard or expanded. *)
+let deletable_list rng name =
+  if Random.State.bool rng then
+    Config.Community_list.standard name
+      [
+        {
+          Config.Community_list.action = Config.Action.Permit;
+          communities = [ Bgp.Community.make 65000 (1 + Random.State.int rng 4) ];
+        };
+      ]
+  else
+    Config.Community_list.expanded name
+      [ (Config.Action.Permit, "_65000:[12]_") ]
+
+let route_map_case ?stanzas rng case =
+  let stanzas =
+    match stanzas with Some n -> n | None -> 1 + Random.State.int rng 7
+  in
   let db, target =
     Workload.Random_corpus.route_map ~rng ~db:Config.Database.empty
       ~name:(Printf.sprintf "T%d" case)
@@ -82,13 +104,17 @@ let route_map_case rng case =
              (Netaddr.Prefix_range.make base ~ge:(Some ge) ~le:(Some le));
          ])
   in
+  let deletable = Printf.sprintf "DEL%d" case in
+  let db =
+    Config.Database.add_community_list db (deletable_list rng deletable)
+  in
   let action =
     if Random.State.bool rng then Config.Action.Permit else Config.Action.Deny
   in
   let stanza =
     Config.Route_map.stanza ~seq:5
       ~matches:[ Config.Route_map.Match_prefix_list [ pl_name ] ]
-      ~sets:(random_sets rng) action
+      ~sets:(random_sets rng ~deletable) action
   in
   (db, target, stanza)
 
@@ -143,6 +169,22 @@ let test_route_map_equivalence () =
       check_same ~what:"pooled incremental sweep" ~case ~render serial pooled;
       check_same ~what:"pooled naive sweep" ~case ~render serial pooled_naive
     end
+  done
+
+(* Wide targets put boundaries behind deep fall-throughs: cell [i]'s
+   guard conjoins the negations of dozens of earlier stanzas. Boundaries
+   only, since the naive reference costs O(n²) per sweep. *)
+let wide_cases = 8
+
+let test_route_map_wide_equivalence () =
+  let rng = Random.State.make [| 0x5eed; 4 |] in
+  for case = 0 to wide_cases - 1 do
+    let stanzas = 32 + Random.State.int rng 65 in
+    let db, target, stanza = route_map_case ~stanzas rng (cases + case) in
+    let naive = with_naive (fun () -> D.boundaries ~db ~target stanza) in
+    let incr = D.boundaries ~db ~target stanza in
+    check_same ~what:"wide route-map boundaries" ~case ~render:render_rm_question
+      naive incr
   done
 
 (* as-path matches mutate the context's blocked-path state during
@@ -342,6 +384,8 @@ let () =
       ( "naive-vs-incremental",
         [
           Alcotest.test_case "route-maps" `Quick test_route_map_equivalence;
+          Alcotest.test_case "wide route-maps" `Quick
+            test_route_map_wide_equivalence;
           Alcotest.test_case "route-map as-path" `Quick
             test_route_map_as_path_case;
           Alcotest.test_case "acls" `Quick test_acl_equivalence;

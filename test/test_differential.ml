@@ -1,8 +1,11 @@
-(* Property-based differential testing of the symbolic ACL engine
-   against the concrete interpreter: for random ACLs and packets, the
-   BDD encoding used by [Engine.Search_filters] must agree with
+(* Property-based differential testing of the symbolic engines against
+   the concrete interpreter. For random ACLs and packets, the BDD
+   encoding used by [Engine.Search_filters] must agree with
    [Config.Semantics.eval_acl] packet by packet, and every witness the
-   symbolic search produces must check out concretely. *)
+   symbolic search produces must check out concretely. For random
+   route-maps, every witness of the first-match partition must be
+   handled by its cell's stanza, which is what lets the boundary sweep
+   answer each position from two stanzas. *)
 
 let case_count = 200
 
@@ -187,6 +190,167 @@ let prop_differ =
       | Some p ->
           Config.Semantics.eval_acl a p <> Config.Semantics.eval_acl b p)
 
+(* ------------------------------------------------------------------ *)
+(* Route-maps. The boundary sweep answers position [i] from the two
+   stanzas that handle its witness (the candidate when inserted at [i],
+   stanza [i] when inserted at [i + 1]) instead of evaluating either
+   map. That is exact only while the symbolic first-match partition
+   agrees with the concrete interpreter on every witness it yields. *)
+(* ------------------------------------------------------------------ *)
+
+module Ctx = Symbolic.Route_ctx
+module Rm = Config.Route_map
+
+(* Every list a random stanza may name: prefix lists with deny entries
+   and ge/le windows, standard and expanded community lists, and as-path
+   lists whose atoms constrain each other. *)
+let route_db =
+  Config.Parser.parse_exn
+    {|
+ip prefix-list PL0 seq 10 permit 10.0.0.0/8 le 24
+ip prefix-list PL1 seq 10 deny 10.1.0.0/16 le 32
+ip prefix-list PL1 seq 20 permit 10.0.0.0/8 le 32
+ip prefix-list PL2 seq 10 permit 10.1.0.0/16 ge 20 le 28
+ip prefix-list PL3 seq 10 permit 10.2.0.0/16 le 32
+ip community-list standard CS0 permit 65000:1
+ip community-list standard CS1 deny 65000:2
+ip community-list standard CS1 permit 65001:1 300:3
+ip community-list expanded CE0 permit _65000:.*_
+ip community-list expanded CE1 deny _65000:1_
+ip community-list expanded CE1 permit _300:3_
+ip as-path access-list AP0 permit _100_
+ip as-path access-list AP1 deny ^200_
+ip as-path access-list AP1 permit _100$
+ip as-path access-list AP2 permit _300$
+|}
+
+let gen_match =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> Rm.Match_prefix_list [ Printf.sprintf "PL%d" k ])
+          (int_bound 3);
+        map (fun n -> Rm.Match_community [ n ])
+          (oneofl [ "CS0"; "CS1"; "CE0"; "CE1" ]);
+        map (fun k -> Rm.Match_as_path [ Printf.sprintf "AP%d" k ])
+          (int_bound 2);
+        map (fun n -> Rm.Match_local_pref n) (oneofl [ 100; 200 ]);
+        map (fun n -> Rm.Match_metric n) (oneofl [ 0; 50 ]);
+        map (fun tags -> Rm.Match_tag tags)
+          (oneofl [ [ 0 ]; [ 7 ]; [ 0; 7 ] ]);
+      ])
+
+let gen_set =
+  let comm = Bgp.Community.make in
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> Rm.Set_local_pref n) (oneofl [ 100; 150; 200 ]);
+        map (fun n -> Rm.Set_metric n) (oneofl [ 0; 50; 70 ]);
+        map2
+          (fun communities additive ->
+            Rm.Set_community { communities; additive })
+          (oneofl
+             [ [ comm 65000 1 ]; [ comm 65000 2; comm 300 3 ]; [ comm 9 9 ] ])
+          bool;
+        map (fun n -> Rm.Set_comm_list_delete n)
+          (oneofl [ "CS0"; "CE0"; "CE1" ]);
+        map (fun n -> Rm.Set_tag n) (oneofl [ 0; 7; 9 ]);
+        return (Rm.Set_as_path_prepend [ 65000 ]);
+      ])
+
+let gen_stanza =
+  QCheck.Gen.(
+    let* matches =
+      frequency [ (1, return 0); (3, return 1); (2, return 2) ] >>= fun k ->
+      list_repeat k gen_match
+    in
+    let* sets = list_size (int_bound 2) gen_set in
+    let* action = oneofl [ Config.Action.Permit; Config.Action.Deny ] in
+    return (Rm.stanza ~matches ~sets action))
+
+(* A target of 1-8 stanzas and a candidate to insert into it. *)
+let arb_route_map_case =
+  QCheck.make
+    ~print:(fun (target, candidate) ->
+      Format.asprintf "%a@.candidate:@.%a" Rm.pp target
+        (fun fmt s -> Rm.pp_stanza fmt "NEW" s)
+        candidate)
+    QCheck.Gen.(
+      let* stanzas = list_size (int_range 1 8) gen_stanza in
+      let* candidate = gen_stanza in
+      return
+        ( Rm.make "T"
+            (List.mapi (fun i s -> { s with Rm.seq = (i + 1) * 10 }) stanzas),
+          { candidate with Rm.seq = 5 } ))
+
+(* The context and partition the sweep builds: the candidate is in
+   scope, so its lists shape the universe. *)
+let route_partition target candidate =
+  let ctx =
+    Ctx.create
+      [ (route_db, [ Rm.insert_at target 0 candidate; target ]) ]
+  in
+  (ctx, Ctx.exec ctx route_db target)
+
+let handled_by (s : Rm.stanza) route =
+  Config.Semantics.apply_action route_db s.action s.sets route
+
+let eval_at target candidate i route =
+  Config.Semantics.eval_route_map route_db
+    (Rm.insert_at target i candidate)
+    route
+
+(* Every witness of a cell is handled concretely by that cell's stanza
+   (or by none, for the implicit deny). *)
+let prop_route_cell_witnesses =
+  QCheck.Test.make ~count:case_count
+    ~name:"route-map cell witnesses are handled by their stanza"
+    arb_route_map_case (fun (target, candidate) ->
+      let ctx, cells = route_partition target candidate in
+      List.for_all
+        (fun (c : Ctx.cell) ->
+          match Ctx.to_route ctx c.guard with
+          | None -> true
+          | Some route -> (
+              match
+                (c.stanza_seq, Config.Semantics.matching_stanza route_db target route)
+              with
+              | None, None -> true
+              | Some seq, Some s -> seq = s.Rm.seq
+              | _ -> false))
+        cells)
+
+(* On every witness of [cell_i.guard ∧ match(candidate)], the two
+   stanzas' own outcomes are those of the maps with the candidate
+   inserted at [i] and at [i + 1]; and every boundary the sweep reports
+   carries exactly those maps' outcomes. *)
+let prop_route_two_stanza_results =
+  QCheck.Test.make ~count:case_count
+    ~name:"two-stanza results = insert_at evaluation" arb_route_map_case
+    (fun (target, candidate) ->
+      let ctx, cells = route_partition target candidate in
+      let match_new = Ctx.of_stanza ctx route_db candidate in
+      let agree a b = Config.Semantics.route_result_equal a b in
+      List.for_all2
+        (fun i (s : Rm.stanza) ->
+          let c = List.nth cells i in
+          match Ctx.to_route ctx (Symbdd.Bdd.conj c.Ctx.guard match_new) with
+          | None -> true
+          | Some route ->
+              agree (handled_by candidate route)
+                (eval_at target candidate i route)
+              && agree (handled_by s route)
+                   (eval_at target candidate (i + 1) route))
+        (List.init (List.length target.Rm.stanzas) Fun.id)
+        target.Rm.stanzas
+      && List.for_all
+           (fun (i, (d : Engine.Compare_route_policies.difference)) ->
+             agree d.result_a (eval_at target candidate i d.route)
+             && agree d.result_b (eval_at target candidate (i + 1) d.route))
+           (Engine.Compare_route_policies.adjacent_insertions ~naive:false
+              ~db:route_db ~target candidate))
+
 let () =
   Alcotest.run "differential"
     [
@@ -198,4 +362,7 @@ let () =
             prop_search_witness_is_concrete;
             prop_differ;
           ] );
+      ( "route-maps",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_route_cell_witnesses; prop_route_two_stanza_results ] );
     ]
