@@ -18,11 +18,21 @@ let check_const t n =
   if n < 0 || (w < 62 && n lsr w <> 0) then
     invalid_arg (Printf.sprintf "Bvec: constant %d does not fit %d bits" n w)
 
+(* The cube fixing bits [0..len-1] to those of [n]. Literals are
+   conjoined least significant first: each then sits above the chain
+   built so far, so the cube costs one node per bit where conjoining
+   from the top re-walks the chain for every literal. *)
+let const_cube t n len =
+  let acc = ref Bdd.one in
+  for i = len - 1 downto 0 do
+    acc :=
+      Bdd.conj (if bit_of_const t n i then Bdd.var t.(i) else Bdd.nvar t.(i)) !acc
+  done;
+  !acc
+
 let eq_const t n =
   check_const t n;
-  Bdd.conj_list
-    (List.init (width t) (fun i ->
-         if bit_of_const t n i then Bdd.var t.(i) else Bdd.nvar t.(i)))
+  const_cube t n (width t)
 
 let le_const t n =
   check_const t n;
@@ -52,9 +62,7 @@ let in_range t lo hi =
 let prefix_match t ~value ~len =
   check_const t value;
   if len < 0 || len > width t then invalid_arg "Bvec.prefix_match";
-  Bdd.conj_list
-    (List.init len (fun i ->
-         if bit_of_const t value i then Bdd.var t.(i) else Bdd.nvar t.(i)))
+  const_cube t value len
 
 (* One byte per variable up to the largest assigned one: '\000'
    unassigned, '\001' false, '\002' true. *)

@@ -15,10 +15,13 @@ let () =
 
 type state = {
   mutable prefix_entries : (string * Prefix_list.entry) list; (* reversed *)
+  prefix_seq : (string, int) Hashtbl.t; (* highest seq per prefix list *)
   mutable community_entries :
     (string * [ `Standard | `Expanded ] * Action.t * string) list;
   mutable as_path_entries : (string * Action.t * string) list;
   mutable stanzas : (string * Route_map.stanza) list;
+      (* reversed, and so are each stanza's matches and sets: the open
+         stanza is the head and takes a clause in O(1) *)
   mutable acl_rules : (string * Acl.rule) list;
   mutable acl_auto_seq : (string, int) Hashtbl.t;
   (* The construct that subsequent indented lines attach to. *)
@@ -27,13 +30,22 @@ type state = {
 
 and context =
   | Ctx_none
-  | Ctx_route_map of string * int (* map name, stanza seq *)
+  | Ctx_route_map (* the stanza at the head of [stanzas] *)
   | Ctx_acl of string
 
+(* Blank- and tab-separated tokens, read right to left in one pass. *)
 let tokens_of_line line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
+  let push acc start stop =
+    if stop > start then String.sub line start (stop - start) :: acc else acc
+  in
+  (* [stop] ends the token being read, which starts after [i]. *)
+  let rec go acc i stop =
+    if i < 0 then push acc 0 stop
+    else if line.[i] = ' ' || line.[i] = '\t' then go (push acc (i + 1) stop) (i - 1) i
+    else go acc (i - 1) stop
+  in
+  let n = String.length line in
+  go [] (n - 1) n
 
 let int_arg ln what s =
   match int_of_string_opt s with
@@ -201,16 +213,16 @@ let parse_line st ln line =
       | act :: rest ->
           let action = action_arg ln act in
           let range = parse_prefix_range ln rest in
+          (* Auto-sequence: 10 past the highest existing. *)
+          let highest = Hashtbl.find_opt st.prefix_seq name in
           let seq =
-            match seq with
-            | Some s -> s
-            | None ->
-                (* Auto-sequence: 10 past the highest existing. *)
-                List.fold_left
-                  (fun acc (n, (e : Prefix_list.entry)) ->
-                    if n = name then max acc (e.seq + 10) else acc)
-                  10 st.prefix_entries
+            match (seq, highest) with
+            | Some s, _ -> s
+            | None, Some h -> max 10 (h + 10)
+            | None, None -> 10
           in
+          Hashtbl.replace st.prefix_seq name
+            (match highest with Some h -> max h seq | None -> seq);
           st.prefix_entries <-
             (name, Prefix_list.entry ~seq ~action range) :: st.prefix_entries
       | [] -> fail ln "truncated prefix-list entry")
@@ -240,34 +252,22 @@ let parse_line st ln line =
       let action = action_arg ln act in
       let seq = int_arg ln "sequence number" seq in
       st.stanzas <- (name, Route_map.stanza ~seq action) :: st.stanzas;
-      st.context <- Ctx_route_map (name, seq)
+      st.context <- Ctx_route_map
   | [ "ip"; "access-list"; "extended"; name ] -> st.context <- Ctx_acl name
   | "access-list" :: num :: rest when int_of_string_opt num <> None ->
       st.context <- Ctx_none;
       parse_acl_rule ln st num rest
   | "match" :: rest -> (
-      match st.context with
-      | Ctx_route_map (name, seq) ->
+      match (st.context, st.stanzas) with
+      | Ctx_route_map, (name, s) :: others ->
           let clause = parse_match_clause ln rest in
-          st.stanzas <-
-            List.map
-              (fun (n, (s : Route_map.stanza)) ->
-                if n = name && s.seq = seq then
-                  (n, { s with matches = s.matches @ [ clause ] })
-                else (n, s))
-              st.stanzas
+          st.stanzas <- (name, { s with matches = clause :: s.matches }) :: others
       | _ -> fail ln "match clause outside a route-map stanza")
   | "set" :: rest -> (
-      match st.context with
-      | Ctx_route_map (name, seq) ->
+      match (st.context, st.stanzas) with
+      | Ctx_route_map, (name, s) :: others ->
           let clause = parse_set_clause ln rest in
-          st.stanzas <-
-            List.map
-              (fun (n, (s : Route_map.stanza)) ->
-                if n = name && s.seq = seq then
-                  (n, { s with sets = s.sets @ [ clause ] })
-                else (n, s))
-              st.stanzas
+          st.stanzas <- (name, { s with sets = clause :: s.sets }) :: others
       | _ -> fail ln "set clause outside a route-map stanza")
   | (("permit" | "deny") :: _ | _ :: ("permit" | "deny") :: _) as toks -> (
       match st.context with
@@ -331,7 +331,11 @@ let finalize st =
   List.iter
     (fun (name, stanzas) ->
       db := Database.add_route_map !db (Route_map.make name stanzas))
-    (group_by_name st.stanzas);
+    (group_by_name
+       (List.map
+          (fun (name, (s : Route_map.stanza)) ->
+            (name, { s with matches = List.rev s.matches; sets = List.rev s.sets }))
+          st.stanzas));
   List.iter
     (fun (name, rules) -> db := Database.add_acl !db (Acl.make name rules))
     (group_by_name st.acl_rules);
@@ -341,6 +345,7 @@ let parse_exn source =
   let st =
     {
       prefix_entries = [];
+      prefix_seq = Hashtbl.create 8;
       community_entries = [];
       as_path_entries = [];
       stanzas = [];
@@ -349,9 +354,15 @@ let parse_exn source =
       context = Ctx_none;
     }
   in
-  List.iteri
-    (fun i line -> parse_line st (i + 1) line)
-    (String.split_on_char '\n' source);
+  (* Line by line, so no line outlives its parse. *)
+  let rec lines ln start =
+    match String.index_from_opt source start '\n' with
+    | Some stop ->
+        parse_line st ln (String.sub source start (stop - start));
+        lines (ln + 1) (stop + 1)
+    | None -> parse_line st ln (String.sub source start (String.length source - start))
+  in
+  lines 1 0;
   finalize st
 
 let parse source =

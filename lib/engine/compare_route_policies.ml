@@ -145,10 +145,13 @@ let equal_behavior ~db_a ~db_b rm_a rm_b =
    fall-through(0..i-1) ∧ match(s_i): the candidate region at position
    i is one conjunction, [cell_i.guard ∧ match(new)], against a single
    shared compilation — no per-position map construction or
-   re-execution. The pair filtering and sampling below mirror [compare]
-   exactly, so witnesses are byte-identical to the naive per-position
-   sweep; the two outcomes come from the two stanzas that handle the
-   witness, not from evaluating either map. *)
+   re-execution. That partition is projected onto match(new)
+   ([Route_ctx.exec ~candidates]), so stanzas the candidate cannot meet
+   are never compiled and their cells are empty; every other region is
+   the same canonical BDD. The pair filtering and sampling below mirror
+   [compare] exactly, so witnesses are byte-identical to the naive
+   per-position sweep; the two outcomes come from the two stanzas that
+   handle the witness, not from evaluating either map. *)
 
 let naive_chunk ~db ~target stanza (start, len) =
   Obs.Counter.incr ~by:len Metrics.adjacent_contexts;
@@ -176,7 +179,10 @@ let cell_boundaries ctx cells ~db stanza (start, len) =
   List.filter_map
     (fun i ->
       let (c : Ctx.cell) = cells.(i) in
+      (* A cell the candidates cannot reach has no witness. *)
       let maybe_differs =
+        (not (Bdd.is_zero c.guard))
+        &&
         match (stanza.Config.Route_map.action, c.action) with
         | Config.Action.Deny, Config.Action.Deny -> false
         | Config.Action.Permit, Config.Action.Permit ->
@@ -216,7 +222,7 @@ let incremental_chunk ~db ~(target : Config.Route_map.t) stanza (start, len) =
      position 0 is as good as any for the shared universe, which is a
      function of the referenced community sets only. *)
   let ctx = context ~db_a:db ~db_b:db (Config.Route_map.insert_at target 0 stanza) target in
-  let cells = Array.of_list (Ctx.exec ctx db target) in
+  let cells = Array.of_list (Ctx.exec ~candidates:[ stanza ] ctx db target) in
   cell_boundaries ctx cells ~db stanza (start, len)
 
 let adjacent_insertions ?naive ?pool ~db ~(target : Config.Route_map.t)
@@ -255,11 +261,9 @@ let adjacent_insertions ?naive ?pool ~db ~(target : Config.Route_map.t)
                     (Config.Route_map.insert_at target 0 stanza)
                     target
                 in
-                let cells = Array.of_list (Ctx.exec ctx db target) in
-                (* Pre-compile the candidate's match condition too, so
-                   deltas resolve it from the base instead of each
-                   rebuilding it. *)
-                ignore (Ctx.of_stanza ctx db stanza);
+                let cells =
+                  Array.of_list (Ctx.exec ~candidates:[ stanza ] ctx db target)
+                in
                 (ctx, cells))
           in
           Bdd.Manager.freeze base;
@@ -282,8 +286,9 @@ let adjacent_insertions ?naive ?pool ~db ~(target : Config.Route_map.t)
 (* Multi-stanza batch sweep (DESIGN.md §12).
 
    A batch of N candidate stanzas against one target policy shares a
-   single compiled first-match partition: every candidate's boundary
-   sweep is N conjunctions against the same cells, and the pairwise
+   single compiled first-match partition, projected onto the union of
+   the candidates' match regions: every candidate's boundary sweep is
+   n conjunctions against the same cells, and the pairwise
    inter-intent analysis is one conjunction per candidate pair. The
    symbolic scope always covers the target plus *every* candidate, so
    the community/as-path universe — and therefore every witness — is
@@ -386,11 +391,7 @@ let batch_insertions ?pool ~db ~(target : Config.Route_map.t) stanzas =
           let ctx, cells =
             Bdd.with_manager base (fun () ->
                 let ctx = make_ctx () in
-                let cells = Array.of_list (Ctx.exec ctx db target) in
-                Array.iter
-                  (fun s -> ignore (Ctx.of_stanza ctx db s))
-                  candidates;
-                (ctx, cells))
+                (ctx, Array.of_list (Ctx.exec ~candidates:stanzas ctx db target)))
           in
           Bdd.Manager.freeze base;
           (* Candidate sweeps are coarse — one stealable task each;
@@ -413,7 +414,7 @@ let batch_insertions ?pool ~db ~(target : Config.Route_map.t) stanzas =
           (bounds, pairs)
       | _ ->
           let ctx = make_ctx () in
-          let cells = Array.of_list (Ctx.exec ctx db target) in
+          let cells = Array.of_list (Ctx.exec ~candidates:stanzas ctx db target) in
           ( List.map
               (fun k ->
                 ( k,

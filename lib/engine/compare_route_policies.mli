@@ -54,7 +54,11 @@ val adjacent_insertions :
     By default the sweep is incremental: the target map is symbolically
     executed once and position [i]'s candidate region is
     [cell_i.guard ∧ match(stanza)], so the whole sweep costs one
-    compilation instead of the naive [n] two-map comparisons. A witness
+    compilation instead of the naive [n] two-map comparisons. The
+    execution is projected onto [match(stanza)]
+    ({!Symbolic.Route_ctx.exec} [~candidates]): stanzas the candidate
+    cannot meet are never compiled, so the sweep's BDD work follows the
+    stanzas it overlaps rather than the width. A witness
     of that region is handled by the stanza when inserted at [i] and by
     stanza [i] when inserted at [i + 1], so the two outcomes are those
     two stanzas' actions and sets applied to it: each position costs
@@ -88,7 +92,8 @@ val batch_insertions :
   batch_sweep
 (** Multi-stanza sweep for batch synthesis: boundary sweeps for every
     candidate plus the pairwise inter-intent overlap/conflict graph,
-    all against one compiled first-match partition of [target] (under
+    all against one compiled first-match partition of [target],
+    projected onto the union of the candidates' match regions (under
     [~pool], compiled once into a frozen base that every task forks). The
     symbolic scope always includes every candidate, so witnesses are
     independent of how the work is sharded. Increments

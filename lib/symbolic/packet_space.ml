@@ -18,11 +18,13 @@ let of_addr_spec field = function
   | Config.Acl.Host ip ->
       Bvec.eq_const field (Netaddr.Ipv4.to_int ip)
   | Config.Acl.Wildcard (base, wild) ->
-      (* Constrain exactly the bits the wildcard marks as significant. *)
+      (* Constrain exactly the bits the wildcard marks as significant,
+         least significant first so each literal tops the chain. *)
+      let vars = (field :> int array) in
       let acc = ref Bdd.one in
-      for i = 0 to 31 do
+      for i = 31 downto 0 do
         if not (Netaddr.Ipv4.bit wild i) then begin
-          let v = List.nth (Bvec.vars field) i in
+          let v = vars.(i) in
           let lit = if Netaddr.Ipv4.bit base i then Bdd.var v else Bdd.nvar v in
           acc := Bdd.conj lit !acc
         end
@@ -113,19 +115,6 @@ let exec (acl : Config.Acl.t) =
   in
   go Bdd.one acl.Config.Acl.rules
 
-(** Prefix execution: [i]th element is the set of packets that fall
-    through (match none of) rules [0..i-1]; index 0 is the full space
-    and index [n] the implicit-deny guard. One traversal serves every
-    insertion position (DESIGN.md §11). *)
-let exec_prefixes (acl : Config.Acl.t) =
-  let rules = Array.of_list acl.Config.Acl.rules in
-  let n = Array.length rules in
-  let reach = Array.make (n + 1) Bdd.one in
-  for i = 0 to n - 1 do
-    reach.(i + 1) <- Bdd.conj reach.(i) (Bdd.neg (of_rule rules.(i)))
-  done;
-  reach
-
 (** The set of packets an ACL permits. *)
 let permitted acl =
   Bdd.disj_list
@@ -141,16 +130,12 @@ let to_packet bdd =
   if Bdd.is_zero bdd then None
   else
     let bdd =
-      let candidates =
-        [
-          Bdd.conj bdd (Bvec.eq_const protocol 6);
-          Bdd.conj bdd (Bvec.eq_const protocol 17);
-          Bdd.conj bdd (Bvec.eq_const protocol 1);
-        ]
-      in
-      match List.find_opt Bdd.is_sat candidates with
-      | Some refined -> refined
-      | None -> bdd
+      Option.value ~default:bdd
+        (List.find_map
+           (fun p ->
+             let refined = Bdd.conj bdd (Bvec.eq_const protocol p) in
+             if Bdd.is_sat refined then Some refined else None)
+           [ 6; 17; 1 ])
     in
     let a = Bvec.valuation (Bdd.any_sat bdd) in
     let field bv = Bvec.read bv a in

@@ -30,12 +30,6 @@ val exec : Config.Acl.t -> cell list
     is the rule's match condition minus everything matched earlier; the
     final cell is the implicit deny. Guards partition the space. *)
 
-val exec_prefixes : Config.Acl.t -> Bdd.t array
-(** Prefix execution of an ACL with [n] rules: [n + 1] reachability
-    sets whose [i]th element is the packets matching none of rules
-    [0..i-1] (index 0 is the full space, index [n] the implicit-deny
-    guard). One traversal serves every insertion position. *)
-
 val permitted : Config.Acl.t -> Bdd.t
 (** The set of packets the ACL permits. *)
 

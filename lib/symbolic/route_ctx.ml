@@ -21,9 +21,9 @@
     boolean atom "this list permits the route's path". Not every atom
     valuation is realizable by a concrete path; feasibility is decided
     lazily with the symbolic regex engine (intersections of accept
-    languages and their complements), infeasible valuations are blocked
-    from the space, and feasible ones are memoized with a concrete
-    witness path used in extracted example routes. *)
+    languages and their complements) and memoized, feasible ones with a
+    concrete witness path used in extracted example routes; each model
+    extraction steps past the infeasible valuations it meets. *)
 
 open Symbdd
 
@@ -41,7 +41,6 @@ type t = {
   comm_universe : Bgp.Community.t array;
   as_path_lists : Config.As_path_list.t array;
   accept_langs : R.re array; (* per as-path list: paths it permits *)
-  mutable blocked : Bdd.t; (* negations of infeasible as-path atom cubes *)
   combo_table : (bool list, int list option) Hashtbl.t;
 }
 
@@ -179,13 +178,12 @@ let create ?(extra_communities = []) ?(extra_comm_regexes = [])
     comm_universe = build_comm_universe !comms !regexes;
     as_path_lists;
     accept_langs = Array.map accept_language as_path_lists;
-    blocked = Bdd.one;
     combo_table = Hashtbl.create 16;
   }
 
 (* A private copy for a worker that shares the immutable universe but
-   owns the mutable feasibility state ([blocked], [combo_table]), so
-   concurrent workers layered on one compiled context never race. *)
+   owns the feasibility memo, so concurrent workers layered on one
+   compiled context never race. *)
 let fork ctx =
   { ctx with combo_table = Hashtbl.copy ctx.combo_table }
 
@@ -341,10 +339,63 @@ type cell = {
   stanza_seq : int option; (* [None] for the implicit trailing deny *)
 }
 
+(* Over-approximations of a stanza's match region, one per prefix-list
+   clause: the permit ranges of every list the clause names. Deny
+   entries only remove routes and an undefined list matches none. *)
+let prefix_covers db (s : Config.Route_map.stanza) =
+  List.filter_map
+    (function
+      | Config.Route_map.Match_prefix_list names ->
+          Some
+            (List.concat_map
+               (fun name ->
+                 match Config.Database.prefix_list db name with
+                 | None -> []
+                 | Some pl ->
+                     List.filter_map
+                       (fun (e : Config.Prefix_list.entry) ->
+                         if Config.Action.equal e.action Config.Action.Permit
+                         then Some e.range
+                         else None)
+                       pl.Config.Prefix_list.entries)
+               names)
+      | _ -> None)
+    s.matches
+
+(* No route matches both stanzas: some prefix-list clause of one admits
+   no prefix that some prefix-list clause of the other admits. A range
+   pair's regions intersect exactly when the ranges overlap, so this
+   never holds of stanzas that share a route. *)
+let apart covers_a covers_b =
+  List.exists
+    (fun ra ->
+      List.exists
+        (fun rb ->
+          not
+            (List.exists
+               (fun r -> List.exists (Netaddr.Prefix_range.overlap r) rb)
+               ra))
+        covers_b)
+    covers_a
+
 (** Ordered first-match partition of the route space; guards are
     pairwise disjoint and cover everything, the last cell being the
-    implicit deny. *)
-let exec ctx db (rm : Config.Route_map.t) =
+    implicit deny. With [candidates], the partition of their match
+    region only: the fall-through starts there, so each guard is the
+    full partition's guard conjoined with it. A stanza apart from every
+    candidate, or reached by nothing, gets an empty guard without being
+    compiled. *)
+let exec ?candidates ctx db (rm : Config.Route_map.t) =
+  let start, may_meet =
+    match candidates with
+    | None -> (Bdd.one, fun _ -> true)
+    | Some cands ->
+        let covers = List.map (prefix_covers db) cands in
+        ( Bdd.disj_list (List.map (of_stanza ctx db) cands),
+          fun s ->
+            let c = prefix_covers db s in
+            not (List.for_all (apart c) covers) )
+  in
   let rec go unmatched = function
     | [] ->
         [
@@ -356,30 +407,16 @@ let exec ctx db (rm : Config.Route_map.t) =
           };
         ]
     | (s : Config.Route_map.stanza) :: rest ->
-        let m = of_stanza ctx db s in
-        {
-          guard = Bdd.conj unmatched m;
-          action = s.action;
-          sets = s.sets;
-          stanza_seq = Some s.seq;
-        }
-        :: go (Bdd.conj unmatched (Bdd.neg m)) rest
+        let cell guard =
+          { guard; action = s.action; sets = s.sets; stanza_seq = Some s.seq }
+        in
+        if Bdd.is_zero unmatched || not (may_meet s) then
+          cell Bdd.zero :: go unmatched rest
+        else
+          let m = of_stanza ctx db s in
+          cell (Bdd.conj unmatched m) :: go (Bdd.conj unmatched (Bdd.neg m)) rest
   in
-  go Bdd.one rm.Config.Route_map.stanzas
-
-(** Prefix execution: [i]th element is the set of routes that fall
-    through (match none of) stanzas [0..i-1], so index 0 is the full
-    space and index [n] is the implicit-deny guard. One traversal of
-    the map yields every insertion point's reachability at once — the
-    foundation of the incremental boundary engine (DESIGN.md §11). *)
-let exec_prefixes ctx db (rm : Config.Route_map.t) =
-  let stanzas = Array.of_list rm.Config.Route_map.stanzas in
-  let n = Array.length stanzas in
-  let reach = Array.make (n + 1) Bdd.one in
-  for i = 0 to n - 1 do
-    reach.(i + 1) <- Bdd.conj reach.(i) (Bdd.neg (of_stanza ctx db stanzas.(i)))
-  done;
-  reach
+  go start rm.Config.Route_map.stanzas
 
 (** Routes the map accepts (any permit stanza). *)
 let accepted ctx db rm =
@@ -419,83 +456,82 @@ let rec completions = function
       let cs = completions rest in
       List.map (fun c -> false :: c) cs @ List.map (fun c -> true :: c) cs
 
-
-(* Find a feasible as-path valuation extending the assignment; also
-   returns the chosen combo for blocking bookkeeping. *)
+(* The witness path of a feasible as-path valuation extending the
+   assignment, if there is one. *)
 let feasible_path ctx vals =
-  let n = as_path_atom_count ctx in
   let base = atom_base + Array.length ctx.comm_universe in
-  let partial = List.init n (fun i -> Bvec.value vals (base + i)) in
-  match
-    List.find_map
-      (fun combo ->
-        match combo_witness ctx combo with
-        | Some path -> Some (path, combo)
-        | None -> None)
-      (completions partial)
-  with
-  | Some (path, combo) -> Some (path, combo)
-  | None -> None
-
-(* Conjoin the negation of the partial atom cube into [blocked]. *)
-let block ctx vals =
-  let base = atom_base + Array.length ctx.comm_universe in
-  let n = as_path_atom_count ctx in
-  let cube =
-    Bdd.conj_list
-      (List.filter_map
-         (fun i ->
-           match Bvec.value vals (base + i) with
-           | Some true -> Some (Bdd.var (base + i))
-           | Some false -> Some (Bdd.nvar (base + i))
-           | None -> None)
-         (List.init n Fun.id))
+  let partial =
+    List.init (as_path_atom_count ctx) (fun i -> Bvec.value vals (base + i))
   in
-  ctx.blocked <- Bdd.conj ctx.blocked (Bdd.neg cube)
+  List.find_map (combo_witness ctx) (completions partial)
 
-(** Extract a concrete route from a region of the space, or [None] if
-    the region is empty (after removing infeasible as-path valuations). *)
+(* The cube of the atoms a valuation assigns. *)
+let atom_cube ctx vals =
+  let base = atom_base + Array.length ctx.comm_universe in
+  Bdd.conj_list
+    (List.filter_map
+       (fun i ->
+         match Bvec.value vals (base + i) with
+         | Some true -> Some (Bdd.var (base + i))
+         | Some false -> Some (Bdd.nvar (base + i))
+         | None -> None)
+       (List.init (as_path_atom_count ctx) Fun.id))
+
 (* Bias unconstrained attributes toward BGP defaults (local-pref 100,
    metric/tag 0) so extracted examples look like real advertisements.
-   The cubes are built once per manager. *)
+   The cubes are built once per manager. Most regions admit all three
+   defaults at once, and then one conjunction with their conjunction
+   gives what conjoining them one by one would. *)
 let prefer_defaults b =
   let default key bv n = Bdd.cached ~key (fun () -> Bvec.eq_const bv n) in
-  List.fold_left
-    (fun b c ->
-      let b' = Bdd.conj b c in
-      if Bdd.is_sat b' then b' else b)
-    b
+  let cubes () =
     [
       default "route.default.local_pref" local_pref 100;
       default "route.default.metric" metric 0;
       default "route.default.tag" tag 0;
     ]
-
-let rec to_route ctx bdd =
-  let b = Bdd.conj_list [ bdd; valid ctx; ctx.blocked ] in
-  if Bdd.is_zero b then None
+  in
+  let all =
+    Bdd.conj b (Bdd.cached ~key:"route.defaults" (fun () -> Bdd.conj_list (cubes ())))
+  in
+  if Bdd.is_sat all then all
   else
-    (* Every field and atom is read from one indexing of the path. *)
-    let a = Bvec.valuation (Bdd.any_sat (prefer_defaults b)) in
-    match feasible_path ctx a with
-    | None ->
-        block ctx a;
-        to_route ctx bdd
-    | Some (path, _) ->
-        let len = Bvec.read pfx_len a in
-        let ip = Netaddr.Ipv4.of_int (Bvec.read pfx_ip a) in
-        let communities =
-          List.filteri
-            (fun i _ ->
-              Option.value ~default:false (Bvec.value a (atom_base + i)))
-            (Array.to_list ctx.comm_universe)
-        in
-        Some
-          (Bgp.Route.make
-             ~as_path:path ~communities
-             ~local_pref:(Bvec.read local_pref a)
-             ~metric:(Bvec.read metric a) ~tag:(Bvec.read tag a)
-             (Netaddr.Prefix.make ip len))
+    List.fold_left
+      (fun b c ->
+        let b' = Bdd.conj b c in
+        if Bdd.is_sat b' then b' else b)
+      b (cubes ())
+
+(** Extract a concrete route from a region of the space, or [None] if
+    the region is empty (after removing infeasible as-path valuations).
+    A valuation with no feasible completion is stepped past for this
+    call only, so the route is a function of the region alone, whatever
+    was extracted from the context before. *)
+let to_route ctx bdd =
+  let rec go b =
+    if Bdd.is_zero b then None
+    else
+      (* Every field and atom is read from one indexing of the path. *)
+      let a = Bvec.valuation (Bdd.any_sat (prefer_defaults b)) in
+      match feasible_path ctx a with
+      | None -> go (Bdd.conj b (Bdd.neg (atom_cube ctx a)))
+      | Some path ->
+          let len = Bvec.read pfx_len a in
+          let ip = Netaddr.Ipv4.of_int (Bvec.read pfx_ip a) in
+          let communities =
+            List.filteri
+              (fun i _ ->
+                Option.value ~default:false (Bvec.value a (atom_base + i)))
+              (Array.to_list ctx.comm_universe)
+          in
+          Some
+            (Bgp.Route.make
+               ~as_path:path ~communities
+               ~local_pref:(Bvec.read local_pref a)
+               ~metric:(Bvec.read metric a) ~tag:(Bvec.read tag a)
+               (Netaddr.Prefix.make ip len))
+  in
+  go (Bdd.conj bdd (valid ctx))
 
 (** Satisfiability of a region under the feasibility constraints,
     i.e. "does a real route live here". *)

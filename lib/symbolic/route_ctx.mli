@@ -18,9 +18,9 @@
 
     {b AS-path abstraction.} Each as-path access-list in scope becomes a
     boolean atom "this list permits the route's path". Atom-valuation
-    feasibility is decided lazily with the symbolic regex engine;
-    infeasible valuations are blocked from the space and feasible ones
-    memoized with a concrete witness path.
+    feasibility is decided lazily with the symbolic regex engine and
+    memoized, feasible valuations with a concrete witness path; model
+    extraction steps past infeasible ones.
 
     BDDs built against one context must not be mixed with another's. *)
 
@@ -40,7 +40,6 @@ type t = {
   comm_universe : Bgp.Community.t array; (* sorted *)
   as_path_lists : Config.As_path_list.t array;
   accept_langs : Sre.As_path_regex.R.re array; (* paths each list permits *)
-  mutable blocked : Bdd.t; (* negated infeasible as-path atom cubes *)
   combo_table : (bool list, int list option) Hashtbl.t;
 }
 
@@ -56,9 +55,8 @@ val create :
 
 val fork : t -> t
 (** A private copy sharing the immutable universe but owning the
-    mutable feasibility state (blocked cubes, witness memo), so a
-    worker domain can use a context compiled into a shared frozen BDD
-    base without racing other workers on its caches. *)
+    feasibility memo, so a worker domain can use a context compiled
+    into a shared frozen BDD base without racing other workers on it. *)
 
 val comm_var : t -> Bgp.Community.t -> int option
 (** The atom variable of a universe community. *)
@@ -95,18 +93,24 @@ type cell = {
   stanza_seq : int option; (* [None] for the implicit trailing deny *)
 }
 
-val exec : t -> Config.Database.t -> Config.Route_map.t -> cell list
+val exec :
+  ?candidates:Config.Route_map.stanza list ->
+  t ->
+  Config.Database.t ->
+  Config.Route_map.t ->
+  cell list
 (** Ordered first-match partition of the route space; guards are
     pairwise disjoint and cover everything, the last cell being the
-    implicit deny. *)
+    implicit deny.
 
-val exec_prefixes :
-  t -> Config.Database.t -> Config.Route_map.t -> Bdd.t array
-(** Prefix execution of a map with [n] stanzas: an array of [n + 1]
-    reachability sets whose [i]th element is the routes matching none
-    of stanzas [0..i-1] (index 0 is the full space, index [n] the
-    implicit-deny guard). Computed in one traversal, so every insertion
-    position's fall-through set comes from a single compilation. *)
+    With [candidates], the partition of the candidates' match region
+    (the disjunction of their matches) instead: each guard is the full
+    partition's guard conjoined with that region, the same canonical
+    BDD. A stanza is not compiled, and its guard is empty, when nothing
+    reaches it, or when for each candidate some prefix-list clause of
+    the stanza and some of the candidate have no overlapping permit
+    ranges. No stanza is skipped for its ranges when either side has no
+    prefix-list clause. *)
 
 val accepted : t -> Config.Database.t -> Config.Route_map.t -> Bdd.t
 (** Routes the map accepts (any permit stanza). *)
@@ -115,9 +119,10 @@ val accepted : t -> Config.Database.t -> Config.Route_map.t -> Bdd.t
 
 val to_route : t -> Bdd.t -> Bgp.Route.t option
 (** Extract a concrete route from a region, or [None] if the region is
-    empty after removing infeasible as-path valuations. Unconstrained
-    attributes are biased toward BGP defaults (local-pref 100, metric
-    and tag 0) so examples read like real advertisements. *)
+    empty after removing infeasible as-path valuations. The route
+    depends on the region alone, not on what was extracted before.
+    Unconstrained attributes are biased toward BGP defaults (local-pref
+    100, metric and tag 0) so examples read like real advertisements. *)
 
 val is_sat : t -> Bdd.t -> bool
 (** Does a real route live in the region? *)

@@ -215,6 +215,22 @@ let test_bvec_prefix () =
     (List.init 32 (fun i -> 160 + i))
     (models_of (Bvec.prefix_match bv8 ~value:0b10100000 ~len:3))
 
+(* Cubes cost one node per literal plus the literals themselves: a
+   32-bit constant is 63 nodes on a fresh manager and an /18 prefix 35,
+   where conjoining from the most significant bit down built 528 and
+   171. *)
+let test_cube_nodes () =
+  let nodes f =
+    let m = Bdd.Manager.create () in
+    ignore (Bdd.with_manager m f);
+    (Bdd.Manager.stats m).nodes
+  in
+  let bv32 = Bvec.sequential ~first:0 ~width:32 in
+  Alcotest.(check bool) "32-bit eq_const <= 64 nodes" true
+    (nodes (fun () -> Bvec.eq_const bv32 0x5a5a_a5a5) <= 64);
+  Alcotest.(check bool) "/18 prefix_match <= 36 nodes" true
+    (nodes (fun () -> Bvec.prefix_match bv32 ~value:0x0a14_0000 ~len:18) <= 36)
+
 let prop_bvec_le =
   QCheck.Test.make ~name:"le_const models" ~count:200
     QCheck.(int_range 0 255)
@@ -301,6 +317,7 @@ let () =
           Alcotest.test_case "eq_const" `Quick test_bvec_eq;
           Alcotest.test_case "in_range" `Quick test_bvec_range;
           Alcotest.test_case "prefix_match" `Quick test_bvec_prefix;
+          Alcotest.test_case "cubes are linear" `Quick test_cube_nodes;
           q prop_bvec_le;
           q prop_bvec_ge;
           q prop_bvec_decode;

@@ -222,6 +222,169 @@ let test_route_map_as_path_case () =
     naive incr
 
 (* ------------------------------------------------------------------ *)
+(* Mixed-clause route-maps                                            *)
+(* ------------------------------------------------------------------ *)
+
+module Rm = Config.Route_map
+
+(* Lists for stanzas that mix every kind of match. The prefix lists
+   have several entries, deny entries and ge/le windows over nested and
+   disjoint blocks, and P5 permits nothing; NOPE is undefined. So the
+   sweep's range skip meets stanzas it must skip, stanzas it must keep,
+   and two-name clauses whose first list is apart from the candidate
+   while the second is not. *)
+let mixed_db =
+  Config.Parser.parse_exn
+    {|
+ip prefix-list P0 permit 10.0.0.0/16 le 24
+ip prefix-list P1 deny 10.1.0.0/20 le 32
+ip prefix-list P1 permit 10.1.0.0/16 ge 18 le 28
+ip prefix-list P2 permit 10.2.0.0/16 le 32
+ip prefix-list P2 permit 10.3.0.0/16 ge 24
+ip prefix-list P3 deny 10.0.0.0/8 ge 30
+ip prefix-list P3 permit 10.0.0.0/8 le 32
+ip prefix-list P4 permit 10.3.0.0/16 le 24
+ip prefix-list P5 deny 10.2.0.0/16 le 32
+ip community-list standard CS0 permit 65000:1
+ip community-list standard CS1 permit 65001:1 300:3
+ip community-list expanded CE0 permit _65000:.*_
+ip as-path access-list AP0 permit _100_
+ip as-path access-list AP1 deny ^200_
+ip as-path access-list AP1 permit _100$
+|}
+
+let pick rng a = a.(Random.State.int rng (Array.length a))
+
+let mixed_prefix_clause rng =
+  let names = [| "P0"; "P1"; "P2"; "P3"; "P4"; "P5"; "NOPE" |] in
+  Rm.Match_prefix_list
+    (if Random.State.int rng 3 = 0 then [ pick rng names; pick rng names ]
+     else [ pick rng names ])
+
+let mixed_other_clause rng =
+  match Random.State.int rng 5 with
+  | 0 -> Rm.Match_community [ pick rng [| "CS0"; "CS1"; "CE0" |] ]
+  | 1 -> Rm.Match_as_path [ pick rng [| "AP0"; "AP1" |] ]
+  | 2 -> Rm.Match_metric (pick rng [| 0; 50 |])
+  | 3 -> Rm.Match_tag (pick rng [| [ 0 ]; [ 7 ]; [ 0; 7 ] |])
+  | _ -> Rm.Match_local_pref (pick rng [| 100; 200 |])
+
+let mixed_sets rng =
+  List.filter_map Fun.id
+    [
+      (if Random.State.bool rng then
+         Some (Rm.Set_local_pref (pick rng [| 100; 150; 200 |]))
+       else None);
+      (if Random.State.int rng 3 = 0 then Some (Rm.Set_metric (pick rng [| 0; 70 |]))
+       else None);
+      (if Random.State.int rng 3 = 0 then
+         Some
+           (Rm.Set_community
+              {
+                communities =
+                  [ pick rng [| Bgp.Community.make 65000 1; Bgp.Community.make 300 3 |] ];
+                additive = Random.State.bool rng;
+              })
+       else None);
+      (if Random.State.int rng 4 = 0 then Some (Rm.Set_comm_list_delete "CE0")
+       else None);
+    ]
+
+(* A stanza with a prefix-list clause (one or two names, sometimes
+   alongside another clause), or one kind of non-prefix clause alone. *)
+let mixed_stanza rng ~with_prefix =
+  let matches =
+    if with_prefix then
+      mixed_prefix_clause rng
+      :: (if Random.State.bool rng then [ mixed_other_clause rng ] else [])
+    else [ mixed_other_clause rng ]
+  in
+  let action = if Random.State.bool rng then Config.Action.Permit else Config.Action.Deny in
+  Rm.stanza ~matches ~sets:(mixed_sets rng) action
+
+(* The target ends with a stanza naming every community and as-path
+   list, so each candidate's lists and communities are already in the
+   target's scope: a batch sweep then has the same symbolic universe as
+   each candidate's own sweep, and batch ≡ sequential is byte-exact. *)
+let mixed_case rng =
+  let n = Random.State.int rng 10 in
+  let body =
+    List.init n (fun _ -> mixed_stanza rng ~with_prefix:(Random.State.int rng 3 > 0))
+  in
+  let anchor =
+    Rm.stanza
+      ~matches:[ Rm.Match_community [ "CS0"; "CS1"; "CE0" ]; Rm.Match_as_path [ "AP0"; "AP1" ] ]
+      Config.Action.Deny
+  in
+  let target =
+    Rm.make "T" (List.mapi (fun i s -> { s with Rm.seq = (i + 1) * 10 }) (body @ [ anchor ]))
+  in
+  let candidate () =
+    { (mixed_stanza rng ~with_prefix:(Random.State.int rng 4 > 0)) with Rm.seq = 5 }
+  in
+  (target, List.init (1 + Random.State.int rng 3) (fun _ -> candidate ()))
+
+let test_route_map_mixed_clauses () =
+  let rng = Random.State.make [| 0x5eed; 5 |] in
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let db = mixed_db in
+  let render (i, (d : Crp.difference)) = Format.asprintf "%d: %a" i Crp.pp_difference d in
+  for case = 0 to cases - 1 do
+    let target, candidates = mixed_case rng in
+    let sequential =
+      List.map
+        (fun stanza ->
+          let naive = Crp.adjacent_insertions ~naive:true ~db ~target stanza in
+          let serial = Crp.adjacent_insertions ~naive:false ~db ~target stanza in
+          let pooled = Crp.adjacent_insertions ~naive:false ~pool ~db ~target stanza in
+          check_same ~what:"mixed-clause sweep" ~case ~render naive serial;
+          check_same ~what:"pooled mixed-clause sweep" ~case ~render naive pooled;
+          serial)
+        candidates
+    in
+    List.iter
+      (fun pool ->
+        let batch = Crp.batch_insertions ?pool ~db ~target candidates in
+        List.iteri
+          (fun k seq ->
+            check_same ~what:"batch vs sequential sweep" ~case ~render seq
+              batch.Crp.per_candidate.(k))
+          sequential)
+      [ None; Some pool ]
+  done
+
+(* A candidate whose prefix list is apart from every target stanza's
+   never compiles them: its sweep, and a batch holding it, miss the
+   compilation cache exactly as often as against an empty target. *)
+let test_apart_stanzas_not_compiled () =
+  let db = mixed_db in
+  let candidate = Rm.stanza ~seq:5 ~matches:[ Rm.Match_prefix_list [ "P4" ] ] Config.Action.Permit in
+  let apart k =
+    let names = [| [ "P0" ]; [ "P1"; "P5" ]; [ "NOPE" ] |] in
+    Rm.make "T"
+      (List.init k (fun i ->
+           Rm.stanza ~seq:((i + 1) * 10)
+             ~matches:[ Rm.Match_prefix_list names.(i mod 3); Rm.Match_metric i ]
+             ~sets:[ Rm.Set_local_pref 200 ] Config.Action.Permit))
+  in
+  let misses f =
+    let m = Symbdd.Bdd.Manager.create () in
+    ignore (Symbdd.Bdd.with_manager m f);
+    (Symbdd.Bdd.Manager.stats m).cache_misses
+  in
+  let batch target () = Crp.batch_insertions ~db ~target [ candidate ] in
+  let empty = misses (batch (apart 0)) in
+  Alcotest.(check bool) "the candidate itself is compiled" true (empty > 0);
+  List.iter
+    (fun k ->
+      let target = apart k in
+      Alcotest.(check int) (Printf.sprintf "sweep, %d apart stanzas" k) empty
+        (misses (fun () -> Crp.adjacent_insertions ~naive:false ~db ~target candidate));
+      Alcotest.(check int) (Printf.sprintf "batch, %d apart stanzas" k) empty
+        (misses (batch target)))
+    [ 1; 3; 16 ]
+
+(* ------------------------------------------------------------------ *)
 (* ACLs                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -388,6 +551,10 @@ let () =
             test_route_map_wide_equivalence;
           Alcotest.test_case "route-map as-path" `Quick
             test_route_map_as_path_case;
+          Alcotest.test_case "mixed-clause route-maps" `Quick
+            test_route_map_mixed_clauses;
+          Alcotest.test_case "apart stanzas are not compiled" `Quick
+            test_apart_stanzas_not_compiled;
           Alcotest.test_case "acls" `Quick test_acl_equivalence;
           Alcotest.test_case "prefix lists" `Quick
             test_prefix_list_equivalence;

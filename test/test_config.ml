@@ -441,6 +441,57 @@ ip prefix-list P permit 13.0.0.0/8
   Alcotest.(check (list int)) "auto skips past explicit" [ 10; 20; 100; 110 ]
     (List.map (fun (e : Prefix_list.entry) -> e.seq) pl.Prefix_list.entries)
 
+(* Clauses keep their source order, and a repeated stanza header is
+   still a duplicate sequence number, whichever stanza the clauses
+   after it attach to. *)
+let test_parser_clause_order () =
+  let d =
+    parse_ok
+      {|
+route-map M permit 10
+ match ip address prefix-list A
+ set metric 5
+ match tag 7
+ set local-preference 200
+ set tag 9
+route-map M deny 20
+ match metric 3
+|}
+  in
+  let rm = Option.get (Database.route_map d "M") in
+  let s = List.hd rm.Route_map.stanzas in
+  check "matches in order" true
+    (s.Route_map.matches
+    = [ Route_map.Match_prefix_list [ "A" ]; Route_map.Match_tag [ 7 ] ]);
+  check "sets in order" true
+    (s.Route_map.sets
+    = [ Route_map.Set_metric 5; Route_map.Set_local_pref 200; Route_map.Set_tag 9 ]);
+  match Parser.parse "route-map M permit 10\n match tag 1\nroute-map M permit 10\n set tag 2\n" with
+  | Ok _ -> Alcotest.fail "a repeated stanza header parsed"
+  | Error m ->
+      Alcotest.(check string) "duplicate header" "Route_map.make: duplicate seq 10 in M" m
+
+(* Parsing is linear in the config: twice the stanzas allocate at most
+   2.5 times the words (Gc.minor_words is deterministic). *)
+let test_parser_linear () =
+  let config n =
+    String.concat ""
+      (List.init n (fun i ->
+           Printf.sprintf
+             "ip prefix-list L permit 10.%d.%d.0/24\nroute-map M permit %d\n match ip address prefix-list L\n match tag %d\n set metric %d\n"
+             (i / 256) (i mod 256) ((i + 1) * 10) i i))
+  in
+  let words n =
+    let text = config n in
+    let before = Gc.minor_words () in
+    ignore (Parser.parse_exn text);
+    Gc.minor_words () -. before
+  in
+  let n = 256 in
+  let ratio = words (2 * n) /. words n in
+  if ratio > 2.5 then
+    Alcotest.failf "parsing %d stanzas allocates %.2fx what %d do" (2 * n) ratio n
+
 let test_parser_tabs_and_blanks () =
   let d = parse_ok "
 ip prefix-list	T permit 10.0.0.0/8
@@ -716,6 +767,8 @@ let () =
           Alcotest.test_case "database merge" `Quick test_database_merge;
           Alcotest.test_case "parser extra forms" `Quick test_parser_more_forms;
           Alcotest.test_case "tabs and blanks" `Quick test_parser_tabs_and_blanks;
+          Alcotest.test_case "clause order" `Quick test_parser_clause_order;
+          Alcotest.test_case "linear parse" `Quick test_parser_linear;
         ] );
       ( "transform",
         [
