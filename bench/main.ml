@@ -380,13 +380,26 @@ let run_bdd_microbench () =
 (* Boundary sweeps: naive vs incremental (DESIGN.md §11)              *)
 (* ------------------------------------------------------------------ *)
 
-(* Same ablation target, both strategies, asserted identical on every
-   run. The naive path re-executes two n-stanza maps per insertion
-   position (O(n²) cell work per sweep); the incremental path compiles
-   the target once and answers every boundary from the shared partition
-   and two stanzas. The CI gates hold incremental to >= 3x naive at
-   width 128, and its per-position cost at width 2048 to at most twice
-   that at width 128. *)
+(* The definition of a boundary sweep: position [i] is a boundary when
+   the stanza inserted at [i] and at [i + 1] behave differently, with
+   the first difference as its witness. Two n-stanza maps compared per
+   position, O(n²) cell work per sweep. *)
+let naive_sweep ~db ~target stanza =
+  let map_at p = Config.Route_map.insert_at target p stanza in
+  List.filter_map
+    (fun i ->
+      Option.map
+        (fun d -> (i, d))
+        (Engine.Compare_route_policies.first_difference ~db_a:db ~db_b:db
+           (map_at i) (map_at (i + 1))))
+    (List.init (List.length target.Config.Route_map.stanzas) Fun.id)
+
+(* Same ablation target, the definition and the engine's sweep,
+   asserted identical on every run. The engine compiles the target once
+   and answers every boundary from the shared partition and two
+   stanzas. The CI gates hold it to >= 3x the definition at width 128,
+   and its per-position cost at width 2048 to at most twice that at
+   width 128. *)
 let run_disambig_comparison () =
   Format.printf "=== Boundary sweeps: naive vs incremental ===@.";
   let timings = ref [] in
@@ -398,8 +411,8 @@ let run_disambig_comparison () =
       let r, ns =
         Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ()) (fun () ->
             wall_ns (fun () ->
-                Engine.Compare_route_policies.adjacent_insertions ~naive:false
-                  ?pool ~db ~target stanza))
+                Engine.Compare_route_policies.adjacent_insertions ?pool ~db
+                  ~target stanza))
       in
       result := r;
       best := Float.min !best ns
@@ -419,11 +432,7 @@ let run_disambig_comparison () =
   List.iter
     (fun n ->
       let db, target, stanza = ablation_scenario n in
-      let naive, naive_ns =
-        wall_ns (fun () ->
-            Engine.Compare_route_policies.adjacent_insertions ~naive:true ~db
-              ~target stanza)
-      in
+      let naive, naive_ns = wall_ns (fun () -> naive_sweep ~db ~target stanza) in
       let incr, incr_ns = incremental ~db ~target stanza in
       if naive <> incr then failwith "incremental sweep differs from naive";
       timings :=
@@ -457,8 +466,7 @@ let run_disambig_comparison () =
      ratio to >= 5x. *)
   let db, target, stanza = ablation_scenario 128 in
   let reference =
-    Engine.Compare_route_policies.adjacent_insertions ~naive:false ~db ~target
-      stanza
+    Engine.Compare_route_policies.adjacent_insertions ~db ~target stanza
   in
   let time_backend boxed =
     let best = ref infinity and result = ref reference in
@@ -468,8 +476,8 @@ let run_disambig_comparison () =
           (Symbdd.Bdd.Manager.create ~boxed ())
           (fun () ->
             wall_ns (fun () ->
-                Engine.Compare_route_policies.adjacent_insertions ~naive:false
-                  ~db ~target stanza))
+                Engine.Compare_route_policies.adjacent_insertions ~db ~target
+                  stanza))
       in
       result := r;
       best := Float.min !best ns
@@ -769,8 +777,8 @@ let run_obs_overhead () =
   let db, target, stanza = ablation_scenario 128 in
   let sweep () =
     ignore
-      (Engine.Compare_route_policies.adjacent_insertions ~naive:false ~db
-         ~target stanza)
+      (Engine.Compare_route_policies.adjacent_insertions ~db ~target
+         stanza)
   in
   sweep ();
   (* The sweep is now about a millisecond, so scheduler noise of the
@@ -876,8 +884,8 @@ let run_sched_skew () =
               ablation_scenario (if i < heavy then w else w / 8))
         in
         let sweep (db, target, stanza) =
-          Engine.Compare_route_policies.adjacent_insertions ~naive:false ~db
-            ~target stanza
+          Engine.Compare_route_policies.adjacent_insertions ~db ~target
+            stanza
         in
         let serial = List.map sweep scenarios in
         let time grain =

@@ -18,8 +18,7 @@
      including the original triple-negation [disj] detour. Because both
      backends build canonical ROBDDs, every derived result
      (satisfying assignments, counts, pipeline outputs) is identical;
-     CI diffs golden outputs across the two stores the same way it does
-     for CLARIFY_NAIVE_BOUNDARIES.
+     CI diffs golden outputs across the two stores.
 
    Managers can be {e frozen} into read-only bases: a frozen manager
    refuses fresh allocations, and [Manager.create_delta] layers a

@@ -12,7 +12,7 @@ type question = {
 
 type answer = Disambig_common.answer = Prefer_new | Prefer_old
 type oracle = question -> answer
-type mode = Binary_search | Top_bottom | Linear
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   acl : Config.Acl.t;
@@ -34,38 +34,23 @@ let pp_question fmt q =
 let insert_rule_at = Config.Acl.insert_at
 
 (* Observability (see DESIGN.md §Observability for the naming scheme). *)
-let questions_counter =
-  Obs.Counter.make "acl_disambiguator.questions"
-    ~help:"differential questions shown to the user"
+let family =
+  Disambig_common.family ~subsystem:"acl" ~prefix:"acl_disambiguator"
 
-let boundaries_counter =
-  Obs.Counter.make "acl_disambiguator.boundaries"
-    ~help:"differing insertion boundaries (overlaps) found"
-
-let probes_counter =
-  Obs.Counter.make "acl_disambiguator.binary_search.probes"
-    ~help:"binary-search iterations (search depth)"
-
-(* One incremental sweep of the engine (naive per-position comparison
-   under CLARIFY_NAIVE_BOUNDARIES=1) instead of one two-ACL diff per
-   position. *)
+(* One sweep of the engine instead of one two-ACL diff per position. *)
 let boundaries ?pool ~(target : Config.Acl.t) rule =
-  Obs.with_span "find_boundaries" @@ fun () ->
+  Disambig_common.sweep family @@ fun () ->
   let rules = Array.of_list target.Config.Acl.rules in
-  let bs =
-    List.map
-      (fun (i, (d : Engine.Compare_acls.difference)) ->
-        {
-          position = i;
-          boundary_seq = rules.(i).Config.Acl.seq;
-          packet = d.packet;
-          if_new_first = d.action_a;
-          if_old_first = d.action_b;
-        })
-      (Engine.Compare_acls.adjacent_insertions ?pool ~target rule)
-  in
-  Obs.Counter.incr ~by:(List.length bs) boundaries_counter;
-  bs
+  List.map
+    (fun (i, (d : Engine.Compare_acls.difference)) ->
+      {
+        position = i;
+        boundary_seq = rules.(i).Config.Acl.seq;
+        packet = d.packet;
+        if_new_first = d.action_a;
+        if_old_first = d.action_b;
+      })
+    (Engine.Compare_acls.adjacent_insertions ?pool ~target rule)
 
 let view (q : question) =
   {
@@ -77,95 +62,17 @@ let view (q : question) =
   }
 
 let run ?(mode = Binary_search) ?pool ?precomputed ~(target : Config.Acl.t)
-    ~(rule : Config.Acl.rule) ~(oracle : oracle) () =
-  let n = List.length target.Config.Acl.rules in
-  let acl_at p = insert_rule_at target p rule in
-  (* Batch runs hand in boundaries translated from a shared
-     multi-rule sweep; the counter still ticks for telemetry parity. *)
-  let boundaries ?pool ~target rule =
-    match precomputed with
-    | Some bs ->
-        Obs.Counter.incr ~by:(List.length bs) boundaries_counter;
-        bs
-    | None -> boundaries ?pool ~target rule
+    ~rule ~oracle () =
+  let top q =
+    { q with position = 0; boundary_seq = (List.hd target.rules).seq }
   in
-  let asked, ask =
-    Disambig_common.asker ~subsystem:"acl" ~counter:questions_counter ~view
-      ~oracle
-  in
-  match mode with
-  | Top_bottom -> (
-      (* The two extreme placements differ exactly when some adjacent
-         boundary does, and the first boundary's witness packet is the
-         one the two-extremes comparison finds first. *)
-      match boundaries ?pool ~target rule with
-      | [] ->
-          Ok { acl = acl_at n; position = n; questions = []; boundaries = 0 }
-      | b :: _ -> (
-          let q =
-            {
-              position = 0;
-              boundary_seq = (List.hd target.Config.Acl.rules).Config.Acl.seq;
-              packet = b.packet;
-              if_new_first = b.if_new_first;
-              if_old_first = b.if_old_first;
-            }
-          in
-          match ask q with
-          | Prefer_new ->
-              Ok
-                {
-                  acl = acl_at 0;
-                  position = 0;
-                  questions = asked ();
-                  boundaries = 1;
-                }
-          | Prefer_old ->
-              Ok
-                {
-                  acl = acl_at n;
-                  position = n;
-                  questions = asked ();
-                  boundaries = 1;
-                }))
-  | Binary_search ->
-      let bs = boundaries ?pool ~target rule in
-      let k = List.length bs in
-      if k = 0 then
-        Ok { acl = acl_at n; position = n; questions = []; boundaries = 0 }
-      else begin
-        let arr = Array.of_list bs in
-        let hi =
-          Disambig_common.binary_search ~subsystem:"acl"
-            ~probes:probes_counter ~ask arr
-        in
-        let position = if hi = k then n else arr.(hi).position in
-        Ok
-          {
-            acl = acl_at position;
-            position;
-            questions = asked ();
-            boundaries = k;
-          }
-      end
-  | Linear ->
-      let bs = boundaries ?pool ~target rule in
-      let answers = List.map (fun q -> (q, ask q)) bs in
-      if not (Disambig_common.monotone answers) then
-        Error (Inconsistent_intent (asked ()))
-      else
-        let position =
-          Disambig_common.first_new_position ~default:n
-            ~position:(fun (q : question) -> q.position)
-            answers
-        in
-        Ok
-          {
-            acl = acl_at position;
-            position;
-            questions = asked ();
-            boundaries = List.length bs;
-          }
+  Disambig_common.place family ~mode ~width:(List.length target.rules) ~view
+    ~position:(fun q -> q.position) ~top ~oracle ?precomputed
+    (fun () -> boundaries ?pool ~target rule)
+  |> Result.map (fun (position, questions, boundaries) ->
+         let acl = insert_rule_at target position rule in
+         { acl; position; questions; boundaries })
+  |> Result.map_error (fun qs -> Inconsistent_intent qs)
 
 let scripted answers : oracle = Disambig_common.scripted answers
 

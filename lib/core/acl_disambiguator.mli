@@ -12,7 +12,7 @@ type question = {
 
 type answer = Disambig_common.answer = Prefer_new | Prefer_old
 type oracle = question -> answer
-type mode = Binary_search | Top_bottom | Linear
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   acl : Config.Acl.t;
@@ -35,10 +35,9 @@ val insert_rule_at : Config.Acl.t -> int -> Config.Acl.rule -> Config.Acl.t
 
 val boundaries :
   ?pool:Parallel.Pool.t -> target:Config.Acl.t -> Config.Acl.rule -> question list
-(** All differing boundaries in position order, from one incremental
-    sweep of {!Engine.Compare_acls.adjacent_insertions} (naive
-    per-position comparison under [CLARIFY_NAIVE_BOUNDARIES=1]).
-    [?pool] fans contiguous position chunks across worker domains. *)
+(** All differing boundaries in position order, from one sweep of
+    {!Engine.Compare_acls.adjacent_insertions}. [?pool] fans position
+    slices across worker domains. *)
 
 val run :
   ?mode:mode ->
@@ -49,8 +48,9 @@ val run :
   oracle:oracle ->
   unit ->
   (outcome, error) result
-(** [?precomputed] skips the engine sweep and uses the given boundary
-    questions — the batch pipeline's fast path. *)
+(** {!Disambig_common.place} on the ACL family. [?precomputed] skips
+    the engine sweep and uses the given boundary questions — the batch
+    pipeline's fast path. *)
 
 val scripted : answer list -> oracle
 val intent_driven : (Config.Packet.t -> Config.Action.t) -> oracle

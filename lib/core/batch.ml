@@ -90,8 +90,8 @@ let emit_session_start ~items ~rm_mode ~acl_mode ~max_attempts ~db =
         ("pipeline", Json.String "batch");
         ("target", Json.String "*");
         ("prompt", Json.String (String.concat "\n" (List.map item_prompt items)));
-        ("mode", Json.String (Pipeline.mode_to_string rm_mode));
-        ("acl_mode", Json.String (Pipeline.acl_mode_to_string acl_mode));
+        ("mode", Json.String (Disambig_common.mode_to_string rm_mode));
+        ("acl_mode", Json.String (Disambig_common.mode_to_string acl_mode));
         ("max_attempts", Json.Int max_attempts);
         ("config", Json.String (Config.Parser.to_string db));
         ( "items",
@@ -307,84 +307,61 @@ let sweep_groups ?pool ~db synths =
   let overlapping = Array.make n false in
   let conflicts = ref [] in
   let overlap_pairs = ref 0 in
+  (* One group's sweep, moved from group-local to input indices. *)
+  let record ks target bounds witness per_candidate overlaps group_conflicts =
+    let ks = Array.of_list ks in
+    Array.iteri (fun local k -> bounds.(k) <- per_candidate.(local)) ks;
+    List.iter
+      (fun (i, j) ->
+        incr overlap_pairs;
+        overlapping.(ks.(i)) <- true;
+        overlapping.(ks.(j)) <- true)
+      overlaps;
+    List.iter
+      (fun (i, j, d) ->
+        conflicts :=
+          { intent_a = ks.(i); intent_b = ks.(j); target; witness = witness d }
+          :: !conflicts)
+      group_conflicts
+  in
   let groups = group_targets synths in
   List.iter
     (fun ((kind, target), ks) ->
-      let ks_arr = Array.of_list ks in
-      let mark_overlaps overlaps =
-        List.iter
-          (fun (i, j) ->
-            incr overlap_pairs;
-            overlapping.(ks_arr.(i)) <- true;
-            overlapping.(ks_arr.(j)) <- true)
-          overlaps
-      in
-      match kind with
-      | "route_map" ->
-          let target_map =
-            match Config.Database.route_map db target with
-            | Some m -> m
-            | None -> assert false (* checked during synthesis *)
-          in
-          let stanzas =
-            List.map
-              (fun k ->
-                match synths.(k) with
-                | S_route_map { stanza; _ } -> stanza
-                | S_acl _ -> assert false)
-              ks
-          in
-          let sw =
-            Engine.Compare_route_policies.batch_insertions ?pool ~db
-              ~target:target_map stanzas
-          in
-          Array.iteri
-            (fun local k -> rm_bounds.(k) <- sw.per_candidate.(local))
-            ks_arr;
-          mark_overlaps sw.overlaps;
-          List.iter
-            (fun (i, j, d) ->
-              conflicts :=
-                {
-                  intent_a = ks_arr.(i);
-                  intent_b = ks_arr.(j);
-                  target;
-                  witness = Route_witness d;
-                }
-                :: !conflicts)
-            sw.conflicts
-      | _ ->
-          let target_acl =
-            match Config.Database.acl db target with
-            | Some a -> a
-            | None -> assert false
-          in
-          let rules =
-            List.map
-              (fun k ->
-                match synths.(k) with
-                | S_acl { rule; _ } -> rule
-                | S_route_map _ -> assert false)
-              ks
-          in
-          let sw =
-            Engine.Compare_acls.batch_insertions ?pool ~target:target_acl rules
-          in
-          Array.iteri
-            (fun local k -> acl_bounds.(k) <- sw.per_candidate.(local))
-            ks_arr;
-          mark_overlaps sw.overlaps;
-          List.iter
-            (fun (i, j, d) ->
-              conflicts :=
-                {
-                  intent_a = ks_arr.(i);
-                  intent_b = ks_arr.(j);
-                  target;
-                  witness = Acl_witness d;
-                }
-                :: !conflicts)
-            sw.conflicts)
+      (* Targets were checked during synthesis. *)
+      if kind = "route_map" then
+        let stanzas =
+          List.map
+            (fun k ->
+              match synths.(k) with
+              | S_route_map { stanza; _ } -> stanza
+              | S_acl _ -> assert false)
+            ks
+        in
+        let sw =
+          Engine.Compare_route_policies.batch_insertions ?pool ~db
+            ~target:(Option.get (Config.Database.route_map db target))
+            stanzas
+        in
+        record ks target rm_bounds
+          (fun d -> Route_witness d)
+          sw.per_candidate sw.overlaps sw.conflicts
+      else
+        let rules =
+          List.map
+            (fun k ->
+              match synths.(k) with
+              | S_acl { rule; _ } -> rule
+              | S_route_map _ -> assert false)
+            ks
+        in
+        let sw =
+          Engine.Compare_acls.batch_insertions ?pool
+            ~target:(Option.get (Config.Database.acl db target))
+            rules
+        in
+        record ks target acl_bounds
+          (fun d -> Acl_witness d)
+          sw.per_candidate sw.overlaps sw.conflicts)
     groups;
   let conflicts =
     List.sort
@@ -401,17 +378,10 @@ let sweep_groups ?pool ~db synths =
 (* ------------------------------------------------------------------ *)
 
 (* The evolving shape of one target policy: which current slot holds
-   which original stanza. [`New] slots are earlier batch insertions;
+   which original rule. [New] slots are earlier batch insertions;
    original positions shift past them when precomputed boundaries are
    translated to current coordinates. *)
 type slot = Orig of int | New
-
-type rm_state = {
-  mutable rmap : Config.Route_map.t;
-  mutable rslots : slot list;
-}
-
-type acl_state = { mutable aacl : Config.Acl.t; mutable aslots : slot list }
 
 let rec insert_slot slots p =
   if p = 0 then New :: slots
@@ -422,13 +392,43 @@ let rec insert_slot slots p =
 
 (* Current index of each original position, for boundary translation.
    Only valid for match-disjoint (fast-path) intents: their boundary
-   regions are untouched by the [`New] stanzas they skip over. *)
+   regions are untouched by the [New] rules they skip over. *)
 let orig_index slots =
   let tbl = Hashtbl.create 16 in
   List.iteri
     (fun idx -> function Orig i -> Hashtbl.add tbl i idx | New -> ())
     slots;
   fun i -> Hashtbl.find tbl i
+
+(* Place one verified stanza or rule as the sequential pipeline would,
+   against the current policy ([width] rules) of the target [key]. A
+   fast-path intent hands in its [bounds] from the shared sweep: they
+   are translated through the target's slot list to current positions
+   and rebuilt by [question]. Every answer goes through the shared
+   cache. [run precomputed ask] runs the family's disambiguator and
+   [placed] reads (position, boundaries, questions) off its outcome. *)
+let place_item ~cache ~slots ~intent ~key ~width ~bounds ~question ~view
+    ~consult ~placed run =
+  let st =
+    match Hashtbl.find_opt slots key with
+    | Some st -> st
+    | None -> List.init width (fun i -> Orig i)
+  in
+  let precomputed =
+    Option.map
+      (fun bs ->
+        let idx = orig_index st in
+        List.map (fun (i, d) -> question (idx i) d) bs)
+      bounds
+  in
+  let ask = cached_answer cache ~intent ~target:(snd key) view consult in
+  match run precomputed ask with
+  | Error _ -> fail intent Pipeline.inconsistent
+  | Ok outcome ->
+      let position, boundaries, questions = placed outcome in
+      Pipeline.emit_placement ~position ~boundaries ~questions;
+      Hashtbl.replace slots key (insert_slot st position);
+      outcome
 
 (* ------------------------------------------------------------------ *)
 (* The batch run                                                      *)
@@ -467,172 +467,95 @@ let run ?(max_attempts = default_max_attempts)
             sweep_groups ?pool ~db:db_all synths)
       in
       emit_plan ~intents:nitems ~groups ~overlaps:overlap_pairs ~conflicts;
-      (* Phase 3: place stanzas in input order. *)
-      let rm_states : (string, rm_state) Hashtbl.t = Hashtbl.create 4 in
-      let acl_states : (string, acl_state) Hashtbl.t = Hashtbl.create 4 in
+      (* Phase 3: place stanzas in input order, reading each target's
+         current policy from the evolving database. *)
+      let slots = Hashtbl.create 4 in
       let db_cur = ref db_all in
       let results =
         List.mapi
           (fun k it ->
             let fast = not overlapping.(k) in
             emit_item ~intent:k ~fast it;
+            let bounds all = if fast then Some all.(k) else None in
             match synths.(k) with
             | S_route_map
                 { target; stanza; spec; renaming; attempts; history; llm_calls }
-              -> (
-                let st =
-                  match Hashtbl.find_opt rm_states target with
-                  | Some st -> st
-                  | None ->
-                      let m =
-                        match Config.Database.route_map !db_cur target with
-                        | Some m -> m
-                        | None -> assert false
-                      in
-                      let st =
-                        {
-                          rmap = m;
-                          rslots =
-                            List.mapi
-                              (fun i _ -> Orig i)
-                              m.Config.Route_map.stanzas;
-                        }
-                      in
-                      Hashtbl.add rm_states target st;
-                      st
+              ->
+                let cur =
+                  Option.get (Config.Database.route_map !db_cur target)
                 in
-                let precomputed =
-                  if not fast then None
-                  else
-                    let stanzas_cur =
-                      Array.of_list st.rmap.Config.Route_map.stanzas
-                    in
-                    let idx = orig_index st.rslots in
-                    Some
-                      (List.map
-                         (fun
-                           (i, (d : Engine.Compare_route_policies.difference))
-                         ->
-                           let i' = idx i in
-                           {
-                             Disambiguator.position = i';
-                             boundary_seq =
-                               stanzas_cur.(i').Config.Route_map.seq;
-                             route = d.route;
-                             if_new_first = d.result_a;
-                             if_old_first = d.result_b;
-                           })
-                         rm_bounds.(k))
+                let stanzas = Array.of_list cur.Config.Route_map.stanzas in
+                let question i (d : Engine.Compare_route_policies.difference) =
+                  {
+                    Disambiguator.position = i;
+                    boundary_seq = stanzas.(i).seq;
+                    route = d.route;
+                    if_new_first = d.result_a;
+                    if_old_first = d.result_b;
+                  }
                 in
-                let ask =
-                  cached_answer cache ~intent:k ~target Disambiguator.view
-                    (fun q -> oracle ~intent:k ~target (Route_map_q q))
+                let o =
+                  place_item ~cache ~slots ~intent:k ~key:("route_map", target)
+                    ~width:(Array.length stanzas) ~bounds:(bounds rm_bounds)
+                    ~question ~view:Disambiguator.view
+                    ~consult:(fun q -> oracle ~intent:k ~target (Route_map_q q))
+                    ~placed:(fun (o : Disambiguator.outcome) ->
+                      (o.position, o.boundaries, List.length o.questions))
+                    (fun precomputed ask ->
+                      Disambiguator.run ~mode:rm_mode ?pool ?precomputed
+                        ~db:!db_cur ~target:cur ~stanza ~oracle:ask ())
                 in
-                match
-                  Disambiguator.run ~mode:rm_mode ?pool ?precomputed
-                    ~db:!db_cur ~target:st.rmap ~stanza ~oracle:ask ()
-                with
-                | Error (Disambiguator.Inconsistent_intent _) ->
-                    fail k
-                      (Pipeline.Disambiguation_failed
-                         "answers are inconsistent: no single insertion point \
-                          implements this intent")
-                | Error (Disambiguator.Top_bottom_insufficient _) ->
-                    fail k
-                      (Pipeline.Disambiguation_failed
-                         "top/bottom placement cannot satisfy the intent")
-                | Ok outcome ->
-                    Pipeline.emit_placement ~position:outcome.position
-                      ~boundaries:outcome.boundaries
-                      ~questions:(List.length outcome.questions);
-                    st.rmap <- outcome.Disambiguator.map;
-                    st.rslots <- insert_slot st.rslots outcome.position;
-                    db_cur :=
-                      Config.Database.add_route_map !db_cur outcome.map;
-                    Route_map_result
-                      {
-                        Pipeline.db = !db_cur;
-                        map = outcome.map;
-                        spec;
-                        stanza;
-                        renaming;
-                        synthesis_attempts = attempts;
-                        verification_history = history;
-                        llm_calls;
-                        questions = outcome.questions;
-                        position = outcome.position;
-                        boundaries = outcome.boundaries;
-                      })
-            | S_acl { target; rule; attempts; history; llm_calls } -> (
-                let st =
-                  match Hashtbl.find_opt acl_states target with
-                  | Some st -> st
-                  | None ->
-                      let a =
-                        match Config.Database.acl !db_cur target with
-                        | Some a -> a
-                        | None -> assert false
-                      in
-                      let st =
-                        {
-                          aacl = a;
-                          aslots =
-                            List.mapi (fun i _ -> Orig i) a.Config.Acl.rules;
-                        }
-                      in
-                      Hashtbl.add acl_states target st;
-                      st
+                db_cur := Config.Database.add_route_map !db_cur o.map;
+                Route_map_result
+                  {
+                    Pipeline.db = !db_cur;
+                    map = o.map;
+                    spec;
+                    stanza;
+                    renaming;
+                    synthesis_attempts = attempts;
+                    verification_history = history;
+                    llm_calls;
+                    questions = o.questions;
+                    position = o.position;
+                    boundaries = o.boundaries;
+                  }
+            | S_acl { target; rule; attempts; history; llm_calls } ->
+                let cur = Option.get (Config.Database.acl !db_cur target) in
+                let rules = Array.of_list cur.Config.Acl.rules in
+                let question i (d : Engine.Compare_acls.difference) =
+                  {
+                    Acl_disambiguator.position = i;
+                    boundary_seq = rules.(i).seq;
+                    packet = d.packet;
+                    if_new_first = d.action_a;
+                    if_old_first = d.action_b;
+                  }
                 in
-                let precomputed =
-                  if not fast then None
-                  else
-                    let rules_cur = Array.of_list st.aacl.Config.Acl.rules in
-                    let idx = orig_index st.aslots in
-                    Some
-                      (List.map
-                         (fun (i, (d : Engine.Compare_acls.difference)) ->
-                           let i' = idx i in
-                           {
-                             Acl_disambiguator.position = i';
-                             boundary_seq = rules_cur.(i').Config.Acl.seq;
-                             packet = d.packet;
-                             if_new_first = d.action_a;
-                             if_old_first = d.action_b;
-                           })
-                         acl_bounds.(k))
+                let o =
+                  place_item ~cache ~slots ~intent:k ~key:("acl", target)
+                    ~width:(Array.length rules) ~bounds:(bounds acl_bounds)
+                    ~question ~view:Acl_disambiguator.view
+                    ~consult:(fun q -> oracle ~intent:k ~target (Acl_q q))
+                    ~placed:(fun (o : Acl_disambiguator.outcome) ->
+                      (o.position, o.boundaries, List.length o.questions))
+                    (fun precomputed ask ->
+                      Acl_disambiguator.run ~mode:acl_mode ?pool ?precomputed
+                        ~target:cur ~rule ~oracle:ask ())
                 in
-                let ask =
-                  cached_answer cache ~intent:k ~target Acl_disambiguator.view
-                    (fun q -> oracle ~intent:k ~target (Acl_q q))
-                in
-                match
-                  Acl_disambiguator.run ~mode:acl_mode ?pool ?precomputed
-                    ~target:st.aacl ~rule ~oracle:ask ()
-                with
-                | Error (Acl_disambiguator.Inconsistent_intent _) ->
-                    fail k
-                      (Pipeline.Disambiguation_failed
-                         "answers are inconsistent: no single insertion point \
-                          implements this intent")
-                | Ok outcome ->
-                    Pipeline.emit_placement ~position:outcome.position
-                      ~boundaries:outcome.boundaries
-                      ~questions:(List.length outcome.questions);
-                    st.aacl <- outcome.Acl_disambiguator.acl;
-                    st.aslots <- insert_slot st.aslots outcome.position;
-                    db_cur := Config.Database.add_acl !db_cur outcome.acl;
-                    Acl_result
-                      {
-                        Pipeline.db = !db_cur;
-                        acl = outcome.acl;
-                        rule;
-                        synthesis_attempts = attempts;
-                        verification_history = history;
-                        llm_calls;
-                        questions = outcome.questions;
-                        position = outcome.position;
-                        boundaries = outcome.boundaries;
-                      }))
+                db_cur := Config.Database.add_acl !db_cur o.acl;
+                Acl_result
+                  {
+                    Pipeline.db = !db_cur;
+                    acl = o.acl;
+                    rule;
+                    synthesis_attempts = attempts;
+                    verification_history = history;
+                    llm_calls;
+                    questions = o.questions;
+                    position = o.position;
+                    boundaries = o.boundaries;
+                  })
           items
       in
       Ok
@@ -743,10 +666,7 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
                 ~oracle:ask ()
             with
             | Error (Prefix_list_disambiguator.Inconsistent_intent _) ->
-                fail k
-                  (Pipeline.Disambiguation_failed
-                     "answers are inconsistent: no single insertion point \
-                      implements this intent")
+                fail k Pipeline.inconsistent
             | Ok outcome ->
                 Hashtbl.replace states target
                   outcome.Prefix_list_disambiguator.prefix_list;

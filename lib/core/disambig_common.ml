@@ -2,12 +2,48 @@
    (route-maps, ACLs, prefix lists). Each instance keeps its own
    domain-specific question type; everything below works through a
    [view] that renders a question to the common telemetry shape, so the
-   question/probe event schema and the binary-search structure are
-   defined exactly once. *)
+   placement loop, the question/probe event schema and the binary
+   search are defined exactly once. *)
 
 type answer = Prefer_new | Prefer_old
 
 let answer_to_string = function Prefer_new -> "new" | Prefer_old -> "old"
+
+type mode = Binary_search | Top_bottom | Linear
+
+let mode_to_string = function
+  | Binary_search -> "binary_search"
+  | Top_bottom -> "top_bottom"
+  | Linear -> "linear"
+
+let mode_of_string = function
+  | "binary_search" -> Ok Binary_search
+  | "top_bottom" -> Ok Top_bottom
+  | "linear" -> Ok Linear
+  | m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
+
+(* One policy family as the flight recorder and the metrics see it: the
+   subsystem tag of its events and its three counters, all named
+   [<prefix>.*]. *)
+type family = {
+  subsystem : string;
+  questions : Obs.Counter.t;
+  boundaries : Obs.Counter.t;
+  probes : Obs.Counter.t;
+}
+
+let family ~subsystem ~prefix =
+  let counter name help = Obs.Counter.make (prefix ^ name) ~help in
+  let questions =
+    counter ".questions" "differential questions shown to the user"
+  in
+  let boundaries =
+    counter ".boundaries" "differing insertion boundaries (overlaps) found"
+  in
+  let probes =
+    counter ".binary_search.probes" "binary-search iterations (search depth)"
+  in
+  { subsystem; questions; boundaries; probes }
 
 (* What every question looks like to the flight recorder: where the
    boundary is, the differential example, and the two behaviours the
@@ -89,6 +125,57 @@ let first_new_position ~default ~position answers =
   match List.find_opt (fun (_, a) -> a = Prefer_new) answers with
   | Some (q, _) -> position q
   | None -> default
+
+(* One boundary sweep of a family: the "find_boundaries" span and the
+   boundaries counter around it. *)
+let sweep (fam : family) f =
+  Obs.with_span "find_boundaries" @@ fun () ->
+  let bs = f () in
+  Obs.Counter.incr ~by:(List.length bs) fam.boundaries;
+  bs
+
+(* The paper's Section 4 loop, for every family. Boundaries come from
+   [find ()], or from [precomputed] when a batch run already translated
+   them from a shared sweep (the counter still ticks, so telemetry
+   matches a sequential run). No boundary means every placement behaves
+   the same: append at the bottom without a question. *)
+let place (fam : family) ~mode ~width ~view ~position ~top ~oracle
+    ?precomputed find =
+  let bs =
+    match precomputed with
+    | Some bs ->
+        Obs.Counter.incr ~by:(List.length bs) fam.boundaries;
+        bs
+    | None -> find ()
+  in
+  let asked, ask =
+    asker ~subsystem:fam.subsystem ~counter:fam.questions ~view ~oracle
+  in
+  let placed position boundaries = Ok (position, asked (), boundaries) in
+  match (mode, bs) with
+  | _, [] -> placed width 0
+  | Top_bottom, b :: _ -> (
+      (* The paper prototype's restricted mode: one question, top or
+         bottom. The two extremes differ exactly when some boundary
+         does, and the first boundary's witness is the input the
+         two-extremes comparison finds first. *)
+      match ask (top b) with
+      | Prefer_new -> placed 0 1
+      | Prefer_old -> placed width 1)
+  | Binary_search, _ ->
+      let arr = Array.of_list bs in
+      let k = Array.length arr in
+      let hi =
+        binary_search ~subsystem:fam.subsystem ~probes:fam.probes ~ask arr
+      in
+      placed (if hi = k then width else position arr.(hi)) k
+  | Linear, _ ->
+      let answers = List.map (fun q -> (q, ask q)) bs in
+      if monotone answers then
+        placed
+          (first_new_position ~default:width ~position answers)
+          (List.length bs)
+      else Error (asked ())
 
 (* Shared answer cache for batch runs: when several intents in a batch
    surface the *same* placement question against the same policy, the

@@ -1,10 +1,10 @@
-(** Machinery shared by the three insertion disambiguators
-    ({!Disambiguator} for route-maps, {!Acl_disambiguator},
-    {!Prefix_list_disambiguator}).
+(** The disambiguation loop shared by the three insertion
+    disambiguators ({!Disambiguator} for route-maps,
+    {!Acl_disambiguator}, {!Prefix_list_disambiguator}).
 
-    Each instance keeps its own question type; the helpers here work
-    through a {!view} rendering, so the "question"/"probe" telemetry
-    schema and the binary-search structure exist in exactly one
+    Each instance keeps its own question type; {!place} works through a
+    {!view} rendering, so the three modes, the "question"/"probe"
+    telemetry schema and the binary search exist in exactly one
     place. *)
 
 type answer = Prefer_new | Prefer_old
@@ -12,6 +12,29 @@ type answer = Prefer_new | Prefer_old
 val answer_to_string : answer -> string
 (** ["new"] / ["old"], as recorded in telemetry and given to
     [clarify replay]. *)
+
+type mode =
+  | Binary_search  (** the paper's Section 4 algorithm *)
+  | Top_bottom  (** the paper's prototype: only positions 0 and n *)
+  | Linear  (** ask every boundary; detects inconsistent intent *)
+
+val mode_to_string : mode -> string
+(** ["binary_search"], ["top_bottom"] or ["linear"], as recorded in
+    [session_start]. *)
+
+val mode_of_string : string -> (mode, string) result
+(** The inverse of {!mode_to_string}; [Error] names the unknown mode. *)
+
+(** One policy family as telemetry and metrics see it. *)
+type family = {
+  subsystem : string;  (** the [subsystem] field of its events *)
+  questions : Obs.Counter.t;  (** [<prefix>.questions] *)
+  boundaries : Obs.Counter.t;  (** [<prefix>.boundaries] *)
+  probes : Obs.Counter.t;  (** [<prefix>.binary_search.probes] *)
+}
+
+val family : subsystem:string -> prefix:string -> family
+(** Registers the family's three counters. *)
 
 (** A question as the flight recorder sees it: instances render their
     route / packet / prefix example and the two candidate behaviours to
@@ -24,35 +47,32 @@ type view = {
   if_old_first : string;
 }
 
-val asker :
-  subsystem:string ->
-  counter:Obs.Counter.t ->
+val sweep : family -> (unit -> 'q list) -> 'q list
+(** [sweep fam find] runs [find] in a ["find_boundaries"] span and
+    counts the boundaries it returns. *)
+
+val place :
+  family ->
+  mode:mode ->
+  width:int ->
   view:('q -> view) ->
+  position:('q -> int) ->
+  top:('q -> 'q) ->
   oracle:('q -> answer) ->
-  (unit -> 'q list) * ('q -> answer)
-(** [asker ~subsystem ~counter ~view ~oracle] is [(asked, ask)]: [ask]
-    records the question, bumps [counter], consults the oracle and
-    emits one [kind="question"] event; [asked ()] lists the questions
-    asked so far, oldest first. *)
-
-val binary_search :
-  subsystem:string ->
-  probes:Obs.Counter.t ->
-  ask:('q -> answer) ->
-  'q array ->
-  int
-(** The paper's Section 4 search over a monotone boundary array: the
-    index of the first boundary answered [Prefer_new], or the array
-    length when every answer was [Prefer_old]. Emits one
-    [kind="probe"] event and bumps [probes] per iteration. *)
-
-val monotone : ('q * answer) list -> bool
-(** Linear-mode consistency: no [Prefer_old] after a [Prefer_new]. *)
-
-val first_new_position :
-  default:int -> position:('q -> int) -> ('q * answer) list -> int
-(** The placement a monotone answer list implies: the position of the
-    first [Prefer_new] question, else [default]. *)
+  ?precomputed:'q list ->
+  (unit -> 'q list) ->
+  (int * 'q list * int, 'q list) result
+(** The disambiguation loop of every family, the paper's Section 4:
+    [place fam ~mode ~width ... find] takes the boundaries from
+    [find ()] (or [precomputed], still counted) and asks as [mode]
+    says, each question emitting one [kind="question"] event and each
+    binary-search iteration one [kind="probe"] event. [Ok (position, questions,
+    boundaries)] gives the chosen insertion position in [0..width], the
+    questions in the order asked and the boundaries found;
+    [Top_bottom] asks one question, [top] of the first boundary, and
+    reports one boundary. [Error questions] is a [Linear] run whose
+    answers are not monotone. With no boundary the rule goes to
+    [width] without a question. *)
 
 val scripted : answer list -> 'q -> answer
 (** Answers drawn from a fixed list; raises [Failure] when

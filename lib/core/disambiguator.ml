@@ -24,10 +24,7 @@ type answer = Disambig_common.answer =
 
 type oracle = question -> answer
 
-type mode =
-  | Binary_search (* the paper's Section 4 algorithm *)
-  | Top_bottom (* the paper's prototype: only positions 0 and n *)
-  | Linear (* ask every boundary; detects inconsistent intent *)
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   map : Config.Route_map.t;
@@ -40,9 +37,6 @@ type error =
   | Inconsistent_intent of question list
       (** Linear mode found non-monotone answers: no single insertion
           point implements the user's wishes (paper condition 3 fails). *)
-  | Top_bottom_insufficient of question list
-      (** Top/bottom mode: the two extreme placements both contradict
-          some user answer. *)
 
 let pp_question fmt q =
   Format.fprintf fmt
@@ -53,42 +47,27 @@ let pp_question fmt q =
     q.if_new_first Config.Semantics.pp_route_result q.if_old_first
 
 (* Observability (see DESIGN.md §Observability for the naming scheme). *)
-let questions_counter =
-  Obs.Counter.make "disambiguator.questions"
-    ~help:"differential questions shown to the user"
-
-let boundaries_counter =
-  Obs.Counter.make "disambiguator.boundaries"
-    ~help:"differing insertion boundaries (overlaps) found"
-
-let probes_counter =
-  Obs.Counter.make "disambiguator.binary_search.probes"
-    ~help:"binary-search iterations (search depth)"
+let family =
+  Disambig_common.family ~subsystem:"route_map" ~prefix:"disambiguator"
 
 (* Boundary questions: position i differs from i+1 exactly on routes
    handled by original stanza i and matched by the new stanza. The
-   sweep itself lives in {!Engine.Compare_route_policies} so the target
-   is compiled once (or per chunk under [?pool]) instead of once per
-   position; CLARIFY_NAIVE_BOUNDARIES=1 restores the per-position
-   comparisons. *)
+   sweep itself lives in {!Engine.Compare_route_policies}, so the
+   target is compiled once instead of once per position. *)
 let boundaries ?pool ~db ~(target : Config.Route_map.t) stanza =
-  Obs.with_span "find_boundaries" @@ fun () ->
+  Disambig_common.sweep family @@ fun () ->
   let stanzas = Array.of_list target.Config.Route_map.stanzas in
-  let bs =
-    List.map
-      (fun (i, (d : Engine.Compare_route_policies.difference)) ->
-        {
-          position = i;
-          boundary_seq = stanzas.(i).Config.Route_map.seq;
-          route = d.route;
-          if_new_first = d.result_a;
-          if_old_first = d.result_b;
-        })
-      (Engine.Compare_route_policies.adjacent_insertions ?pool ~db ~target
-         stanza)
-  in
-  Obs.Counter.incr ~by:(List.length bs) boundaries_counter;
-  bs
+  List.map
+    (fun (i, (d : Engine.Compare_route_policies.difference)) ->
+      {
+        position = i;
+        boundary_seq = stanzas.(i).Config.Route_map.seq;
+        route = d.route;
+        if_new_first = d.result_a;
+        if_old_first = d.result_b;
+      })
+    (Engine.Compare_route_policies.adjacent_insertions ?pool ~db ~target
+       stanza)
 
 let view (q : question) =
   {
@@ -102,102 +81,17 @@ let view (q : question) =
   }
 
 let run ?(mode = Binary_search) ?pool ?precomputed ~db
-    ~(target : Config.Route_map.t) ~(stanza : Config.Route_map.stanza)
-    ~(oracle : oracle) () =
-  let n = List.length target.Config.Route_map.stanzas in
-  let map_at p = Config.Route_map.insert_at target p stanza in
-  (* Batch runs hand in boundaries they already translated from a
-     shared multi-stanza sweep; the counter still ticks so telemetry
-     matches a sequential run. *)
-  let boundaries ?pool ~db ~target stanza =
-    match precomputed with
-    | Some bs ->
-        Obs.Counter.incr ~by:(List.length bs) boundaries_counter;
-        bs
-    | None -> boundaries ?pool ~db ~target stanza
+    ~(target : Config.Route_map.t) ~stanza ~oracle () =
+  let top q =
+    { q with position = 0; boundary_seq = (List.hd target.stanzas).seq }
   in
-  let asked, ask =
-    Disambig_common.asker ~subsystem:"route_map" ~counter:questions_counter
-      ~view ~oracle
-  in
-  match mode with
-  | Top_bottom -> (
-      (* The prototype's restricted mode: one question if the two
-         extreme placements differ. Those placements differ exactly
-         when some adjacent boundary does, and the first boundary's
-         witness is the same route the two-extremes comparison finds
-         first, so the sweep serves this mode too. *)
-      match boundaries ?pool ~db ~target stanza with
-      | [] ->
-          Ok { map = map_at n; position = n; questions = []; boundaries = 0 }
-      | b :: _ -> (
-          let q =
-            {
-              position = 0;
-              boundary_seq =
-                (List.hd target.Config.Route_map.stanzas).Config.Route_map.seq;
-              route = b.route;
-              if_new_first = b.if_new_first;
-              if_old_first = b.if_old_first;
-            }
-          in
-          match ask q with
-          | Prefer_new ->
-              Ok
-                {
-                  map = map_at 0;
-                  position = 0;
-                  questions = asked ();
-                  boundaries = 1;
-                }
-          | Prefer_old ->
-              Ok
-                {
-                  map = map_at n;
-                  position = n;
-                  questions = asked ();
-                  boundaries = 1;
-                }))
-  | Binary_search ->
-      let bs = boundaries ?pool ~db ~target stanza in
-      let k = List.length bs in
-      if k = 0 then
-        (* No overlap with any existing stanza: all placements are
-           behaviourally equivalent; append at the bottom. *)
-        Ok { map = map_at n; position = n; questions = []; boundaries = 0 }
-      else begin
-        let arr = Array.of_list bs in
-        let hi =
-          Disambig_common.binary_search ~subsystem:"route_map"
-            ~probes:probes_counter ~ask arr
-        in
-        let position = if hi = k then n else arr.(hi).position in
-        Ok
-          {
-            map = map_at position;
-            position;
-            questions = asked ();
-            boundaries = k;
-          }
-      end
-  | Linear ->
-      let bs = boundaries ?pool ~db ~target stanza in
-      let answers = List.map (fun q -> (q, ask q)) bs in
-      if not (Disambig_common.monotone answers) then
-        Error (Inconsistent_intent (asked ()))
-      else
-        let position =
-          Disambig_common.first_new_position ~default:n
-            ~position:(fun (q : question) -> q.position)
-            answers
-        in
-        Ok
-          {
-            map = map_at position;
-            position;
-            questions = asked ();
-            boundaries = List.length bs;
-          }
+  Disambig_common.place family ~mode ~width:(List.length target.stanzas)
+    ~view ~position:(fun q -> q.position) ~top ~oracle ?precomputed
+    (fun () -> boundaries ?pool ~db ~target stanza)
+  |> Result.map (fun (position, questions, boundaries) ->
+         let map = Config.Route_map.insert_at target position stanza in
+         { map; position; questions; boundaries })
+  |> Result.map_error (fun qs -> Inconsistent_intent qs)
 
 (* ------------------------------------------------------------------ *)
 (* Oracles                                                            *)

@@ -24,10 +24,7 @@ type answer = Disambig_common.answer =
 
 type oracle = question -> answer
 
-type mode =
-  | Binary_search (* the paper's Section 4 algorithm *)
-  | Top_bottom (* the paper's prototype: only positions 0 and n *)
-  | Linear (* ask every boundary; detects inconsistent intent *)
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   map : Config.Route_map.t; (* the target with the stanza inserted *)
@@ -40,7 +37,6 @@ type error =
   | Inconsistent_intent of question list
       (** Linear mode found non-monotone answers: no single insertion
           point implements the user's wishes (paper condition 3 fails). *)
-  | Top_bottom_insufficient of question list
 
 val pp_question : Format.formatter -> question -> unit
 
@@ -55,11 +51,10 @@ val boundaries :
   Config.Route_map.stanza ->
   question list
 (** All differing boundaries with their differential examples, in
-    position order, from one incremental sweep of
-    {!Engine.Compare_route_policies.adjacent_insertions} (naive
-    per-position comparison under [CLARIFY_NAIVE_BOUNDARIES=1]).
-    [?pool] fans contiguous position chunks across worker domains.
-    Exposed for tests and the evaluation harness. *)
+    position order, from one sweep of
+    {!Engine.Compare_route_policies.adjacent_insertions}. [?pool] fans
+    position slices across worker domains. Exposed for tests and the
+    evaluation harness. *)
 
 val run :
   ?mode:mode ->
@@ -71,10 +66,11 @@ val run :
   oracle:oracle ->
   unit ->
   (outcome, error) result
-(** [?precomputed] skips the engine sweep and uses the given boundary
-    questions (position order) — the batch pipeline's fast path, which
-    translates boundaries from one shared multi-stanza sweep instead of
-    recompiling the target per intent. *)
+(** {!Disambig_common.place} on the route-map family. [?precomputed]
+    skips the engine sweep and uses the given boundary questions
+    (position order) — the batch pipeline's fast path, which translates
+    boundaries from one shared multi-stanza sweep instead of recompiling
+    the target per intent. *)
 
 (** {2 Oracles} *)
 

@@ -48,18 +48,14 @@ type route_map_report = {
 
 let default_max_attempts = 5
 
+(* A Linear run whose answers no single insertion point satisfies. *)
+let inconsistent =
+  Disambiguation_failed
+    "answers are inconsistent: no single insertion point implements this \
+     intent"
+
 (* Flight recorder (see DESIGN.md §Observability for the event schema).
    [Telemetry.emit] payload thunks are only forced while recording. *)
-let mode_to_string = function
-  | Disambiguator.Binary_search -> "binary_search"
-  | Disambiguator.Top_bottom -> "top_bottom"
-  | Disambiguator.Linear -> "linear"
-
-let acl_mode_to_string = function
-  | Acl_disambiguator.Binary_search -> "binary_search"
-  | Acl_disambiguator.Top_bottom -> "top_bottom"
-  | Acl_disambiguator.Linear -> "linear"
-
 let emit_session_start ~pipeline ~target ~prompt ~mode ~max_attempts ~db =
   Telemetry.emit ~kind:"session_start" (fun () ->
       [
@@ -182,7 +178,7 @@ let run_route_map_update ?(max_attempts = default_max_attempts)
   Obs.with_span "pipeline.route_map_update" @@ fun () ->
   Obs.Counter.incr runs_counter;
   emit_session_start ~pipeline:"route_map" ~target ~prompt
-    ~mode:(mode_to_string mode) ~max_attempts ~db;
+    ~mode:(Disambig_common.mode_to_string mode) ~max_attempts ~db;
   let calls_before = Llm.Mock_llm.total_calls llm in
   let result =
     match Config.Database.route_map db target with
@@ -218,15 +214,7 @@ let run_route_map_update ?(max_attempts = default_max_attempts)
                                 ~stanza ~oracle ())
                         with
                         | Error (Disambiguator.Inconsistent_intent _) ->
-                            Error
-                              (Disambiguation_failed
-                                 "answers are inconsistent: no single \
-                                  insertion point implements this intent")
-                        | Error (Disambiguator.Top_bottom_insufficient _) ->
-                            Error
-                              (Disambiguation_failed
-                                 "top/bottom placement cannot satisfy the \
-                                  intent")
+                            Error inconsistent
                         | Ok outcome ->
                             emit_placement ~position:outcome.position
                               ~boundaries:outcome.boundaries
@@ -374,7 +362,7 @@ let run_acl_update ?(max_attempts = default_max_attempts)
   Obs.with_span "pipeline.acl_update" @@ fun () ->
   Obs.Counter.incr runs_counter;
   emit_session_start ~pipeline:"acl" ~target ~prompt
-    ~mode:(acl_mode_to_string mode) ~max_attempts ~db;
+    ~mode:(Disambig_common.mode_to_string mode) ~max_attempts ~db;
   let calls_before = Llm.Mock_llm.total_calls llm in
   let result =
     match Config.Database.acl db target with
@@ -396,10 +384,7 @@ let run_acl_update ?(max_attempts = default_max_attempts)
                         ~oracle ())
                 with
                 | Error (Acl_disambiguator.Inconsistent_intent _) ->
-                    Error
-                      (Disambiguation_failed
-                         "answers are inconsistent: no single insertion point \
-                          implements this intent")
+                    Error inconsistent
                 | Ok outcome ->
                     emit_placement ~position:outcome.position
                       ~boundaries:outcome.boundaries

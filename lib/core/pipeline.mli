@@ -99,8 +99,9 @@ val acl_synthesis_loop :
   (Config.Acl.rule * int * string list, error) result
 (** The ACL verify-repair loop; the parsed intent serves as spec. *)
 
-val mode_to_string : Disambiguator.mode -> string
-val acl_mode_to_string : Acl_disambiguator.mode -> string
+val inconsistent : error
+(** [Disambiguation_failed] for a Linear run whose answers no single
+    insertion point satisfies. *)
 
 val emit_placement : position:int -> boundaries:int -> questions:int -> unit
 

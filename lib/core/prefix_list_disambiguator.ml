@@ -18,7 +18,7 @@ type question = {
 
 type answer = Disambig_common.answer = Prefer_new | Prefer_old
 type oracle = question -> answer
-type mode = Binary_search | Top_bottom | Linear
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   prefix_list : Config.Prefix_list.t;
@@ -51,69 +51,22 @@ let insert_entry_at (pl : Config.Prefix_list.t) pos
   in
   Config.Prefix_list.make pl.Config.Prefix_list.name entries
 
-(* First-match evaluation with the implicit deny made explicit. *)
-let eval pl p =
-  match Config.Prefix_list.eval pl p with
-  | Some a -> a
-  | None -> Config.Action.Deny
-
 (* Observability (see DESIGN.md §Observability for the naming scheme). *)
-let questions_counter =
-  Obs.Counter.make "prefix_list_disambiguator.questions"
-    ~help:"differential questions shown to the user"
-
-let boundaries_counter =
-  Obs.Counter.make "prefix_list_disambiguator.boundaries"
-    ~help:"differing insertion boundaries (overlaps) found"
-
-let probes_counter =
-  Obs.Counter.make "prefix_list_disambiguator.binary_search.probes"
-    ~help:"binary-search iterations (search depth)"
+let family =
+  Disambig_common.family ~subsystem:"prefix_list"
+    ~prefix:"prefix_list_disambiguator"
 
 (* Adjacent placements i and i+1 differ exactly on prefixes matching
    both the new entry and existing entry i, provided no earlier entry
-   captures them first and the two entries' actions differ. The
-   shadowing check is done concretely on the witness: per position, the
-   naive path materialises both placements and evaluates them, while
-   the default incremental path scans the target once — earlier entries
-   are the same under both placements, so placement evaluation reduces
-   to "is the witness shadowed, and do the two entries' actions
-   differ". The two paths return identical boundaries and witnesses. *)
-
-let naive_boundaries ~(target : Config.Prefix_list.t)
+   captures them first and the two entries' actions differ. Earlier
+   entries are the same under both placements, so one scan of the
+   target answers every position: the overlap witness of the two
+   ranges is a boundary's example unless an earlier entry shadows it.
+   (Within one overlap region the disagreement set is a sub-window; the
+   canonical witness lies inside it whenever it is nonempty.) *)
+let boundaries ~(target : Config.Prefix_list.t)
     (entry : Config.Prefix_list.entry) =
-  let n = List.length target.Config.Prefix_list.entries in
-  let pl_at p = insert_entry_at target p entry in
-  List.filter_map
-    (fun i ->
-      let a = pl_at i and b = pl_at (i + 1) in
-      let existing = List.nth target.Config.Prefix_list.entries i in
-      match
-        Netaddr.Prefix_range.witness_overlap entry.Config.Prefix_list.range
-          existing.Config.Prefix_list.range
-      with
-      | None -> None
-      | Some w ->
-          (* The base witness may be shadowed by an earlier entry; a
-             boundary exists iff the two placements actually disagree on
-             it. (Within one overlap region the disagreement set is a
-             sub-window; the canonical witness lies inside it whenever
-             it is nonempty because both placements share the earlier
-             entries.) *)
-          if Config.Action.equal (eval a w) (eval b w) then None
-          else
-            Some
-              {
-                position = i;
-                boundary_seq = existing.Config.Prefix_list.seq;
-                prefix = w;
-                if_new_first = eval a w;
-                if_old_first = eval b w;
-              })
-    (List.init n Fun.id)
-
-let incremental_boundaries ~(target : Config.Prefix_list.t)
-    (entry : Config.Prefix_list.entry) =
+  Disambig_common.sweep family @@ fun () ->
   let entries = Array.of_list target.Config.Prefix_list.entries in
   let shadowed i w =
     let rec scan j =
@@ -140,22 +93,12 @@ let incremental_boundaries ~(target : Config.Prefix_list.t)
             Some
               {
                 position = i;
-                boundary_seq = existing.Config.Prefix_list.seq;
+                boundary_seq = existing.seq;
                 prefix = w;
-                if_new_first = entry.Config.Prefix_list.action;
-                if_old_first = existing.Config.Prefix_list.action;
+                if_new_first = entry.action;
+                if_old_first = existing.action;
               })
     (List.init (Array.length entries) Fun.id)
-
-let boundaries ~target entry =
-  Obs.with_span "find_boundaries" @@ fun () ->
-  let bs =
-    if Engine.Boundary_mode.naive_requested () then
-      naive_boundaries ~target entry
-    else incremental_boundaries ~target entry
-  in
-  Obs.Counter.incr ~by:(List.length bs) boundaries_counter;
-  bs
 
 let view (q : question) =
   {
@@ -166,75 +109,18 @@ let view (q : question) =
     if_old_first = Format.asprintf "%a" Config.Action.pp q.if_old_first;
   }
 
-let run ?(mode = Binary_search) ~(target : Config.Prefix_list.t)
-    ~(entry : Config.Prefix_list.entry) ~(oracle : oracle) () =
-  let n = List.length target.Config.Prefix_list.entries in
-  let pl_at p = insert_entry_at target p entry in
-  let asked, ask =
-    Disambig_common.asker ~subsystem:"prefix_list" ~counter:questions_counter
-      ~view ~oracle
+let run ?(mode = Binary_search) ?precomputed ~(target : Config.Prefix_list.t)
+    ~entry ~oracle () =
+  let top q =
+    { q with position = 0; boundary_seq = (List.hd target.entries).seq }
   in
-  match mode with
-  | Top_bottom -> (
-      let bs = boundaries ~target entry in
-      match bs with
-      | [] -> Ok { prefix_list = pl_at n; position = n; questions = []; boundaries = 0 }
-      | q :: _ -> (
-          match ask q with
-          | Prefer_new ->
-              Ok
-                {
-                  prefix_list = pl_at 0;
-                  position = 0;
-                  questions = asked ();
-                  boundaries = List.length bs;
-                }
-          | Prefer_old ->
-              Ok
-                {
-                  prefix_list = pl_at n;
-                  position = n;
-                  questions = asked ();
-                  boundaries = List.length bs;
-                }))
-  | Binary_search ->
-      let bs = boundaries ~target entry in
-      let k = List.length bs in
-      if k = 0 then
-        Ok { prefix_list = pl_at n; position = n; questions = []; boundaries = 0 }
-      else begin
-        let arr = Array.of_list bs in
-        let hi =
-          Disambig_common.binary_search ~subsystem:"prefix_list"
-            ~probes:probes_counter ~ask arr
-        in
-        let position = if hi = k then n else arr.(hi).position in
-        Ok
-          {
-            prefix_list = pl_at position;
-            position;
-            questions = asked ();
-            boundaries = k;
-          }
-      end
-  | Linear ->
-      let bs = boundaries ~target entry in
-      let answers = List.map (fun q -> (q, ask q)) bs in
-      if not (Disambig_common.monotone answers) then
-        Error (Inconsistent_intent (asked ()))
-      else
-        let position =
-          Disambig_common.first_new_position ~default:n
-            ~position:(fun (q : question) -> q.position)
-            answers
-        in
-        Ok
-          {
-            prefix_list = pl_at position;
-            position;
-            questions = asked ();
-            boundaries = List.length bs;
-          }
+  Disambig_common.place family ~mode ~width:(List.length target.entries)
+    ~view ~position:(fun q -> q.position) ~top ~oracle ?precomputed
+    (fun () -> boundaries ~target entry)
+  |> Result.map (fun (position, questions, boundaries) ->
+         let prefix_list = insert_entry_at target position entry in
+         { prefix_list; position; questions; boundaries })
+  |> Result.map_error (fun qs -> Inconsistent_intent qs)
 
 (** The ideal user: answers according to a target prefix policy. *)
 let intent_driven (desired : Netaddr.Prefix.t -> Config.Action.t) =

@@ -13,7 +13,7 @@ type question = {
 
 type answer = Disambig_common.answer = Prefer_new | Prefer_old
 type oracle = question -> answer
-type mode = Binary_search | Top_bottom | Linear
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   prefix_list : Config.Prefix_list.t;
@@ -35,13 +35,21 @@ val insert_entry_at :
 
 val boundaries :
   target:Config.Prefix_list.t -> Config.Prefix_list.entry -> question list
+(** All differing boundaries in position order, from one scan of the
+    target. By definition, position [i] is a boundary when the entry
+    inserted at [i] and at [i + 1] treat the overlap witness of the
+    entry's and entry [i]'s ranges differently; that witness is the
+    example. *)
 
 val run :
   ?mode:mode ->
+  ?precomputed:question list ->
   target:Config.Prefix_list.t ->
   entry:Config.Prefix_list.entry ->
   oracle:oracle ->
   unit ->
   (outcome, error) result
+(** {!Disambig_common.place} on the prefix-list family. [?precomputed]
+    skips the scan and uses the given boundary questions. *)
 
 val intent_driven : (Netaddr.Prefix.t -> Config.Action.t) -> oracle

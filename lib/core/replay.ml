@@ -109,58 +109,34 @@ let run_events recorded =
   in
   let llm = Llm.Mock_llm.create ~replay:responses () in
   let next = scripted_answers answers in
+  let oracle _ =
+    match next () with
+    | `New -> Disambig_common.Prefer_new
+    | `Old -> Disambig_common.Prefer_old
+  in
+  let mode = Disambig_common.mode_of_string mode_name in
   let* run =
     match pipeline with
     | "route_map" ->
-        let* mode =
-          match mode_name with
-          | "binary_search" -> Ok Disambiguator.Binary_search
-          | "top_bottom" -> Ok Disambiguator.Top_bottom
-          | "linear" -> Ok Disambiguator.Linear
-          | m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
-        in
-        let oracle _ =
-          match next () with
-          | `New -> Disambiguator.Prefer_new
-          | `Old -> Disambiguator.Prefer_old
-        in
+        let* mode = mode in
         Ok
           (fun () ->
             ignore
               (Pipeline.run_route_map_update ~max_attempts ~mode ~llm ~oracle
                  ~db ~target ~prompt ()))
     | "acl" ->
-        let* mode =
-          match mode_name with
-          | "binary_search" -> Ok Acl_disambiguator.Binary_search
-          | "top_bottom" -> Ok Acl_disambiguator.Top_bottom
-          | "linear" -> Ok Acl_disambiguator.Linear
-          | m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
-        in
-        let oracle _ =
-          match next () with
-          | `New -> Acl_disambiguator.Prefer_new
-          | `Old -> Acl_disambiguator.Prefer_old
-        in
+        let* mode = mode in
         Ok
           (fun () ->
             ignore
               (Pipeline.run_acl_update ~max_attempts ~mode ~llm ~oracle ~db
                  ~target ~prompt ()))
     | "batch" ->
-        let* rm_mode =
-          match mode_name with
-          | "binary_search" -> Ok Disambiguator.Binary_search
-          | "top_bottom" -> Ok Disambiguator.Top_bottom
-          | "linear" -> Ok Disambiguator.Linear
-          | m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
-        in
+        let* mode = mode in
         let* acl_mode =
-          match E.str_field "acl_mode" start with
-          | None | Some "binary_search" -> Ok Acl_disambiguator.Binary_search
-          | Some "top_bottom" -> Ok Acl_disambiguator.Top_bottom
-          | Some "linear" -> Ok Acl_disambiguator.Linear
-          | Some m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
+          Disambig_common.mode_of_string
+            (Option.value ~default:"binary_search"
+               (E.str_field "acl_mode" start))
         in
         let* items =
           match E.field "items" start with
@@ -190,16 +166,12 @@ let run_events recorded =
               |> Result.map List.rev
           | _ -> Error "batch session_start: missing items list"
         in
-        let oracle ~intent:_ ~target:_ _ =
-          match next () with
-          | `New -> Disambig_common.Prefer_new
-          | `Old -> Disambig_common.Prefer_old
-        in
         Ok
           (fun () ->
             ignore
-              (Batch.run ~max_attempts ~rm_mode ~acl_mode ~llm ~oracle ~db
-                 items))
+              (Batch.run ~max_attempts ~rm_mode:mode ~acl_mode ~llm
+                 ~oracle:(fun ~intent:_ ~target:_ q -> oracle q)
+                 ~db items))
     | p -> Error (Printf.sprintf "unknown pipeline kind %S" p)
   in
   (* Re-run under a fresh in-memory recorder. An exhausted oracle means

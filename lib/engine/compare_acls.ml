@@ -52,32 +52,28 @@ let first_difference a b =
 let equal_behavior a b = first_difference a b = None
 
 (* ------------------------------------------------------------------ *)
-(* Batch adjacent-insertion analysis — the ACL mirror of
-   [Compare_route_policies.adjacent_insertions]; see DESIGN.md §11.
-   ACLs carry no transforms, so position [i] is a boundary exactly when
-   the new rule's action differs from rule [i]'s and the region
-   [cell_i.guard ∧ match(new)] is satisfiable. *)
+(* Boundary sweeps: the ACL instance of {!First_match}; see DESIGN.md
+   §11. ACLs carry no transforms, so position [i] is a boundary exactly
+   when the new rule's action differs from rule [i]'s and the region
+   [cell_i.guard ∧ match(new)] is satisfiable. The packet space has a
+   fixed variable set, so witnesses are trivially independent of how
+   the work is sharded. The partition is not projected onto the
+   candidates: every rule is compiled. *)
 
-let naive_chunk ~target rule (start, len) =
-  let acl_at p = Config.Acl.insert_at target p rule in
+type partition = {
+  cells : Ps.cell array;
+  cands : Config.Acl.rule array;
+  matches : Bdd.t array; (* each candidate's match region *)
+}
+
+let cell_boundaries p k (start, len) =
+  let rule = p.cands.(k) in
   List.filter_map
     (fun i ->
-      match first_difference (acl_at i) (acl_at (i + 1)) with
-      | None -> None
-      | Some d -> Some (i, d))
-    (List.init len (fun k -> start + k))
-
-(* Boundaries of one candidate rule against a pre-executed partition of
-   the target: position [i] is a boundary exactly when the actions
-   differ and [cell_i.guard ∧ match(rule)] is satisfiable. *)
-let cell_boundaries cells rule (start, len) =
-  let match_new = Ps.of_rule rule in
-  List.filter_map
-    (fun i ->
-      let (c : Ps.cell) = cells.(i) in
+      let (c : Ps.cell) = p.cells.(i) in
       if Config.Action.equal rule.Config.Acl.action c.action then None
       else
-        match Ps.to_packet (Bdd.conj c.guard match_new) with
+        match Ps.to_packet (Bdd.conj c.guard p.matches.(k)) with
         | None -> None
         | Some packet ->
             (* Both ACLs resequence, putting the new rule and rule i at
@@ -87,170 +83,58 @@ let cell_boundaries cells rule (start, len) =
               ( i,
                 {
                   packet;
-                  action_a = rule.Config.Acl.action;
+                  action_a = rule.action;
                   action_b = c.action;
                   rule_a = seq;
                   rule_b = seq;
                 } ))
-    (List.init len (fun k -> start + k))
+    (List.init len (fun j -> start + j))
 
-let incremental_chunk ~(target : Config.Acl.t) (rule : Config.Acl.rule)
-    (start, len) =
-  Obs.Counter.incr Metrics.adjacent_contexts;
-  Obs.Counter.incr ~by:(max 0 (len - 1)) Metrics.adjacent_prefix_reuse;
-  let cells = Array.of_list (Ps.exec target) in
-  cell_boundaries cells rule (start, len)
+let classify p i j =
+  let ri = p.cands.(i) and rj = p.cands.(j) in
+  match Ps.to_packet (Bdd.conj p.matches.(i) p.matches.(j)) with
+  | None -> First_match.Disjoint
+  | Some packet ->
+      if Config.Action.equal ri.Config.Acl.action rj.Config.Acl.action then
+        First_match.Overlap
+      else
+        First_match.Conflict
+          {
+            packet;
+            action_a = ri.action;
+            action_b = rj.action;
+            rule_a = Some ri.seq;
+            rule_b = Some rj.seq;
+          }
 
-let adjacent_insertions ?naive ?pool ~(target : Config.Acl.t)
-    (rule : Config.Acl.rule) =
-  Obs.Counter.incr Metrics.adjacent_insertions_calls;
-  let t0 = Obs.now () in
-  let naive =
-    match naive with Some b -> b | None -> Boundary_mode.naive_requested ()
-  in
-  let run_chunk =
-    if naive then naive_chunk ~target rule else incremental_chunk ~target rule
-  in
-  let n = List.length target.Config.Acl.rules in
-  let result =
-    match pool with
-    | Some pool when Parallel.Pool.domains pool > 1 && n > 1 ->
-        if naive then
-          (* Position-sized tasks: each inserts the rule at one
-             boundary, so a pathological position is stolen around
-             rather than serializing a coarse chunk. *)
-          List.concat
-            (Parallel.Pool.map pool ~f:run_chunk
-               (Parallel.Pool.ranges ~grain:1 n))
-        else begin
-          (* Execute the target's partition (and compile the new rule's
-             match) once into a frozen base; workers walk stealable
-             position slices under private deltas instead of
-             re-executing per domain. Slices of a few positions keep
-             per-task bookkeeping negligible while leaving plenty to
-             steal when widths are skewed. *)
-          let base = Bdd.Manager.create () in
-          let cells =
-            Bdd.with_manager base (fun () ->
-                Obs.Counter.incr Metrics.adjacent_contexts;
-                let cells = Array.of_list (Ps.exec target) in
-                ignore (Ps.of_rule rule);
-                cells)
-          in
-          Bdd.Manager.freeze base;
-          Obs.Counter.incr ~by:(max 0 (n - 1)) Metrics.adjacent_prefix_reuse;
-          List.concat
-            (Parallel.Pool.map ~bdd_base:base pool
-               ~f:(fun slice -> cell_boundaries cells rule slice)
-               (Parallel.Pool.ranges ~grain:8 n))
-        end
-    | _ -> if n = 0 then [] else run_chunk (0, n)
-  in
-  Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9);
-  result
+module Sweep = First_match.Sweep (struct
+  type target = Config.Acl.t
+  type rule = Config.Acl.rule
+  type nonrec difference = difference
+  type nonrec partition = partition
 
-(* ------------------------------------------------------------------ *)
-(* Multi-rule batch sweep — the ACL mirror of
-   [Compare_route_policies.batch_insertions]; see DESIGN.md §12. The
-   packet space has a fixed variable set, so witnesses are trivially
-   independent of how the work is sharded across a pool. *)
+  let width (t : Config.Acl.t) = List.length t.rules
 
-type pair_kind = Pair_disjoint | Pair_overlap | Pair_conflict of difference
+  let compile target cands =
+    let cells = Array.of_list (Ps.exec target) in
+    { cells; cands; matches = Array.map Ps.of_rule cands }
 
-type batch_sweep = {
+  let fork p = p
+  let cell_boundaries = cell_boundaries
+  let classify = classify
+end)
+
+type batch_sweep = Sweep.batch_sweep = {
   per_candidate : (int * difference) list array;
   overlaps : (int * int) list;
   conflicts : (int * int * difference) list;
 }
 
-let batch_insertions ?pool ~(target : Config.Acl.t) rules =
-  let candidates = Array.of_list rules in
-  let ncand = Array.length candidates in
-  if ncand = 0 then { per_candidate = [||]; overlaps = []; conflicts = [] }
-  else begin
-    Obs.Counter.incr Metrics.adjacent_insertions_calls;
-    let t0 = Obs.now () in
-    let n = List.length target.Config.Acl.rules in
-    let bounds_task ks =
-      Obs.Counter.incr Metrics.adjacent_contexts;
-      let cells = Array.of_list (Ps.exec target) in
-      List.map (fun k -> (k, cell_boundaries cells candidates.(k) (0, n))) ks
-    in
-    let classify_pair (i, j) =
-      let ri = candidates.(i) and rj = candidates.(j) in
-      let region = Bdd.conj (Ps.of_rule ri) (Ps.of_rule rj) in
-      match Ps.to_packet region with
-      | None -> (i, j, Pair_disjoint)
-      | Some packet ->
-          if Config.Action.equal ri.Config.Acl.action rj.Config.Acl.action
-          then (i, j, Pair_overlap)
-          else
-            ( i,
-              j,
-              Pair_conflict
-                {
-                  packet;
-                  action_a = ri.Config.Acl.action;
-                  action_b = rj.Config.Acl.action;
-                  rule_a = Some ri.Config.Acl.seq;
-                  rule_b = Some rj.Config.Acl.seq;
-                } )
-    in
-    let all_pairs =
-      List.concat
-        (List.init ncand (fun i ->
-             List.init (ncand - i - 1) (fun d -> (i, i + d + 1))))
-    in
-    let bounds, pairs =
-      match pool with
-      | Some pool when Parallel.Pool.domains pool > 1 && ncand > 1 ->
-          (* Execute the partition and compile every candidate's match
-             once into a frozen base shared by all workers. One task
-             per candidate sweep (coarse), pairs a few at a time (each
-             is just a conjunction plus a witness extraction). *)
-          let base = Bdd.Manager.create () in
-          let cells =
-            Bdd.with_manager base (fun () ->
-                Obs.Counter.incr Metrics.adjacent_contexts;
-                let cells = Array.of_list (Ps.exec target) in
-                Array.iter (fun r -> ignore (Ps.of_rule r)) candidates;
-                cells)
-          in
-          Bdd.Manager.freeze base;
-          let bounds =
-            Parallel.Pool.map ~bdd_base:base pool
-              ~f:(fun k -> (k, cell_boundaries cells candidates.(k) (0, n)))
-              (List.init ncand Fun.id)
-          in
-          let pairs =
-            Parallel.Pool.map ~grain:4 ~bdd_base:base pool ~f:classify_pair
-              all_pairs
-          in
-          (bounds, pairs)
-      | _ ->
-          (bounds_task (List.init ncand Fun.id), List.map classify_pair all_pairs)
-    in
-    Obs.Counter.incr
-      ~by:(max 0 ((ncand * max 1 n) - 1))
-      Metrics.adjacent_prefix_reuse;
-    let per_candidate = Array.make ncand [] in
-    List.iter (fun (k, bs) -> per_candidate.(k) <- bs) bounds;
-    let overlaps =
-      List.filter_map
-        (function
-          | i, j, (Pair_overlap | Pair_conflict _) -> Some (i, j)
-          | _, _, Pair_disjoint -> None)
-        pairs
-    in
-    let conflicts =
-      List.filter_map
-        (function i, j, Pair_conflict d -> Some (i, j, d) | _ -> None)
-        pairs
-    in
-    Obs.Counter.incr ~by:(List.length conflicts) Metrics.batch_conflict_pairs;
-    Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9);
-    { per_candidate; overlaps; conflicts }
-  end
+let adjacent_insertions ?pool ~target rule =
+  Sweep.adjacent_insertions ?pool target rule
+
+let batch_insertions ?pool ~target rules =
+  Sweep.batch_insertions ?pool target rules
 
 let pp_difference fmt d =
   Format.fprintf fmt

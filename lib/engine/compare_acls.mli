@@ -17,20 +17,17 @@ val first_difference : Config.Acl.t -> Config.Acl.t -> difference option
 val equal_behavior : Config.Acl.t -> Config.Acl.t -> bool
 
 val adjacent_insertions :
-  ?naive:bool ->
   ?pool:Parallel.Pool.t ->
   target:Config.Acl.t ->
   Config.Acl.rule ->
   (int * difference) list
 (** Every insertion position [i] (0-based, ascending) at which inserting
     the rule at [i] behaves differently from inserting it at [i + 1],
-    with one witness packet per position. Incremental by default (one
-    symbolic execution of the target, one conjunction per position);
-    [~naive] forces per-position two-ACL comparison, and when omitted
-    {!Boundary_mode.naive_requested} decides. [~pool] executes the
-    target once into a frozen base manager and walks stealable slices
-    of 8 positions under private deltas. Both strategies return
-    identical results. *)
+    with one witness packet per position: by definition, where
+    {!first_difference} of the two placements finds one, and the
+    witness it finds. The ACL instance of {!First_match.Sweep}: one
+    symbolic execution of the target, one conjunction per position;
+    [~pool] shards the positions. *)
 
 type batch_sweep = {
   per_candidate : (int * difference) list array;
@@ -50,8 +47,6 @@ val batch_insertions :
   batch_sweep
 (** Multi-rule sweep for batch synthesis: boundary sweeps for every
     candidate plus the pairwise inter-intent overlap/conflict graph,
-    against one symbolic execution of [target] per worker chunk (one
-    total when serial). Increments {!Metrics.batch_conflict_pairs} by
-    the number of conflicts. *)
+    against one symbolic execution of [target]. *)
 
 val pp_difference : Format.formatter -> difference -> unit

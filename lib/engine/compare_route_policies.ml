@@ -136,315 +136,152 @@ let equal_behavior ~db_a ~db_b rm_a rm_b =
   first_difference ~db_a ~db_b rm_a rm_b = None
 
 (* ------------------------------------------------------------------ *)
-(* Batch adjacent-insertion analysis (DESIGN.md §11).
+(* Boundary sweeps: the route-map instance of {!First_match}.
 
-   Inserting stanza S* at position i vs i+1 only reorders S* against
-   stanza s_i, so the two maps can differ exactly on the routes that
-   fall through stanzas 0..i-1 and match both S* and s_i. In the
-   first-match partition of the *target* map, cell i's guard already is
-   fall-through(0..i-1) ∧ match(s_i): the candidate region at position
-   i is one conjunction, [cell_i.guard ∧ match(new)], against a single
-   shared compilation — no per-position map construction or
-   re-execution. That partition is projected onto match(new)
-   ([Route_ctx.exec ~candidates]), so stanzas the candidate cannot meet
-   are never compiled and their cells are empty; every other region is
-   the same canonical BDD. The pair filtering and sampling below mirror
-   [compare] exactly, so witnesses are byte-identical to the naive
-   per-position sweep; the two outcomes come from the two stanzas that
-   handle the witness, not from evaluating either map. *)
+   The partition is projected onto the candidates' match regions
+   ([Route_ctx.exec ~candidates]), so stanzas they cannot meet are never
+   compiled and their cells are empty; every other region is the same
+   canonical BDD. The symbolic scope is the target plus every
+   candidate, so the community/as-path universe, and with it every
+   witness, is the same however the work is sharded. The pair
+   filtering and sampling below mirror [compare] exactly, so witnesses
+   are byte-identical to comparing the two placements; the two
+   outcomes come from the two stanzas that handle the witness, not
+   from evaluating either map. *)
 
-let naive_chunk ~db ~target stanza (start, len) =
-  Obs.Counter.incr ~by:len Metrics.adjacent_contexts;
-  let map_at p = Config.Route_map.insert_at target p stanza in
-  List.filter_map
-    (fun i ->
-      match
-        first_difference ~db_a:db ~db_b:db (map_at i) (map_at (i + 1))
-      with
-      | None -> None
-      | Some d -> Some (i, d))
-    (List.init len (fun k -> start + k))
+type partition = {
+  db : Config.Database.t;
+  ctx : Ctx.t;
+  cells : Ctx.cell array;
+  cands : Config.Route_map.stanza array;
+}
 
-(* Boundaries of one candidate stanza against a pre-executed partition
-   of the target: position [i]'s candidate region is
-   [cells.(i).guard ∧ match(stanza)], sampled exactly as [compare] would,
-   so witnesses match the naive sweep. A witness falls through stanzas
+(* Could a route handled by stanza action/sets [a] be treated
+   differently under [b]? Deny/deny never differs; permit/permit only
+   when the transforms differ. *)
+let may_differ db (a_action, t_a) (b_action, t_b) =
+  match (a_action, b_action) with
+  | Config.Action.Deny, Config.Action.Deny -> false
+  | Config.Action.Permit, Config.Action.Permit ->
+      not (Config.Transform.equal ~db1:db ~db2:db t_a t_b)
+  | _ -> true
+
+(* Position [i]'s candidate region is [cells.(i).guard ∧ match(s)],
+   sampled exactly as [compare] would. A witness falls through stanzas
    0..i-1 and matches both the candidate and s_i, so the candidate
-   handles it when inserted at i and s_i when inserted at i+1: applying
-   those two stanzas' actions and sets gives both maps' outcomes, at a
-   cost independent of the width. *)
-let cell_boundaries ctx cells ~db stanza (start, len) =
-  let match_new = Ctx.of_stanza ctx db stanza in
+   handles it when inserted at i and s_i when inserted at i+1:
+   applying those two stanzas' actions and sets gives both maps'
+   outcomes, at a cost independent of the width. *)
+let cell_boundaries p k (start, len) =
+  let db = p.db and stanza = p.cands.(k) in
+  let match_new = Ctx.of_stanza p.ctx db stanza in
   let t_new = Config.Transform.of_sets db stanza.Config.Route_map.sets in
   List.filter_map
     (fun i ->
-      let (c : Ctx.cell) = cells.(i) in
+      let (c : Ctx.cell) = p.cells.(i) in
       (* A cell the candidates cannot reach has no witness. *)
-      let maybe_differs =
-        (not (Bdd.is_zero c.guard))
-        &&
-        match (stanza.Config.Route_map.action, c.action) with
-        | Config.Action.Deny, Config.Action.Deny -> false
-        | Config.Action.Permit, Config.Action.Permit ->
-            not
-              (Config.Transform.equal ~db1:db ~db2:db t_new
-                 (Config.Transform.of_sets db c.sets))
-        | _ -> true
-      in
-      if not maybe_differs then None
+      if Bdd.is_zero c.guard then None
       else
-        let region = Bdd.conj c.guard match_new in
-        let op_a = t_new.Config.Transform.communities in
-        let op_b = (Config.Transform.of_sets db c.sets).communities in
-        match sample_route ctx ~db_a:db ~db_b:db op_a op_b region with
-        | None -> None
-        | Some route ->
-            let result_a =
-              Config.Semantics.apply_action db stanza.Config.Route_map.action
-                stanza.Config.Route_map.sets route
-            in
-            let result_b =
-              Config.Semantics.apply_action db c.action c.sets route
-            in
-            if Config.Semantics.route_result_equal result_a result_b then None
-            else
-              (* Both maps resequence, putting S* and s_i at seq
-                 (i+1)*10 in their respective maps. *)
-              let seq = Some ((i + 1) * 10) in
-              Some
-                (i, { route; result_a; result_b; stanza_a = seq; stanza_b = seq }))
-    (List.init len (fun k -> start + k))
-
-let incremental_chunk ~db ~(target : Config.Route_map.t) stanza (start, len) =
-  Obs.Counter.incr Metrics.adjacent_contexts;
-  Obs.Counter.incr ~by:(max 0 (len - 1)) Metrics.adjacent_prefix_reuse;
-  (* Any insertion brings the new stanza's ancillary lists into scope;
-     position 0 is as good as any for the shared universe, which is a
-     function of the referenced community sets only. *)
-  let ctx = context ~db_a:db ~db_b:db (Config.Route_map.insert_at target 0 stanza) target in
-  let cells = Array.of_list (Ctx.exec ~candidates:[ stanza ] ctx db target) in
-  cell_boundaries ctx cells ~db stanza (start, len)
-
-let adjacent_insertions ?naive ?pool ~db ~(target : Config.Route_map.t)
-    (stanza : Config.Route_map.stanza) =
-  Obs.Counter.incr Metrics.adjacent_insertions_calls;
-  let t0 = Obs.now () in
-  let naive =
-    match naive with Some b -> b | None -> Boundary_mode.naive_requested ()
-  in
-  let run_chunk =
-    if naive then naive_chunk ~db ~target stanza
-    else incremental_chunk ~db ~target stanza
-  in
-  let n = List.length target.Config.Route_map.stanzas in
-  let result =
-    match pool with
-    | Some pool when Parallel.Pool.domains pool > 1 && n > 1 ->
-        if naive then
-          (* One position per task: a pathological insertion point gets
-             stolen around instead of serializing a coarse chunk. *)
-          List.concat
-            (Parallel.Pool.map pool ~f:run_chunk
-               (Parallel.Pool.ranges ~grain:1 n))
-        else begin
-          (* Compile the shared context and first-match partition once
-             into a fresh base manager, freeze it, and let every worker
-             walk its slice under a private delta — the base's nodes
-             and compile cache are shared read-only, so nothing is
-             recompiled per domain. *)
-          let base = Bdd.Manager.create () in
-          let ctx, cells =
-            Bdd.with_manager base (fun () ->
-                Obs.Counter.incr Metrics.adjacent_contexts;
-                let ctx =
-                  context ~db_a:db ~db_b:db
-                    (Config.Route_map.insert_at target 0 stanza)
-                    target
-                in
-                let cells =
-                  Array.of_list (Ctx.exec ~candidates:[ stanza ] ctx db target)
-                in
-                (ctx, cells))
-          in
-          Bdd.Manager.freeze base;
-          Obs.Counter.incr ~by:(max 0 (n - 1)) Metrics.adjacent_prefix_reuse;
-          (* Slices of a few positions: the context fork (a hashtable
-             copy) amortizes over the slice while slices stay plentiful
-             enough to steal when stanza widths are skewed. *)
-          List.concat
-            (Parallel.Pool.map ~bdd_base:base pool
-               ~f:(fun slice ->
-                 cell_boundaries (Ctx.fork ctx) cells ~db stanza slice)
-               (Parallel.Pool.ranges ~grain:8 n))
-        end
-    | _ -> if n = 0 then [] else run_chunk (0, n)
-  in
-  Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9);
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Multi-stanza batch sweep (DESIGN.md §12).
-
-   A batch of N candidate stanzas against one target policy shares a
-   single compiled first-match partition, projected onto the union of
-   the candidates' match regions: every candidate's boundary sweep is
-   n conjunctions against the same cells, and the pairwise
-   inter-intent analysis is one conjunction per candidate pair. The
-   symbolic scope always covers the target plus *every* candidate, so
-   the community/as-path universe — and therefore every witness — is
-   identical however the work is sharded across a pool. *)
-
-type pair_kind = Pair_disjoint | Pair_overlap | Pair_conflict of difference
-
-type batch_sweep = {
-  per_candidate : (int * difference) list array;
-      (* candidate k's boundary sweep against the original target *)
-  overlaps : (int * int) list; (* i < j: match regions intersect *)
-  conflicts : (int * int * difference) list;
-      (* overlapping pairs whose behaviours differ, with a witness *)
-}
-
-let batch_insertions ?pool ~db ~(target : Config.Route_map.t) stanzas =
-  let candidates = Array.of_list stanzas in
-  let ncand = Array.length candidates in
-  if ncand = 0 then { per_candidate = [||]; overlaps = []; conflicts = [] }
-  else begin
-    Obs.Counter.incr Metrics.adjacent_insertions_calls;
-    let t0 = Obs.now () in
-    let n = List.length target.Config.Route_map.stanzas in
-    (* The shared scope map: target stanzas plus every candidate, so
-       each chunk's universe is the same whichever candidates it owns. *)
-    let scope_map =
-      let base =
-        1
-        + List.fold_left
-            (fun a (s : Config.Route_map.stanza) -> max a s.seq)
-            0 target.Config.Route_map.stanzas
-      in
-      Config.Route_map.make target.Config.Route_map.name
-        (target.Config.Route_map.stanzas
-        @ List.mapi
-            (fun k s -> { s with Config.Route_map.seq = base + k })
-            stanzas)
-    in
-    let make_ctx () =
-      Obs.Counter.incr Metrics.adjacent_contexts;
-      Ctx.create [ (db, [ scope_map; target ]) ]
-    in
-    let classify_pair ctx (i, j) =
-      let si = candidates.(i) and sj = candidates.(j) in
-      let region =
-        Bdd.conj (Ctx.of_stanza ctx db si) (Ctx.of_stanza ctx db sj)
-      in
-      if not (Ctx.is_sat ctx region) then (i, j, Pair_disjoint)
-      else
-        let ti = Config.Transform.of_sets db si.Config.Route_map.sets in
-        let tj = Config.Transform.of_sets db sj.Config.Route_map.sets in
-        let maybe_differs =
-          match (si.Config.Route_map.action, sj.Config.Route_map.action) with
-          | Config.Action.Deny, Config.Action.Deny -> false
-          | Config.Action.Permit, Config.Action.Permit ->
-              not (Config.Transform.equal ~db1:db ~db2:db ti tj)
-          | _ -> true
-        in
-        if not maybe_differs then (i, j, Pair_overlap)
+        let t_old = Config.Transform.of_sets db c.sets in
+        if not (may_differ db (stanza.action, t_new) (c.action, t_old)) then
+          None
         else
+          let region = Bdd.conj c.guard match_new in
           match
-            sample_route ctx ~db_a:db ~db_b:db
-              ti.Config.Transform.communities tj.Config.Transform.communities
-              region
+            sample_route p.ctx ~db_a:db ~db_b:db t_new.communities
+              t_old.communities region
           with
-          | None -> (i, j, Pair_overlap)
+          | None -> None
           | Some route ->
-              (* The witness matches both candidates. *)
-              let result_of (s : Config.Route_map.stanza) =
-                Config.Semantics.apply_action db s.action s.sets route
+              let result_a =
+                Config.Semantics.apply_action db stanza.action stanza.sets
+                  route
               in
-              let result_a = result_of si and result_b = result_of sj in
+              let result_b =
+                Config.Semantics.apply_action db c.action c.sets route
+              in
               if Config.Semantics.route_result_equal result_a result_b then
-                (i, j, Pair_overlap)
+                None
               else
-                ( i,
-                  j,
-                  Pair_conflict
+                (* Both maps resequence, putting S* and s_i at seq
+                   (i+1)*10 in their respective maps. *)
+                let seq = Some ((i + 1) * 10) in
+                Some
+                  ( i,
                     {
                       route;
                       result_a;
                       result_b;
-                      stanza_a = Some si.Config.Route_map.seq;
-                      stanza_b = Some sj.Config.Route_map.seq;
-                    } )
-    in
-    let all_pairs =
-      List.concat
-        (List.init ncand (fun i ->
-             List.init (ncand - i - 1) (fun d -> (i, i + d + 1))))
-    in
-    let bounds, pairs =
-      match pool with
-      | Some pool when Parallel.Pool.domains pool > 1 && ncand > 1 ->
-          (* One shared compilation for the whole batch: context,
-             first-match partition and every candidate's match
-             condition live in a frozen base; workers fork the context
-             (private feasibility state) and layer private deltas. *)
-          let base = Bdd.Manager.create () in
-          let ctx, cells =
-            Bdd.with_manager base (fun () ->
-                let ctx = make_ctx () in
-                (ctx, Array.of_list (Ctx.exec ~candidates:stanzas ctx db target)))
+                      stanza_a = seq;
+                      stanza_b = seq;
+                    } ))
+    (List.init len (fun j -> start + j))
+
+let classify p i j =
+  let db = p.db and si = p.cands.(i) and sj = p.cands.(j) in
+  let region =
+    Bdd.conj (Ctx.of_stanza p.ctx db si) (Ctx.of_stanza p.ctx db sj)
+  in
+  if not (Ctx.is_sat p.ctx region) then First_match.Disjoint
+  else
+    let ti = Config.Transform.of_sets db si.Config.Route_map.sets in
+    let tj = Config.Transform.of_sets db sj.Config.Route_map.sets in
+    if not (may_differ db (si.action, ti) (sj.action, tj)) then
+      First_match.Overlap
+    else
+      match
+        sample_route p.ctx ~db_a:db ~db_b:db ti.communities tj.communities
+          region
+      with
+      | None -> First_match.Overlap
+      | Some route ->
+          (* The witness matches both candidates. *)
+          let result_of (s : Config.Route_map.stanza) =
+            Config.Semantics.apply_action db s.action s.sets route
           in
-          Bdd.Manager.freeze base;
-          (* Candidate sweeps are coarse — one stealable task each;
-             pairs are cheap, so a few share a task to amortize the
-             context fork (a hashtable copy) that gives each task its
-             private feasibility state. *)
-          let bounds =
-            Parallel.Pool.map ~bdd_base:base pool
-              ~f:(fun k ->
-                ( k,
-                  cell_boundaries (Ctx.fork ctx) cells ~db candidates.(k)
-                    (0, n) ))
-              (List.init ncand Fun.id)
-          in
-          let pairs =
-            Parallel.Pool.map ~grain:4 ~bdd_base:base pool
-              ~f:(fun p -> classify_pair (Ctx.fork ctx) p)
-              all_pairs
-          in
-          (bounds, pairs)
-      | _ ->
-          let ctx = make_ctx () in
-          let cells = Array.of_list (Ctx.exec ~candidates:stanzas ctx db target) in
-          ( List.map
-              (fun k ->
-                ( k,
-                  cell_boundaries ctx cells ~db candidates.(k) (0, n) ))
-              (List.init ncand Fun.id),
-            List.map (classify_pair ctx) all_pairs )
-    in
-    Obs.Counter.incr
-      ~by:(max 0 ((ncand * max 1 n) - 1))
-      Metrics.adjacent_prefix_reuse;
-    let per_candidate = Array.make ncand [] in
-    List.iter (fun (k, bs) -> per_candidate.(k) <- bs) bounds;
-    let overlaps =
-      List.filter_map
-        (function
-          | i, j, (Pair_overlap | Pair_conflict _) -> Some (i, j)
-          | _, _, Pair_disjoint -> None)
-        pairs
-    in
-    let conflicts =
-      List.filter_map
-        (function
-          | i, j, Pair_conflict d -> Some (i, j, d)
-          | _ -> None)
-        pairs
-    in
-    Obs.Counter.incr ~by:(List.length conflicts) Metrics.batch_conflict_pairs;
-    Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9);
-    { per_candidate; overlaps; conflicts }
-  end
+          let result_a = result_of si and result_b = result_of sj in
+          if Config.Semantics.route_result_equal result_a result_b then
+            First_match.Overlap
+          else
+            First_match.Conflict
+              {
+                route;
+                result_a;
+                result_b;
+                stanza_a = Some si.seq;
+                stanza_b = Some sj.seq;
+              }
+
+module Sweep = First_match.Sweep (struct
+  type target = Config.Database.t * Config.Route_map.t
+  type rule = Config.Route_map.stanza
+  type nonrec difference = difference
+  type nonrec partition = partition
+
+  let width (_, (t : Config.Route_map.t)) = List.length t.stanzas
+
+  let compile (db, (target : Config.Route_map.t)) cands =
+    let scope = [ target; { target with stanzas = Array.to_list cands } ] in
+    let ctx = Ctx.create [ (db, scope) ] in
+    let cells = Ctx.exec ~candidates:(Array.to_list cands) ctx db target in
+    { db; ctx; cells = Array.of_list cells; cands }
+
+  let fork p = { p with ctx = Ctx.fork p.ctx }
+  let cell_boundaries = cell_boundaries
+  let classify = classify
+end)
+
+type batch_sweep = Sweep.batch_sweep = {
+  per_candidate : (int * difference) list array;
+  overlaps : (int * int) list;
+  conflicts : (int * int * difference) list;
+}
+
+let adjacent_insertions ?pool ~db ~target stanza =
+  Sweep.adjacent_insertions ?pool (db, target) stanza
+
+let batch_insertions ?pool ~db ~target stanzas =
+  Sweep.batch_insertions ?pool (db, target) stanzas
 
 let pp_difference fmt d =
   Format.fprintf fmt

@@ -40,7 +40,6 @@ val equal_behavior :
   bool
 
 val adjacent_insertions :
-  ?naive:bool ->
   ?pool:Parallel.Pool.t ->
   db:Config.Database.t ->
   target:Config.Route_map.t ->
@@ -49,29 +48,21 @@ val adjacent_insertions :
 (** Every insertion position [i] (0-based, ascending) at which inserting
     the stanza at [i] behaves differently from inserting it at [i + 1],
     with one witness route per position — the full boundary sweep the
-    disambiguators binary-search over.
+    disambiguators binary-search over. By definition, position [i] is a
+    boundary exactly when {!first_difference} of the target with the
+    stanza inserted at [i] and at [i + 1] finds one, and the witness is
+    the one it finds; the sweep reproduces that byte-for-byte at the
+    cost of one compilation.
 
-    By default the sweep is incremental: the target map is symbolically
-    executed once and position [i]'s candidate region is
-    [cell_i.guard ∧ match(stanza)], so the whole sweep costs one
-    compilation instead of the naive [n] two-map comparisons. The
-    execution is projected onto [match(stanza)]
-    ({!Symbolic.Route_ctx.exec} [~candidates]): stanzas the candidate
-    cannot meet are never compiled, so the sweep's BDD work follows the
-    stanzas it overlaps rather than the width. A witness
-    of that region is handled by the stanza when inserted at [i] and by
-    stanza [i] when inserted at [i + 1], so the two outcomes are those
-    two stanzas' actions and sets applied to it: each position costs
-    the same whatever the width. [~naive] forces either strategy
-    explicitly; when omitted, {!Boundary_mode.naive_requested} decides
-    (the [CLARIFY_NAIVE_BOUNDARIES] escape hatch). Both strategies
-    return identical results — the property suite enforces
-    byte-equality.
-
-    [~pool] compiles the context and partition once into a frozen base
-    manager, then splits the positions into stealable slices of 8, each
-    walked by a worker under a private delta on that base with its own
-    fork of the context; results are re-assembled in position order. *)
+    This is the route-map instance of {!First_match.Sweep}: the target
+    is symbolically executed once, projected onto [match(stanza)]
+    ({!Symbolic.Route_ctx.exec} [~candidates]), so stanzas the
+    candidate cannot meet are never compiled. Position [i]'s region is
+    [cell_i.guard ∧ match(stanza)]; a witness of it is handled by the
+    stanza when inserted at [i] and by stanza [i] when inserted at
+    [i + 1], so the two outcomes are those two stanzas' actions and
+    sets applied to it and each position costs the same whatever the
+    width. [~pool] shards the positions (see {!First_match.Sweep}). *)
 
 type batch_sweep = {
   per_candidate : (int * difference) list array;
@@ -93,11 +84,9 @@ val batch_insertions :
 (** Multi-stanza sweep for batch synthesis: boundary sweeps for every
     candidate plus the pairwise inter-intent overlap/conflict graph,
     all against one compiled first-match partition of [target],
-    projected onto the union of the candidates' match regions (under
-    [~pool], compiled once into a frozen base that every task forks). The
-    symbolic scope always includes every candidate, so witnesses are
-    independent of how the work is sharded. Increments
-    {!Metrics.batch_conflict_pairs} by the number of conflicts. *)
+    projected onto the union of the candidates' match regions. Both
+    sweeps take the target plus every candidate as their symbolic
+    scope, so witnesses are independent of how the work is sharded. *)
 
 val pp_difference : Format.formatter -> difference -> unit
 (** Rendered in the paper's OPTION 1 / OPTION 2 style. *)

@@ -27,8 +27,8 @@ let adjacent_insertions_calls =
 let adjacent_contexts =
   Obs.Counter.make "engine.adjacent_insertions.contexts_built"
     ~help:
-      "symbolic contexts built while finding boundaries (1 per sweep \
-       incrementally, n per sweep naively)"
+      "symbolic contexts built while finding boundaries (1 per sweep of a \
+       non-empty target)"
 
 let adjacent_prefix_reuse =
   Obs.Counter.make "engine.adjacent_insertions.prefix_cells_reused"

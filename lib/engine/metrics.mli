@@ -8,13 +8,13 @@ val compare_route_policies_calls : Obs.Counter.t
 val compare_acls_calls : Obs.Counter.t
 
 val adjacent_insertions_calls : Obs.Counter.t
-(** Batch boundary sweeps ([adjacent_insertions] in either compare
-    module), naive or incremental. *)
+(** Boundary sweeps: [adjacent_insertions] and [batch_insertions] of
+    either {!First_match.Sweep} instance. *)
 
 val adjacent_contexts : Obs.Counter.t
-(** Symbolic contexts built during boundary discovery: the incremental
-    engine builds one per sweep (per chunk under a pool), the naive
-    path one per insertion position. *)
+(** Symbolic contexts built during boundary discovery: one per sweep
+    of a non-empty target (one per batch), compiled once even under a
+    pool. *)
 
 val adjacent_prefix_reuse : Obs.Counter.t
 (** Insertion positions whose reachability came from a shared prefix

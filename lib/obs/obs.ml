@@ -562,14 +562,6 @@ let span_to_json (s : Span.t) =
       ("seq", Json.Int s.seq);
     ]
 
-let json_sink buf =
-  {
-    on_span =
-      (fun (s : Span.t) ->
-        Buffer.add_string buf (Json.to_string ~indent:0 (span_to_json s));
-        Buffer.add_char buf '\n');
-  }
-
 let jsonl_sink oc =
   {
     on_span =

@@ -225,14 +225,6 @@ val text_sink : Format.formatter -> sink
 (** One indented line per span as it completes (children close before
     their parents, as in any close-order trace). *)
 
-val json_sink : Buffer.t -> sink
-[@@alert deprecated
-  "Obs.json_sink grows an unbounded in-memory Buffer; use jsonl_sink \
-   with an out_channel instead."]
-(** @deprecated One compact JSON object per line per span (JSONL), into
-    an in-memory buffer. The buffer grows without bound; use
-    {!jsonl_sink} instead. *)
-
 val jsonl_sink : out_channel -> sink
 (** One compact JSON object per line per span (JSONL), streamed to a
     channel and flushed after every span, so long runs spill to disk

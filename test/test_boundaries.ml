@@ -1,32 +1,55 @@
-(* Property suite for the incremental boundary engine: on randomly
-   generated targets and insertion candidates, the compile-once sweep
-   must reproduce the naive per-position comparison byte-for-byte —
-   same boundary positions, same witness examples, same placements in
-   every disambiguation mode, serial or fanned across a worker pool.
-   The naive path is reached the same way production would reach it,
-   through the CLARIFY_NAIVE_BOUNDARIES environment variable. *)
+(* Property suite for the boundary engine: on randomly generated
+   targets and insertion candidates, the compile-once sweep must
+   reproduce the definition of a boundary byte-for-byte — same
+   boundary positions, same witness examples, same placements in every
+   disambiguation mode, serial or fanned across a worker pool. The
+   definition lives here, not in the library: position [i] is a
+   boundary when the candidate inserted at [i] and at [i + 1] behave
+   differently, and the first difference is its witness. *)
 
 module D = Clarify.Disambiguator
 module Ad = Clarify.Acl_disambiguator
 module Pd = Clarify.Prefix_list_disambiguator
 module Crp = Engine.Compare_route_policies
 module Ca = Engine.Compare_acls
+module Rm = Config.Route_map
 
 let cases = 220
 let ip = Netaddr.Ipv4.of_octets
 
-let with_naive f =
-  Unix.putenv Engine.Boundary_mode.env_var "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv Engine.Boundary_mode.env_var "0")
-    f
+(* The reference sweep: [differ] of the placements at [i] and [i + 1],
+   for every position [i] of a [width]-rule target. *)
+let definition ~width ~at ~differ =
+  List.filter_map
+    (fun i -> Option.map (fun d -> (i, d)) (differ (at i) (at (i + 1))))
+    (List.init width Fun.id)
 
-let check_same ~what ~case ~render naive incremental =
-  if naive <> incremental then
-    Alcotest.failf "case %d: %s diverge@.naive:@.%s@.incremental:@.%s" case
+let check_same ~what ~case ~render reference engine =
+  if reference <> engine then
+    Alcotest.failf "case %d: %s diverge@.reference:@.%s@.engine:@.%s" case
       what
-      (String.concat "\n" (List.map render naive))
-      (String.concat "\n" (List.map render incremental))
+      (String.concat "\n" (List.map render reference))
+      (String.concat "\n" (List.map render engine))
+
+(* Run every mode against every oracle twice, once on the engine's own
+   boundaries and once on the reference's, handed in as [precomputed]:
+   the outcomes must agree. *)
+let check_modes ~what ~case ~same run =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun answer ->
+          match
+            ( run ~mode ~oracle:(fun _ -> answer) ~reference:true,
+              run ~mode ~oracle:(fun _ -> answer) ~reference:false )
+          with
+          | Ok a, Ok b ->
+              if not (same a b) then
+                Alcotest.failf "case %d: %s outcomes diverge" case what
+          | Error _, Error _ -> ()
+          | _ -> Alcotest.failf "case %d: %s verdicts diverge" case what)
+        [ Clarify.Disambig_common.Prefer_new; Prefer_old ])
+    Clarify.Disambig_common.[ Binary_search; Top_bottom; Linear ]
 
 (* ------------------------------------------------------------------ *)
 (* Route-maps                                                         *)
@@ -119,61 +142,54 @@ let route_map_case ?stanzas rng case =
   (db, target, stanza)
 
 let render_rm_question q = Format.asprintf "%a" D.pp_question q
+let render_rm (i, d) = Format.asprintf "%d: %a" i Crp.pp_difference d
+
+let rm_definition ~db ~(target : Rm.t) stanza =
+  definition ~width:(List.length target.stanzas)
+    ~at:(fun p -> Rm.insert_at target p stanza)
+    ~differ:(Crp.first_difference ~db_a:db ~db_b:db)
+
+let rm_reference ~db ~(target : Rm.t) stanza =
+  let stanzas = Array.of_list target.stanzas in
+  List.map
+    (fun (i, (d : Crp.difference)) ->
+      {
+        D.position = i;
+        boundary_seq = stanzas.(i).seq;
+        route = d.route;
+        if_new_first = d.result_a;
+        if_old_first = d.result_b;
+      })
+    (rm_definition ~db ~target stanza)
 
 let check_rm_modes ~case ~db ~target ~stanza =
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun oracle ->
-          let naive =
-            with_naive (fun () -> D.run ~mode ~db ~target ~stanza ~oracle ())
-          in
-          let incr = D.run ~mode ~db ~target ~stanza ~oracle () in
-          match (naive, incr) with
-          | Ok a, Ok b ->
-              if
-                a.D.position <> b.D.position
-                || a.D.map <> b.D.map
-                || a.D.boundaries <> b.D.boundaries
-                || a.D.questions <> b.D.questions
-              then
-                Alcotest.failf
-                  "case %d: run outcomes diverge (position %d vs %d)" case
-                  a.D.position b.D.position
-          | Error _, Error _ -> ()
-          | _ -> Alcotest.failf "case %d: run verdicts diverge" case)
-        [ D.always_new; D.always_old ])
-    [ D.Binary_search; D.Top_bottom; D.Linear ]
+  let precomputed = rm_reference ~db ~target stanza in
+  check_modes ~what:"run" ~case
+    ~same:(fun (a : D.outcome) b ->
+      a.position = b.position && a.map = b.map
+      && a.boundaries = b.boundaries && a.questions = b.questions)
+    (fun ~mode ~oracle ~reference ->
+      let precomputed = if reference then Some precomputed else None in
+      D.run ~mode ?precomputed ~db ~target ~stanza ~oracle ())
 
 let test_route_map_equivalence () =
   let rng = Random.State.make [| 0x5eed; 1 |] in
   let pool = Parallel.Pool.create ~domains:4 () in
   for case = 0 to cases - 1 do
     let db, target, stanza = route_map_case rng case in
-    let naive = with_naive (fun () -> D.boundaries ~db ~target stanza) in
-    let incr = D.boundaries ~db ~target stanza in
     check_same ~what:"route-map boundaries" ~case ~render:render_rm_question
-      naive incr;
+      (rm_reference ~db ~target stanza)
+      (D.boundaries ~db ~target stanza);
     if case mod 3 = 0 then check_rm_modes ~case ~db ~target ~stanza;
-    if case mod 10 = 0 then begin
-      let serial = Crp.adjacent_insertions ~naive:false ~db ~target stanza in
-      let pooled =
-        Crp.adjacent_insertions ~naive:false ~pool ~db ~target stanza
-      in
-      let pooled_naive =
-        Crp.adjacent_insertions ~naive:true ~pool ~db ~target stanza
-      in
-      let render (i, (d : Crp.difference)) =
-        Format.asprintf "%d: %a" i Crp.pp_difference d
-      in
-      check_same ~what:"pooled incremental sweep" ~case ~render serial pooled;
-      check_same ~what:"pooled naive sweep" ~case ~render serial pooled_naive
-    end
+    if case mod 10 = 0 then
+      check_same ~what:"pooled sweep" ~case ~render:render_rm
+        (rm_definition ~db ~target stanza)
+        (Crp.adjacent_insertions ~pool ~db ~target stanza)
   done
 
 (* Wide targets put boundaries behind deep fall-throughs: cell [i]'s
    guard conjoins the negations of dozens of earlier stanzas. Boundaries
-   only, since the naive reference costs O(n²) per sweep. *)
+   only, since the reference costs O(n²) per sweep. *)
 let wide_cases = 8
 
 let test_route_map_wide_equivalence () =
@@ -181,10 +197,10 @@ let test_route_map_wide_equivalence () =
   for case = 0 to wide_cases - 1 do
     let stanzas = 32 + Random.State.int rng 65 in
     let db, target, stanza = route_map_case ~stanzas rng (cases + case) in
-    let naive = with_naive (fun () -> D.boundaries ~db ~target stanza) in
-    let incr = D.boundaries ~db ~target stanza in
-    check_same ~what:"wide route-map boundaries" ~case ~render:render_rm_question
-      naive incr
+    check_same ~what:"wide route-map boundaries" ~case
+      ~render:render_rm_question
+      (rm_reference ~db ~target stanza)
+      (D.boundaries ~db ~target stanza)
   done
 
 (* as-path matches mutate the context's blocked-path state during
@@ -216,16 +232,13 @@ let test_route_map_as_path_case () =
       Config.Action.Permit
   in
   let db = Config.Database.add_route_map db target in
-  let naive = with_naive (fun () -> D.boundaries ~db ~target stanza) in
-  let incr = D.boundaries ~db ~target stanza in
   check_same ~what:"as-path boundaries" ~case:0 ~render:render_rm_question
-    naive incr
+    (rm_reference ~db ~target stanza)
+    (D.boundaries ~db ~target stanza)
 
 (* ------------------------------------------------------------------ *)
 (* Mixed-clause route-maps                                            *)
 (* ------------------------------------------------------------------ *)
-
-module Rm = Config.Route_map
 
 (* Lists for stanzas that mix every kind of match. The prefix lists
    have several entries, deny entries and ge/le windows over nested and
@@ -327,18 +340,18 @@ let mixed_case rng =
 let test_route_map_mixed_clauses () =
   let rng = Random.State.make [| 0x5eed; 5 |] in
   let pool = Parallel.Pool.create ~domains:4 () in
-  let db = mixed_db in
-  let render (i, (d : Crp.difference)) = Format.asprintf "%d: %a" i Crp.pp_difference d in
+  let db = mixed_db and render = render_rm in
   for case = 0 to cases - 1 do
     let target, candidates = mixed_case rng in
     let sequential =
       List.map
         (fun stanza ->
-          let naive = Crp.adjacent_insertions ~naive:true ~db ~target stanza in
-          let serial = Crp.adjacent_insertions ~naive:false ~db ~target stanza in
-          let pooled = Crp.adjacent_insertions ~naive:false ~pool ~db ~target stanza in
-          check_same ~what:"mixed-clause sweep" ~case ~render naive serial;
-          check_same ~what:"pooled mixed-clause sweep" ~case ~render naive pooled;
+          let reference = rm_definition ~db ~target stanza in
+          let serial = Crp.adjacent_insertions ~db ~target stanza in
+          let pooled = Crp.adjacent_insertions ~pool ~db ~target stanza in
+          check_same ~what:"mixed-clause sweep" ~case ~render reference serial;
+          check_same ~what:"pooled mixed-clause sweep" ~case ~render reference
+            pooled;
           serial)
         candidates
     in
@@ -379,7 +392,7 @@ let test_apart_stanzas_not_compiled () =
     (fun k ->
       let target = apart k in
       Alcotest.(check int) (Printf.sprintf "sweep, %d apart stanzas" k) empty
-        (misses (fun () -> Crp.adjacent_insertions ~naive:false ~db ~target candidate));
+        (misses (fun () -> Crp.adjacent_insertions ~db ~target candidate));
       Alcotest.(check int) (Printf.sprintf "batch, %d apart stanzas" k) empty
         (misses (batch target)))
     [ 1; 3; 16 ]
@@ -425,54 +438,48 @@ let acl_case rng case =
 
 let render_acl_question q = Format.asprintf "%a" Ad.pp_question q
 
+let acl_definition ~(target : Config.Acl.t) rule =
+  definition ~width:(List.length target.rules)
+    ~at:(fun p -> Config.Acl.insert_at target p rule)
+    ~differ:Ca.first_difference
+
+let acl_reference ~(target : Config.Acl.t) rule =
+  let rules = Array.of_list target.rules in
+  List.map
+    (fun (i, (d : Ca.difference)) ->
+      {
+        Ad.position = i;
+        boundary_seq = rules.(i).seq;
+        packet = d.packet;
+        if_new_first = d.action_a;
+        if_old_first = d.action_b;
+      })
+    (acl_definition ~target rule)
+
 let check_acl_modes ~case ~target ~rule =
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun oracle ->
-          let naive =
-            with_naive (fun () -> Ad.run ~mode ~target ~rule ~oracle ())
-          in
-          let incr = Ad.run ~mode ~target ~rule ~oracle () in
-          match (naive, incr) with
-          | Ok a, Ok b ->
-              if
-                a.Ad.position <> b.Ad.position
-                || a.Ad.acl <> b.Ad.acl
-                || a.Ad.boundaries <> b.Ad.boundaries
-                || a.Ad.questions <> b.Ad.questions
-              then
-                Alcotest.failf
-                  "case %d: acl outcomes diverge (position %d vs %d)" case
-                  a.Ad.position b.Ad.position
-          | Error _, Error _ -> ()
-          | _ -> Alcotest.failf "case %d: acl verdicts diverge" case)
-        [ (fun _ -> Ad.Prefer_new); (fun _ -> Ad.Prefer_old) ])
-    [ Ad.Binary_search; Ad.Top_bottom; Ad.Linear ]
+  let precomputed = acl_reference ~target rule in
+  check_modes ~what:"acl" ~case
+    ~same:(fun (a : Ad.outcome) b ->
+      a.position = b.position && a.acl = b.acl
+      && a.boundaries = b.boundaries && a.questions = b.questions)
+    (fun ~mode ~oracle ~reference ->
+      let precomputed = if reference then Some precomputed else None in
+      Ad.run ~mode ?precomputed ~target ~rule ~oracle ())
 
 let test_acl_equivalence () =
   let rng = Random.State.make [| 0x5eed; 2 |] in
   let pool = Parallel.Pool.create ~domains:4 () in
   for case = 0 to cases - 1 do
     let target, rule = acl_case rng case in
-    let naive = with_naive (fun () -> Ad.boundaries ~target rule) in
-    let incr = Ad.boundaries ~target rule in
-    check_same ~what:"acl boundaries" ~case ~render:render_acl_question naive
-      incr;
+    check_same ~what:"acl boundaries" ~case ~render:render_acl_question
+      (acl_reference ~target rule)
+      (Ad.boundaries ~target rule);
     if case mod 3 = 0 then check_acl_modes ~case ~target ~rule;
-    if case mod 10 = 0 then begin
-      let serial = Ca.adjacent_insertions ~naive:false ~target rule in
-      let pooled = Ca.adjacent_insertions ~naive:false ~pool ~target rule in
-      let pooled_naive =
-        Ca.adjacent_insertions ~naive:true ~pool ~target rule
-      in
-      let render (i, (d : Ca.difference)) =
-        Format.asprintf "%d: %a" i Ca.pp_difference d
-      in
-      check_same ~what:"pooled acl sweep" ~case ~render serial pooled;
-      check_same ~what:"pooled naive acl sweep" ~case ~render serial
-        pooled_naive
-    end
+    if case mod 10 = 0 then
+      check_same ~what:"pooled acl sweep" ~case
+        ~render:(fun (i, d) -> Format.asprintf "%d: %a" i Ca.pp_difference d)
+        (acl_definition ~target rule)
+        (Ca.adjacent_insertions ~pool ~target rule)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -505,41 +512,94 @@ let prefix_list_case rng case =
 
 let render_pl_question q = Format.asprintf "%a" Pd.pp_question q
 
+(* Prefix lists have no symbolic comparison: the reference evaluates
+   both placements on the overlap witness of the new entry's and entry
+   [i]'s ranges. *)
+let pl_reference ~(target : Config.Prefix_list.t)
+    (entry : Config.Prefix_list.entry) =
+  let entries = Array.of_list target.entries in
+  let eval pl w =
+    Option.value ~default:Config.Action.Deny (Config.Prefix_list.eval pl w)
+  in
+  List.map snd
+    (definition ~width:(Array.length entries)
+       ~at:(fun p -> (p, Pd.insert_entry_at target p entry))
+       ~differ:(fun (i, a) (_, b) ->
+         let existing = entries.(i) in
+         match
+           Netaddr.Prefix_range.witness_overlap entry.range existing.range
+         with
+         | Some w when not (Config.Action.equal (eval a w) (eval b w)) ->
+             Some
+               {
+                 Pd.position = i;
+                 boundary_seq = existing.seq;
+                 prefix = w;
+                 if_new_first = eval a w;
+                 if_old_first = eval b w;
+               }
+         | _ -> None))
+
 let check_pl_modes ~case ~target ~entry =
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun oracle ->
-          let naive =
-            with_naive (fun () -> Pd.run ~mode ~target ~entry ~oracle ())
-          in
-          let incr = Pd.run ~mode ~target ~entry ~oracle () in
-          match (naive, incr) with
-          | Ok a, Ok b ->
-              if
-                a.Pd.position <> b.Pd.position
-                || a.Pd.prefix_list <> b.Pd.prefix_list
-                || a.Pd.boundaries <> b.Pd.boundaries
-                || a.Pd.questions <> b.Pd.questions
-              then
-                Alcotest.failf
-                  "case %d: prefix-list outcomes diverge (position %d vs %d)"
-                  case a.Pd.position b.Pd.position
-          | Error _, Error _ -> ()
-          | _ -> Alcotest.failf "case %d: prefix-list verdicts diverge" case)
-        [ (fun _ -> Pd.Prefer_new); (fun _ -> Pd.Prefer_old) ])
-    [ Pd.Binary_search; Pd.Top_bottom; Pd.Linear ]
+  let precomputed = pl_reference ~target entry in
+  check_modes ~what:"prefix-list" ~case
+    ~same:(fun (a : Pd.outcome) b ->
+      a.position = b.position && a.prefix_list = b.prefix_list
+      && a.boundaries = b.boundaries && a.questions = b.questions)
+    (fun ~mode ~oracle ~reference ->
+      let precomputed = if reference then Some precomputed else None in
+      Pd.run ~mode ?precomputed ~target ~entry ~oracle ())
 
 let test_prefix_list_equivalence () =
   let rng = Random.State.make [| 0x5eed; 3 |] in
   for case = 0 to cases - 1 do
     let target, entry = prefix_list_case rng case in
-    let naive = with_naive (fun () -> Pd.boundaries ~target entry) in
-    let incr = Pd.boundaries ~target entry in
     check_same ~what:"prefix-list boundaries" ~case ~render:render_pl_question
-      naive incr;
+      (pl_reference ~target entry)
+      (Pd.boundaries ~target entry);
     if case mod 3 = 0 then check_pl_modes ~case ~target ~entry
   done
+
+(* Top/bottom mode asks one question, at the top of the list, for every
+   family: the first boundary's witness with the first entry's seq, and
+   one boundary reported. *)
+let test_prefix_list_top_bottom () =
+  let entry action text =
+    let base, len = Scanf.sscanf text "%s@/%d" (fun ip len -> (ip, len)) in
+    Config.Prefix_list.entry ~seq:0 ~action
+      (Netaddr.Prefix_range.make
+         (Netaddr.Prefix.make (Netaddr.Ipv4.of_string_exn base) len)
+         ~ge:None ~le:(Some 32))
+  in
+  let target =
+    Config.Prefix_list.make "PL"
+      (List.mapi
+         (fun i e -> { e with Config.Prefix_list.seq = (i + 1) * 10 })
+         [
+           entry Config.Action.Permit "20.0.0.0/8";
+           entry Config.Action.Permit "10.1.0.0/16";
+           entry Config.Action.Permit "10.2.0.0/16";
+         ])
+  in
+  let entry = entry Config.Action.Deny "10.0.0.0/8" in
+  Alcotest.(check int)
+    "two boundaries" 2
+    (List.length (Pd.boundaries ~target entry));
+  List.iter
+    (fun (answer, position) ->
+      match
+        Pd.run ~mode:Pd.Top_bottom ~target ~entry ~oracle:(fun _ -> answer) ()
+      with
+      | Error _ -> Alcotest.fail "top/bottom cannot be inconsistent"
+      | Ok o ->
+          Alcotest.(check (list (pair int int)))
+            "one question at position 0, seq 10" [ (0, 10) ]
+            (List.map
+               (fun (q : Pd.question) -> (q.position, q.boundary_seq))
+               o.questions);
+          Alcotest.(check int) "one boundary reported" 1 o.boundaries;
+          Alcotest.(check int) "placed at an extreme" position o.position)
+    [ (Pd.Prefer_new, 0); (Pd.Prefer_old, 3) ]
 
 let () =
   Alcotest.run "boundaries"
@@ -558,5 +618,7 @@ let () =
           Alcotest.test_case "acls" `Quick test_acl_equivalence;
           Alcotest.test_case "prefix lists" `Quick
             test_prefix_list_equivalence;
+          Alcotest.test_case "prefix-list top/bottom" `Quick
+            test_prefix_list_top_bottom;
         ] );
     ]

@@ -220,7 +220,6 @@ let test_linear_mode_detects_inconsistency () =
   let oracle = D.scripted [ D.Prefer_new; D.Prefer_old ] in
   match D.run ~mode:D.Linear ~db ~target ~stanza ~oracle () with
   | Error (D.Inconsistent_intent qs) -> check_int "both asked" 2 (List.length qs)
-  | Error _ -> Alcotest.fail "wrong error"
   | Ok _ -> Alcotest.fail "expected inconsistency"
 
 let test_no_overlap_no_questions () =

@@ -348,8 +348,8 @@ let prop_route_two_stanza_results =
            (fun (i, (d : Engine.Compare_route_policies.difference)) ->
              agree d.result_a (eval_at target candidate i d.route)
              && agree d.result_b (eval_at target candidate (i + 1) d.route))
-           (Engine.Compare_route_policies.adjacent_insertions ~naive:false
-              ~db:route_db ~target candidate))
+           (Engine.Compare_route_policies.adjacent_insertions ~db:route_db
+              ~target candidate))
 
 let () =
   Alcotest.run "differential"

@@ -209,8 +209,7 @@ let test_sequential_insertion_order_sensitivity () =
          the failure is real, not an artifact of the checker. *)
       check "misses the goal" false
         (Engine.Compare_route_policies.equal_behavior ~db_a:db ~db_b:db
-           o.Clarify.Disambiguator.map final)
-  | Error _ -> Alcotest.fail "unexpected error");
+           o.Clarify.Disambiguator.map final));
   (* The alternative placement choice at step 1 (top, behaviourally
      equivalent at the time) makes step 2 succeed — the paper's point. *)
   let after_b_top = Route_map.insert_at target 0 stanza_b in

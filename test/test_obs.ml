@@ -99,20 +99,7 @@ let test_sinks =
   let text = Buffer.contents buf in
   check_bool "text sink mentions the span" true
     (String.length text > 0
-    && String.length text >= String.length "sinked");
-  let jbuf = Buffer.create 128 in
-  (* json_sink is deprecated (unbounded Buffer) but not removed; this
-     is its one remaining use, kept as coverage until deletion. *)
-  let[@alert "-deprecated"] deprecated_sink = Obs.json_sink jbuf in
-  Obs.set_sink deprecated_sink;
-  Obs.with_span "jsonned" (fun () -> ());
-  Obs.set_sink Obs.silent;
-  match Json.parse (String.trim (Buffer.contents jbuf)) with
-  | Error m -> Alcotest.failf "json sink line does not parse: %s" m
-  | Ok j ->
-      Alcotest.(check (option string))
-        "path field" (Some "jsonned")
-        (Option.bind (Json.member "path" j) Json.to_str)
+    && String.length text >= String.length "sinked")
 
 (* The default clock must be wall-clock ([Unix.gettimeofday]), not
    [Sys.time]: a sleeping span consumes no CPU time, so under the old

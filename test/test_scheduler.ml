@@ -100,8 +100,7 @@ let test_stress_flag_roundtrip () =
   with_stress (fun () ->
       check_bool "stress visible" true (Parallel.Pool.steal_stress ()))
 
-(* Boundary sweep: serial ≡ pooled ≡ pooled-under-stress, for both the
-   incremental and naive engines. *)
+(* Boundary sweep: serial ≡ pooled ≡ pooled-under-stress. *)
 let test_stress_boundaries_identical () =
   let corpus = Workload.Cloud.generate ~seed:7 () in
   let target =
@@ -117,23 +116,14 @@ let test_stress_boundaries_identical () =
     | _ -> Alcotest.fail "corpus too small"
   in
   let pool = Parallel.Pool.create ~domains:4 () in
-  List.iter
-    (fun naive ->
-      let serial = Engine.Compare_acls.adjacent_insertions ~naive ~target rule in
-      let pooled =
-        Engine.Compare_acls.adjacent_insertions ~naive ~pool ~target rule
-      in
-      let stressed =
-        with_stress (fun () ->
-            Engine.Compare_acls.adjacent_insertions ~naive ~pool ~target rule)
-      in
-      check_bool
-        (Printf.sprintf "pooled sweep identical (naive=%b)" naive)
-        true (serial = pooled);
-      check_bool
-        (Printf.sprintf "steal-stress sweep identical (naive=%b)" naive)
-        true (serial = stressed))
-    [ false; true ]
+  let serial = Engine.Compare_acls.adjacent_insertions ~target rule in
+  let pooled = Engine.Compare_acls.adjacent_insertions ~pool ~target rule in
+  let stressed =
+    with_stress (fun () ->
+        Engine.Compare_acls.adjacent_insertions ~pool ~target rule)
+  in
+  check_bool "pooled sweep identical" true (serial = pooled);
+  check_bool "steal-stress sweep identical" true (serial = stressed)
 
 (* Batch sweep: per-candidate boundaries and the pairwise verdicts. *)
 let test_stress_batch_identical () =
