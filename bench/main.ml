@@ -217,6 +217,21 @@ let wall_ns f =
   let r = f () in
   (r, (Obs.now () -. t0) *. 1e9)
 
+(* The fastest of [runs] attempts, each under a fresh manager (of the
+   [boxed] store when given), so no attempt reuses what an earlier one
+   compiled or cached; with the last attempt's result. *)
+let cold_min ?boxed ~runs f =
+  let best = ref infinity and result = ref None in
+  for _ = 1 to runs do
+    let r, ns =
+      Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ?boxed ()) (fun () ->
+          wall_ns f)
+    in
+    result := Some r;
+    best := Float.min !best ns
+  done;
+  (Option.get !result, !best)
+
 (* ------------------------------------------------------------------ *)
 (* BDD store: int-packed arena vs boxed baseline (DESIGN.md §15)      *)
 (* ------------------------------------------------------------------ *)
@@ -403,21 +418,12 @@ let naive_sweep ~db ~target stanza =
 let run_disambig_comparison () =
   Format.printf "=== Boundary sweeps: naive vs incremental ===@.";
   let timings = ref [] in
-  (* A cold incremental sweep: a fresh manager per attempt, so nothing
-     an earlier leg compiled is reused; min of 3. *)
+  (* A cold incremental sweep: nothing an earlier leg compiled is
+     reused; min of 3. *)
   let incremental ?pool ~db ~target stanza =
-    let best = ref infinity and result = ref [] in
-    for _ = 1 to 3 do
-      let r, ns =
-        Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ()) (fun () ->
-            wall_ns (fun () ->
-                Engine.Compare_route_policies.adjacent_insertions ?pool ~db
-                  ~target stanza))
-      in
-      result := r;
-      best := Float.min !best ns
-    done;
-    (!result, !best)
+    cold_min ~runs:3 (fun () ->
+        Engine.Compare_route_policies.adjacent_insertions ?pool ~db ~target
+          stanza)
   in
   let pooled_leg n ~db ~target stanza serial =
     if Parallel.Pool.domains pool > 1 then begin
@@ -469,20 +475,8 @@ let run_disambig_comparison () =
     Engine.Compare_route_policies.adjacent_insertions ~db ~target stanza
   in
   let time_backend boxed =
-    let best = ref infinity and result = ref reference in
-    for _ = 1 to 3 do
-      let r, ns =
-        Symbdd.Bdd.with_manager
-          (Symbdd.Bdd.Manager.create ~boxed ())
-          (fun () ->
-            wall_ns (fun () ->
-                Engine.Compare_route_policies.adjacent_insertions ~db ~target
-                  stanza))
-      in
-      result := r;
-      best := Float.min !best ns
-    done;
-    (!result, !best)
+    cold_min ~boxed ~runs:3 (fun () ->
+        Engine.Compare_route_policies.adjacent_insertions ~db ~target stanza)
   in
   let arena_r, arena_ns = time_backend false in
   let boxed_r, boxed_ns = time_backend true in
@@ -607,23 +601,23 @@ let run_batch_comparison () =
   Format.printf "=== Batch synthesis: batch-of-N vs N sequential runs ===@.";
   let intents = 6 in
   let db, prompts = batch_scenario ~intents in
-  let seq_questions = ref 0 in
-  let seq_db, seq_ns =
-    wall_ns (fun () ->
+  (* A leg is a few milliseconds, so one sample is mostly noise: min of
+     5 cold runs, each with a fresh mock LLM of its own. *)
+  let (seq_db, seq_questions), seq_ns =
+    cold_min ~runs:5 (fun () ->
         let llm = Llm.Mock_llm.create () in
         List.fold_left
-          (fun db prompt ->
+          (fun (db, questions) prompt ->
             match
               Clarify.Pipeline.run_route_map_update ~llm
                 ~oracle:(fun _ -> Clarify.Disambiguator.Prefer_new)
                 ~db ~target:"AB" ~prompt ()
             with
             | Ok r ->
-                seq_questions :=
-                  !seq_questions + List.length r.Clarify.Pipeline.questions;
-                r.Clarify.Pipeline.db
+                ( r.Clarify.Pipeline.db,
+                  questions + List.length r.Clarify.Pipeline.questions )
             | Error e -> failwith (Clarify.Pipeline.error_to_string e))
-          db prompts)
+          (db, 0) prompts)
   in
   let run_batch ?pool () =
     let llm = Llm.Mock_llm.create () in
@@ -640,7 +634,7 @@ let run_batch_comparison () =
     | Ok r -> r
     | Error e -> failwith (Clarify.Batch.error_to_string e)
   in
-  let report, batch_ns = wall_ns (fun () -> run_batch ()) in
+  let report, batch_ns = cold_min ~runs:5 (fun () -> run_batch ()) in
   if
     Config.Parser.to_string report.Clarify.Batch.db
     <> Config.Parser.to_string seq_db
@@ -655,24 +649,24 @@ let run_batch_comparison () =
       0 report.Clarify.Batch.items
     - report.Clarify.Batch.questions_saved
   in
-  if batch_questions > !seq_questions then
+  if batch_questions > seq_questions then
     failwith "batch asked more questions than sequential";
   Format.printf
     "batch of %-2d  sequential %9.2f ms  batch %9.2f ms  speedup %.1fx@."
     intents (seq_ns /. 1e6) (batch_ns /. 1e6) (seq_ns /. batch_ns);
   Format.printf "questions: sequential %d, batch %d (saved %d)@."
-    !seq_questions batch_questions report.Clarify.Batch.questions_saved;
+    seq_questions batch_questions report.Clarify.Batch.questions_saved;
   let timings =
     ref
       [
         (Printf.sprintf "batch/sequential-%d" intents, seq_ns);
         (Printf.sprintf "batch/batch-of-%d" intents, batch_ns);
-        ("batch/questions-sequential", float_of_int !seq_questions);
+        ("batch/questions-sequential", float_of_int seq_questions);
         ("batch/questions-batch", float_of_int batch_questions);
       ]
   in
   if Parallel.Pool.domains pool > 1 then begin
-    let pooled, pool_ns = wall_ns (fun () -> run_batch ~pool ()) in
+    let pooled, pool_ns = cold_min ~runs:5 (fun () -> run_batch ~pool ()) in
     if
       Config.Parser.to_string pooled.Clarify.Batch.db
       <> Config.Parser.to_string seq_db
@@ -686,19 +680,17 @@ let run_batch_comparison () =
   !timings
 
 (* ------------------------------------------------------------------ *)
-(* Observability overhead: sharded vs mutexed recording               *)
+(* Observability overhead: the sharded recording hot path             *)
 (* ------------------------------------------------------------------ *)
 
-(* The sharded hot path (per-domain DLS shard, no lock) against the
-   design it replaced (one mutex-guarded cell), serial and with four
-   domains hammering the same series; then the end-to-end cost of
-   leaving the layer ON during the width-128 incremental sweep, which
-   CI holds to <= 5%. Merge exactness under contention is asserted on
-   every bench run: domains x per-domain increments must survive the
-   shard merge losslessly. *)
+(* The per-op cost of the sharded hot path (per-domain DLS shard, no
+   lock), serial and with four domains hammering the same series; then
+   the end-to-end cost of leaving the layer ON during the width-128
+   incremental sweep, which CI holds to <= 5%. Merge exactness under
+   contention is asserted on every bench run: domains x per-domain
+   increments must survive the shard merge losslessly. *)
 let run_obs_overhead () =
-  Format.printf
-    "=== Observability overhead: sharded vs mutexed recording ===@.";
+  Format.printf "=== Observability overhead: sharded recording ===@.";
   let iters = 1_000_000 in
   let contenders = 4 in
   Obs.enable ();
@@ -733,41 +725,12 @@ let run_obs_overhead () =
     failwith "sharded counter lost updates under contention";
   Obs.reset ();
   Obs.disable ();
-  let m = Mutex.create () in
-  let cell = ref 0 in
-  let locked_incr () =
-    Mutex.lock m;
-    incr cell;
-    Mutex.unlock m
-  in
-  let (), mutex_ns =
-    wall_ns (fun () ->
-        for _ = 1 to iters do
-          locked_incr ()
-        done)
-  in
-  let (), mutex_par_ns =
-    wall_ns (fun () ->
-        let ds =
-          List.init contenders (fun _ ->
-              Domain.spawn (fun () ->
-                  for _ = 1 to iters do
-                    locked_incr ()
-                  done))
-        in
-        List.iter Domain.join ds)
-  in
-  if !cell <> (contenders + 1) * iters then
-    failwith "mutexed counter lost updates";
   let per_op total ops = total /. float_of_int ops in
+  Format.printf "counter incr        sharded %6.1f ns/op  (serial)@."
+    (per_op sharded_ns iters);
   Format.printf
-    "counter incr        sharded %6.1f ns/op   mutexed %6.1f ns/op  (serial)@."
-    (per_op sharded_ns iters) (per_op mutex_ns iters);
-  Format.printf
-    "counter incr        sharded %6.1f ns/op   mutexed %6.1f ns/op  (%d \
-     domains, one series)@."
+    "counter incr        sharded %6.1f ns/op  (%d domains, one series)@."
     (per_op sharded_par_ns (contenders * iters))
-    (per_op mutex_par_ns (contenders * iters))
     contenders;
   Format.printf "histogram observe   sharded %6.1f ns/op  (serial)@."
     (per_op hist_ns iters);
@@ -806,10 +769,7 @@ let run_obs_overhead () =
     min_of;
   [
     ("obs/counter-incr", per_op sharded_ns iters);
-    ("obs/counter-incr-mutex", per_op mutex_ns iters);
     ("obs/counter-incr-contended", per_op sharded_par_ns (contenders * iters));
-    ( "obs/counter-incr-mutex-contended",
-      per_op mutex_par_ns (contenders * iters) );
     ("obs/histogram-observe", per_op hist_ns iters);
     ("obs/disambig-w128-off", !off);
     ("obs/disambig-w128-on", !on);

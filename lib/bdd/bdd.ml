@@ -25,7 +25,10 @@
    private writable manager on top whose lookups fall through
    base -> delta. Worker domains share one compiled base (corpus,
    partition, prefix encodings) and allocate only in their own deltas,
-   which eliminates per-domain recompilation in parallel sweeps. *)
+   which eliminates per-domain recompilation in parallel sweeps.
+   [Manager.frozen_during] freezes a live manager for one scope only,
+   and bumps its freeze epoch so that deltas built over one freeze are
+   never mistaken for deltas of the next. *)
 
 type t = int
 
@@ -692,6 +695,11 @@ module Manager = struct
     base : t option;
     memo_bound : int;
     mutable frozen : bool;
+    (* Bumped each time the manager becomes frozen. A delta captures the
+       base's store, unique table and boundary as they were when it was
+       created, so a delta cached across a thaw must not be reused:
+       keying it by (base, freeze epoch) tells the two freezes apart. *)
+    mutable freeze_epoch : int;
     (* Structural-hash-keyed compilation cache: callers memoize
        "source object -> BDD" translations (ACL rules, prefix lists)
        under a canonical string key, so corpus sweeps compile each
@@ -738,6 +746,7 @@ module Manager = struct
       base = None;
       memo_bound;
       frozen = false;
+      freeze_epoch = 0;
       compile_cache = Hashtbl.create 1024;
       cache_hits = 0;
       cache_misses = 0;
@@ -745,12 +754,22 @@ module Manager = struct
     }
 
   let frozen m = m.frozen
+  let freeze_epoch m = m.freeze_epoch
+  let is_delta m = Option.is_some m.base
 
-  let freeze m =
-    m.frozen <- true;
+  let set_frozen m f =
+    if f && not m.frozen then m.freeze_epoch <- m.freeze_epoch + 1;
+    m.frozen <- f;
     match m.impl with
-    | Arena_impl a -> a.Arena.frozen <- true
-    | Boxed_impl b -> b.Boxed.frozen <- true
+    | Arena_impl a -> a.Arena.frozen <- f
+    | Boxed_impl b -> b.Boxed.frozen <- f
+
+  let freeze m = set_frozen m true
+
+  let frozen_during m f =
+    let was = m.frozen in
+    set_frozen m true;
+    Fun.protect ~finally:(fun () -> set_frozen m was) f
 
   let create_delta base =
     if not base.frozen then
@@ -770,6 +789,7 @@ module Manager = struct
       base = Some base;
       memo_bound = base.memo_bound;
       frozen = false;
+      freeze_epoch = 0;
       compile_cache = Hashtbl.create 256;
       cache_hits = 0;
       cache_misses = 0;

@@ -55,10 +55,13 @@ let equal_behavior a b = first_difference a b = None
 (* Boundary sweeps: the ACL instance of {!First_match}; see DESIGN.md
    §11. ACLs carry no transforms, so position [i] is a boundary exactly
    when the new rule's action differs from rule [i]'s and the region
-   [cell_i.guard ∧ match(new)] is satisfiable. The packet space has a
-   fixed variable set, so witnesses are trivially independent of how
-   the work is sharded. The partition is not projected onto the
-   candidates: every rule is compiled. *)
+   [cell_i.guard ∧ match(new)] is satisfiable. The partition is
+   projected onto the candidates' match regions
+   ([Packet_space.exec ~candidates]): a rule apart from every candidate
+   is never compiled and its cell is empty, and every other region is
+   the same canonical BDD as in the full partition. The packet space
+   has a fixed variable set, so witnesses are trivially independent of
+   how the work is sharded. *)
 
 type partition = {
   cells : Ps.cell array;
@@ -116,7 +119,9 @@ module Sweep = First_match.Sweep (struct
   let width (t : Config.Acl.t) = List.length t.rules
 
   let compile target cands =
-    let cells = Array.of_list (Ps.exec target) in
+    let cells =
+      Array.of_list (Ps.exec ~candidates:(Array.to_list cands) target)
+    in
     { cells; cands; matches = Array.map Ps.of_rule cands }
 
   let fork p = p

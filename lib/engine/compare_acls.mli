@@ -26,8 +26,10 @@ val adjacent_insertions :
     with one witness packet per position: by definition, where
     {!first_difference} of the two placements finds one, and the
     witness it finds. The ACL instance of {!First_match.Sweep}: one
-    symbolic execution of the target, one conjunction per position;
-    [~pool] shards the positions. *)
+    symbolic execution of the target projected onto the rule, where
+    target rules {!Symbolic.Packet_space.apart} from it are not
+    compiled, then one conjunction per position; [~pool] shards the
+    positions. *)
 
 type batch_sweep = {
   per_candidate : (int * difference) list array;

@@ -8,8 +8,8 @@
    fall-through(0..i-1) ∧ match(rule i): every boundary is one
    conjunction against a single shared compilation. A family supplies
    that compilation and the per-cell and per-pair reads; this module
-   owns the serial and pooled paths, the frozen base the workers
-   share, and the sweep counters. *)
+   compiles it once, in the caller's manager, reads it serially or
+   across a pool, and keeps the sweep counters. *)
 
 open Symbdd
 
@@ -36,19 +36,25 @@ module Sweep (F : FAMILY) = struct
     conflicts : (int * int * F.difference) list;
   }
 
-  let pooled pool =
+  (* [List.map (f p) xs], across the pool when it has several domains,
+     there are several items to share, and the current manager can be
+     lent out as the workers' base: it is frozen for the length of the
+     map, every participant layers a private delta on it, and nothing
+     compiled into it is compiled again. A delta (a sweep inside a
+     pooled task) or an already frozen manager cannot be a base, so the
+     map runs serially there. *)
+  let map ?grain pool p f xs =
+    let m = Bdd.manager () in
     match pool with
-    | Some p when Parallel.Pool.domains p > 1 -> Some p
-    | _ -> None
-
-  (* Compile into a fresh base manager and freeze it: workers layer
-     private deltas on it, so its nodes and compile cache are shared
-     read-only and nothing is recompiled per domain. *)
-  let frozen target cands =
-    let base = Bdd.Manager.create () in
-    let p = Bdd.with_manager base (fun () -> F.compile target cands) in
-    Bdd.Manager.freeze base;
-    (base, p)
+    | Some pool
+      when Parallel.Pool.domains pool > 1
+           && List.compare_length_with xs 1 > 0
+           && not (Bdd.Manager.is_delta m || Bdd.Manager.frozen m) ->
+        Bdd.Manager.frozen_during m (fun () ->
+            Parallel.Pool.map ?grain ~bdd_base:m pool
+              ~f:(fun x -> f (F.fork p) x)
+              xs)
+    | _ -> List.map (f p) xs
 
   let observe t0 =
     Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9)
@@ -62,17 +68,14 @@ module Sweep (F : FAMILY) = struct
       else begin
         Obs.Counter.incr Metrics.adjacent_contexts;
         Obs.Counter.incr ~by:(n - 1) Metrics.adjacent_prefix_reuse;
-        match pooled pool with
-        | Some pool when n > 1 ->
-            (* Slices of a few positions: the partition fork amortizes
-               over the slice while slices stay plentiful enough to
-               steal when rule widths are skewed. *)
-            let base, p = frozen target [| rule |] in
-            List.concat
-              (Parallel.Pool.map ~bdd_base:base pool
-                 ~f:(fun slice -> F.cell_boundaries (F.fork p) 0 slice)
-                 (Parallel.Pool.ranges ~grain:8 n))
-        | _ -> F.cell_boundaries (F.compile target [| rule |]) 0 (0, n)
+        (* Slices of a few positions: the partition fork amortizes over
+           the slice while slices stay plentiful enough to steal when
+           rule widths are skewed. *)
+        List.concat
+          (map pool
+             (F.compile target [| rule |])
+             (fun p slice -> F.cell_boundaries p 0 slice)
+             (Parallel.Pool.ranges ~grain:8 n))
       end
     in
     observe t0;
@@ -93,23 +96,12 @@ module Sweep (F : FAMILY) = struct
           (fun i -> List.init (ncand - i - 1) (fun d -> (i, i + d + 1)))
           ks
       in
-      let bounds, kinds =
-        match pooled pool with
-        | Some pool when ncand > 1 ->
-            (* Candidate sweeps are coarse, one stealable task each;
-               pairs are cheap, so a few share a task to amortize the
-               fork. *)
-            let base, p = frozen target cands in
-            ( Parallel.Pool.map ~bdd_base:base pool
-                ~f:(fun k -> F.cell_boundaries (F.fork p) k (0, n))
-                ks,
-              Parallel.Pool.map ~grain:4 ~bdd_base:base pool
-                ~f:(fun (i, j) -> F.classify (F.fork p) i j)
-                pairs )
-        | _ ->
-            let p = F.compile target cands in
-            ( List.map (fun k -> F.cell_boundaries p k (0, n)) ks,
-              List.map (fun (i, j) -> F.classify p i j) pairs )
+      let p = F.compile target cands in
+      (* Candidate sweeps are coarse, one stealable task each; pairs are
+         cheap, so a few share a task to amortize the fork. *)
+      let bounds = map pool p (fun p k -> F.cell_boundaries p k (0, n)) ks in
+      let kinds =
+        map ~grain:4 pool p (fun p (i, j) -> F.classify p i j) pairs
       in
       Obs.Counter.incr
         ~by:((ncand * max 1 n) - 1)

@@ -7,7 +7,8 @@
     exactly on the inputs in [cell_i.guard ∧ match(candidate)], where
     [cell_i] is the target's first-match partition cell for rule [i].
     A family compiles that partition once and reads boundaries from
-    it; {!Sweep} drives the reads serially or across a pool. *)
+    it; {!Sweep} compiles it in the caller's BDD manager and drives the
+    reads serially or across a pool. *)
 
 (** How two candidates relate on the inputs both match. *)
 type 'd pair =
@@ -60,18 +61,25 @@ module Sweep (F : FAMILY) : sig
     ?pool:Parallel.Pool.t -> F.target -> F.rule -> (int * F.difference) list
   (** Every position [i] at which inserting the rule at [i] behaves
       differently from inserting it at [i + 1], ascending, with one
-      witness each, from one compilation of the target. [~pool]
-      compiles it once into a frozen base manager and walks stealable
-      slices of 8 positions under private deltas; the result is the
-      same. Counts one [engine.adjacent_insertions.calls], one context
-      and [width - 1] reused cells, and observes
+      witness each, from one compilation of the target in the current
+      BDD manager. The positions are read in slices of 8. With a
+      [~pool] of more than one domain, more than one slice, and a
+      current manager that is a root manager and not frozen, that
+      manager is frozen for the length of one {!Parallel.Pool.map} and
+      each slice is a stealable task under a private delta on it
+      ({!Symbdd.Bdd.Manager.frozen_during}); it is writable again when
+      the sweep returns or raises. Otherwise — a delta inside a pooled
+      task, say — the slices are read serially. The result is the same
+      either way. Counts one [engine.adjacent_insertions.calls], one
+      context and [width - 1] reused cells, and observes
       [engine.adjacent_insertions.boundary_ns]. *)
 
   val batch_insertions :
     ?pool:Parallel.Pool.t -> F.target -> F.rule list -> batch_sweep
   (** Every candidate's sweep plus the pairwise overlap/conflict graph,
-      all against one compilation projected onto every candidate.
-      [~pool] runs one task per candidate and 4 pairs per task on a
-      frozen base; the result is the same. Increments
+      all against one compilation projected onto every candidate, in
+      the current manager. [~pool] lends it as {!adjacent_insertions}
+      does, for one map of one task per candidate and then one of 4
+      pairs per task; the result is the same. Increments
       [engine.batch.conflict_pairs] by the number of conflicts. *)
 end

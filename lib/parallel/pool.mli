@@ -20,11 +20,14 @@
     databases), never BDD values. With [?bdd_base] (a frozen root
     manager) each participant runs under a long-lived delta layered on
     the base, cached per domain and {e reset} — rewound to the base
-    boundary, not reallocated — between batches; handles built by the
-    base are valid in every delta, so tasks may capture and use them.
-    Without a base, persistent workers run under a long-lived scratch
-    root manager, likewise reset per batch, preserving the old
-    fresh-domain guarantee that nodes never leak across batches.
+    boundary, not reallocated — between batches of the same base and
+    freeze epoch ({!Symbdd.Bdd.Manager.freeze_epoch}), and recreated
+    when the base has thawed and frozen again in between; handles
+    built by the base are valid in every delta, so tasks may capture
+    and use them. Without a base, persistent workers run under a
+    long-lived scratch root manager, likewise reset per batch,
+    preserving the old fresh-domain guarantee that nodes never leak
+    across batches.
 
     Setting [CLARIFY_STEAL_STRESS=1] forces grain 1, seeds every task
     into slot 0's deque and claims exclusively through the steal path —
@@ -67,8 +70,8 @@ val map :
     microbenchmark-sized closures).
 
     [?bdd_base] must be a {e frozen} root manager
-    ({!Symbdd.Bdd.Manager.freeze}); see the module docs for the delta
-    lifecycle. The serial fallback (one domain, a single task, or a
+    ({!Symbdd.Bdd.Manager.freeze}, or {!Symbdd.Bdd.Manager.frozen_during}
+    around the call); see the module docs for the delta lifecycle. The serial fallback (one domain, a single task, or a
     nested call from inside a worker task — which runs inline, serial)
     applies the same layering with a fresh delta per call.
 

@@ -94,6 +94,49 @@ let of_rule (r : Config.Acl.rule) =
           (if r.established then Bdd.var established_var else Bdd.one);
         ])
 
+(* Syntactic disjointness, read off the rules without compiling them.
+   A match is a product over independent header fields, so two rules
+   share no packet exactly when some field's two sets are disjoint;
+   each test below decides one field, [neq] excepted (never apart). *)
+
+let protocols_apart (p : Config.Packet.protocol) (q : Config.Packet.protocol)
+    =
+  match (p, q) with
+  | Ip, _ | _, Ip -> false
+  | p, q -> Config.Packet.protocol_number p <> Config.Packet.protocol_number q
+
+(* The address bits a spec fixes, and the values it fixes them to. *)
+let fixed_bits = function
+  | Config.Acl.Any -> (0, 0)
+  | Config.Acl.Host ip ->
+      (Netaddr.Ipv4.(to_int broadcast), Netaddr.Ipv4.to_int ip)
+  | Config.Acl.Wildcard (base, wild) ->
+      let care = Netaddr.Ipv4.(to_int (wildcard_of_mask wild)) in
+      (care, Netaddr.Ipv4.to_int base land care)
+
+let addrs_apart a b =
+  let care_a, va = fixed_bits a and care_b, vb = fixed_bits b in
+  (va lxor vb) land care_a land care_b <> 0
+
+(* The ports a spec admits as an inclusive span, empty when lo > hi;
+   [neq] is approximated by every port. *)
+let port_span = function
+  | Config.Acl.Any_port | Config.Acl.Neq _ -> (0, 65535)
+  | Config.Acl.Eq n -> (n, n)
+  | Config.Acl.Lt n -> (0, n - 1)
+  | Config.Acl.Gt n -> (n + 1, 65535)
+  | Config.Acl.Range (a, b) -> (a, b)
+
+let ports_apart a b =
+  let lo_a, hi_a = port_span a and lo_b, hi_b = port_span b in
+  max lo_a lo_b > min hi_a hi_b
+
+let apart (r : Config.Acl.rule) (s : Config.Acl.rule) =
+  protocols_apart r.protocol s.protocol
+  || addrs_apart r.src s.src || addrs_apart r.dst s.dst
+  || ports_apart r.src_port s.src_port
+  || ports_apart r.dst_port s.dst_port
+
 type cell = {
   guard : Bdd.t; (* packets reaching and matching this rule *)
   action : Config.Action.t;
@@ -102,18 +145,32 @@ type cell = {
 
 (** Ordered first-match partition of the packet space: each cell's guard
     is the rule's match condition minus everything matched earlier; the
-    final cell is the implicit deny. Guards partition the space. *)
-let exec (acl : Config.Acl.t) =
+    final cell is the implicit deny. Guards partition the space. With
+    [candidates], the partition of their match region only: the
+    fall-through starts there, so each guard is the full partition's
+    guard conjoined with it. A rule apart from every candidate, or
+    reached by nothing, gets an empty guard without being compiled,
+    and leaves the fall-through as it was. *)
+let exec ?candidates (acl : Config.Acl.t) =
+  let start, may_meet =
+    match candidates with
+    | None -> (Bdd.one, fun _ _ -> true)
+    | Some cands ->
+        ( Bdd.disj_list (List.map of_rule cands),
+          fun unmatched r ->
+            not (Bdd.is_zero unmatched || List.for_all (apart r) cands) )
+  in
   let rec go unmatched = function
     | [] ->
         [ { guard = unmatched; action = Config.Action.Deny; rule_seq = None } ]
     | (r : Config.Acl.rule) :: rest ->
-        let m = of_rule r in
-        let guard = Bdd.conj unmatched m in
-        { guard; action = r.action; rule_seq = Some r.seq }
-        :: go (Bdd.conj unmatched (Bdd.neg m)) rest
+        let cell guard = { guard; action = r.action; rule_seq = Some r.seq } in
+        if not (may_meet unmatched r) then cell Bdd.zero :: go unmatched rest
+        else
+          let m = of_rule r in
+          cell (Bdd.conj unmatched m) :: go (Bdd.conj unmatched (Bdd.neg m)) rest
   in
-  go Bdd.one acl.Config.Acl.rules
+  go start acl.Config.Acl.rules
 
 (** The set of packets an ACL permits. *)
 let permitted acl =

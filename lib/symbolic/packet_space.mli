@@ -25,10 +25,26 @@ type cell = {
   rule_seq : int option; (* [None] for the implicit trailing deny *)
 }
 
-val exec : Config.Acl.t -> cell list
+val apart : Config.Acl.rule -> Config.Acl.rule -> bool
+(** [apart r s] holds when no packet can match both rules, decided from
+    the rules' fields without compiling either: both protocols are
+    specific (not [ip]) and differ, or both addresses fix some src or
+    dst bit to different values, or the src or dst port spans do not
+    intersect (a [neq] port is never apart). Sound — apart rules never
+    share a packet — and exact for rules without [neq]. *)
+
+val exec : ?candidates:Config.Acl.rule list -> Config.Acl.t -> cell list
 (** Ordered first-match partition of the packet space: each cell's guard
     is the rule's match condition minus everything matched earlier; the
-    final cell is the implicit deny. Guards partition the space. *)
+    final cell is the implicit deny. Guards partition the space.
+
+    With [candidates], the partition projected onto their match region:
+    the fall-through starts from the disjunction of the candidates'
+    matches, so each guard is the full partition's guard conjoined with
+    it, and [guard ∧ match(c)] is the same BDD for every candidate [c].
+    A rule {!apart} from every candidate, or reached by nothing, gets an
+    empty guard without being compiled and leaves the fall-through
+    unchanged. *)
 
 val permitted : Config.Acl.t -> Bdd.t
 (** The set of packets the ACL permits. *)

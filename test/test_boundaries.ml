@@ -12,6 +12,7 @@ module Ad = Clarify.Acl_disambiguator
 module Pd = Clarify.Prefix_list_disambiguator
 module Crp = Engine.Compare_route_policies
 module Ca = Engine.Compare_acls
+module Ps = Symbolic.Packet_space
 module Rm = Config.Route_map
 
 let cases = 220
@@ -437,6 +438,7 @@ let acl_case rng case =
   (target, rule)
 
 let render_acl_question q = Format.asprintf "%a" Ad.pp_question q
+let render_acl (i, d) = Format.asprintf "%d: %a" i Ca.pp_difference d
 
 let acl_definition ~(target : Config.Acl.t) rule =
   definition ~width:(List.length target.rules)
@@ -476,11 +478,151 @@ let test_acl_equivalence () =
       (Ad.boundaries ~target rule);
     if case mod 3 = 0 then check_acl_modes ~case ~target ~rule;
     if case mod 10 = 0 then
-      check_same ~what:"pooled acl sweep" ~case
-        ~render:(fun (i, d) -> Format.asprintf "%d: %a" i Ca.pp_difference d)
+      check_same ~what:"pooled acl sweep" ~case ~render:render_acl
         (acl_definition ~target rule)
         (Ca.adjacent_insertions ~pool ~target rule)
   done
+
+(* ------------------------------------------------------------------ *)
+(* Mixed-field ACLs                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every field drawn from a small pool, so that rules overlap, miss and
+   touch each other on every field: [ip] against specific protocols
+   ([Proto 6] is tcp's number); hosts, contiguous and discontiguous
+   wildcards around 40.0.0.0/24, some with base bits set under the
+   wildcard; every port form over values that meet at their endpoints,
+   the empty [lt 0] and [gt 65535] included; and [established]. *)
+let mixed_protocol rng =
+  pick rng Config.Packet.[| Ip; Ip; Tcp; Udp; Icmp; Proto 6; Proto 47 |]
+
+let mixed_addr rng =
+  let last = pick rng [| 0; 1; 4; 5; 130 |] in
+  match Random.State.int rng 4 with
+  | 0 -> Config.Acl.Any
+  | 1 -> Config.Acl.Host (ip 40 0 0 last)
+  | 2 ->
+      Config.Acl.Wildcard (ip 40 0 0 last, ip 0 0 0 (pick rng [| 3; 127; 255 |]))
+  | _ ->
+      Config.Acl.Wildcard
+        ( ip 40 0 (pick rng [| 0; 1 |]) last,
+          pick rng [| ip 0 0 0 5; ip 0 0 1 0x81; ip 0 0 0 0xf0 |] )
+
+let mixed_port rng =
+  let v () = pick rng [| 0; 20; 21; 80; 443; 1024; 65535 |] in
+  match Random.State.int rng 7 with
+  | 0 | 1 -> Config.Acl.Any_port
+  | 2 -> Config.Acl.Eq (v ())
+  | 3 -> Config.Acl.Neq (v ())
+  | 4 -> Config.Acl.Lt (v ())
+  | 5 -> Config.Acl.Gt (v ())
+  | _ ->
+      let a = v () and b = v () in
+      Config.Acl.Range (min a b, max a b)
+
+let mixed_acl_rule rng ~seq =
+  Config.Acl.rule ~seq ~protocol:(mixed_protocol rng) ~src:(mixed_addr rng)
+    ~src_port:(mixed_port rng) ~dst:(mixed_addr rng)
+    ~dst_port:(mixed_port rng)
+    ~established:(Random.State.int rng 4 = 0)
+    (if Random.State.bool rng then Config.Action.Permit else Config.Action.Deny)
+
+let test_acl_mixed_fields () =
+  let rng = Random.State.make [| 0x5eed; 6 |] in
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let has_neq (r : Config.Acl.rule) =
+    match (r.src_port, r.dst_port) with
+    | Config.Acl.Neq _, _ | _, Config.Acl.Neq _ -> true
+    | _ -> false
+  in
+  for case = 0 to cases - 1 do
+    let target =
+      Config.Acl.make "M"
+        (List.init (Random.State.int rng 10) (fun i ->
+             mixed_acl_rule rng ~seq:((i + 1) * 10)))
+    in
+    let candidates =
+      List.init (1 + Random.State.int rng 3) (fun _ -> mixed_acl_rule rng ~seq:5)
+    in
+    (* [apart] is sound, and exact without [neq]. *)
+    List.iter
+      (fun (r : Config.Acl.rule) ->
+        List.iter
+          (fun c ->
+            let shared =
+              Symbdd.Bdd.is_sat (Symbdd.Bdd.conj (Ps.of_rule r) (Ps.of_rule c))
+            in
+            if Ps.apart r c && shared then
+              Alcotest.failf "case %d: apart rules share a packet" case;
+            if not (Ps.apart r c || shared || has_neq r || has_neq c) then
+              Alcotest.failf "case %d: disjoint rules not apart" case)
+          candidates)
+      target.rules;
+    let sequential =
+      List.map
+        (fun rule ->
+          let reference = acl_definition ~target rule in
+          let serial = Ca.adjacent_insertions ~target rule in
+          let pooled = Ca.adjacent_insertions ~pool ~target rule in
+          check_same ~what:"mixed-field acl sweep" ~case ~render:render_acl
+            reference serial;
+          check_same ~what:"pooled mixed-field acl sweep" ~case
+            ~render:render_acl reference pooled;
+          serial)
+        candidates
+    in
+    List.iter
+      (fun pool ->
+        let batch = Ca.batch_insertions ?pool ~target candidates in
+        List.iteri
+          (fun k seq ->
+            check_same ~what:"acl batch vs sequential sweep" ~case
+              ~render:render_acl seq batch.Ca.per_candidate.(k))
+          sequential)
+      [ None; Some pool ]
+  done
+
+(* A candidate apart from every target rule, by protocol, by an address
+   bit or by port span, never compiles them: its sweep, and a batch
+   holding it, miss the compilation cache exactly as often as against
+   an empty target. *)
+let test_apart_acl_rules_not_compiled () =
+  let candidate =
+    Config.Acl.rule ~seq:5 ~protocol:Config.Packet.Tcp
+      ~src:(Config.Acl.Wildcard (ip 40 0 0 0, ip 0 0 0 255))
+      ~dst_port:(Config.Acl.Range (80, 443)) Config.Action.Permit
+  in
+  let apart k =
+    Config.Acl.make "T"
+      (List.init k (fun i ->
+           let seq = (i + 1) * 10 in
+           match i mod 3 with
+           | 0 ->
+               Config.Acl.rule ~seq ~protocol:Config.Packet.Udp
+                 ~dst_port:(Config.Acl.Eq i) Config.Action.Deny
+           | 1 ->
+               Config.Acl.rule ~seq ~src:(Config.Acl.Host (ip 40 0 1 i))
+                 Config.Action.Deny
+           | _ ->
+               Config.Acl.rule ~seq ~protocol:Config.Packet.Tcp
+                 ~dst_port:(Config.Acl.Gt (443 + i)) Config.Action.Deny))
+  in
+  let misses f =
+    let m = Symbdd.Bdd.Manager.create () in
+    ignore (Symbdd.Bdd.with_manager m f);
+    (Symbdd.Bdd.Manager.stats m).cache_misses
+  in
+  let batch target () = Ca.batch_insertions ~target [ candidate ] in
+  let empty = misses (batch (apart 0)) in
+  Alcotest.(check bool) "the candidate itself is compiled" true (empty > 0);
+  List.iter
+    (fun k ->
+      let target = apart k in
+      Alcotest.(check int) (Printf.sprintf "sweep, %d apart rules" k) empty
+        (misses (fun () -> Ca.adjacent_insertions ~target candidate));
+      Alcotest.(check int) (Printf.sprintf "batch, %d apart rules" k) empty
+        (misses (batch target)))
+    [ 1; 3; 16 ]
 
 (* ------------------------------------------------------------------ *)
 (* Prefix lists                                                       *)
@@ -616,6 +758,9 @@ let () =
           Alcotest.test_case "apart stanzas are not compiled" `Quick
             test_apart_stanzas_not_compiled;
           Alcotest.test_case "acls" `Quick test_acl_equivalence;
+          Alcotest.test_case "mixed-field acls" `Quick test_acl_mixed_fields;
+          Alcotest.test_case "apart acl rules are not compiled" `Quick
+            test_apart_acl_rules_not_compiled;
           Alcotest.test_case "prefix lists" `Quick
             test_prefix_list_equivalence;
           Alcotest.test_case "prefix-list top/bottom" `Quick

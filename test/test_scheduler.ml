@@ -100,21 +100,22 @@ let test_stress_flag_roundtrip () =
   with_stress (fun () ->
       check_bool "stress visible" true (Parallel.Pool.steal_stress ()))
 
+(* An ACL sweep case from a generated cloud corpus: its largest ACL as
+   the target, the second ACL's first rule as the candidate. *)
+let sweep_case seed =
+  let corpus = Workload.Cloud.generate ~seed () in
+  match corpus.Workload.Cloud.acls with
+  | first :: (b : Config.Acl.t) :: _ ->
+      ( List.fold_left
+          (fun (best : Config.Acl.t) (a : Config.Acl.t) ->
+            if List.length a.rules > List.length best.rules then a else best)
+          first corpus.Workload.Cloud.acls,
+        List.hd b.rules )
+  | _ -> Alcotest.fail "corpus too small"
+
 (* Boundary sweep: serial ≡ pooled ≡ pooled-under-stress. *)
 let test_stress_boundaries_identical () =
-  let corpus = Workload.Cloud.generate ~seed:7 () in
-  let target =
-    List.fold_left
-      (fun (best : Config.Acl.t) (a : Config.Acl.t) ->
-        if List.length a.rules > List.length best.rules then a else best)
-      (List.hd corpus.Workload.Cloud.acls)
-      corpus.Workload.Cloud.acls
-  in
-  let rule =
-    match corpus.Workload.Cloud.acls with
-    | _ :: (b : Config.Acl.t) :: _ -> List.hd b.rules
-    | _ -> Alcotest.fail "corpus too small"
-  in
+  let target, rule = sweep_case 7 in
   let pool = Parallel.Pool.create ~domains:4 () in
   let serial = Engine.Compare_acls.adjacent_insertions ~target rule in
   let pooled = Engine.Compare_acls.adjacent_insertions ~pool ~target rule in
@@ -318,6 +319,130 @@ let test_delta_reset_between_batches () =
   check_bool "tasks really run on deltas of the shared base" true
     (List.for_all (fun (_, b) -> b > 0) leaked)
 
+(* ------------------------------------------------------------------ *)
+(* The caller's manager as the sweep's base                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A pooled boundary sweep compiles into the caller's own manager and
+   freezes it only while the workers read it through deltas. *)
+
+let serial_sweep (target, rule) =
+  Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ()) (fun () ->
+      Engine.Compare_acls.adjacent_insertions ~target rule)
+
+exception Slice_failed
+
+(* A first-match family whose reads allocate and whose slice at
+   position 8 raises: a pooled sweep over it fails in a worker task. *)
+module Failing = Engine.First_match.Sweep (struct
+  type target = int
+  type rule = unit
+  type difference = unit
+  type partition = Symbdd.Bdd.t array
+
+  let width n = n
+
+  let compile n _ =
+    Array.init n (fun i ->
+        Symbdd.Bvec.eq_const (Symbdd.Bvec.sequential ~first:0 ~width:8) i)
+
+  let fork p = p
+
+  let cell_boundaries p _ (start, len) =
+    if start = 8 then raise Slice_failed;
+    List.init len (fun j ->
+        ignore (Symbdd.Bdd.neg p.(start + j));
+        (start + j, ()))
+
+  let classify _ _ _ = Engine.First_match.Disjoint
+end)
+
+let test_caller_manager_writable_after_sweep () =
+  let open Symbdd in
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let target, rule = sweep_case 7 in
+  let m = Bdd.Manager.create () in
+  Bdd.with_manager m (fun () ->
+      let e0 = Bdd.Manager.freeze_epoch m in
+      ignore (Engine.Compare_acls.adjacent_insertions ~pool ~target rule);
+      check_int "the sweep froze the caller's manager once" (e0 + 1)
+        (Bdd.Manager.freeze_epoch m);
+      check_bool "writable after a pooled sweep" false (Bdd.Manager.frozen m);
+      check_bool "a failing task's exception reaches the caller" true
+        (match Failing.adjacent_insertions ~pool 32 () with
+        | _ -> false
+        | exception Slice_failed -> true);
+      check_bool "writable after a failed pooled sweep" false
+        (Bdd.Manager.frozen m);
+      let fresh = Bdd.var 300 in
+      check_bool "and it allocates" true (Bdd.is_sat fresh))
+
+(* Each pooled sweep is one freeze: the caller allocates in between,
+   growing its store past the capacity the first sweep's deltas
+   captured, so those cached deltas must not be reused. *)
+let test_sweeps_across_caller_growth () =
+  let open Symbdd in
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let first = sweep_case 7 and second = sweep_case 11 in
+  let m = Bdd.Manager.create () in
+  let pooled (target, rule) =
+    Engine.Compare_acls.adjacent_insertions ~pool ~target rule
+  in
+  let a, b =
+    Bdd.with_manager m (fun () ->
+        let a = pooled first in
+        let before = (Bdd.Manager.stats m).next_id in
+        let v = Bvec.sequential ~first:0 ~width:16 in
+        for i = 0 to 20_000 do
+          ignore (Bvec.eq_const v i)
+        done;
+        check_bool "the caller's store grew between the sweeps" true
+          ((Bdd.Manager.stats m).next_id - before > 16_384);
+        (a, pooled second))
+  in
+  check_bool "first pooled sweep = serial" true (a = serial_sweep first);
+  check_bool "second pooled sweep = serial" true (b = serial_sweep second)
+
+(* Inside a task of a pool with a base, the current manager is a delta:
+   it cannot be lent out, so the inner sweep reads serially. *)
+let test_sweep_inside_pooled_task () =
+  let open Symbdd in
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let ((target, rule) as case) = sweep_case 7 in
+  let base = Bdd.Manager.create () in
+  Bdd.Manager.freeze base;
+  let results =
+    Parallel.Pool.map ~bdd_base:base pool
+      ~f:(fun _ ->
+        ( Bdd.Manager.is_delta (Bdd.manager ()),
+          Engine.Compare_acls.adjacent_insertions ~pool ~target rule ))
+      (List.init 4 Fun.id)
+  in
+  let serial = serial_sweep case in
+  check_bool "tasks run on deltas" true (List.for_all fst results);
+  check_bool "inner pooled sweeps = serial" true
+    (List.for_all (fun (_, r) -> r = serial) results)
+
+let test_frozen_during () =
+  let open Symbdd in
+  let m = Bdd.Manager.create () in
+  let e0 = Bdd.Manager.freeze_epoch m in
+  check_bool "an exception passes through" true
+    (match
+       Bdd.Manager.frozen_during m (fun () ->
+           check_bool "frozen inside" true (Bdd.Manager.frozen m);
+           raise Exit)
+     with
+    | () -> false
+    | exception Exit -> true);
+  check_bool "writable again after a raise" false (Bdd.Manager.frozen m);
+  check_int "one epoch per freeze" (e0 + 1) (Bdd.Manager.freeze_epoch m);
+  Bdd.Manager.freeze m;
+  Bdd.Manager.frozen_during m ignore;
+  check_bool "an already frozen manager stays frozen" true
+    (Bdd.Manager.frozen m);
+  check_int "and keeps its epoch" (e0 + 2) (Bdd.Manager.freeze_epoch m)
+
 let () =
   Alcotest.run "scheduler"
     [
@@ -351,5 +476,15 @@ let () =
             test_steals_observed_under_stress;
           Alcotest.test_case "deltas reset between batches" `Quick
             test_delta_reset_between_batches;
+        ] );
+      ( "caller's manager",
+        [
+          Alcotest.test_case "writable after a pooled sweep" `Quick
+            test_caller_manager_writable_after_sweep;
+          Alcotest.test_case "pooled sweeps across caller growth" `Quick
+            test_sweeps_across_caller_growth;
+          Alcotest.test_case "pooled sweep inside a pooled task" `Quick
+            test_sweep_inside_pooled_task;
+          Alcotest.test_case "frozen_during" `Quick test_frozen_during;
         ] );
     ]
