@@ -465,6 +465,49 @@ let run_disambig_comparison () =
         (incr_ns /. 1e3 /. float_of_int n);
       pooled_leg n ~db ~target stanza incr)
     [ 512; 2048 ];
+  (* The placement, not only the sweep: one Binary_search run for a user
+     who wants the new stanza in the middle, a cold manager per
+     attempt, min of 3. It decodes only the witnesses it asks about,
+     where the incremental legs above decode every boundary's; asserted
+     to place and ask exactly as a run on those eager boundaries. *)
+  List.iter
+    (fun n ->
+      let db, target, stanza = ablation_scenario n in
+      let wanted = Config.Route_map.insert_at target (n / 2) stanza in
+      let oracle =
+        Clarify.Disambiguator.intent_driven
+          (Config.Semantics.eval_route_map db wanted)
+      in
+      let place ?precomputed () =
+        match
+          Clarify.Disambiguator.run ?precomputed ~db ~target ~stanza ~oracle ()
+        with
+        | Ok o -> o
+        | Error _ -> failwith "an intent-driven user is consistent"
+      in
+      let o, place_ns = cold_min ~runs:3 place in
+      let eager =
+        place ~precomputed:(Clarify.Disambiguator.boundaries ~db ~target stanza) ()
+      in
+      if o.position <> eager.position || o.questions <> eager.questions then
+        failwith "on-demand placement differs from eager";
+      let decoded =
+        let was = Obs.enabled () in
+        Obs.enable ();
+        let before = Obs.Counter.value Engine.Metrics.witnesses_decoded in
+        ignore (place ());
+        let k = Obs.Counter.value Engine.Metrics.witnesses_decoded - before in
+        if not was then Obs.disable ();
+        k
+      in
+      timings := (Printf.sprintf "disambig/place-w%d" n, place_ns) :: !timings;
+      Format.printf
+        "width %-4d place %9.2f ms  (%d questions, %d of %d witnesses decoded; \
+         eager sweep %.2f ms)@."
+        n (place_ns /. 1e6) (List.length o.questions) decoded o.boundaries
+        (List.assoc (Printf.sprintf "disambig/incremental-w%d" n) !timings
+        /. 1e6))
+    [ 128; 512; 2048 ];
   (* The same width-128 incremental sweep under fresh managers of each
      store backend — cold compile caches on both sides, so the legs
      compare the stores, not cache warmth. Results are asserted

@@ -82,21 +82,30 @@ let with_recorder record f =
 (* Oracles                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let interactive_answer () =
+(* An answer read from stdin. [question] names the question on
+   screen, for the error when stdin closes before it is answered. *)
+let interactive_answer question =
   let rec ask () =
     print_string "Your choice [1/2]: ";
-    match String.trim (read_line ()) with
-    | "1" -> `New
-    | "2" -> `Old
-    | _ ->
-        print_endline "Please answer 1 (new stanza first) or 2 (keep existing behaviour).";
-        ask ()
+    match read_line () with
+    | exception End_of_file ->
+        print_newline ();
+        prerr_endline ("error: stdin closed before " ^ question ^ " was answered");
+        exit 1
+    | line -> (
+        match String.trim line with
+        | "1" -> `New
+        | "2" -> `Old
+        | _ ->
+            print_endline
+              "Please answer 1 (new stanza first) or 2 (keep existing behaviour).";
+            ask ())
   in
   ask ()
 
 let scripted_answers script =
   let remaining = ref script in
-  fun () ->
+  fun _question ->
     match !remaining with
     | [] ->
         prerr_endline "error: --answers script exhausted";
@@ -115,6 +124,20 @@ let parse_script s =
       | '2' -> Some `Old
       | _ -> None)
     (List.init (String.length s) (String.get s))
+
+(* Answers from the [--answers] script when given, else from stdin.
+   Each call is handed the question's coordinates; the source numbers
+   the questions, so an error names the one left unanswered. *)
+let answer_source answers =
+  let next =
+    match answers with
+    | Some script -> scripted_answers (parse_script script)
+    | None -> interactive_answer
+  in
+  let asked = ref 0 in
+  fun where ->
+    incr asked;
+    next (Printf.sprintf "question %d %s" !asked where)
 
 (* ------------------------------------------------------------------ *)
 (* clarify update                                                     *)
@@ -183,15 +206,13 @@ let update_cmd =
         ~faults:(Llm.Fault_injector.schedule ~seed:11 ~faulty_attempts:faults)
         ()
     in
-    let next_answer =
-      match answers with
-      | Some s -> scripted_answers (parse_script s)
-      | None -> interactive_answer
-    in
+    let next_answer = answer_source answers in
     if acl then begin
-      let oracle q =
+      let oracle (q : Clarify.Acl_disambiguator.question) =
         Format.printf "@.%a@.@." Clarify.Acl_disambiguator.pp_question q;
-        match next_answer () with
+        match
+          next_answer (Printf.sprintf "(boundary: existing rule %d)" q.boundary_seq)
+        with
         | `New -> Clarify.Acl_disambiguator.Prefer_new
         | `Old -> Clarify.Acl_disambiguator.Prefer_old
       in
@@ -207,9 +228,12 @@ let update_cmd =
             Config.Acl.pp r.Clarify.Pipeline.acl
     end
     else begin
-      let oracle q =
+      let oracle (q : Clarify.Disambiguator.question) =
         Format.printf "@.%a@.@." Clarify.Disambiguator.pp_question q;
-        match next_answer () with
+        match
+          next_answer
+            (Printf.sprintf "(boundary: existing stanza %d)" q.boundary_seq)
+        with
         | `New -> Clarify.Disambiguator.Prefer_new
         | `Old -> Clarify.Disambiguator.Prefer_old
       in
@@ -361,19 +385,22 @@ let batch_cmd =
         ~faults:(Llm.Fault_injector.schedule ~seed:11 ~faulty_attempts:faults)
         ()
     in
-    let next_answer =
-      match answers with
-      | Some s -> scripted_answers (parse_script s)
-      | None -> interactive_answer
-    in
+    let next_answer = answer_source answers in
     let oracle ~intent ~target q =
       Format.printf "@.[intent %d, %s]@." intent target;
-      (match q with
-      | Clarify.Batch.Route_map_q q ->
-          Format.printf "%a@.@." Clarify.Disambiguator.pp_question q
-      | Clarify.Batch.Acl_q q ->
-          Format.printf "%a@.@." Clarify.Acl_disambiguator.pp_question q);
-      match next_answer () with
+      let boundary =
+        match q with
+        | Clarify.Batch.Route_map_q q ->
+            Format.printf "%a@.@." Clarify.Disambiguator.pp_question q;
+            Printf.sprintf "existing stanza %d" q.boundary_seq
+        | Clarify.Batch.Acl_q q ->
+            Format.printf "%a@.@." Clarify.Acl_disambiguator.pp_question q;
+            Printf.sprintf "existing rule %d" q.boundary_seq
+      in
+      match
+        next_answer
+          (Printf.sprintf "(intent %d, %s, boundary: %s)" intent target boundary)
+      with
       | `New -> Clarify.Disambig_common.Prefer_new
       | `Old -> Clarify.Disambig_common.Prefer_old
     in

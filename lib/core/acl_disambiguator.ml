@@ -37,19 +37,23 @@ let insert_rule_at = Config.Acl.insert_at
 let family =
   Disambig_common.family ~subsystem:"acl" ~prefix:"acl_disambiguator"
 
+(* The question of boundary [i], from its witness. *)
+let question (rules : Config.Acl.rule array) i
+    (d : Engine.Compare_acls.difference) =
+  {
+    position = i;
+    boundary_seq = rules.(i).seq;
+    packet = d.packet;
+    if_new_first = d.action_a;
+    if_old_first = d.action_b;
+  }
+
 (* One sweep of the engine instead of one two-ACL diff per position. *)
 let boundaries ?pool ~(target : Config.Acl.t) rule =
   Disambig_common.sweep family @@ fun () ->
-  let rules = Array.of_list target.Config.Acl.rules in
+  let rules = Array.of_list target.rules in
   List.map
-    (fun (i, (d : Engine.Compare_acls.difference)) ->
-      {
-        position = i;
-        boundary_seq = rules.(i).Config.Acl.seq;
-        packet = d.packet;
-        if_new_first = d.action_a;
-        if_old_first = d.action_b;
-      })
+    (fun (i, d) -> question rules i d)
     (Engine.Compare_acls.adjacent_insertions ?pool ~target rule)
 
 let view (q : question) =
@@ -68,7 +72,14 @@ let run ?(mode = Binary_search) ?pool ?precomputed ~(target : Config.Acl.t)
   in
   Disambig_common.place family ~mode ~width:(List.length target.rules) ~view
     ~position:(fun q -> q.position) ~top ~oracle ?precomputed
-    (fun () -> boundaries ?pool ~target rule)
+    (fun () ->
+      (* The same sweep as [boundaries], each witness decoded only if
+         its question is asked. *)
+      Disambig_common.sweep family @@ fun () ->
+      let rules = Array.of_list target.rules in
+      List.map
+        (fun (i, d) -> (i, Lazy.map (question rules i) d))
+        (Engine.Compare_acls.lazy_insertions ?pool ~target rule))
   |> Result.map (fun (position, questions, boundaries) ->
          let acl = insert_rule_at target position rule in
          { acl; position; questions; boundaries })

@@ -33,11 +33,16 @@ val insert_rule_at : Config.Acl.t -> int -> Config.Acl.rule -> Config.Acl.t
 (** Insert at a position (0 = first) and resequence; alias of
     {!Config.Acl.insert_at}. *)
 
+val question :
+  Config.Acl.rule array -> int -> Engine.Compare_acls.difference -> question
+(** [question rules i d]: the question of boundary [i] of a target with
+    these rules, from its witness [d]. *)
+
 val boundaries :
   ?pool:Parallel.Pool.t -> target:Config.Acl.t -> Config.Acl.rule -> question list
 (** All differing boundaries in position order, from one sweep of
-    {!Engine.Compare_acls.adjacent_insertions}. [?pool] fans position
-    slices across worker domains. *)
+    {!Engine.Compare_acls.adjacent_insertions}: every witness is
+    decoded. [?pool] fans position slices across worker domains. *)
 
 val run :
   ?mode:mode ->
@@ -48,9 +53,13 @@ val run :
   oracle:oracle ->
   unit ->
   (outcome, error) result
-(** {!Disambig_common.place} on the ACL family. [?precomputed] skips
-    the engine sweep and uses the given boundary questions — the batch
-    pipeline's fast path. *)
+(** {!Disambig_common.place} on the ACL family. The sweep is
+    {!Engine.Compare_acls.lazy_insertions}, which decides every
+    boundary without a witness: a run decodes exactly the witnesses it
+    asks about, in the current BDD manager, before it returns.
+    Questions, placement and outcome are those of a run on
+    {!boundaries}. [?precomputed] skips the engine sweep and uses the
+    given boundary questions — the batch pipeline's fast path. *)
 
 val scripted : answer list -> oracle
 val intent_driven : (Config.Packet.t -> Config.Action.t) -> oracle

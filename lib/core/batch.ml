@@ -485,19 +485,11 @@ let run ?(max_attempts = default_max_attempts)
                   Option.get (Config.Database.route_map !db_cur target)
                 in
                 let stanzas = Array.of_list cur.Config.Route_map.stanzas in
-                let question i (d : Engine.Compare_route_policies.difference) =
-                  {
-                    Disambiguator.position = i;
-                    boundary_seq = stanzas.(i).seq;
-                    route = d.route;
-                    if_new_first = d.result_a;
-                    if_old_first = d.result_b;
-                  }
-                in
                 let o =
                   place_item ~cache ~slots ~intent:k ~key:("route_map", target)
                     ~width:(Array.length stanzas) ~bounds:(bounds rm_bounds)
-                    ~question ~view:Disambiguator.view
+                    ~question:(Disambiguator.question stanzas)
+                    ~view:Disambiguator.view
                     ~consult:(fun q -> oracle ~intent:k ~target (Route_map_q q))
                     ~placed:(fun (o : Disambiguator.outcome) ->
                       (o.position, o.boundaries, List.length o.questions))
@@ -523,19 +515,11 @@ let run ?(max_attempts = default_max_attempts)
             | S_acl { target; rule; attempts; history; llm_calls } ->
                 let cur = Option.get (Config.Database.acl !db_cur target) in
                 let rules = Array.of_list cur.Config.Acl.rules in
-                let question i (d : Engine.Compare_acls.difference) =
-                  {
-                    Acl_disambiguator.position = i;
-                    boundary_seq = rules.(i).seq;
-                    packet = d.packet;
-                    if_new_first = d.action_a;
-                    if_old_first = d.action_b;
-                  }
-                in
                 let o =
                   place_item ~cache ~slots ~intent:k ~key:("acl", target)
                     ~width:(Array.length rules) ~bounds:(bounds acl_bounds)
-                    ~question ~view:Acl_disambiguator.view
+                    ~question:(Acl_disambiguator.question rules)
+                    ~view:Acl_disambiguator.view
                     ~consult:(fun q -> oracle ~intent:k ~target (Acl_q q))
                     ~placed:(fun (o : Acl_disambiguator.outcome) ->
                       (o.position, o.boundaries, List.length o.questions))

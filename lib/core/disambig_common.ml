@@ -127,25 +127,31 @@ let first_new_position ~default ~position answers =
   | None -> default
 
 (* One boundary sweep of a family: the "find_boundaries" span and the
-   boundaries counter around it. *)
+   boundaries counter around it. Counting a boundary does not decode
+   its witness. *)
 let sweep (fam : family) f =
   Obs.with_span "find_boundaries" @@ fun () ->
   let bs = f () in
   Obs.Counter.incr ~by:(List.length bs) fam.boundaries;
   bs
 
+let decoded ~position qs = List.map (fun q -> (position q, Lazy.from_val q)) qs
+
 (* The paper's Section 4 loop, for every family. Boundaries come from
-   [find ()], or from [precomputed] when a batch run already translated
-   them from a shared sweep (the counter still ticks, so telemetry
-   matches a sequential run). No boundary means every placement behaves
-   the same: append at the bottom without a question. *)
+   [find ()], each a position and a question whose witness is decoded
+   when forced, or from [precomputed] when a batch run already
+   translated them from a shared sweep (the counter still ticks, so
+   telemetry matches a sequential run). Only the questions asked are
+   forced: the search and the placement read positions. No boundary
+   means every placement behaves the same: append at the bottom
+   without a question. *)
 let place (fam : family) ~mode ~width ~view ~position ~top ~oracle
     ?precomputed find =
   let bs =
     match precomputed with
-    | Some bs ->
-        Obs.Counter.incr ~by:(List.length bs) fam.boundaries;
-        bs
+    | Some qs ->
+        Obs.Counter.incr ~by:(List.length qs) fam.boundaries;
+        decoded ~position qs
     | None -> find ()
   in
   let asked, ask =
@@ -154,23 +160,31 @@ let place (fam : family) ~mode ~width ~view ~position ~top ~oracle
   let placed position boundaries = Ok (position, asked (), boundaries) in
   match (mode, bs) with
   | _, [] -> placed width 0
-  | Top_bottom, b :: _ -> (
+  | Top_bottom, (_, b) :: _ -> (
       (* The paper prototype's restricted mode: one question, top or
          bottom. The two extremes differ exactly when some boundary
          does, and the first boundary's witness is the input the
          two-extremes comparison finds first. *)
-      match ask (top b) with
+      match ask (top (Lazy.force b)) with
       | Prefer_new -> placed 0 1
       | Prefer_old -> placed width 1)
   | Binary_search, _ ->
       let arr = Array.of_list bs in
       let k = Array.length arr in
       let hi =
-        binary_search ~subsystem:fam.subsystem ~probes:fam.probes ~ask arr
+        binary_search ~subsystem:fam.subsystem ~probes:fam.probes
+          ~ask:(fun (_, q) -> ask (Lazy.force q))
+          arr
       in
-      placed (if hi = k then width else position arr.(hi)) k
+      placed (if hi = k then width else fst arr.(hi)) k
   | Linear, _ ->
-      let answers = List.map (fun q -> (q, ask q)) bs in
+      let answers =
+        List.map
+          (fun (_, q) ->
+            let q = Lazy.force q in
+            (q, ask q))
+          bs
+      in
       if monotone answers then
         placed
           (first_new_position ~default:width ~position answers)

@@ -47,9 +47,12 @@ type view = {
   if_old_first : string;
 }
 
-val sweep : family -> (unit -> 'q list) -> 'q list
+val sweep : family -> (unit -> 'b list) -> 'b list
 (** [sweep fam find] runs [find] in a ["find_boundaries"] span and
-    counts the boundaries it returns. *)
+    counts the boundaries it returns, without decoding any witness. *)
+
+val decoded : position:('q -> int) -> 'q list -> (int * 'q Lazy.t) list
+(** Questions already decoded, as {!place}'s boundaries. *)
 
 val place :
   family ->
@@ -60,19 +63,27 @@ val place :
   top:('q -> 'q) ->
   oracle:('q -> answer) ->
   ?precomputed:'q list ->
-  (unit -> 'q list) ->
+  (unit -> (int * 'q Lazy.t) list) ->
   (int * 'q list * int, 'q list) result
 (** The disambiguation loop of every family, the paper's Section 4:
     [place fam ~mode ~width ... find] takes the boundaries from
-    [find ()] (or [precomputed], still counted) and asks as [mode]
-    says, each question emitting one [kind="question"] event and each
-    binary-search iteration one [kind="probe"] event. [Ok (position, questions,
-    boundaries)] gives the chosen insertion position in [0..width], the
-    questions in the order asked and the boundaries found;
-    [Top_bottom] asks one question, [top] of the first boundary, and
-    reports one boundary. [Error questions] is a [Linear] run whose
+    [find ()], each a position and its question, or from
+    [precomputed], still counted, and asks as [mode] says, each
+    question emitting one [kind="question"] event and each
+    binary-search iteration one [kind="probe"] event. [Ok (position,
+    questions, boundaries)] gives the chosen insertion position in
+    [0..width], the questions in the order asked and the boundaries
+    found; [Top_bottom] asks one question, [top] of the first boundary,
+    and reports one boundary. [Error questions] is a [Linear] run whose
     answers are not monotone. With no boundary the rule goes to
-    [width] without a question. *)
+    [width] without a question.
+
+    A question is forced only when it is asked, and before [place]
+    returns: about log₂ k of k boundaries under [Binary_search], one
+    under [Top_bottom], all under [Linear]. The search and the final
+    placement read positions alone, so a boundary never asked about is
+    never decoded, and a question forced in the manager its boundaries
+    were swept in is forced before that manager can be reset. *)
 
 val scripted : answer list -> 'q -> answer
 (** Answers drawn from a fixed list; raises [Failure] when

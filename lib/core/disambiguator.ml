@@ -50,22 +50,26 @@ let pp_question fmt q =
 let family =
   Disambig_common.family ~subsystem:"route_map" ~prefix:"disambiguator"
 
+(* The question of boundary [i], from its witness. *)
+let question (stanzas : Config.Route_map.stanza array) i
+    (d : Engine.Compare_route_policies.difference) =
+  {
+    position = i;
+    boundary_seq = stanzas.(i).seq;
+    route = d.route;
+    if_new_first = d.result_a;
+    if_old_first = d.result_b;
+  }
+
 (* Boundary questions: position i differs from i+1 exactly on routes
    handled by original stanza i and matched by the new stanza. The
    sweep itself lives in {!Engine.Compare_route_policies}, so the
    target is compiled once instead of once per position. *)
 let boundaries ?pool ~db ~(target : Config.Route_map.t) stanza =
   Disambig_common.sweep family @@ fun () ->
-  let stanzas = Array.of_list target.Config.Route_map.stanzas in
+  let stanzas = Array.of_list target.stanzas in
   List.map
-    (fun (i, (d : Engine.Compare_route_policies.difference)) ->
-      {
-        position = i;
-        boundary_seq = stanzas.(i).Config.Route_map.seq;
-        route = d.route;
-        if_new_first = d.result_a;
-        if_old_first = d.result_b;
-      })
+    (fun (i, d) -> question stanzas i d)
     (Engine.Compare_route_policies.adjacent_insertions ?pool ~db ~target
        stanza)
 
@@ -87,7 +91,15 @@ let run ?(mode = Binary_search) ?pool ?precomputed ~db
   in
   Disambig_common.place family ~mode ~width:(List.length target.stanzas)
     ~view ~position:(fun q -> q.position) ~top ~oracle ?precomputed
-    (fun () -> boundaries ?pool ~db ~target stanza)
+    (fun () ->
+      (* The same sweep as [boundaries], each witness decoded only if
+         its question is asked. *)
+      Disambig_common.sweep family @@ fun () ->
+      let stanzas = Array.of_list target.stanzas in
+      List.map
+        (fun (i, d) -> (i, Lazy.map (question stanzas i) d))
+        (Engine.Compare_route_policies.lazy_insertions ?pool ~db ~target
+           stanza))
   |> Result.map (fun (position, questions, boundaries) ->
          let map = Config.Route_map.insert_at target position stanza in
          { map; position; questions; boundaries })

@@ -44,6 +44,14 @@ val view : question -> Disambig_common.view
 (** The telemetry rendering of a question — also the batch answer
     cache's key material. *)
 
+val question :
+  Config.Route_map.stanza array ->
+  int ->
+  Engine.Compare_route_policies.difference ->
+  question
+(** [question stanzas i d]: the question of boundary [i] of a target
+    with these stanzas, from its witness [d]. *)
+
 val boundaries :
   ?pool:Parallel.Pool.t ->
   db:Config.Database.t ->
@@ -52,9 +60,9 @@ val boundaries :
   question list
 (** All differing boundaries with their differential examples, in
     position order, from one sweep of
-    {!Engine.Compare_route_policies.adjacent_insertions}. [?pool] fans
-    position slices across worker domains. Exposed for tests and the
-    evaluation harness. *)
+    {!Engine.Compare_route_policies.adjacent_insertions}: every witness
+    is decoded. [?pool] fans position slices across worker domains.
+    Exposed for tests and the evaluation harness. *)
 
 val run :
   ?mode:mode ->
@@ -66,11 +74,17 @@ val run :
   oracle:oracle ->
   unit ->
   (outcome, error) result
-(** {!Disambig_common.place} on the route-map family. [?precomputed]
-    skips the engine sweep and uses the given boundary questions
-    (position order) — the batch pipeline's fast path, which translates
-    boundaries from one shared multi-stanza sweep instead of recompiling
-    the target per intent. *)
+(** {!Disambig_common.place} on the route-map family. The sweep is
+    {!Engine.Compare_route_policies.lazy_insertions}: each boundary's
+    witness is decoded when its question is asked, so a Binary_search
+    run decodes about log₂ k of k witnesses (those the sweep had to
+    decode to decide a boundary aside), and everything it asks is
+    decoded, in the current BDD manager, before it returns. Questions,
+    placement and outcome are those of a run on {!boundaries}.
+    [?precomputed] skips the engine sweep and uses the given boundary
+    questions (position order) — the batch pipeline's fast path, which
+    translates boundaries from one shared multi-stanza sweep instead of
+    recompiling the target per intent. *)
 
 (** {2 Oracles} *)
 

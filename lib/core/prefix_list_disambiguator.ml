@@ -114,9 +114,10 @@ let run ?(mode = Binary_search) ?precomputed ~(target : Config.Prefix_list.t)
   let top q =
     { q with position = 0; boundary_seq = (List.hd target.entries).seq }
   in
+  let position (q : question) = q.position in
   Disambig_common.place family ~mode ~width:(List.length target.entries)
-    ~view ~position:(fun q -> q.position) ~top ~oracle ?precomputed
-    (fun () -> boundaries ~target entry)
+    ~view ~position ~top ~oracle ?precomputed (fun () ->
+      Disambig_common.decoded ~position (boundaries ~target entry))
   |> Result.map (fun (position, questions, boundaries) ->
          let prefix_list = insert_entry_at target position entry in
          { prefix_list; position; questions; boundaries })

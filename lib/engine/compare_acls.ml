@@ -55,13 +55,14 @@ let equal_behavior a b = first_difference a b = None
 (* Boundary sweeps: the ACL instance of {!First_match}; see DESIGN.md
    §11. ACLs carry no transforms, so position [i] is a boundary exactly
    when the new rule's action differs from rule [i]'s and the region
-   [cell_i.guard ∧ match(new)] is satisfiable. The partition is
-   projected onto the candidates' match regions
-   ([Packet_space.exec ~candidates]): a rule apart from every candidate
-   is never compiled and its cell is empty, and every other region is
-   the same canonical BDD as in the full partition. The packet space
-   has a fixed variable set, so witnesses are trivially independent of
-   how the work is sharded. *)
+   [cell_i.guard ∧ match(new)] is non-empty, and no witness is needed
+   to decide it: [Packet_space.to_packet] finds a packet in every
+   non-empty region. The partition is projected onto the candidates'
+   match regions ([Packet_space.exec ~candidates]): a rule apart from
+   every candidate is never compiled and its cell is empty, and every
+   other region is the same canonical BDD as in the full partition.
+   The packet space has a fixed variable set, so witnesses are
+   trivially independent of how the work is sharded. *)
 
 type partition = {
   cells : Ps.cell array;
@@ -69,29 +70,39 @@ type partition = {
   matches : Bdd.t array; (* each candidate's match region *)
 }
 
+(* Candidate [k]'s region at a cell. A single candidate's partition
+   starts its fall-through at its match, so there the guard already is
+   the region. *)
+let region p k (c : Ps.cell) =
+  if Array.length p.cands = 1 then c.guard else Bdd.conj c.guard p.matches.(k)
+
 let cell_boundaries p k (start, len) =
   let rule = p.cands.(k) in
   List.filter_map
     (fun i ->
       let (c : Ps.cell) = p.cells.(i) in
-      if Config.Action.equal rule.Config.Acl.action c.action then None
-      else
-        match Ps.to_packet (Bdd.conj c.guard p.matches.(k)) with
-        | None -> None
-        | Some packet ->
-            (* Both ACLs resequence, putting the new rule and rule i at
-               seq (i+1)*10 in their respective lists. *)
-            let seq = Some ((i + 1) * 10) in
-            Some
-              ( i,
-                {
-                  packet;
-                  action_a = rule.action;
-                  action_b = c.action;
-                  rule_a = seq;
-                  rule_b = seq;
-                } ))
+      if Config.Action.equal rule.Config.Acl.action c.action
+         || Bdd.is_zero (region p k c)
+      then None
+      else Some (i, None))
     (List.init len (fun j -> start + j))
+
+let witness p k i =
+  Obs.Counter.incr Metrics.witnesses_decoded;
+  let rule = p.cands.(k) and (c : Ps.cell) = p.cells.(i) in
+  match Ps.to_packet (region p k c) with
+  | None -> invalid_arg "Compare_acls.witness: not a boundary"
+  | Some packet ->
+      (* Both ACLs resequence, putting the new rule and rule i at seq
+         (i+1)*10 in their respective lists. *)
+      let seq = Some ((i + 1) * 10) in
+      {
+        packet;
+        action_a = rule.action;
+        action_b = c.action;
+        rule_a = seq;
+        rule_b = seq;
+      }
 
 let classify p i j =
   let ri = p.cands.(i) and rj = p.cands.(j) in
@@ -126,6 +137,7 @@ module Sweep = First_match.Sweep (struct
 
   let fork p = p
   let cell_boundaries = cell_boundaries
+  let witness = witness
   let classify = classify
 end)
 
@@ -137,6 +149,8 @@ type batch_sweep = Sweep.batch_sweep = {
 
 let adjacent_insertions ?pool ~target rule =
   Sweep.adjacent_insertions ?pool target rule
+
+let lazy_insertions ?pool ~target rule = Sweep.lazy_insertions ?pool target rule
 
 let batch_insertions ?pool ~target rules =
   Sweep.batch_insertions ?pool target rules

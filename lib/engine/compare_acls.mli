@@ -28,8 +28,20 @@ val adjacent_insertions :
     witness it finds. The ACL instance of {!First_match.Sweep}: one
     symbolic execution of the target projected onto the rule, where
     target rules {!Symbolic.Packet_space.apart} from it are not
-    compiled, then one conjunction per position; [~pool] shards the
-    positions. *)
+    compiled, then one read per position; [~pool] shards the
+    positions. It is {!lazy_insertions} with every witness decoded. *)
+
+val lazy_insertions :
+  ?pool:Parallel.Pool.t ->
+  target:Config.Acl.t ->
+  Config.Acl.rule ->
+  (int * difference Lazy.t) list
+(** The positions of {!adjacent_insertions}, each witness decoded when
+    forced, in the current manager: force them before it is reset. An
+    ACL never needs a witness to decide a boundary: position [i] is one
+    exactly when the two rules' actions differ and its region is
+    non-empty, and for a single rule that region is the cell's guard,
+    so the sweep decodes nothing. *)
 
 type batch_sweep = {
   per_candidate : (int * difference) list array;

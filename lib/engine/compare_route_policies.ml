@@ -154,6 +154,10 @@ type partition = {
   ctx : Ctx.t;
   cells : Ctx.cell array;
   cands : Config.Route_map.stanza array;
+  matches : Bdd.t array; (* each candidate's match region *)
+  transforms : Config.Transform.t array; (* each candidate's set clauses *)
+  within_valid : bool array;
+      (* each candidate's match lies inside [Ctx.valid] *)
 }
 
 (* Could a route handled by stanza action/sets [a] be treated
@@ -166,16 +170,82 @@ let may_differ db (a_action, t_a) (b_action, t_b) =
       not (Config.Transform.equal ~db1:db ~db2:db t_a t_b)
   | _ -> true
 
-(* Position [i]'s candidate region is [cells.(i).guard ∧ match(s)],
-   sampled exactly as [compare] would. A witness falls through stanzas
+(* Is every route handled by [a] treated differently under [b]? A
+   permit against a deny, or two permits that set one scalar attribute
+   to different constants. One side setting an attribute the other
+   leaves alone is not enough: the route may already carry that
+   value. *)
+let differ_everywhere (a_action, (t_a : Config.Transform.t))
+    (b_action, (t_b : Config.Transform.t)) =
+  let both_set f =
+    match (f t_a, f t_b) with Some x, Some y -> x <> y | _ -> false
+  in
+  match (a_action, b_action) with
+  | Config.Action.Deny, Config.Action.Deny -> false
+  | Config.Action.Permit, Config.Action.Permit ->
+      both_set (fun (t : Config.Transform.t) -> t.metric)
+      || both_set (fun t -> t.local_pref)
+      || both_set (fun t -> t.tag)
+      || both_set (fun t -> t.weight)
+      || both_set (fun t -> t.next_hop)
+      || both_set (fun t -> t.origin)
+  | _ -> true
+
+(* Candidate [k]'s region at a cell: the cell's guard under [k]'s
+   match, the same canonical BDD as the full partition's guard under
+   it. A single candidate's partition starts its fall-through at its
+   match, so there the guard already is the region. *)
+let region p k (c : Ctx.cell) =
+  if Array.length p.cands = 1 then c.guard else Bdd.conj c.guard p.matches.(k)
+
+(* Position [i]'s witness for candidate [k], sampled exactly as
+   [compare] would sample the region. It falls through stanzas
    0..i-1 and matches both the candidate and s_i, so the candidate
    handles it when inserted at i and s_i when inserted at i+1:
    applying those two stanzas' actions and sets gives both maps'
-   outcomes, at a cost independent of the width. *)
+   outcomes, at a cost independent of the width. [None] when no route
+   of the region tells the two apart. *)
+let decode p k i =
+  Obs.Counter.incr Metrics.witnesses_decoded;
+  let db = p.db and stanza = p.cands.(k) and (c : Ctx.cell) = p.cells.(i) in
+  match
+    sample_route p.ctx ~db_a:db ~db_b:db p.transforms.(k).communities
+      (Config.Transform.of_sets db c.sets).communities (region p k c)
+  with
+  | None -> None
+  | Some route ->
+      let result_a =
+        Config.Semantics.apply_action db stanza.action stanza.sets route
+      in
+      let result_b = Config.Semantics.apply_action db c.action c.sets route in
+      if Config.Semantics.route_result_equal result_a result_b then None
+      else
+        (* Both maps resequence, putting S* and s_i at seq (i+1)*10 in
+           their respective maps. *)
+        let seq = Some ((i + 1) * 10) in
+        Some { route; result_a; result_b; stanza_a = seq; stanza_b = seq }
+
+let witness p k i =
+  match decode p k i with
+  | Some d -> d
+  | None -> invalid_arg "Compare_route_policies.witness: not a boundary"
+
+(* Position [i] is a boundary exactly when [decode] finds a witness.
+   Without as-path lists in scope every route of [region ∧ valid] is
+   realizable, and where the two stanzas treat every route differently
+   any of them is a witness: the region's non-emptiness decides it, and
+   the witness waits for a question. Elsewhere only a witness can tell
+   (say [set metric 5] against a stanza that leaves metric alone, on a
+   region that pins metric to 5), so it is decoded now. *)
 let cell_boundaries p k (start, len) =
   let db = p.db and stanza = p.cands.(k) in
-  let match_new = Ctx.of_stanza p.ctx db stanza in
-  let t_new = Config.Transform.of_sets db stanza.Config.Route_map.sets in
+  let t_new = p.transforms.(k) in
+  let atoms_free = Array.length p.ctx.Ctx.as_path_lists = 0 in
+  let nonempty c =
+    let r = region p k c in
+    if p.within_valid.(k) then not (Bdd.is_zero r)
+    else Bdd.is_sat (Bdd.conj r (Ctx.valid p.ctx))
+  in
   List.filter_map
     (fun i ->
       let (c : Ctx.cell) = p.cells.(i) in
@@ -183,49 +253,19 @@ let cell_boundaries p k (start, len) =
       if Bdd.is_zero c.guard then None
       else
         let t_old = Config.Transform.of_sets db c.sets in
-        if not (may_differ db (stanza.action, t_new) (c.action, t_old)) then
-          None
-        else
-          let region = Bdd.conj c.guard match_new in
-          match
-            sample_route p.ctx ~db_a:db ~db_b:db t_new.communities
-              t_old.communities region
-          with
-          | None -> None
-          | Some route ->
-              let result_a =
-                Config.Semantics.apply_action db stanza.action stanza.sets
-                  route
-              in
-              let result_b =
-                Config.Semantics.apply_action db c.action c.sets route
-              in
-              if Config.Semantics.route_result_equal result_a result_b then
-                None
-              else
-                (* Both maps resequence, putting S* and s_i at seq
-                   (i+1)*10 in their respective maps. *)
-                let seq = Some ((i + 1) * 10) in
-                Some
-                  ( i,
-                    {
-                      route;
-                      result_a;
-                      result_b;
-                      stanza_a = seq;
-                      stanza_b = seq;
-                    } ))
+        let a = (stanza.action, t_new) and b = (c.action, t_old) in
+        if not (may_differ db a b) then None
+        else if atoms_free && differ_everywhere a b then
+          if nonempty c then Some (i, None) else None
+        else Option.map (fun d -> (i, Some d)) (decode p k i))
     (List.init len (fun j -> start + j))
 
 let classify p i j =
   let db = p.db and si = p.cands.(i) and sj = p.cands.(j) in
-  let region =
-    Bdd.conj (Ctx.of_stanza p.ctx db si) (Ctx.of_stanza p.ctx db sj)
-  in
+  let region = Bdd.conj p.matches.(i) p.matches.(j) in
   if not (Ctx.is_sat p.ctx region) then First_match.Disjoint
   else
-    let ti = Config.Transform.of_sets db si.Config.Route_map.sets in
-    let tj = Config.Transform.of_sets db sj.Config.Route_map.sets in
+    let ti = p.transforms.(i) and tj = p.transforms.(j) in
     if not (may_differ db (si.action, ti) (sj.action, tj)) then
       First_match.Overlap
     else
@@ -264,10 +304,23 @@ module Sweep = First_match.Sweep (struct
     let scope = [ target; { target with stanzas = Array.to_list cands } ] in
     let ctx = Ctx.create [ (db, scope) ] in
     let cells = Ctx.exec ~candidates:(Array.to_list cands) ctx db target in
-    { db; ctx; cells = Array.of_list cells; cands }
+    let matches = Array.map (Ctx.of_stanza ctx db) cands in
+    {
+      db;
+      ctx;
+      cells = Array.of_list cells;
+      cands;
+      matches;
+      transforms =
+        Array.map
+          (fun (s : Config.Route_map.stanza) -> Config.Transform.of_sets db s.sets)
+          cands;
+      within_valid = Array.map (fun m -> Bdd.implies m (Ctx.valid ctx)) matches;
+    }
 
   let fork p = { p with ctx = Ctx.fork p.ctx }
   let cell_boundaries = cell_boundaries
+  let witness = witness
   let classify = classify
 end)
 
@@ -279,6 +332,9 @@ type batch_sweep = Sweep.batch_sweep = {
 
 let adjacent_insertions ?pool ~db ~target stanza =
   Sweep.adjacent_insertions ?pool (db, target) stanza
+
+let lazy_insertions ?pool ~db ~target stanza =
+  Sweep.lazy_insertions ?pool (db, target) stanza
 
 let batch_insertions ?pool ~db ~target stanzas =
   Sweep.batch_insertions ?pool (db, target) stanzas

@@ -52,7 +52,8 @@ val adjacent_insertions :
     boundary exactly when {!first_difference} of the target with the
     stanza inserted at [i] and at [i + 1] finds one, and the witness is
     the one it finds; the sweep reproduces that byte-for-byte at the
-    cost of one compilation.
+    cost of one compilation. It is {!lazy_insertions} with every
+    witness decoded.
 
     This is the route-map instance of {!First_match.Sweep}: the target
     is symbolically executed once, projected onto [match(stanza)]
@@ -63,6 +64,24 @@ val adjacent_insertions :
     [i + 1], so the two outcomes are those two stanzas' actions and
     sets applied to it and each position costs the same whatever the
     width. [~pool] shards the positions (see {!First_match.Sweep}). *)
+
+val lazy_insertions :
+  ?pool:Parallel.Pool.t ->
+  db:Config.Database.t ->
+  target:Config.Route_map.t ->
+  Config.Route_map.stanza ->
+  (int * difference Lazy.t) list
+(** The positions of {!adjacent_insertions}, each witness decoded when
+    forced, in the current manager: force them before it is reset.
+    When no as-path list is in scope and the two stanzas' outcomes
+    differ on every route — a permit against a deny, or two permits
+    setting one scalar attribute (metric, local-pref, tag, weight,
+    origin, next-hop) to different constants — the position is a
+    boundary exactly when its region holds a representable route, and
+    no witness is decoded to decide it. Anywhere else the witness
+    decides, and is decoded during the sweep: [set metric 5] against a
+    stanza that leaves metric alone is no boundary on a region that
+    pins metric to 5. *)
 
 type batch_sweep = {
   per_candidate : (int * difference) list array;

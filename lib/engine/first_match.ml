@@ -9,7 +9,9 @@
    conjunction against a single shared compilation. A family supplies
    that compilation and the per-cell and per-pair reads; this module
    compiles it once, in the caller's manager, reads it serially or
-   across a pool, and keeps the sweep counters. *)
+   across a pool, decodes the witnesses the reads left undecoded (or
+   leaves them to be decoded on demand), and keeps the sweep
+   counters. *)
 
 open Symbdd
 
@@ -25,7 +27,8 @@ module type FAMILY = sig
   val compile : target -> rule array -> partition
   val fork : partition -> partition
   val cell_boundaries :
-    partition -> int -> int * int -> (int * difference) list
+    partition -> int -> int * int -> (int * difference option) list
+  val witness : partition -> int -> int -> difference
   val classify : partition -> int -> int -> difference pair
 end
 
@@ -59,27 +62,61 @@ module Sweep (F : FAMILY) = struct
   let observe t0 =
     Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9)
 
-  let adjacent_insertions ?pool target rule =
+  (* Candidate [k]'s boundary with its witness: the one its read
+     decoded, or one decoded now from [p]. *)
+  let decoded p k (i, d) =
+    match d with Some d -> (i, d) | None -> (i, F.witness p k i)
+
+  (* The same, decoded from [p] only when forced. *)
+  let on_demand p k (i, d) =
+    match d with
+    | Some d -> (i, Lazy.from_val d)
+    | None -> (i, lazy (F.witness p k i))
+
+  (* The one sweep of a single rule: its partition, compiled in the
+     current manager, and the concatenation of [read p slice] over
+     slices of its positions, [p] being the partition or a worker's
+     fork of it; [None] for an empty target. *)
+  let sweep ?pool target rule read =
     Obs.Counter.incr Metrics.adjacent_insertions_calls;
     let t0 = Obs.now () in
     let n = F.width target in
     let result =
-      if n = 0 then []
+      if n = 0 then None
       else begin
         Obs.Counter.incr Metrics.adjacent_contexts;
         Obs.Counter.incr ~by:(n - 1) Metrics.adjacent_prefix_reuse;
+        let p = F.compile target [| rule |] in
         (* Slices of a few positions: the partition fork amortizes over
            the slice while slices stay plentiful enough to steal when
            rule widths are skewed. *)
-        List.concat
-          (map pool
-             (F.compile target [| rule |])
-             (fun p slice -> F.cell_boundaries p 0 slice)
-             (Parallel.Pool.ranges ~grain:8 n))
+        Some
+          ( p,
+            List.concat
+              (map pool p read (Parallel.Pool.ranges ~grain:8 n)) )
       end
     in
     observe t0;
     result
+
+  (* Every witness is decoded where its position was read, inside a
+     pool task on a pooled sweep, so decoding stays parallel. *)
+  let adjacent_insertions ?pool target rule =
+    match
+      sweep ?pool target rule (fun p slice ->
+          List.map (decoded p 0) (F.cell_boundaries p 0 slice))
+    with
+    | None -> []
+    | Some (_, bounds) -> bounds
+
+  (* A task returns plain data, positions and the witnesses deciding
+     them took; the rest are decoded on demand from the caller's own
+     partition, never from a worker's fork, so in the caller's
+     manager. *)
+  let lazy_insertions ?pool target rule =
+    match sweep ?pool target rule (fun p slice -> F.cell_boundaries p 0 slice) with
+    | None -> []
+    | Some (p, bounds) -> List.map (on_demand p 0) bounds
 
   let batch_insertions ?pool target rules =
     let cands = Array.of_list rules in
@@ -99,7 +136,11 @@ module Sweep (F : FAMILY) = struct
       let p = F.compile target cands in
       (* Candidate sweeps are coarse, one stealable task each; pairs are
          cheap, so a few share a task to amortize the fork. *)
-      let bounds = map pool p (fun p k -> F.cell_boundaries p k (0, n)) ks in
+      let bounds =
+        map pool p
+          (fun p k -> List.map (decoded p k) (F.cell_boundaries p k (0, n)))
+          ks
+      in
       let kinds =
         map ~grain:4 pool p (fun p (i, j) -> F.classify p i j) pairs
       in

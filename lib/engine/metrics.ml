@@ -36,6 +36,12 @@ let adjacent_prefix_reuse =
       "insertion positions served from a shared prefix execution instead \
        of a fresh two-map re-execution"
 
+let witnesses_decoded =
+  Obs.Counter.make "engine.adjacent_insertions.witnesses_decoded"
+    ~help:
+      "boundary witnesses decoded, to decide a boundary or for a question \
+       that shows one"
+
 let boundary_ns =
   Obs.Histogram.make "engine.adjacent_insertions.boundary_ns"
     ~help:"wall time of one full boundary sweep (all insertion positions)"

@@ -20,8 +20,16 @@ val adjacent_prefix_reuse : Obs.Counter.t
 (** Insertion positions whose reachability came from a shared prefix
     execution rather than a fresh two-map re-execution. *)
 
+val witnesses_decoded : Obs.Counter.t
+(** Boundary witnesses decoded by either {!First_match.Sweep} instance:
+    while a sweep decides whether a position is a boundary, or on
+    demand, for a question about to be shown or an eager entry point
+    that returns every witness. *)
+
 val boundary_ns : Obs.Histogram.t
-(** Wall time of one full boundary sweep. *)
+(** Wall time of one full boundary sweep; for
+    [lazy_insertions], up to the positions, before any witness is
+    decoded on demand. *)
 
 val batch_intents : Obs.Counter.t
 (** Intents processed by batch synthesis runs ({!Clarify.Batch}). *)

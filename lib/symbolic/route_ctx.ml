@@ -227,19 +227,31 @@ let prefix_list_key (pl : Config.Prefix_list.t) =
            ^ range_key e.range)
          pl.Config.Prefix_list.entries)
 
+(* The routes a first-match list of [(action, match)] entries permits.
+   Nothing follows the last entry, so the routes it leaves unmatched
+   are never built. *)
+let first_match_permits entries =
+  let rec go unmatched = function
+    | [] -> Bdd.zero
+    | (action, m) :: rest ->
+        let here = Bdd.conj unmatched m in
+        let tail =
+          match rest with
+          | [] -> Bdd.zero
+          | _ -> go (Bdd.conj unmatched (Bdd.neg m)) rest
+        in
+        if Config.Action.equal action Config.Action.Permit then
+          Bdd.disj here tail
+        else tail
+  in
+  go Bdd.one entries
+
 let of_prefix_list (pl : Config.Prefix_list.t) =
   Bdd.cached ~key:(prefix_list_key pl) (fun () ->
-      let rec go unmatched = function
-        | [] -> Bdd.zero
-        | (e : Config.Prefix_list.entry) :: rest ->
-            let m = of_prefix_range e.range in
-            let here = Bdd.conj unmatched m in
-            let tail = go (Bdd.conj unmatched (Bdd.neg m)) rest in
-            if Config.Action.equal e.action Config.Action.Permit then
-              Bdd.disj here tail
-            else tail
-      in
-      go Bdd.one pl.Config.Prefix_list.entries)
+      first_match_permits
+        (List.map
+           (fun (e : Config.Prefix_list.entry) -> (e.action, of_prefix_range e.range))
+           pl.Config.Prefix_list.entries))
 
 (* "Route carries at least one community in the regex's language",
    relative to the universe. *)
@@ -274,16 +286,7 @@ let of_community_list ctx (cl : Config.Community_list.t) =
             (e.action, of_comm_regex ctx e.regex))
           entries
   in
-  let rec go unmatched = function
-    | [] -> Bdd.zero
-    | (action, m) :: rest ->
-        let here = Bdd.conj unmatched m in
-        let tail = go (Bdd.conj unmatched (Bdd.neg m)) rest in
-        if Config.Action.equal action Config.Action.Permit then
-          Bdd.disj here tail
-        else tail
-  in
-  go Bdd.one entry_bdds
+  first_match_permits entry_bdds
 
 let of_as_path_list ctx (al : Config.As_path_list.t) =
   match as_path_var ctx al with

@@ -207,7 +207,7 @@ let test_route_map_wide_equivalence () =
 (* as-path matches mutate the context's blocked-path state during
    sampling, the one place the shared-context sweep could drift from
    fresh per-position contexts; pin one deterministic case. *)
-let test_route_map_as_path_case () =
+let route_map_as_path_case () =
   let db =
     Config.Database.empty
     |> Fun.flip Config.Database.add_as_path_list
@@ -235,7 +235,8 @@ let test_route_map_as_path_case () =
   let db = Config.Database.add_route_map db target in
   check_same ~what:"as-path boundaries" ~case:0 ~render:render_rm_question
     (rm_reference ~db ~target stanza)
-    (D.boundaries ~db ~target stanza)
+    (D.boundaries ~db ~target stanza);
+  (db, target, stanza)
 
 (* ------------------------------------------------------------------ *)
 (* Mixed-clause route-maps                                            *)
@@ -743,6 +744,355 @@ let test_prefix_list_top_bottom () =
           Alcotest.(check int) "placed at an extreme" position o.position)
     [ (Pd.Prefer_new, 0); (Pd.Prefer_old, 3) ]
 
+(* ------------------------------------------------------------------ *)
+(* Witnesses on demand                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Oracles for the on-demand runs: both constants, a user who wants the
+   new rule to win from position [t] on (monotone, so Linear places
+   too), and one whose answers alternate with the position (so the
+   search takes other paths and Linear reports an inconsistency). *)
+let position_oracles ~t position =
+  Clarify.Disambig_common.
+    [
+      (fun _ -> Prefer_new);
+      (fun _ -> Prefer_old);
+      (fun q -> if position q >= t then Prefer_new else Prefer_old);
+      (fun q -> if position q land 1 = 0 then Prefer_new else Prefer_old);
+    ]
+
+(* [run] without [?precomputed] decodes only the questions it asks;
+   handed the eager sweep's boundaries it decodes nothing. Placement,
+   questions and witnesses must be the same in every mode, for every
+   oracle. *)
+let check_on_demand ~what ~case ~width ~position run =
+  let t = width / 2 in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun oracle ->
+          if run ~mode ~oracle ~eager:false <> run ~mode ~oracle ~eager:true
+          then
+            Alcotest.failf "case %d: %s: on-demand run differs from eager (%s)"
+              case what
+              (Clarify.Disambig_common.mode_to_string mode))
+        (position_oracles ~t position))
+    Clarify.Disambig_common.[ Binary_search; Top_bottom; Linear ]
+
+let check_rm_on_demand ~case ?pool ~db ~(target : Rm.t) stanza =
+  let eager = D.boundaries ?pool ~db ~target stanza in
+  check_on_demand ~what:"route-map" ~case ~width:(List.length target.stanzas)
+    ~position:(fun (q : D.question) -> q.position)
+    (fun ~mode ~oracle ~eager:e ->
+      let precomputed = if e then Some eager else None in
+      D.run ~mode ?pool ?precomputed ~db ~target ~stanza ~oracle ())
+
+let check_acl_on_demand ~case ?pool ~(target : Config.Acl.t) rule =
+  let eager = Ad.boundaries ?pool ~target rule in
+  check_on_demand ~what:"acl" ~case ~width:(List.length target.rules)
+    ~position:(fun (q : Ad.question) -> q.position)
+    (fun ~mode ~oracle ~eager:e ->
+      let precomputed = if e then Some eager else None in
+      Ad.run ~mode ?pool ?precomputed ~target ~rule ~oracle ())
+
+(* Every position the sweep decided without a witness (its witness is
+   still undecoded) must be one where the two placements treat the
+   witness, once decoded, differently. Returns how many there were. *)
+let rm_witness_free ~case ~db ~(target : Rm.t) stanza =
+  let at p route =
+    Config.Semantics.eval_route_map db (Rm.insert_at target p stanza) route
+  in
+  List.fold_left
+    (fun n (i, w) ->
+      if Lazy.is_val w then n
+      else begin
+        let (d : Crp.difference) = Lazy.force w in
+        if Config.Semantics.route_result_equal (at i d.route) (at (i + 1) d.route)
+        then
+          Alcotest.failf
+            "case %d: witness-free boundary %d: both placements treat its \
+             witness alike"
+            case i;
+        n + 1
+      end)
+    0
+    (Crp.lazy_insertions ~db ~target stanza)
+
+let acl_witness_free ~case ~(target : Config.Acl.t) rule =
+  let at p packet =
+    Config.Semantics.eval_acl (Config.Acl.insert_at target p rule) packet
+  in
+  List.fold_left
+    (fun n (i, w) ->
+      if Lazy.is_val w then
+        Alcotest.failf "case %d: acl boundary %d decoded by the sweep" case i;
+      let (d : Ca.difference) = Lazy.force w in
+      if Config.Action.equal (at i d.packet) (at (i + 1) d.packet) then
+        Alcotest.failf
+          "case %d: acl boundary %d: both placements treat its witness alike"
+          case i;
+      n + 1)
+    0
+    (Ca.lazy_insertions ~target rule)
+
+(* One candidate of a route-map generator: on-demand ≡ eager in every
+   mode, serially and (every [pooled]th case) on the pool, and the
+   witness-free positions sound. Returns their number. *)
+let rm_on_demand ~pool ~pooled ~case ~db ~target stanza =
+  check_rm_on_demand ~case ~db ~target stanza;
+  if case mod pooled = 0 then check_rm_on_demand ~case ~pool ~db ~target stanza;
+  rm_witness_free ~case ~db ~target stanza
+
+let expect_witness_free what n =
+  if n = 0 then Alcotest.failf "%s: no position was decided witness-free" what
+
+let test_on_demand_route_maps () =
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let rng = Random.State.make [| 0x5eed; 1 |] in
+  let free = ref 0 in
+  for case = 0 to cases - 1 do
+    let db, target, stanza = route_map_case rng case in
+    free := !free + rm_on_demand ~pool ~pooled:5 ~case ~db ~target stanza
+  done;
+  let rng = Random.State.make [| 0x5eed; 4 |] in
+  for case = 0 to wide_cases - 1 do
+    let stanzas = 32 + Random.State.int rng 65 in
+    let db, target, stanza = route_map_case ~stanzas rng (cases + case) in
+    free := !free + rm_on_demand ~pool ~pooled:2 ~case ~db ~target stanza
+  done;
+  expect_witness_free "route-maps" !free;
+  (* With an as-path list in scope the sweep decodes every witness
+     itself. *)
+  let db, target, stanza = route_map_as_path_case () in
+  Alcotest.(check int) "no witness-free boundary under as-path lists" 0
+    (rm_on_demand ~pool ~pooled:1 ~case:0 ~db ~target stanza)
+
+let test_on_demand_mixed_clauses () =
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let rng = Random.State.make [| 0x5eed; 5 |] in
+  let db = mixed_db in
+  for case = 0 to cases - 1 do
+    let target, candidates = mixed_case rng in
+    List.iter
+      (fun stanza ->
+        ignore (rm_on_demand ~pool ~pooled:5 ~case ~db ~target stanza))
+      candidates
+  done
+
+(* Stanzas that match a pinned attribute and set attributes from the
+   same small pools, so one side often sets exactly the value the
+   region already pins ([match metric 5] against [set metric 5]: no
+   boundary), besides permit/deny pairs and pairs that set one
+   attribute to different constants. The as-path lists' atoms are
+   jointly infeasible in pairs (^100$ and ^200$; ^200$ and _100_) and
+   one implies another (^100$ implies _100_), so some regions are
+   non-empty BDDs that no route lives in. PALL covers every
+   representable prefix, so a candidate without a prefix-list clause
+   can meet a cell holding only non-representable ones. *)
+let pinned_db =
+  Config.Parser.parse_exn
+    {|
+ip prefix-list PALL permit 0.0.0.0/0 le 32
+ip prefix-list PA permit 70.0.0.0/8 le 32
+ip prefix-list PB permit 70.1.0.0/16 le 24
+ip as-path access-list XA permit ^100$
+ip as-path access-list XB permit ^200$
+ip as-path access-list XC permit _100_
+|}
+
+let pinned_clause rng ~as_path =
+  match Random.State.int rng (if as_path then 5 else 4) with
+  | 0 -> Rm.Match_metric 5
+  | 1 -> Rm.Match_local_pref 200
+  | 2 -> Rm.Match_tag [ 7 ]
+  | 3 -> Rm.Match_prefix_list [ pick rng [| "PALL"; "PA"; "PB" |] ]
+  | _ -> Rm.Match_as_path [ pick rng [| "XA"; "XB"; "XC" |] ]
+
+let pinned_sets rng =
+  let maybe set = if Random.State.int rng 3 = 0 then Some (set ()) else None in
+  List.filter_map Fun.id
+    [
+      maybe (fun () -> Rm.Set_metric (pick rng [| 5; 9 |]));
+      maybe (fun () -> Rm.Set_local_pref (pick rng [| 200; 300 |]));
+      maybe (fun () -> Rm.Set_tag (pick rng [| 7; 8 |]));
+      maybe (fun () -> Rm.Set_weight (pick rng [| 0; 10 |]));
+      maybe (fun () -> Rm.Set_origin (pick rng Bgp.Route.[| Igp; Incomplete |]));
+      maybe (fun () -> Rm.Set_next_hop (pick rng [| ip 0 0 0 1; ip 0 0 0 2 |]));
+    ]
+
+let pinned_stanza rng ~as_path =
+  let matches =
+    List.init (1 + Random.State.int rng 2) (fun _ -> pinned_clause rng ~as_path)
+  in
+  let action =
+    if Random.State.int rng 3 = 0 then Config.Action.Deny else Config.Action.Permit
+  in
+  Rm.stanza ~matches ~sets:(pinned_sets rng) action
+
+(* Half the cases keep as-path lists out of scope, so the witness-free
+   rule applies; the other half mix them in, so it must step aside.
+   Those end with a stanza naming every list, so a batch has the same
+   as-path universe as each candidate's own sweep (see [mixed_case]). *)
+let pinned_case rng =
+  let as_path = Random.State.bool rng in
+  let body =
+    List.init (1 + Random.State.int rng 8) (fun _ -> pinned_stanza rng ~as_path)
+  in
+  let anchor =
+    Rm.stanza ~matches:[ Rm.Match_as_path [ "XA"; "XB"; "XC" ] ] Config.Action.Deny
+  in
+  let target =
+    Rm.make "T"
+      (List.mapi
+         (fun i s -> { s with Rm.seq = (i + 1) * 10 })
+         (if as_path then body @ [ anchor ] else body))
+  in
+  let candidates =
+    List.init (1 + Random.State.int rng 3) (fun _ ->
+        { (pinned_stanza rng ~as_path) with Rm.seq = 5 })
+  in
+  (target, candidates)
+
+let test_on_demand_pinned () =
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let rng = Random.State.make [| 0x5eed; 7 |] in
+  let db = pinned_db and render = render_rm in
+  let free = ref 0 in
+  for case = 0 to cases - 1 do
+    let target, candidates = pinned_case rng in
+    let sequential =
+      List.map
+        (fun stanza ->
+          let reference = rm_definition ~db ~target stanza in
+          let serial = Crp.adjacent_insertions ~db ~target stanza in
+          check_same ~what:"pinned sweep" ~case ~render reference serial;
+          check_same ~what:"pooled pinned sweep" ~case ~render reference
+            (Crp.adjacent_insertions ~pool ~db ~target stanza);
+          free := !free + rm_on_demand ~pool ~pooled:3 ~case ~db ~target stanza;
+          serial)
+        candidates
+    in
+    List.iter
+      (fun pool ->
+        let batch = Crp.batch_insertions ?pool ~db ~target candidates in
+        List.iteri
+          (fun k seq ->
+            check_same ~what:"pinned batch vs sequential sweep" ~case ~render
+              seq batch.Crp.per_candidate.(k))
+          sequential)
+      [ None; Some pool ]
+  done;
+  expect_witness_free "pinned route-maps" !free
+
+let test_on_demand_acls () =
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let rng = Random.State.make [| 0x5eed; 2 |] in
+  let free = ref 0 in
+  for case = 0 to cases - 1 do
+    let target, rule = acl_case rng case in
+    check_acl_on_demand ~case ~target rule;
+    if case mod 5 = 0 then check_acl_on_demand ~case ~pool ~target rule;
+    free := !free + acl_witness_free ~case ~target rule
+  done;
+  let rng = Random.State.make [| 0x5eed; 6 |] in
+  for case = 0 to cases - 1 do
+    let target =
+      Config.Acl.make "M"
+        (List.init (Random.State.int rng 10) (fun i ->
+             mixed_acl_rule rng ~seq:((i + 1) * 10)))
+    in
+    List.iter
+      (fun rule ->
+        check_acl_on_demand ~case ~target rule;
+        if case mod 5 = 0 then check_acl_on_demand ~case ~pool ~target rule;
+        free := !free + acl_witness_free ~case ~target rule)
+      (List.init (1 + Random.State.int rng 3) (fun _ -> mixed_acl_rule rng ~seq:5))
+  done;
+  expect_witness_free "acls" !free
+
+(* A 256-stanza map whose every position is a witness-free boundary:
+   permit stanzas on disjoint /20s, each setting its own metric, and a
+   candidate over all of them setting another. Decoding follows the
+   questions: Binary_search decodes exactly what it asks, Top_bottom
+   one witness, Linear and the eager sweep every boundary. *)
+let counted_scenario n =
+  let lists, stanzas =
+    List.split
+      (List.init n (fun i ->
+           let name = Printf.sprintf "C%d" i in
+           ( Config.Prefix_list.make name
+               [
+                 Config.Prefix_list.entry ~seq:10 ~action:Config.Action.Permit
+                   (Netaddr.Prefix_range.make
+                      (Netaddr.Prefix.make
+                         (Netaddr.Ipv4.of_int (0x0A00_0000 lor (i lsl 12)))
+                         20)
+                      ~ge:None ~le:(Some 24));
+               ],
+             Rm.stanza ~seq:((i + 1) * 10)
+               ~matches:[ Rm.Match_prefix_list [ name ] ]
+               ~sets:[ Rm.Set_metric i ] Config.Action.Permit )))
+  in
+  let all =
+    Config.Prefix_list.make "CALL"
+      [
+        Config.Prefix_list.entry ~seq:10 ~action:Config.Action.Permit
+          (Netaddr.Prefix_range.make
+             (Netaddr.Prefix.of_string_exn "10.0.0.0/8")
+             ~ge:None ~le:(Some 32));
+      ]
+  in
+  let db =
+    List.fold_left Config.Database.add_prefix_list Config.Database.empty
+      (all :: lists)
+  in
+  let stanza =
+    Rm.stanza ~seq:5
+      ~matches:[ Rm.Match_prefix_list [ "CALL" ] ]
+      ~sets:[ Rm.Set_metric 100_000 ] Config.Action.Permit
+  in
+  (db, Rm.make "T" stanzas, stanza)
+
+let test_decoding_follows_questions () =
+  let n = 256 in
+  let db, target, stanza = counted_scenario n in
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let decoded f =
+    let before = Obs.Counter.value Engine.Metrics.witnesses_decoded in
+    let r = f () in
+    (r, Obs.Counter.value Engine.Metrics.witnesses_decoded - before)
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  List.iter
+    (fun pool ->
+      let bs, eager = decoded (fun () -> D.boundaries ?pool ~db ~target stanza) in
+      Alcotest.(check int) "every position is a boundary" n (List.length bs);
+      Alcotest.(check int) "the eager sweep decodes every boundary" n eager;
+      let run mode =
+        (* The user wants the new stanza below the first 100 stanzas. *)
+        decoded (fun () ->
+            match
+              D.run ~mode ?pool ~db ~target ~stanza
+                ~oracle:(fun q -> if q.position >= 100 then D.Prefer_new else D.Prefer_old)
+                ()
+            with
+            | Ok o -> o
+            | Error _ -> Alcotest.fail "a monotone user is consistent")
+      in
+      let o, k = run D.Binary_search in
+      Alcotest.(check int) "placed" 100 o.position;
+      Alcotest.(check bool) "binary search asks about log2 n questions" true
+        (List.length o.questions <= 9);
+      Alcotest.(check int) "binary search decodes what it asks"
+        (List.length o.questions) k;
+      let o, k = run D.Linear in
+      Alcotest.(check int) "linear asks every boundary" n (List.length o.questions);
+      Alcotest.(check int) "linear decodes every boundary" n k;
+      let _, k = run D.Top_bottom in
+      Alcotest.(check int) "top/bottom decodes one witness" 1 k)
+    [ None; Some pool ]
+
 let () =
   Alcotest.run "boundaries"
     [
@@ -751,8 +1101,8 @@ let () =
           Alcotest.test_case "route-maps" `Quick test_route_map_equivalence;
           Alcotest.test_case "wide route-maps" `Quick
             test_route_map_wide_equivalence;
-          Alcotest.test_case "route-map as-path" `Quick
-            test_route_map_as_path_case;
+          Alcotest.test_case "route-map as-path" `Quick (fun () ->
+              ignore (route_map_as_path_case ()));
           Alcotest.test_case "mixed-clause route-maps" `Quick
             test_route_map_mixed_clauses;
           Alcotest.test_case "apart stanzas are not compiled" `Quick
@@ -765,5 +1115,16 @@ let () =
             test_prefix_list_equivalence;
           Alcotest.test_case "prefix-list top/bottom" `Quick
             test_prefix_list_top_bottom;
+        ] );
+      ( "witnesses-on-demand",
+        [
+          Alcotest.test_case "route-maps" `Quick test_on_demand_route_maps;
+          Alcotest.test_case "mixed-clause route-maps" `Quick
+            test_on_demand_mixed_clauses;
+          Alcotest.test_case "pinned attributes and infeasible as-paths"
+            `Quick test_on_demand_pinned;
+          Alcotest.test_case "acls" `Quick test_on_demand_acls;
+          Alcotest.test_case "decoding follows the questions" `Quick
+            test_decoding_follows_questions;
         ] );
     ]

@@ -352,8 +352,9 @@ module Failing = Engine.First_match.Sweep (struct
     if start = 8 then raise Slice_failed;
     List.init len (fun j ->
         ignore (Symbdd.Bdd.neg p.(start + j));
-        (start + j, ()))
+        (start + j, Some ()))
 
+  let witness _ _ _ = ()
   let classify _ _ _ = Engine.First_match.Disjoint
 end)
 
