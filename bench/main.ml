@@ -217,14 +217,14 @@ let wall_ns f =
   let r = f () in
   (r, (Obs.now () -. t0) *. 1e9)
 
-(* The fastest of [runs] attempts, each under a fresh manager (of the
-   [boxed] store when given), so no attempt reuses what an earlier one
-   compiled or cached; with the last attempt's result. *)
-let cold_min ?boxed ~runs f =
+(* The fastest of [runs] attempts, each under a fresh manager, so no
+   attempt reuses what an earlier one compiled or cached; with the last
+   attempt's result. *)
+let cold_min ~runs f =
   let best = ref infinity and result = ref None in
   for _ = 1 to runs do
     let r, ns =
-      Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ?boxed ()) (fun () ->
+      Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ()) (fun () ->
           wall_ns f)
     in
     result := Some r;
@@ -233,27 +233,16 @@ let cold_min ?boxed ~runs f =
   (Option.get !result, !best)
 
 (* ------------------------------------------------------------------ *)
-(* BDD store: int-packed arena vs boxed baseline (DESIGN.md §15)      *)
+(* BDD store: the int-packed arena on operation loops (DESIGN.md §15) *)
 (* ------------------------------------------------------------------ *)
 
-(* Identical operation sequences against fresh managers of each
-   backend, so every leg starts from a cold unique table and cold
-   memos. Each timed attempt gets a fresh manager and a compacted
-   heap (`Gc.compact`), min-of-3, because the boxed store's cost is
-   GC-state-dependent — without normalization the ratio swings with
-   whatever the previous bench stage left on the major heap.
-   Canonicity makes the observable results backend-independent, and
-   every run asserts it. Checksums deliberately avoid shared-cost
-   traversals inside the timed region (an `is_sat` is O(1)); the
-   mk leg also compares `node_count`, which is backend-invariant for
-   pure-conjunction workloads; legs whose operands are built through
-   disjunctions compare canonical result sizes instead (the boxed
-   store's triple-negation disjunction allocates negation
-   intermediates, skewing raw node counts). With a
-   multi-domain pool, the conjunction workload additionally runs
-   across domains layered on one frozen base per backend. *)
+(* Fixed operation sequences, each timed by [cold_min ~runs:3] so every
+   attempt starts from a cold unique table and cold memos. Each
+   workload counts its satisfiable results. With a multi-domain pool,
+   the conjunction workload additionally runs across domains layered on
+   one frozen base and must count what the serial run counts. *)
 let run_bdd_microbench () =
-  Format.printf "=== BDD store: int-packed arena vs boxed baseline ===@.";
+  Format.printf "=== BDD store: int-packed arena ===@.";
   let module B = Symbdd.Bdd in
   let module V = Symbdd.Bvec in
   let port = Symbolic.Packet_space.dst_port in
@@ -269,19 +258,18 @@ let run_bdd_microbench () =
     for v = 0 to 4095 do
       if B.is_sat (V.eq_const port v) then incr s
     done;
-    (!s, B.node_count ())
+    !s
   in
   let build_ranges () =
     Array.of_list (List.map (fun (lo, hi) -> V.in_range port lo hi) ranges)
   in
-  let range_sizes arr = Array.fold_left (fun acc b -> acc + B.size b) 0 arr in
   let conj_workload () =
     let arr = build_ranges () in
     let s = ref 0 in
     Array.iter
       (fun a -> Array.iter (fun b -> if B.is_sat (B.conj a b) then incr s) arr)
       arr;
-    (!s, range_sizes arr)
+    !s
   in
   let restrict_workload () =
     let arr = build_ranges () in
@@ -294,12 +282,11 @@ let run_bdd_microbench () =
             if B.is_sat (B.restrict v false a) then incr s)
           (V.vars port))
       arr;
-    (!s, range_sizes arr)
+    !s
   in
   let bigstore_workload () =
-    (* Hundreds of thousands of live nodes: this is where the flat
-       arena pulls away hardest — the boxed store's nodes are traced
-       by every major GC slice, Bigarray storage is invisible to it. *)
+    (* Hundreds of thousands of live nodes, held in Bigarray storage
+       that the major GC does not trace. *)
     let blocks =
       Array.init 8 (fun k ->
           B.disj_list
@@ -311,19 +298,7 @@ let run_bdd_microbench () =
       (fun a ->
         Array.iter (fun b -> if B.is_sat (B.conj a b) then incr s) blocks)
       blocks;
-    (!s, Array.fold_left (fun acc b -> acc + B.size b) 0 blocks)
-  in
-  let time_leg boxed w =
-    let best = ref infinity and result = ref (0, 0) in
-    for _ = 1 to 3 do
-      Gc.compact ();
-      let r, ns =
-        B.with_manager (B.Manager.create ~boxed ()) (fun () -> wall_ns w)
-      in
-      result := r;
-      best := Float.min !best ns
-    done;
-    (!result, !best)
+    !s
   in
   let legs =
     [
@@ -335,20 +310,11 @@ let run_bdd_microbench () =
   in
   let timings =
     ref
-      (List.concat_map
+      (List.map
          (fun (leg, w) ->
-           let arena_sum, arena_ns = time_leg false w in
-           let boxed_sum, boxed_ns = time_leg true w in
-           if arena_sum <> boxed_sum then
-             failwith (leg ^ ": arena BDD workload differs from boxed");
-           Format.printf
-             "%-10s boxed %9.2f ms  arena %9.2f ms  speedup %.1fx  (min of \
-              3)@."
-             leg (boxed_ns /. 1e6) (arena_ns /. 1e6) (boxed_ns /. arena_ns);
-           [
-             (Printf.sprintf "bdd/%s-arena" leg, arena_ns);
-             (Printf.sprintf "bdd/%s-boxed" leg, boxed_ns);
-           ])
+           let _, ns = cold_min ~runs:3 w in
+           Format.printf "%-10s arena %9.2f ms  (min of 3)@." leg (ns /. 1e6);
+           (Printf.sprintf "bdd/%s-arena" leg, ns))
          legs)
   in
   if Parallel.Pool.domains pool > 1 then begin
@@ -360,10 +326,10 @@ let run_bdd_microbench () =
       List.concat
         (List.init n (fun i -> List.init n (fun j -> (i, j))))
     in
-    let x4 boxed =
-      let base = B.Manager.create ~boxed () in
-      let arr = B.with_manager base build_ranges in
-      B.Manager.freeze base;
+    let base = B.Manager.create () in
+    let arr = B.with_manager base build_ranges in
+    B.Manager.freeze base;
+    let sum, ns =
       wall_ns (fun () ->
           List.fold_left ( + ) 0
             (* Single conjunctions are far below task-bookkeeping cost,
@@ -373,20 +339,12 @@ let run_bdd_microbench () =
                  if B.is_sat (B.conj arr.(i) arr.(j)) then 1 else 0)
                pairs))
     in
-    let a_sum, a_ns = x4 false in
-    let b_sum, b_ns = x4 true in
-    let serial_sum, _ =
-      B.with_manager (B.Manager.create ()) (fun () -> conj_workload ())
-    in
-    if a_sum <> serial_sum || b_sum <> serial_sum then
+    let serial_sum = B.with_manager (B.Manager.create ()) conj_workload in
+    if sum <> serial_sum then
       failwith "pooled BDD conj workload differs from serial";
-    Format.printf
-      "conj x%-2d   boxed %9.2f ms  arena %9.2f ms  speedup %.1fx@."
-      (Parallel.Pool.domains pool)
-      (b_ns /. 1e6) (a_ns /. 1e6) (b_ns /. a_ns);
-    timings :=
-      !timings
-      @ [ ("bdd/conj-arena-x4", a_ns); ("bdd/conj-boxed-x4", b_ns) ]
+    Format.printf "conj x%-2d   arena %9.2f ms@." (Parallel.Pool.domains pool)
+      (ns /. 1e6);
+    timings := !timings @ [ ("bdd/conj-arena-x4", ns) ]
   end;
   Format.printf "@.";
   !timings
@@ -508,32 +466,6 @@ let run_disambig_comparison () =
         (List.assoc (Printf.sprintf "disambig/incremental-w%d" n) !timings
         /. 1e6))
     [ 128; 512; 2048 ];
-  (* The same width-128 incremental sweep under fresh managers of each
-     store backend — cold compile caches on both sides, so the legs
-     compare the stores, not cache warmth. Results are asserted
-     identical to the ambient run above. CI holds the boxed/arena
-     ratio to >= 5x. *)
-  let db, target, stanza = ablation_scenario 128 in
-  let reference =
-    Engine.Compare_route_policies.adjacent_insertions ~db ~target stanza
-  in
-  let time_backend boxed =
-    cold_min ~boxed ~runs:3 (fun () ->
-        Engine.Compare_route_policies.adjacent_insertions ~db ~target stanza)
-  in
-  let arena_r, arena_ns = time_backend false in
-  let boxed_r, boxed_ns = time_backend true in
-  if arena_r <> reference || boxed_r <> reference then
-    failwith "backend sweep differs from ambient";
-  Format.printf
-    "width 128  boxed store %9.2f ms  arena %9.2f ms  speedup %.1fx  (min of \
-     3, fresh managers)@."
-    (boxed_ns /. 1e6) (arena_ns /. 1e6)
-    (boxed_ns /. arena_ns);
-  timings :=
-    ("disambig/arena-w128", arena_ns)
-    :: ("disambig/boxed-w128", boxed_ns)
-    :: !timings;
   Format.printf "@.";
   List.rev !timings
 
@@ -574,26 +506,6 @@ let run_parallel_comparison () =
     if s_sum <> p_sum then
       failwith "parallel overlap summary differs from serial";
     pp_speedup "overlap/campus-sweep" overlap_serial overlap_par;
-    (* The same sweeps on the boxed baseline store: corpus sweeps
-       create their base managers internally, so the backend toggle
-       rides the CLARIFY_BOXED_BDD environment switch. Summaries are
-       asserted equal to the arena runs — same partition, same counts.
-       CI holds parallel(boxed)/parallel(arena) to >= 5x. *)
-    Unix.putenv Symbdd.Bdd.Manager.boxed_env "1";
-    let bs_sum, overlap_serial_boxed =
-      wall_ns (fun () -> Overlap.Corpus.summarize_acls acls)
-    in
-    let bp_sum, overlap_par_boxed =
-      wall_ns (fun () -> Overlap.Corpus.summarize_acls ~pool acls)
-    in
-    Unix.putenv Symbdd.Bdd.Manager.boxed_env "0";
-    if bs_sum <> s_sum || bp_sum <> s_sum then
-      failwith "boxed overlap summary differs from arena";
-    pp_speedup "overlap/campus-boxed" overlap_serial_boxed overlap_par_boxed;
-    Format.printf "boxed -> arena: serial %.1fx, parallel x%d %.1fx@."
-      (overlap_serial_boxed /. overlap_serial)
-      (Parallel.Pool.domains pool)
-      (overlap_par_boxed /. overlap_par);
     let s_e4, e4_serial = wall_ns (fun () -> Evaluation.E4_lightyear.run ()) in
     let p_e4, e4_par =
       wall_ns (fun () -> Evaluation.E4_lightyear.run ~pool ())
@@ -605,8 +517,6 @@ let run_parallel_comparison () =
     [
       ("overlap_parallel/serial", overlap_serial);
       ("overlap_parallel/parallel", overlap_par);
-      ("overlap_parallel/serial-boxed", overlap_serial_boxed);
-      ("overlap_parallel/parallel-boxed", overlap_par_boxed);
       ("e4_parallel/serial", e4_serial);
       ("e4_parallel/parallel", e4_par);
     ]

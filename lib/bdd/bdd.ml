@@ -2,23 +2,13 @@
 
    A BDD value is an [int] handle: 0 is the constant false, 1 the
    constant true, and handles >= 2 name interior nodes owned by some
-   manager. Two backends implement the store:
-
-   - The default {e arena} backend packs each node as a (var, lo, hi)
-     triple of ints in a flat growable [Bigarray.Array1], hash-conses
-     through an open-addressing unique table (linear probing over a
-     packed [int array], no allocation on the probe path) and memoizes
-     the binary operators in open-addressing tables with
-     generation-tagged eviction, so long runs stop growing memos
-     without a full [reset].
-
-   - The {e boxed} oracle backend (CLARIFY_BOXED_BDD=1, or
-     [Manager.create ~boxed:true]) keeps the historical representation:
-     boxed [Node] records hash-consed through polymorphic [Hashtbl]s,
-     including the original triple-negation [disj] detour. Because both
-     backends build canonical ROBDDs, every derived result
-     (satisfying assignments, counts, pipeline outputs) is identical;
-     CI diffs golden outputs across the two stores.
+   manager. Each manager's {e arena} packs each node as a (var, lo, hi)
+   triple of ints in a flat growable [Bigarray.Array1], hash-conses
+   through an open-addressing unique table (linear probing over a
+   packed [int array], no allocation on the probe path) and memoizes
+   the binary operators in open-addressing tables with
+   generation-tagged eviction, so long runs stop growing memos without
+   a full [reset].
 
    Managers can be {e frozen} into read-only bases: a frozen manager
    refuses fresh allocations, and [Manager.create_delta] layers a
@@ -144,7 +134,7 @@ module Memo = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Arena backend: int-packed nodes, open-addressing unique table       *)
+(* Arena: int-packed nodes, open-addressing unique table               *)
 (* ------------------------------------------------------------------ *)
 
 module Arena = struct
@@ -180,7 +170,7 @@ module Arena = struct
     or_memo : Memo.t;
     xor_memo : Memo.t;
     restrict_memo : Memo.t;
-    mutable frozen : bool;
+    mutable frozen : bool; (* the manager's flag: [mk] refuses to allocate *)
     mutable alloc_hook : (unit -> unit) option;
   }
 
@@ -378,8 +368,8 @@ module Arena = struct
       end
     end
 
-  (* Direct disjunction with its own memo — no triple-negation detour,
-     no transient complement nodes. *)
+  (* Direct disjunction with its own memo, so no complement nodes are
+     built on the way. *)
   let rec disj a x y =
     if x = y then x
     else if x = 1 || y = 1 then 1
@@ -466,219 +456,15 @@ module Arena = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Boxed oracle backend: the historical node store, kept byte-equal    *)
-(* ------------------------------------------------------------------ *)
-
-module Boxed = struct
-  type node = Zero | One | Node of { v : int; lo : node; hi : node; id : int }
-
-  let nid = function Zero -> 0 | One -> 1 | Node n -> n.id
-  let level = function Zero | One -> max_int | Node n -> n.v
-
-  type t = {
-    unique : (int * int * int, node) Hashtbl.t;
-    by_id : (int, node) Hashtbl.t; (* handle -> node decode table *)
-    start_id : int;
-    mutable next_id : int;
-    neg_memo : (int, node) Hashtbl.t;
-    and_memo : (int * int, node) Hashtbl.t;
-    xor_memo : (int * int, node) Hashtbl.t;
-    restrict_memo : (int * int * bool, node) Hashtbl.t;
-    base : t option;
-    mutable frozen : bool;
-    mutable alloc_hook : (unit -> unit) option;
-  }
-
-  let create () =
-    {
-      unique = Hashtbl.create 65536;
-      by_id = Hashtbl.create 65536;
-      start_id = 2;
-      next_id = 2;
-      neg_memo = Hashtbl.create 4096;
-      and_memo = Hashtbl.create 65536;
-      xor_memo = Hashtbl.create 4096;
-      restrict_memo = Hashtbl.create 4096;
-      base = None;
-      frozen = false;
-      alloc_hook = None;
-    }
-
-  let create_delta (b : t) =
-    {
-      unique = Hashtbl.create 1024;
-      by_id = Hashtbl.create 1024;
-      start_id = b.next_id;
-      next_id = b.next_id;
-      neg_memo = Hashtbl.create 1024;
-      and_memo = Hashtbl.create 1024;
-      xor_memo = Hashtbl.create 1024;
-      restrict_memo = Hashtbl.create 1024;
-      base = Some b;
-      frozen = false;
-      alloc_hook = None;
-    }
-
-  let decode m h =
-    if h = 0 then Zero
-    else if h = 1 then One
-    else if h < m.start_id then
-      match m.base with
-      | Some b -> Hashtbl.find b.by_id h
-      | None -> invalid_arg "Bdd: unknown node handle"
-    else Hashtbl.find m.by_id h
-
-  let mk m v lo hi =
-    if lo == hi then lo
-    else
-      let key = (v, nid lo, nid hi) in
-      let based =
-        match m.base with
-        | Some b -> Hashtbl.find_opt b.unique key
-        | None -> None
-      in
-      match based with
-      | Some n -> n
-      | None -> (
-          match Hashtbl.find_opt m.unique key with
-          | Some n -> n
-          | None ->
-              if m.frozen then
-                invalid_arg "Bdd: node allocation in a frozen manager";
-              let n = Node { v; lo; hi; id = m.next_id } in
-              Hashtbl.add m.by_id m.next_id n;
-              m.next_id <- m.next_id + 1;
-              Hashtbl.add m.unique key n;
-              (match m.alloc_hook with None -> () | Some f -> f ());
-              n)
-
-  let rec neg_m m t =
-    match t with
-    | Zero -> One
-    | One -> Zero
-    | Node { v; lo; hi; id } -> (
-        match Hashtbl.find_opt m.neg_memo id with
-        | Some r -> r
-        | None ->
-            let r = mk m v (neg_m m lo) (neg_m m hi) in
-            Hashtbl.add m.neg_memo id r;
-            r)
-
-  let branches t v =
-    match t with Node n when n.v = v -> (n.lo, n.hi) | _ -> (t, t)
-
-  let rec conj_m m a b =
-    match (a, b) with
-    | Zero, _ | _, Zero -> Zero
-    | One, t | t, One -> t
-    | _ when a == b -> a
-    | _ -> (
-        let ia = nid a and ib = nid b in
-        let key = if ia < ib then (ia, ib) else (ib, ia) in
-        match Hashtbl.find_opt m.and_memo key with
-        | Some r -> r
-        | None ->
-            let v = min (level a) (level b) in
-            let alo, ahi = branches a v and blo, bhi = branches b v in
-            let r = mk m v (conj_m m alo blo) (conj_m m ahi bhi) in
-            Hashtbl.add m.and_memo key r;
-            r)
-
-  (* The historical detour, preserved verbatim in the oracle. *)
-  let disj_m m a b = neg_m m (conj_m m (neg_m m a) (neg_m m b))
-
-  let rec xor_m m a b =
-    match (a, b) with
-    | Zero, t | t, Zero -> t
-    | One, t | t, One -> neg_m m t
-    | _ when a == b -> Zero
-    | _ -> (
-        let ia = nid a and ib = nid b in
-        let key = if ia < ib then (ia, ib) else (ib, ia) in
-        match Hashtbl.find_opt m.xor_memo key with
-        | Some r -> r
-        | None ->
-            let v = min (level a) (level b) in
-            let alo, ahi = branches a v and blo, bhi = branches b v in
-            let r = mk m v (xor_m m alo blo) (xor_m m ahi bhi) in
-            Hashtbl.add m.xor_memo key r;
-            r)
-
-  let rec restrict_m m v b t =
-    match t with
-    | Zero | One -> t
-    | Node n when n.v > v -> t
-    | Node n when n.v = v -> if b then n.hi else n.lo
-    | Node n -> (
-        let key = (n.id, v, b) in
-        match Hashtbl.find_opt m.restrict_memo key with
-        | Some r -> r
-        | None ->
-            let r = mk m n.v (restrict_m m v b n.lo) (restrict_m m v b n.hi) in
-            Hashtbl.add m.restrict_memo key r;
-            r)
-
-  let exists_var m v t =
-    disj_m m (restrict_m m v false t) (restrict_m m v true t)
-
-  (* Handle-level wrappers. *)
-  let h_var m i = nid (mk m i Zero One)
-  let h_nvar m i = nid (mk m i One Zero)
-  let h_neg m x = nid (neg_m m (decode m x))
-  let h_conj m x y = nid (conj_m m (decode m x) (decode m y))
-  let h_disj m x y = nid (disj_m m (decode m x) (decode m y))
-  let h_xor m x y = nid (xor_m m (decode m x) (decode m y))
-  let h_imp m x y = nid (disj_m m (neg_m m (decode m x)) (decode m y))
-  let h_iff m x y = nid (neg_m m (xor_m m (decode m x) (decode m y)))
-
-  let h_ite m c t e =
-    let c = decode m c and t = decode m t and e = decode m e in
-    nid (disj_m m (conj_m m c t) (conj_m m (neg_m m c) e))
-
-  let h_restrict m v b x = nid (restrict_m m v b (decode m x))
-
-  let h_exists m vs x =
-    nid (List.fold_left (fun t v -> exists_var m v t) (decode m x) vs)
-
-  (* The historical folds: no short-circuit on the absorbing element. *)
-  let h_conj_list m xs =
-    nid (List.fold_left (fun acc x -> conj_m m acc (decode m x)) One xs)
-
-  let h_disj_list m xs =
-    nid (List.fold_left (fun acc x -> disj_m m acc (decode m x)) Zero xs)
-
-  let h_implies m x y = conj_m m (decode m x) (neg_m m (decode m y)) == Zero
-
-  let h_expand m h =
-    match decode m h with
-    | Node n -> (n.v, nid n.lo, nid n.hi)
-    | Zero | One -> invalid_arg "Bdd: expanding a terminal"
-
-  let h_level m h = if h <= 1 then max_int else level (decode m h)
-
-  let clear_caches m =
-    Hashtbl.reset m.neg_memo;
-    Hashtbl.reset m.and_memo;
-    Hashtbl.reset m.xor_memo;
-    Hashtbl.reset m.restrict_memo
-
-  let reset m =
-    clear_caches m;
-    Hashtbl.reset m.unique;
-    Hashtbl.reset m.by_id;
-    m.next_id <- m.start_id
-end
-
-(* ------------------------------------------------------------------ *)
 (* Managers                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* All mutable state of the hash-consing engine lives in an explicit
-   manager record wrapping one of the two backends. Node handles (and
-   therefore equality of results) are only meaningful relative to the
-   manager that built them, so values from different managers must
-   never be mixed in one operation — except for a frozen base and its
-   deltas, which share one handle space by construction.
+   manager record around its arena. Node handles (and therefore
+   equality of results) are only meaningful relative to the manager
+   that built them, so values from different managers must never be
+   mixed in one operation — except for a frozen base and its deltas,
+   which share one handle space by construction.
 
    The public operations below act on a domain-local default manager
    (one per [Domain], via [Domain.DLS]), which keeps the historical
@@ -688,13 +474,10 @@ end
 module Manager = struct
   type bdd = int
 
-  type impl = Arena_impl of Arena.t | Boxed_impl of Boxed.t
-
   type t = {
-    impl : impl;
+    arena : Arena.t; (* holds the frozen flag *)
     base : t option;
     memo_bound : int;
-    mutable frozen : bool;
     (* Bumped each time the manager becomes frozen. A delta captures the
        base's store, unique table and boundary as they were when it was
        created, so a delta cached across a thaw must not be reused:
@@ -711,14 +494,8 @@ module Manager = struct
     mutable cache_hook : (bool -> unit) option; (* arg: was it a hit? *)
   }
 
-  let boxed_env = "CLARIFY_BOXED_BDD"
   let memo_bound_env = "CLARIFY_BDD_MEMO_BOUND"
   let default_memo_bound = 1 lsl 20
-
-  let env_truthy name =
-    match Sys.getenv_opt name with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | _ -> false
 
   let memo_bound_from_env () =
     match Sys.getenv_opt memo_bound_env with
@@ -728,24 +505,16 @@ module Manager = struct
         | _ -> default_memo_bound)
     | None -> default_memo_bound
 
-  let create ?boxed ?memo_bound () =
-    let boxed =
-      match boxed with Some b -> b | None -> env_truthy boxed_env
-    in
+  let create ?memo_bound () =
     let memo_bound =
       match memo_bound with
       | Some b -> max 16 b
       | None -> memo_bound_from_env ()
     in
-    let impl =
-      if boxed then Boxed_impl (Boxed.create ())
-      else Arena_impl (Arena.create ~memo_bound ())
-    in
     {
-      impl;
+      arena = Arena.create ~memo_bound ();
       base = None;
       memo_bound;
-      frozen = false;
       freeze_epoch = 0;
       compile_cache = Hashtbl.create 1024;
       cache_hits = 0;
@@ -753,42 +522,30 @@ module Manager = struct
       cache_hook = None;
     }
 
-  let frozen m = m.frozen
+  let frozen m = m.arena.Arena.frozen
   let freeze_epoch m = m.freeze_epoch
   let is_delta m = Option.is_some m.base
 
   let set_frozen m f =
-    if f && not m.frozen then m.freeze_epoch <- m.freeze_epoch + 1;
-    m.frozen <- f;
-    match m.impl with
-    | Arena_impl a -> a.Arena.frozen <- f
-    | Boxed_impl b -> b.Boxed.frozen <- f
+    if f && not (frozen m) then m.freeze_epoch <- m.freeze_epoch + 1;
+    m.arena.Arena.frozen <- f
 
   let freeze m = set_frozen m true
 
   let frozen_during m f =
-    let was = m.frozen in
+    let was = frozen m in
     set_frozen m true;
     Fun.protect ~finally:(fun () -> set_frozen m was) f
 
   let create_delta base =
-    if not base.frozen then
+    if not (frozen base) then
       invalid_arg "Bdd.Manager.create_delta: base manager must be frozen";
-    (match base.base with
-    | Some _ ->
-        invalid_arg "Bdd.Manager.create_delta: base must be a root manager"
-    | None -> ());
-    let impl =
-      match base.impl with
-      | Arena_impl a ->
-          Arena_impl (Arena.create_delta ~memo_bound:base.memo_bound a)
-      | Boxed_impl b -> Boxed_impl (Boxed.create_delta b)
-    in
+    if is_delta base then
+      invalid_arg "Bdd.Manager.create_delta: base must be a root manager";
     {
-      impl;
+      arena = Arena.create_delta ~memo_bound:base.memo_bound base.arena;
       base = Some base;
       memo_bound = base.memo_bound;
-      frozen = false;
       freeze_epoch = 0;
       compile_cache = Hashtbl.create 256;
       cache_hits = 0;
@@ -798,20 +555,15 @@ module Manager = struct
 
   (* Drop the operation memo tables only; hash-consed nodes (and the
      compilation cache, which pins them) survive. *)
-  let clear_caches m =
-    match m.impl with
-    | Arena_impl a -> Arena.clear_caches a
-    | Boxed_impl b -> Boxed.clear_caches b
+  let clear_caches m = Arena.clear_caches m.arena
 
   (* Full reset: unique table, id allocator, memos and the compilation
      cache. Every BDD built by this manager is invalidated — only call
      between independent analyses when none of them is still live. On a
      delta this rewinds to the base boundary; the shared base survives. *)
   let reset m =
-    if m.frozen then invalid_arg "Bdd.Manager.reset: manager is frozen";
-    (match m.impl with
-    | Arena_impl a -> Arena.reset a
-    | Boxed_impl b -> Boxed.reset b);
+    if frozen m then invalid_arg "Bdd.Manager.reset: manager is frozen";
+    Arena.reset m.arena;
     Hashtbl.reset m.compile_cache
 
   type stats = {
@@ -825,66 +577,39 @@ module Manager = struct
     cache_entries : int;
     cache_hits : int;
     cache_misses : int;
-    boxed : bool;
     base_nodes : int; (* nodes inherited from a frozen base *)
-    arena_capacity : int; (* own node-store capacity (0 when boxed) *)
-    uniq_slots : int; (* own unique-table slots (0 when boxed) *)
+    arena_capacity : int; (* own node-store capacity *)
+    uniq_slots : int; (* own unique-table slots *)
     uniq_lookups : int;
     uniq_probes : int; (* slots inspected across those lookups *)
     memo_evictions : int; (* generation bumps forced by the memo bound *)
   }
 
   let stats m =
-    let cache_entries = Hashtbl.length m.compile_cache in
-    match m.impl with
-    | Arena_impl a ->
-        {
-          nodes = a.Arena.ucount;
-          next_id = a.Arena.next;
-          neg_memo = a.Arena.neg_memo.Memo.count;
-          and_memo = a.Arena.and_memo.Memo.count;
-          or_memo = a.Arena.or_memo.Memo.count;
-          xor_memo = a.Arena.xor_memo.Memo.count;
-          restrict_memo = a.Arena.restrict_memo.Memo.count;
-          cache_entries;
-          cache_hits = m.cache_hits;
-          cache_misses = m.cache_misses;
-          boxed = false;
-          base_nodes = a.Arena.base_limit - a.Arena.base_start;
-          arena_capacity = a.Arena.cap;
-          uniq_slots = a.Arena.umask + 1;
-          uniq_lookups = a.Arena.lookups;
-          uniq_probes = a.Arena.probes;
-          memo_evictions =
-            a.Arena.neg_memo.Memo.evictions
-            + a.Arena.and_memo.Memo.evictions
-            + a.Arena.or_memo.Memo.evictions
-            + a.Arena.xor_memo.Memo.evictions
-            + a.Arena.restrict_memo.Memo.evictions;
-        }
-    | Boxed_impl b ->
-        {
-          nodes = Hashtbl.length b.Boxed.unique;
-          next_id = b.Boxed.next_id;
-          neg_memo = Hashtbl.length b.Boxed.neg_memo;
-          and_memo = Hashtbl.length b.Boxed.and_memo;
-          or_memo = 0;
-          xor_memo = Hashtbl.length b.Boxed.xor_memo;
-          restrict_memo = Hashtbl.length b.Boxed.restrict_memo;
-          cache_entries;
-          cache_hits = m.cache_hits;
-          cache_misses = m.cache_misses;
-          boxed = true;
-          base_nodes =
-            (match b.Boxed.base with
-            | Some p -> Hashtbl.length p.Boxed.unique
-            | None -> 0);
-          arena_capacity = 0;
-          uniq_slots = 0;
-          uniq_lookups = 0;
-          uniq_probes = 0;
-          memo_evictions = 0;
-        }
+    let a = m.arena in
+    {
+      nodes = a.Arena.ucount;
+      next_id = a.Arena.next;
+      neg_memo = a.Arena.neg_memo.Memo.count;
+      and_memo = a.Arena.and_memo.Memo.count;
+      or_memo = a.Arena.or_memo.Memo.count;
+      xor_memo = a.Arena.xor_memo.Memo.count;
+      restrict_memo = a.Arena.restrict_memo.Memo.count;
+      cache_entries = Hashtbl.length m.compile_cache;
+      cache_hits = m.cache_hits;
+      cache_misses = m.cache_misses;
+      base_nodes = a.Arena.base_limit - a.Arena.base_start;
+      arena_capacity = a.Arena.cap;
+      uniq_slots = a.Arena.umask + 1;
+      uniq_lookups = a.Arena.lookups;
+      uniq_probes = a.Arena.probes;
+      memo_evictions =
+        a.Arena.neg_memo.Memo.evictions
+        + a.Arena.and_memo.Memo.evictions
+        + a.Arena.or_memo.Memo.evictions
+        + a.Arena.xor_memo.Memo.evictions
+        + a.Arena.restrict_memo.Memo.evictions;
+    }
 
   let key = Domain.DLS.new_key (fun () -> create ())
   let current () = Domain.DLS.get key
@@ -897,112 +622,70 @@ let with_manager m f =
   Domain.DLS.set Manager.key m;
   Fun.protect ~finally:(fun () -> Domain.DLS.set Manager.key saved) f
 
-let set_alloc_hook h =
-  match (manager ()).Manager.impl with
-  | Manager.Arena_impl a -> a.Arena.alloc_hook <- h
-  | Manager.Boxed_impl b -> b.Boxed.alloc_hook <- h
+(* ------------------------------------------------------------------ *)
+(* Public operations: resolve the DLS manager's arena exactly once     *)
+(* ------------------------------------------------------------------ *)
 
-let get_alloc_hook () =
-  match (manager ()).Manager.impl with
-  | Manager.Arena_impl a -> a.Arena.alloc_hook
-  | Manager.Boxed_impl b -> b.Boxed.alloc_hook
-
+let[@inline] arena () = (Manager.current ()).Manager.arena
+let set_alloc_hook h = (arena ()).Arena.alloc_hook <- h
+let get_alloc_hook () = (arena ()).Arena.alloc_hook
 let set_cache_hook h = (manager ()).Manager.cache_hook <- h
 let get_cache_hook () = (manager ()).Manager.cache_hook
 let clear_caches () = Manager.clear_caches (manager ())
 
-(* ------------------------------------------------------------------ *)
-(* Public operations: resolve the DLS manager exactly once, dispatch   *)
-(* ------------------------------------------------------------------ *)
-
-let[@inline] impl () = (Manager.current ()).Manager.impl
-
 let var i =
   if i < 0 then invalid_arg "Bdd.var";
-  match impl () with
-  | Manager.Arena_impl a -> Arena.mk a i 0 1
-  | Manager.Boxed_impl b -> Boxed.h_var b i
+  Arena.mk (arena ()) i 0 1
 
 let nvar i =
   if i < 0 then invalid_arg "Bdd.nvar";
-  match impl () with
-  | Manager.Arena_impl a -> Arena.mk a i 1 0
-  | Manager.Boxed_impl b -> Boxed.h_nvar b i
+  Arena.mk (arena ()) i 1 0
 
-let neg t =
-  match impl () with
-  | Manager.Arena_impl a -> Arena.neg a t
-  | Manager.Boxed_impl b -> Boxed.h_neg b t
-
-let conj x y =
-  match impl () with
-  | Manager.Arena_impl a -> Arena.conj a x y
-  | Manager.Boxed_impl b -> Boxed.h_conj b x y
-
-let disj x y =
-  match impl () with
-  | Manager.Arena_impl a -> Arena.disj a x y
-  | Manager.Boxed_impl b -> Boxed.h_disj b x y
-
-let xor x y =
-  match impl () with
-  | Manager.Arena_impl a -> Arena.xor a x y
-  | Manager.Boxed_impl b -> Boxed.h_xor b x y
+let neg t = Arena.neg (arena ()) t
+let conj x y = Arena.conj (arena ()) x y
+let disj x y = Arena.disj (arena ()) x y
+let xor x y = Arena.xor (arena ()) x y
 
 let imp x y =
-  match impl () with
-  | Manager.Arena_impl a -> Arena.disj a (Arena.neg a x) y
-  | Manager.Boxed_impl b -> Boxed.h_imp b x y
+  let a = arena () in
+  Arena.disj a (Arena.neg a x) y
 
 let iff x y =
-  match impl () with
-  | Manager.Arena_impl a -> Arena.neg a (Arena.xor a x y)
-  | Manager.Boxed_impl b -> Boxed.h_iff b x y
+  let a = arena () in
+  Arena.neg a (Arena.xor a x y)
 
 let ite c t e =
-  match impl () with
-  | Manager.Arena_impl a ->
-      Arena.disj a (Arena.conj a c t) (Arena.conj a (Arena.neg a c) e)
-  | Manager.Boxed_impl b -> Boxed.h_ite b c t e
+  let a = arena () in
+  Arena.disj a (Arena.conj a c t) (Arena.conj a (Arena.neg a c) e)
 
 (* Both folds short-circuit on the absorbing element: once the
    accumulator is the annihilator there is no need to look at (or
-   memoize against) the rest of the list. The boxed oracle keeps the
-   historical non-short-circuit folds. *)
+   memoize against) the rest of the list. *)
 let conj_list ts =
-  match impl () with
-  | Manager.Arena_impl a ->
-      let rec go acc = function
-        | [] -> acc
-        | _ when acc = 0 -> 0
-        | x :: rest -> go (Arena.conj a acc x) rest
-      in
-      go 1 ts
-  | Manager.Boxed_impl b -> Boxed.h_conj_list b ts
+  let a = arena () in
+  let rec go acc = function
+    | [] -> acc
+    | _ when acc = 0 -> 0
+    | x :: rest -> go (Arena.conj a acc x) rest
+  in
+  go 1 ts
 
 let disj_list ts =
-  match impl () with
-  | Manager.Arena_impl a ->
-      let rec go acc = function
-        | [] -> acc
-        | _ when acc = 1 -> 1
-        | x :: rest -> go (Arena.disj a acc x) rest
-      in
-      go 0 ts
-  | Manager.Boxed_impl b -> Boxed.h_disj_list b ts
+  let a = arena () in
+  let rec go acc = function
+    | [] -> acc
+    | _ when acc = 1 -> 1
+    | x :: rest -> go (Arena.disj a acc x) rest
+  in
+  go 0 ts
 
-let restrict v b t =
-  match impl () with
-  | Manager.Arena_impl a -> Arena.restrict a v b t
-  | Manager.Boxed_impl bx -> Boxed.h_restrict bx v b t
+let restrict v b t = Arena.restrict (arena ()) v b t
 
 let exists vs t =
-  match impl () with
-  | Manager.Arena_impl a ->
-      List.fold_left
-        (fun t v -> Arena.disj a (Arena.restrict a v false t) (Arena.restrict a v true t))
-        t vs
-  | Manager.Boxed_impl b -> Boxed.h_exists b vs t
+  let a = arena () in
+  List.fold_left
+    (fun t v -> Arena.disj a (Arena.restrict a v false t) (Arena.restrict a v true t))
+    t vs
 
 let is_zero t = t = 0
 let is_one t = t = 1
@@ -1012,9 +695,8 @@ let hash (t : int) = t
 let is_sat t = t <> 0
 
 let implies x y =
-  match impl () with
-  | Manager.Arena_impl a -> Arena.conj a x (Arena.neg a y) = 0
-  | Manager.Boxed_impl b -> Boxed.h_implies b x y
+  let a = arena () in
+  Arena.conj a x (Arena.neg a y) = 0
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic compilation cache                                         *)
@@ -1043,44 +725,37 @@ let cached ~key f =
       b
 
 (* ------------------------------------------------------------------ *)
-(* Traversals (backend-generic over node expansion)                   *)
+(* Traversals                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let[@inline] expand m h =
-  match m.Manager.impl with
-  | Manager.Arena_impl a -> (Arena.node_v a h, Arena.node_lo a h, Arena.node_hi a h)
-  | Manager.Boxed_impl b -> Boxed.h_expand b h
-
-let[@inline] level_of m h =
-  match m.Manager.impl with
-  | Manager.Arena_impl a -> Arena.level a h
-  | Manager.Boxed_impl b -> Boxed.h_level b h
+let[@inline] expand a h =
+  (Arena.node_v a h, Arena.node_lo a h, Arena.node_hi a h)
 
 let any_sat t =
-  let m = manager () in
+  let a = arena () in
   let rec go acc h =
     if h = 0 then raise Not_found
     else if h = 1 then List.rev acc
     else
-      let v, lo, hi = expand m h in
+      let v, lo, hi = expand a h in
       if hi = 0 then go ((v, false) :: acc) lo else go ((v, true) :: acc) hi
   in
   go [] t
 
 let all_sat t =
-  let m = manager () in
+  let a = arena () in
   let rec go acc h () =
     if h = 0 then Seq.Nil
     else if h = 1 then Seq.Cons (List.rev acc, Seq.empty)
     else
-      let v, lo, hi = expand m h in
+      let v, lo, hi = expand a h in
       Seq.append (go ((v, false) :: acc) lo) (go ((v, true) :: acc) hi) ()
   in
   go [] t
 
 let sat_count ~nvars t =
-  let m = manager () in
-  let lvl h = if h <= 1 then nvars else let l = level_of m h in l in
+  let a = arena () in
+  let lvl h = if h <= 1 then nvars else Arena.level a h in
   let memo = Hashtbl.create 256 in
   let pow2 n = Float.pow 2. (Float.of_int n) in
   let rec go h =
@@ -1090,7 +765,7 @@ let sat_count ~nvars t =
       match Hashtbl.find_opt memo h with
       | Some c -> c
       | None ->
-          let v, lo, hi = expand m h in
+          let v, lo, hi = expand a h in
           let c =
             (go lo *. pow2 (lvl lo - v - 1)) +. (go hi *. pow2 (lvl hi - v - 1))
           in
@@ -1100,12 +775,12 @@ let sat_count ~nvars t =
   go t *. pow2 (min (lvl t) nvars)
 
 let size t =
-  let m = manager () in
+  let a = arena () in
   let seen = Hashtbl.create 64 in
   let rec go h =
     if h > 1 && not (Hashtbl.mem seen h) then begin
       Hashtbl.add seen h ();
-      let _, lo, hi = expand m h in
+      let _, lo, hi = expand a h in
       go lo;
       go hi
     end
@@ -1114,13 +789,13 @@ let size t =
   Hashtbl.length seen
 
 let support t =
-  let m = manager () in
+  let a = arena () in
   let seen = Hashtbl.create 64 in
   let vars = Hashtbl.create 16 in
   let rec go h =
     if h > 1 && not (Hashtbl.mem seen h) then begin
       Hashtbl.add seen h ();
-      let v, lo, hi = expand m h in
+      let v, lo, hi = expand a h in
       Hashtbl.replace vars v ();
       go lo;
       go hi
@@ -1130,28 +805,25 @@ let support t =
   List.sort Int.compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
 
 let eval env t =
-  let m = manager () in
+  let a = arena () in
   let rec go h =
     if h = 0 then false
     else if h = 1 then true
     else
-      let v, lo, hi = expand m h in
+      let v, lo, hi = expand a h in
       if env v then go hi else go lo
   in
   go t
 
 let pp fmt t =
-  let m = manager () in
+  let a = arena () in
   let rec go fmt h =
     if h = 0 then Format.pp_print_string fmt "F"
     else if h = 1 then Format.pp_print_string fmt "T"
     else
-      let v, lo, hi = expand m h in
+      let v, lo, hi = expand a h in
       Format.fprintf fmt "@[<hv 1>(x%d?%a:%a)@]" v go hi go lo
   in
   go fmt t
 
-let node_count () =
-  match impl () with
-  | Manager.Arena_impl a -> a.Arena.ucount
-  | Manager.Boxed_impl b -> Hashtbl.length b.Boxed.unique
+let node_count () = (arena ()).Arena.ucount

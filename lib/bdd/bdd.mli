@@ -6,14 +6,11 @@
     handle equality and is O(1) via {!equal}.
 
     {b Representation.} A BDD value is an integer handle into its
-    manager's node store. The default store is an {e arena}: nodes are
-    int-packed (var, lo, hi) triples in a flat growable bigarray,
-    hash-consed through open-addressing tables that never allocate on
-    the probe path, with bounded generation-tagged operation memos
-    ([CLARIFY_BDD_MEMO_BOUND], default 2{^20} entries per memo). Setting
-    [CLARIFY_BOXED_BDD=1] (or [Manager.create ~boxed:true]) selects the
-    historical boxed-record store instead — slower, but kept as a
-    byte-equal differential oracle.
+    manager's node store, an {e arena}: nodes are int-packed (var, lo,
+    hi) triples in a flat growable bigarray, hash-consed through
+    open-addressing tables that never allocate on the probe path, with
+    bounded generation-tagged operation memos
+    ([CLARIFY_BDD_MEMO_BOUND], default 2{^20} entries per memo).
 
     {b Managers and domains.} All mutable state (the node store, the
     operation memo tables, the compilation cache, the hooks) lives in a
@@ -47,14 +44,12 @@ module Manager : sig
   type bdd = t
   type t
 
-  val create : ?boxed:bool -> ?memo_bound:int -> unit -> t
-  (** [create ()] makes a fresh root manager. [boxed] selects the
-      historical boxed-record oracle store (default: the int-packed
-      arena, unless the [CLARIFY_BOXED_BDD] environment variable is
-      truthy). [memo_bound] caps each operation-memo table at that many
-      entries (rounded up to a power of two, min 16); when a bounded
-      memo fills up it is evicted wholesale by a generation bump
-      instead of growing. Default: [CLARIFY_BDD_MEMO_BOUND] or 2{^20}. *)
+  val create : ?memo_bound:int -> unit -> t
+  (** [create ()] makes a fresh root manager. [memo_bound] caps each
+      operation-memo table at that many entries (rounded up to a power
+      of two, min 16); when a bounded memo fills up it is evicted
+      wholesale by a generation bump instead of growing. Default:
+      [CLARIFY_BDD_MEMO_BOUND] or 2{^20}. *)
 
   val current : unit -> t
   (** The calling domain's default manager (created on first use). *)
@@ -88,7 +83,7 @@ module Manager : sig
       frozen root manager [base]: node and compilation-cache lookups
       fall through [base] first, fresh allocations go only to the
       delta, and [base]'s handles remain valid (and equal) in the
-      delta. The delta inherits [base]'s store flavour and memo bound.
+      delta. The delta inherits [base]'s memo bound.
       @raise Invalid_argument if [base] is not frozen, or is itself a
       delta. *)
 
@@ -111,26 +106,21 @@ module Manager : sig
     next_id : int; (* next fresh node handle *)
     neg_memo : int;
     and_memo : int;
-    or_memo : int; (* 0 in the boxed oracle (disj has no own memo) *)
+    or_memo : int;
     xor_memo : int;
     restrict_memo : int;
     cache_entries : int; (* own compilation-cache entries *)
     cache_hits : int; (* compilation-cache hits since creation *)
     cache_misses : int;
-    boxed : bool; (* true when this manager uses the oracle store *)
     base_nodes : int; (* nodes inherited from a frozen base *)
-    arena_capacity : int; (* own node-store capacity (0 when boxed) *)
-    uniq_slots : int; (* own unique-table slots (0 when boxed) *)
+    arena_capacity : int; (* own node-store capacity *)
+    uniq_slots : int; (* own unique-table slots *)
     uniq_lookups : int; (* unique-table lookups since creation *)
     uniq_probes : int; (* slots inspected across those lookups *)
     memo_evictions : int; (* generation bumps forced by the memo bound *)
   }
 
   val stats : t -> stats
-
-  val boxed_env : string
-  (** ["CLARIFY_BOXED_BDD"] — truthy values ("1", "true", "yes", "on")
-      make {!create} default to the boxed oracle store. *)
 
   val memo_bound_env : string
   (** ["CLARIFY_BDD_MEMO_BOUND"] — default per-memo entry bound. *)
@@ -163,8 +153,7 @@ val neg : t -> t
 val conj : t -> t -> t
 
 val disj : t -> t -> t
-(** Direct recursive disjunction with its own memo table (the boxed
-    oracle keeps the historical [neg (conj (neg a) (neg b))] detour). *)
+(** Direct recursive disjunction with its own memo table. *)
 
 val xor : t -> t -> t
 val imp : t -> t -> t

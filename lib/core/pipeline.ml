@@ -111,19 +111,30 @@ let cex_loops_counter =
   Obs.Counter.make "pipeline.counterexample_loops"
     ~help:"failed attempts fed back to the LLM as counterexamples"
 
+(* What a family's check makes of one parsed snippet: accept it, ask
+   the LLM again with [feedback] (recording [line] in the history), or
+   end the run. *)
+type 'a verdict =
+  | Accept of 'a
+  | Retry of { feedback : string; line : string }
+  | Fail of error
+
+let retry msg = Retry { feedback = msg; line = msg }
+
+(* One counted verifier invocation. *)
+let verify f =
+  Obs.with_span "verify" (fun () ->
+      Obs.Counter.incr verification_counter;
+      f ())
+
 (* The verify-repair loop: ask the LLM for a snippet until it parses and
-   verifies against the spec, feeding failures back into the prompt. *)
-let synthesis_loop llm ~max_attempts ~entry ~prompt ~spec =
+   [check] accepts it, feeding failures back into the prompt. *)
+let repair_loop llm ~max_attempts ~entry ~prompt ~check =
   Obs.with_span "synthesize" @@ fun () ->
   let rec attempt n ~feedback history =
     if n > max_attempts then Error (Verification_exhausted (List.rev history))
     else begin
       Obs.Counter.incr attempts_counter;
-      let loop_back msg history' =
-        Obs.Counter.incr cex_loops_counter;
-        emit_verify ~attempt:n msg;
-        attempt (n + 1) ~feedback:(Some msg) history'
-      in
       let user =
         match feedback with
         | None -> prompt
@@ -139,38 +150,47 @@ let synthesis_loop llm ~max_attempts ~entry ~prompt ~spec =
       match Obs.with_span "llm" (fun () -> Llm.Mock_llm.synthesize llm req) with
       | Error m -> Error (Llm_error m)
       | Ok text -> (
-          match Config.Parser.parse text with
-          | Error m ->
-              loop_back ("syntax error: " ^ m)
-                (("attempt " ^ string_of_int n ^ ": syntax error: " ^ m)
-                :: history)
-          | Ok snippet -> (
-              match Config.Database.route_maps snippet with
-              | [ rm ] -> (
-                  match
-                    Obs.with_span "verify" (fun () ->
-                        Obs.Counter.incr verification_counter;
-                        Engine.Search_route_policies.verify_stanza snippet rm
-                          spec)
-                  with
-                  | Engine.Search_route_policies.Verified ->
-                      emit_verify ~attempt:n "verified";
-                      Ok (snippet, rm, n, List.rev history)
-                  | verdict ->
-                      let msg =
-                        Format.asprintf "%a"
-                          Engine.Search_route_policies.pp_verdict verdict
-                      in
-                      loop_back msg
-                        (("attempt " ^ string_of_int n ^ ": " ^ msg) :: history))
-              | rms ->
-                  Error
-                    (Snippet_shape
-                       (Printf.sprintf "expected one route-map, found %d"
-                          (List.length rms)))))
+          let verdict =
+            match Config.Parser.parse text with
+            | Error m -> retry ("syntax error: " ^ m)
+            | Ok snippet -> check snippet
+          in
+          match verdict with
+          | Accept v ->
+              emit_verify ~attempt:n "verified";
+              Ok (v, n, List.rev history)
+          | Retry { feedback = msg; line } ->
+              Obs.Counter.incr cex_loops_counter;
+              emit_verify ~attempt:n msg;
+              attempt (n + 1) ~feedback:(Some msg)
+                (("attempt " ^ string_of_int n ^ ": " ^ line) :: history)
+          | Fail e -> Error e)
     end
   in
   attempt 1 ~feedback:None []
+
+let synthesis_loop llm ~max_attempts ~entry ~prompt ~spec =
+  let check snippet =
+    match Config.Database.route_maps snippet with
+    | [ rm ] -> (
+        match
+          verify (fun () ->
+              Engine.Search_route_policies.verify_stanza snippet rm spec)
+        with
+        | Engine.Search_route_policies.Verified -> Accept (snippet, rm)
+        | verdict ->
+            retry
+              (Format.asprintf "%a" Engine.Search_route_policies.pp_verdict
+                 verdict))
+    | rms ->
+        Fail
+          (Snippet_shape
+             (Printf.sprintf "expected one route-map, found %d"
+                (List.length rms)))
+  in
+  Result.map
+    (fun ((snippet, rm), n, history) -> (snippet, rm, n, history))
+    (repair_loop llm ~max_attempts ~entry ~prompt ~check)
 
 (** Run one incremental route-map update end to end. *)
 let run_route_map_update ?(max_attempts = default_max_attempts)
@@ -273,7 +293,6 @@ let acl_synthesis_loop llm ~max_attempts ~entry ~prompt =
   | Error e -> Error (Spec_error (Llm.Nl_parser.error_message e))
   | Ok (Llm.Intent.Route_map _) -> assert false
   | Ok (Llm.Intent.Acl intent) ->
-      Obs.with_span "synthesize" @@ fun () ->
       let expected =
         Config.Acl.rule ~seq:10 ~protocol:intent.Llm.Intent.protocol
           ~src:intent.src ~src_port:intent.src_port ~dst:intent.dst
@@ -281,79 +300,33 @@ let acl_synthesis_loop llm ~max_attempts ~entry ~prompt =
           intent.acl_action
       in
       let spec_space = Symbolic.Packet_space.of_rule expected in
-      let rec attempt n ~feedback history =
-        if n > max_attempts then
-          Error (Verification_exhausted (List.rev history))
-        else begin
-          Obs.Counter.incr attempts_counter;
-          let loop_back msg history' =
-            Obs.Counter.incr cex_loops_counter;
-            emit_verify ~attempt:n msg;
-            attempt (n + 1) ~feedback:(Some msg) history'
-          in
-          let user =
-            match feedback with
-            | None -> prompt
-            | Some f -> prompt ^ "\nYour previous answer was wrong: " ^ f
-          in
-          let req =
-            {
-              Llm.Mock_llm.system = entry.Llm.Prompt_db.system;
-              few_shot = entry.Llm.Prompt_db.few_shot;
-              user;
-            }
-          in
-          match
-            Obs.with_span "llm" (fun () -> Llm.Mock_llm.synthesize llm req)
-          with
-          | Error m -> Error (Llm_error m)
-          | Ok text -> (
-              match Config.Parser.parse text with
-              | Error m ->
-                  loop_back ("syntax error: " ^ m)
-                    (("attempt " ^ string_of_int n ^ ": syntax error: " ^ m)
-                    :: history)
-              | Ok snippet -> (
-                  match Config.Database.acls snippet with
-                  | [ { Config.Acl.rules = [ rule ]; _ } ] -> (
-                      match
-                        Obs.with_span "verify" (fun () ->
-                            Obs.Counter.incr verification_counter;
-                            Engine.Search_filters.verify_rule rule ~spec_space
-                              ~action:intent.acl_action)
-                      with
-                      | Engine.Search_filters.Verified ->
-                          emit_verify ~attempt:n "verified";
-                          Ok (rule, n, List.rev history)
-                      | Engine.Search_filters.Wrong_action _ ->
-                          loop_back "wrong action"
-                            (("attempt " ^ string_of_int n ^ ": wrong action")
-                            :: history)
-                      | Engine.Search_filters.Match_too_broad p ->
-                          let msg =
-                            Format.asprintf
-                              "rule matches a packet outside the intent: %a"
-                              Config.Packet.pp p
-                          in
-                          loop_back msg
-                            (("attempt " ^ string_of_int n ^ ": " ^ msg)
-                            :: history)
-                      | Engine.Search_filters.Match_too_narrow p ->
-                          let msg =
-                            Format.asprintf
-                              "rule misses a packet the intent covers: %a"
-                              Config.Packet.pp p
-                          in
-                          loop_back msg
-                            (("attempt " ^ string_of_int n ^ ": " ^ msg)
-                            :: history))
-                  | _ ->
-                      loop_back "produce exactly one ACL rule"
-                        (("attempt " ^ string_of_int n ^ ": wrong snippet shape")
-                        :: history)))
-        end
+      let check snippet =
+        match Config.Database.acls snippet with
+        | [ { Config.Acl.rules = [ rule ]; _ } ] -> (
+            match
+              verify (fun () ->
+                  Engine.Search_filters.verify_rule rule ~spec_space
+                    ~action:intent.acl_action)
+            with
+            | Engine.Search_filters.Verified -> Accept rule
+            | Engine.Search_filters.Wrong_action _ -> retry "wrong action"
+            | Engine.Search_filters.Match_too_broad p ->
+                retry
+                  (Format.asprintf
+                     "rule matches a packet outside the intent: %a"
+                     Config.Packet.pp p)
+            | Engine.Search_filters.Match_too_narrow p ->
+                retry
+                  (Format.asprintf "rule misses a packet the intent covers: %a"
+                     Config.Packet.pp p))
+        | _ ->
+            Retry
+              {
+                feedback = "produce exactly one ACL rule";
+                line = "wrong snippet shape";
+              }
       in
-      attempt 1 ~feedback:None []
+      repair_loop llm ~max_attempts ~entry ~prompt ~check
 
 (** Run one incremental ACL update end to end. *)
 let run_acl_update ?(max_attempts = default_max_attempts)

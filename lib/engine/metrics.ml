@@ -124,14 +124,11 @@ let manager_cache_entries =
 
 let manager_arena_occupancy =
   Obs.Gauge.collector "bdd.manager.arena_occupancy"
-    ~help:
-      "fraction of this domain's arena node-store capacity in use (0 under \
-       the boxed oracle store)" (fun () ->
+    ~help:"fraction of this domain's arena node-store capacity in use"
+    (fun () ->
       let s = manager_stats () in
-      if s.Symbdd.Bdd.Manager.arena_capacity = 0 then 0.
-      else
-        float_of_int s.Symbdd.Bdd.Manager.nodes
-        /. float_of_int s.Symbdd.Bdd.Manager.arena_capacity)
+      float_of_int s.Symbdd.Bdd.Manager.nodes
+      /. float_of_int s.Symbdd.Bdd.Manager.arena_capacity)
 
 let manager_probe_length =
   Obs.Gauge.collector "bdd.manager.uniq_probe_len"

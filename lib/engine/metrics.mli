@@ -60,8 +60,7 @@ val manager_cache_entries : Obs.Gauge.t
 (** Entries in the sampling domain's symbolic compilation cache. *)
 
 val manager_arena_occupancy : Obs.Gauge.t
-(** Fraction of the sampling domain's arena node-store capacity in use
-    (0 under the boxed oracle store). *)
+(** Fraction of the sampling domain's arena node-store capacity in use. *)
 
 val manager_probe_length : Obs.Gauge.t
 (** Mean open-addressing probe length per unique-table lookup in the

@@ -1,118 +1,13 @@
-(* Differential tests for the two BDD store backends: the int-packed
-   arena (default) and the boxed baseline (CLARIFY_BOXED_BDD / the
-   [~boxed] manager flag), plus the frozen-base/delta sharing contract
-   both backends implement. DESIGN.md §15. *)
+(* Tests for the BDD arena's manager contracts: the frozen-base/delta
+   sharing, bounded memos and the stats surface. DESIGN.md §15. The
+   operations themselves are checked against brute-force semantics in
+   test_bdd. *)
 
 open Symbdd
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* ------------------------------------------------------------------ *)
-(* Random formulas, built once per backend, compared on every
-   observable the API offers. Handles are manager-local, so the
-   comparison goes through the observation functions, never through
-   handle identity across managers.                                    *)
-(* ------------------------------------------------------------------ *)
-
-type form =
-  | Var of int
-  | Not of form
-  | And of form * form
-  | Or of form * form
-  | Xor of form * form
-  | Const of bool
-
-let rec eval_form env = function
-  | Var i -> env i
-  | Not f -> not (eval_form env f)
-  | And (a, b) -> eval_form env a && eval_form env b
-  | Or (a, b) -> eval_form env a || eval_form env b
-  | Xor (a, b) -> eval_form env a <> eval_form env b
-  | Const b -> b
-
-let rec to_bdd = function
-  | Var i -> Bdd.var i
-  | Not f -> Bdd.neg (to_bdd f)
-  | And (a, b) -> Bdd.conj (to_bdd a) (to_bdd b)
-  | Or (a, b) -> Bdd.disj (to_bdd a) (to_bdd b)
-  | Xor (a, b) -> Bdd.xor (to_bdd a) (to_bdd b)
-  | Const true -> Bdd.one
-  | Const false -> Bdd.zero
-
 let nvars = 5
-
-let gen_form =
-  QCheck.Gen.(
-    sized
-    @@ fix (fun self size ->
-           if size <= 1 then
-             oneof
-               [
-                 map (fun i -> Var i) (int_range 0 (nvars - 1));
-                 map (fun b -> Const b) bool;
-               ]
-           else
-             oneof
-               [
-                 map (fun i -> Var i) (int_range 0 (nvars - 1));
-                 map (fun f -> Not f) (self (size - 1));
-                 map2 (fun a b -> And (a, b)) (self (size / 2)) (self (size / 2));
-                 map2 (fun a b -> Or (a, b)) (self (size / 2)) (self (size / 2));
-                 map2 (fun a b -> Xor (a, b)) (self (size / 2)) (self (size / 2));
-               ]))
-
-let rec show_form = function
-  | Var i -> Printf.sprintf "x%d" i
-  | Not f -> Printf.sprintf "!(%s)" (show_form f)
-  | And (a, b) -> Printf.sprintf "(%s & %s)" (show_form a) (show_form b)
-  | Or (a, b) -> Printf.sprintf "(%s | %s)" (show_form a) (show_form b)
-  | Xor (a, b) -> Printf.sprintf "(%s ^ %s)" (show_form a) (show_form b)
-  | Const b -> string_of_bool b
-
-let arb_form = QCheck.make ~print:show_form gen_form
-
-(* Everything observable about one formula under one backend. *)
-let observe boxed f =
-  Bdd.with_manager (Bdd.Manager.create ~boxed ()) @@ fun () ->
-  let b = to_bdd f in
-  let model = if Bdd.is_sat b then Some (Bdd.any_sat b) else None in
-  let restricted = Bdd.size (Bdd.restrict 2 true b) in
-  ( Bdd.size b,
-    Bdd.sat_count ~nvars b,
-    Bdd.support b,
-    model,
-    restricted,
-    Bdd.eval (fun i -> i mod 2 = 0) b )
-
-let prop_backends_agree =
-  QCheck.Test.make ~name:"arena and boxed stores observe identically"
-    ~count:300 arb_form (fun f -> observe false f = observe true f)
-
-let prop_backend_models_valid =
-  QCheck.Test.make ~name:"arena models satisfy the formula" ~count:300
-    arb_form (fun f ->
-      Bdd.with_manager (Bdd.Manager.create ()) @@ fun () ->
-      let b = to_bdd f in
-      (not (Bdd.is_sat b))
-      ||
-      let model = Bdd.any_sat b in
-      eval_form (fun i -> try List.assoc i model with Not_found -> false) f)
-
-(* conj_list/disj_list: the arena short-circuits on the absorbing
-   element; semantics must not change, and the boxed fold must agree. *)
-let prop_list_ops_agree =
-  QCheck.Test.make ~name:"conj_list/disj_list agree across backends"
-    ~count:200
-    QCheck.(small_list arb_form)
-    (fun fs ->
-      let run boxed =
-        Bdd.with_manager (Bdd.Manager.create ~boxed ()) @@ fun () ->
-        let bs = List.map to_bdd fs in
-        ( Bdd.sat_count ~nvars (Bdd.conj_list bs),
-          Bdd.sat_count ~nvars (Bdd.disj_list bs) )
-      in
-      run false = run true)
 
 let test_list_short_circuit () =
   (* An absorbing element early in the list must not change results
@@ -128,21 +23,18 @@ let test_list_short_circuit () =
 (* ------------------------------------------------------------------ *)
 
 let test_freeze_blocks_alloc () =
-  List.iter
-    (fun boxed ->
-      let m = Bdd.Manager.create ~boxed () in
-      Bdd.with_manager m (fun () -> ignore (Bdd.var 0));
-      Bdd.Manager.freeze m;
-      check_bool "frozen flag" true (Bdd.Manager.frozen m);
-      (* Existing nodes are still reachable... *)
-      Bdd.with_manager m (fun () -> ignore (Bdd.var 0));
-      (* ...but new allocations raise. *)
-      check_bool "alloc raises" true
-        (try
-           Bdd.with_manager m (fun () -> ignore (Bdd.var 7));
-           false
-         with Invalid_argument _ -> true))
-    [ false; true ]
+  let m = Bdd.Manager.create () in
+  Bdd.with_manager m (fun () -> ignore (Bdd.var 0));
+  Bdd.Manager.freeze m;
+  check_bool "frozen flag" true (Bdd.Manager.frozen m);
+  (* Existing nodes are still reachable... *)
+  Bdd.with_manager m (fun () -> ignore (Bdd.var 0));
+  (* ...but new allocations raise. *)
+  check_bool "alloc raises" true
+    (try
+       Bdd.with_manager m (fun () -> ignore (Bdd.var 7));
+       false
+     with Invalid_argument _ -> true)
 
 let test_delta_requires_frozen_root () =
   let m = Bdd.Manager.create () in
@@ -161,43 +53,37 @@ let test_delta_requires_frozen_root () =
      with Invalid_argument _ -> true)
 
 let test_delta_isolation () =
-  List.iter
-    (fun boxed ->
-      let base = Bdd.Manager.create ~boxed () in
-      let shared =
-        Bdd.with_manager base (fun () ->
-            Bdd.conj (Bdd.var 0) (Bdd.var 1))
-      in
-      Bdd.Manager.freeze base;
-      let base_nodes = (Bdd.Manager.stats base).Bdd.Manager.nodes in
-      let delta = Bdd.Manager.create_delta base in
-      let obs1 =
-        Bdd.with_manager delta (fun () ->
-            (* Base handles are usable under the delta; new structure
-               lands in the delta only. *)
-            let f = Bdd.disj shared (Bdd.var 3) in
-            (Bdd.size f, Bdd.sat_count ~nvars f, Bdd.support f))
-      in
-      check_int "base untouched by delta work" base_nodes
-        (Bdd.Manager.stats base).Bdd.Manager.nodes;
-      check_bool "delta grew" true
-        ((Bdd.Manager.stats delta).Bdd.Manager.nodes > 0);
-      (* Reset rewinds the delta to the base boundary, not to empty,
-         and rebuilding afterwards reproduces the same observations. *)
-      Bdd.Manager.reset delta;
-      check_int "reset keeps base" base_nodes
-        (Bdd.Manager.stats base).Bdd.Manager.nodes;
-      check_int "reset empties delta" 0
-        (Bdd.Manager.stats delta).Bdd.Manager.nodes;
-      let obs2 =
-        Bdd.with_manager delta (fun () ->
-            let f = Bdd.disj shared (Bdd.var 3) in
-            (Bdd.size f, Bdd.sat_count ~nvars f, Bdd.support f))
-      in
-      check_bool "rebuild after reset is deterministic" true (obs1 = obs2);
-      check_bool "shared handle still valid in base" true
-        (Bdd.with_manager base (fun () -> Bdd.size shared = 2)))
-    [ false; true ]
+  let base = Bdd.Manager.create () in
+  let shared =
+    Bdd.with_manager base (fun () -> Bdd.conj (Bdd.var 0) (Bdd.var 1))
+  in
+  Bdd.Manager.freeze base;
+  let base_nodes = (Bdd.Manager.stats base).Bdd.Manager.nodes in
+  let delta = Bdd.Manager.create_delta base in
+  let obs1 =
+    Bdd.with_manager delta (fun () ->
+        (* Base handles are usable under the delta; new structure lands
+           in the delta only. *)
+        let f = Bdd.disj shared (Bdd.var 3) in
+        (Bdd.size f, Bdd.sat_count ~nvars f, Bdd.support f))
+  in
+  check_int "base untouched by delta work" base_nodes
+    (Bdd.Manager.stats base).Bdd.Manager.nodes;
+  check_bool "delta grew" true ((Bdd.Manager.stats delta).Bdd.Manager.nodes > 0);
+  (* Reset rewinds the delta to the base boundary, not to empty, and
+     rebuilding afterwards reproduces the same observations. *)
+  Bdd.Manager.reset delta;
+  check_int "reset keeps base" base_nodes
+    (Bdd.Manager.stats base).Bdd.Manager.nodes;
+  check_int "reset empties delta" 0 (Bdd.Manager.stats delta).Bdd.Manager.nodes;
+  let obs2 =
+    Bdd.with_manager delta (fun () ->
+        let f = Bdd.disj shared (Bdd.var 3) in
+        (Bdd.size f, Bdd.sat_count ~nvars f, Bdd.support f))
+  in
+  check_bool "rebuild after reset is deterministic" true (obs1 = obs2);
+  check_bool "shared handle still valid in base" true
+    (Bdd.with_manager base (fun () -> Bdd.size shared = 2))
 
 let test_cached_falls_through () =
   let base = Bdd.Manager.create () in
@@ -243,10 +129,8 @@ let test_cross_domain_deltas () =
 
 let test_memo_eviction () =
   let bv m = Bdd.with_manager m in
-  (* Arena-only machinery: pin the backend so the suite also passes
-     under CLARIFY_BOXED_BDD=1 (the boxed store has unbounded memos). *)
-  let small = Bdd.Manager.create ~boxed:false ~memo_bound:64 () in
-  let big = Bdd.Manager.create ~boxed:false () in
+  let small = Bdd.Manager.create ~memo_bound:64 () in
+  let big = Bdd.Manager.create () in
   let workload m =
     bv m (fun () ->
         let vec = Bvec.sequential ~first:0 ~width:8 in
@@ -269,10 +153,9 @@ let test_memo_eviction () =
 (* ------------------------------------------------------------------ *)
 
 let test_stats_surface () =
-  let m = Bdd.Manager.create ~boxed:false () in
+  let m = Bdd.Manager.create () in
   Bdd.with_manager m (fun () -> ignore (Bdd.conj (Bdd.var 0) (Bdd.var 1)));
   let s = Bdd.Manager.stats m in
-  check_bool "arena flag reported" false s.Bdd.Manager.boxed;
   check_bool "arena capacity covers nodes" true
     (s.Bdd.Manager.arena_capacity >= s.Bdd.Manager.nodes);
   check_bool "uniq lookups counted" true (s.Bdd.Manager.uniq_lookups > 0);
@@ -281,19 +164,13 @@ let test_stats_surface () =
   Bdd.Manager.freeze m;
   let d = Bdd.Manager.create_delta m in
   check_int "delta reports base nodes" s.Bdd.Manager.nodes
-    (Bdd.Manager.stats d).Bdd.Manager.base_nodes;
-  let bm = Bdd.Manager.create ~boxed:true () in
-  check_bool "boxed flag reported" true (Bdd.Manager.stats bm).Bdd.Manager.boxed
+    (Bdd.Manager.stats d).Bdd.Manager.base_nodes
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "arena"
     [
       ( "backends",
         [
-          q prop_backends_agree;
-          q prop_backend_models_valid;
-          q prop_list_ops_agree;
           Alcotest.test_case "list short-circuit" `Quick
             test_list_short_circuit;
         ] );

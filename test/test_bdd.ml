@@ -169,6 +169,66 @@ let prop_support =
       List.for_all (fun v -> List.mem v sup = relevant v)
         (List.init nvars Fun.id))
 
+(* A reduced ordered BDD has one node labelled x_i per distinct
+   subfunction f|x0..x(i-1)=a that depends on x_i, so counting those
+   subfunctions from the truth table pins both reduction and sharing. *)
+let definitional_size sem =
+  let value bits = sem (fun i -> bits land (1 lsl i) <> 0) in
+  let nodes_at i =
+    (* The subfunction for prefix [a], tabulated over x_i..x_(nvars-1);
+       entry [r] has x_i = r land 1. *)
+    let subfunction a =
+      Array.init (1 lsl (nvars - i)) (fun r -> value (a lor (r lsl i)))
+    in
+    let depends_on_xi t =
+      let rec go r = r < Array.length t && (t.(r) <> t.(r + 1) || go (r + 2)) in
+      go 0
+    in
+    List.length
+      (List.sort_uniq compare
+         (List.filter depends_on_xi (List.init (1 lsl i) subfunction)))
+  in
+  List.fold_left (fun acc i -> acc + nodes_at i) 0 (List.init nvars Fun.id)
+
+let prop_size =
+  QCheck.Test.make ~name:"size counts the distinct subfunctions" ~count:500
+    arb_form
+    (fun f ->
+      Bdd.size (to_bdd f) = definitional_size (fun env -> eval_form env f))
+
+let prop_derived_ops =
+  QCheck.Test.make ~name:"ite, imp, iff and restrict agree with semantics"
+    ~count:300
+    QCheck.(quad arb_form arb_form arb_form (pair (int_range 0 (nvars - 1)) bool))
+    (fun (c, t, e, (v, b)) ->
+      let bc = to_bdd c and bt = to_bdd t and be = to_bdd e in
+      let ite = Bdd.ite bc bt be and imp = Bdd.imp bc bt in
+      let iff = Bdd.iff bc bt and restricted = Bdd.restrict v b bc in
+      let fixed env i = if i = v then b else env i in
+      List.for_all
+        (fun env ->
+          let c' = eval_form env c and t' = eval_form env t in
+          Bdd.eval env ite = (if c' then t' else eval_form env e)
+          && Bdd.eval env imp = ((not c') || t')
+          && Bdd.eval env iff = (c' = t')
+          && Bdd.eval env restricted = eval_form (fixed env) c)
+        assignments
+      && Bdd.size restricted
+         = definitional_size (fun env -> eval_form (fixed env) c))
+
+let prop_list_ops =
+  QCheck.Test.make ~name:"conj_list and disj_list agree with semantics"
+    ~count:200
+    QCheck.(small_list arb_form)
+    (fun fs ->
+      let bs = List.map to_bdd fs in
+      let all = Bdd.conj_list bs and any = Bdd.disj_list bs in
+      List.for_all
+        (fun env ->
+          Bdd.eval env all = List.for_all (eval_form env) fs
+          && Bdd.eval env any = List.exists (eval_form env) fs)
+        assignments)
+
 (* ------------------------------------------------------------------ *)
 (* Unit tests                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -311,6 +371,9 @@ let () =
           q prop_exists;
           q prop_implies;
           q prop_support;
+          q prop_size;
+          q prop_derived_ops;
+          q prop_list_ops;
         ] );
       ( "bvec",
         [
