@@ -232,6 +232,17 @@ let cold_min ~runs f =
   done;
   (Option.get !result, !best)
 
+(* How many boundary witnesses one untimed run of [f] decodes, counted
+   with the observability layer on. *)
+let witnesses_decoded f =
+  let was = Obs.enabled () in
+  Obs.enable ();
+  let before = Obs.Counter.value Engine.Metrics.witnesses_decoded in
+  ignore (f ());
+  let k = Obs.Counter.value Engine.Metrics.witnesses_decoded - before in
+  if not was then Obs.disable ();
+  k
+
 (* ------------------------------------------------------------------ *)
 (* BDD store: the int-packed arena on operation loops (DESIGN.md §15) *)
 (* ------------------------------------------------------------------ *)
@@ -378,20 +389,9 @@ let run_disambig_comparison () =
   let timings = ref [] in
   (* A cold incremental sweep: nothing an earlier leg compiled is
      reused; min of 3. *)
-  let incremental ?pool ~db ~target stanza =
+  let incremental ~db ~target stanza =
     cold_min ~runs:3 (fun () ->
-        Engine.Compare_route_policies.adjacent_insertions ?pool ~db ~target
-          stanza)
-  in
-  let pooled_leg n ~db ~target stanza serial =
-    if Parallel.Pool.domains pool > 1 then begin
-      let pooled, pool_ns = incremental ~pool ~db ~target stanza in
-      if pooled <> serial then failwith "pooled sweep differs from serial";
-      timings :=
-        (Printf.sprintf "disambig/incremental-w%d-par" n, pool_ns) :: !timings;
-      Format.printf "width %-4d pooled x%d  %9.2f ms@." n
-        (Parallel.Pool.domains pool) (pool_ns /. 1e6)
-    end
+        Engine.Compare_route_policies.adjacent_insertions ~db ~target stanza)
   in
   List.iter
     (fun n ->
@@ -407,21 +407,19 @@ let run_disambig_comparison () =
         "width %-4d naive %9.2f ms  incremental %9.2f ms  speedup %.1fx  \
          (%.1f us per position)@."
         n (naive_ns /. 1e6) (incr_ns /. 1e6) (naive_ns /. incr_ns)
-        (incr_ns /. 1e3 /. float_of_int n);
-      pooled_leg n ~db ~target stanza incr)
+        (incr_ns /. 1e3 /. float_of_int n))
     [ 8; 32; 128 ];
   (* Widths where the naive reference would take minutes: incremental
      only, to show the per-position cost stays flat. *)
   List.iter
     (fun n ->
       let db, target, stanza = ablation_scenario n in
-      let incr, incr_ns = incremental ~db ~target stanza in
+      let _, incr_ns = incremental ~db ~target stanza in
       timings :=
         (Printf.sprintf "disambig/incremental-w%d" n, incr_ns) :: !timings;
       Format.printf "width %-4d incremental %9.2f ms  (%.1f us per position)@."
         n (incr_ns /. 1e6)
-        (incr_ns /. 1e3 /. float_of_int n);
-      pooled_leg n ~db ~target stanza incr)
+        (incr_ns /. 1e3 /. float_of_int n))
     [ 512; 2048 ];
   (* The placement, not only the sweep: one Binary_search run for a user
      who wants the new stanza in the middle, a cold manager per
@@ -449,15 +447,7 @@ let run_disambig_comparison () =
       in
       if o.position <> eager.position || o.questions <> eager.questions then
         failwith "on-demand placement differs from eager";
-      let decoded =
-        let was = Obs.enabled () in
-        Obs.enable ();
-        let before = Obs.Counter.value Engine.Metrics.witnesses_decoded in
-        ignore (place ());
-        let k = Obs.Counter.value Engine.Metrics.witnesses_decoded - before in
-        if not was then Obs.disable ();
-        k
-      in
+      let decoded = witnesses_decoded place in
       timings := (Printf.sprintf "disambig/place-w%d" n, place_ns) :: !timings;
       Format.printf
         "width %-4d place %9.2f ms  (%d questions, %d of %d witnesses decoded; \
@@ -529,9 +519,10 @@ let run_parallel_comparison () =
 (* N pairwise match-disjoint intents against one wide target map: the
    batch pipeline compiles the target's partition once for all N
    boundary sets, the sequential baseline once per intent. Final
-   configurations are asserted identical on every bench run, and the
-   user-facing question counts are exported as pseudo-benchmarks so CI
-   can gate questions(batch) <= questions(sequential). *)
+   configurations and the number of witnesses decoded are asserted
+   identical on every bench run, and the user-facing question counts
+   are exported as pseudo-benchmarks so CI can gate questions(batch)
+   <= questions(sequential). *)
 let batch_scenario ~intents =
   let db, _, _ = ablation_scenario 16 in
   let prompts =
@@ -554,25 +545,23 @@ let run_batch_comparison () =
   Format.printf "=== Batch synthesis: batch-of-N vs N sequential runs ===@.";
   let intents = 6 in
   let db, prompts = batch_scenario ~intents in
-  (* A leg is a few milliseconds, so one sample is mostly noise: min of
-     5 cold runs, each with a fresh mock LLM of its own. *)
-  let (seq_db, seq_questions), seq_ns =
-    cold_min ~runs:5 (fun () ->
-        let llm = Llm.Mock_llm.create () in
-        List.fold_left
-          (fun (db, questions) prompt ->
-            match
-              Clarify.Pipeline.run_route_map_update ~llm
-                ~oracle:(fun _ -> Clarify.Disambiguator.Prefer_new)
-                ~db ~target:"AB" ~prompt ()
-            with
-            | Ok r ->
-                ( r.Clarify.Pipeline.db,
-                  questions + List.length r.Clarify.Pipeline.questions )
-            | Error e -> failwith (Clarify.Pipeline.error_to_string e))
-          (db, 0) prompts)
+  (* Each run with a fresh mock LLM of its own. *)
+  let run_sequential () =
+    let llm = Llm.Mock_llm.create () in
+    List.fold_left
+      (fun (db, questions) prompt ->
+        match
+          Clarify.Pipeline.run_route_map_update ~llm
+            ~oracle:(fun _ -> Clarify.Disambiguator.Prefer_new)
+            ~db ~target:"AB" ~prompt ()
+        with
+        | Ok r ->
+            ( r.Clarify.Pipeline.db,
+              questions + List.length r.Clarify.Pipeline.questions )
+        | Error e -> failwith (Clarify.Pipeline.error_to_string e))
+      (db, 0) prompts
   in
-  let run_batch ?pool () =
+  let run_batch () =
     let llm = Llm.Mock_llm.create () in
     let items =
       List.map
@@ -580,14 +569,17 @@ let run_batch_comparison () =
         prompts
     in
     match
-      Clarify.Batch.run ?pool ~llm
+      Clarify.Batch.run ~llm
         ~oracle:(fun ~intent:_ ~target:_ _ -> Clarify.Disambig_common.Prefer_new)
         ~db items
     with
     | Ok r -> r
     | Error e -> failwith (Clarify.Batch.error_to_string e)
   in
-  let report, batch_ns = cold_min ~runs:5 (fun () -> run_batch ()) in
+  (* A leg is a few milliseconds, so one sample is mostly noise: min of
+     5 cold runs. *)
+  let (seq_db, seq_questions), seq_ns = cold_min ~runs:5 run_sequential in
+  let report, batch_ns = cold_min ~runs:5 run_batch in
   if
     Config.Parser.to_string report.Clarify.Batch.db
     <> Config.Parser.to_string seq_db
@@ -604,33 +596,25 @@ let run_batch_comparison () =
   in
   if batch_questions > seq_questions then
     failwith "batch asked more questions than sequential";
+  let seq_witnesses = witnesses_decoded run_sequential
+  and batch_witnesses = witnesses_decoded run_batch in
+  if batch_witnesses <> seq_witnesses then
+    failwith "batch decoded other witnesses than sequential";
   Format.printf
     "batch of %-2d  sequential %9.2f ms  batch %9.2f ms  speedup %.1fx@."
     intents (seq_ns /. 1e6) (batch_ns /. 1e6) (seq_ns /. batch_ns);
   Format.printf "questions: sequential %d, batch %d (saved %d)@."
     seq_questions batch_questions report.Clarify.Batch.questions_saved;
-  let timings =
-    ref
-      [
-        (Printf.sprintf "batch/sequential-%d" intents, seq_ns);
-        (Printf.sprintf "batch/batch-of-%d" intents, batch_ns);
-        ("batch/questions-sequential", float_of_int seq_questions);
-        ("batch/questions-batch", float_of_int batch_questions);
-      ]
-  in
-  if Parallel.Pool.domains pool > 1 then begin
-    let pooled, pool_ns = cold_min ~runs:5 (fun () -> run_batch ~pool ()) in
-    if
-      Config.Parser.to_string pooled.Clarify.Batch.db
-      <> Config.Parser.to_string seq_db
-    then failwith "pooled batch configuration differs from serial";
-    timings :=
-      !timings @ [ (Printf.sprintf "batch/batch-of-%d-par" intents, pool_ns) ];
-    Format.printf "batch of %-2d  pooled x%d  %9.2f ms  speedup %.1fx@." intents
-      (Parallel.Pool.domains pool) (pool_ns /. 1e6) (seq_ns /. pool_ns)
-  end;
-  Format.printf "@.";
-  !timings
+  Format.printf "witnesses decoded: sequential %d, batch %d@.@." seq_witnesses
+    batch_witnesses;
+  [
+    (Printf.sprintf "batch/sequential-%d" intents, seq_ns);
+    (Printf.sprintf "batch/batch-of-%d" intents, batch_ns);
+    ("batch/questions-sequential", float_of_int seq_questions);
+    ("batch/questions-batch", float_of_int batch_questions);
+    ("batch/witnesses-sequential", float_of_int seq_witnesses);
+    ("batch/witnesses-batch", float_of_int batch_witnesses);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the sharded recording hot path             *)

@@ -341,17 +341,7 @@ let batch_cmd =
             "Record the batch session as a JSONL event log that \
              $(b,clarify replay) re-runs deterministically.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the batch conflict-graph sweep. Defaults to \
-             $(b,CLARIFY_JOBS), or 1 (serial). Results are identical at \
-             every value.")
-  in
-  let run config intents intents_file answers faults record jobs obs =
+  let run config intents intents_file answers faults record obs =
     with_obs obs @@ fun () ->
     with_recorder record @@ fun () ->
     let db = load_config config in
@@ -404,8 +394,7 @@ let batch_cmd =
       | `New -> Clarify.Disambig_common.Prefer_new
       | `Old -> Clarify.Disambig_common.Prefer_old
     in
-    let pool = Parallel.Pool.create ?domains:jobs () in
-    match Clarify.Batch.run ~pool ~llm ~oracle ~db items with
+    match Clarify.Batch.run ~llm ~oracle ~db items with
     | Error e ->
         prerr_endline ("error: " ^ Clarify.Batch.error_to_string e);
         exit 1
@@ -461,7 +450,7 @@ let batch_cmd =
           sweep per target policy, and ask only about genuine conflicts.")
     Term.(
       const run $ config $ intents $ intents_file $ answers $ faults $ record
-      $ jobs $ obs_term)
+      $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* clarify replay                                                     *)

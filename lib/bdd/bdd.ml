@@ -16,9 +16,7 @@
    base -> delta. Worker domains share one compiled base (corpus,
    partition, prefix encodings) and allocate only in their own deltas,
    which eliminates per-domain recompilation in parallel sweeps.
-   [Manager.frozen_during] freezes a live manager for one scope only,
-   and bumps its freeze epoch so that deltas built over one freeze are
-   never mistaken for deltas of the next. *)
+   Freezing is one-way, so a delta stays valid as long as its base. *)
 
 type t = int
 
@@ -478,11 +476,6 @@ module Manager = struct
     arena : Arena.t; (* holds the frozen flag *)
     base : t option;
     memo_bound : int;
-    (* Bumped each time the manager becomes frozen. A delta captures the
-       base's store, unique table and boundary as they were when it was
-       created, so a delta cached across a thaw must not be reused:
-       keying it by (base, freeze epoch) tells the two freezes apart. *)
-    mutable freeze_epoch : int;
     (* Structural-hash-keyed compilation cache: callers memoize
        "source object -> BDD" translations (ACL rules, prefix lists)
        under a canonical string key, so corpus sweeps compile each
@@ -515,7 +508,6 @@ module Manager = struct
       arena = Arena.create ~memo_bound ();
       base = None;
       memo_bound;
-      freeze_epoch = 0;
       compile_cache = Hashtbl.create 1024;
       cache_hits = 0;
       cache_misses = 0;
@@ -523,30 +515,17 @@ module Manager = struct
     }
 
   let frozen m = m.arena.Arena.frozen
-  let freeze_epoch m = m.freeze_epoch
-  let is_delta m = Option.is_some m.base
-
-  let set_frozen m f =
-    if f && not (frozen m) then m.freeze_epoch <- m.freeze_epoch + 1;
-    m.arena.Arena.frozen <- f
-
-  let freeze m = set_frozen m true
-
-  let frozen_during m f =
-    let was = frozen m in
-    set_frozen m true;
-    Fun.protect ~finally:(fun () -> set_frozen m was) f
+  let freeze m = m.arena.Arena.frozen <- true
 
   let create_delta base =
     if not (frozen base) then
       invalid_arg "Bdd.Manager.create_delta: base manager must be frozen";
-    if is_delta base then
+    if Option.is_some base.base then
       invalid_arg "Bdd.Manager.create_delta: base must be a root manager";
     {
       arena = Arena.create_delta ~memo_bound:base.memo_bound base.arena;
       base = Some base;
       memo_bound = base.memo_bound;
-      freeze_epoch = 0;
       compile_cache = Hashtbl.create 256;
       cache_hits = 0;
       cache_misses = 0;

@@ -29,12 +29,9 @@
     share one compiled base (corpus, partition, prefix encodings)
     without recompiling it per domain and without synchronization —
     the base is immutable after the freeze. Handles built by the base
-    are valid in every one of its deltas. {!Manager.frozen_during}
-    freezes a live manager only for a scope — a pooled boundary sweep
-    lends the caller's own manager to its workers this way — and a
-    delta is valid only for the freeze it was created in
-    ({!Manager.freeze_epoch}): once the base is writable again it may
-    grow, rehash or reset under the delta. *)
+    are valid in every one of its deltas. Freezing is one-way: a
+    frozen base never grows, rehashes or resets, so a delta stays
+    valid for as long as its base lives. *)
 
 type t
 
@@ -55,28 +52,12 @@ module Manager : sig
   (** The calling domain's default manager (created on first use). *)
 
   val freeze : t -> unit
-  (** Make the manager read-only: any operation that would allocate a
-      fresh node afterwards raises [Invalid_argument]. Required before
-      {!create_delta}; freezing is what makes sharing the manager
-      across domains race-free. *)
+  (** Make the manager read-only, for good: any operation that would
+      allocate a fresh node afterwards raises [Invalid_argument].
+      Required before {!create_delta}; freezing is what makes sharing
+      the manager across domains race-free. *)
 
   val frozen : t -> bool
-
-  val frozen_during : t -> (unit -> 'a) -> 'a
-  (** [frozen_during m f] runs [f] with [m] frozen, then restores its
-      earlier state, also when [f] raises: a manager that was writable
-      is writable again, one that was already frozen stays frozen.
-      [f] may lend [m] out as a base ({!create_delta}, a pool's
-      [~bdd_base]); the deltas must not outlive the call. *)
-
-  val freeze_epoch : t -> int
-  (** How many times the manager has gone from writable to frozen
-      ({!freeze} or {!frozen_during}). Deltas created under one epoch
-      must not be reused under another; a delta cache keys on it. *)
-
-  val is_delta : t -> bool
-  (** Whether the manager is a delta ({!create_delta}) rather than a
-      root manager. A delta cannot serve as a base. *)
 
   val create_delta : t -> t
   (** [create_delta base] is a private writable manager layered on the

@@ -49,12 +49,12 @@ let question (rules : Config.Acl.rule array) i
   }
 
 (* One sweep of the engine instead of one two-ACL diff per position. *)
-let boundaries ?pool ~(target : Config.Acl.t) rule =
+let boundaries ?pool:_ ~(target : Config.Acl.t) rule =
   Disambig_common.sweep family @@ fun () ->
   let rules = Array.of_list target.rules in
   List.map
     (fun (i, d) -> question rules i d)
-    (Engine.Compare_acls.adjacent_insertions ?pool ~target rule)
+    (Engine.Compare_acls.adjacent_insertions ~target rule)
 
 let view (q : question) =
   {
@@ -65,25 +65,32 @@ let view (q : question) =
     if_old_first = Format.asprintf "%a" Config.Action.pp q.if_old_first;
   }
 
-let run ?(mode = Binary_search) ?pool ?precomputed ~(target : Config.Acl.t)
-    ~rule ~oracle () =
+let position (q : question) = q.position
+
+let place ?(mode = Binary_search) ~(target : Config.Acl.t) ~rule ~oracle
+    bounds =
   let top q =
     { q with position = 0; boundary_seq = (List.hd target.rules).seq }
   in
   Disambig_common.place family ~mode ~width:(List.length target.rules) ~view
-    ~position:(fun q -> q.position) ~top ~oracle ?precomputed
-    (fun () ->
-      (* The same sweep as [boundaries], each witness decoded only if
-         its question is asked. *)
-      Disambig_common.sweep family @@ fun () ->
-      let rules = Array.of_list target.rules in
-      List.map
-        (fun (i, d) -> (i, Lazy.map (question rules i) d))
-        (Engine.Compare_acls.lazy_insertions ?pool ~target rule))
+    ~position ~top ~oracle bounds
   |> Result.map (fun (position, questions, boundaries) ->
          let acl = insert_rule_at target position rule in
          { acl; position; questions; boundaries })
   |> Result.map_error (fun qs -> Inconsistent_intent qs)
+
+let run ?mode ?pool:_ ?precomputed ~(target : Config.Acl.t) ~rule ~oracle () =
+  place ?mode ~target ~rule ~oracle
+    (match precomputed with
+    | Some qs -> Disambig_common.decoded ~position qs
+    | None ->
+        (* The same sweep as [boundaries], each witness decoded only if
+           its question is asked. *)
+        Disambig_common.find @@ fun () ->
+        let rules = Array.of_list target.rules in
+        List.map
+          (fun (i, d) -> (i, Lazy.map (question rules i) d))
+          (Engine.Compare_acls.lazy_insertions ~target rule))
 
 let scripted answers : oracle = Disambig_common.scripted answers
 

@@ -42,7 +42,18 @@ val boundaries :
   ?pool:Parallel.Pool.t -> target:Config.Acl.t -> Config.Acl.rule -> question list
 (** All differing boundaries in position order, from one sweep of
     {!Engine.Compare_acls.adjacent_insertions}: every witness is
-    decoded. [?pool] fans position slices across worker domains. *)
+    decoded. [?pool] is accepted and ignored. *)
+
+val place :
+  ?mode:mode ->
+  target:Config.Acl.t ->
+  rule:Config.Acl.rule ->
+  oracle:oracle ->
+  (int * question Lazy.t) list ->
+  (outcome, error) result
+(** {!Disambig_common.place} on the ACL family, over the given
+    boundaries of [target] in position order, each question forced
+    only if it is asked — the batch pipeline's fast path. *)
 
 val run :
   ?mode:mode ->
@@ -53,13 +64,13 @@ val run :
   oracle:oracle ->
   unit ->
   (outcome, error) result
-(** {!Disambig_common.place} on the ACL family. The sweep is
+(** {!place} on the boundaries of one sweep,
     {!Engine.Compare_acls.lazy_insertions}, which decides every
     boundary without a witness: a run decodes exactly the witnesses it
     asks about, in the current BDD manager, before it returns.
     Questions, placement and outcome are those of a run on
     {!boundaries}. [?precomputed] skips the engine sweep and uses the
-    given boundary questions — the batch pipeline's fast path. *)
+    given boundary questions. [?pool] is accepted and ignored. *)
 
 val scripted : answer list -> oracle
 val intent_driven : (Config.Packet.t -> Config.Action.t) -> oracle

@@ -8,16 +8,18 @@
     - every intent is synthesized and verified up front with the same
       LLM loops as {!Pipeline} (same call order, same repair behaviour);
     - per target policy, ONE multi-stanza engine sweep
-      ({!Engine.Compare_route_policies.batch_insertions} /
-      {!Engine.Compare_acls.batch_insertions}) computes every intent's
-      boundary set plus the pairwise inter-intent overlap/conflict
-      graph against a single compiled first-match partition;
+      ({!Engine.Compare_route_policies.lazy_batch_insertions} /
+      {!Engine.Compare_acls.lazy_batch_insertions}) compiles a single
+      first-match partition and classifies the pairwise inter-intent
+      overlap/conflict graph from it; each intent's boundary read is
+      deferred;
     - intents with no overlap edge to any other intent take a fast
-      path: their precomputed boundaries are translated into the
-      coordinates of the evolving target (match-disjointness makes the
-      translation exact — see DESIGN.md §12) and fed to the
-      disambiguator as [?precomputed], so no further compilation
-      happens;
+      path: their boundaries are read from the shared partition and
+      translated into the coordinates of the evolving target
+      (match-disjointness makes the translation exact — see DESIGN.md
+      §12) and placed with the disambiguator's [place], their
+      witnesses decoded only for the questions asked, so no further
+      compilation happens;
     - intents that do overlap go through a live disambiguation against
       the current target — that is where genuine inter-intent conflicts
       surface as boundary questions carrying differential witnesses;
@@ -298,12 +300,13 @@ let group_targets synths =
   List.rev_map (fun key -> (key, List.rev (Hashtbl.find tbl key))) !order
 
 (* Run the multi-stanza engine sweep for every group. Returns the
-   per-intent boundary sets (original-target coordinates), the
-   per-intent overlap flags, and the conflict edges in input order. *)
-let sweep_groups ?pool ~db synths =
+   per-intent boundary reads (original-target coordinates, made when
+   forced), the per-intent overlap flags, and the conflict edges in
+   input order. *)
+let sweep_groups ~db synths =
   let n = Array.length synths in
-  let rm_bounds = Array.make n [] in
-  let acl_bounds = Array.make n [] in
+  let rm_bounds = Array.make n (Lazy.from_val []) in
+  let acl_bounds = Array.make n (Lazy.from_val []) in
   let overlapping = Array.make n false in
   let conflicts = ref [] in
   let overlap_pairs = ref 0 in
@@ -338,7 +341,7 @@ let sweep_groups ?pool ~db synths =
             ks
         in
         let sw =
-          Engine.Compare_route_policies.batch_insertions ?pool ~db
+          Engine.Compare_route_policies.lazy_batch_insertions ~db
             ~target:(Option.get (Config.Database.route_map db target))
             stanzas
         in
@@ -355,7 +358,7 @@ let sweep_groups ?pool ~db synths =
             ks
         in
         let sw =
-          Engine.Compare_acls.batch_insertions ?pool
+          Engine.Compare_acls.lazy_batch_insertions
             ~target:(Option.get (Config.Database.acl db target))
             rules
         in
@@ -402,11 +405,13 @@ let orig_index slots =
 
 (* Place one verified stanza or rule as the sequential pipeline would,
    against the current policy ([width] rules) of the target [key]. A
-   fast-path intent hands in its [bounds] from the shared sweep: they
-   are translated through the target's slot list to current positions
-   and rebuilt by [question]. Every answer goes through the shared
-   cache. [run precomputed ask] runs the family's disambiguator and
-   [placed] reads (position, boundaries, questions) off its outcome. *)
+   fast-path intent hands in its [bounds] read from the shared sweep:
+   they are translated through the target's slot list to current
+   positions, each question built by [question] only when it is asked.
+   Every answer goes through the shared cache. [run bounds ask] places
+   with the family's disambiguator, on [bounds] or on a live sweep,
+   and [placed] reads (position, boundaries, questions) off its
+   outcome. *)
 let place_item ~cache ~slots ~intent ~key ~width ~bounds ~question ~view
     ~consult ~placed run =
   let st =
@@ -414,15 +419,19 @@ let place_item ~cache ~slots ~intent ~key ~width ~bounds ~question ~view
     | Some st -> st
     | None -> List.init width (fun i -> Orig i)
   in
-  let precomputed =
+  let bounds =
     Option.map
       (fun bs ->
         let idx = orig_index st in
-        List.map (fun (i, d) -> question (idx i) d) bs)
+        List.map
+          (fun (i, d) ->
+            let j = idx i in
+            (j, Lazy.map (question j) d))
+          bs)
       bounds
   in
   let ask = cached_answer cache ~intent ~target:(snd key) view consult in
-  match run precomputed ask with
+  match run bounds ask with
   | Error _ -> fail intent Pipeline.inconsistent
   | Ok outcome ->
       let position, boundaries, questions = placed outcome in
@@ -438,8 +447,8 @@ let default_max_attempts = Pipeline.default_max_attempts
 
 let run ?(max_attempts = default_max_attempts)
     ?(rm_mode = Disambiguator.Binary_search)
-    ?(acl_mode = Acl_disambiguator.Binary_search) ?pool ~llm ~(oracle : oracle)
-    ~db items =
+    ?(acl_mode = Acl_disambiguator.Binary_search) ?pool:_ ~llm
+    ~(oracle : oracle) ~db items =
   Obs.with_span "pipeline.batch" @@ fun () ->
   Obs.Counter.incr Pipeline.runs_counter;
   let nitems = List.length items in
@@ -463,8 +472,7 @@ let run ?(max_attempts = default_max_attempts)
       (* Phase 2: one engine sweep per target policy. *)
       let rm_bounds, acl_bounds, overlapping, conflicts, overlap_pairs, groups
           =
-        Obs.with_span "batch_sweep" (fun () ->
-            sweep_groups ?pool ~db:db_all synths)
+        Obs.with_span "batch_sweep" (fun () -> sweep_groups ~db:db_all synths)
       in
       emit_plan ~intents:nitems ~groups ~overlaps:overlap_pairs ~conflicts;
       (* Phase 3: place stanzas in input order, reading each target's
@@ -476,7 +484,10 @@ let run ?(max_attempts = default_max_attempts)
           (fun k it ->
             let fast = not overlapping.(k) in
             emit_item ~intent:k ~fast it;
-            let bounds all = if fast then Some all.(k) else None in
+            (* Only a fast-path intent reads its batch boundaries. *)
+            let bounds all =
+              if fast then Some (Lazy.force all.(k)) else None
+            in
             match synths.(k) with
             | S_route_map
                 { target; stanza; spec; renaming; attempts; history; llm_calls }
@@ -493,9 +504,14 @@ let run ?(max_attempts = default_max_attempts)
                     ~consult:(fun q -> oracle ~intent:k ~target (Route_map_q q))
                     ~placed:(fun (o : Disambiguator.outcome) ->
                       (o.position, o.boundaries, List.length o.questions))
-                    (fun precomputed ask ->
-                      Disambiguator.run ~mode:rm_mode ?pool ?precomputed
-                        ~db:!db_cur ~target:cur ~stanza ~oracle:ask ())
+                    (fun bounds ask ->
+                      match bounds with
+                      | Some bs ->
+                          Disambiguator.place ~mode:rm_mode ~target:cur
+                            ~stanza ~oracle:ask bs
+                      | None ->
+                          Disambiguator.run ~mode:rm_mode ~db:!db_cur
+                            ~target:cur ~stanza ~oracle:ask ())
                 in
                 db_cur := Config.Database.add_route_map !db_cur o.map;
                 Route_map_result
@@ -523,9 +539,14 @@ let run ?(max_attempts = default_max_attempts)
                     ~consult:(fun q -> oracle ~intent:k ~target (Acl_q q))
                     ~placed:(fun (o : Acl_disambiguator.outcome) ->
                       (o.position, o.boundaries, List.length o.questions))
-                    (fun precomputed ask ->
-                      Acl_disambiguator.run ~mode:acl_mode ?pool ?precomputed
-                        ~target:cur ~rule ~oracle:ask ())
+                    (fun bounds ask ->
+                      match bounds with
+                      | Some bs ->
+                          Acl_disambiguator.place ~mode:acl_mode ~target:cur
+                            ~rule ~oracle:ask bs
+                      | None ->
+                          Acl_disambiguator.run ~mode:acl_mode ~target:cur
+                            ~rule ~oracle:ask ())
                 in
                 db_cur := Config.Database.add_acl !db_cur o.acl;
                 Acl_result

@@ -2,10 +2,10 @@
 
     [run] takes N natural-language intents at once and produces exactly
     the configuration N sequential {!Pipeline} runs would — same final
-    config, same questions — while compiling each target policy's
-    first-match partition once (via
-    {!Engine.Compare_route_policies.batch_insertions} /
-    {!Engine.Compare_acls.batch_insertions}) and deduplicating repeated
+    config, same questions, same witnesses decoded — while compiling
+    each target policy's first-match partition once (via
+    {!Engine.Compare_route_policies.lazy_batch_insertions} /
+    {!Engine.Compare_acls.lazy_batch_insertions}) and deduplicating repeated
     questions across intents with a shared
     {!Disambig_common.Answer_cache}. Genuine inter-intent conflicts are
     reported as edges of the pairwise conflict graph, each carrying a
@@ -64,15 +64,15 @@ val run :
   item list ->
   (report, error) result
 (** Run a whole batch end to end: synthesize and verify every intent
-    (same LLM call order as N sequential runs), sweep each target
-    policy once for all boundary sets plus the inter-intent
-    overlap/conflict graph, then place stanzas in input order —
-    match-disjoint intents reuse translated precomputed boundaries
-    (zero extra compilations), overlapping intents disambiguate live
-    against the evolving target. [?pool] shards the batch sweep and any
-    live boundary sweeps across worker domains; results are identical
-    serial or pooled. Increments {!Engine.Metrics.batch_intents},
-    {!Engine.Metrics.batch_conflict_pairs} and
+    (same LLM call order as N sequential runs), compile each target
+    policy once for the inter-intent overlap/conflict graph, then
+    place stanzas in input order — match-disjoint intents read their
+    boundaries from that compilation (zero extra compilations) and
+    decode only the witnesses they ask about, overlapping intents
+    disambiguate live against the evolving target, whose batch read
+    never happens. Every sweep runs serially in the current BDD
+    manager. [?pool] is accepted and ignored. Increments
+    {!Engine.Metrics.batch_intents}, {!Engine.Metrics.batch_conflict_pairs} and
     {!Engine.Metrics.batch_questions_saved}, and observes
     {!Engine.Metrics.batch_ns}. *)
 

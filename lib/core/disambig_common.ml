@@ -126,34 +126,28 @@ let first_new_position ~default ~position answers =
   | Some (q, _) -> position q
   | None -> default
 
-(* One boundary sweep of a family: the "find_boundaries" span and the
-   boundaries counter around it. Counting a boundary does not decode
-   its witness. *)
+(* One boundary sweep of a family: the "find_boundaries" span around
+   it, and with [sweep] the boundaries counter too. Counting a boundary
+   does not decode its witness. *)
+let find f = Obs.with_span "find_boundaries" f
+
 let sweep (fam : family) f =
-  Obs.with_span "find_boundaries" @@ fun () ->
+  find @@ fun () ->
   let bs = f () in
   Obs.Counter.incr ~by:(List.length bs) fam.boundaries;
   bs
 
 let decoded ~position qs = List.map (fun q -> (position q, Lazy.from_val q)) qs
 
-(* The paper's Section 4 loop, for every family. Boundaries come from
-   [find ()], each a position and a question whose witness is decoded
-   when forced, or from [precomputed] when a batch run already
-   translated them from a shared sweep (the counter still ticks, so
-   telemetry matches a sequential run). Only the questions asked are
-   forced: the search and the placement read positions. No boundary
-   means every placement behaves the same: append at the bottom
-   without a question. *)
-let place (fam : family) ~mode ~width ~view ~position ~top ~oracle
-    ?precomputed find =
-  let bs =
-    match precomputed with
-    | Some qs ->
-        Obs.Counter.incr ~by:(List.length qs) fam.boundaries;
-        decoded ~position qs
-    | None -> find ()
-  in
+(* The paper's Section 4 loop, for every family. Each boundary is a
+   position and a question whose witness is decoded when forced, from
+   a sweep or handed in by a batch run that translated it from a
+   shared sweep; either way the counter ticks, so telemetry matches a
+   sequential run. Only the questions asked are forced: the search and
+   the placement read positions. No boundary means every placement
+   behaves the same: append at the bottom without a question. *)
+let place (fam : family) ~mode ~width ~view ~position ~top ~oracle bs =
+  Obs.Counter.incr ~by:(List.length bs) fam.boundaries;
   let asked, ask =
     asker ~subsystem:fam.subsystem ~counter:fam.questions ~view ~oracle
   in

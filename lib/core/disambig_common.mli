@@ -47,9 +47,12 @@ type view = {
   if_old_first : string;
 }
 
+val find : (unit -> 'b list) -> 'b list
+(** [find f] runs [f] in a ["find_boundaries"] span. *)
+
 val sweep : family -> (unit -> 'b list) -> 'b list
-(** [sweep fam find] runs [find] in a ["find_boundaries"] span and
-    counts the boundaries it returns, without decoding any witness. *)
+(** {!find}, counting the boundaries [f] returns without decoding any
+    witness: the eager [boundaries] entry points' sweep. *)
 
 val decoded : position:('q -> int) -> 'q list -> (int * 'q Lazy.t) list
 (** Questions already decoded, as {!place}'s boundaries. *)
@@ -62,13 +65,11 @@ val place :
   position:('q -> int) ->
   top:('q -> 'q) ->
   oracle:('q -> answer) ->
-  ?precomputed:'q list ->
-  (unit -> (int * 'q Lazy.t) list) ->
+  (int * 'q Lazy.t) list ->
   (int * 'q list * int, 'q list) result
 (** The disambiguation loop of every family, the paper's Section 4:
-    [place fam ~mode ~width ... find] takes the boundaries from
-    [find ()], each a position and its question, or from
-    [precomputed], still counted, and asks as [mode] says, each
+    [place fam ~mode ~width ... bs] counts the boundaries [bs], each a
+    position and its question, and asks as [mode] says, each
     question emitting one [kind="question"] event and each
     binary-search iteration one [kind="probe"] event. [Ok (position,
     questions, boundaries)] gives the chosen insertion position in

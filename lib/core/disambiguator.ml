@@ -65,13 +65,12 @@ let question (stanzas : Config.Route_map.stanza array) i
    handled by original stanza i and matched by the new stanza. The
    sweep itself lives in {!Engine.Compare_route_policies}, so the
    target is compiled once instead of once per position. *)
-let boundaries ?pool ~db ~(target : Config.Route_map.t) stanza =
+let boundaries ?pool:_ ~db ~(target : Config.Route_map.t) stanza =
   Disambig_common.sweep family @@ fun () ->
   let stanzas = Array.of_list target.stanzas in
   List.map
     (fun (i, d) -> question stanzas i d)
-    (Engine.Compare_route_policies.adjacent_insertions ?pool ~db ~target
-       stanza)
+    (Engine.Compare_route_policies.adjacent_insertions ~db ~target stanza)
 
 let view (q : question) =
   {
@@ -84,26 +83,33 @@ let view (q : question) =
       Format.asprintf "%a" Config.Semantics.pp_route_result q.if_old_first;
   }
 
-let run ?(mode = Binary_search) ?pool ?precomputed ~db
-    ~(target : Config.Route_map.t) ~stanza ~oracle () =
+let position (q : question) = q.position
+
+let place ?(mode = Binary_search) ~(target : Config.Route_map.t) ~stanza
+    ~oracle bounds =
   let top q =
     { q with position = 0; boundary_seq = (List.hd target.stanzas).seq }
   in
   Disambig_common.place family ~mode ~width:(List.length target.stanzas)
-    ~view ~position:(fun q -> q.position) ~top ~oracle ?precomputed
-    (fun () ->
-      (* The same sweep as [boundaries], each witness decoded only if
-         its question is asked. *)
-      Disambig_common.sweep family @@ fun () ->
-      let stanzas = Array.of_list target.stanzas in
-      List.map
-        (fun (i, d) -> (i, Lazy.map (question stanzas i) d))
-        (Engine.Compare_route_policies.lazy_insertions ?pool ~db ~target
-           stanza))
+    ~view ~position ~top ~oracle bounds
   |> Result.map (fun (position, questions, boundaries) ->
          let map = Config.Route_map.insert_at target position stanza in
          { map; position; questions; boundaries })
   |> Result.map_error (fun qs -> Inconsistent_intent qs)
+
+let run ?mode ?pool:_ ?precomputed ~db ~(target : Config.Route_map.t)
+    ~stanza ~oracle () =
+  place ?mode ~target ~stanza ~oracle
+    (match precomputed with
+    | Some qs -> Disambig_common.decoded ~position qs
+    | None ->
+        (* The same sweep as [boundaries], each witness decoded only if
+           its question is asked. *)
+        Disambig_common.find @@ fun () ->
+        let stanzas = Array.of_list target.stanzas in
+        List.map
+          (fun (i, d) -> (i, Lazy.map (question stanzas i) d))
+          (Engine.Compare_route_policies.lazy_insertions ~db ~target stanza))
 
 (* ------------------------------------------------------------------ *)
 (* Oracles                                                            *)

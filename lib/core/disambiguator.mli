@@ -61,8 +61,21 @@ val boundaries :
 (** All differing boundaries with their differential examples, in
     position order, from one sweep of
     {!Engine.Compare_route_policies.adjacent_insertions}: every witness
-    is decoded. [?pool] fans position slices across worker domains.
-    Exposed for tests and the evaluation harness. *)
+    is decoded. [?pool] is accepted and ignored. Exposed for tests and
+    the evaluation harness. *)
+
+val place :
+  ?mode:mode ->
+  target:Config.Route_map.t ->
+  stanza:Config.Route_map.stanza ->
+  oracle:oracle ->
+  (int * question Lazy.t) list ->
+  (outcome, error) result
+(** {!Disambig_common.place} on the route-map family, over the given
+    boundaries of [target] in position order, each question forced
+    only if it is asked: the batch pipeline's fast path, which
+    translates boundaries from one shared multi-stanza sweep instead
+    of recompiling the target per intent. *)
 
 val run :
   ?mode:mode ->
@@ -74,7 +87,7 @@ val run :
   oracle:oracle ->
   unit ->
   (outcome, error) result
-(** {!Disambig_common.place} on the route-map family. The sweep is
+(** {!place} on the boundaries of one sweep,
     {!Engine.Compare_route_policies.lazy_insertions}: each boundary's
     witness is decoded when its question is asked, so a Binary_search
     run decodes about log₂ k of k witnesses (those the sweep had to
@@ -82,9 +95,7 @@ val run :
     decoded, in the current BDD manager, before it returns. Questions,
     placement and outcome are those of a run on {!boundaries}.
     [?precomputed] skips the engine sweep and uses the given boundary
-    questions (position order) — the batch pipeline's fast path, which
-    translates boundaries from one shared multi-stanza sweep instead of
-    recompiling the target per intent. *)
+    questions (position order). [?pool] is accepted and ignored. *)
 
 (** {2 Oracles} *)
 

@@ -64,9 +64,7 @@ let family =
    ranges is a boundary's example unless an earlier entry shadows it.
    (Within one overlap region the disagreement set is a sub-window; the
    canonical witness lies inside it whenever it is nonempty.) *)
-let boundaries ~(target : Config.Prefix_list.t)
-    (entry : Config.Prefix_list.entry) =
-  Disambig_common.sweep family @@ fun () ->
+let scan ~(target : Config.Prefix_list.t) (entry : Config.Prefix_list.entry) =
   let entries = Array.of_list target.Config.Prefix_list.entries in
   let shadowed i w =
     let rec scan j =
@@ -100,6 +98,9 @@ let boundaries ~(target : Config.Prefix_list.t)
               })
     (List.init (Array.length entries) Fun.id)
 
+let boundaries ~target entry =
+  Disambig_common.sweep family (fun () -> scan ~target entry)
+
 let view (q : question) =
   {
     Disambig_common.position = q.position;
@@ -116,8 +117,11 @@ let run ?(mode = Binary_search) ?precomputed ~(target : Config.Prefix_list.t)
   in
   let position (q : question) = q.position in
   Disambig_common.place family ~mode ~width:(List.length target.entries)
-    ~view ~position ~top ~oracle ?precomputed (fun () ->
-      Disambig_common.decoded ~position (boundaries ~target entry))
+    ~view ~position ~top ~oracle
+    (Disambig_common.decoded ~position
+       (match precomputed with
+       | Some qs -> qs
+       | None -> Disambig_common.find (fun () -> scan ~target entry)))
   |> Result.map (fun (position, questions, boundaries) ->
          let prefix_list = insert_entry_at target position entry in
          { prefix_list; position; questions; boundaries })

@@ -76,7 +76,8 @@ type partition = {
 let region p k (c : Ps.cell) =
   if Array.length p.cands = 1 then c.guard else Bdd.conj c.guard p.matches.(k)
 
-let cell_boundaries p k (start, len) =
+(* The last cell is the implicit deny, not a position. *)
+let cell_boundaries p k =
   let rule = p.cands.(k) in
   List.filter_map
     (fun i ->
@@ -85,7 +86,7 @@ let cell_boundaries p k (start, len) =
          || Bdd.is_zero (region p k c)
       then None
       else Some (i, None))
-    (List.init len (fun j -> start + j))
+    (List.init (Array.length p.cells - 1) Fun.id)
 
 let witness p k i =
   Obs.Counter.incr Metrics.witnesses_decoded;
@@ -135,25 +136,25 @@ module Sweep = First_match.Sweep (struct
     in
     { cells; cands; matches = Array.map Ps.of_rule cands }
 
-  let fork p = p
   let cell_boundaries = cell_boundaries
   let witness = witness
   let classify = classify
 end)
 
-type batch_sweep = Sweep.batch_sweep = {
-  per_candidate : (int * difference) list array;
+type 'c batch = 'c Sweep.batch = {
+  per_candidate : 'c array;
   overlaps : (int * int) list;
   conflicts : (int * int * difference) list;
 }
 
-let adjacent_insertions ?pool ~target rule =
-  Sweep.adjacent_insertions ?pool target rule
+type batch_sweep = (int * difference) list batch
 
-let lazy_insertions ?pool ~target rule = Sweep.lazy_insertions ?pool target rule
+let adjacent_insertions ~target rule = Sweep.adjacent_insertions target rule
+let lazy_insertions ~target rule = Sweep.lazy_insertions target rule
+let lazy_batch_insertions ~target rules =
+  Sweep.lazy_batch_insertions target rules
 
-let batch_insertions ?pool ~target rules =
-  Sweep.batch_insertions ?pool target rules
+let batch_insertions ?pool:_ ~target rules = Sweep.batch_insertions target rules
 
 let pp_difference fmt d =
   Format.fprintf fmt

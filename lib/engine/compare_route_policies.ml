@@ -236,29 +236,29 @@ let witness p k i =
    any of them is a witness: the region's non-emptiness decides it, and
    the witness waits for a question. Elsewhere only a witness can tell
    (say [set metric 5] against a stanza that leaves metric alone, on a
-   region that pins metric to 5), so it is decoded now. *)
-let cell_boundaries p k (start, len) =
+   region that pins metric to 5), so it is decoded now. The last cell
+   is the implicit deny, not a position. *)
+let cell_boundaries p k =
   let db = p.db and stanza = p.cands.(k) in
   let t_new = p.transforms.(k) in
   let atoms_free = Array.length p.ctx.Ctx.as_path_lists = 0 in
-  let nonempty c =
-    let r = region p k c in
-    if p.within_valid.(k) then not (Bdd.is_zero r)
-    else Bdd.is_sat (Bdd.conj r (Ctx.valid p.ctx))
-  in
   List.filter_map
     (fun i ->
       let (c : Ctx.cell) = p.cells.(i) in
-      (* A cell the candidates cannot reach has no witness. *)
-      if Bdd.is_zero c.guard then None
+      let r = region p k c in
+      (* A cell the candidate cannot reach has no witness, though
+         another candidate of a batch may reach it. *)
+      if Bdd.is_zero r then None
       else
         let t_old = Config.Transform.of_sets db c.sets in
         let a = (stanza.action, t_new) and b = (c.action, t_old) in
         if not (may_differ db a b) then None
         else if atoms_free && differ_everywhere a b then
-          if nonempty c then Some (i, None) else None
+          if p.within_valid.(k) || Bdd.is_sat (Bdd.conj r (Ctx.valid p.ctx))
+          then Some (i, None)
+          else None
         else Option.map (fun d -> (i, Some d)) (decode p k i))
-    (List.init len (fun j -> start + j))
+    (List.init (Array.length p.cells - 1) Fun.id)
 
 let classify p i j =
   let db = p.db and si = p.cands.(i) and sj = p.cands.(j) in
@@ -318,26 +318,30 @@ module Sweep = First_match.Sweep (struct
       within_valid = Array.map (fun m -> Bdd.implies m (Ctx.valid ctx)) matches;
     }
 
-  let fork p = { p with ctx = Ctx.fork p.ctx }
   let cell_boundaries = cell_boundaries
   let witness = witness
   let classify = classify
 end)
 
-type batch_sweep = Sweep.batch_sweep = {
-  per_candidate : (int * difference) list array;
+type 'c batch = 'c Sweep.batch = {
+  per_candidate : 'c array;
   overlaps : (int * int) list;
   conflicts : (int * int * difference) list;
 }
 
-let adjacent_insertions ?pool ~db ~target stanza =
-  Sweep.adjacent_insertions ?pool (db, target) stanza
+type batch_sweep = (int * difference) list batch
 
-let lazy_insertions ?pool ~db ~target stanza =
-  Sweep.lazy_insertions ?pool (db, target) stanza
+let adjacent_insertions ~db ~target stanza =
+  Sweep.adjacent_insertions (db, target) stanza
 
-let batch_insertions ?pool ~db ~target stanzas =
-  Sweep.batch_insertions ?pool (db, target) stanzas
+let lazy_insertions ~db ~target stanza =
+  Sweep.lazy_insertions (db, target) stanza
+
+let lazy_batch_insertions ~db ~target stanzas =
+  Sweep.lazy_batch_insertions (db, target) stanzas
+
+let batch_insertions ?pool:_ ~db ~target stanzas =
+  Sweep.batch_insertions (db, target) stanzas
 
 let pp_difference fmt d =
   Format.fprintf fmt

@@ -40,7 +40,6 @@ val equal_behavior :
   bool
 
 val adjacent_insertions :
-  ?pool:Parallel.Pool.t ->
   db:Config.Database.t ->
   target:Config.Route_map.t ->
   Config.Route_map.stanza ->
@@ -63,10 +62,9 @@ val adjacent_insertions :
     stanza when inserted at [i] and by stanza [i] when inserted at
     [i + 1], so the two outcomes are those two stanzas' actions and
     sets applied to it and each position costs the same whatever the
-    width. [~pool] shards the positions (see {!First_match.Sweep}). *)
+    width. The positions are read serially, in the current manager. *)
 
 val lazy_insertions :
-  ?pool:Parallel.Pool.t ->
   db:Config.Database.t ->
   target:Config.Route_map.t ->
   Config.Route_map.stanza ->
@@ -83,10 +81,9 @@ val lazy_insertions :
     stanza that leaves metric alone is no boundary on a region that
     pins metric to 5. *)
 
-type batch_sweep = {
-  per_candidate : (int * difference) list array;
-      (** candidate [k]'s boundary sweep against the original target,
-          exactly what {!adjacent_insertions} would return for it *)
+type 'c batch = {
+  per_candidate : 'c array;
+      (** candidate [k]'s boundary sweep against the original target *)
   overlaps : (int * int) list;
       (** candidate pairs [i < j] whose match regions intersect *)
   conflicts : (int * int * difference) list;
@@ -94,18 +91,34 @@ type batch_sweep = {
           shared route, with a differential witness *)
 }
 
+type batch_sweep = (int * difference) list batch
+(** Each candidate's sweep exactly what {!adjacent_insertions} would
+    return for it. *)
+
+val lazy_batch_insertions :
+  db:Config.Database.t ->
+  target:Config.Route_map.t ->
+  Config.Route_map.stanza list ->
+  (int * difference Lazy.t) list Lazy.t batch
+(** Multi-stanza sweep for batch synthesis: the pairwise inter-intent
+    overlap/conflict graph, classified from one compiled first-match
+    partition of [target] projected onto the union of the candidates'
+    match regions, and every candidate's boundaries read from it only
+    when forced, then {!lazy_insertions} for that candidate. Both
+    sweeps take the target plus every candidate as their symbolic
+    scope, so a candidate's witnesses are those of its own sweep. A
+    read skips a cell only other candidates reach without decoding
+    anything there. Force reads and witnesses in the current manager,
+    before it is reset. *)
+
 val batch_insertions :
   ?pool:Parallel.Pool.t ->
   db:Config.Database.t ->
   target:Config.Route_map.t ->
   Config.Route_map.stanza list ->
   batch_sweep
-(** Multi-stanza sweep for batch synthesis: boundary sweeps for every
-    candidate plus the pairwise inter-intent overlap/conflict graph,
-    all against one compiled first-match partition of [target],
-    projected onto the union of the candidates' match regions. Both
-    sweeps take the target plus every candidate as their symbolic
-    scope, so witnesses are independent of how the work is sharded. *)
+(** {!lazy_batch_insertions} with every read and witness forced.
+    [?pool] is accepted and ignored. *)
 
 val pp_difference : Format.formatter -> difference -> unit
 (** Rendered in the paper's OPTION 1 / OPTION 2 style. *)

@@ -8,12 +8,9 @@
    fall-through(0..i-1) ∧ match(rule i): every boundary is one
    conjunction against a single shared compilation. A family supplies
    that compilation and the per-cell and per-pair reads; this module
-   compiles it once, in the caller's manager, reads it serially or
-   across a pool, decodes the witnesses the reads left undecoded (or
-   leaves them to be decoded on demand), and keeps the sweep
-   counters. *)
-
-open Symbdd
+   compiles it once, in the caller's manager, reads it serially,
+   decodes the witnesses the reads left undecoded (or leaves them to
+   be decoded on demand), and keeps the sweep counters. *)
 
 type 'd pair = Disjoint | Overlap | Conflict of 'd
 
@@ -25,100 +22,57 @@ module type FAMILY = sig
 
   val width : target -> int
   val compile : target -> rule array -> partition
-  val fork : partition -> partition
-  val cell_boundaries :
-    partition -> int -> int * int -> (int * difference option) list
+  val cell_boundaries : partition -> int -> (int * difference option) list
   val witness : partition -> int -> int -> difference
   val classify : partition -> int -> int -> difference pair
 end
 
 module Sweep (F : FAMILY) = struct
-  type batch_sweep = {
-    per_candidate : (int * F.difference) list array;
+  type 'c batch = {
+    per_candidate : 'c array;
     overlaps : (int * int) list;
     conflicts : (int * int * F.difference) list;
   }
 
-  (* [List.map (f p) xs], across the pool when it has several domains,
-     there are several items to share, and the current manager can be
-     lent out as the workers' base: it is frozen for the length of the
-     map, every participant layers a private delta on it, and nothing
-     compiled into it is compiled again. A delta (a sweep inside a
-     pooled task) or an already frozen manager cannot be a base, so the
-     map runs serially there. *)
-  let map ?grain pool p f xs =
-    let m = Bdd.manager () in
-    match pool with
-    | Some pool
-      when Parallel.Pool.domains pool > 1
-           && List.compare_length_with xs 1 > 0
-           && not (Bdd.Manager.is_delta m || Bdd.Manager.frozen m) ->
-        Bdd.Manager.frozen_during m (fun () ->
-            Parallel.Pool.map ?grain ~bdd_base:m pool
-              ~f:(fun x -> f (F.fork p) x)
-              xs)
-    | _ -> List.map (f p) xs
+  type batch_sweep = (int * F.difference) list batch
 
   let observe t0 =
     Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9)
 
-  (* Candidate [k]'s boundary with its witness: the one its read
-     decoded, or one decoded now from [p]. *)
-  let decoded p k (i, d) =
-    match d with Some d -> (i, d) | None -> (i, F.witness p k i)
+  (* Candidate [k]'s boundaries, each with the witness its read decoded
+     or one decoded from [p] when forced. *)
+  let read p k =
+    List.map
+      (fun (i, d) ->
+        match d with
+        | Some d -> (i, Lazy.from_val d)
+        | None -> (i, lazy (F.witness p k i)))
+      (F.cell_boundaries p k)
 
-  (* The same, decoded from [p] only when forced. *)
-  let on_demand p k (i, d) =
-    match d with
-    | Some d -> (i, Lazy.from_val d)
-    | None -> (i, lazy (F.witness p k i))
+  let force bounds = List.map (fun (i, d) -> (i, Lazy.force d)) bounds
 
   (* The one sweep of a single rule: its partition, compiled in the
-     current manager, and the concatenation of [read p slice] over
-     slices of its positions, [p] being the partition or a worker's
-     fork of it; [None] for an empty target. *)
-  let sweep ?pool target rule read =
+     current manager, read once; [finish] runs before the sweep's
+     latency is observed. *)
+  let sweep target rule finish =
     Obs.Counter.incr Metrics.adjacent_insertions_calls;
     let t0 = Obs.now () in
     let n = F.width target in
-    let result =
-      if n = 0 then None
+    let bounds =
+      if n = 0 then []
       else begin
         Obs.Counter.incr Metrics.adjacent_contexts;
         Obs.Counter.incr ~by:(n - 1) Metrics.adjacent_prefix_reuse;
-        let p = F.compile target [| rule |] in
-        (* Slices of a few positions: the partition fork amortizes over
-           the slice while slices stay plentiful enough to steal when
-           rule widths are skewed. *)
-        Some
-          ( p,
-            List.concat
-              (map pool p read (Parallel.Pool.ranges ~grain:8 n)) )
+        finish (read (F.compile target [| rule |]) 0)
       end
     in
     observe t0;
-    result
+    bounds
 
-  (* Every witness is decoded where its position was read, inside a
-     pool task on a pooled sweep, so decoding stays parallel. *)
-  let adjacent_insertions ?pool target rule =
-    match
-      sweep ?pool target rule (fun p slice ->
-          List.map (decoded p 0) (F.cell_boundaries p 0 slice))
-    with
-    | None -> []
-    | Some (_, bounds) -> bounds
+  let adjacent_insertions target rule = sweep target rule force
+  let lazy_insertions target rule = sweep target rule Fun.id
 
-  (* A task returns plain data, positions and the witnesses deciding
-     them took; the rest are decoded on demand from the caller's own
-     partition, never from a worker's fork, so in the caller's
-     manager. *)
-  let lazy_insertions ?pool target rule =
-    match sweep ?pool target rule (fun p slice -> F.cell_boundaries p 0 slice) with
-    | None -> []
-    | Some (p, bounds) -> List.map (on_demand p 0) bounds
-
-  let batch_insertions ?pool target rules =
+  let lazy_batch_insertions target rules =
     let cands = Array.of_list rules in
     let ncand = Array.length cands in
     if ncand = 0 then { per_candidate = [||]; overlaps = []; conflicts = [] }
@@ -127,23 +81,13 @@ module Sweep (F : FAMILY) = struct
       let t0 = Obs.now () in
       let n = F.width target in
       Obs.Counter.incr Metrics.adjacent_contexts;
-      let ks = List.init ncand Fun.id in
       let pairs =
         List.concat_map
           (fun i -> List.init (ncand - i - 1) (fun d -> (i, i + d + 1)))
-          ks
+          (List.init ncand Fun.id)
       in
       let p = F.compile target cands in
-      (* Candidate sweeps are coarse, one stealable task each; pairs are
-         cheap, so a few share a task to amortize the fork. *)
-      let bounds =
-        map pool p
-          (fun p k -> List.map (decoded p k) (F.cell_boundaries p k (0, n)))
-          ks
-      in
-      let kinds =
-        map ~grain:4 pool p (fun p (i, j) -> F.classify p i j) pairs
-      in
+      let kinds = List.map (fun (i, j) -> F.classify p i j) pairs in
       Obs.Counter.incr
         ~by:((ncand * max 1 n) - 1)
         Metrics.adjacent_prefix_reuse;
@@ -158,6 +102,17 @@ module Sweep (F : FAMILY) = struct
       in
       Obs.Counter.incr ~by:(List.length conflicts) Metrics.batch_conflict_pairs;
       observe t0;
-      { per_candidate = Array.of_list bounds; overlaps; conflicts }
+      {
+        per_candidate = Array.init ncand (fun k -> lazy (read p k));
+        overlaps;
+        conflicts;
+      }
     end
+
+  let batch_insertions target rules =
+    let b = lazy_batch_insertions target rules in
+    {
+      b with
+      per_candidate = Array.map (fun r -> force (Lazy.force r)) b.per_candidate;
+    }
 end

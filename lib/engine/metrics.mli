@@ -8,13 +8,12 @@ val compare_route_policies_calls : Obs.Counter.t
 val compare_acls_calls : Obs.Counter.t
 
 val adjacent_insertions_calls : Obs.Counter.t
-(** Boundary sweeps: [adjacent_insertions] and [batch_insertions] of
+(** Boundary sweeps: the single-rule sweeps and the batch sweeps of
     either {!First_match.Sweep} instance. *)
 
 val adjacent_contexts : Obs.Counter.t
 (** Symbolic contexts built during boundary discovery: one per sweep
-    of a non-empty target (one per batch), compiled once even under a
-    pool. *)
+    of a non-empty target (one per batch). *)
 
 val adjacent_prefix_reuse : Obs.Counter.t
 (** Insertion positions whose reachability came from a shared prefix
@@ -29,7 +28,8 @@ val witnesses_decoded : Obs.Counter.t
 val boundary_ns : Obs.Histogram.t
 (** Wall time of one full boundary sweep; for
     [lazy_insertions], up to the positions, before any witness is
-    decoded on demand. *)
+    decoded on demand, and for a batch sweep, up to the classified
+    pairs, before any candidate is read. *)
 
 val batch_intents : Obs.Counter.t
 (** Intents processed by batch synthesis runs ({!Clarify.Batch}). *)

@@ -30,11 +30,10 @@
    long-lived private delta manager layered on that base — cached in
    domain-local storage and *reset* (rewound to the base boundary, not
    reallocated) at the start of each batch, so the arena allocation is
-   also paid once, for as long as the base stays in one freeze epoch.
-   Without a base, persistent workers run under a long-lived scratch
-   root manager, likewise reset per batch, which preserves the old
-   fresh-domain property that one batch's nodes can never leak into
-   the next. *)
+   also paid once per base. Without a base, persistent workers run
+   under a long-lived scratch root manager, likewise reset per batch,
+   which preserves the old fresh-domain property that one batch's
+   nodes can never leak into the next. *)
 
 type t = { domains : int }
 
@@ -207,29 +206,25 @@ let () =
 let in_task_key = Domain.DLS.new_key (fun () -> ref false)
 let in_worker () = !(Domain.DLS.get in_task_key)
 
-(* Long-lived delta manager per domain, keyed by its frozen base and
-   the base's freeze epoch. A delta captures the base's store, unique
-   table and boundary; a base frozen only for a scope
-   (Manager.frozen_during, as the boundary sweeps lend the caller's
-   manager) may allocate, grow and rehash once it thaws, which leaves
-   those captures stale. Same base and epoch next batch ->
-   Manager.reset rewinds the delta to the base boundary and keeps its
-   arena; anything else -> a fresh delta replaces the cached one. *)
+(* Long-lived delta manager per domain, keyed by its frozen base. A
+   delta captures the base's store, unique table and boundary, which a
+   base never changes once frozen (freezing is one-way). Same base next
+   batch -> Manager.reset rewinds the delta to the base boundary and
+   keeps its arena; different base -> a fresh delta replaces the
+   cached one. *)
 let delta_key :
-    (Symbdd.Bdd.Manager.t * int * Symbdd.Bdd.Manager.t) option ref
-    Domain.DLS.key =
+    (Symbdd.Bdd.Manager.t * Symbdd.Bdd.Manager.t) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let delta_for base =
   let cell = Domain.DLS.get delta_key in
-  let epoch = Symbdd.Bdd.Manager.freeze_epoch base in
   match !cell with
-  | Some (b0, e0, d) when b0 == base && e0 = epoch ->
+  | Some (b0, d) when b0 == base ->
       Symbdd.Bdd.Manager.reset d;
       d
   | _ ->
       let d = Symbdd.Bdd.Manager.create_delta base in
-      cell := Some (base, epoch, d);
+      cell := Some (base, d);
       d
 
 (* Long-lived scratch root manager for base-less batches on persistent
@@ -493,16 +488,6 @@ let chunk_bounds ~n ~chunks i =
   let start = (i * base) + min i rem in
   let len = base + if i < rem then 1 else 0 in
   (start, len)
-
-let ranges ?(grain = 8) n =
-  let grain = max 1 grain in
-  let rec go start acc =
-    if start >= n then List.rev acc
-    else
-      let len = min grain (n - start) in
-      go (start + len) ((start, len) :: acc)
-  in
-  if n <= 0 then [] else go 0 []
 
 let map ?(grain = 1) ?bdd_base pool ~f items =
   let n = List.length items in

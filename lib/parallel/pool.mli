@@ -20,12 +20,10 @@
     databases), never BDD values. With [?bdd_base] (a frozen root
     manager) each participant runs under a long-lived delta layered on
     the base, cached per domain and {e reset} — rewound to the base
-    boundary, not reallocated — between batches of the same base and
-    freeze epoch ({!Symbdd.Bdd.Manager.freeze_epoch}), and recreated
-    when the base has thawed and frozen again in between; handles
-    built by the base are valid in every delta, so tasks may capture
-    and use them. Without a base, persistent workers run under a
-    long-lived scratch root manager, likewise reset per batch,
+    boundary, not reallocated — between batches of the same base;
+    handles built by the base are valid in every delta, so tasks may
+    capture and use them. Without a base, persistent workers run under
+    a long-lived scratch root manager, likewise reset per batch,
     preserving the old fresh-domain guarantee that nodes never leak
     across batches.
 
@@ -70,8 +68,8 @@ val map :
     microbenchmark-sized closures).
 
     [?bdd_base] must be a {e frozen} root manager
-    ({!Symbdd.Bdd.Manager.freeze}, or {!Symbdd.Bdd.Manager.frozen_during}
-    around the call); see the module docs for the delta lifecycle. The serial fallback (one domain, a single task, or a
+    ({!Symbdd.Bdd.Manager.freeze}); see the module docs for the delta
+    lifecycle. The serial fallback (one domain, a single task, or a
     nested call from inside a worker task — which runs inline, serial)
     applies the same layering with a fresh delta per call.
 
@@ -91,13 +89,6 @@ val map :
 
     If any task raises, the batch still drains, and the exception from
     the smallest input position is re-raised. *)
-
-val ranges : ?grain:int -> int -> (int * int) list
-(** [ranges ~grain n] is [n] positions cut into contiguous
-    [(start, len)] slices of at most [grain] (default 8) — the shape
-    the boundary-sweep engines feed to {!map} so that per-slice setup
-    (context forks, rule compilation) amortizes over a few positions
-    while slices stay plentiful enough to steal. *)
 
 val in_worker : unit -> bool
 (** True while the calling domain is executing inside a {!map} batch

@@ -181,12 +181,6 @@ let create ?(extra_communities = []) ?(extra_comm_regexes = [])
     combo_table = Hashtbl.create 16;
   }
 
-(* A private copy for a worker that shares the immutable universe but
-   owns the feasibility memo, so concurrent workers layered on one
-   compiled context never race. *)
-let fork ctx =
-  { ctx with combo_table = Hashtbl.copy ctx.combo_table }
-
 (** Routes representable in this context: prefix length at most 32.
     Context-independent, so built once per manager. *)
 let valid _ctx =

@@ -53,11 +53,6 @@ val create :
     route-maps reference in their respective databases, plus the extras
     (typically a specification's regexes). *)
 
-val fork : t -> t
-(** A private copy sharing the immutable universe but owning the
-    feasibility memo, so a worker domain can use a context compiled
-    into a shared frozen BDD base without racing other workers on it. *)
-
 val comm_var : t -> Bgp.Community.t -> int option
 (** The atom variable of a universe community. *)
 

@@ -1,7 +1,9 @@
 (* Batch synthesis equivalence: for every family (route-map, ACL,
    prefix-list), a batch run over N intents must produce exactly the
    configuration N sequential pipeline runs produce, asking a question
-   set contained in the sequential one — serial and pooled. Plus pinned
+   set contained in the sequential one and, for route-maps and ACLs,
+   decoding exactly as many boundary witnesses — serial and with a
+   pool handed in. Plus pinned
    cases: a conflicting pair with its witness checked exactly, a
    conflict-free batch compiling the target partition once, and the
    answer-cache dedup regression (policy/position are part of the key,
@@ -33,6 +35,23 @@ let acl_key target q = (target, AD.view q)
 let pd_key target q = (target, PD.view q)
 
 let subset ~of_:ys xs = List.for_all (fun x -> List.mem x ys) xs
+
+(* [f ()] and the boundary witnesses it decodes, counted with the
+   observability layer on. *)
+let decoding f =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let before = Obs.Counter.value Engine.Metrics.witnesses_decoded in
+  let r = f () in
+  (r, Obs.Counter.value Engine.Metrics.witnesses_decoded - before)
+
+(* A batch decodes the witnesses its intents decode one by one: only
+   the questions it asks, plus those a sweep needs to decide a
+   boundary. *)
+let check_decoded ~sequential ~batch =
+  if batch <> sequential then
+    QCheck.Test.fail_reportf
+      "batch decoded %d witnesses, the sequential runs %d" batch sequential
 
 let same_multiset xs ys =
   List.length xs = List.length ys && subset ~of_:ys xs && subset ~of_:xs ys
@@ -157,8 +176,13 @@ let prop_rm_batch_equals_sequential ~pooled ~count =
     (fun (rm, intents) ->
       let db = rm_setup rm in
       let prompts = List.map (fun i -> I.to_prompt (I.Route_map i)) intents in
-      let db_seq, seq_qs = sequential_route_maps db prompts in
-      let report, batch_qs = batch_route_maps ~pooled db prompts in
+      let (db_seq, seq_qs), sequential =
+        decoding (fun () -> sequential_route_maps db prompts)
+      in
+      let (report, batch_qs), batch =
+        decoding (fun () -> batch_route_maps ~pooled db prompts)
+      in
+      check_decoded ~sequential ~batch;
       if config_string report.B.db <> config_string db_seq then
         QCheck.Test.fail_reportf "final configs differ:@.%s@.-- vs --@.%s"
           (config_string report.B.db)
@@ -257,8 +281,13 @@ let prop_acl_batch_equals_sequential ~pooled ~count =
     (fun (acl, intents) ->
       let db = acl_setup acl in
       let prompts = List.map I.to_prompt intents in
-      let db_seq, seq_qs = sequential_acls db prompts in
-      let report, batch_qs = batch_acls ~pooled db prompts in
+      let (db_seq, seq_qs), sequential =
+        decoding (fun () -> sequential_acls db prompts)
+      in
+      let (report, batch_qs), batch =
+        decoding (fun () -> batch_acls ~pooled db prompts)
+      in
+      check_decoded ~sequential ~batch;
       config_string report.B.db = config_string db_seq
       && same_multiset batch_qs seq_qs)
 

@@ -2,7 +2,7 @@
    targets and insertion candidates, the compile-once sweep must
    reproduce the definition of a boundary byte-for-byte — same
    boundary positions, same witness examples, same placements in every
-   disambiguation mode, serial or fanned across a worker pool. The
+   disambiguation mode, from a single sweep or a batch. The
    definition lives here, not in the library: position [i] is a
    boundary when the candidate inserted at [i] and at [i + 1] behave
    differently, and the first difference is its witness. *)
@@ -175,17 +175,12 @@ let check_rm_modes ~case ~db ~target ~stanza =
 
 let test_route_map_equivalence () =
   let rng = Random.State.make [| 0x5eed; 1 |] in
-  let pool = Parallel.Pool.create ~domains:4 () in
   for case = 0 to cases - 1 do
     let db, target, stanza = route_map_case rng case in
     check_same ~what:"route-map boundaries" ~case ~render:render_rm_question
       (rm_reference ~db ~target stanza)
       (D.boundaries ~db ~target stanza);
-    if case mod 3 = 0 then check_rm_modes ~case ~db ~target ~stanza;
-    if case mod 10 = 0 then
-      check_same ~what:"pooled sweep" ~case ~render:render_rm
-        (rm_definition ~db ~target stanza)
-        (Crp.adjacent_insertions ~pool ~db ~target stanza)
+    if case mod 3 = 0 then check_rm_modes ~case ~db ~target ~stanza
   done
 
 (* Wide targets put boundaries behind deep fall-throughs: cell [i]'s
@@ -350,10 +345,7 @@ let test_route_map_mixed_clauses () =
         (fun stanza ->
           let reference = rm_definition ~db ~target stanza in
           let serial = Crp.adjacent_insertions ~db ~target stanza in
-          let pooled = Crp.adjacent_insertions ~pool ~db ~target stanza in
           check_same ~what:"mixed-clause sweep" ~case ~render reference serial;
-          check_same ~what:"pooled mixed-clause sweep" ~case ~render reference
-            pooled;
           serial)
         candidates
     in
@@ -471,17 +463,12 @@ let check_acl_modes ~case ~target ~rule =
 
 let test_acl_equivalence () =
   let rng = Random.State.make [| 0x5eed; 2 |] in
-  let pool = Parallel.Pool.create ~domains:4 () in
   for case = 0 to cases - 1 do
     let target, rule = acl_case rng case in
     check_same ~what:"acl boundaries" ~case ~render:render_acl_question
       (acl_reference ~target rule)
       (Ad.boundaries ~target rule);
-    if case mod 3 = 0 then check_acl_modes ~case ~target ~rule;
-    if case mod 10 = 0 then
-      check_same ~what:"pooled acl sweep" ~case ~render:render_acl
-        (acl_definition ~target rule)
-        (Ca.adjacent_insertions ~pool ~target rule)
+    if case mod 3 = 0 then check_acl_modes ~case ~target ~rule
   done
 
 (* ------------------------------------------------------------------ *)
@@ -564,11 +551,8 @@ let test_acl_mixed_fields () =
         (fun rule ->
           let reference = acl_definition ~target rule in
           let serial = Ca.adjacent_insertions ~target rule in
-          let pooled = Ca.adjacent_insertions ~pool ~target rule in
           check_same ~what:"mixed-field acl sweep" ~case ~render:render_acl
             reference serial;
-          check_same ~what:"pooled mixed-field acl sweep" ~case
-            ~render:render_acl reference pooled;
           serial)
         candidates
     in
@@ -966,8 +950,6 @@ let test_on_demand_pinned () =
           let reference = rm_definition ~db ~target stanza in
           let serial = Crp.adjacent_insertions ~db ~target stanza in
           check_same ~what:"pinned sweep" ~case ~render reference serial;
-          check_same ~what:"pooled pinned sweep" ~case ~render reference
-            (Crp.adjacent_insertions ~pool ~db ~target stanza);
           free := !free + rm_on_demand ~pool ~pooled:3 ~case ~db ~target stanza;
           serial)
         candidates

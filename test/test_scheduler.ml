@@ -113,15 +113,18 @@ let sweep_case seed =
         List.hd b.rules )
   | _ -> Alcotest.fail "corpus too small"
 
-(* Boundary sweep: serial ≡ pooled ≡ pooled-under-stress. *)
+(* Boundary sweeps, one per pool task as the routers of a fleet run
+   them: serial ≡ pooled ≡ pooled-under-stress. *)
 let test_stress_boundaries_identical () =
-  let target, rule = sweep_case 7 in
+  let cases = List.map sweep_case [ 7; 8; 9; 10 ] in
   let pool = Parallel.Pool.create ~domains:4 () in
-  let serial = Engine.Compare_acls.adjacent_insertions ~target rule in
-  let pooled = Engine.Compare_acls.adjacent_insertions ~pool ~target rule in
+  let sweep (target, rule) =
+    Engine.Compare_acls.adjacent_insertions ~target rule
+  in
+  let serial = List.map sweep cases in
+  let pooled = Parallel.Pool.map pool ~f:sweep cases in
   let stressed =
-    with_stress (fun () ->
-        Engine.Compare_acls.adjacent_insertions ~pool ~target rule)
+    with_stress (fun () -> Parallel.Pool.map pool ~f:sweep cases)
   in
   check_bool "pooled sweep identical" true (serial = pooled);
   check_bool "steal-stress sweep identical" true (serial = stressed)
@@ -141,13 +144,18 @@ let test_stress_batch_identical () =
   let view (s : Engine.Compare_acls.batch_sweep) =
     (Array.to_list s.per_candidate, s.overlaps, s.conflicts)
   in
-  let serial = view (Engine.Compare_acls.batch_insertions ~target rules) in
-  let pooled =
-    view (Engine.Compare_acls.batch_insertions ~pool ~target rules)
+  (* Each candidate prefix of the rules is one batch, one pool task. *)
+  let batches =
+    List.init (List.length rules) (fun k ->
+        List.filteri (fun i _ -> i <= k) rules)
   in
+  let sweep rules =
+    view (Engine.Compare_acls.batch_insertions ~target rules)
+  in
+  let serial = List.map sweep batches in
+  let pooled = Parallel.Pool.map pool ~f:sweep batches in
   let stressed =
-    with_stress (fun () ->
-        view (Engine.Compare_acls.batch_insertions ~pool ~target rules))
+    with_stress (fun () -> Parallel.Pool.map pool ~f:sweep batches)
   in
   check_bool "pooled batch identical" true (serial = pooled);
   check_bool "steal-stress batch identical" true (serial = stressed)
@@ -184,10 +192,11 @@ let test_stress_e5_identical () =
 (* Nested submission                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A batch sweep inside a fleet-shard-shaped outer map: the inner map
-   sees it is already on a worker and runs inline (serial), so the
-   scheduler never deadlocks on its one-batch-at-a-time lock and the
-   combined result still equals the all-serial one. *)
+(* A batch sweep and a map of single sweeps inside a
+   fleet-shard-shaped outer map: the inner map sees it is already on a
+   worker and runs inline (serial), so the scheduler never deadlocks on
+   its one-batch-at-a-time lock and the combined result still equals
+   the all-serial one. *)
 let test_nested_submission () =
   let corpus = Workload.Cloud.generate ~seed:5 () in
   let target = List.hd corpus.Workload.Cloud.acls in
@@ -197,8 +206,13 @@ let test_nested_submission () =
   in
   let pool = Parallel.Pool.create ~domains:4 () in
   let shard _i =
-    let s = Engine.Compare_acls.batch_insertions ~pool ~target rules in
-    (Array.to_list s.per_candidate, s.overlaps, s.conflicts)
+    let s = Engine.Compare_acls.batch_insertions ~target rules in
+    ( Array.to_list s.per_candidate,
+      s.overlaps,
+      s.conflicts,
+      Parallel.Pool.map pool
+        ~f:(fun rule -> Engine.Compare_acls.adjacent_insertions ~target rule)
+        rules )
   in
   let serial = shard 0 in
   let results = Parallel.Pool.map pool ~f:shard (List.init 6 Fun.id) in
@@ -319,131 +333,6 @@ let test_delta_reset_between_batches () =
   check_bool "tasks really run on deltas of the shared base" true
     (List.for_all (fun (_, b) -> b > 0) leaked)
 
-(* ------------------------------------------------------------------ *)
-(* The caller's manager as the sweep's base                           *)
-(* ------------------------------------------------------------------ *)
-
-(* A pooled boundary sweep compiles into the caller's own manager and
-   freezes it only while the workers read it through deltas. *)
-
-let serial_sweep (target, rule) =
-  Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ()) (fun () ->
-      Engine.Compare_acls.adjacent_insertions ~target rule)
-
-exception Slice_failed
-
-(* A first-match family whose reads allocate and whose slice at
-   position 8 raises: a pooled sweep over it fails in a worker task. *)
-module Failing = Engine.First_match.Sweep (struct
-  type target = int
-  type rule = unit
-  type difference = unit
-  type partition = Symbdd.Bdd.t array
-
-  let width n = n
-
-  let compile n _ =
-    Array.init n (fun i ->
-        Symbdd.Bvec.eq_const (Symbdd.Bvec.sequential ~first:0 ~width:8) i)
-
-  let fork p = p
-
-  let cell_boundaries p _ (start, len) =
-    if start = 8 then raise Slice_failed;
-    List.init len (fun j ->
-        ignore (Symbdd.Bdd.neg p.(start + j));
-        (start + j, Some ()))
-
-  let witness _ _ _ = ()
-  let classify _ _ _ = Engine.First_match.Disjoint
-end)
-
-let test_caller_manager_writable_after_sweep () =
-  let open Symbdd in
-  let pool = Parallel.Pool.create ~domains:4 () in
-  let target, rule = sweep_case 7 in
-  let m = Bdd.Manager.create () in
-  Bdd.with_manager m (fun () ->
-      let e0 = Bdd.Manager.freeze_epoch m in
-      ignore (Engine.Compare_acls.adjacent_insertions ~pool ~target rule);
-      check_int "the sweep froze the caller's manager once" (e0 + 1)
-        (Bdd.Manager.freeze_epoch m);
-      check_bool "writable after a pooled sweep" false (Bdd.Manager.frozen m);
-      check_bool "a failing task's exception reaches the caller" true
-        (match Failing.adjacent_insertions ~pool 32 () with
-        | _ -> false
-        | exception Slice_failed -> true);
-      check_bool "writable after a failed pooled sweep" false
-        (Bdd.Manager.frozen m);
-      let fresh = Bdd.var 300 in
-      check_bool "and it allocates" true (Bdd.is_sat fresh))
-
-(* Each pooled sweep is one freeze: the caller allocates in between,
-   growing its store past the capacity the first sweep's deltas
-   captured, so those cached deltas must not be reused. *)
-let test_sweeps_across_caller_growth () =
-  let open Symbdd in
-  let pool = Parallel.Pool.create ~domains:4 () in
-  let first = sweep_case 7 and second = sweep_case 11 in
-  let m = Bdd.Manager.create () in
-  let pooled (target, rule) =
-    Engine.Compare_acls.adjacent_insertions ~pool ~target rule
-  in
-  let a, b =
-    Bdd.with_manager m (fun () ->
-        let a = pooled first in
-        let before = (Bdd.Manager.stats m).next_id in
-        let v = Bvec.sequential ~first:0 ~width:16 in
-        for i = 0 to 20_000 do
-          ignore (Bvec.eq_const v i)
-        done;
-        check_bool "the caller's store grew between the sweeps" true
-          ((Bdd.Manager.stats m).next_id - before > 16_384);
-        (a, pooled second))
-  in
-  check_bool "first pooled sweep = serial" true (a = serial_sweep first);
-  check_bool "second pooled sweep = serial" true (b = serial_sweep second)
-
-(* Inside a task of a pool with a base, the current manager is a delta:
-   it cannot be lent out, so the inner sweep reads serially. *)
-let test_sweep_inside_pooled_task () =
-  let open Symbdd in
-  let pool = Parallel.Pool.create ~domains:4 () in
-  let ((target, rule) as case) = sweep_case 7 in
-  let base = Bdd.Manager.create () in
-  Bdd.Manager.freeze base;
-  let results =
-    Parallel.Pool.map ~bdd_base:base pool
-      ~f:(fun _ ->
-        ( Bdd.Manager.is_delta (Bdd.manager ()),
-          Engine.Compare_acls.adjacent_insertions ~pool ~target rule ))
-      (List.init 4 Fun.id)
-  in
-  let serial = serial_sweep case in
-  check_bool "tasks run on deltas" true (List.for_all fst results);
-  check_bool "inner pooled sweeps = serial" true
-    (List.for_all (fun (_, r) -> r = serial) results)
-
-let test_frozen_during () =
-  let open Symbdd in
-  let m = Bdd.Manager.create () in
-  let e0 = Bdd.Manager.freeze_epoch m in
-  check_bool "an exception passes through" true
-    (match
-       Bdd.Manager.frozen_during m (fun () ->
-           check_bool "frozen inside" true (Bdd.Manager.frozen m);
-           raise Exit)
-     with
-    | () -> false
-    | exception Exit -> true);
-  check_bool "writable again after a raise" false (Bdd.Manager.frozen m);
-  check_int "one epoch per freeze" (e0 + 1) (Bdd.Manager.freeze_epoch m);
-  Bdd.Manager.freeze m;
-  Bdd.Manager.frozen_during m ignore;
-  check_bool "an already frozen manager stays frozen" true
-    (Bdd.Manager.frozen m);
-  check_int "and keeps its epoch" (e0 + 2) (Bdd.Manager.freeze_epoch m)
-
 let () =
   Alcotest.run "scheduler"
     [
@@ -477,15 +366,5 @@ let () =
             test_steals_observed_under_stress;
           Alcotest.test_case "deltas reset between batches" `Quick
             test_delta_reset_between_batches;
-        ] );
-      ( "caller's manager",
-        [
-          Alcotest.test_case "writable after a pooled sweep" `Quick
-            test_caller_manager_writable_after_sweep;
-          Alcotest.test_case "pooled sweeps across caller growth" `Quick
-            test_sweeps_across_caller_growth;
-          Alcotest.test_case "pooled sweep inside a pooled task" `Quick
-            test_sweep_inside_pooled_task;
-          Alcotest.test_case "frozen_during" `Quick test_frozen_during;
         ] );
     ]
