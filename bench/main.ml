@@ -344,7 +344,7 @@ let run_bdd_microbench () =
       wall_ns (fun () ->
           List.fold_left ( + ) 0
             (* Single conjunctions are far below task-bookkeeping cost,
-               so batch them 64 per stealable task. *)
+               so batch them 64 per task. *)
             (Parallel.Pool.map ~grain:64 ~bdd_base:base pool
                ~f:(fun (i, j) ->
                  if B.is_sat (B.conj arr.(i) arr.(j)) then 1 else 0)
@@ -684,14 +684,22 @@ let run_obs_overhead () =
   (* The sweep is now about a millisecond, so scheduler noise of the
      same order would decide single rounds: 25 interleaved rounds keep
      the 5% overhead gate from flaking (9 rounds spread from -6% to
-     +5% on a 2-core container, 25 rounds from -1% to +4%). *)
+     +5% on a 2-core container, 25 rounds from -1% to +4%). One sweep
+     allocates just under one minor heap (259k of 262k words), so each
+     timed sweep starts from an empty one and collects nothing:
+     otherwise nearly every sweep would contain one collection, and
+     the min-of-25 would be decided by which side got the one sweep
+     without (at --jobs 4 a collection also stops the parked worker
+     domains). *)
   let min_of = 25 in
   let off = ref infinity and on = ref infinity in
   for _ = 1 to min_of do
     Obs.disable ();
+    Gc.minor ();
     let (), t_off = wall_ns sweep in
     Obs.enable ();
     Obs.reset ();
+    Gc.minor ();
     let (), t_on = wall_ns sweep in
     off := Float.min !off t_off;
     on := Float.min !on t_on
@@ -757,21 +765,22 @@ let run_fleet_scaling () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler skew: coarse fork-join chunks vs per-item stealing       *)
+(* Scheduler skew: coarse fork-join chunks vs per-item claims         *)
 (* ------------------------------------------------------------------ *)
 
 (* 64 boundary-sweep scenarios, the first 8 at full width [w] and the
    remaining 56 at [w/8]: under the pre-scheduler one-contiguous-
    chunk-per-worker split (reconstructed here with a fat grain) the
    heavy head lands on one or two workers while the rest go idle; with
-   per-item tasks the idle domains steal the heavy chunk apart. The CI
-   gate holds steal >= 2x coarse at both widths; results are asserted
+   per-item tasks the idle domains claim the heavy head one scenario at
+   a time. The CI gate holds per-item >= 2x coarse at both widths (the
+   [-steal] key names the per-item leg); results are asserted
    identical to the serial sweep on every timed attempt. *)
 let run_sched_skew () =
   if Parallel.Pool.domains pool <= 1 then []
   else begin
     Format.printf
-      "=== Scheduler skew: coarse chunks vs per-item stealing ===@.";
+      "=== Scheduler skew: coarse chunks vs per-item claims ===@.";
     let nscen = 64 and heavy = 8 in
     let timings = ref [] in
     List.iter
@@ -799,16 +808,17 @@ let run_sched_skew () =
         in
         let d = Parallel.Pool.domains pool in
         let coarse = time ((nscen + d - 1) / d) in
-        let steal = time 1 in
+        let per_item = time 1 in
         Format.printf
-          "width %-4d coarse %9.2f ms  steal %9.2f ms  speedup %.2fx  (8 \
+          "width %-4d coarse %9.2f ms  per-item %9.2f ms  speedup %.2fx  (8 \
            heavy + %d light, min of 3)@."
-          w (coarse /. 1e6) (steal /. 1e6) (coarse /. steal) (nscen - heavy);
+          w (coarse /. 1e6) (per_item /. 1e6) (coarse /. per_item)
+          (nscen - heavy);
         timings :=
           !timings
           @ [
               (Printf.sprintf "sched/skew-boundaries-w%d-coarse" w, coarse);
-              (Printf.sprintf "sched/skew-boundaries-w%d-steal" w, steal);
+              (Printf.sprintf "sched/skew-boundaries-w%d-steal" w, per_item);
             ])
       [ 32; 128 ];
     Format.printf "@.";
@@ -821,19 +831,19 @@ let run_sched_skew () =
 
 (* E5 at 256 routers with the first 13 plans replayed 10x (one pod of
    fat edge routers). Coarse contiguous chunks serialize the heavy pod
-   behind one worker; stealing spreads it. Router configs and question
-   counts are asserted byte-identical to the serial run on every timed
-   attempt.
+   behind one worker; per-router claims spread it. Router configs and
+   question counts are asserted byte-identical to the serial run on
+   every timed attempt.
 
    The straggler figure is p99/p50 of per-router *stretch*: each
-   router's build wall under the stealing pool divided by the same
+   router's build wall under per-router claims divided by the same
    router's wall in the serial run. Raw walls are 10x bimodal by
    construction and per-step costs vary ~5x across roles, but a router
    compared against itself cancels all intrinsic heterogeneity — the
    ratio only grows when scheduling makes some routers pay (a task
-   descheduled mid-build behind a fat neighbor, contention in the
-   steal loop). CI holds the tail to <= 1.5: even the p99 router costs
-   at most 1.5x its undisturbed serial latency. *)
+   descheduled mid-build behind a fat neighbor, contention on the
+   shared task cursor). CI holds the tail to <= 1.5: even the p99
+   router costs at most 1.5x its undisturbed serial latency. *)
 let run_fleet_skew () =
   if Parallel.Pool.domains pool <= 1 then []
   else begin
@@ -863,23 +873,23 @@ let run_fleet_skew () =
     in
     let d = Parallel.Pool.domains pool in
     let coarse, _ = time ((routers + d - 1) / d) in
-    let steal, steal_rs = time 1 in
+    let per_router, per_router_rs = time 1 in
     let walls r =
       List.map
         (fun (x : Evaluation.E5_fleet.router_result) -> Float.max 1. x.wall_ns)
         r.Evaluation.E5_fleet.results
     in
-    (* Per-router minimum across the steal attempts: a router that is
-       slow in every run pays a systematic scheduling cost; a one-off
+    (* Per-router minimum across the per-router attempts: a router that
+       is slow in every run pays a systematic scheduling cost; a one-off
        spike is OS noise the tail gate should not flake on. *)
-    let steal_walls =
+    let pooled_walls =
       List.fold_left
         (fun acc r -> List.map2 Float.min acc (walls r))
-        (walls (List.hd steal_rs))
-        (List.tl steal_rs)
+        (walls (List.hd per_router_rs))
+        (List.tl per_router_rs)
     in
     let stretches =
-      List.map2 (fun p s -> p /. s) steal_walls (walls serial_r)
+      List.map2 (fun p s -> p /. s) pooled_walls (walls serial_r)
       |> List.sort compare |> Array.of_list
     in
     let pct p =
@@ -888,15 +898,15 @@ let run_fleet_skew () =
     in
     let p50 = pct 50 and p99 = pct 99 in
     Format.printf
-      "e5 skewed %-4d coarse %9.1f ms  steal %9.1f ms  speedup %.2fx  (min \
-       of 2)@."
-      routers (coarse /. 1e6) (steal /. 1e6) (coarse /. steal);
+      "e5 skewed %-4d coarse %9.1f ms  per-router %9.1f ms  speedup %.2fx  \
+       (min of 2)@."
+      routers (coarse /. 1e6) (per_router /. 1e6) (coarse /. per_router);
     Format.printf
       "per-router stretch vs serial: p50 %.2f  p99 %.2f  p99/p50 %.2f@.@."
       p50 p99 (p99 /. p50);
     [
       ("fleet/e5-skewed-256-coarse", coarse);
-      ("fleet/e5-skewed-256", steal);
+      ("fleet/e5-skewed-256", per_router);
       ("fleet/e5-skewed-p99-p50", p99 /. p50);
     ]
   end

@@ -180,101 +180,37 @@ let cached_answer cache ~intent ~target view_of consult q =
 type synth =
   | S_route_map of {
       target : string;
-      stanza : Config.Route_map.stanza;
-      spec : Engine.Spec.t;
-      renaming : (string * string) list;
-      attempts : int;
-      history : string list;
+      draft : Pipeline.route_map_draft;
       llm_calls : int;
     }
-  | S_acl of {
-      target : string;
-      rule : Config.Acl.rule;
-      attempts : int;
-      history : string list;
-      llm_calls : int;
-    }
+  | S_acl of { target : string; draft : Pipeline.acl_draft; llm_calls : int }
 
 exception Abort of error
 
 let fail intent reason = raise (Abort { intent; reason })
 
-(* Synthesize one intent against the accumulating database, exactly as
-   the sequential pipeline would: same target lookup, classification,
-   spec extraction and verify-repair loop, in the same order — so the
-   LLM call sequence (and any scheduled fault injections) lines up
-   one-to-one with N sequential runs. Importing a route-map snippet
-   only adds ancillary lists under fresh [D<k>] names; stanza
-   insertions never mint list names, so the renamings are the ones a
-   sequential run would produce too. *)
+(* Synthesize one intent against the accumulating database with the
+   sequential pipeline's own front half — same target lookup,
+   classification, spec extraction and verify-repair loop, in the same
+   order — so the LLM call sequence (and any scheduled fault
+   injections) lines up one-to-one with N sequential runs. Importing a
+   route-map snippet only adds ancillary lists under fresh [D<k>]
+   names; stanza insertions never mint list names, so the renamings
+   are the ones a sequential run would produce too. *)
 let synthesize_item ~llm ~max_attempts ~db k it =
   let calls_before = Llm.Mock_llm.total_calls llm in
+  let llm_calls () = Llm.Mock_llm.total_calls llm - calls_before in
   match it with
   | Route_map_update { target; prompt } -> (
-      (match Config.Database.route_map db target with
-      | None -> fail k (Pipeline.Target_not_found target)
-      | Some _ -> ());
-      match
-        Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
-      with
-      | `Acl ->
-          fail k
-            (Pipeline.Wrong_query_type { expected = "route-map"; got = "acl" })
-      | `Route_map -> (
-          let entry = Llm.Prompt_db.retrieve `Route_map in
-          match
-            Obs.with_span "spec_extract" (fun () ->
-                Llm.Mock_llm.generate_spec llm prompt)
-          with
-          | Error m -> fail k (Pipeline.Spec_error m)
-          | Ok spec -> (
-              match
-                Pipeline.synthesis_loop llm ~max_attempts ~entry ~prompt ~spec
-              with
-              | Error e -> fail k e
-              | Ok (snippet, rm, attempts, history) -> (
-                  match
-                    Obs.with_span "import" (fun () ->
-                        Naming.import_route_map_snippet ~db ~snippet rm)
-                  with
-                  | Error m -> fail k (Pipeline.Snippet_shape m)
-                  | Ok { Naming.db = db'; stanza; renaming } ->
-                      ( db',
-                        S_route_map
-                          {
-                            target;
-                            stanza;
-                            spec;
-                            renaming;
-                            attempts;
-                            history;
-                            llm_calls =
-                              Llm.Mock_llm.total_calls llm - calls_before;
-                          } )))))
+      match Pipeline.route_map_front ~llm ~max_attempts ~db ~target ~prompt with
+      | Error e -> fail k e
+      | Ok draft ->
+          ( draft.imported,
+            S_route_map { target; draft; llm_calls = llm_calls () } ))
   | Acl_update { target; prompt } -> (
-      (match Config.Database.acl db target with
-      | None -> fail k (Pipeline.Target_not_found target)
-      | Some _ -> ());
-      match
-        Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
-      with
-      | `Route_map ->
-          fail k
-            (Pipeline.Wrong_query_type { expected = "acl"; got = "route-map" })
-      | `Acl -> (
-          let entry = Llm.Prompt_db.retrieve `Acl in
-          match Pipeline.acl_synthesis_loop llm ~max_attempts ~entry ~prompt with
-          | Error e -> fail k e
-          | Ok (rule, attempts, history) ->
-              ( db,
-                S_acl
-                  {
-                    target;
-                    rule;
-                    attempts;
-                    history;
-                    llm_calls = Llm.Mock_llm.total_calls llm - calls_before;
-                  } )))
+      match Pipeline.acl_front ~llm ~max_attempts ~db ~target ~prompt with
+      | Error e -> fail k e
+      | Ok draft -> (db, S_acl { target; draft; llm_calls = llm_calls () }))
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: one engine sweep per target policy                        *)
@@ -336,7 +272,7 @@ let sweep_groups ~db synths =
           List.map
             (fun k ->
               match synths.(k) with
-              | S_route_map { stanza; _ } -> stanza
+              | S_route_map { draft; _ } -> draft.stanza
               | S_acl _ -> assert false)
             ks
         in
@@ -353,7 +289,7 @@ let sweep_groups ~db synths =
           List.map
             (fun k ->
               match synths.(k) with
-              | S_acl { rule; _ } -> rule
+              | S_acl { draft; _ } -> draft.rule
               | S_route_map _ -> assert false)
             ks
         in
@@ -489,9 +425,7 @@ let run ?(max_attempts = default_max_attempts)
               if fast then Some (Lazy.force all.(k)) else None
             in
             match synths.(k) with
-            | S_route_map
-                { target; stanza; spec; renaming; attempts; history; llm_calls }
-              ->
+            | S_route_map { target; draft = d; llm_calls } ->
                 let cur =
                   Option.get (Config.Database.route_map !db_cur target)
                 in
@@ -508,27 +442,27 @@ let run ?(max_attempts = default_max_attempts)
                       match bounds with
                       | Some bs ->
                           Disambiguator.place ~mode:rm_mode ~target:cur
-                            ~stanza ~oracle:ask bs
+                            ~stanza:d.stanza ~oracle:ask bs
                       | None ->
                           Disambiguator.run ~mode:rm_mode ~db:!db_cur
-                            ~target:cur ~stanza ~oracle:ask ())
+                            ~target:cur ~stanza:d.stanza ~oracle:ask ())
                 in
                 db_cur := Config.Database.add_route_map !db_cur o.map;
                 Route_map_result
                   {
                     Pipeline.db = !db_cur;
                     map = o.map;
-                    spec;
-                    stanza;
-                    renaming;
-                    synthesis_attempts = attempts;
-                    verification_history = history;
+                    spec = d.spec;
+                    stanza = d.stanza;
+                    renaming = d.renaming;
+                    synthesis_attempts = d.attempts;
+                    verification_history = d.history;
                     llm_calls;
                     questions = o.questions;
                     position = o.position;
                     boundaries = o.boundaries;
                   }
-            | S_acl { target; rule; attempts; history; llm_calls } ->
+            | S_acl { target; draft = d; llm_calls } ->
                 let cur = Option.get (Config.Database.acl !db_cur target) in
                 let rules = Array.of_list cur.Config.Acl.rules in
                 let o =
@@ -543,19 +477,19 @@ let run ?(max_attempts = default_max_attempts)
                       match bounds with
                       | Some bs ->
                           Acl_disambiguator.place ~mode:acl_mode ~target:cur
-                            ~rule ~oracle:ask bs
+                            ~rule:d.rule ~oracle:ask bs
                       | None ->
                           Acl_disambiguator.run ~mode:acl_mode ~target:cur
-                            ~rule ~oracle:ask ())
+                            ~rule:d.rule ~oracle:ask ())
                 in
                 db_cur := Config.Database.add_acl !db_cur o.acl;
                 Acl_result
                   {
                     Pipeline.db = !db_cur;
                     acl = o.acl;
-                    rule;
-                    synthesis_attempts = attempts;
-                    verification_history = history;
+                    rule = d.rule;
+                    synthesis_attempts = d.attempts;
+                    verification_history = d.history;
                     llm_calls;
                     questions = o.questions;
                     position = o.position;

@@ -188,85 +188,98 @@ let synthesis_loop llm ~max_attempts ~entry ~prompt ~spec =
              (Printf.sprintf "expected one route-map, found %d"
                 (List.length rms)))
   in
-  Result.map
-    (fun ((snippet, rm), n, history) -> (snippet, rm, n, history))
-    (repair_loop llm ~max_attempts ~entry ~prompt ~check)
+  repair_loop llm ~max_attempts ~entry ~prompt ~check
+
+(* One update session: counters and the session_start/session_end
+   events around [body], which receives the LLM calls consumed so far. *)
+let session ~pipeline ~mode ~max_attempts ~llm ~db ~target ~prompt
+    ~final_config body =
+  Obs.Counter.incr runs_counter;
+  emit_session_start ~pipeline ~target ~prompt ~mode ~max_attempts ~db;
+  let calls_before = Llm.Mock_llm.total_calls llm in
+  let calls () = Llm.Mock_llm.total_calls llm - calls_before in
+  let result = body calls in
+  Obs.Counter.incr llm_calls_counter ~by:(calls ());
+  (match result with
+  | Error _ -> Obs.Counter.incr errors_counter
+  | Ok _ -> ());
+  emit_session_end ~final_config result;
+  result
+
+let ( let* ) = Result.bind
+
+type route_map_draft = {
+  target_map : Config.Route_map.t; (* the target, before insertion *)
+  imported : Config.Database.t; (* [db] plus the snippet's lists *)
+  stanza : Config.Route_map.stanza; (* post renaming *)
+  spec : Engine.Spec.t;
+  renaming : (string * string) list;
+  attempts : int;
+  history : string list; (* one line per failed attempt *)
+}
+
+let route_map_front ~llm ~max_attempts ~db ~target ~prompt =
+  let* target_map =
+    Option.to_result ~none:(Target_not_found target)
+      (Config.Database.route_map db target)
+  in
+  let* () =
+    match
+      Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
+    with
+    | `Route_map -> Ok ()
+    | `Acl -> Error (Wrong_query_type { expected = "route-map"; got = "acl" })
+  in
+  let entry = Llm.Prompt_db.retrieve `Route_map in
+  let* spec =
+    Obs.with_span "spec_extract" (fun () ->
+        Llm.Mock_llm.generate_spec llm prompt)
+    |> Result.map_error (fun m -> Spec_error m)
+  in
+  (* The paper has the user vet the spec here; our simulated spec
+     generator is faithful by construction. *)
+  let* (snippet, rm), attempts, history =
+    synthesis_loop llm ~max_attempts ~entry ~prompt ~spec
+  in
+  let* { Naming.db = imported; stanza; renaming } =
+    Obs.with_span "import" (fun () ->
+        Naming.import_route_map_snippet ~db ~snippet rm)
+    |> Result.map_error (fun m -> Snippet_shape m)
+  in
+  Ok { target_map; imported; stanza; spec; renaming; attempts; history }
 
 (** Run one incremental route-map update end to end. *)
 let run_route_map_update ?(max_attempts = default_max_attempts)
     ?(mode = Disambiguator.Binary_search) ~llm ~oracle ~db ~target ~prompt () =
   Obs.with_span "pipeline.route_map_update" @@ fun () ->
-  Obs.Counter.incr runs_counter;
-  emit_session_start ~pipeline:"route_map" ~target ~prompt
-    ~mode:(Disambig_common.mode_to_string mode) ~max_attempts ~db;
-  let calls_before = Llm.Mock_llm.total_calls llm in
-  let result =
-    match Config.Database.route_map db target with
-    | None -> Error (Target_not_found target)
-    | Some target_map -> (
-        match
-          Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
-        with
-        | `Acl ->
-            Error (Wrong_query_type { expected = "route-map"; got = "acl" })
-        | `Route_map -> (
-            let entry = Llm.Prompt_db.retrieve `Route_map in
-            match
-              Obs.with_span "spec_extract" (fun () ->
-                  Llm.Mock_llm.generate_spec llm prompt)
-            with
-            | Error m -> Error (Spec_error m)
-            | Ok spec -> (
-                (* The paper has the user vet the spec here; our simulated
-                   spec generator is faithful by construction. *)
-                match synthesis_loop llm ~max_attempts ~entry ~prompt ~spec with
-                | Error e -> Error e
-                | Ok (snippet, rm, attempts, history) -> (
-                    match
-                      Obs.with_span "import" (fun () ->
-                          Naming.import_route_map_snippet ~db ~snippet rm)
-                    with
-                    | Error m -> Error (Snippet_shape m)
-                    | Ok { db = db'; stanza; renaming } -> (
-                        match
-                          Obs.with_span "disambiguate" (fun () ->
-                              Disambiguator.run ~mode ~db:db' ~target:target_map
-                                ~stanza ~oracle ())
-                        with
-                        | Error (Disambiguator.Inconsistent_intent _) ->
-                            Error inconsistent
-                        | Ok outcome ->
-                            emit_placement ~position:outcome.position
-                              ~boundaries:outcome.boundaries
-                              ~questions:(List.length outcome.questions);
-                            let db'' =
-                              Config.Database.add_route_map db' outcome.map
-                            in
-                            Ok
-                              {
-                                db = db'';
-                                map = outcome.map;
-                                spec;
-                                stanza;
-                                renaming;
-                                synthesis_attempts = attempts;
-                                verification_history = history;
-                                llm_calls =
-                                  Llm.Mock_llm.total_calls llm - calls_before;
-                                questions = outcome.questions;
-                                position = outcome.position;
-                                boundaries = outcome.boundaries;
-                              })))))
-  in
-  Obs.Counter.incr llm_calls_counter
-    ~by:(Llm.Mock_llm.total_calls llm - calls_before);
-  (match result with
-  | Error _ -> Obs.Counter.incr errors_counter
-  | Ok _ -> ());
-  emit_session_end
-    ~final_config:(fun r -> Config.Parser.to_string r.db)
-    result;
-  result
+  session ~pipeline:"route_map" ~mode:(Disambig_common.mode_to_string mode)
+    ~max_attempts ~llm ~db ~target ~prompt
+    ~final_config:(fun (r : route_map_report) -> Config.Parser.to_string r.db)
+  @@ fun calls ->
+  let* d = route_map_front ~llm ~max_attempts ~db ~target ~prompt in
+  match
+    Obs.with_span "disambiguate" (fun () ->
+        Disambiguator.run ~mode ~db:d.imported ~target:d.target_map
+          ~stanza:d.stanza ~oracle ())
+  with
+  | Error (Disambiguator.Inconsistent_intent _) -> Error inconsistent
+  | Ok outcome ->
+      emit_placement ~position:outcome.position ~boundaries:outcome.boundaries
+        ~questions:(List.length outcome.questions);
+      Ok
+        {
+          db = Config.Database.add_route_map d.imported outcome.map;
+          map = outcome.map;
+          spec = d.spec;
+          stanza = d.stanza;
+          renaming = d.renaming;
+          synthesis_attempts = d.attempts;
+          verification_history = d.history;
+          llm_calls = calls ();
+          questions = outcome.questions;
+          position = outcome.position;
+          boundaries = outcome.boundaries;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* ACL updates                                                        *)
@@ -328,60 +341,60 @@ let acl_synthesis_loop llm ~max_attempts ~entry ~prompt =
       in
       repair_loop llm ~max_attempts ~entry ~prompt ~check
 
+type acl_draft = {
+  target_acl : Config.Acl.t;
+  rule : Config.Acl.rule;
+  attempts : int;
+  history : string list;
+}
+
+let acl_front ~llm ~max_attempts ~db ~target ~prompt =
+  let* target_acl =
+    Option.to_result ~none:(Target_not_found target)
+      (Config.Database.acl db target)
+  in
+  let* () =
+    match
+      Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
+    with
+    | `Acl -> Ok ()
+    | `Route_map ->
+        Error (Wrong_query_type { expected = "acl"; got = "route-map" })
+  in
+  let entry = Llm.Prompt_db.retrieve `Acl in
+  let* rule, attempts, history =
+    acl_synthesis_loop llm ~max_attempts ~entry ~prompt
+  in
+  Ok { target_acl; rule; attempts; history }
+
 (** Run one incremental ACL update end to end. *)
 let run_acl_update ?(max_attempts = default_max_attempts)
     ?(mode = Acl_disambiguator.Binary_search) ~llm ~oracle ~db ~target ~prompt
     () =
   Obs.with_span "pipeline.acl_update" @@ fun () ->
-  Obs.Counter.incr runs_counter;
-  emit_session_start ~pipeline:"acl" ~target ~prompt
-    ~mode:(Disambig_common.mode_to_string mode) ~max_attempts ~db;
-  let calls_before = Llm.Mock_llm.total_calls llm in
-  let result =
-    match Config.Database.acl db target with
-    | None -> Error (Target_not_found target)
-    | Some target_acl -> (
-        match
-          Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
-        with
-        | `Route_map ->
-            Error (Wrong_query_type { expected = "acl"; got = "route-map" })
-        | `Acl -> (
-            let entry = Llm.Prompt_db.retrieve `Acl in
-            match acl_synthesis_loop llm ~max_attempts ~entry ~prompt with
-            | Error e -> Error e
-            | Ok (rule, attempts, history) -> (
-                match
-                  Obs.with_span "disambiguate" (fun () ->
-                      Acl_disambiguator.run ~mode ~target:target_acl ~rule
-                        ~oracle ())
-                with
-                | Error (Acl_disambiguator.Inconsistent_intent _) ->
-                    Error inconsistent
-                | Ok outcome ->
-                    emit_placement ~position:outcome.position
-                      ~boundaries:outcome.boundaries
-                      ~questions:(List.length outcome.questions);
-                    let db' = Config.Database.add_acl db outcome.acl in
-                    Ok
-                      {
-                        db = db';
-                        acl = outcome.acl;
-                        rule;
-                        synthesis_attempts = attempts;
-                        verification_history = history;
-                        llm_calls = Llm.Mock_llm.total_calls llm - calls_before;
-                        questions = outcome.questions;
-                        position = outcome.position;
-                        boundaries = outcome.boundaries;
-                      })))
-  in
-  Obs.Counter.incr llm_calls_counter
-    ~by:(Llm.Mock_llm.total_calls llm - calls_before);
-  (match result with
-  | Error _ -> Obs.Counter.incr errors_counter
-  | Ok _ -> ());
-  emit_session_end
+  session ~pipeline:"acl" ~mode:(Disambig_common.mode_to_string mode)
+    ~max_attempts ~llm ~db ~target ~prompt
     ~final_config:(fun (r : acl_report) -> Config.Parser.to_string r.db)
-    result;
-  result
+  @@ fun calls ->
+  let* d = acl_front ~llm ~max_attempts ~db ~target ~prompt in
+  match
+    Obs.with_span "disambiguate" (fun () ->
+        Acl_disambiguator.run ~mode ~target:d.target_acl ~rule:d.rule ~oracle
+          ())
+  with
+  | Error (Acl_disambiguator.Inconsistent_intent _) -> Error inconsistent
+  | Ok outcome ->
+      emit_placement ~position:outcome.position ~boundaries:outcome.boundaries
+        ~questions:(List.length outcome.questions);
+      Ok
+        {
+          db = Config.Database.add_acl db outcome.acl;
+          acl = outcome.acl;
+          rule = d.rule;
+          synthesis_attempts = d.attempts;
+          verification_history = d.history;
+          llm_calls = calls ();
+          questions = outcome.questions;
+          position = outcome.position;
+          boundaries = outcome.boundaries;
+        }

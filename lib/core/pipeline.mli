@@ -75,29 +75,49 @@ val run_acl_update :
 
 (** {2 Building blocks shared with the batch pipeline ({!Batch})}
 
-    The synthesize-verify-repair loops and the flight-recorder event
+    The front half of each update — target lookup, classification,
+    prompt retrieval, spec extraction, the synthesize-verify-repair
+    loop and (for route-maps) import — and the flight-recorder event
     emitters, exposed so batch runs reuse the exact same LLM call
-    sequence, repair behaviour and event schema as sequential runs. *)
+    sequence, spans, repair behaviour and event schema as sequential
+    runs. *)
 
-val synthesis_loop :
-  Llm.Mock_llm.t ->
-  max_attempts:int ->
-  entry:Llm.Prompt_db.entry ->
-  prompt:string ->
-  spec:Engine.Spec.t ->
-  ( Config.Database.t * Config.Route_map.t * int * string list,
-    error )
-  result
-(** The route-map verify-repair loop: [(snippet, map, attempts,
-    verification history)] on success. *)
+type route_map_draft = {
+  target_map : Config.Route_map.t; (* the target, before insertion *)
+  imported : Config.Database.t; (* [db] plus the snippet's lists *)
+  stanza : Config.Route_map.stanza; (* post renaming *)
+  spec : Engine.Spec.t;
+  renaming : (string * string) list;
+  attempts : int;
+  history : string list; (* one line per failed attempt *)
+}
 
-val acl_synthesis_loop :
-  Llm.Mock_llm.t ->
+val route_map_front :
+  llm:Llm.Mock_llm.t ->
   max_attempts:int ->
-  entry:Llm.Prompt_db.entry ->
+  db:Config.Database.t ->
+  target:string ->
   prompt:string ->
-  (Config.Acl.rule * int * string list, error) result
-(** The ACL verify-repair loop; the parsed intent serves as spec. *)
+  (route_map_draft, error) result
+(** A verified stanza for [target], imported into [db] under fresh list
+    names, ready to place. *)
+
+type acl_draft = {
+  target_acl : Config.Acl.t;
+  rule : Config.Acl.rule;
+  attempts : int;
+  history : string list;
+}
+
+val acl_front :
+  llm:Llm.Mock_llm.t ->
+  max_attempts:int ->
+  db:Config.Database.t ->
+  target:string ->
+  prompt:string ->
+  (acl_draft, error) result
+(** A verified rule for the ACL [target], ready to place; the parsed
+    intent serves as spec. *)
 
 val inconsistent : error
 (** [Disambiguation_failed] for a Linear run whose answers no single

@@ -292,8 +292,8 @@ let run ?record_dir ?(pool = Parallel.Pool.serial) ?(simulate = false)
         (Netgen.Policy.shared_ranges ()));
   Symbdd.Bdd.Manager.freeze bdd_base;
   (* One router per task (grain 1): a router that carries 10x the
-     stanzas delays only itself — its pod-mates get stolen by idle
-     workers, which is what keeps the fleet's p99/p50 tail flat.
+     stanzas delays only itself — idle workers keep claiming its
+     pod-mates, which is what keeps the fleet's p99/p50 tail flat.
      [?grain] exists so the bench can reconstruct the coarse
      chunked-fork-join baseline it compares against. *)
   let results =

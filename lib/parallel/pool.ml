@@ -1,4 +1,4 @@
-(* A persistent work-stealing scheduler over OCaml domains.
+(* A persistent scheduler over OCaml domains.
 
    Worker domains are spawned once per process (lazily, up to the
    largest pool ever used) and reused across batches: between batches
@@ -9,21 +9,19 @@
    them.
 
    Work distribution is per *item group* (the [?grain] of {!map}), not
-   per contiguous worker-sized chunk: each participant owns a bounded
-   Chase–Lev deque ({!Deque}) seeded with its share of task ids, pops
-   locally from the bottom, and when empty steals from the top of a
-   randomly chosen victim with exponential backoff. A straggling item
-   therefore delays only itself — its neighbours get stolen — which is
-   what flattens the E5 fleet p99/p50 tail.
+   per contiguous worker-sized chunk: every participant claims the next
+   unclaimed task id from the batch's one atomic cursor until the
+   cursor passes the end. A straggling item therefore delays only
+   itself — the idle participants keep claiming its neighbours — which
+   is what flattens the E5 fleet p99/p50 tail. A batch is a flat list
+   of independent tasks (no task adds work, a nested map runs inline),
+   so one shared counter is all the distribution it needs.
 
    Determinism is unchanged from the fork-join pool this replaces:
    results land in per-item slots indexed by input position and are
    reassembled in input order, and the first failure in *input* order
    wins exception priority, so a parallel map is observationally
-   [List.map] whatever the steal schedule. [CLARIFY_STEAL_STRESS=1]
-   exploits that: it seeds every task into slot 0's deque and makes all
-   participants claim through the steal path, forcing maximal
-   cross-worker contention while the goldens must stay byte-identical.
+   [List.map] whatever the claim order.
 
    BDD layering: tasks must return plain data, never BDD values. With
    [?bdd_base] (a frozen root manager) every participant runs under a
@@ -56,13 +54,6 @@ let create ?domains () =
 let domains t = t.domains
 let serial = { domains = 1 }
 
-let steal_stress_env = "CLARIFY_STEAL_STRESS"
-
-let steal_stress () =
-  match Sys.getenv_opt steal_stress_env with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -77,9 +68,6 @@ type worker_metrics = {
   task_ns : Obs.Histogram.t; (* parallel.task_ns{domain=N} *)
   queue_wait_ns : Obs.Histogram.t; (* parallel.queue_wait_ns{domain=N} *)
   busy : Obs.Gauge.t; (* parallel.worker.busy{domain=N} *)
-  steals : Obs.Counter.t; (* parallel.steals{domain=N} *)
-  steal_failures : Obs.Counter.t; (* parallel.steal_failures{domain=N} *)
-  idle_ns : Obs.Counter.t; (* parallel.worker.idle_ns{domain=N} *)
   bdd_nodes : Obs.Counter.t; (* bdd.nodes_allocated{domain=N} *)
   cache_hits : Obs.Counter.t; (* bdd.compile_cache.hits{domain=N} *)
   cache_misses : Obs.Counter.t;
@@ -97,15 +85,6 @@ let worker_metrics i =
     busy =
       Obs.Gauge.labeled "parallel.worker.busy" l
         ~help:"1 while this worker domain is running batch tasks";
-    steals =
-      Obs.Counter.labeled "parallel.steals" l
-        ~help:"tasks claimed from another worker's deque";
-    steal_failures =
-      Obs.Counter.labeled "parallel.steal_failures" l
-        ~help:"steal passes that lost every CAS race to other thieves";
-    idle_ns =
-      Obs.Counter.labeled "parallel.worker.idle_ns" l
-        ~help:"mid-batch time spent hunting for work (own deque empty)";
     bdd_nodes = Obs.Counter.labeled "bdd.nodes_allocated" l;
     cache_hits = Obs.Counter.labeled "bdd.compile_cache.hits" l;
     cache_misses = Obs.Counter.labeled "bdd.compile_cache.misses" l;
@@ -160,8 +139,8 @@ let with_worker_hooks m f =
 (* ------------------------------------------------------------------ *)
 
 type batch = {
-  stress : bool;
-  deques : Deque.t array; (* one per participant; slot 0 = submitter *)
+  parts : int; (* participants; slot 0 = submitter *)
+  next : int Atomic.t; (* next unclaimed task id *)
   metrics : worker_metrics array; (* empty when observability was off *)
   run : worker_metrics option -> int -> unit; (* execute one task id *)
   ntasks : int;
@@ -184,20 +163,17 @@ let current : batch option Atomic.t = Atomic.make None
 let batch_lock = Mutex.create ()
 let worker_handles : unit Domain.t list ref = ref [] (* under batch_lock *)
 let workers_spawned = ref 0
-let global_deques : Deque.t array ref = ref [||]
 
 let spawned_workers () = !workers_spawned
 
 let () =
   ignore
     (Obs.Gauge.collector "parallel.queue.depth"
-       ~help:"unclaimed tasks across the in-flight batch's worker deques"
+       ~help:"unclaimed tasks of the in-flight batch"
        (fun () ->
          match Atomic.get current with
          | None -> 0.
-         | Some b ->
-             float_of_int
-               (Array.fold_left (fun acc d -> acc + Deque.size d) 0 b.deques)))
+         | Some b -> float_of_int (max 0 (b.ntasks - Atomic.get b.next))))
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain BDD managers                                            *)
@@ -256,97 +232,25 @@ let with_base_delta bdd_base f =
 (* The work loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let backoff k =
-  let spins = 1 lsl min (4 + k) 12 in
-  for _ = 1 to spins do
-    Domain.cpu_relax ()
-  done
-
-let work_loop b slot m =
+(* Claim task ids from the shared cursor until it passes the end. A
+   claim cannot fail and never waits, so a participant leaves as soon
+   as no unclaimed task remains. *)
+let work_loop b m =
   (match m with
   | Some mm ->
       Obs.Histogram.observe_ns mm.queue_wait_ns
         ((Obs.now () -. b.submitted) *. 1e9)
   | None -> ());
-  let parts = Array.length b.deques in
-  let own = b.deques.(slot) in
-  (* xorshift, seeded per slot: victim choice is randomized but the
-     schedule never affects results, only which slot computes them. *)
-  let rng = ref (((slot + 1) * 0x9E3779B1) lxor 0x2545F491) in
-  let next_rand () =
-    let x = !rng in
-    let x = x lxor (x lsl 13) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor (x lsl 17) in
-    let x = x land 0x3FFFFFFF in
-    rng := (if x = 0 then 1 else x);
-    !rng
-  in
-  let finish g =
-    b.run m g;
-    let done_ = 1 + Atomic.fetch_and_add b.completed 1 in
-    if done_ >= b.ntasks then begin
-      Mutex.lock mu;
-      Condition.broadcast cv_done;
-      Mutex.unlock mu
-    end
-  in
-  (* One randomized pass over the victims. Result: a task id, or
-     [Deque.empty] when every deque was observed empty (no pushes ever
-     happen mid-batch, so empty is monotone and this means done), or
-     [Deque.abort] when at least one CAS was lost — work may remain, so
-     the caller backs off and retries. In stress mode the pass includes
-     the scanner's own deque, since all claims go through here. *)
-  let try_steal () =
-    let start = next_rand () mod parts in
-    let res = ref Deque.empty in
-    let i = ref 0 in
-    while !res < 0 && !i < parts do
-      let v = (start + !i) mod parts in
-      if v <> slot || b.stress then begin
-        let r = Deque.steal b.deques.(v) in
-        if r >= 0 then res := r
-        else if r = Deque.abort then res := Deque.abort
-      end;
-      incr i
-    done;
-    !res
-  in
-  let rec steal_until k =
-    if Atomic.get b.completed >= b.ntasks then Deque.empty
-    else
-      let r = try_steal () in
-      if r >= 0 then begin
-        (match m with Some mm -> Obs.Counter.incr mm.steals | None -> ());
-        r
-      end
-      else if r = Deque.empty then Deque.empty
-      else begin
-        (match m with
-        | Some mm -> Obs.Counter.incr mm.steal_failures
-        | None -> ());
-        backoff k;
-        steal_until (k + 1)
-      end
-  in
   let rec loop () =
-    let g = if b.stress then Deque.empty else Deque.pop own in
-    if g >= 0 then begin
-      finish g;
+    let g = Atomic.fetch_and_add b.next 1 in
+    if g < b.ntasks then begin
+      b.run m g;
+      if 1 + Atomic.fetch_and_add b.completed 1 >= b.ntasks then begin
+        Mutex.lock mu;
+        Condition.broadcast cv_done;
+        Mutex.unlock mu
+      end;
       loop ()
-    end
-    else begin
-      let t0 = match m with Some _ -> Obs.now () | None -> 0. in
-      let g = steal_until 0 in
-      (match m with
-      | Some mm ->
-          Obs.Counter.incr mm.idle_ns
-            ~by:(int_of_float ((Obs.now () -. t0) *. 1e9))
-      | None -> ());
-      if g >= 0 then begin
-        finish g;
-        loop ()
-      end
     end
   in
   loop ()
@@ -360,7 +264,7 @@ let participate b slot =
       let m =
         if slot < Array.length b.metrics then Some b.metrics.(slot) else None
       in
-      let body () = work_loop b slot m in
+      let body () = work_loop b m in
       let instrumented () =
         match m with
         | Some mm ->
@@ -410,7 +314,7 @@ let worker_main slot gen0 () =
          participant count sit this one out. *)
       let joined =
         match Atomic.get current with
-        | Some b when slot < Array.length b.deques ->
+        | Some b when slot < b.parts ->
             Atomic.incr b.active;
             Some b
         | _ -> None
@@ -455,13 +359,6 @@ let ensure_workers extra =
     Obs.Counter.incr (Lazy.force spawned)
   done
 
-let ensure_deques parts =
-  let cur = Array.length !global_deques in
-  if cur < parts then
-    global_deques :=
-      Array.init parts (fun i ->
-          if i < cur then !global_deques.(i) else Deque.create ())
-
 let shutdown () =
   Mutex.lock batch_lock;
   Mutex.lock mu;
@@ -482,19 +379,11 @@ let () = at_exit shutdown
 (* map                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Contiguous bounds: first [rem] of [chunks] shares get an extra. *)
-let chunk_bounds ~n ~chunks i =
-  let base = n / chunks and rem = n mod chunks in
-  let start = (i * base) + min i rem in
-  let len = base + if i < rem then 1 else 0 in
-  (start, len)
-
 let map ?(grain = 1) ?bdd_base pool ~f items =
   let n = List.length items in
   if n = 0 then []
   else begin
-    let stress = steal_stress () in
-    let grain = if stress then 1 else max 1 grain in
+    let grain = max 1 grain in
     let ntasks = (n + grain - 1) / grain in
     if pool.domains <= 1 || ntasks <= 1 || in_worker () then
       (* Serial path: pool of 1, a single task, or a nested submission
@@ -511,7 +400,6 @@ let map ?(grain = 1) ?bdd_base pool ~f items =
       Fun.protect ~finally:(fun () -> Mutex.unlock batch_lock) @@ fun () ->
       let parts = min pool.domains ntasks in
       ensure_workers (parts - 1);
-      ensure_deques parts;
       let enabled = Obs.enabled () in
       let input = Array.of_list items in
       let results = Array.make n None in
@@ -534,35 +422,11 @@ let map ?(grain = 1) ?bdd_base pool ~f items =
           done
         with e -> fails.(g) <- Some (!i, e)
       in
-      (* Seed the deques while they are quiescent (no batch in flight,
-         workers parked or skipping). Ids are pushed in reverse so each
-         owner pops its range in ascending input order and thieves take
-         from the far (high-index) end. Stress mode piles every task
-         into slot 0's deque so every claim is a contended steal. *)
-      if stress then begin
-        let d0 = !global_deques.(0) in
-        Deque.reset d0 ~ensure:ntasks;
-        for g = ntasks - 1 downto 0 do
-          Deque.push d0 g
-        done;
-        for w = 1 to parts - 1 do
-          Deque.reset !global_deques.(w) ~ensure:1
-        done
-      end
-      else
-        for w = 0 to parts - 1 do
-          let start, len = chunk_bounds ~n:ntasks ~chunks:parts w in
-          let d = !global_deques.(w) in
-          Deque.reset d ~ensure:(max 1 len);
-          for g = start + len - 1 downto start do
-            Deque.push d g
-          done
-        done;
       let metrics = if enabled then Array.init parts worker_metrics else [||] in
       let b =
         {
-          stress;
-          deques = Array.sub !global_deques 0 parts;
+          parts;
+          next = Atomic.make 0;
           metrics;
           run;
           ntasks;
@@ -587,8 +451,9 @@ let map ?(grain = 1) ?bdd_base pool ~f items =
       let submitter_exn = ref None in
       (try participate b 0 with e -> submitter_exn := Some e);
       (* Wait for all tasks, close the join window, then wait for every
-         joined worker to leave the batch before the deques can be
-         reseeded by the next map. *)
+         joined worker to leave the batch, so that no worker still
+         touches this batch's gauges, hooks or managers once [map]
+         returns. *)
       Mutex.lock mu;
       while Atomic.get b.completed < b.ntasks do
         Condition.wait cv_done mu

@@ -1,7 +1,7 @@
-(** A persistent work-stealing scheduler with deterministic ordering.
+(** A persistent scheduler with deterministic ordering.
 
     {!map} is observationally [List.map]: results come back in input
-    order regardless of the steal schedule, and the first task
+    order regardless of the claim order, and the first task
     exception (by input position) is re-raised in the submitting
     domain. The calling domain participates as slot 0; the remaining
     participants are {e persistent} worker domains, spawned once per
@@ -9,11 +9,10 @@
     condition variable between batches and reused — watch
     [parallel.domains_spawned] stay flat across a multi-batch run.
 
-    Distribution is per item group ([?grain] items per task): each
-    participant owns a bounded Chase–Lev deque seeded with a contiguous
-    share of tasks, pops locally, and steals from random victims with
-    exponential backoff when its own deque runs dry, so one straggling
-    item no longer serializes the rest of its former chunk.
+    Distribution is per item group ([?grain] items per task): every
+    participant claims the next unclaimed task from one shared atomic
+    cursor until none remain, so one straggling item delays only itself
+    while the others keep claiming the rest.
 
     Every worker domain runs under a private BDD manager, so tasks may
     freely build BDDs — but must return only plain data (stats records,
@@ -25,12 +24,7 @@
     capture and use them. Without a base, persistent workers run under
     a long-lived scratch root manager, likewise reset per batch,
     preserving the old fresh-domain guarantee that nodes never leak
-    across batches.
-
-    Setting [CLARIFY_STEAL_STRESS=1] forces grain 1, seeds every task
-    into slot 0's deque and claims exclusively through the steal path —
-    maximal cross-worker contention under which outputs must stay
-    byte-identical to the serial run. *)
+    across batches. *)
 
 type t
 
@@ -61,8 +55,8 @@ val map :
     domains and returns the results in input order.
 
     [?grain] (default 1) is the number of consecutive items per
-    stealable task — a {e granularity} knob, not a balance knob:
-    balance comes from stealing. Leave it at 1 for coarse items
+    task — a {e granularity} knob, not a balance knob: balance comes
+    from claiming one task at a time. Leave it at 1 for coarse items
     (routers, corpus sweeps); raise it only when single items are so
     cheap that per-task bookkeeping would dominate (e.g. 64 for
     microbenchmark-sized closures).
@@ -77,12 +71,11 @@ val map :
     span [domainN] (a separate thread lane in the Chrome-trace export)
     and feeds per-domain labeled series: [parallel.tasks{domain=N}],
     [parallel.task_ns{domain=N}], [parallel.queue_wait_ns{domain=N}],
-    [parallel.steals{domain=N}], [parallel.steal_failures{domain=N}],
-    [parallel.worker.idle_ns{domain=N}], plus
+    [parallel.worker.busy{domain=N}], plus
     [bdd.nodes_allocated{domain=N}] and compile-cache hit/miss counters
     via the worker's BDD hooks; [parallel.park_ns] records how long
     workers slept between batches, and the [parallel.queue.depth]
-    collector sums the live deques of the in-flight batch. Labeled
+    collector reads the in-flight batch's unclaimed tasks. Labeled
     handles are acquired per batch (never cached across {!Obs.reset}),
     and slot 0's previous BDD hooks are restored when the batch
     completes.
@@ -104,11 +97,3 @@ val shutdown : unit -> unit
     safe to call repeatedly, and the scheduler respawns workers on the
     next {!map} after a manual shutdown. Must not be called from inside
     a task. *)
-
-val steal_stress_env : string
-(** ["CLARIFY_STEAL_STRESS"]. *)
-
-val steal_stress : unit -> bool
-(** Whether the environment currently requests steal-stress mode (the
-    variable is re-read at every {!map}, so tests can toggle it with
-    [Unix.putenv]). *)

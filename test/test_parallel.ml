@@ -47,6 +47,47 @@ let test_exception_propagation () =
   | _ -> Alcotest.fail "worker exception was swallowed"
   | exception Boom x -> check_int "earliest failure re-raised" 3 x
 
+(* Each item runs exactly once however the participants race for
+   tasks: [f] counts its calls per item, so a task claimed twice or
+   never shows up as a count other than 1 even where the results would
+   still equal [List.map]. A failing batch still runs every item once
+   (at grain 1 a failure ends only its own task) and re-raises the
+   failure at the smallest input position. *)
+let test_exactly_once () =
+  let pool = Parallel.Pool.create ~domains:4 () in
+  let run ~grain ~fail n =
+    let calls = Array.init n (fun _ -> Atomic.make 0) in
+    let f i =
+      Atomic.incr calls.(i);
+      if fail i then raise (Boom i) else (i * 3) + 1
+    in
+    let r =
+      match Parallel.Pool.map ~grain pool ~f (List.init n Fun.id) with
+      | r -> Ok r
+      | exception Boom i -> Error i
+    in
+    let once = Array.for_all (fun c -> Atomic.get c = 1) calls in
+    (r, once)
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun grain ->
+          let r, once = run ~grain ~fail:(fun _ -> false) n in
+          let label = Printf.sprintf "n=%d grain=%d" n grain in
+          check_bool (label ^ ": every item ran once") true once;
+          check_bool (label ^ ": results in input order") true
+            (r = Ok (List.init n (fun i -> (i * 3) + 1))))
+        [ 1; 3 ];
+      if n >= 7 then begin
+        let r, once = run ~grain:1 ~fail:(fun i -> i mod 7 = 6) n in
+        let label = Printf.sprintf "n=%d failing" n in
+        check_bool (label ^ ": every item ran once") true once;
+        check_bool (label ^ ": smallest failing index re-raised") true
+          (r = Error 6)
+      end)
+    [ 1; 7; 64; 2000 ]
+
 (* A worker exception must not leak spawned domains or corrupt later
    batches: the pool is usable again immediately after. *)
 let test_usable_after_exception () =
@@ -290,6 +331,8 @@ let () =
             test_exception_propagation;
           Alcotest.test_case "usable after exception" `Quick
             test_usable_after_exception;
+          Alcotest.test_case "every item runs exactly once" `Quick
+            test_exactly_once;
           Alcotest.test_case "per-domain BDD managers" `Quick
             test_bdd_isolation;
         ] );
