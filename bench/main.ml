@@ -517,12 +517,12 @@ let run_parallel_comparison () =
 (* ------------------------------------------------------------------ *)
 
 (* N pairwise match-disjoint intents against one wide target map: the
-   batch pipeline compiles the target's partition once for all N
-   boundary sets, the sequential baseline once per intent. Final
-   configurations and the number of witnesses decoded are asserted
-   identical on every bench run, and the user-facing question counts
-   are exported as pseudo-benchmarks so CI can gate questions(batch)
-   <= questions(sequential). *)
+   batch places each intent with one live sweep, as the sequential
+   baseline does, plus one conflict-graph pass over the N candidates'
+   matches. Final configurations and the number of witnesses decoded
+   are asserted identical on every bench run, and the user-facing
+   question counts are exported as pseudo-benchmarks so CI can gate
+   questions(batch) <= questions(sequential). *)
 let batch_scenario ~intents =
   let db, _, _ = ablation_scenario 16 in
   let prompts =

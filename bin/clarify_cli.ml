@@ -446,8 +446,9 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "Apply a batch of English intents at once: synthesize all stanzas, \
-          build the pairwise inter-intent conflict graph with one symbolic \
-          sweep per target policy, and ask only about genuine conflicts.")
+          classify the pairwise inter-intent conflict graph of each target \
+          policy, then place each intent as $(b,update) does, serving \
+          repeated questions from a shared answer cache.")
     Term.(
       const run $ config $ intents $ intents_file $ answers $ faults $ record
       $ obs_term)

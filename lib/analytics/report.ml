@@ -36,7 +36,7 @@ type router_stats = {
   batch_sessions : int; (* session_start with pipeline="batch" *)
   batch_intents : int; (* intents over all batch_plan events *)
   batch_conflict_pairs : int; (* genuine inter-intent conflict edges *)
-  batch_fast_path : int; (* batch items placed without recompiling *)
+  batch_fast_path : int; (* batch items overlapping no other intent *)
   batch_questions_saved : int; (* batch_cache_hit events *)
   gauges : (string * float) list; (* last "gauges" event; JSON only *)
   fleet : fleet_info option; (* E5 fleet runs only; JSON only *)
@@ -461,8 +461,8 @@ let cost_markdown t =
 let batch_markdown t =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    "| Router | Batch sessions | Intents | Conflict pairs | Fast-path \
-     placements | Questions saved |\n";
+    "| Router | Batch sessions | Intents | Conflict pairs | Disjoint \
+     intents | Questions saved |\n";
   Buffer.add_string b "|---|---:|---:|---:|---:|---:|\n";
   List.iter
     (fun s ->

@@ -42,8 +42,9 @@ type router_stats = {
   batch_conflict_pairs : int;
       (* genuine inter-intent conflict edges reported by batch plans *)
   batch_fast_path : int;
-      (* batch items placed from precomputed boundaries, without
-         recompiling the target *)
+      (* batch items whose intent overlaps no other intent of its
+         batch (the batch_item event's fast_path field; both names
+         kept so old logs and reports still load) *)
   batch_questions_saved : int;
       (* questions served from the shared batch answer cache
          (batch_cache_hit events) *)

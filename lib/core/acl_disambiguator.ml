@@ -67,30 +67,27 @@ let view (q : question) =
 
 let position (q : question) = q.position
 
-let place ?(mode = Binary_search) ~(target : Config.Acl.t) ~rule ~oracle
-    bounds =
-  let top q =
-    { q with position = 0; boundary_seq = (List.hd target.rules).seq }
-  in
-  Disambig_common.place family ~mode ~width:(List.length target.rules) ~view
-    ~position ~top ~oracle bounds
-  |> Result.map (fun (position, questions, boundaries) ->
-         let acl = insert_rule_at target position rule in
-         { acl; position; questions; boundaries })
-  |> Result.map_error (fun qs -> Inconsistent_intent qs)
-
-let run ?mode ?pool:_ ?precomputed ~(target : Config.Acl.t) ~rule ~oracle () =
-  place ?mode ~target ~rule ~oracle
-    (match precomputed with
+let run ?(mode = Binary_search) ?pool:_ ?precomputed ~(target : Config.Acl.t)
+    ~rule ~oracle () =
+  let rules = Array.of_list target.rules in
+  let bounds =
+    match precomputed with
     | Some qs -> Disambig_common.decoded ~position qs
     | None ->
         (* The same sweep as [boundaries], each witness decoded only if
            its question is asked. *)
         Disambig_common.find @@ fun () ->
-        let rules = Array.of_list target.rules in
         List.map
           (fun (i, d) -> (i, Lazy.map (question rules i) d))
-          (Engine.Compare_acls.lazy_insertions ~target rule))
+          (Engine.Compare_acls.lazy_insertions ~target rule)
+  in
+  let top q = { q with position = 0; boundary_seq = rules.(0).seq } in
+  Disambig_common.place family ~mode ~width:(Array.length rules) ~view
+    ~position ~top ~oracle bounds
+  |> Result.map (fun (position, questions, boundaries) ->
+         let acl = insert_rule_at target position rule in
+         { acl; position; questions; boundaries })
+  |> Result.map_error (fun qs -> Inconsistent_intent qs)
 
 let scripted answers : oracle = Disambig_common.scripted answers
 

@@ -33,27 +33,11 @@ val insert_rule_at : Config.Acl.t -> int -> Config.Acl.rule -> Config.Acl.t
 (** Insert at a position (0 = first) and resequence; alias of
     {!Config.Acl.insert_at}. *)
 
-val question :
-  Config.Acl.rule array -> int -> Engine.Compare_acls.difference -> question
-(** [question rules i d]: the question of boundary [i] of a target with
-    these rules, from its witness [d]. *)
-
 val boundaries :
   ?pool:Parallel.Pool.t -> target:Config.Acl.t -> Config.Acl.rule -> question list
 (** All differing boundaries in position order, from one sweep of
     {!Engine.Compare_acls.adjacent_insertions}: every witness is
     decoded. [?pool] is accepted and ignored. *)
-
-val place :
-  ?mode:mode ->
-  target:Config.Acl.t ->
-  rule:Config.Acl.rule ->
-  oracle:oracle ->
-  (int * question Lazy.t) list ->
-  (outcome, error) result
-(** {!Disambig_common.place} on the ACL family, over the given
-    boundaries of [target] in position order, each question forced
-    only if it is asked — the batch pipeline's fast path. *)
 
 val run :
   ?mode:mode ->
@@ -64,8 +48,8 @@ val run :
   oracle:oracle ->
   unit ->
   (outcome, error) result
-(** {!place} on the boundaries of one sweep,
-    {!Engine.Compare_acls.lazy_insertions}, which decides every
+(** {!Disambig_common.place} on the ACL family, over the boundaries of
+    one sweep, {!Engine.Compare_acls.lazy_insertions}, which decides every
     boundary without a witness: a run decodes exactly the witnesses it
     asks about, in the current BDD manager, before it returns.
     Questions, placement and outcome are those of a run on

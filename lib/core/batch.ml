@@ -1,37 +1,27 @@
 (** Conflict-aware batch intent synthesis (DESIGN.md §12).
 
-    A batch run takes N natural-language intents at once and reproduces
-    exactly what N sequential pipeline runs would do — same final
-    configuration, same questions — while doing strictly less symbolic
-    work and consulting the user strictly less often:
+    A batch run takes N natural-language intents at once and produces
+    exactly what N sequential pipeline runs would — same final
+    configuration, same questions — while consulting the user less
+    often, and reports which intents interfere with each other:
 
-    - every intent is synthesized and verified up front with the same
-      LLM loops as {!Pipeline} (same call order, same repair behaviour);
-    - per target policy, ONE multi-stanza engine sweep
-      ({!Engine.Compare_route_policies.lazy_batch_insertions} /
-      {!Engine.Compare_acls.lazy_batch_insertions}) compiles a single
-      first-match partition and classifies the pairwise inter-intent
-      overlap/conflict graph from it; each intent's boundary read is
-      deferred;
-    - intents with no overlap edge to any other intent take a fast
-      path: their boundaries are read from the shared partition and
-      translated into the coordinates of the evolving target
-      (match-disjointness makes the translation exact — see DESIGN.md
-      §12) and placed with the disambiguator's [place], their
-      witnesses decoded only for the questions asked, so no further
-      compilation happens;
-    - intents that do overlap go through a live disambiguation against
-      the current target — that is where genuine inter-intent conflicts
-      surface as boundary questions carrying differential witnesses;
-    - a shared {!Disambig_common.Answer_cache} (keyed on policy AND
-      position, not just text) answers repeated questions across
-      intents without consulting the user again.
+    - every intent is synthesized and verified up front with the
+      pipeline's own front half, in input order;
+    - per target policy, the pairwise overlap/conflict graph is
+      classified from the candidates' matches, without executing the
+      target ({!Engine.Compare_route_policies.conflict_graph},
+      {!Engine.Compare_acls.conflict_graph});
+    - every intent is placed with the pipeline's own back half
+      ({!Pipeline.place_route_map}, {!Pipeline.place_acl}) against the
+      evolving database, as [clarify update] places it, every answer
+      going through a shared {!Disambig_common.Answer_cache} keyed on
+      policy and position, not just text.
 
-    Intents are processed in input order, which is a topological order
-    of the conflict graph when edges are oriented from earlier to later
-    intents: a later intent's questions are always asked against a
-    configuration that already contains every earlier stanza, so each
-    conflict is resolved exactly once, by the later party. *)
+    Input order is a topological order of the conflict graph with
+    edges oriented from earlier to later intents: a later intent's
+    questions are asked against a configuration that already holds
+    every earlier stanza, so each conflict is resolved once, by the
+    later party. *)
 
 type item =
   | Route_map_update of { target : string; prompt : string }
@@ -82,6 +72,10 @@ let item_kind = function
 let item_prompt = function
   | Route_map_update { prompt; _ } | Acl_update { prompt; _ } -> prompt
 
+let view = function
+  | Route_map_q q -> Disambiguator.view q
+  | Acl_q q -> Acl_disambiguator.view q
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -129,13 +123,15 @@ let emit_plan ~intents ~groups ~overlaps ~conflicts =
                conflicts) );
       ])
 
-let emit_item ~intent ~fast it =
+(* [fast_path] keeps its name so old logs still load: the intent
+   overlaps no other intent of its batch. *)
+let emit_item ~intent ~disjoint it =
   Telemetry.emit ~kind:"batch_item" (fun () ->
       [
         ("intent", Json.Int intent);
         ("kind", Json.String (item_kind it));
         ("target", Json.String (item_target it));
-        ("fast_path", Json.Bool fast);
+        ("fast_path", Json.Bool disjoint);
       ])
 
 let emit_session_end result =
@@ -213,7 +209,7 @@ let synthesize_item ~llm ~max_attempts ~db k it =
       | Ok draft -> (db, S_acl { target; draft; llm_calls = llm_calls () }))
 
 (* ------------------------------------------------------------------ *)
-(* Phase 2: one engine sweep per target policy                        *)
+(* Phase 2: the conflict graph of each target policy                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Group intent indices by (kind, target), preserving first-seen order. *)
@@ -235,21 +231,16 @@ let group_targets synths =
     synths;
   List.rev_map (fun key -> (key, List.rev (Hashtbl.find tbl key))) !order
 
-(* Run the multi-stanza engine sweep for every group. Returns the
-   per-intent boundary reads (original-target coordinates, made when
-   forced), the per-intent overlap flags, and the conflict edges in
-   input order. *)
-let sweep_groups ~db synths =
-  let n = Array.length synths in
-  let rm_bounds = Array.make n (Lazy.from_val []) in
-  let acl_bounds = Array.make n (Lazy.from_val []) in
-  let overlapping = Array.make n false in
+(* Classify every group's graph. Returns the per-intent overlap flags,
+   the conflict edges in input order, the overlapping pairs and the
+   number of groups. *)
+let classify_groups ~db synths =
+  let overlapping = Array.make (Array.length synths) false in
   let conflicts = ref [] in
   let overlap_pairs = ref 0 in
-  (* One group's sweep, moved from group-local to input indices. *)
-  let record ks target bounds witness per_candidate overlaps group_conflicts =
+  (* One group's graph, moved from group-local to input indices. *)
+  let record ks target witness (overlaps, group_conflicts) =
     let ks = Array.of_list ks in
-    Array.iteri (fun local k -> bounds.(k) <- per_candidate.(local)) ks;
     List.iter
       (fun (i, j) ->
         incr overlap_pairs;
@@ -265,42 +256,31 @@ let sweep_groups ~db synths =
   in
   let groups = group_targets synths in
   List.iter
-    (fun ((kind, target), ks) ->
+    (fun ((_, target), ks) ->
       (* Targets were checked during synthesis. *)
-      if kind = "route_map" then
-        let stanzas =
-          List.map
-            (fun k ->
-              match synths.(k) with
-              | S_route_map { draft; _ } -> draft.stanza
-              | S_acl _ -> assert false)
-            ks
-        in
-        let sw =
-          Engine.Compare_route_policies.lazy_batch_insertions ~db
-            ~target:(Option.get (Config.Database.route_map db target))
-            stanzas
-        in
-        record ks target rm_bounds
-          (fun d -> Route_witness d)
-          sw.per_candidate sw.overlaps sw.conflicts
-      else
-        let rules =
-          List.map
-            (fun k ->
-              match synths.(k) with
-              | S_acl { draft; _ } -> draft.rule
-              | S_route_map _ -> assert false)
-            ks
-        in
-        let sw =
-          Engine.Compare_acls.lazy_batch_insertions
-            ~target:(Option.get (Config.Database.acl db target))
-            rules
-        in
-        record ks target acl_bounds
-          (fun d -> Acl_witness d)
-          sw.per_candidate sw.overlaps sw.conflicts)
+      match synths.(List.hd ks) with
+      | S_route_map _ ->
+          record ks target
+            (fun d -> Route_witness d)
+            (Engine.Compare_route_policies.conflict_graph ~db
+               ~target:(Option.get (Config.Database.route_map db target))
+               (List.map
+                  (fun k ->
+                    match synths.(k) with
+                    | S_route_map { draft; _ } -> draft.stanza
+                    | S_acl _ -> assert false)
+                  ks))
+      | S_acl _ ->
+          record ks target
+            (fun d -> Acl_witness d)
+            (Engine.Compare_acls.conflict_graph
+               ~target:(Option.get (Config.Database.acl db target))
+               (List.map
+                  (fun k ->
+                    match synths.(k) with
+                    | S_acl { draft; _ } -> draft.rule
+                    | S_route_map _ -> assert false)
+                  ks)))
     groups;
   let conflicts =
     List.sort
@@ -310,70 +290,7 @@ let sweep_groups ~db synths =
         | c -> c)
       !conflicts
   in
-  (rm_bounds, acl_bounds, overlapping, conflicts, !overlap_pairs, List.length groups)
-
-(* ------------------------------------------------------------------ *)
-(* Phase 3: place every stanza, in input order                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The evolving shape of one target policy: which current slot holds
-   which original rule. [New] slots are earlier batch insertions;
-   original positions shift past them when precomputed boundaries are
-   translated to current coordinates. *)
-type slot = Orig of int | New
-
-let rec insert_slot slots p =
-  if p = 0 then New :: slots
-  else
-    match slots with
-    | [] -> [ New ]
-    | s :: rest -> s :: insert_slot rest (p - 1)
-
-(* Current index of each original position, for boundary translation.
-   Only valid for match-disjoint (fast-path) intents: their boundary
-   regions are untouched by the [New] rules they skip over. *)
-let orig_index slots =
-  let tbl = Hashtbl.create 16 in
-  List.iteri
-    (fun idx -> function Orig i -> Hashtbl.add tbl i idx | New -> ())
-    slots;
-  fun i -> Hashtbl.find tbl i
-
-(* Place one verified stanza or rule as the sequential pipeline would,
-   against the current policy ([width] rules) of the target [key]. A
-   fast-path intent hands in its [bounds] read from the shared sweep:
-   they are translated through the target's slot list to current
-   positions, each question built by [question] only when it is asked.
-   Every answer goes through the shared cache. [run bounds ask] places
-   with the family's disambiguator, on [bounds] or on a live sweep,
-   and [placed] reads (position, boundaries, questions) off its
-   outcome. *)
-let place_item ~cache ~slots ~intent ~key ~width ~bounds ~question ~view
-    ~consult ~placed run =
-  let st =
-    match Hashtbl.find_opt slots key with
-    | Some st -> st
-    | None -> List.init width (fun i -> Orig i)
-  in
-  let bounds =
-    Option.map
-      (fun bs ->
-        let idx = orig_index st in
-        List.map
-          (fun (i, d) ->
-            let j = idx i in
-            (j, Lazy.map (question j) d))
-          bs)
-      bounds
-  in
-  let ask = cached_answer cache ~intent ~target:(snd key) view consult in
-  match run bounds ask with
-  | Error _ -> fail intent Pipeline.inconsistent
-  | Ok outcome ->
-      let position, boundaries, questions = placed outcome in
-      Pipeline.emit_placement ~position ~boundaries ~questions;
-      Hashtbl.replace slots key (insert_slot st position);
-      outcome
+  (overlapping, conflicts, !overlap_pairs, List.length groups)
 
 (* ------------------------------------------------------------------ *)
 (* The batch run                                                      *)
@@ -405,96 +322,48 @@ let run ?(max_attempts = default_max_attempts)
           (List.mapi (fun k it -> (k, it)) items)
       in
       let synths = Array.of_list (List.rev synths_rev) in
-      (* Phase 2: one engine sweep per target policy. *)
-      let rm_bounds, acl_bounds, overlapping, conflicts, overlap_pairs, groups
-          =
-        Obs.with_span "batch_sweep" (fun () -> sweep_groups ~db:db_all synths)
+      (* Phase 2: the conflict graph of each target policy. *)
+      let overlapping, conflicts, overlap_pairs, groups =
+        Obs.with_span "conflict_graph" (fun () ->
+            classify_groups ~db:db_all synths)
       in
       emit_plan ~intents:nitems ~groups ~overlaps:overlap_pairs ~conflicts;
-      (* Phase 3: place stanzas in input order, reading each target's
-         current policy from the evolving database. *)
-      let slots = Hashtbl.create 4 in
+      (* Phase 3: place each intent in input order with the pipeline's
+         back half, against the evolving database, every answer through
+         the shared cache. *)
       let db_cur = ref db_all in
       let results =
         List.mapi
           (fun k it ->
-            let fast = not overlapping.(k) in
-            emit_item ~intent:k ~fast it;
-            (* Only a fast-path intent reads its batch boundaries. *)
-            let bounds all =
-              if fast then Some (Lazy.force all.(k)) else None
+            emit_item ~intent:k ~disjoint:(not overlapping.(k)) it;
+            let db = !db_cur in
+            let ask target =
+              cached_answer cache ~intent:k ~target view
+                (oracle ~intent:k ~target)
             in
             match synths.(k) with
-            | S_route_map { target; draft = d; llm_calls } ->
-                let cur =
-                  Option.get (Config.Database.route_map !db_cur target)
-                in
-                let stanzas = Array.of_list cur.Config.Route_map.stanzas in
-                let o =
-                  place_item ~cache ~slots ~intent:k ~key:("route_map", target)
-                    ~width:(Array.length stanzas) ~bounds:(bounds rm_bounds)
-                    ~question:(Disambiguator.question stanzas)
-                    ~view:Disambiguator.view
-                    ~consult:(fun q -> oracle ~intent:k ~target (Route_map_q q))
-                    ~placed:(fun (o : Disambiguator.outcome) ->
-                      (o.position, o.boundaries, List.length o.questions))
-                    (fun bounds ask ->
-                      match bounds with
-                      | Some bs ->
-                          Disambiguator.place ~mode:rm_mode ~target:cur
-                            ~stanza:d.stanza ~oracle:ask bs
-                      | None ->
-                          Disambiguator.run ~mode:rm_mode ~db:!db_cur
-                            ~target:cur ~stanza:d.stanza ~oracle:ask ())
-                in
-                db_cur := Config.Database.add_route_map !db_cur o.map;
-                Route_map_result
-                  {
-                    Pipeline.db = !db_cur;
-                    map = o.map;
-                    spec = d.spec;
-                    stanza = d.stanza;
-                    renaming = d.renaming;
-                    synthesis_attempts = d.attempts;
-                    verification_history = d.history;
-                    llm_calls;
-                    questions = o.questions;
-                    position = o.position;
-                    boundaries = o.boundaries;
-                  }
-            | S_acl { target; draft = d; llm_calls } ->
-                let cur = Option.get (Config.Database.acl !db_cur target) in
-                let rules = Array.of_list cur.Config.Acl.rules in
-                let o =
-                  place_item ~cache ~slots ~intent:k ~key:("acl", target)
-                    ~width:(Array.length rules) ~bounds:(bounds acl_bounds)
-                    ~question:(Acl_disambiguator.question rules)
-                    ~view:Acl_disambiguator.view
-                    ~consult:(fun q -> oracle ~intent:k ~target (Acl_q q))
-                    ~placed:(fun (o : Acl_disambiguator.outcome) ->
-                      (o.position, o.boundaries, List.length o.questions))
-                    (fun bounds ask ->
-                      match bounds with
-                      | Some bs ->
-                          Acl_disambiguator.place ~mode:acl_mode ~target:cur
-                            ~rule:d.rule ~oracle:ask bs
-                      | None ->
-                          Acl_disambiguator.run ~mode:acl_mode ~target:cur
-                            ~rule:d.rule ~oracle:ask ())
-                in
-                db_cur := Config.Database.add_acl !db_cur o.acl;
-                Acl_result
-                  {
-                    Pipeline.db = !db_cur;
-                    acl = o.acl;
-                    rule = d.rule;
-                    synthesis_attempts = d.attempts;
-                    verification_history = d.history;
-                    llm_calls;
-                    questions = o.questions;
-                    position = o.position;
-                    boundaries = o.boundaries;
-                  })
+            | S_route_map { target = name; draft; llm_calls } -> (
+                let target = Option.get (Config.Database.route_map db name) in
+                match
+                  Pipeline.place_route_map ~mode:rm_mode ~db ~target ~llm_calls
+                    ~oracle:(fun q -> ask name (Route_map_q q))
+                    draft
+                with
+                | Error e -> fail k e
+                | Ok r ->
+                    db_cur := r.db;
+                    Route_map_result r)
+            | S_acl { target = name; draft; llm_calls } -> (
+                let target = Option.get (Config.Database.acl db name) in
+                match
+                  Pipeline.place_acl ~mode:acl_mode ~db ~target ~llm_calls
+                    ~oracle:(fun q -> ask name (Acl_q q))
+                    draft
+                with
+                | Error e -> fail k e
+                | Ok r ->
+                    db_cur := r.db;
+                    Acl_result r))
           items
       in
       Ok

@@ -1,14 +1,16 @@
 (** Conflict-aware batch intent synthesis (DESIGN.md §12).
 
     [run] takes N natural-language intents at once and produces exactly
-    the configuration N sequential {!Pipeline} runs would — same final
-    config, same questions, same witnesses decoded — while compiling
-    each target policy's first-match partition once (via
-    {!Engine.Compare_route_policies.lazy_batch_insertions} /
-    {!Engine.Compare_acls.lazy_batch_insertions}) and deduplicating repeated
-    questions across intents with a shared
+    the configuration and the questions of N sequential {!Pipeline}
+    runs — each intent is synthesized with the pipeline's front half
+    and placed with its back half ({!Pipeline.place_route_map},
+    {!Pipeline.place_acl}) against the evolving configuration — while
+    deduplicating repeated questions across intents with a shared
     {!Disambig_common.Answer_cache}. Genuine inter-intent conflicts are
-    reported as edges of the pairwise conflict graph, each carrying a
+    reported as edges of the pairwise conflict graph, classified per
+    target from the candidates' matches
+    ({!Engine.Compare_route_policies.conflict_graph} /
+    {!Engine.Compare_acls.conflict_graph}), each carrying a
     differential witness, and are resolved through the ordinary
     disambiguation questions of the later intent. *)
 
@@ -64,15 +66,14 @@ val run :
   item list ->
   (report, error) result
 (** Run a whole batch end to end: synthesize and verify every intent
-    (same LLM call order as N sequential runs), compile each target
-    policy once for the inter-intent overlap/conflict graph, then
-    place stanzas in input order — match-disjoint intents read their
-    boundaries from that compilation (zero extra compilations) and
-    decode only the witnesses they ask about, overlapping intents
-    disambiguate live against the evolving target, whose batch read
-    never happens. Every sweep runs serially in the current BDD
-    manager. [?pool] is accepted and ignored. Increments
-    {!Engine.Metrics.batch_intents}, {!Engine.Metrics.batch_conflict_pairs} and
+    (same LLM call order as N sequential runs), classify each target
+    policy's inter-intent overlap/conflict graph from the candidates'
+    matches, then place every stanza in input order as [clarify update]
+    would, against the evolving target: one live sweep per intent,
+    decoding only the witnesses it asks about. Every sweep runs
+    serially in the current BDD manager. [?pool] is accepted and
+    ignored. Increments {!Engine.Metrics.batch_intents},
+    {!Engine.Metrics.batch_conflict_pairs} and
     {!Engine.Metrics.batch_questions_saved}, and observes
     {!Engine.Metrics.batch_ns}. *)
 

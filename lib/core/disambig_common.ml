@@ -141,11 +141,11 @@ let decoded ~position qs = List.map (fun q -> (position q, Lazy.from_val q)) qs
 
 (* The paper's Section 4 loop, for every family. Each boundary is a
    position and a question whose witness is decoded when forced, from
-   a sweep or handed in by a batch run that translated it from a
-   shared sweep; either way the counter ticks, so telemetry matches a
-   sequential run. Only the questions asked are forced: the search and
-   the placement read positions. No boundary means every placement
-   behaves the same: append at the bottom without a question. *)
+   a sweep, or already decoded ([?precomputed]); either way the
+   counter ticks, so telemetry matches a sequential run. Only the
+   questions asked are forced: the search and the placement read
+   positions. No boundary means every placement behaves the same:
+   append at the bottom without a question. *)
 let place (fam : family) ~mode ~width ~view ~position ~top ~oracle bs =
   Obs.Counter.incr ~by:(List.length bs) fam.boundaries;
   let asked, ask =

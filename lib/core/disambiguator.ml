@@ -85,31 +85,27 @@ let view (q : question) =
 
 let position (q : question) = q.position
 
-let place ?(mode = Binary_search) ~(target : Config.Route_map.t) ~stanza
-    ~oracle bounds =
-  let top q =
-    { q with position = 0; boundary_seq = (List.hd target.stanzas).seq }
-  in
-  Disambig_common.place family ~mode ~width:(List.length target.stanzas)
-    ~view ~position ~top ~oracle bounds
-  |> Result.map (fun (position, questions, boundaries) ->
-         let map = Config.Route_map.insert_at target position stanza in
-         { map; position; questions; boundaries })
-  |> Result.map_error (fun qs -> Inconsistent_intent qs)
-
-let run ?mode ?pool:_ ?precomputed ~db ~(target : Config.Route_map.t)
-    ~stanza ~oracle () =
-  place ?mode ~target ~stanza ~oracle
-    (match precomputed with
+let run ?(mode = Binary_search) ?pool:_ ?precomputed ~db
+    ~(target : Config.Route_map.t) ~stanza ~oracle () =
+  let stanzas = Array.of_list target.stanzas in
+  let bounds =
+    match precomputed with
     | Some qs -> Disambig_common.decoded ~position qs
     | None ->
         (* The same sweep as [boundaries], each witness decoded only if
            its question is asked. *)
         Disambig_common.find @@ fun () ->
-        let stanzas = Array.of_list target.stanzas in
         List.map
           (fun (i, d) -> (i, Lazy.map (question stanzas i) d))
-          (Engine.Compare_route_policies.lazy_insertions ~db ~target stanza))
+          (Engine.Compare_route_policies.lazy_insertions ~db ~target stanza)
+  in
+  let top q = { q with position = 0; boundary_seq = stanzas.(0).seq } in
+  Disambig_common.place family ~mode ~width:(Array.length stanzas) ~view
+    ~position ~top ~oracle bounds
+  |> Result.map (fun (position, questions, boundaries) ->
+         let map = Config.Route_map.insert_at target position stanza in
+         { map; position; questions; boundaries })
+  |> Result.map_error (fun qs -> Inconsistent_intent qs)
 
 (* ------------------------------------------------------------------ *)
 (* Oracles                                                            *)

@@ -44,14 +44,6 @@ val view : question -> Disambig_common.view
 (** The telemetry rendering of a question — also the batch answer
     cache's key material. *)
 
-val question :
-  Config.Route_map.stanza array ->
-  int ->
-  Engine.Compare_route_policies.difference ->
-  question
-(** [question stanzas i d]: the question of boundary [i] of a target
-    with these stanzas, from its witness [d]. *)
-
 val boundaries :
   ?pool:Parallel.Pool.t ->
   db:Config.Database.t ->
@@ -64,19 +56,6 @@ val boundaries :
     is decoded. [?pool] is accepted and ignored. Exposed for tests and
     the evaluation harness. *)
 
-val place :
-  ?mode:mode ->
-  target:Config.Route_map.t ->
-  stanza:Config.Route_map.stanza ->
-  oracle:oracle ->
-  (int * question Lazy.t) list ->
-  (outcome, error) result
-(** {!Disambig_common.place} on the route-map family, over the given
-    boundaries of [target] in position order, each question forced
-    only if it is asked: the batch pipeline's fast path, which
-    translates boundaries from one shared multi-stanza sweep instead
-    of recompiling the target per intent. *)
-
 val run :
   ?mode:mode ->
   ?pool:Parallel.Pool.t ->
@@ -87,7 +66,8 @@ val run :
   oracle:oracle ->
   unit ->
   (outcome, error) result
-(** {!place} on the boundaries of one sweep,
+(** {!Disambig_common.place} on the route-map family, over the
+    boundaries of one sweep,
     {!Engine.Compare_route_policies.lazy_insertions}: each boundary's
     witness is decoded when its question is asked, so a Binary_search
     run decodes about log₂ k of k witnesses (those the sweep had to

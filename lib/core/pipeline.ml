@@ -248,6 +248,33 @@ let route_map_front ~llm ~max_attempts ~db ~target ~prompt =
   in
   Ok { target_map; imported; stanza; spec; renaming; attempts; history }
 
+(* The back half of a route-map update: place the draft's stanza into
+   [target] against [db], which holds the draft's lists, and report. *)
+let place_route_map ~mode ~oracle ~db ~target ~llm_calls
+    (d : route_map_draft) =
+  match
+    Obs.with_span "disambiguate" (fun () ->
+        Disambiguator.run ~mode ~db ~target ~stanza:d.stanza ~oracle ())
+  with
+  | Error (Disambiguator.Inconsistent_intent _) -> Error inconsistent
+  | Ok outcome ->
+      emit_placement ~position:outcome.position ~boundaries:outcome.boundaries
+        ~questions:(List.length outcome.questions);
+      Ok
+        {
+          db = Config.Database.add_route_map db outcome.map;
+          map = outcome.map;
+          spec = d.spec;
+          stanza = d.stanza;
+          renaming = d.renaming;
+          synthesis_attempts = d.attempts;
+          verification_history = d.history;
+          llm_calls;
+          questions = outcome.questions;
+          position = outcome.position;
+          boundaries = outcome.boundaries;
+        }
+
 (** Run one incremental route-map update end to end. *)
 let run_route_map_update ?(max_attempts = default_max_attempts)
     ?(mode = Disambiguator.Binary_search) ~llm ~oracle ~db ~target ~prompt () =
@@ -257,29 +284,8 @@ let run_route_map_update ?(max_attempts = default_max_attempts)
     ~final_config:(fun (r : route_map_report) -> Config.Parser.to_string r.db)
   @@ fun calls ->
   let* d = route_map_front ~llm ~max_attempts ~db ~target ~prompt in
-  match
-    Obs.with_span "disambiguate" (fun () ->
-        Disambiguator.run ~mode ~db:d.imported ~target:d.target_map
-          ~stanza:d.stanza ~oracle ())
-  with
-  | Error (Disambiguator.Inconsistent_intent _) -> Error inconsistent
-  | Ok outcome ->
-      emit_placement ~position:outcome.position ~boundaries:outcome.boundaries
-        ~questions:(List.length outcome.questions);
-      Ok
-        {
-          db = Config.Database.add_route_map d.imported outcome.map;
-          map = outcome.map;
-          spec = d.spec;
-          stanza = d.stanza;
-          renaming = d.renaming;
-          synthesis_attempts = d.attempts;
-          verification_history = d.history;
-          llm_calls = calls ();
-          questions = outcome.questions;
-          position = outcome.position;
-          boundaries = outcome.boundaries;
-        }
+  place_route_map ~mode ~oracle ~db:d.imported ~target:d.target_map
+    ~llm_calls:(calls ()) d
 
 (* ------------------------------------------------------------------ *)
 (* ACL updates                                                        *)
@@ -367,20 +373,12 @@ let acl_front ~llm ~max_attempts ~db ~target ~prompt =
   in
   Ok { target_acl; rule; attempts; history }
 
-(** Run one incremental ACL update end to end. *)
-let run_acl_update ?(max_attempts = default_max_attempts)
-    ?(mode = Acl_disambiguator.Binary_search) ~llm ~oracle ~db ~target ~prompt
-    () =
-  Obs.with_span "pipeline.acl_update" @@ fun () ->
-  session ~pipeline:"acl" ~mode:(Disambig_common.mode_to_string mode)
-    ~max_attempts ~llm ~db ~target ~prompt
-    ~final_config:(fun (r : acl_report) -> Config.Parser.to_string r.db)
-  @@ fun calls ->
-  let* d = acl_front ~llm ~max_attempts ~db ~target ~prompt in
+(* The back half of an ACL update: place the draft's rule into
+   [target] and report against [db]. *)
+let place_acl ~mode ~oracle ~db ~target ~llm_calls (d : acl_draft) =
   match
     Obs.with_span "disambiguate" (fun () ->
-        Acl_disambiguator.run ~mode ~target:d.target_acl ~rule:d.rule ~oracle
-          ())
+        Acl_disambiguator.run ~mode ~target ~rule:d.rule ~oracle ())
   with
   | Error (Acl_disambiguator.Inconsistent_intent _) -> Error inconsistent
   | Ok outcome ->
@@ -393,8 +391,20 @@ let run_acl_update ?(max_attempts = default_max_attempts)
           rule = d.rule;
           synthesis_attempts = d.attempts;
           verification_history = d.history;
-          llm_calls = calls ();
+          llm_calls;
           questions = outcome.questions;
           position = outcome.position;
           boundaries = outcome.boundaries;
         }
+
+(** Run one incremental ACL update end to end. *)
+let run_acl_update ?(max_attempts = default_max_attempts)
+    ?(mode = Acl_disambiguator.Binary_search) ~llm ~oracle ~db ~target ~prompt
+    () =
+  Obs.with_span "pipeline.acl_update" @@ fun () ->
+  session ~pipeline:"acl" ~mode:(Disambig_common.mode_to_string mode)
+    ~max_attempts ~llm ~db ~target ~prompt
+    ~final_config:(fun (r : acl_report) -> Config.Parser.to_string r.db)
+  @@ fun calls ->
+  let* d = acl_front ~llm ~max_attempts ~db ~target ~prompt in
+  place_acl ~mode ~oracle ~db ~target:d.target_acl ~llm_calls:(calls ()) d

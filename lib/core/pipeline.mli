@@ -75,12 +75,12 @@ val run_acl_update :
 
 (** {2 Building blocks shared with the batch pipeline ({!Batch})}
 
-    The front half of each update — target lookup, classification,
+    Each update is a front half — target lookup, classification,
     prompt retrieval, spec extraction, the synthesize-verify-repair
-    loop and (for route-maps) import — and the flight-recorder event
-    emitters, exposed so batch runs reuse the exact same LLM call
-    sequence, spans, repair behaviour and event schema as sequential
-    runs. *)
+    loop and (for route-maps) import — and a back half that places the
+    result and reports, exposed so batch runs reuse the exact same LLM
+    call sequence, placement, spans, repair behaviour and event schema
+    as sequential runs. *)
 
 type route_map_draft = {
   target_map : Config.Route_map.t; (* the target, before insertion *)
@@ -102,6 +102,20 @@ val route_map_front :
 (** A verified stanza for [target], imported into [db] under fresh list
     names, ready to place. *)
 
+val place_route_map :
+  mode:Disambiguator.mode ->
+  oracle:Disambiguator.oracle ->
+  db:Config.Database.t ->
+  target:Config.Route_map.t ->
+  llm_calls:int ->
+  route_map_draft ->
+  (route_map_report, error) result
+(** The back half of a route-map update: disambiguate the draft's
+    stanza into [target] with {!Disambiguator.run} against [db], which
+    must hold the draft's lists, emit the [placement] event and report
+    [db] with the updated map. [llm_calls] is reported as is. An
+    inconsistent Linear run is {!inconsistent}. *)
+
 type acl_draft = {
   target_acl : Config.Acl.t;
   rule : Config.Acl.rule;
@@ -119,11 +133,20 @@ val acl_front :
 (** A verified rule for the ACL [target], ready to place; the parsed
     intent serves as spec. *)
 
+val place_acl :
+  mode:Acl_disambiguator.mode ->
+  oracle:Acl_disambiguator.oracle ->
+  db:Config.Database.t ->
+  target:Config.Acl.t ->
+  llm_calls:int ->
+  acl_draft ->
+  (acl_report, error) result
+(** The back half of an ACL update, as {!place_route_map}: place the
+    draft's rule into [target] and report [db] with the updated ACL. *)
+
 val inconsistent : error
 (** [Disambiguation_failed] for a Linear run whose answers no single
     insertion point satisfies. *)
-
-val emit_placement : position:int -> boundaries:int -> questions:int -> unit
 
 val runs_counter : Obs.Counter.t
 val errors_counter : Obs.Counter.t

@@ -65,7 +65,7 @@ let equal_behavior a b = first_difference a b = None
    trivially independent of how the work is sharded. *)
 
 type partition = {
-  cells : Ps.cell array;
+  cells : Ps.cell array Lazy.t; (* executed at the first read *)
   cands : Config.Acl.rule array;
   matches : Bdd.t array; (* each candidate's match region *)
 }
@@ -78,19 +78,19 @@ let region p k (c : Ps.cell) =
 
 (* The last cell is the implicit deny, not a position. *)
 let cell_boundaries p k =
-  let rule = p.cands.(k) in
+  let rule = p.cands.(k) and cells = Lazy.force p.cells in
   List.filter_map
     (fun i ->
-      let (c : Ps.cell) = p.cells.(i) in
+      let (c : Ps.cell) = cells.(i) in
       if Config.Action.equal rule.Config.Acl.action c.action
          || Bdd.is_zero (region p k c)
       then None
       else Some (i, None))
-    (List.init (Array.length p.cells - 1) Fun.id)
+    (List.init (Array.length cells - 1) Fun.id)
 
 let witness p k i =
   Obs.Counter.incr Metrics.witnesses_decoded;
-  let rule = p.cands.(k) and (c : Ps.cell) = p.cells.(i) in
+  let rule = p.cands.(k) and (c : Ps.cell) = (Lazy.force p.cells).(i) in
   match Ps.to_packet (region p k c) with
   | None -> invalid_arg "Compare_acls.witness: not a boundary"
   | Some packet ->
@@ -131,28 +131,27 @@ module Sweep = First_match.Sweep (struct
   let width (t : Config.Acl.t) = List.length t.rules
 
   let compile target cands =
-    let cells =
-      Array.of_list (Ps.exec ~candidates:(Array.to_list cands) target)
-    in
-    { cells; cands; matches = Array.map Ps.of_rule cands }
+    {
+      cells =
+        lazy (Array.of_list (Ps.exec ~candidates:(Array.to_list cands) target));
+      cands;
+      matches = Array.map Ps.of_rule cands;
+    }
 
   let cell_boundaries = cell_boundaries
   let witness = witness
   let classify = classify
 end)
 
-type 'c batch = 'c Sweep.batch = {
-  per_candidate : 'c array;
+type batch_sweep = Sweep.batch_sweep = {
+  per_candidate : (int * difference) list array;
   overlaps : (int * int) list;
   conflicts : (int * int * difference) list;
 }
 
-type batch_sweep = (int * difference) list batch
-
 let adjacent_insertions ~target rule = Sweep.adjacent_insertions target rule
 let lazy_insertions ~target rule = Sweep.lazy_insertions target rule
-let lazy_batch_insertions ~target rules =
-  Sweep.lazy_batch_insertions target rules
+let conflict_graph ~target rules = Sweep.conflict_graph target rules
 
 let batch_insertions ?pool:_ ~target rules = Sweep.batch_insertions target rules
 

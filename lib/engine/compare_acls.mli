@@ -39,9 +39,10 @@ val lazy_insertions :
     non-empty, and for a single rule that region is the cell's guard,
     so the sweep decodes nothing. *)
 
-type 'c batch = {
-  per_candidate : 'c array;
-      (** candidate [k]'s boundary sweep against the original target *)
+type batch_sweep = {
+  per_candidate : (int * difference) list array;
+      (** candidate [k]'s boundary sweep against the original target,
+          exactly what {!adjacent_insertions} returns for it *)
   overlaps : (int * int) list;
       (** candidate pairs [i < j] whose match regions intersect *)
   conflicts : (int * int * difference) list;
@@ -49,27 +50,21 @@ type 'c batch = {
           packet from the shared region *)
 }
 
-type batch_sweep = (int * difference) list batch
-(** Each candidate's sweep exactly what {!adjacent_insertions} would
-    return for it. *)
-
-val lazy_batch_insertions :
+val conflict_graph :
   target:Config.Acl.t ->
   Config.Acl.rule list ->
-  (int * difference Lazy.t) list Lazy.t batch
-(** Multi-rule sweep for batch synthesis: the pairwise inter-intent
-    overlap/conflict graph, classified from one symbolic execution of
-    [target] projected onto the candidates, and every candidate's
-    boundaries read from it only when forced, then {!lazy_insertions}
-    for that candidate: no witness is decoded until one is forced.
-    Force them in the current manager, before it is reset. *)
+  (int * int) list * (int * int * difference) list
+(** The pairwise inter-intent graph of a batch, [(overlaps, conflicts)]
+    as in {!batch_sweep}, classified from the candidates' match
+    regions alone: the target is not executed. *)
 
 val batch_insertions :
   ?pool:Parallel.Pool.t ->
   target:Config.Acl.t ->
   Config.Acl.rule list ->
   batch_sweep
-(** {!lazy_batch_insertions} with every read and witness forced.
-    [?pool] is accepted and ignored. *)
+(** {!conflict_graph} plus every candidate's boundaries, read from one
+    symbolic execution of [target] projected onto the candidates, every
+    witness decoded. [?pool] is accepted and ignored. *)
 
 val pp_difference : Format.formatter -> difference -> unit

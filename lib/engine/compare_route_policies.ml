@@ -152,7 +152,7 @@ let equal_behavior ~db_a ~db_b rm_a rm_b =
 type partition = {
   db : Config.Database.t;
   ctx : Ctx.t;
-  cells : Ctx.cell array;
+  cells : Ctx.cell array Lazy.t; (* executed at the first read *)
   cands : Config.Route_map.stanza array;
   matches : Bdd.t array; (* each candidate's match region *)
   transforms : Config.Transform.t array; (* each candidate's set clauses *)
@@ -204,10 +204,10 @@ let region p k (c : Ctx.cell) =
    handles it when inserted at i and s_i when inserted at i+1:
    applying those two stanzas' actions and sets gives both maps'
    outcomes, at a cost independent of the width. [None] when no route
-   of the region tells the two apart. *)
-let decode p k i =
+   of the region tells the two apart. [c] is cell [i]. *)
+let decode p k i (c : Ctx.cell) =
   Obs.Counter.incr Metrics.witnesses_decoded;
-  let db = p.db and stanza = p.cands.(k) and (c : Ctx.cell) = p.cells.(i) in
+  let db = p.db and stanza = p.cands.(k) in
   match
     sample_route p.ctx ~db_a:db ~db_b:db p.transforms.(k).communities
       (Config.Transform.of_sets db c.sets).communities (region p k c)
@@ -226,7 +226,7 @@ let decode p k i =
         Some { route; result_a; result_b; stanza_a = seq; stanza_b = seq }
 
 let witness p k i =
-  match decode p k i with
+  match decode p k i (Lazy.force p.cells).(i) with
   | Some d -> d
   | None -> invalid_arg "Compare_route_policies.witness: not a boundary"
 
@@ -239,12 +239,12 @@ let witness p k i =
    region that pins metric to 5), so it is decoded now. The last cell
    is the implicit deny, not a position. *)
 let cell_boundaries p k =
-  let db = p.db and stanza = p.cands.(k) in
+  let db = p.db and stanza = p.cands.(k) and cells = Lazy.force p.cells in
   let t_new = p.transforms.(k) in
   let atoms_free = Array.length p.ctx.Ctx.as_path_lists = 0 in
   List.filter_map
     (fun i ->
-      let (c : Ctx.cell) = p.cells.(i) in
+      let (c : Ctx.cell) = cells.(i) in
       let r = region p k c in
       (* A cell the candidate cannot reach has no witness, though
          another candidate of a batch may reach it. *)
@@ -257,8 +257,8 @@ let cell_boundaries p k =
           if p.within_valid.(k) || Bdd.is_sat (Bdd.conj r (Ctx.valid p.ctx))
           then Some (i, None)
           else None
-        else Option.map (fun d -> (i, Some d)) (decode p k i))
-    (List.init (Array.length p.cells - 1) Fun.id)
+        else Option.map (fun d -> (i, Some d)) (decode p k i c))
+    (List.init (Array.length cells - 1) Fun.id)
 
 let classify p i j =
   let db = p.db and si = p.cands.(i) and sj = p.cands.(j) in
@@ -303,12 +303,14 @@ module Sweep = First_match.Sweep (struct
   let compile (db, (target : Config.Route_map.t)) cands =
     let scope = [ target; { target with stanzas = Array.to_list cands } ] in
     let ctx = Ctx.create [ (db, scope) ] in
-    let cells = Ctx.exec ~candidates:(Array.to_list cands) ctx db target in
     let matches = Array.map (Ctx.of_stanza ctx db) cands in
     {
       db;
       ctx;
-      cells = Array.of_list cells;
+      cells =
+        lazy
+          (Array.of_list
+             (Ctx.exec ~candidates:(Array.to_list cands) ctx db target));
       cands;
       matches;
       transforms =
@@ -323,13 +325,11 @@ module Sweep = First_match.Sweep (struct
   let classify = classify
 end)
 
-type 'c batch = 'c Sweep.batch = {
-  per_candidate : 'c array;
+type batch_sweep = Sweep.batch_sweep = {
+  per_candidate : (int * difference) list array;
   overlaps : (int * int) list;
   conflicts : (int * int * difference) list;
 }
-
-type batch_sweep = (int * difference) list batch
 
 let adjacent_insertions ~db ~target stanza =
   Sweep.adjacent_insertions (db, target) stanza
@@ -337,8 +337,8 @@ let adjacent_insertions ~db ~target stanza =
 let lazy_insertions ~db ~target stanza =
   Sweep.lazy_insertions (db, target) stanza
 
-let lazy_batch_insertions ~db ~target stanzas =
-  Sweep.lazy_batch_insertions (db, target) stanzas
+let conflict_graph ~db ~target stanzas =
+  Sweep.conflict_graph (db, target) stanzas
 
 let batch_insertions ?pool:_ ~db ~target stanzas =
   Sweep.batch_insertions (db, target) stanzas

@@ -81,9 +81,10 @@ val lazy_insertions :
     stanza that leaves metric alone is no boundary on a region that
     pins metric to 5. *)
 
-type 'c batch = {
-  per_candidate : 'c array;
-      (** candidate [k]'s boundary sweep against the original target *)
+type batch_sweep = {
+  per_candidate : (int * difference) list array;
+      (** candidate [k]'s boundary sweep against the original target,
+          exactly what {!adjacent_insertions} returns for it *)
   overlaps : (int * int) list;
       (** candidate pairs [i < j] whose match regions intersect *)
   conflicts : (int * int * difference) list;
@@ -91,25 +92,18 @@ type 'c batch = {
           shared route, with a differential witness *)
 }
 
-type batch_sweep = (int * difference) list batch
-(** Each candidate's sweep exactly what {!adjacent_insertions} would
-    return for it. *)
-
-val lazy_batch_insertions :
+val conflict_graph :
   db:Config.Database.t ->
   target:Config.Route_map.t ->
   Config.Route_map.stanza list ->
-  (int * difference Lazy.t) list Lazy.t batch
-(** Multi-stanza sweep for batch synthesis: the pairwise inter-intent
-    overlap/conflict graph, classified from one compiled first-match
-    partition of [target] projected onto the union of the candidates'
-    match regions, and every candidate's boundaries read from it only
-    when forced, then {!lazy_insertions} for that candidate. Both
-    sweeps take the target plus every candidate as their symbolic
-    scope, so a candidate's witnesses are those of its own sweep. A
-    read skips a cell only other candidates reach without decoding
-    anything there. Force reads and witnesses in the current manager,
-    before it is reset. *)
+  (int * int) list * (int * int * difference) list
+(** The pairwise inter-intent graph of a batch, [(overlaps, conflicts)]
+    as in {!batch_sweep}: classified from the candidates' match
+    regions, compiled in one symbolic scope of the target plus every
+    candidate, without executing the target's partition or reading
+    any candidate's boundaries. A conflict's witness is a route both
+    candidates match, with each candidate's own action and sets
+    applied to it. *)
 
 val batch_insertions :
   ?pool:Parallel.Pool.t ->
@@ -117,8 +111,13 @@ val batch_insertions :
   target:Config.Route_map.t ->
   Config.Route_map.stanza list ->
   batch_sweep
-(** {!lazy_batch_insertions} with every read and witness forced.
-    [?pool] is accepted and ignored. *)
+(** {!conflict_graph} plus every candidate's boundaries, read from one
+    first-match partition of [target] projected onto the union of the
+    candidates' match regions, every witness decoded. A candidate's
+    boundaries and witnesses are those of its own sweep, since both
+    take the target plus every candidate as their symbolic scope. A
+    read skips a cell only other candidates reach without decoding
+    anything there. [?pool] is accepted and ignored. *)
 
 val pp_difference : Format.formatter -> difference -> unit
 (** Rendered in the paper's OPTION 1 / OPTION 2 style. *)

@@ -10,7 +10,8 @@
    that compilation and the per-cell and per-pair reads; this module
    compiles it once, in the caller's manager, reads it serially,
    decodes the witnesses the reads left undecoded (or leaves them to
-   be decoded on demand), and keeps the sweep counters. *)
+   be decoded on demand), classifies candidate pairs into the
+   inter-intent conflict graph, and keeps the sweep counters. *)
 
 type 'd pair = Disjoint | Overlap | Conflict of 'd
 
@@ -28,13 +29,11 @@ module type FAMILY = sig
 end
 
 module Sweep (F : FAMILY) = struct
-  type 'c batch = {
-    per_candidate : 'c array;
+  type batch_sweep = {
+    per_candidate : (int * F.difference) list array;
     overlaps : (int * int) list;
     conflicts : (int * int * F.difference) list;
   }
-
-  type batch_sweep = (int * F.difference) list batch
 
   let observe t0 =
     Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9)
@@ -72,47 +71,49 @@ module Sweep (F : FAMILY) = struct
   let adjacent_insertions target rule = sweep target rule force
   let lazy_insertions target rule = sweep target rule Fun.id
 
-  let lazy_batch_insertions target rules =
-    let cands = Array.of_list rules in
+  (* The candidates' partition, one context, and the pairs [i < j]
+     classified from it in order. *)
+  let graph target cands =
     let ncand = Array.length cands in
-    if ncand = 0 then { per_candidate = [||]; overlaps = []; conflicts = [] }
-    else begin
-      Obs.Counter.incr Metrics.adjacent_insertions_calls;
-      let t0 = Obs.now () in
-      let n = F.width target in
-      Obs.Counter.incr Metrics.adjacent_contexts;
-      let pairs =
-        List.concat_map
-          (fun i -> List.init (ncand - i - 1) (fun d -> (i, i + d + 1)))
-          (List.init ncand Fun.id)
-      in
-      let p = F.compile target cands in
-      let kinds = List.map (fun (i, j) -> F.classify p i j) pairs in
-      Obs.Counter.incr
-        ~by:((ncand * max 1 n) - 1)
-        Metrics.adjacent_prefix_reuse;
-      let overlaps, conflicts =
-        List.fold_right2
-          (fun (i, j) kind (overlaps, conflicts) ->
-            match kind with
-            | Disjoint -> (overlaps, conflicts)
-            | Overlap -> ((i, j) :: overlaps, conflicts)
-            | Conflict d -> ((i, j) :: overlaps, (i, j, d) :: conflicts))
-          pairs kinds ([], [])
-      in
-      Obs.Counter.incr ~by:(List.length conflicts) Metrics.batch_conflict_pairs;
-      observe t0;
-      {
-        per_candidate = Array.init ncand (fun k -> lazy (read p k));
-        overlaps;
-        conflicts;
-      }
-    end
+    Obs.Counter.incr Metrics.adjacent_contexts;
+    let p = F.compile target cands in
+    let pairs =
+      List.concat_map
+        (fun i -> List.init (ncand - i - 1) (fun d -> (i, i + d + 1)))
+        (List.init ncand Fun.id)
+    in
+    let kinds = List.map (fun (i, j) -> F.classify p i j) pairs in
+    let overlaps, conflicts =
+      List.fold_right2
+        (fun (i, j) kind (overlaps, conflicts) ->
+          match kind with
+          | Disjoint -> (overlaps, conflicts)
+          | Overlap -> ((i, j) :: overlaps, conflicts)
+          | Conflict d -> ((i, j) :: overlaps, (i, j, d) :: conflicts))
+        pairs kinds ([], [])
+    in
+    Obs.Counter.incr ~by:(List.length conflicts) Metrics.batch_conflict_pairs;
+    (p, overlaps, conflicts)
+
+  let conflict_graph target rules =
+    match rules with
+    | [] -> ([], [])
+    | _ ->
+        let _, overlaps, conflicts = graph target (Array.of_list rules) in
+        (overlaps, conflicts)
 
   let batch_insertions target rules =
-    let b = lazy_batch_insertions target rules in
-    {
-      b with
-      per_candidate = Array.map (fun r -> force (Lazy.force r)) b.per_candidate;
-    }
+    match rules with
+    | [] -> { per_candidate = [||]; overlaps = []; conflicts = [] }
+    | _ ->
+        Obs.Counter.incr Metrics.adjacent_insertions_calls;
+        let t0 = Obs.now () in
+        let cands = Array.of_list rules in
+        let p, overlaps, conflicts = graph target cands in
+        let n = F.width target and ncand = Array.length cands in
+        if n > 0 then
+          Obs.Counter.incr ~by:((ncand * n) - 1) Metrics.adjacent_prefix_reuse;
+        let per_candidate = Array.init ncand (fun k -> force (read p k)) in
+        observe t0;
+        { per_candidate; overlaps; conflicts }
 end

@@ -8,16 +8,17 @@
     [cell_i] is the target's first-match partition cell for rule [i].
     A family compiles that partition once and reads boundaries from
     it; {!Sweep} compiles it in the caller's BDD manager and reads it
-    serially, once per candidate.
+    serially, once per candidate. The same partition, projected onto
+    several candidates, classifies their pairwise overlap/conflict
+    graph without being read.
 
     Witnesses are decoded on demand (DESIGN §11, "Witnesses on
     demand"): a read decides whether a position is a boundary from the
     partition when the two rules' outcomes differ on every input and a
     non-empty region is known to hold a real input, and decodes a
     witness to decide only where that is not so.
-    {!Sweep.lazy_insertions} and {!Sweep.lazy_batch_insertions} leave
-    the rest to be decoded when a question asks for them; every
-    decode, either way, counts one
+    {!Sweep.lazy_insertions} leaves the rest to be decoded when a
+    question asks for them; every decode, either way, counts one
     [engine.adjacent_insertions.witnesses_decoded]. *)
 
 (** How two candidates relate on the inputs both match. *)
@@ -40,7 +41,9 @@ module type FAMILY = sig
 
   val compile : target -> rule array -> partition
   (** The partition of the target projected onto the candidates:
-      cells the candidates cannot reach may be left empty. *)
+      cells the candidates cannot reach may be left empty. The cells
+      are executed at the first {!cell_boundaries} or {!witness}, so a
+      partition only classified never executes the target. *)
 
   val cell_boundaries : partition -> int -> (int * difference option) list
   (** [cell_boundaries p k]: candidate [k]'s boundaries, ascending,
@@ -64,18 +67,15 @@ module type FAMILY = sig
 end
 
 module Sweep (F : FAMILY) : sig
-  type 'c batch = {
-    per_candidate : 'c array;
-        (** candidate [k]'s boundaries against the original target *)
+  type batch_sweep = {
+    per_candidate : (int * F.difference) list array;
+        (** candidate [k]'s boundaries against the original target,
+            exactly what {!adjacent_insertions} returns for it *)
     overlaps : (int * int) list;
         (** candidate pairs [i < j] whose match regions intersect *)
     conflicts : (int * int * F.difference) list;
         (** overlapping pairs treated differently, with a witness *)
   }
-
-  type batch_sweep = (int * F.difference) list batch
-  (** Every candidate's boundaries, exactly what
-      {!adjacent_insertions} returns for it. *)
 
   val adjacent_insertions : F.target -> F.rule -> (int * F.difference) list
   (** Every position [i] at which inserting the rule at [i] behaves
@@ -97,19 +97,24 @@ module Sweep (F : FAMILY) : sig
       [engine.adjacent_insertions.boundary_ns], which ends before any
       witness is forced. *)
 
-  val lazy_batch_insertions :
-    F.target -> F.rule list -> (int * F.difference Lazy.t) list Lazy.t batch
-  (** One compilation projected onto every candidate, in the current
-      manager, and the pairwise overlap/conflict graph classified from
-      it. Candidate [k]'s read is made only when forced and is then
-      {!lazy_insertions} for it: the same positions, each witness
-      decoded when forced, in the current manager, and only the
-      decodes deciding a boundary took made by the read. A caller that
-      forces none of it decodes no boundary witness at all. Increments
-      [engine.batch.conflict_pairs] by the number of conflicts;
-      [boundary_ns] covers the compilation and the classification. *)
+  val conflict_graph :
+    F.target ->
+    F.rule list ->
+    (int * int) list * (int * int * F.difference) list
+  (** The pairwise overlap/conflict graph of the candidates, as
+      [(overlaps, conflicts)] in the order of {!batch_sweep}'s fields,
+      classified from one partition projected onto every candidate,
+      in the current manager. No candidate is read, so a family whose
+      [compile] leaves the target's cells to the first read never
+      executes the target here. Counts one context and the conflicts
+      in [engine.batch.conflict_pairs]; it is not a boundary sweep, so
+      it counts no call and no reused cell and observes no
+      [boundary_ns]. *)
 
   val batch_insertions : F.target -> F.rule list -> batch_sweep
-  (** {!lazy_batch_insertions} with every read and witness forced, in
-      candidate order. *)
+  (** {!conflict_graph} and every candidate's boundaries read from the
+      same partition, every witness decoded, in candidate order.
+      Counts one call, one context, [candidates × width - 1] reused
+      cells and the conflicts; its [boundary_ns] covers the
+      classification and every read. *)
 end

@@ -22,13 +22,15 @@ let compare_acls_calls =
 
 let adjacent_insertions_calls =
   Obs.Counter.make "engine.adjacent_insertions.calls"
-    ~help:"batch adjacent-insertion analyses (one per boundary sweep)"
+    ~help:
+      "boundary sweeps (one per single-rule sweep or batch_insertions call; \
+       a conflict-graph pass is not one)"
 
 let adjacent_contexts =
   Obs.Counter.make "engine.adjacent_insertions.contexts_built"
     ~help:
       "symbolic contexts built while finding boundaries (1 per sweep of a \
-       non-empty target)"
+       non-empty target, 1 per conflict-graph pass)"
 
 let adjacent_prefix_reuse =
   Obs.Counter.make "engine.adjacent_insertions.prefix_cells_reused"
@@ -44,7 +46,9 @@ let witnesses_decoded =
 
 let boundary_ns =
   Obs.Histogram.make "engine.adjacent_insertions.boundary_ns"
-    ~help:"wall time of one full boundary sweep (all insertion positions)"
+    ~help:
+      "wall time of one full boundary sweep (all insertion positions; no \
+       conflict-graph pass)"
 
 let batch_intents =
   Obs.Counter.make "engine.batch.intents"
@@ -52,7 +56,9 @@ let batch_intents =
 
 let batch_conflict_pairs =
   Obs.Counter.make "engine.batch.conflict_pairs"
-    ~help:"genuine inter-intent conflict pairs found by batch sweeps"
+    ~help:
+      "genuine inter-intent conflict pairs classified by conflict-graph \
+       passes and batch_insertions"
 
 let batch_questions_saved =
   Obs.Counter.make "engine.batch.questions_saved"

@@ -8,16 +8,20 @@ val compare_route_policies_calls : Obs.Counter.t
 val compare_acls_calls : Obs.Counter.t
 
 val adjacent_insertions_calls : Obs.Counter.t
-(** Boundary sweeps: the single-rule sweeps and the batch sweeps of
-    either {!First_match.Sweep} instance. *)
+(** Boundary sweeps of either {!First_match.Sweep} instance: the
+    single-rule sweeps and the [batch_insertions] calls. A
+    conflict-graph pass ([conflict_graph], as {!Clarify.Batch} runs
+    one per target) reads no boundary and is not counted. *)
 
 val adjacent_contexts : Obs.Counter.t
 (** Symbolic contexts built during boundary discovery: one per sweep
-    of a non-empty target (one per batch). *)
+    of a non-empty target, and one per conflict-graph pass, which
+    compiles the candidates' matches in a scope of its own. *)
 
 val adjacent_prefix_reuse : Obs.Counter.t
 (** Insertion positions whose reachability came from a shared prefix
-    execution rather than a fresh two-map re-execution. *)
+    execution rather than a fresh two-map re-execution. A
+    conflict-graph pass executes no prefix and adds nothing. *)
 
 val witnesses_decoded : Obs.Counter.t
 (** Boundary witnesses decoded by either {!First_match.Sweep} instance:
@@ -26,17 +30,18 @@ val witnesses_decoded : Obs.Counter.t
     that returns every witness. *)
 
 val boundary_ns : Obs.Histogram.t
-(** Wall time of one full boundary sweep; for
-    [lazy_insertions], up to the positions, before any witness is
-    decoded on demand, and for a batch sweep, up to the classified
-    pairs, before any candidate is read. *)
+(** Wall time of one full boundary sweep; for [lazy_insertions], up to
+    the positions, before any witness is decoded on demand, and for
+    [batch_insertions], the classification and every read. A
+    conflict-graph pass is not observed. *)
 
 val batch_intents : Obs.Counter.t
 (** Intents processed by batch synthesis runs ({!Clarify.Batch}). *)
 
 val batch_conflict_pairs : Obs.Counter.t
-(** Genuine inter-intent conflict pairs found by the multi-stanza batch
-    sweeps ([batch_insertions] in either compare module). *)
+(** Genuine inter-intent conflict pairs classified by [conflict_graph]
+    and [batch_insertions] in either compare module, and by the
+    prefix-list batch. *)
 
 val batch_questions_saved : Obs.Counter.t
 (** Disambiguation questions a batch run served from its shared answer

@@ -208,7 +208,7 @@ let test_batch_fixture_report () =
       check_int "one batch session" 1 r.Rp.batch_sessions;
       check_int "three intents" 3 r.Rp.batch_intents;
       check_int "one conflict pair" 1 r.Rp.batch_conflict_pairs;
-      check_bool "some placements took the fast path" true
+      check_bool "some intents overlap no other intent" true
         (r.Rp.batch_fast_path >= 1);
       check_int "placements cover every intent" 3 r.Rp.stanzas;
       let md = Rp.to_markdown report in

@@ -5,9 +5,11 @@
    decoding exactly as many boundary witnesses — serial and with a
    pool handed in. Plus pinned
    cases: a conflicting pair with its witness checked exactly, a
-   conflict-free batch compiling the target partition once, and the
-   answer-cache dedup regression (policy/position are part of the key,
-   not just the rendered text). *)
+   conflict-free batch building one context per intent plus one for
+   its conflict graph, match-disjoint intents shown the examples of
+   their own sequential runs, and the answer-cache dedup regression
+   (policy/position are part of the key, not just the rendered
+   text). *)
 
 open Config
 module I = Llm.Intent
@@ -19,6 +21,7 @@ module PD = Clarify.Prefix_list_disambiguator
 module DC = Clarify.Disambig_common
 
 let pfx = Netaddr.Prefix.of_string_exn
+let comm = Bgp.Community.of_string_exn
 let check_int = Alcotest.(check int)
 
 (* One pool for every pooled case; workers are reused across calls. *)
@@ -91,11 +94,9 @@ let gen_existing_map =
               Route_map.stanza ~seq:((i + 1) * 10) ~matches action)
             stanzas)))
 
-(* Community- and as-path-free intents: batch fast-path boundaries must
-   be byte-identical to sequential ones, and extra candidates in the
-   shared sweep context must not perturb witness sampling (DESIGN.md
-   §12). Prefix windows and set clauses still generate overlaps and
-   genuine conflicts between intents. *)
+(* Prefix windows, community tags and set clauses generate overlaps and
+   genuine conflicts between intents; communities only one intent
+   mentions must not reach another intent's examples. *)
 let gen_rm_intent =
   QCheck.Gen.(
     gen_action >>= fun action ->
@@ -107,13 +108,28 @@ let gen_rm_intent =
         [ Netaddr.Prefix_range.make (pfx "172.16.0.0/12") ~ge:None ~le:(Some 20) ];
       ]
     >>= fun prefixes ->
-    oneofl [ []; [ Route_map.Set_metric 55 ]; [ Route_map.Set_local_pref 200 ] ]
+    oneofl [ []; [ comm "300:3" ]; [ comm "65000:7" ]; [ comm "100:1" ] ]
+    >>= fun communities ->
+    oneofl
+      [
+        [];
+        [ Route_map.Set_metric 55 ];
+        [ Route_map.Set_local_pref 200 ];
+        [
+          Route_map.Set_community
+            { communities = [ comm "300:9" ]; additive = true };
+        ];
+        [
+          Route_map.Set_community
+            { communities = [ comm "200:2" ]; additive = false };
+        ];
+      ]
     >>= fun sets ->
     return
       {
         I.action;
         prefixes;
-        communities = [];
+        communities;
         as_path_origin = None;
         as_path_contains = None;
         local_pref = None;
@@ -440,12 +456,12 @@ let test_pinned_acl_conflict () =
   | _ -> Alcotest.fail "expected an ACL witness"
 
 (* A conflict-free batch: three mutually match-disjoint route-map
-   intents. The whole run must build exactly ONE symbolic context (one
-   compiled partition of the target, shared by all three boundary sets
-   and every pairwise check), report no overlap, and ask exactly the
-   questions the three sequential runs ask — zero inter-intent
-   questions. *)
-let test_conflict_free_single_context () =
+   intents. The batch places each intent as its sequential run does,
+   so it builds exactly the symbolic contexts the three sequential runs
+   build, plus one for its conflict-graph pass; it reports no overlap
+   and asks exactly the questions the three sequential runs ask — zero
+   inter-intent questions. *)
+let test_conflict_free_graph_pass () =
   let rm =
     Route_map.make "TARGET"
       [
@@ -470,11 +486,16 @@ let test_conflict_free_single_context () =
   in
   Obs.enable ();
   Fun.protect ~finally:Obs.disable @@ fun () ->
+  let contexts () = Obs.Counter.value Engine.Metrics.adjacent_contexts in
+  let before = contexts () in
   let db_seq, seq_qs = sequential_route_maps db prompts in
-  let before = Obs.Counter.value Engine.Metrics.adjacent_contexts in
+  let sequential = contexts () - before in
+  check_int "one context per sequential run" 3 sequential;
+  let before = contexts () in
   let report, batch_qs = batch_route_maps ~pooled:false db prompts in
-  let after = Obs.Counter.value Engine.Metrics.adjacent_contexts in
-  check_int "one symbolic context for the whole batch" 1 (after - before);
+  check_int "the sequential runs' contexts plus one graph pass"
+    (sequential + 1)
+    (contexts () - before);
   check_int "no overlap edges" 0 report.B.overlap_pairs;
   check_int "no conflict edges" 0 (List.length report.B.conflicts);
   Alcotest.(check string)
@@ -483,6 +504,58 @@ let test_conflict_free_single_context () =
   Alcotest.(check bool)
     "zero inter-intent questions" true
     (same_multiset batch_qs seq_qs)
+
+(* Two match-disjoint intents, each carrying a community the other
+   never mentions. A sequential run samples intent 0's example routes
+   from the target and intent 0 alone, so they carry no community only
+   intent 1 names (65000:7); the batch must show intent 0 exactly those
+   questions. *)
+let test_disjoint_intents_own_examples () =
+  let rm =
+    Route_map.make "TARGET"
+      [
+        Route_map.stanza ~seq:10
+          ~matches:[ Route_map.Match_community [ "GOLD" ] ]
+          Action.Permit;
+        Route_map.stanza ~seq:20
+          ~matches:[ Route_map.Match_local_pref 300 ]
+          Action.Permit;
+      ]
+  in
+  let db = rm_setup rm in
+  let range p le = Netaddr.Prefix_range.make (pfx p) ~ge:None ~le:(Some le) in
+  let prompts =
+    List.map I.to_prompt
+      [
+        I.route_map_intent
+          ~prefixes:[ range "172.16.0.0/12" 20 ]
+          ~communities:[ comm "100:1" ]
+          ~sets:
+            [
+              Route_map.Set_community
+                { communities = [ comm "200:2" ]; additive = false };
+            ]
+          Action.Permit;
+        I.route_map_intent
+          ~prefixes:[ range "10.1.0.0/16" 24 ]
+          ~communities:[ comm "65000:7" ]
+          ~sets:[ Route_map.Set_local_pref 200 ]
+          Action.Deny;
+      ]
+  in
+  let db_seq, seq_qs = sequential_route_maps db prompts in
+  let report, batch_qs = batch_route_maps ~pooled:false db prompts in
+  check_int "no overlap edges" 0 report.B.overlap_pairs;
+  Alcotest.(check string)
+    "same final config" (config_string db_seq)
+    (config_string report.B.db);
+  let render (target, (v : DC.view)) =
+    Printf.sprintf "%s@%d seq %d: %s | %s | %s" target v.DC.position
+      v.boundary_seq v.example v.if_new_first v.if_old_first
+  in
+  Alcotest.(check (list string))
+    "the sequential runs' question views"
+    (List.map render seq_qs) (List.map render batch_qs)
 
 (* Satellite regression: the shared answer cache keys on the policy AND
    the question's coordinates, never on the rendered text alone. *)
@@ -571,8 +644,10 @@ let () =
         [
           Alcotest.test_case "conflicting ACL pair with witness" `Quick
             test_pinned_acl_conflict;
-          Alcotest.test_case "conflict-free batch, one context" `Quick
-            test_conflict_free_single_context;
+          Alcotest.test_case "conflict-free batch, one graph pass" `Quick
+            test_conflict_free_graph_pass;
+          Alcotest.test_case "disjoint intents, own examples" `Quick
+            test_disjoint_intents_own_examples;
           Alcotest.test_case "answer cache keyed on policy+position" `Quick
             test_answer_cache_dedup;
           Alcotest.test_case "cache saves repeated questions" `Quick
