@@ -52,6 +52,15 @@ let int_arg ln what s =
   | Some n -> n
   | None -> fail ln "expected %s, found %S" what s
 
+(* A number the symbolic encodings hold in a fixed width: ports in 16
+   bits, local-preference, metric and tag in 32. *)
+let bounded_arg ln what max s =
+  let n = int_arg ln what s in
+  if n < 0 || n > max then fail ln "%s %d is out of range 0-%d" what n max;
+  n
+
+let u32_arg ln what s = bounded_arg ln what 0xFFFF_FFFF s
+
 let action_arg ln s =
   match Action.of_string s with
   | Some a -> a
@@ -98,13 +107,16 @@ let parse_addr_spec ln toks =
   | [] -> fail ln "missing address spec"
 
 let parse_port_spec ln toks =
+  let port = bounded_arg ln "port" 65535 in
   match toks with
-  | "eq" :: p :: rest -> (Acl.Eq (int_arg ln "port" p), rest)
-  | "neq" :: p :: rest -> (Acl.Neq (int_arg ln "port" p), rest)
-  | "lt" :: p :: rest -> (Acl.Lt (int_arg ln "port" p), rest)
-  | "gt" :: p :: rest -> (Acl.Gt (int_arg ln "port" p), rest)
+  | "eq" :: p :: rest -> (Acl.Eq (port p), rest)
+  | "neq" :: p :: rest -> (Acl.Neq (port p), rest)
+  | "lt" :: p :: rest -> (Acl.Lt (port p), rest)
+  | "gt" :: p :: rest -> (Acl.Gt (port p), rest)
   | "range" :: a :: b :: rest ->
-      (Acl.Range (int_arg ln "port" a, int_arg ln "port" b), rest)
+      let a = port a and b = port b in
+      if a > b then fail ln "port range %d %d is empty" a b;
+      (Acl.Range (a, b), rest)
   | _ -> (Acl.Any_port, toks)
 
 let parse_acl_rule ln st name toks =
@@ -158,10 +170,10 @@ let parse_match_clause ln toks =
   | "community" :: names when names <> [] -> Route_map.Match_community names
   | "as-path" :: names when names <> [] -> Route_map.Match_as_path names
   | [ "local-preference"; n ] ->
-      Route_map.Match_local_pref (int_arg ln "local-preference" n)
-  | [ "metric"; n ] -> Route_map.Match_metric (int_arg ln "metric" n)
+      Route_map.Match_local_pref (u32_arg ln "local-preference" n)
+  | [ "metric"; n ] -> Route_map.Match_metric (u32_arg ln "metric" n)
   | "tag" :: tags when tags <> [] ->
-      Route_map.Match_tag (List.map (int_arg ln "tag") tags)
+      Route_map.Match_tag (List.map (u32_arg ln "tag") tags)
   | _ -> fail ln "unsupported match clause: match %s" (String.concat " " toks)
 
 let community_arg ln s =
@@ -171,9 +183,9 @@ let community_arg ln s =
 
 let parse_set_clause ln toks =
   match toks with
-  | [ "metric"; n ] -> Route_map.Set_metric (int_arg ln "metric" n)
+  | [ "metric"; n ] -> Route_map.Set_metric (u32_arg ln "metric" n)
   | [ "local-preference"; n ] ->
-      Route_map.Set_local_pref (int_arg ln "local-preference" n)
+      Route_map.Set_local_pref (u32_arg ln "local-preference" n)
   | "community" :: rest when rest <> [] ->
       let additive, comms =
         match List.rev rest with
@@ -187,7 +199,7 @@ let parse_set_clause ln toks =
   | "as-path" :: "prepend" :: asns when asns <> [] ->
       Route_map.Set_as_path_prepend (List.map (int_arg ln "asn") asns)
   | [ "ip"; "next-hop"; ip ] -> Route_map.Set_next_hop (ipv4_arg ln ip)
-  | [ "tag"; n ] -> Route_map.Set_tag (int_arg ln "tag" n)
+  | [ "tag"; n ] -> Route_map.Set_tag (u32_arg ln "tag" n)
   | [ "weight"; n ] -> Route_map.Set_weight (int_arg ln "weight" n)
   | [ "origin"; o ] ->
       Route_map.Set_origin

@@ -40,27 +40,6 @@ let append t e =
   let e = if e.seq = 0 then { e with seq = next_seq t } else e in
   make t.name (e :: t.entries)
 
-(** Entry pairs whose ranges share at least one matched prefix.
-    Conflicting pairs additionally disagree on the action. *)
-let overlapping_pairs t =
-  let rec go = function
-    | [] -> []
-    | e :: rest ->
-        List.filter_map
-          (fun e' ->
-            if Netaddr.Prefix_range.overlap e.range e'.range then
-              Some (e, e')
-            else None)
-          rest
-        @ go rest
-  in
-  go t.entries
-
-let conflicting_pairs t =
-  List.filter
-    (fun (a, b) -> not (Action.equal a.action b.action))
-    (overlapping_pairs t)
-
 let rename t name = { t with name }
 
 let pp_entry fmt name e =

@@ -25,12 +25,6 @@ val append : t -> entry -> t
 (** Append an entry, auto-assigning the next sequence number when the
     given one is 0. *)
 
-val overlapping_pairs : t -> (entry * entry) list
-(** Entry pairs whose ranges share at least one matched prefix. *)
-
-val conflicting_pairs : t -> (entry * entry) list
-(** Overlapping pairs whose actions differ. *)
-
 val rename : t -> string -> t
 val pp_entry : Format.formatter -> string -> entry -> unit
 val pp : Format.formatter -> t -> unit

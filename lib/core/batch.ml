@@ -212,24 +212,31 @@ let synthesize_item ~llm ~max_attempts ~db k it =
 (* Phase 2: the conflict graph of each target policy                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Group intent indices by (kind, target), preserving first-seen order. *)
-let group_targets synths =
+(* Group the indices of [xs] by [key], preserving first-seen order. *)
+let group_by key xs =
   let order = ref [] in
   let tbl = Hashtbl.create 8 in
   Array.iteri
-    (fun k s ->
-      let key =
-        match s with
-        | S_route_map { target; _ } -> ("route_map", target)
-        | S_acl { target; _ } -> ("acl", target)
-      in
+    (fun k x ->
+      let key = key x in
       match Hashtbl.find_opt tbl key with
       | None ->
           order := key :: !order;
           Hashtbl.add tbl key [ k ]
       | Some ks -> Hashtbl.replace tbl key (k :: ks))
-    synths;
+    xs;
   List.rev_map (fun key -> (key, List.rev (Hashtbl.find tbl key))) !order
+
+(* One group's conflict edges, moved to the group's input indices. *)
+let edges ks target witness conflicts =
+  List.map
+    (fun (i, j, d) ->
+      { intent_a = ks.(i); intent_b = ks.(j); target; witness = witness d })
+    conflicts
+
+let in_input_order =
+  List.sort (fun a b ->
+      compare (a.intent_a, a.intent_b) (b.intent_a, b.intent_b))
 
 (* Classify every group's graph. Returns the per-intent overlap flags,
    the conflict edges in input order, the overlapping pairs and the
@@ -247,14 +254,15 @@ let classify_groups ~db synths =
         overlapping.(ks.(i)) <- true;
         overlapping.(ks.(j)) <- true)
       overlaps;
-    List.iter
-      (fun (i, j, d) ->
-        conflicts :=
-          { intent_a = ks.(i); intent_b = ks.(j); target; witness = witness d }
-          :: !conflicts)
-      group_conflicts
+    conflicts := edges ks target witness group_conflicts @ !conflicts
   in
-  let groups = group_targets synths in
+  let groups =
+    group_by
+      (function
+        | S_route_map { target; _ } -> ("route_map", target)
+        | S_acl { target; _ } -> ("acl", target))
+      synths
+  in
   List.iter
     (fun ((_, target), ks) ->
       (* Targets were checked during synthesis. *)
@@ -282,15 +290,7 @@ let classify_groups ~db synths =
                     | S_route_map _ -> assert false)
                   ks)))
     groups;
-  let conflicts =
-    List.sort
-      (fun a b ->
-        match compare a.intent_a b.intent_a with
-        | 0 -> compare a.intent_b b.intent_b
-        | c -> c)
-      !conflicts
-  in
-  (overlapping, conflicts, !overlap_pairs, List.length groups)
+  (overlapping, in_input_order !conflicts, !overlap_pairs, List.length groups)
 
 (* ------------------------------------------------------------------ *)
 (* The batch run                                                      *)
@@ -398,12 +398,9 @@ type prefix_report = {
   questions_saved : int;
 }
 
-(* Prefix-list entries are not LLM-synthesized, and the prefix
-   disambiguator's boundary scan is interval arithmetic (no symbolic
-   compilation), so the batch here is the live sequential loop plus the
-   shared answer cache and the pairwise conflict graph: entry pairs
-   whose ranges share a matched prefix and whose actions differ, with
-   the overlap witness prefix. *)
+(* Prefix-list entries are not LLM-synthesized, so the batch here is
+   the live sequential loop plus the shared answer cache and each
+   target's conflict graph, classified from the entries alone. *)
 let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
     ~(oracle :
        intent:int ->
@@ -416,53 +413,25 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
   let t0 = Obs.now () in
   let cache = Disambig_common.Answer_cache.create () in
   let items_arr = Array.of_list items in
-  (* Pairwise inter-intent conflicts, per target. *)
-  let conflicts = ref [] in
-  Array.iteri
-    (fun i a ->
-      Array.iteri
-        (fun j b ->
-          if
-            i < j && a.target = b.target
-            && not
-                 (Config.Action.equal a.entry.Config.Prefix_list.action
-                    b.entry.Config.Prefix_list.action)
-          then
-            match
-              Netaddr.Prefix_range.witness_overlap
-                a.entry.Config.Prefix_list.range
-                b.entry.Config.Prefix_list.range
-            with
-            | None -> ()
-            | Some p ->
-                conflicts :=
-                  {
-                    intent_a = i;
-                    intent_b = j;
-                    target = a.target;
-                    witness = Prefix_witness p;
-                  }
-                  :: !conflicts)
-        items_arr)
-    items_arr;
-  let conflicts = List.rev !conflicts in
-  Obs.Counter.incr ~by:(List.length conflicts) Engine.Metrics.batch_conflict_pairs;
+  let conflicts =
+    group_by (fun (it : prefix_item) -> it.target) items_arr
+    |> List.concat_map (fun (target, ks) ->
+           Prefix_list_disambiguator.conflict_graph
+             (List.map (fun k -> items_arr.(k).entry) ks)
+           |> snd
+           |> edges (Array.of_list ks) target (fun p -> Prefix_witness p))
+    |> in_input_order
+  in
   let result =
     try
       let db_cur = ref db in
-      let states : (string, Config.Prefix_list.t) Hashtbl.t =
-        Hashtbl.create 4
-      in
       let outcomes =
         List.mapi
           (fun k { target; entry } ->
             let cur =
-              match Hashtbl.find_opt states target with
+              match Config.Database.prefix_list !db_cur target with
               | Some pl -> pl
-              | None -> (
-                  match Config.Database.prefix_list !db_cur target with
-                  | Some pl -> pl
-                  | None -> fail k (Pipeline.Target_not_found target))
+              | None -> fail k (Pipeline.Target_not_found target)
             in
             let ask =
               cached_answer cache ~intent:k ~target
@@ -476,8 +445,6 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
             | Error (Prefix_list_disambiguator.Inconsistent_intent _) ->
                 fail k Pipeline.inconsistent
             | Ok outcome ->
-                Hashtbl.replace states target
-                  outcome.Prefix_list_disambiguator.prefix_list;
                 db_cur :=
                   Config.Database.add_prefix_list !db_cur outcome.prefix_list;
                 outcome)

@@ -9,8 +9,9 @@
     {!Disambig_common.Answer_cache}. Genuine inter-intent conflicts are
     reported as edges of the pairwise conflict graph, classified per
     target from the candidates' matches
-    ({!Engine.Compare_route_policies.conflict_graph} /
-    {!Engine.Compare_acls.conflict_graph}), each carrying a
+    ({!Engine.Compare_route_policies.conflict_graph},
+    {!Engine.Compare_acls.conflict_graph},
+    {!Prefix_list_disambiguator.conflict_graph}), each carrying a
     differential witness, and are resolved through the ordinary
     disambiguation questions of the later intent. *)
 
@@ -80,8 +81,9 @@ val run :
 (** {2 Prefix-list batches}
 
     Prefix-list entries are not LLM-synthesized; their batch is the
-    sequential disambiguation loop plus the shared answer cache and the
-    pairwise conflict graph over entry ranges. *)
+    sequential disambiguation loop plus the shared answer cache and each
+    target's conflict graph ({!Prefix_list_disambiguator.conflict_graph},
+    one context per target). *)
 
 type prefix_item = { target : string; entry : Config.Prefix_list.entry }
 

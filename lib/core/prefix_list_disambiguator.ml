@@ -3,10 +3,9 @@
     structures that can have conflicts like prefix lists").
 
     Prefix lists have the same first-match semantics as route-maps, so
-    the same algorithm applies, with route prefixes as the inputs:
-    adjacent placements of the new entry differ exactly on prefixes that
-    match both the new entry and the existing entry at the boundary, and
-    the differential example is a concrete prefix. *)
+    the same algorithm and the same boundary sweep
+    ({!Engine.First_match.Sweep}) apply, with route prefixes as the
+    inputs: the differential example is a concrete prefix. *)
 
 type question = {
   position : int;
@@ -56,50 +55,73 @@ let family =
   Disambig_common.family ~subsystem:"prefix_list"
     ~prefix:"prefix_list_disambiguator"
 
-(* Adjacent placements i and i+1 differ exactly on prefixes matching
-   both the new entry and existing entry i, provided no earlier entry
-   captures them first and the two entries' actions differ. Earlier
-   entries are the same under both placements, so one scan of the
-   target answers every position: the overlap witness of the two
-   ranges is a boundary's example unless an earlier entry shadows it.
-   (Within one overlap region the disagreement set is a sub-window; the
-   canonical witness lies inside it whenever it is nonempty.) *)
-let scan ~(target : Config.Prefix_list.t) (entry : Config.Prefix_list.entry) =
-  let entries = Array.of_list target.Config.Prefix_list.entries in
-  let shadowed i w =
-    let rec scan j =
-      j < i
-      && (Netaddr.Prefix_range.matches entries.(j).Config.Prefix_list.range w
-          || scan (j + 1))
-    in
-    scan 0
-  in
-  List.filter_map
-    (fun i ->
-      let existing = entries.(i) in
-      if Config.Action.equal entry.Config.Prefix_list.action
-           existing.Config.Prefix_list.action
-      then None
-      else
-        match
-          Netaddr.Prefix_range.witness_overlap entry.Config.Prefix_list.range
-            existing.Config.Prefix_list.range
-        with
-        | None -> None
-        | Some w when shadowed i w -> None
-        | Some w ->
-            Some
-              {
-                position = i;
-                boundary_seq = existing.seq;
-                prefix = w;
-                if_new_first = entry.action;
-                if_old_first = existing.action;
-              })
-    (List.init (Array.length entries) Fun.id)
+(* Adjacent placements i and i+1 differ exactly on the prefixes that
+   match the new entry and entry i and no earlier entry, when the two
+   actions differ. That region is one range ([inter]) less the earlier
+   entries, and its least prefix by (length, address)
+   ([first_uncovered]) both decides that i is a boundary and is its
+   witness: the ranges' overlap witness whenever no earlier entry
+   matches that prefix. *)
+module Sweep = Engine.First_match.Sweep (struct
+  type target = Config.Prefix_list.t
+  type rule = Config.Prefix_list.entry
+  type difference = Netaddr.Prefix.t
+
+  (* The target's entries and the candidates. *)
+  type partition = rule array * rule array
+
+  let width (t : target) = List.length t.entries
+  let compile (t : target) cands = (Array.of_list t.entries, cands)
+
+  (* Candidate [k]'s witness at position [i], or [None] when [i] is not
+     a boundary; a decode counts wherever the region may be
+     non-empty. *)
+  let witness_at ((entries, cands) : partition) k i =
+    let cand = cands.(k) and e = entries.(i) in
+    if Config.Action.equal cand.action e.action then None
+    else
+      Option.bind (Netaddr.Prefix_range.inter cand.range e.range) (fun r ->
+          Obs.Counter.incr Engine.Metrics.witnesses_decoded;
+          Netaddr.Prefix_range.first_uncovered r
+            (List.init i (fun j -> entries.(j).range)))
+
+  (* Every boundary carries the witness that decided it. *)
+  let cell_boundaries ((entries, _) as p) k =
+    List.filter_map
+      (fun i -> Option.map (fun w -> (i, Some w)) (witness_at p k i))
+      (List.init (Array.length entries) Fun.id)
+
+  let witness p k i = Option.get (witness_at p k i)
+
+  let classify ((_, cands) : partition) i j =
+    let a = cands.(i) and b = cands.(j) in
+    match Netaddr.Prefix_range.witness_overlap a.range b.range with
+    | None -> Engine.First_match.Disjoint
+    | Some _ when Config.Action.equal a.action b.action ->
+        Engine.First_match.Overlap
+    | Some w -> Engine.First_match.Conflict w
+end)
+
+(* One sweep, as questions. The sweep decodes every witness to decide
+   its boundary, so [lazy_insertions] would have nothing to defer. *)
+let questions ~(target : Config.Prefix_list.t) entry =
+  let entries = Array.of_list target.entries in
+  List.map
+    (fun (i, prefix) ->
+      {
+        position = i;
+        boundary_seq = entries.(i).seq;
+        prefix;
+        if_new_first = entry.Config.Prefix_list.action;
+        if_old_first = entries.(i).action;
+      })
+    (Sweep.adjacent_insertions target entry)
 
 let boundaries ~target entry =
-  Disambig_common.sweep family (fun () -> scan ~target entry)
+  Disambig_common.sweep family (fun () -> questions ~target entry)
+
+(* Classification reads no target, so any target will do. *)
+let conflict_graph = Sweep.conflict_graph (Config.Prefix_list.make "" [])
 
 let view (q : question) =
   {
@@ -121,7 +143,7 @@ let run ?(mode = Binary_search) ?precomputed ~(target : Config.Prefix_list.t)
     (Disambig_common.decoded ~position
        (match precomputed with
        | Some qs -> qs
-       | None -> Disambig_common.find (fun () -> scan ~target entry)))
+       | None -> Disambig_common.find (fun () -> questions ~target entry)))
   |> Result.map (fun (position, questions, boundaries) ->
          let prefix_list = insert_entry_at target position entry in
          { prefix_list; position; questions; boundaries })

@@ -35,11 +35,18 @@ val insert_entry_at :
 
 val boundaries :
   target:Config.Prefix_list.t -> Config.Prefix_list.entry -> question list
-(** All differing boundaries in position order, from one scan of the
-    target. By definition, position [i] is a boundary when the entry
-    inserted at [i] and at [i + 1] treat the overlap witness of the
-    entry's and entry [i]'s ranges differently; that witness is the
-    example. *)
+(** All differing boundaries in position order, from one sweep of the
+    target ({!Engine.First_match.Sweep}). Position [i] is a boundary
+    exactly when the entry inserted at [i] and at [i + 1] treat some
+    prefix differently; the example is the least such prefix, by
+    length and then address. *)
+
+val conflict_graph :
+  Config.Prefix_list.entry list ->
+  (int * int) list * (int * int * Netaddr.Prefix.t) list
+(** {!Engine.First_match.Sweep.conflict_graph} of entries bound for one
+    prefix list: each conflict's witness is the two ranges'
+    {!Netaddr.Prefix_range.witness_overlap}. It reads no target. *)
 
 val run :
   ?mode:mode ->
@@ -50,6 +57,6 @@ val run :
   unit ->
   (outcome, error) result
 (** {!Disambig_common.place} on the prefix-list family. [?precomputed]
-    skips the scan and uses the given boundary questions. *)
+    skips the sweep and uses the given boundary questions. *)
 
 val intent_driven : (Netaddr.Prefix.t -> Config.Action.t) -> oracle

@@ -1,6 +1,7 @@
 (** The boundary sweep shared by every ordered first-match policy
-    family: route-maps ({!Compare_route_policies}) and ACLs
-    ({!Compare_acls}) are instances.
+    family: route-maps ({!Compare_route_policies}), ACLs
+    ({!Compare_acls}) and prefix lists
+    ([Clarify.Prefix_list_disambiguator]) are instances.
 
     Inserting a candidate at position [i] rather than [i + 1] only
     reorders it against target rule [i], so the two placements differ

@@ -23,14 +23,15 @@ let compare_acls_calls =
 let adjacent_insertions_calls =
   Obs.Counter.make "engine.adjacent_insertions.calls"
     ~help:
-      "boundary sweeps (one per single-rule sweep or batch_insertions call; \
-       a conflict-graph pass is not one)"
+      "boundary sweeps of route-maps, ACLs and prefix lists (one per \
+       single-rule sweep or batch_insertions call; a conflict-graph pass \
+       is not one)"
 
 let adjacent_contexts =
   Obs.Counter.make "engine.adjacent_insertions.contexts_built"
     ~help:
-      "symbolic contexts built while finding boundaries (1 per sweep of a \
-       non-empty target, 1 per conflict-graph pass)"
+      "first-match partitions compiled while finding boundaries (1 per \
+       sweep of a non-empty target, 1 per conflict-graph pass)"
 
 let adjacent_prefix_reuse =
   Obs.Counter.make "engine.adjacent_insertions.prefix_cells_reused"

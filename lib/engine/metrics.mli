@@ -8,15 +8,16 @@ val compare_route_policies_calls : Obs.Counter.t
 val compare_acls_calls : Obs.Counter.t
 
 val adjacent_insertions_calls : Obs.Counter.t
-(** Boundary sweeps of either {!First_match.Sweep} instance: the
-    single-rule sweeps and the [batch_insertions] calls. A
-    conflict-graph pass ([conflict_graph], as {!Clarify.Batch} runs
-    one per target) reads no boundary and is not counted. *)
+(** Boundary sweeps of every {!First_match.Sweep} instance (route-maps,
+    ACLs, prefix lists): the single-rule sweeps and the
+    [batch_insertions] calls. A conflict-graph pass ([conflict_graph],
+    as {!Clarify.Batch} runs one per target) reads no boundary and is
+    not counted. *)
 
 val adjacent_contexts : Obs.Counter.t
-(** Symbolic contexts built during boundary discovery: one per sweep
-    of a non-empty target, and one per conflict-graph pass, which
-    compiles the candidates' matches in a scope of its own. *)
+(** First-match partitions ("contexts") compiled by any
+    {!First_match.Sweep} instance: one per sweep of a non-empty target,
+    and one per conflict-graph pass, over the candidates' matches. *)
 
 val adjacent_prefix_reuse : Obs.Counter.t
 (** Insertion positions whose reachability came from a shared prefix
@@ -24,7 +25,7 @@ val adjacent_prefix_reuse : Obs.Counter.t
     conflict-graph pass executes no prefix and adds nothing. *)
 
 val witnesses_decoded : Obs.Counter.t
-(** Boundary witnesses decoded by either {!First_match.Sweep} instance:
+(** Boundary witnesses decoded by any {!First_match.Sweep} instance:
     while a sweep decides whether a position is a boundary, or on
     demand, for a question about to be shown or an eager entry point
     that returns every witness. *)
@@ -40,8 +41,7 @@ val batch_intents : Obs.Counter.t
 
 val batch_conflict_pairs : Obs.Counter.t
 (** Genuine inter-intent conflict pairs classified by [conflict_graph]
-    and [batch_insertions] in either compare module, and by the
-    prefix-list batch. *)
+    and [batch_insertions] of any {!First_match.Sweep} instance. *)
 
 val batch_questions_saved : Obs.Counter.t
 (** Disambiguation questions a batch run served from its shared answer

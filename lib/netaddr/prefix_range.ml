@@ -21,34 +21,46 @@ let matches t q =
   q.len >= t.lo && q.len <= t.hi
   && Ipv4.equal (Ipv4.logand q.ip (Ipv4.mask t.prefix.len)) t.prefix.ip
 
-(* Two entries share a matched route prefix iff their base prefixes agree
-   on the shorter one's bits and their length windows intersect. *)
-let bits_compatible a b =
-  let la = a.prefix.Prefix.len and lb = b.prefix.Prefix.len in
-  let l = min la lb in
-  Ipv4.equal
-    (Ipv4.logand a.prefix.Prefix.ip (Ipv4.mask l))
-    (Ipv4.logand b.prefix.Prefix.ip (Ipv4.mask l))
-
-let witness_overlap a b =
-  if not (bits_compatible a b) then None
-  else
-    let lo = max a.lo b.lo and hi = min a.hi b.hi in
-    if lo > hi then None
-    else
-      let base =
-        if a.prefix.Prefix.len >= b.prefix.Prefix.len then a.prefix else b.prefix
-      in
-      Some (Prefix.make base.Prefix.ip lo)
-
-let overlap a b = Option.is_some (witness_overlap a b)
-
-let subset a b =
-  bits_compatible a b
-  && b.prefix.Prefix.len <= a.prefix.Prefix.len
-  && b.lo <= a.lo && a.hi <= b.hi
-
 let witness t = Prefix.make t.prefix.Prefix.ip t.lo
+
+(* Two ranges share a matched route prefix iff their length windows
+   intersect and one base extends the other; the shared prefixes then
+   extend the longer base. *)
+let inter a b =
+  let lo = max a.lo b.lo and hi = min a.hi b.hi in
+  if lo > hi || not (Prefix.overlap a.prefix b.prefix) then None
+  else
+    let prefix = if a.prefix.len >= b.prefix.len then a.prefix else b.prefix in
+    Some { prefix; lo; hi }
+
+let witness_overlap a b = Option.map witness (inter a b)
+let overlap a b = Option.is_some (inter a b)
+
+(* At length [l] a range matches the /l prefixes of its base's address
+   block or none, and which ranges match changes only at some range's
+   [lo] or [hi + 1]; so the first of those lengths at which [r]'s block
+   is not covered has the shortest uncovered prefixes, and the lowest
+   address left (aligned, like every block) is the lowest of them. *)
+let first_uncovered r rs =
+  let rs = List.filter (overlap r) rs in
+  let block t =
+    Intset.range (Ipv4.to_int t.prefix.ip) (Ipv4.to_int (Prefix.last t.prefix))
+  in
+  let first_at l =
+    List.fold_left
+      (fun left t ->
+        if t.lo <= l && l <= t.hi then Intset.diff left (block t) else left)
+      (block r) rs
+    |> Intset.choose
+    |> Option.map (fun a -> Prefix.make (Ipv4.of_int a) l)
+  in
+  List.concat_map (fun t -> [ t.lo; t.hi + 1 ]) rs
+  |> List.filter (fun l -> r.lo < l && l <= r.hi)
+  |> List.sort_uniq Int.compare
+  |> List.cons r.lo
+  |> List.find_map first_at
+
+let subset a b = inter a b = Some a
 
 let ge_le t =
   let len = t.prefix.Prefix.len in

@@ -31,8 +31,18 @@ val witness : t -> Prefix.t
 (** Some prefix matched by the range (the base prefix extended to the
     minimum allowed length). *)
 
+val inter : t -> t -> t option
+(** The prefixes both ranges match, as one range: the longer base, over
+    the lengths both windows allow; [None] when they share none. *)
+
 val witness_overlap : t -> t -> Prefix.t option
-(** A route prefix matched by both ranges, if any. *)
+(** A route prefix matched by both ranges, if any: their {!inter}'s
+    {!witness}. *)
+
+val first_uncovered : t -> t list -> Prefix.t option
+(** [first_uncovered r rs]: the shortest, then lowest, prefix that [r]
+    matches and no range of [rs] matches; [None] when [rs] covers
+    [r]. *)
 
 val ge_le : t -> int option * int option
 (** Render back the Cisco [ge]/[le] modifiers ([None] when implied). *)

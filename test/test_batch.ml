@@ -382,9 +382,48 @@ let prop_prefix_batch_equals_sequential ~count =
             | Some got -> got
             | None -> QCheck.Test.fail_report "batch dropped the prefix list"
           in
+          (* The conflict edges are exactly the pairs [i < j] whose
+             actions differ and whose ranges share a prefix, decided on
+             the atoms of the two ranges, in input order; each witness
+             is matched by both entries. *)
+          let es = Array.of_list entries in
+          let share (a : Prefix_list.entry) (b : Prefix_list.entry) =
+            List.exists
+              (fun w ->
+                Netaddr.Prefix_range.matches a.range w
+                && Netaddr.Prefix_range.matches b.range w)
+              (Prefix_atoms.representatives [ a.range; b.range ])
+          in
+          let n = Array.length es in
+          let expected =
+            List.concat_map
+              (fun i ->
+                List.filter_map
+                  (fun j ->
+                    if
+                      (not (Action.equal es.(i).action es.(j).action))
+                      && share es.(i) es.(j)
+                    then Some (i, j)
+                    else None)
+                  (List.init (n - i - 1) (fun d -> i + d + 1)))
+              (List.init n Fun.id)
+          in
+          let witnessed (c : B.conflict) =
+            c.target = "PL"
+            &&
+            match c.witness with
+            | B.Prefix_witness w ->
+                Netaddr.Prefix_range.matches es.(c.intent_a).range w
+                && Netaddr.Prefix_range.matches es.(c.intent_b).range w
+            | B.Route_witness _ | B.Acl_witness _ -> false
+          in
           Format.asprintf "%a" Prefix_list.pp final
           = Format.asprintf "%a" Prefix_list.pp seq_pl
-          && same_multiset batch_qs seq_qs)
+          && same_multiset batch_qs seq_qs
+          && List.map (fun (c : B.conflict) -> (c.intent_a, c.intent_b))
+               r.B.conflicts
+             = expected
+          && List.for_all witnessed r.B.conflicts)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned cases                                                       *)

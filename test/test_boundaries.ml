@@ -613,21 +613,39 @@ let test_apart_acl_rules_not_compiled () =
 (* Prefix lists                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let prefix_list_case rng case =
-  let entry_at rng j =
-    let len = 10 + Random.State.int rng 7 in
-    let base =
-      Netaddr.Prefix.make (ip 50 (Random.State.int rng 4) (j mod 4) 0) len
-    in
-    let ge = len + Random.State.int rng (33 - len) in
-    let le = ge + Random.State.int rng (33 - ge) in
-    let action =
-      if Random.State.bool rng then Config.Action.Permit
-      else Config.Action.Deny
-    in
-    Config.Prefix_list.entry ~seq:((j + 1) * 10) ~action
-      (Netaddr.Prefix_range.make base ~ge:(Some ge) ~le:(Some le))
+let random_action rng =
+  if Random.State.bool rng then Config.Action.Permit else Config.Action.Deny
+
+(* Entries over windows of 50.0.0.0/14's /10s to /16s, each with its
+   own [ge]/[le] window. *)
+let windowed_entry rng j =
+  let len = 10 + Random.State.int rng 7 in
+  let base =
+    Netaddr.Prefix.make (ip 50 (Random.State.int rng 4) (j mod 4) 0) len
   in
+  let ge = len + Random.State.int rng (33 - len) in
+  let le = ge + Random.State.int rng (33 - ge) in
+  let action = random_action rng in
+  Config.Prefix_list.entry ~seq:((j + 1) * 10) ~action
+    (Netaddr.Prefix_range.make base ~ge:(Some ge) ~le:(Some le))
+
+(* [le 32] supernets mixed with exact entries, on seven nested bases
+   in 60.0.0.0/8: an exact entry often matches the least prefix a
+   supernet shares with another, and nothing else of it. *)
+let nested_entry rng j =
+  let base =
+    Netaddr.Prefix.make
+      (ip 60 (Random.State.int rng 4 * 64) 0 0)
+      (8 + Random.State.int rng 3)
+  in
+  let range =
+    if Random.State.bool rng then Netaddr.Prefix_range.exact base
+    else Netaddr.Prefix_range.make base ~ge:None ~le:(Some 32)
+  in
+  Config.Prefix_list.entry ~seq:((j + 1) * 10) ~action:(random_action rng)
+    range
+
+let prefix_list_case entry_at rng case =
   let n = 1 + Random.State.int rng 8 in
   let target =
     Config.Prefix_list.make
@@ -639,12 +657,20 @@ let prefix_list_case rng case =
 
 let render_pl_question q = Format.asprintf "%a" Pd.pp_question q
 
-(* Prefix lists have no symbolic comparison: the reference evaluates
-   both placements on the overlap witness of the new entry's and entry
-   [i]'s ranges. *)
+(* The reference decides each position on the atoms of the new entry's
+   and the target's ranges ({!Prefix_atoms}): the placements at [i] and
+   [i + 1] treat a prefix alike iff they treat its atom's
+   representative alike, and the first representative they treat
+   differently is the least prefix of position [i]'s region. *)
 let pl_reference ~(target : Config.Prefix_list.t)
     (entry : Config.Prefix_list.entry) =
   let entries = Array.of_list target.entries in
+  let representatives =
+    Prefix_atoms.representatives
+      (entry.range
+      :: List.map (fun (e : Config.Prefix_list.entry) -> e.range) target.entries
+      )
+  in
   let eval pl w =
     Option.value ~default:Config.Action.Deny (Config.Prefix_list.eval pl w)
   in
@@ -652,20 +678,20 @@ let pl_reference ~(target : Config.Prefix_list.t)
     (definition ~width:(Array.length entries)
        ~at:(fun p -> (p, Pd.insert_entry_at target p entry))
        ~differ:(fun (i, a) (_, b) ->
-         let existing = entries.(i) in
-         match
-           Netaddr.Prefix_range.witness_overlap entry.range existing.range
-         with
-         | Some w when not (Config.Action.equal (eval a w) (eval b w)) ->
-             Some
-               {
-                 Pd.position = i;
-                 boundary_seq = existing.seq;
-                 prefix = w;
-                 if_new_first = eval a w;
-                 if_old_first = eval b w;
-               }
-         | _ -> None))
+         List.find_map
+           (fun w ->
+             let if_new_first = eval a w and if_old_first = eval b w in
+             if Config.Action.equal if_new_first if_old_first then None
+             else
+               Some
+                 {
+                   Pd.position = i;
+                   boundary_seq = entries.(i).seq;
+                   prefix = w;
+                   if_new_first;
+                   if_old_first;
+                 })
+           representatives))
 
 let check_pl_modes ~case ~target ~entry =
   let precomputed = pl_reference ~target entry in
@@ -678,14 +704,62 @@ let check_pl_modes ~case ~target ~entry =
       Pd.run ~mode ?precomputed ~target ~entry ~oracle ())
 
 let test_prefix_list_equivalence () =
-  let rng = Random.State.make [| 0x5eed; 3 |] in
-  for case = 0 to cases - 1 do
-    let target, entry = prefix_list_case rng case in
-    check_same ~what:"prefix-list boundaries" ~case ~render:render_pl_question
-      (pl_reference ~target entry)
-      (Pd.boundaries ~target entry);
-    if case mod 3 = 0 then check_pl_modes ~case ~target ~entry
-  done
+  List.iter
+    (fun (seed, entry_at) ->
+      let rng = Random.State.make [| 0x5eed; seed |] in
+      for case = 0 to cases - 1 do
+        let target, entry = prefix_list_case entry_at rng case in
+        check_same ~what:"prefix-list boundaries" ~case
+          ~render:render_pl_question
+          (pl_reference ~target entry)
+          (Pd.boundaries ~target entry);
+        if case mod 3 = 0 then check_pl_modes ~case ~target ~entry
+      done)
+    [ (3, windowed_entry); (4, nested_entry) ]
+
+(* The smallest case a single overlap witness misses. Entry 0 matches
+   only 10.0.0.0/8, the least prefix entry 1 and the new entry share,
+   but 10.0.0.0/9 and every longer prefix of 10/8 still reach entry 1:
+   position 1 is a boundary, shown 10.0.0.0/9, and a user who wants
+   the new entry first gets those prefixes permitted. *)
+let test_prefix_list_shadowed_witness () =
+  let ten = Netaddr.Prefix.of_string_exn "10.0.0.0/8" in
+  let supernet = Netaddr.Prefix_range.make ten ~ge:None ~le:(Some 32) in
+  let target =
+    Config.Prefix_list.make "PL"
+      [
+        Config.Prefix_list.entry ~seq:10 ~action:Config.Action.Permit
+          (Netaddr.Prefix_range.exact ten);
+        Config.Prefix_list.entry ~seq:20 ~action:Config.Action.Deny supernet;
+      ]
+  in
+  let entry =
+    Config.Prefix_list.entry ~seq:5 ~action:Config.Action.Permit supernet
+  in
+  let slash9 = Netaddr.Prefix.of_string_exn "10.0.0.0/9" in
+  let boundary =
+    {
+      Pd.position = 1;
+      boundary_seq = 20;
+      prefix = slash9;
+      if_new_first = Config.Action.Permit;
+      if_old_first = Config.Action.Deny;
+    }
+  in
+  check_same ~what:"shadowed-witness boundaries" ~case:0
+    ~render:render_pl_question [ boundary ]
+    (Pd.boundaries ~target entry);
+  match Pd.run ~target ~entry ~oracle:(fun _ -> Pd.Prefer_new) () with
+  | Error _ -> Alcotest.fail "an always-new user is consistent"
+  | Ok o ->
+      Alcotest.(check int) "placed at position 1" 1 o.position;
+      Alcotest.(check (list string))
+        "one question, about 10.0.0.0/9"
+        [ render_pl_question boundary ]
+        (List.map render_pl_question o.questions);
+      Alcotest.(check bool)
+        "10.0.0.0/9 permitted" true
+        (Config.Prefix_list.permits o.prefix_list slash9)
 
 (* Top/bottom mode asks one question, at the top of the list, for every
    family: the first boundary's witness with the first entry's seq, and
@@ -1097,6 +1171,8 @@ let () =
             test_prefix_list_equivalence;
           Alcotest.test_case "prefix-list top/bottom" `Quick
             test_prefix_list_top_bottom;
+          Alcotest.test_case "prefix-list shadowed overlap witness" `Quick
+            test_prefix_list_shadowed_witness;
         ] );
       ( "witnesses-on-demand",
         [

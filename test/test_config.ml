@@ -111,6 +111,46 @@ let test_parse_errors () =
       "ip prefix-list P permit 10.0.0.0/8 ge 4";
     ]
 
+(* Numbers the symbolic encodings hold in a fixed width (ports in 16
+   bits, local-preference, metric and tag in 32) are checked when
+   parsed: the bound is accepted, and one past it or a negative number
+   is an error located on its line, not an exception when the rule is
+   first compiled. *)
+let test_parse_bounded_numbers () =
+  let acl rule = "ip access-list extended A\n permit tcp any any " ^ rule in
+  let stanza clause = "route-map M permit 10\n " ^ clause in
+  let port = ("65535", "65536") and u32 = ("4294967295", "4294967296") in
+  let located src =
+    match Parser.parse src with
+    | Error m ->
+        if not (String.starts_with ~prefix:"line 2: " m) then
+          Alcotest.failf "error for %S is not located on line 2: %s" src m
+    | Ok _ -> Alcotest.failf "expected a parse error for %S" src
+  in
+  List.iter
+    (fun (text, (bound, past)) ->
+      (match Parser.parse (text bound) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "bound rejected in %S: %s" (text bound) m);
+      located (text past);
+      located (text "-1"))
+    [
+      ((fun n -> acl ("eq " ^ n)), port);
+      ((fun n -> acl ("neq " ^ n)), port);
+      ((fun n -> acl ("lt " ^ n)), port);
+      ((fun n -> acl ("gt " ^ n)), port);
+      ((fun n -> acl ("range 0 " ^ n)), port);
+      ((fun n -> acl ("range " ^ n ^ " 65535")), port);
+      ((fun n -> "ip access-list extended A\n permit udp any eq " ^ n ^ " any"), port);
+      ((fun n -> stanza ("match local-preference " ^ n)), u32);
+      ((fun n -> stanza ("match metric " ^ n)), u32);
+      ((fun n -> stanza ("match tag 7 " ^ n)), u32);
+      ((fun n -> stanza ("set local-preference " ^ n)), u32);
+      ((fun n -> stanza ("set metric " ^ n)), u32);
+      ((fun n -> stanza ("set tag " ^ n)), u32);
+    ];
+  located (acl "range 100 50")
+
 let test_print_parse_roundtrip () =
   let d = db () in
   let printed = Parser.to_string d in
@@ -732,6 +772,7 @@ let () =
           Alcotest.test_case "numbered ACL" `Quick test_parse_numbered_acl;
           Alcotest.test_case "community lists" `Quick test_parse_community_lists;
           Alcotest.test_case "rejects malformed input" `Quick test_parse_errors;
+          Alcotest.test_case "bounded numbers" `Quick test_parse_bounded_numbers;
           Alcotest.test_case "print/parse roundtrip" `Quick test_print_parse_roundtrip;
           q prop_acl_roundtrip;
           q prop_route_map_roundtrip;

@@ -232,6 +232,42 @@ let prop_range_subset_sound =
       QCheck.assume (Prefix_range.subset a b && Prefix_range.matches a q);
       Prefix_range.matches b q)
 
+(* Ranges on nested bases in 10.0.0.0/6, so that most pairs overlap. *)
+let arb_nested_range =
+  QCheck.make ~print:Prefix_range.to_string
+    QCheck.Gen.(
+      map2
+        (fun top len -> Prefix.make (Ipv4.of_octets (8 + top) (top * 64) 0 0) len)
+        (int_range 0 3) (int_range 6 10)
+      >>= fun p ->
+      int_range p.Prefix.len 32 >>= fun lo ->
+      int_range lo 32 >>= fun hi ->
+      return (Prefix_range.make p ~ge:(Some lo) ~le:(Some hi)))
+
+(* Both are decided on the atoms of the ranges involved
+   ({!Prefix_atoms}). *)
+let prop_range_inter_exact =
+  QCheck.Test.make ~name:"inter matches what both ranges match" ~count:1000
+    QCheck.(pair arb_nested_range arb_nested_range)
+    (fun (a, b) ->
+      let both w = Prefix_range.matches a w && Prefix_range.matches b w in
+      let reps = Prefix_atoms.representatives [ a; b ] in
+      match Prefix_range.inter a b with
+      | None -> not (List.exists both reps)
+      | Some r -> List.for_all (fun w -> Prefix_range.matches r w = both w) reps)
+
+let prop_range_first_uncovered_least =
+  QCheck.Test.make ~name:"first_uncovered is the least uncovered prefix"
+    ~count:1000
+    QCheck.(pair arb_nested_range (small_list arb_nested_range))
+    (fun (r, rs) ->
+      let uncovered w =
+        Prefix_range.matches r w
+        && not (List.exists (fun t -> Prefix_range.matches t w) rs)
+      in
+      Prefix_range.first_uncovered r rs
+      = List.find_opt uncovered (Prefix_atoms.representatives (r :: rs)))
+
 (* ------------------------------------------------------------------ *)
 (* Intset                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -360,6 +396,8 @@ let () =
           q prop_range_overlap_witness;
           q prop_range_overlap_complete;
           q prop_range_subset_sound;
+          q prop_range_inter_exact;
+          q prop_range_first_uncovered_least;
         ] );
       ( "intset",
         [

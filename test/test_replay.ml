@@ -104,6 +104,40 @@ let test_unusable_logs_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "log without session_start accepted"
 
+(* A recorded config holding a number out of its field's range, in a
+   stanza the replayed session compiles, is refused with the config's
+   line instead of raising from the compilation. *)
+let test_out_of_range_config_located () =
+  let events =
+    List.map
+      (fun e ->
+        if e.E.kind <> "session_start" then e
+        else
+          {
+            e with
+            E.fields =
+              List.map
+                (function
+                  | "config", Json.String c ->
+                      ( "config",
+                        Json.String
+                          (Str_replace.replace c "match local-preference 300"
+                             "match local-preference 4294967296") )
+                  | field -> field)
+                e.E.fields;
+          })
+      (record_route_map ())
+  in
+  match R.run_events events with
+  | Ok _ -> Alcotest.fail "a log with an out-of-range config replayed"
+  | Error m ->
+      check_bool
+        (Printf.sprintf "located error (%s)" m)
+        true
+        (String.starts_with ~prefix:"recorded config does not parse: line " m)
+  | exception e ->
+      Alcotest.failf "replay raised %s" (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Batch sessions                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -243,6 +277,8 @@ let () =
             test_faulty_session_roundtrip;
           Alcotest.test_case "tampered response diverges" `Quick
             test_tampered_response_diverges;
+          Alcotest.test_case "out-of-range config is a located error" `Quick
+            test_out_of_range_config_located;
           Alcotest.test_case "unusable logs rejected" `Quick
             test_unusable_logs_rejected;
           Alcotest.test_case "batch session with a conflict" `Quick
