@@ -673,7 +673,7 @@ let run_obs_overhead () =
     (per_op hist_ns iters);
   (* End to end: the width-128 incremental sweep with the layer off vs
      on, interleaved min-of-25 to shed scheduler noise. Both sides run
-     once first to warm the symbolic compilation caches. *)
+     once first to warm the manager's nodes and memos. *)
   let db, target, stanza = ablation_scenario 128 in
   let sweep () =
     ignore
@@ -924,6 +924,11 @@ let bench_parser =
   Test.make ~name:"config-parse/isp_out"
     (Staged.stage (fun () -> ignore (parse_ok isp_out_config)))
 
+(* One prefix range built anew each run: [clear_caches] drops
+   the operation memos, the range is in no compilation cache, and every
+   node it lays is found in the unique table. Until prefix encodings
+   left that cache this leg timed a cache hit. The name stays, so
+   [clarify obs diff] pairs it with earlier snapshots. *)
 let bench_bdd_route_space =
   let range =
     Netaddr.Prefix_range.make

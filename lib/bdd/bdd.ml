@@ -419,6 +419,32 @@ module Arena = struct
       end
     end
 
+  (* [x ∧ ¬y] without building [¬y]. Memoized in the conjunction memo
+     under the key [(x, lnot y)]: a conjunction's keys are both
+     interior handles, so the negative tag never meets one. *)
+  let rec diff a x y =
+    if x = 0 || y = 1 || x = y then 0
+    else if y = 0 then x
+    else if x = 1 then neg a y
+    else begin
+      let k2 = lnot y in
+      let r = Memo.find a.and_memo x k2 in
+      if r >= 0 then r
+      else begin
+        let vx = node_v a x and vy = node_v a y in
+        let v = if vx < vy then vx else vy in
+        let xlo = if vx = v then node_lo a x else x in
+        let xhi = if vx = v then node_hi a x else x in
+        let ylo = if vy = v then node_lo a y else y in
+        let yhi = if vy = v then node_hi a y else y in
+        let lo = diff a xlo ylo in
+        let hi = diff a xhi yhi in
+        let r = mk a v lo hi in
+        Memo.add a.and_memo x k2 r;
+        r
+      end
+    end
+
   let rec restrict a v b t =
     if t <= 1 then t
     else
@@ -477,10 +503,11 @@ module Manager = struct
     base : t option;
     memo_bound : int;
     (* Structural-hash-keyed compilation cache: callers memoize
-       "source object -> BDD" translations (ACL rules, prefix lists)
-       under a canonical string key, so corpus sweeps compile each
-       distinct rule once per manager epoch instead of once per use.
-       Delta lookups fall through to the frozen base's cache. *)
+       "source object -> BDD" translations (ACL rules, route-space
+       constants) under a canonical string key, so corpus sweeps
+       compile each distinct rule once per manager epoch instead of
+       once per use. Delta lookups fall through to the frozen base's
+       cache. *)
     compile_cache : (string, int) Hashtbl.t;
     mutable cache_hits : int;
     mutable cache_misses : int;
@@ -620,8 +647,15 @@ let nvar i =
   if i < 0 then invalid_arg "Bdd.nvar";
   Arena.mk (arena ()) i 1 0
 
+let node v ~lo ~hi =
+  let a = arena () in
+  if v < 0 || v >= Arena.level a lo || v >= Arena.level a hi then
+    invalid_arg "Bdd.node: variable not above both children";
+  Arena.mk a v lo hi
+
 let neg t = Arena.neg (arena ()) t
 let conj x y = Arena.conj (arena ()) x y
+let diff x y = Arena.diff (arena ()) x y
 let disj x y = Arena.disj (arena ()) x y
 let xor x y = Arena.xor (arena ()) x y
 
@@ -635,7 +669,7 @@ let iff x y =
 
 let ite c t e =
   let a = arena () in
-  Arena.disj a (Arena.conj a c t) (Arena.conj a (Arena.neg a c) e)
+  Arena.disj a (Arena.conj a c t) (Arena.diff a e c)
 
 (* Both folds short-circuit on the absorbing element: once the
    accumulator is the annihilator there is no need to look at (or
@@ -673,9 +707,7 @@ let compare = Int.compare
 let hash (t : int) = t
 let is_sat t = t <> 0
 
-let implies x y =
-  let a = arena () in
-  Arena.conj a x (Arena.neg a y) = 0
+let implies x y = Arena.diff (arena ()) x y = 0
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic compilation cache                                         *)

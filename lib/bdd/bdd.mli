@@ -86,7 +86,7 @@ module Manager : sig
     nodes : int; (* live entries in the own unique table *)
     next_id : int; (* next fresh node handle *)
     neg_memo : int;
-    and_memo : int;
+    and_memo : int; (* conjunctions and and-nots ([diff]) *)
     or_memo : int;
     xor_memo : int;
     restrict_memo : int;
@@ -130,8 +130,20 @@ val var : int -> t
 val nvar : int -> t
 (** [nvar i] is the negation of variable [i]. *)
 
+val node : int -> lo:t -> hi:t -> t
+(** [node v ~lo ~hi] is the function "if variable [v] then [hi] else
+    [lo]", built as one hash-consed node (or [lo] when [lo] and [hi]
+    are equal), with no operation and no memo probe. Laying nodes
+    bottom up builds a cube or an interval one node per variable.
+    @raise Invalid_argument unless [v >= 0] sits above both children:
+    [v] is smaller than every variable of [lo] and [hi]. *)
+
 val neg : t -> t
 val conj : t -> t -> t
+
+val diff : t -> t -> t
+(** [diff a b] is [a ∧ ¬b], computed in one pass without building
+    [¬b]. Memoized with the conjunctions. *)
 
 val disj : t -> t -> t
 (** Direct recursive disjunction with its own memo table. *)
@@ -171,7 +183,13 @@ val cached : key:string -> (unit -> t) -> t
     render to the same key). On a delta manager the probe falls
     through to the frozen base's cache first, so work compiled in the
     base is reused without reallocation. Hit/miss totals appear in
-    {!Manager.stats} and fire {!set_cache_hook}. *)
+    {!Manager.stats} and fire {!set_cache_hook}.
+
+    Worth it only where rendering the key costs less than the build
+    it saves. Hash-consing already gives equal encodings one handle,
+    also across a frozen base and its deltas, so an encoding laid
+    node by node (a prefix cube, a length interval) is cheaper to
+    rebuild than to key. *)
 
 val any_sat : t -> (int * bool) list
 (** A partial assignment (variable, value) making the BDD true; variables

@@ -18,30 +18,33 @@ let check_const t n =
   if n < 0 || (w < 62 && n lsr w <> 0) then
     invalid_arg (Printf.sprintf "Bvec: constant %d does not fit %d bits" n w)
 
-(* The cube fixing bits [0..len-1] to those of [n]. Literals are
-   conjoined least significant first: each then sits above the chain
-   built so far, so the cube costs one node per bit where conjoining
-   from the top re-walks the chain for every literal. *)
-let const_cube t n len =
-  let acc = ref Bdd.one in
+(* Each predicate is laid one [Bdd.node] per bit, least significant
+   first, on the chain built so far: no operation and no memo probe.
+   That needs the vector's variables ascending, which [Bdd.node] checks.
+   [cube] fixes bits [0..len-1] to those of [n], laid on [on]. *)
+let cube t n len on =
+  let acc = ref on in
   for i = len - 1 downto 0 do
     acc :=
-      Bdd.conj (if bit_of_const t n i then Bdd.var t.(i) else Bdd.nvar t.(i)) !acc
+      if bit_of_const t n i then Bdd.node t.(i) ~lo:Bdd.zero ~hi:!acc
+      else Bdd.node t.(i) ~lo:!acc ~hi:Bdd.zero
   done;
   !acc
 
 let eq_const t n =
   check_const t n;
-  const_cube t n (width t)
+  cube t n (width t) Bdd.one
 
+(* Bits i..end of the vector against those of [n]: where [n] has a 1,
+   a 0 bit already decides [le] true and [ge] false; where it has a 0,
+   a 1 bit decides the other way. Equal bits read on. *)
 let le_const t n =
   check_const t n;
-  (* Build from LSB up: le_i handles bits i..end. *)
   let acc = ref Bdd.one in
   for i = width t - 1 downto 0 do
     acc :=
-      if bit_of_const t n i then Bdd.ite (Bdd.var t.(i)) !acc Bdd.one
-      else Bdd.conj (Bdd.nvar t.(i)) !acc
+      if bit_of_const t n i then Bdd.node t.(i) ~lo:Bdd.one ~hi:!acc
+      else Bdd.node t.(i) ~lo:!acc ~hi:Bdd.zero
   done;
   !acc
 
@@ -50,8 +53,8 @@ let ge_const t n =
   let acc = ref Bdd.one in
   for i = width t - 1 downto 0 do
     acc :=
-      if bit_of_const t n i then Bdd.conj (Bdd.var t.(i)) !acc
-      else Bdd.ite (Bdd.var t.(i)) Bdd.one !acc
+      if bit_of_const t n i then Bdd.node t.(i) ~lo:Bdd.zero ~hi:!acc
+      else Bdd.node t.(i) ~lo:!acc ~hi:Bdd.one
   done;
   !acc
 
@@ -59,10 +62,10 @@ let in_range t lo hi =
   if lo > hi then invalid_arg "Bvec.in_range";
   Bdd.conj (ge_const t lo) (le_const t hi)
 
-let prefix_match t ~value ~len =
+let prefix_match ?(on = Bdd.one) t ~value ~len =
   check_const t value;
   if len < 0 || len > width t then invalid_arg "Bvec.prefix_match";
-  const_cube t value len
+  cube t value len on
 
 (* One byte per variable up to the largest assigned one: '\000'
    unassigned, '\001' false, '\002' true. *)

@@ -77,7 +77,7 @@ let bdd_nodes =
 
 let cache_hits =
   Obs.Counter.make "bdd.compile_cache.hits"
-    ~help:"symbolic compilation cache hits (ACL rules, prefix lists)"
+    ~help:"symbolic compilation cache hits (ACL rules, route-space constants)"
 
 let cache_misses =
   Obs.Counter.make "bdd.compile_cache.misses"

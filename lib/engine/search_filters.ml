@@ -47,11 +47,9 @@ let verify_rule (rule : Config.Acl.rule) ~spec_space ~action =
     Wrong_action { expected = action }
   else
     let m = Symbolic.Packet_space.of_rule rule in
-    match Symbolic.Packet_space.to_packet (Bdd.conj m (Bdd.neg spec_space)) with
+    match Symbolic.Packet_space.to_packet (Bdd.diff m spec_space) with
     | Some p -> Match_too_broad p
     | None -> (
-        match
-          Symbolic.Packet_space.to_packet (Bdd.conj spec_space (Bdd.neg m))
-        with
+        match Symbolic.Packet_space.to_packet (Bdd.diff spec_space m) with
         | Some p -> Match_too_narrow p
         | None -> Verified)

@@ -115,10 +115,10 @@ let verify_stanza db (rm : Config.Route_map.t) (spec : Spec.t) =
             let ctx = context_for db rm spec in
             let sm = spec_space ctx spec in
             let st = Ctx.of_stanza ctx db stanza in
-            match Ctx.to_route ctx (Bdd.conj st (Bdd.neg sm)) with
+            match Ctx.to_route ctx (Bdd.diff st sm) with
             | Some r -> Match_too_broad r
             | None -> (
-                match Ctx.to_route ctx (Bdd.conj sm (Bdd.neg st)) with
+                match Ctx.to_route ctx (Bdd.diff sm st) with
                 | Some r -> Match_too_narrow r
                 | None ->
                     let expected = Config.Transform.of_sets db spec.sets in

@@ -19,15 +19,15 @@ let of_addr_spec field = function
       Bvec.eq_const field (Netaddr.Ipv4.to_int ip)
   | Config.Acl.Wildcard (base, wild) ->
       (* Constrain exactly the bits the wildcard marks as significant,
-         least significant first so each literal tops the chain. *)
+         one node per bit, least significant first. *)
       let vars = (field :> int array) in
       let acc = ref Bdd.one in
       for i = 31 downto 0 do
-        if not (Netaddr.Ipv4.bit wild i) then begin
-          let v = vars.(i) in
-          let lit = if Netaddr.Ipv4.bit base i then Bdd.var v else Bdd.nvar v in
-          acc := Bdd.conj lit !acc
-        end
+        if not (Netaddr.Ipv4.bit wild i) then
+          acc :=
+            if Netaddr.Ipv4.bit base i then
+              Bdd.node vars.(i) ~lo:Bdd.zero ~hi:!acc
+            else Bdd.node vars.(i) ~lo:!acc ~hi:Bdd.zero
       done;
       !acc
 
@@ -168,7 +168,7 @@ let exec ?candidates (acl : Config.Acl.t) =
         if not (may_meet unmatched r) then cell Bdd.zero :: go unmatched rest
         else
           let m = of_rule r in
-          cell (Bdd.conj unmatched m) :: go (Bdd.conj unmatched (Bdd.neg m)) rest
+          cell (Bdd.conj unmatched m) :: go (Bdd.diff unmatched m) rest
   in
   go start acl.Config.Acl.rules
 

@@ -190,36 +190,16 @@ let valid _ctx =
 (* Match-condition compilation                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Prefix-range and prefix-list compilations are context-independent
-   (they touch only the prefix bit-vectors), so they are memoized in
-   the manager's compilation cache under canonical content keys. *)
-let range_key (r : Netaddr.Prefix_range.t) =
-  Printf.sprintf "%d/%d:%d-%d"
-    (Netaddr.Ipv4.to_int r.prefix.Netaddr.Prefix.ip)
-    r.prefix.Netaddr.Prefix.len r.lo r.hi
-
+(* A prefix range is its /len cube laid node by node on the length
+   interval, whose variables all sit below the prefix bits. It is not
+   kept in the compilation cache: rendering a key costs more than this
+   build, and hash-consing already gives an equal range the same
+   handle. *)
 let of_prefix_range (r : Netaddr.Prefix_range.t) =
-  Bdd.cached
-    ~key:("route.prefix_range;" ^ range_key r)
-    (fun () ->
-      Bdd.conj
-        (Bvec.prefix_match pfx_ip
-           ~value:(Netaddr.Ipv4.to_int r.prefix.Netaddr.Prefix.ip)
-           ~len:r.prefix.Netaddr.Prefix.len)
-        (Bvec.in_range pfx_len r.lo r.hi))
-
-(* Keyed by full content (not name): two lists with equal entries share
-   one compilation, and a list reused under the same name but edited
-   content never sees a stale BDD. *)
-let prefix_list_key (pl : Config.Prefix_list.t) =
-  String.concat ";"
-    ("route.prefix_list"
-    :: List.map
-         (fun (e : Config.Prefix_list.entry) ->
-           (if Config.Action.equal e.action Config.Action.Permit then "p"
-            else "d")
-           ^ range_key e.range)
-         pl.Config.Prefix_list.entries)
+  Bvec.prefix_match pfx_ip
+    ~on:(Bvec.in_range pfx_len r.lo r.hi)
+    ~value:(Netaddr.Ipv4.to_int r.prefix.Netaddr.Prefix.ip)
+    ~len:r.prefix.Netaddr.Prefix.len
 
 (* The routes a first-match list of [(action, match)] entries permits.
    Nothing follows the last entry, so the routes it leaves unmatched
@@ -232,7 +212,7 @@ let first_match_permits entries =
         let tail =
           match rest with
           | [] -> Bdd.zero
-          | _ -> go (Bdd.conj unmatched (Bdd.neg m)) rest
+          | _ -> go (Bdd.diff unmatched m) rest
         in
         if Config.Action.equal action Config.Action.Permit then
           Bdd.disj here tail
@@ -241,11 +221,10 @@ let first_match_permits entries =
   go Bdd.one entries
 
 let of_prefix_list (pl : Config.Prefix_list.t) =
-  Bdd.cached ~key:(prefix_list_key pl) (fun () ->
-      first_match_permits
-        (List.map
-           (fun (e : Config.Prefix_list.entry) -> (e.action, of_prefix_range e.range))
-           pl.Config.Prefix_list.entries))
+  first_match_permits
+    (List.map
+       (fun (e : Config.Prefix_list.entry) -> (e.action, of_prefix_range e.range))
+       pl.Config.Prefix_list.entries)
 
 (* "Route carries at least one community in the regex's language",
    relative to the universe. *)
@@ -411,7 +390,7 @@ let exec ?candidates ctx db (rm : Config.Route_map.t) =
           cell Bdd.zero :: go unmatched rest
         else
           let m = of_stanza ctx db s in
-          cell (Bdd.conj unmatched m) :: go (Bdd.conj unmatched (Bdd.neg m)) rest
+          cell (Bdd.conj unmatched m) :: go (Bdd.diff unmatched m) rest
   in
   go start rm.Config.Route_map.stanzas
 
@@ -511,7 +490,7 @@ let to_route ctx bdd =
       (* Every field and atom is read from one indexing of the path. *)
       let a = Bvec.valuation (Bdd.any_sat (prefer_defaults b)) in
       match feasible_path ctx a with
-      | None -> go (Bdd.conj b (Bdd.neg (atom_cube ctx a)))
+      | None -> go (Bdd.diff b (atom_cube ctx a))
       | Some path ->
           let len = Bvec.read pfx_len a in
           let ip = Netaddr.Ipv4.of_int (Bvec.read pfx_ip a) in

@@ -2,6 +2,11 @@ open Symbdd
 
 let check = Alcotest.(check bool)
 
+let raises what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* A tiny propositional formula language used as the reference
    semantics: we generate random formulas, build them both as BDDs and
@@ -216,6 +221,17 @@ let prop_derived_ops =
       && Bdd.size restricted
          = definitional_size (fun env -> eval_form (fixed env) c))
 
+let prop_diff =
+  QCheck.Test.make ~name:"diff a b = conj a (neg b)" ~count:300
+    QCheck.(pair arb_form arb_form)
+    (fun (f, g) ->
+      let bf = to_bdd f and bg = to_bdd g in
+      let d = Bdd.diff bf bg in
+      Bdd.equal d (Bdd.conj bf (Bdd.neg bg))
+      && List.for_all
+           (fun env -> Bdd.eval env d = (eval_form env f && not (eval_form env g)))
+           assignments)
+
 let prop_list_ops =
   QCheck.Test.make ~name:"conj_list and disj_list agree with semantics"
     ~count:200
@@ -250,6 +266,23 @@ let test_size () =
   Alcotest.(check int) "terminal size" 0 (Bdd.size Bdd.one);
   Alcotest.(check int) "var size" 1 (Bdd.size (Bdd.var 3))
 
+let test_node () =
+  check "node over terminals is the variable" true
+    (Bdd.equal (Bdd.node 3 ~lo:Bdd.zero ~hi:Bdd.one) (Bdd.var 3));
+  check "node is if-then-else" true
+    (Bdd.equal
+       (Bdd.node 1 ~lo:(Bdd.var 4) ~hi:(Bdd.nvar 2))
+       (Bdd.ite (Bdd.var 1) (Bdd.nvar 2) (Bdd.var 4)));
+  check "equal children reduce" true
+    (Bdd.equal (Bdd.node 1 ~lo:(Bdd.var 2) ~hi:(Bdd.var 2)) (Bdd.var 2));
+  raises "variable of lo" (fun () -> Bdd.node 3 ~lo:(Bdd.var 3) ~hi:Bdd.one);
+  raises "below hi" (fun () -> Bdd.node 3 ~lo:Bdd.zero ~hi:(Bdd.var 2));
+  raises "below lo, above hi" (fun () ->
+      Bdd.node 3 ~lo:(Bdd.conj (Bdd.var 1) (Bdd.var 5)) ~hi:(Bdd.var 4));
+  raises "equal children below" (fun () ->
+      Bdd.node 3 ~lo:(Bdd.var 2) ~hi:(Bdd.var 2));
+  raises "negative variable" (fun () -> Bdd.node (-1) ~lo:Bdd.zero ~hi:Bdd.one)
+
 (* ------------------------------------------------------------------ *)
 (* Bvec                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -275,10 +308,8 @@ let test_bvec_prefix () =
     (List.init 32 (fun i -> 160 + i))
     (models_of (Bvec.prefix_match bv8 ~value:0b10100000 ~len:3))
 
-(* Cubes cost one node per literal plus the literals themselves: a
-   32-bit constant is 63 nodes on a fresh manager and an /18 prefix 35,
-   where conjoining from the most significant bit down built 528 and
-   171. *)
+(* Cubes are laid one node per bit and allocate nothing else: a 32-bit
+   constant is 32 nodes on a fresh manager and an /18 prefix 18. *)
 let test_cube_nodes () =
   let nodes f =
     let m = Bdd.Manager.create () in
@@ -286,10 +317,66 @@ let test_cube_nodes () =
     (Bdd.Manager.stats m).nodes
   in
   let bv32 = Bvec.sequential ~first:0 ~width:32 in
-  Alcotest.(check bool) "32-bit eq_const <= 64 nodes" true
-    (nodes (fun () -> Bvec.eq_const bv32 0x5a5a_a5a5) <= 64);
-  Alcotest.(check bool) "/18 prefix_match <= 36 nodes" true
-    (nodes (fun () -> Bvec.prefix_match bv32 ~value:0x0a14_0000 ~len:18) <= 36)
+  Alcotest.(check int) "32-bit eq_const" 32
+    (nodes (fun () -> Bvec.eq_const bv32 0x5a5a_a5a5));
+  Alcotest.(check int) "/18 prefix_match" 18
+    (nodes (fun () -> Bvec.prefix_match bv32 ~value:0x0a14_0000 ~len:18))
+
+(* Every predicate checks its constants against the width, and needs
+   ascending variables. *)
+let test_bvec_rejects () =
+  List.iter
+    (fun n ->
+      let what name = Printf.sprintf "%s %d on 8 bits" name n in
+      raises (what "eq_const") (fun () -> Bvec.eq_const bv8 n);
+      raises (what "le_const") (fun () -> Bvec.le_const bv8 n);
+      raises (what "ge_const") (fun () -> Bvec.ge_const bv8 n);
+      raises (what "in_range hi") (fun () -> Bvec.in_range bv8 0 n);
+      raises (what "prefix_match") (fun () ->
+          Bvec.prefix_match bv8 ~value:n ~len:3);
+      raises (what "prefix_match ~len:0") (fun () ->
+          Bvec.prefix_match bv8 ~value:n ~len:0))
+    [ 256; 257; 65536; max_int; -1 ];
+  raises "in_range lo" (fun () -> Bvec.in_range bv8 (-1) 3);
+  raises "in_range both" (fun () -> Bvec.in_range bv8 256 300);
+  raises "prefix_match len 9" (fun () ->
+      Bvec.prefix_match bv8 ~value:0 ~len:9);
+  raises "eq_const on a descending vector" (fun () ->
+      Bvec.eq_const (Bvec.make [| 3; 1 |]) 2);
+  raises "prefix_match on a constrained bit" (fun () ->
+      Bvec.prefix_match bv8 ~on:(Bdd.var 2) ~value:0 ~len:3)
+
+(* [prefix_match ~on] is the cube conjoined with [on], for [on] over
+   the bits after the prefix: here a 3-bit vector after the 8 bits,
+   as a route's length follows its prefix bits. *)
+let prop_prefix_match_on =
+  let bv3 = Bvec.sequential ~first:8 ~width:3 in
+  QCheck.Test.make ~name:"prefix_match on a given BDD" ~count:200
+    QCheck.(quad (int_range 0 255) (int_range 0 8) (int_range 0 7) (int_range 0 7))
+    (fun (value, len, a, b) ->
+      let lo = min a b and hi = max a b in
+      let bdd = Bvec.prefix_match bv8 ~on:(Bvec.in_range bv3 lo hi) ~value ~len in
+      List.for_all
+        (fun x ->
+          List.for_all
+            (fun y ->
+              let env i =
+                if i < 8 then x land (1 lsl (7 - i)) <> 0
+                else y land (1 lsl (10 - i)) <> 0
+              in
+              Bdd.eval env bdd
+              = (x lsr (8 - len) = value lsr (8 - len) && lo <= y && y <= hi))
+            (List.init 8 Fun.id))
+        (List.init 256 Fun.id))
+
+(* [on] may also constrain the vector's own bits past the prefix. *)
+let test_prefix_match_on_own_bits () =
+  let low = Bvec.make [| 5; 6; 7 |] in
+  Alcotest.(check (list int)) "0b101xxxxx with the low three bits >= 6"
+    [ 166; 167; 174; 175; 182; 183; 190; 191 ]
+    (models_of
+       (Bvec.prefix_match bv8 ~on:(Bvec.ge_const low 6) ~value:0b10100000
+          ~len:3))
 
 let prop_bvec_le =
   QCheck.Test.make ~name:"le_const models" ~count:200
@@ -363,6 +450,7 @@ let () =
           Alcotest.test_case "constants" `Quick test_constants;
           Alcotest.test_case "restrict" `Quick test_restrict;
           Alcotest.test_case "size" `Quick test_size;
+          Alcotest.test_case "node" `Quick test_node;
           q prop_bdd_matches_semantics;
           q prop_canonical;
           q prop_any_sat;
@@ -374,6 +462,7 @@ let () =
           q prop_size;
           q prop_derived_ops;
           q prop_list_ops;
+          q prop_diff;
         ] );
       ( "bvec",
         [
@@ -381,6 +470,10 @@ let () =
           Alcotest.test_case "in_range" `Quick test_bvec_range;
           Alcotest.test_case "prefix_match" `Quick test_bvec_prefix;
           Alcotest.test_case "cubes are linear" `Quick test_cube_nodes;
+          Alcotest.test_case "constants too wide" `Quick test_bvec_rejects;
+          Alcotest.test_case "prefix_match on its own bits" `Quick
+            test_prefix_match_on_own_bits;
+          q prop_prefix_match_on;
           q prop_bvec_le;
           q prop_bvec_ge;
           q prop_bvec_decode;

@@ -190,13 +190,16 @@ let test_cache_hit_rate () =
 
 let test_cache_stats_in_manager () =
   Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ()) (fun () ->
-      let range =
-        Netaddr.Prefix_range.make
-          (Netaddr.Prefix.of_string_exn "10.0.0.0/8")
-          ~ge:None ~le:(Some 24)
+      let rule =
+        Config.Acl.rule ~protocol:Config.Packet.Tcp
+          ~src:
+            (Config.Acl.Wildcard
+               ( Netaddr.Ipv4.of_string_exn "10.0.0.0",
+                 Netaddr.Ipv4.of_string_exn "0.255.255.255" ))
+          ~dst_port:(Config.Acl.Eq 22) Config.Action.Deny
       in
-      ignore (Symbolic.Route_ctx.of_prefix_range range);
-      ignore (Symbolic.Route_ctx.of_prefix_range range);
+      ignore (Symbolic.Packet_space.of_rule rule);
+      ignore (Symbolic.Packet_space.of_rule rule);
       let s = Symbdd.Bdd.Manager.stats (Symbdd.Bdd.manager ()) in
       check_int "one cache entry" 1 s.Symbdd.Bdd.Manager.cache_entries;
       check_int "one miss" 1 s.Symbdd.Bdd.Manager.cache_misses;
@@ -207,8 +210,9 @@ let test_cache_stats_in_manager () =
       check_int "reset drops cache entries" 0 s.Symbdd.Bdd.Manager.cache_entries;
       check_int "reset drops nodes" 0 s.Symbdd.Bdd.Manager.nodes)
 
-(* Equal content under different names shares one prefix-list
-   compilation; different content never collides. *)
+(* Equal content under different names compiles to one BDD: the
+   lists are in no compilation cache, hash-consing gives equal
+   encodings one handle. Different content never collides. *)
 let test_cache_keys_content_based () =
   Symbdd.Bdd.with_manager (Symbdd.Bdd.Manager.create ()) (fun () ->
       let entry le =

@@ -358,6 +358,88 @@ let test_prefix_range_bdd () =
   check "too long" false (Bdd.eval (Ctx.route_env ctx bad_len) b);
   check "wrong bits" false (Bdd.eval (Ctx.route_env ctx bad_bits) b)
 
+(* ------------------------------------------------------------------ *)
+(* Mutated configs                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A malformed config is a located parse error, never an exception out
+   of the compiler: every config the parser accepts compiles. The seeds
+   are the configs the examples and E1 ship; each case applies 1-3
+   mutations (a deletion, a fragment insertion, or a number already
+   there replaced by one at either side of a field's width), parses the
+   result, and compiles every ACL and route-map it holds. *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let mutation_seeds =
+  lazy
+    [|
+      read_file "../examples/lab_edge.txt";
+      read_file "../examples/batch_demo.conf";
+      Evaluation.E1_running_example.isp_out_config;
+    |]
+
+let fragments =
+  [|
+    "\n"; " "; "permit "; "deny "; " eq "; " range "; " le "; " ge ";
+    " lt "; " gt "; " neq "; " any"; " host "; " tcp"; " udp"; " ip"; "/";
+    "."; " 0.0.0.255"; " established"; "route-map T permit 5\n";
+    " match ip address prefix-list D1\n"; " match metric ";
+    " match tag "; " match local-preference "; " set local-preference ";
+    " set metric "; " match community C\n";
+    "ip prefix-list D1 seq 5 permit 0.0.0.0/0 le 32\n";
+    "ip community-list expanded C permit _300:[0-9]+_\n";
+    "ip access-list extended A\n";
+  |]
+
+let splice_numbers =
+  [|
+    "0"; "32"; "33"; "63"; "64"; "255"; "256"; "65535"; "65536";
+    "4294967295"; "4294967296"; "18446744073709551616";
+  |]
+
+let gen_mutated : string QCheck.Gen.t =
+  let mutate rng text =
+    let n = String.length text in
+    let at = if n = 0 then 0 else Random.State.int rng (n + 1) in
+    let cut a b = String.sub text 0 a ^ String.sub text b (n - b) in
+    let put a b middle = String.sub text 0 a ^ middle ^ String.sub text b (n - b) in
+    match Random.State.int rng 3 with
+    | 0 -> cut at (min n (at + 1 + Random.State.int rng 12))
+    | 1 -> put at at fragments.(Random.State.int rng (Array.length fragments))
+    | _ -> (
+        let is_digit i = text.[i] >= '0' && text.[i] <= '9' in
+        let rec first i = if i >= n then None else if is_digit i then Some i else first (i + 1) in
+        match (match first at with None -> first 0 | found -> found) with
+        | None -> text
+        | Some a ->
+            let rec stop b = if b < n && is_digit b then stop (b + 1) else b in
+            put a (stop a)
+              splice_numbers.(Random.State.int rng (Array.length splice_numbers)))
+  in
+  fun rng ->
+    let seeds = Lazy.force mutation_seeds in
+    let text = ref seeds.(Random.State.int rng (Array.length seeds)) in
+    for _ = 1 to 1 + Random.State.int rng 3 do
+      text := mutate rng !text
+    done;
+    !text
+
+let prop_mutated_configs =
+  QCheck.Test.make ~name:"mutated configs parse to errors or compile"
+    ~count:20_000
+    (QCheck.make ~print:Fun.id gen_mutated)
+    (fun text ->
+      match Parser.parse text with
+      | Error _ -> true
+      | Ok db ->
+          Bdd.with_manager (Bdd.Manager.create ()) (fun () ->
+              List.iter (fun acl -> ignore (Ps.exec acl)) (Database.acls db);
+              let rms = Database.route_maps db in
+              let ctx = Ctx.create [ (db, rms) ] in
+              List.iter (fun rm -> ignore (Ctx.exec ctx db rm)) rms);
+          true)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "symbolic"
@@ -384,4 +466,5 @@ let () =
             test_community_universe_covers;
           Alcotest.test_case "prefix-range encoding" `Quick test_prefix_range_bdd;
         ] );
+      ("mutations", [ q prop_mutated_configs ]);
     ]
