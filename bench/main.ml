@@ -460,6 +460,48 @@ let run_disambig_comparison () =
   List.rev !timings
 
 (* ------------------------------------------------------------------ *)
+(* Config text: one scanner, one printer (DESIGN.md, "Config text")   *)
+(* ------------------------------------------------------------------ *)
+
+(* The config of the placement legs above, as text: parsed and printed
+   at two widths, min of 5 cold runs each, with the minor words one
+   untimed run allocates per line of text beside each. Parsing it back
+   must give a config that prints the same text. *)
+let run_config_text () =
+  Format.printf "=== Config text: parse and print ===@.";
+  let per_line text f =
+    let lines = List.length (String.split_on_char '\n' text) in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.minor_words () -. before) /. float_of_int lines
+  in
+  let timings =
+    List.concat_map
+      (fun n ->
+        let db, _, _ = ablation_scenario n in
+        let text = Config.Parser.to_string db in
+        let parsed, parse_ns = cold_min ~runs:5 (fun () -> Config.Parser.parse_exn text) in
+        let printed, print_ns = cold_min ~runs:5 (fun () -> Config.Parser.to_string parsed) in
+        if printed <> text then failwith "config text does not round-trip";
+        Format.printf
+          "width %-4d %5d lines  parse %7.3f ms (%5.1f words/line)  print %7.3f ms \
+           (%5.1f words/line)@."
+          n
+          (List.length (String.split_on_char '\n' text))
+          (parse_ns /. 1e6)
+          (per_line text (fun () -> Config.Parser.parse_exn text))
+          (print_ns /. 1e6)
+          (per_line text (fun () -> Config.Parser.to_string parsed));
+        [
+          (Printf.sprintf "config/parse-w%d" n, parse_ns);
+          (Printf.sprintf "config/print-w%d" n, print_ns);
+        ])
+      [ 64; 512 ]
+  in
+  Format.printf "@.";
+  timings
+
+(* ------------------------------------------------------------------ *)
 (* Parallel speedup: serial vs pool on the corpus sweeps and E4       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1104,6 +1146,7 @@ let () =
   run_density_sweep ();
   let bdd_timings = run_bdd_microbench () in
   let disambig_timings = run_disambig_comparison () in
+  let config_timings = run_config_text () in
   let batch_timings = run_batch_comparison () in
   let parallel_timings = run_parallel_comparison () in
   let obs_timings = run_obs_overhead () in
@@ -1114,7 +1157,7 @@ let () =
   Option.iter
     (fun path ->
       write_bench_json path
-        (timings @ bdd_timings @ disambig_timings @ batch_timings
+        (timings @ bdd_timings @ disambig_timings @ config_timings @ batch_timings
        @ parallel_timings @ obs_timings @ fleet_timings @ sched_timings
        @ fleet_skew_timings))
     json_out

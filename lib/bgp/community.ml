@@ -5,23 +5,32 @@ let make asn value =
     invalid_arg "Community.make: halves must fit 16 bits";
   { asn; value }
 
-let of_string s =
-  match String.index_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let a = String.sub s 0 i
-      and b = String.sub s (i + 1) (String.length s - i - 1) in
-      match (int_of_string_opt a, int_of_string_opt b) with
-      | Some a, Some b when a >= 0 && a <= 65535 && b >= 0 && b <= 65535 ->
-          Some (make a b)
-      | _ -> None)
+let rec colon s stop i = if i < stop && s.[i] <> ':' then colon s stop (i + 1) else i
+
+let of_substring s pos len =
+  let stop = pos + len in
+  let i = colon s stop pos in
+  let a = Netaddr.Decimal.parse s pos (i - pos)
+  and b = if i = stop then -1 else Netaddr.Decimal.parse s (i + 1) (stop - i - 1) in
+  if a >= 0 && a <= 65535 && b >= 0 && b <= 65535 then Some (make a b) else None
+
+let of_string s = of_substring s 0 (String.length s)
 
 let of_string_exn s =
   match of_string s with
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Community.of_string_exn: %S" s)
 
-let to_string c = Printf.sprintf "%d:%d" c.asn c.value
+let write b c =
+  Netaddr.Decimal.write b c.asn;
+  Buffer.add_char b ':';
+  Netaddr.Decimal.write b c.value
+
+let to_string c =
+  let b = Buffer.create 11 in
+  write b c;
+  Buffer.contents b
+
 let to_pair c = (c.asn, c.value)
 let no_export = make 65535 65281
 let no_advertise = make 65535 65282

@@ -114,28 +114,53 @@ let insert_at t pos r =
 
 let rename t name = { t with name }
 
-let string_of_addr = function
-  | Any -> "any"
-  | Host ip -> "host " ^ Netaddr.Ipv4.to_string ip
+let write_addr b = function
+  | Any -> Buffer.add_string b "any"
+  | Host ip ->
+      Buffer.add_string b "host ";
+      Netaddr.Ipv4.write b ip
   | Wildcard (base, wild) ->
-      Netaddr.Ipv4.to_string base ^ " " ^ Netaddr.Ipv4.to_string wild
+      Netaddr.Ipv4.write b base;
+      Buffer.add_char b ' ';
+      Netaddr.Ipv4.write b wild
 
-let string_of_port = function
-  | Any_port -> ""
-  | Eq n -> Printf.sprintf " eq %d" n
-  | Neq n -> Printf.sprintf " neq %d" n
-  | Lt n -> Printf.sprintf " lt %d" n
-  | Gt n -> Printf.sprintf " gt %d" n
-  | Range (a, b) -> Printf.sprintf " range %d %d" a b
+let write_op b op n =
+  Buffer.add_string b op;
+  Netaddr.Decimal.write b n
 
-let string_of_rule r =
-  Printf.sprintf "%s %s %s%s %s%s%s" (Action.to_string r.action)
-    (Packet.protocol_to_string r.protocol)
-    (string_of_addr r.src) (string_of_port r.src_port) (string_of_addr r.dst)
-    (string_of_port r.dst_port)
-    (if r.established then " established" else "")
+let write_port b = function
+  | Any_port -> ()
+  | Eq n -> write_op b " eq " n
+  | Neq n -> write_op b " neq " n
+  | Lt n -> write_op b " lt " n
+  | Gt n -> write_op b " gt " n
+  | Range (lo, hi) ->
+      write_op b " range " lo;
+      write_op b " " hi
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>ip access-list extended %s" t.name;
-  List.iter (fun r -> Format.fprintf fmt "@  %s" (string_of_rule r)) t.rules;
-  Format.fprintf fmt "@]"
+let write_rule b r =
+  Buffer.add_string b (Action.to_string r.action);
+  Buffer.add_char b ' ';
+  (match r.protocol with
+  | Packet.Proto n -> Netaddr.Decimal.write b n
+  | p -> Buffer.add_string b (Packet.protocol_to_string p));
+  Buffer.add_char b ' ';
+  write_addr b r.src;
+  write_port b r.src_port;
+  Buffer.add_char b ' ';
+  write_addr b r.dst;
+  write_port b r.dst_port;
+  if r.established then Buffer.add_string b " established"
+
+let string_of_rule = Text.to_string write_rule
+
+let write b t =
+  Buffer.add_string b "ip access-list extended ";
+  Buffer.add_string b t.name;
+  List.iter
+    (fun r ->
+      Buffer.add_string b "\n ";
+      write_rule b r)
+    t.rules
+
+let pp = Text.pp write

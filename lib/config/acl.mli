@@ -74,5 +74,12 @@ val insert_at : t -> int -> rule -> t
     is outside [0..length rules]. *)
 
 val rename : t -> string -> t
+
 val string_of_rule : rule -> string
+(** A rule as it follows the one-space indent in its ACL's block. *)
+
+val write : Buffer.t -> t -> unit
+(** The [ip access-list extended NAME] header, then one indented line
+    per rule ({!Text}). *)
+
 val pp : Format.formatter -> t -> unit

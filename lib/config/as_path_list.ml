@@ -26,12 +26,15 @@ let permitted_regexes t =
 
 let rename t name = { t with name }
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut
-    (fun fmt (e : entry) ->
-      Format.fprintf fmt "ip as-path access-list %s %s %s" t.name
-        (Action.to_string e.action)
-        (Sre.As_path_regex.source e.regex))
-    fmt t.entries;
-  Format.fprintf fmt "@]"
+let write b t =
+  Text.list b '\n'
+    (fun b e ->
+      Buffer.add_string b "ip as-path access-list ";
+      Buffer.add_string b t.name;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Action.to_string e.action);
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Sre.As_path_regex.source e.regex))
+    t.entries
+
+let pp = Text.pp write

@@ -16,4 +16,9 @@ val matches : t -> int list -> bool
 
 val permitted_regexes : t -> Sre.As_path_regex.t list
 val rename : t -> string -> t
+
+val write : Buffer.t -> t -> unit
+(** One [ip as-path access-list NAME permit|deny REGEX] line per entry
+    ({!Text}). *)
+
 val pp : Format.formatter -> t -> unit

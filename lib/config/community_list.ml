@@ -69,21 +69,27 @@ let permitted_patterns t =
 
 let rename t name = { t with name }
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  (match t.body with
+let write b t =
+  let header b kind action =
+    Buffer.add_string b "ip community-list ";
+    Buffer.add_string b kind;
+    Buffer.add_string b t.name;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (Action.to_string action);
+    Buffer.add_char b ' '
+  in
+  match t.body with
   | Standard entries ->
-      Format.pp_print_list ~pp_sep:Format.pp_print_cut
-        (fun fmt (e : standard_entry) ->
-          Format.fprintf fmt "ip community-list standard %s %s %s" t.name
-            (Action.to_string e.action)
-            (String.concat " " (List.map Bgp.Community.to_string e.communities)))
-        fmt entries
+      Text.list b '\n'
+        (fun b (e : standard_entry) ->
+          header b "standard " e.action;
+          Text.list b ' ' Bgp.Community.write e.communities)
+        entries
   | Expanded entries ->
-      Format.pp_print_list ~pp_sep:Format.pp_print_cut
-        (fun fmt (e : expanded_entry) ->
-          Format.fprintf fmt "ip community-list expanded %s %s %s" t.name
-            (Action.to_string e.action)
-            (Sre.Community_regex.source e.regex))
-        fmt entries);
-  Format.fprintf fmt "@]"
+      Text.list b '\n'
+        (fun b (e : expanded_entry) ->
+          header b "expanded " e.action;
+          Buffer.add_string b (Sre.Community_regex.source e.regex))
+        entries
+
+let pp = Text.pp write

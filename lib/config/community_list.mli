@@ -38,4 +38,9 @@ val permitted_patterns :
 (** The permit entries' payloads, for symbolic analysis. *)
 
 val rename : t -> string -> t
+
+val write : Buffer.t -> t -> unit
+(** One [ip community-list standard|expanded NAME permit|deny ...] line
+    per entry ({!Text}). *)
+
 val pp : Format.formatter -> t -> unit

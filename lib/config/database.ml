@@ -84,27 +84,16 @@ let undefined_references t (rm : Route_map.t) =
       | `As_path_list -> as_path_list t name = None)
     (Route_map.referenced_lists rm)
 
-let pp fmt t =
-  let sections =
-    List.concat
-      [
-        List.map
-          (fun (_, al) -> Format.asprintf "%a" As_path_list.pp al)
-          (Smap.bindings t.as_path_lists);
-        List.map
-          (fun (_, cl) -> Format.asprintf "%a" Community_list.pp cl)
-          (Smap.bindings t.community_lists);
-        List.map
-          (fun (_, pl) -> Format.asprintf "%a" Prefix_list.pp pl)
-          (Smap.bindings t.prefix_lists);
-        List.map
-          (fun (_, acl) -> Format.asprintf "%a" Acl.pp acl)
-          (Smap.bindings t.acls);
-        List.map
-          (fun (_, rm) -> Format.asprintf "%a" Route_map.pp rm)
-          (Smap.bindings t.route_maps);
-      ]
+(* Sections in a fixed kind order, each kind's in name order: lists
+   before the maps and ACLs that name them. *)
+let write b t =
+  let first = ref true in
+  let section write _ x =
+    if !first then first := false else Buffer.add_char b '\n';
+    write b x
   in
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.fprintf fmt "@ ")
-    Format.pp_print_string fmt sections
+  Smap.iter (section As_path_list.write) t.as_path_lists;
+  Smap.iter (section Community_list.write) t.community_lists;
+  Smap.iter (section Prefix_list.write) t.prefix_lists;
+  Smap.iter (section Acl.write) t.acls;
+  Smap.iter (section Route_map.write) t.route_maps

@@ -39,4 +39,7 @@ val undefined_references :
 (** List references in the route-map that the database does not define —
     LLM output loves to hallucinate list names. *)
 
-val pp : Format.formatter -> t -> unit
+val write : Buffer.t -> t -> unit
+(** Every construct's text ({!Text}), a newline between two: as-path
+    lists, community lists, prefix lists, ACLs, then route-maps, each
+    kind in name order. *)

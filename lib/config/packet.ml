@@ -31,16 +31,6 @@ let protocol_to_string = function
   | Icmp -> "icmp"
   | Proto n -> string_of_int n
 
-let protocol_of_string = function
-  | "ip" -> Some Ip
-  | "tcp" -> Some Tcp
-  | "udp" -> Some Udp
-  | "icmp" -> Some Icmp
-  | s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 && n <= 255 -> Some (protocol_of_number n)
-      | _ -> None)
-
 let has_ports = function Tcp | Udp -> true | Ip | Icmp | Proto _ -> false
 
 let make ?(protocol = Tcp) ?(src_port = 0) ?(dst_port = 0)

@@ -16,7 +16,6 @@ val protocol_number : protocol -> int
 
 val protocol_of_number : int -> protocol
 val protocol_to_string : protocol -> string
-val protocol_of_string : string -> protocol option
 
 val has_ports : protocol -> bool
 (** Do port specifiers make sense for this protocol (tcp/udp)? *)

@@ -42,13 +42,15 @@ let append t e =
 
 let rename t name = { t with name }
 
-let pp_entry fmt name e =
-  Format.fprintf fmt "ip prefix-list %s seq %d %s %s" name e.seq
-    (Action.to_string e.action)
-    (Netaddr.Prefix_range.to_string e.range)
+let write_entry b name e =
+  Buffer.add_string b "ip prefix-list ";
+  Buffer.add_string b name;
+  Buffer.add_string b " seq ";
+  Netaddr.Decimal.write b e.seq;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Action.to_string e.action);
+  Buffer.add_char b ' ';
+  Netaddr.Prefix_range.write b e.range
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun fmt e ->
-         pp_entry fmt t.name e))
-    t.entries
+let write b t = Text.list b '\n' (fun b e -> write_entry b t.name e) t.entries
+let pp = Text.pp write

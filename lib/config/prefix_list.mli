@@ -26,5 +26,9 @@ val append : t -> entry -> t
     given one is 0. *)
 
 val rename : t -> string -> t
-val pp_entry : Format.formatter -> string -> entry -> unit
+
+val write : Buffer.t -> t -> unit
+(** One [ip prefix-list NAME seq N permit|deny RANGE] line per entry
+    ({!Text}). *)
+
 val pp : Format.formatter -> t -> unit

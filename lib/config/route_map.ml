@@ -111,40 +111,67 @@ let rename_references t (renaming : (string * string) list) =
         t.stanzas;
   }
 
-let string_of_match = function
-  | Match_prefix_list names ->
-      "match ip address prefix-list " ^ String.concat " " names
-  | Match_community names -> "match community " ^ String.concat " " names
-  | Match_as_path names -> "match as-path " ^ String.concat " " names
-  | Match_local_pref n -> Printf.sprintf "match local-preference %d" n
-  | Match_metric n -> Printf.sprintf "match metric %d" n
+(* A keyword and the names or the number it takes. *)
+let with_names b keyword names =
+  Buffer.add_string b keyword;
+  Text.list b ' ' Buffer.add_string names
+
+let with_number b keyword n =
+  Buffer.add_string b keyword;
+  Netaddr.Decimal.write b n
+
+let write_match b = function
+  | Match_prefix_list ns -> with_names b "match ip address prefix-list " ns
+  | Match_community ns -> with_names b "match community " ns
+  | Match_as_path ns -> with_names b "match as-path " ns
+  | Match_local_pref n -> with_number b "match local-preference " n
+  | Match_metric n -> with_number b "match metric " n
   | Match_tag tags ->
-      "match tag " ^ String.concat " " (List.map string_of_int tags)
+      Buffer.add_string b "match tag ";
+      Text.list b ' ' Netaddr.Decimal.write tags
 
-let string_of_set = function
-  | Set_metric n -> Printf.sprintf "set metric %d" n
-  | Set_local_pref n -> Printf.sprintf "set local-preference %d" n
+let write_set b = function
+  | Set_metric n -> with_number b "set metric " n
+  | Set_local_pref n -> with_number b "set local-preference " n
   | Set_community { communities; additive } ->
-      "set community "
-      ^ String.concat " " (List.map Bgp.Community.to_string communities)
-      ^ (if additive then " additive" else "")
-  | Set_comm_list_delete name -> Printf.sprintf "set comm-list %s delete" name
+      Buffer.add_string b "set community ";
+      Text.list b ' ' Bgp.Community.write communities;
+      if additive then Buffer.add_string b " additive"
+  | Set_comm_list_delete name ->
+      Buffer.add_string b "set comm-list ";
+      Buffer.add_string b name;
+      Buffer.add_string b " delete"
   | Set_as_path_prepend asns ->
-      "set as-path prepend " ^ String.concat " " (List.map string_of_int asns)
-  | Set_next_hop ip -> "set ip next-hop " ^ Netaddr.Ipv4.to_string ip
-  | Set_tag n -> Printf.sprintf "set tag %d" n
-  | Set_weight n -> Printf.sprintf "set weight %d" n
-  | Set_origin o -> "set origin " ^ Bgp.Route.origin_to_string o
+      Buffer.add_string b "set as-path prepend ";
+      Text.list b ' ' Netaddr.Decimal.write asns
+  | Set_next_hop ip ->
+      Buffer.add_string b "set ip next-hop ";
+      Netaddr.Ipv4.write b ip
+  | Set_tag n -> with_number b "set tag " n
+  | Set_weight n -> with_number b "set weight " n
+  | Set_origin o ->
+      Buffer.add_string b "set origin ";
+      Buffer.add_string b (Bgp.Route.origin_to_string o)
 
-let pp_stanza fmt name (s : stanza) =
-  Format.fprintf fmt "@[<v>route-map %s %s %d" name (Action.to_string s.action)
-    s.seq;
-  List.iter (fun m -> Format.fprintf fmt "@  %s" (string_of_match m)) s.matches;
-  List.iter (fun c -> Format.fprintf fmt "@  %s" (string_of_set c)) s.sets;
-  Format.fprintf fmt "@]"
+let string_of_set = Text.to_string write_set
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun fmt s ->
-         pp_stanza fmt t.name s))
-    t.stanzas
+let write_stanza b name (s : stanza) =
+  Buffer.add_string b "route-map ";
+  Buffer.add_string b name;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Action.to_string s.action);
+  with_number b " " s.seq;
+  List.iter
+    (fun m ->
+      Buffer.add_string b "\n ";
+      write_match b m)
+    s.matches;
+  List.iter
+    (fun c ->
+      Buffer.add_string b "\n ";
+      write_set b c)
+    s.sets
+
+let pp_stanza fmt name s = Text.pp (fun b s -> write_stanza b name s) fmt s
+let write b t = Text.list b '\n' (fun b s -> write_stanza b t.name s) t.stanzas
+let pp = Text.pp write

@@ -60,7 +60,13 @@ val rename_references : t -> (string * string) list -> t
 (** Rewrite every reference to a named list (used when a synthesized
     stanza's lists are imported under fresh names). *)
 
-val string_of_match : match_clause -> string
 val string_of_set : set_clause -> string
+
 val pp_stanza : Format.formatter -> string -> stanza -> unit
+(** A stanza under the given map name, as {!write} writes it. *)
+
+val write : Buffer.t -> t -> unit
+(** Per stanza, the [route-map NAME permit|deny SEQ] header, then one
+    indented line per match and then per set clause ({!Text}). *)
+
 val pp : Format.formatter -> t -> unit

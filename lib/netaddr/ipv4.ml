@@ -15,30 +15,45 @@ let of_octets a b c d =
   check a; check b; check c; check d;
   (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
-let of_string s =
-  match String.split_on_char '.' s with
-  | [a; b; c; d] -> (
-      let octet x =
-        if x = "" || String.length x > 3 then None
-        else
-          match int_of_string_opt x with
-          | Some n when n >= 0 && n <= 255 -> Some n
-          | _ -> None
-      in
-      match (octet a, octet b, octet c, octet d) with
-      | Some a, Some b, Some c, Some d -> Some (of_octets a b c d)
-      | _ -> None)
-  | _ -> None
+let rec dot s stop i = if i < stop && s.[i] <> '.' then dot s stop (i + 1) else i
+
+(* The dotted quad in s.[i, stop), or -1: four octets of one to three
+   decimal digits, each at most 255; [k] octets are read into [acc]. *)
+let rec octets s stop k i acc =
+  let j = dot s stop i in
+  let o = if j - i <= 3 then Decimal.parse s i (j - i) else -1 in
+  if o < 0 || o > 255 then -1
+  else
+    let acc = (acc lsl 8) lor o in
+    if k = 3 then if j = stop then acc else -1
+    else if j = stop then -1
+    else octets s stop (k + 1) (j + 1) acc
+
+let scan s pos len = octets s (pos + len) 0 pos 0
+
+let of_substring s pos len =
+  match scan s pos len with -1 -> None | a -> Some a
+
+let of_string s = of_substring s 0 (String.length s)
 
 let of_string_exn s =
   match of_string s with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Ipv4.of_string_exn: %S" s)
 
+let write b a =
+  Decimal.write b ((a lsr 24) land 0xff);
+  Buffer.add_char b '.';
+  Decimal.write b ((a lsr 16) land 0xff);
+  Buffer.add_char b '.';
+  Decimal.write b ((a lsr 8) land 0xff);
+  Buffer.add_char b '.';
+  Decimal.write b (a land 0xff)
+
 let to_string a =
-  Printf.sprintf "%d.%d.%d.%d"
-    ((a lsr 24) land 0xff) ((a lsr 16) land 0xff) ((a lsr 8) land 0xff)
-    (a land 0xff)
+  let b = Buffer.create 15 in
+  write b a;
+  Buffer.contents b
 
 let bit a i =
   if i < 0 || i > 31 then invalid_arg "Ipv4.bit";

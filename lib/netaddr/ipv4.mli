@@ -16,12 +16,20 @@ val of_octets : int -> int -> int -> int -> t
     if any octet is outside [0, 255]. *)
 
 val of_string : string -> t option
-(** Parse dotted-quad notation; [None] on malformed input. *)
+(** Parse dotted-quad notation: four octets of one to three decimal
+    digits ({!Decimal}), each at most 255; [None] on malformed input. *)
+
+val of_substring : string -> int -> int -> t option
+(** [of_substring s pos len] is [of_string (String.sub s pos len)],
+    read in place. *)
 
 val of_string_exn : string -> t
 (** Like {!of_string}. @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
+
+val write : Buffer.t -> t -> unit
+(** Append {!to_string}'s text. *)
 
 val bit : t -> int -> bool
 (** [bit a i] is bit [i] of [a] counting from the most significant bit,

@@ -4,22 +4,35 @@ let make ip len =
   if len < 0 || len > 32 then invalid_arg "Prefix.make";
   { ip = Ipv4.logand ip (Ipv4.mask len); len }
 
-let of_string s =
-  match String.index_opt s '/' with
-  | None -> None
-  | Some i -> (
-      let addr = String.sub s 0 i in
-      let len = String.sub s (i + 1) (String.length s - i - 1) in
-      match (Ipv4.of_string addr, int_of_string_opt len) with
-      | Some ip, Some len when len >= 0 && len <= 32 -> Some (make ip len)
-      | _ -> None)
+let rec slash s stop i = if i < stop && s.[i] <> '/' then slash s stop (i + 1) else i
+
+let of_substring s pos len =
+  let stop = pos + len in
+  let i = slash s stop pos in
+  if i = stop then None
+  else
+    match Ipv4.of_substring s pos (i - pos) with
+    | None -> None
+    | Some ip ->
+        let len = Decimal.parse s (i + 1) (stop - i - 1) in
+        if len >= 0 && len <= 32 then Some (make ip len) else None
+
+let of_string s = of_substring s 0 (String.length s)
 
 let of_string_exn s =
   match of_string s with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Prefix.of_string_exn: %S" s)
 
-let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.ip) p.len
+let write b p =
+  Ipv4.write b p.ip;
+  Buffer.add_char b '/';
+  Decimal.write b p.len
+
+let to_string p =
+  let b = Buffer.create 18 in
+  write b p;
+  Buffer.contents b
 let default = make Ipv4.zero 0
 let host ip = make ip 32
 

@@ -7,10 +7,18 @@ val make : Ipv4.t -> int -> t
     @raise Invalid_argument unless [0 <= len <= 32]. *)
 
 val of_string : string -> t option
-(** Parse ["a.b.c.d/len"]. Host bits are zeroed silently. *)
+(** Parse ["a.b.c.d/len"], the address as {!Ipv4.of_string} reads it and
+    the length in decimal ({!Decimal}). Host bits are zeroed silently. *)
+
+val of_substring : string -> int -> int -> t option
+(** [of_substring s pos len] is [of_string (String.sub s pos len)],
+    read in place. *)
 
 val of_string_exn : string -> t
 val to_string : t -> string
+
+val write : Buffer.t -> t -> unit
+(** Append {!to_string}'s text. *)
 
 val default : t
 (** [0.0.0.0/0]. *)

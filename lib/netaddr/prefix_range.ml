@@ -62,14 +62,6 @@ let first_uncovered r rs =
 
 let subset a b = inter a b = Some a
 
-let ge_le t =
-  let len = t.prefix.Prefix.len in
-  match (t.lo, t.hi) with
-  | lo, hi when lo = len && hi = len -> (None, None)
-  | lo, 32 when lo <> len -> (Some lo, None)
-  | lo, hi when lo = len -> (None, Some hi)
-  | lo, hi -> (Some lo, Some hi)
-
 let compare a b =
   match Prefix.compare a.prefix b.prefix with
   | 0 -> ( match Int.compare a.lo b.lo with 0 -> Int.compare a.hi b.hi | c -> c)
@@ -77,11 +69,24 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Cisco's default bounds, inverted: [ge] is written unless it is the
+   prefix's own length, and [le] unless it is the bound the written
+   modifiers imply, the prefix's length alone or 32 after a [ge]. *)
+let write b t =
+  Prefix.write b t.prefix;
+  let len = t.prefix.Prefix.len in
+  if t.lo <> len then begin
+    Buffer.add_string b " ge ";
+    Decimal.write b t.lo
+  end;
+  if t.hi <> if t.lo = len then len else 32 then begin
+    Buffer.add_string b " le ";
+    Decimal.write b t.hi
+  end
+
 let to_string t =
-  let ge, le = ge_le t in
-  String.concat ""
-    [ Prefix.to_string t.prefix;
-      (match ge with Some g -> Printf.sprintf " ge %d" g | None -> "");
-      (match le with Some e -> Printf.sprintf " le %d" e | None -> "") ]
+  let b = Buffer.create 32 in
+  write b t;
+  Buffer.contents b
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -44,10 +44,11 @@ val first_uncovered : t -> t list -> Prefix.t option
     matches and no range of [rs] matches; [None] when [rs] covers
     [r]. *)
 
-val ge_le : t -> int option * int option
-(** Render back the Cisco [ge]/[le] modifiers ([None] when implied). *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val write : Buffer.t -> t -> unit
+(** Append {!to_string}'s text: the prefix, then each [ge]/[le] modifier
+    that the default bounds do not imply. *)

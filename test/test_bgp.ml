@@ -14,7 +14,8 @@ let test_community_parse () =
   check "max halves" true (Bgp.Community.of_string "65535:65535" <> None);
   List.iter
     (fun s -> check ("reject " ^ s) true (Bgp.Community.of_string s = None))
-    [ ""; "300"; "300:"; ":3"; "a:b"; "65536:1"; "1:65536"; "-1:2"; "1:2:3" ]
+    [ ""; "300"; "300:"; ":3"; "a:b"; "65536:1"; "1:65536"; "-1:2"; "1:2:3";
+      "0x1:1"; "1:+2"; "-0:5"; "1_0:1" ]
 
 let test_community_well_known () =
   check_str "no-export" "65535:65281"

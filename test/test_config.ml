@@ -109,6 +109,66 @@ let test_parse_errors () =
       "ip access-list extended A\n permit udp any any established\n";
       "bogus directive here";
       "ip prefix-list P permit 10.0.0.0/8 ge 4";
+    ];
+  (* Numbers are decimal, as IOS writes them: OCaml's other integer
+     literals (signs, '_', 0x/0o/0b) and overflow are errors located on
+     the line that holds them. *)
+  List.iter
+    (fun (src, want) ->
+      match Parser.parse src with
+      | Error m -> check_str src want m
+      | Ok _ -> Alcotest.failf "expected parse error for %S" src)
+    [
+      ( "ip prefix-list A seq 0x10 permit 0x1.1_0.+2.-0/8 le 0b11111",
+        "line 1: expected seq, found \"0x10\"" );
+      ( "!\nip prefix-list A seq 10 permit 0x1.1_0.+2.-0/8 le 0b11111",
+        "line 2: expected prefix a.b.c.d/len, found \"0x1.1_0.+2.-0/8\"" );
+      ( "!\n!\nip prefix-list A seq 10 permit 1.0.0.0/8 le 0b11111",
+        "line 3: expected le bound, found \"0b11111\"" );
+      ("route-map M permit -5", "line 1: expected sequence number, found \"-5\"");
+      ("route-map M permit 10\n set metric 0o17", "line 2: expected metric, found \"0o17\"");
+      ( "ip prefix-list A permit 1.0.0.0/8\naccess-list 101 permit tcp any eq 0x50 any",
+        "line 2: expected port, found \"0x50\"" );
+      ( "route-map M permit 10\n set metric 5\nroute-map M permit 18446744073709551616",
+        "line 3: expected sequence number, found \"18446744073709551616\"" );
+      ("ip access-list extended A\n permit tcp any any eq -1", "line 2: port -1 is out of range 0-65535");
+    ]
+
+(* Errors found only once every line is read (a duplicate sequence
+   number, a community list mixing kinds, a bad standard community, a
+   malformed regex) are located too, at the offending entry's line
+   (the second of a duplicate pair), with the text they had before they
+   had a line; and [parse_exn] raises them as [Syntax_error]. *)
+let test_parse_list_errors () =
+  List.iter
+    (fun (src, line, message) ->
+      (match Parser.parse src with
+      | Error m -> check_str src (Printf.sprintf "line %d: %s" line message) m
+      | Ok _ -> Alcotest.failf "expected parse error for %S" src);
+      match Parser.parse_exn src with
+      | exception Parser.Syntax_error e ->
+          check_int "line" line e.line;
+          check_str "message" message e.message
+      | exception e -> Alcotest.failf "%S raised %s" src (Printexc.to_string e)
+      | _ -> Alcotest.failf "expected Syntax_error for %S" src)
+    [
+      ( "route-map M permit 10\nroute-map M deny 10",
+        2, "Route_map.make: duplicate seq 10 in M" );
+      ( "route-map M permit 20\nroute-map M permit 10\n match tag 1\nroute-map M deny 20\nroute-map M deny 10",
+        5, "Route_map.make: duplicate seq 10 in M" );
+      ( "ip prefix-list P seq 5 permit 10.0.0.0/8\nip prefix-list P seq 5 deny 11.0.0.0/8",
+        2, "Prefix_list.make: duplicate seq 5 in P" );
+      ( "ip prefix-list P permit 10.0.0.0/8\nip prefix-list P seq 10 permit 11.0.0.0/8",
+        2, "Prefix_list.make: duplicate seq 10 in P" );
+      ( "ip community-list standard C permit 1:1\nip community-list expanded C permit _1:.*_",
+        2, "community-list C mixes standard and expanded entries" );
+      ( "ip community-list standard C permit 1:1\nip community-list standard C permit 1:2 foo",
+        2, "Community.of_string_exn: \"foo\"" );
+      ("ip community-list standard C permit 70000:1", 1, "Community.of_string_exn: \"70000:1\"");
+      ( "ip as-path access-list A permit _32$\nip as-path access-list A permit (32",
+        2, "as-path regex: expected ')'" );
+      ( "ip community-list expanded C permit _1:2_\nip community-list expanded C permit (1:2",
+        2, "community regex: expected ')' in \"(1:2\"" );
     ]
 
 (* Numbers the symbolic encodings hold in a fixed width (ports in 16
@@ -509,7 +569,8 @@ route-map M deny 20
   match Parser.parse "route-map M permit 10\n match tag 1\nroute-map M permit 10\n set tag 2\n" with
   | Ok _ -> Alcotest.fail "a repeated stanza header parsed"
   | Error m ->
-      Alcotest.(check string) "duplicate header" "Route_map.make: duplicate seq 10 in M" m
+      Alcotest.(check string) "duplicate header"
+        "line 3: Route_map.make: duplicate seq 10 in M" m
 
 (* Parsing is linear in the config: twice the stanzas allocate at most
    2.5 times the words (Gc.minor_words is deterministic). *)
@@ -761,6 +822,209 @@ let prop_roundtrip_preserves_semantics =
             (Semantics.eval_route_map d rm r)
             (Semantics.eval_route_map d2 rm2 r))
 
+(* ------------------------------------------------------------------ *)
+(* The scanner and the Buffer printer against the old ones            *)
+(* ------------------------------------------------------------------ *)
+
+module Ref = Config_reference
+
+(* "line N: text" as (N, text). *)
+let split_located m =
+  match String.index_opt m ':' with
+  | Some i when String.starts_with ~prefix:"line " m && i + 1 < String.length m
+                && m.[i + 1] = ' ' ->
+      Option.map
+        (fun n -> (n, String.sub m (i + 2) (String.length m - i - 2)))
+        (int_of_string_opt (String.sub m 5 (i - 5)))
+  | _ -> None
+
+(* A token, or a part of one between '.', '/' and ':', that
+   [int_of_string] reads and that is not plain decimal digits: a number
+   the old readers took and IOS does not write. *)
+let has_non_decimal line =
+  let is_digit c = c >= '0' && c <= '9' in
+  String.split_on_char ' ' line
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.concat_map (fun t ->
+         t
+         :: List.concat_map (String.split_on_char ':')
+              (List.concat_map (String.split_on_char '/') (String.split_on_char '.' t)))
+  |> List.exists (fun t -> int_of_string_opt t <> None && not (String.for_all is_digit t))
+
+(* [Parser.parse] returns the reference's database, which both printers
+   print byte for byte, or the reference's error text. It may differ in
+   two ways only, each a located error: on a line holding a number the
+   old readers took and IOS does not write, no later than any line the
+   reference located; or with the reference's unlocated text, the errors
+   the old [finalize] gave no line. *)
+let agrees_with_reference text =
+  let fail fmt = QCheck.Test.fail_reportf "%s@.reference: %s@.scanner:   %s@.input:@.%s" fmt in
+  let show = function Ok _ -> "Ok" | Error m -> "Error " ^ m in
+  let reference = Ref.parse text and got = Parser.parse text in
+  let differ why = fail why (show reference) (show got) text in
+  match (reference, got) with
+  | Ok a, Ok b ->
+      if a <> b then differ "databases differ"
+      else if Parser.to_string b <> Ref.to_string b then differ "printed texts differ"
+      else true
+  | Error m, Error m' when m = m' -> true
+  | Error _, Ok _ -> differ "the scanner accepts what the reference rejects"
+  | _, Error m' -> (
+      match split_located m' with
+      | None -> differ "unlocated error"
+      | Some (line, text') ->
+          let non_decimal =
+            match List.nth_opt (String.split_on_char '\n' text) (line - 1) with
+            | Some l -> has_non_decimal l
+            | None -> false
+          in
+          let no_later =
+            match reference with
+            | Error m -> (
+                match split_located m with Some (r, _) -> line <= r | None -> true)
+            | Ok _ -> true
+          in
+          let unlocated_text =
+            match reference with
+            | Error m -> split_located m = None && m = text'
+            | Ok _ -> false
+          in
+          if (non_decimal && no_later) || unlocated_text then true
+          else differ "errors differ")
+
+let prints_like_reference db =
+  let got = Parser.to_string db and want = Ref.to_string db in
+  got = want
+  || QCheck.Test.fail_reportf "printed texts differ:@.%s@.reference:@.%s" got want
+
+let prop_reference_mutated =
+  QCheck.Test.make ~name:"mutated configs parse as the reference" ~count:20_000
+    (QCheck.make ~print:Fun.id Config_mutations.gen)
+    agrees_with_reference
+
+(* Every round-trip generator's databases: printed alike, and their
+   text parsed alike. *)
+let prop_reference_generated =
+  let of_rng f = QCheck.Gen.(map (fun seed -> f (Random.State.make [| seed |])) (int_bound 1_000_000)) in
+  let acl_db acl = Database.add_acl Database.empty acl in
+  let gen =
+    QCheck.Gen.oneof
+      [
+        QCheck.Gen.map acl_db gen_acl;
+        gen_route_map_with_lists;
+        of_rng (fun rng ->
+            acl_db
+              (Workload.Random_corpus.acl ~rng ~name:"RT_ACL"
+                 ~rules:(1 + Random.State.int rng 15)
+                 ~overlap_density:(Random.State.float rng 1.)));
+        of_rng (fun rng ->
+            acl_db
+              (Workload.Acl_gen.make ~rng ~name:"RT_GEN" ~plain:(Random.State.int rng 7)
+                 ~crossing:(Random.State.int rng 5) ~trailing_deny_any:(Random.State.bool rng)));
+        of_rng (fun rng ->
+            fst
+              (Workload.Random_corpus.route_map ~rng ~db:Database.empty ~name:"RT_MAP"
+                 ~stanzas:(1 + Random.State.int rng 10)
+                 ~overlap_density:(Random.State.float rng 1.)));
+      ]
+  in
+  QCheck.Test.make ~name:"generated configs print and parse as the reference"
+    ~count:1_000
+    (QCheck.make ~print:Ref.to_string gen)
+    (fun db -> prints_like_reference db && agrees_with_reference (Ref.to_string db))
+
+(* The configs the examples ship, the configs and completions their
+   recorded sessions hold, this file's own, and one whose lines
+   interleave lists, maps and ACL blocks. *)
+let test_reference_examples () =
+  let recorded path =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match Json.parse line with
+           | Ok event ->
+               Option.bind (Json.member "data" event) (fun data ->
+                   List.find_map
+                     (fun field -> Option.bind (Json.member field data) Json.to_str)
+                     [ "config"; "text" ])
+           | Error _ -> None)
+  in
+  (* Lists, maps and ACL blocks whose lines are interleaved: a name is
+     met again after others. *)
+  let interleaved =
+    {|ip prefix-list B permit 10.0.0.0/8
+ip prefix-list A permit 11.0.0.0/8 le 24
+ip prefix-list B permit 12.0.0.0/8
+route-map M permit 10
+ match ip address prefix-list A
+route-map N deny 10
+route-map M deny 20
+ match ip address prefix-list B
+ip access-list extended E
+ permit tcp any any eq 22
+access-list 101 deny ip any any
+ip access-list extended E
+ deny ip any any
+|}
+  in
+  let texts =
+    [
+      interleaved;
+      Config_mutations.read_file "../examples/lab_edge.txt";
+      Config_mutations.read_file "../examples/batch_demo.conf";
+      Evaluation.E1_running_example.isp_out_config;
+      isp_out_config;
+    ]
+    @ recorded "../examples/acl_session.jsonl"
+    @ recorded "../examples/batch_session.jsonl"
+  in
+  check "recorded texts found" true (List.length texts > 8);
+  List.iter
+    (fun text ->
+      check "parses as the reference" true (agrees_with_reference text);
+      match Parser.parse text with
+      | Ok db -> check "prints as the reference" true (prints_like_reference db)
+      | Error m -> Alcotest.failf "example does not parse: %s" m)
+    texts
+
+(* A 512-stanza map and its 512 prefix lists, the wide shape the bench
+   times, with deny stanzas, ge/le ranges and every set clause form. *)
+let test_reference_wide () =
+  let n = 512 in
+  let db = ref Database.empty in
+  let stanzas =
+    List.init n (fun i ->
+        let name = Printf.sprintf "W%d" i in
+        let p = Netaddr.Prefix.make (Netaddr.Ipv4.of_int (0x0A00_0000 lor (i lsl 12))) 20 in
+        db :=
+          Database.add_prefix_list !db
+            (Prefix_list.make name
+               [
+                 Prefix_list.entry ~seq:10 ~action:Action.Permit
+                   (Netaddr.Prefix_range.make p ~ge:(Some (20 + (i mod 5))) ~le:(Some 28));
+                 Prefix_list.entry ~seq:20 ~action:Action.Deny (Netaddr.Prefix_range.exact p);
+               ]);
+        let sets =
+          match i mod 4 with
+          | 0 -> [ Route_map.Set_metric i ]
+          | 1 -> [ Route_map.Set_local_pref (100 + i); Route_map.Set_tag i ]
+          | 2 -> [ Route_map.Set_community { communities = [ comm "65000:1" ]; additive = i mod 8 = 2 } ]
+          | _ -> [ Route_map.Set_as_path_prepend [ 65000; i ]; Route_map.Set_next_hop (ip "192.0.2.1") ]
+        in
+        Route_map.stanza ~seq:((i + 1) * 10)
+          ~matches:[ Route_map.Match_prefix_list [ name ] ]
+          ~sets
+          (if i mod 5 = 0 then Action.Deny else Action.Permit))
+  in
+  let db = Database.add_route_map !db (Route_map.make "WIDE" stanzas) in
+  let text = Ref.to_string db in
+  check "prints as the reference" true (prints_like_reference db);
+  check "parses as the reference" true (agrees_with_reference text);
+  let parsed = parse_ok text in
+  check "round-trips" true
+    (Database.Smap.bindings parsed.prefix_lists = Database.Smap.bindings db.prefix_lists
+    && Database.Smap.bindings parsed.route_maps = Database.Smap.bindings db.route_maps)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "config"
@@ -773,6 +1037,7 @@ let () =
           Alcotest.test_case "community lists" `Quick test_parse_community_lists;
           Alcotest.test_case "rejects malformed input" `Quick test_parse_errors;
           Alcotest.test_case "bounded numbers" `Quick test_parse_bounded_numbers;
+          Alcotest.test_case "list errors are located" `Quick test_parse_list_errors;
           Alcotest.test_case "print/parse roundtrip" `Quick test_print_parse_roundtrip;
           q prop_acl_roundtrip;
           q prop_route_map_roundtrip;
@@ -816,5 +1081,12 @@ let () =
           Alcotest.test_case "override" `Quick test_transform_override;
           Alcotest.test_case "community pipeline" `Quick test_transform_community_pipeline;
           Alcotest.test_case "equality" `Quick test_transform_equal;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "example configs" `Quick test_reference_examples;
+          Alcotest.test_case "512-stanza map" `Quick test_reference_wide;
+          q prop_reference_generated;
+          q prop_reference_mutated;
         ] );
     ]

@@ -17,7 +17,13 @@ let test_ipv4_reject () =
   List.iter
     (fun s -> check ("reject " ^ s) true (Ipv4.of_string s = None))
     [ ""; "1.2.3"; "1.2.3.4.5"; "256.0.0.1"; "1.2.3.x"; "-1.2.3.4"; "01x.2.3.4";
-      "1..2.3"; "1.2.3.1000" ]
+      "1..2.3"; "1.2.3.1000"; "0x1.0.0.0"; "1_0.0.0.0"; "+2.0.0.0"; "1.-0.0.0";
+      "0o7.0.0.0"; "0b1.0.0.0" ];
+  (* Prefix lengths are decimal too. *)
+  List.iter
+    (fun s -> check ("reject " ^ s) true (Prefix.of_string s = None))
+    [ "1.0.0.0"; "1.0.0.0/"; "1.0.0.0/33"; "0x1.1_0.+2.-0/8"; "1.0.0.0/+8";
+      "1.0.0.0/0x8"; "1.0.0.0/-0"; "1.0.0.0/1_6"; "1.0.0.0/99999999999999999999" ]
 
 let test_ipv4_bits () =
   let a = Ipv4.of_string_exn "128.0.0.1" in
