@@ -502,6 +502,56 @@ let run_config_text () =
   timings
 
 (* ------------------------------------------------------------------ *)
+(* The simulated LLM's text layer (DESIGN.md §18)                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The README's paper prompt through the simulated LLM: the classifier,
+   the route-map intent parser, and one route-map front half (classify,
+   spec, synthesis with its verification, import) under a fresh mock
+   LLM. Each is min of 5 cold runs of [reps] calls, reported per call,
+   with the minor words one untimed call allocates beside it; the first
+   two take microseconds, so a run loops them past the clock's grain. *)
+let run_llm_text () =
+  Format.printf "=== LLM layer: one pass per prompt ===@.";
+  let prompt = Evaluation.E1_running_example.prompt in
+  let db = Config.Parser.parse_exn Evaluation.E1_running_example.isp_out_config in
+  let front () =
+    match
+      Clarify.Pipeline.route_map_front ~llm:(Llm.Mock_llm.create ())
+        ~max_attempts:Clarify.Pipeline.default_max_attempts ~db ~target:"ISP_OUT"
+        ~prompt
+    with
+    | Ok _ -> ()
+    | Error e -> failwith (Clarify.Pipeline.error_to_string e)
+  in
+  let legs =
+    [
+      ( "llm/classify",
+        1000,
+        fun () -> ignore (Sys.opaque_identity (Llm.Classifier.classify prompt)) );
+      ( "llm/parse-route-map",
+        1000,
+        fun () -> ignore (Sys.opaque_identity (Llm.Nl_parser.parse_route_map prompt)) );
+      ("llm/front-route-map", 1, front);
+    ]
+  in
+  let timings =
+    List.map
+      (fun (name, reps, f) ->
+        let (), ns = cold_min ~runs:5 (fun () -> for _ = 1 to reps do f () done) in
+        let before = Gc.minor_words () in
+        f ();
+        let words = Gc.minor_words () -. before in
+        let per_call = ns /. float_of_int reps in
+        Format.printf "%-20s %9.2f us/call (%6.0f words/call)@." name (per_call /. 1e3)
+          words;
+        (name, per_call))
+      legs
+  in
+  Format.printf "@.";
+  timings
+
+(* ------------------------------------------------------------------ *)
 (* Parallel speedup: serial vs pool on the corpus sweeps and E4       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1147,6 +1197,7 @@ let () =
   let bdd_timings = run_bdd_microbench () in
   let disambig_timings = run_disambig_comparison () in
   let config_timings = run_config_text () in
+  let llm_timings = run_llm_text () in
   let batch_timings = run_batch_comparison () in
   let parallel_timings = run_parallel_comparison () in
   let obs_timings = run_obs_overhead () in
@@ -1157,7 +1208,7 @@ let () =
   Option.iter
     (fun path ->
       write_bench_json path
-        (timings @ bdd_timings @ disambig_timings @ config_timings @ batch_timings
-       @ parallel_timings @ obs_timings @ fleet_timings @ sched_timings
-       @ fleet_skew_timings))
+        (timings @ bdd_timings @ disambig_timings @ config_timings @ llm_timings
+       @ batch_timings @ parallel_timings @ obs_timings @ fleet_timings
+       @ sched_timings @ fleet_skew_timings))
     json_out

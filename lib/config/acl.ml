@@ -52,6 +52,15 @@ let addr_to_prefix = function
 
 let make name rules =
   let sorted = List.sort (fun a b -> Int.compare a.seq b.seq) rules in
+  let rec check = function
+    | a :: (b :: _ as rest) ->
+        if a.seq = b.seq then
+          invalid_arg
+            (Printf.sprintf "Acl.make: duplicate seq %d in %s" a.seq name)
+        else check rest
+    | _ -> ()
+  in
+  check sorted;
   { name; rules = sorted }
 
 let rule ?(seq = 0) ?(protocol = Packet.Ip) ?(src = Any) ?(src_port = Any_port)

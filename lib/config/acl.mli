@@ -38,7 +38,8 @@ val addr_to_prefix : addr_spec -> Netaddr.Prefix.t option
     contiguous; [None] for discontiguous masks. *)
 
 val make : string -> rule list -> t
-(** Sorts rules by sequence number. *)
+(** Sorts rules by sequence number.
+    @raise Invalid_argument on duplicate sequence numbers. *)
 
 val rule :
   ?seq:int ->
@@ -64,6 +65,8 @@ val eval : t -> Packet.t -> Action.t option
 val permits : t -> Packet.t -> bool
 val next_seq : t -> int
 val append : t -> rule -> t
+(** Adds a rule after the last; a rule of seq 0 takes {!next_seq}.
+    @raise Invalid_argument when the rule's seq is already taken. *)
 
 val resequence : t -> t
 (** Renumber every rule 10, 20, 30, ... preserving order. *)

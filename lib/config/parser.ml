@@ -64,7 +64,7 @@ type state = {
   community_lists : community_entry kind;
   as_path_lists : (Action.t * string * int) kind;
   route_maps : open_stanza kind;
-  acls : Acl.rule kind;
+  acls : (Acl.rule * int) kind;
   mutable context : context;
 }
 
@@ -313,7 +313,7 @@ let acl_rule st ln g i =
   if established && protocol <> Packet.Tcp then
     fail ln "established requires tcp";
   g.items <-
-    { Acl.seq; action; protocol; src; src_port; dst; dst_port; established }
+    ({ Acl.seq; action; protocol; src; src_port; dst; dst_port; established }, ln)
     :: g.items
 
 (* ------------------------------------------------------------------ *)
@@ -545,7 +545,12 @@ let finalize st =
         sequenced g ~seq:(fun s -> s.seq) ~line:(fun s -> s.line) Route_map.make
           (List.rev_map stanza g.items))
   in
-  let acls = add st.acls (fun g -> Acl.make g.name (List.rev g.items)) in
+  let acls =
+    add st.acls (fun g ->
+        sequenced g
+          ~seq:(fun ((r : Acl.rule), _) -> r.seq)
+          ~line:snd Acl.make (List.rev_map fst g.items))
+  in
   { Database.prefix_lists; community_lists; as_path_lists; route_maps; acls }
 
 let parse_exn source =

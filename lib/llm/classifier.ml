@@ -5,27 +5,23 @@
 
 type query_type = [ `Route_map | `Acl ]
 
-let route_map_keywords =
-  [
-    "route"; "routes"; "route-map"; "routemap"; "stanza"; "community";
-    "communities"; "med"; "metric"; "local"; "preference"; "as-path";
-    "prepend"; "prepended"; "advertisement"; "advertisements"; "bgp";
-    "origin"; "originating"; "next"; "hop";
-  ]
-
-let acl_keywords =
-  [
-    "traffic"; "packet"; "packets"; "tcp"; "udp"; "icmp"; "port"; "ports";
-    "host"; "connection"; "connections"; "acl"; "access"; "access-list";
-    "firewall"; "established"; "source"; "destination"; "flows";
-  ]
-
-let score keywords ws =
-  List.length (List.filter (fun w -> List.mem w keywords) ws)
+(* One lookup per word: +1 for a route-map keyword, -1 for an ACL one.
+   The two keyword sets are disjoint. *)
+let vote = function
+  | "route" | "routes" | "route-map" | "routemap" | "stanza" | "community"
+  | "communities" | "med" | "metric" | "local" | "preference" | "as-path"
+  | "prepend" | "prepended" | "advertisement" | "advertisements" | "bgp"
+  | "origin" | "originating" | "next" | "hop" ->
+      1
+  | "traffic" | "packet" | "packets" | "tcp" | "udp" | "icmp" | "port"
+  | "ports" | "host" | "connection" | "connections" | "acl" | "access"
+  | "access-list" | "firewall" | "established" | "source" | "destination"
+  | "flows" ->
+      -1
+  | _ -> 0
 
 let classify text : query_type =
-  let ws = Nl_parser.words text in
-  let rm = score route_map_keywords ws and acl = score acl_keywords ws in
-  if acl > rm then `Acl else `Route_map
+  let score = List.fold_left (fun acc w -> acc + vote w) 0 (Nl_parser.words text) in
+  if score < 0 then `Acl else `Route_map
 
 let to_string = function `Route_map -> "route-map" | `Acl -> "acl"

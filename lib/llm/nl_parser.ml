@@ -26,19 +26,36 @@
     - "with source/destination port 443", "port above/below N",
       "ports A to B", "for established connections" *)
 
-type error = Unrecognized of string
+type error =
+  | Unrecognized of string
+  | Out_of_range of string
 
+(* One pass over the bytes: a blank or a newline ends a word, list
+   punctuation is dropped (periods are sentence-level and handled before
+   this), and every other byte joins the word lowercased. A word of
+   punctuation only is no word. *)
 let words s =
-  (* Lowercase and strip punctuation that is not meaningful inside
-     tokens (periods are sentence-level and handled before this). *)
-  String.lowercase_ascii s
-  |> String.split_on_char ' '
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.map (fun w ->
-         let is_junk c = c = ',' || c = ';' || c = '"' || c = '\'' in
-         String.to_seq w |> Seq.filter (fun c -> not (is_junk c))
-         |> String.of_seq)
-  |> List.filter (fun w -> w <> "")
+  let n = String.length s in
+  let word = Bytes.create n in
+  let acc = ref [] and k = ref 0 in
+  let flush () =
+    if !k > 0 then begin
+      acc := Bytes.sub_string word 0 !k :: !acc;
+      k := 0
+    end
+  in
+  for i = 0 to n - 1 do
+    match String.unsafe_get s i with
+    | ' ' | '\n' -> flush ()
+    | ',' | ';' | '"' | '\'' -> ()
+    | c ->
+        Bytes.unsafe_set word !k (Char.lowercase_ascii c);
+        incr k
+  done;
+  flush ();
+  List.rev !acc
+
+let mem w ws = List.exists (String.equal w) ws
 
 (* Split into sentences on ". " and a trailing "."; prefixes like
    10.0.0.0/8 contain no ". " so they survive. *)
@@ -166,7 +183,7 @@ let rec last_int = function
   | _ :: rest -> last_int rest
 
 let parse_set_sentence ws =
-  let has w = List.mem w ws in
+  let has w = mem w ws in
   let value_after_to () =
     let rec go = function
       | "to" :: v :: _ -> Some v
@@ -286,7 +303,7 @@ let parse_port_phrase ws =
 let split_at kw ws =
   let rec go acc = function
     | [] -> (List.rev acc, [])
-    | w :: rest when w = kw -> (List.rev acc, rest)
+    | w :: rest when String.equal w kw -> (List.rev acc, rest)
     | w :: rest -> go (w :: acc) rest
   in
   go [] ws
@@ -300,9 +317,9 @@ let parse_acl_prompt text =
   | Error e -> Error e
   | Ok acl_action ->
       let protocol =
-        if List.mem "tcp" ws then Config.Packet.Tcp
-        else if List.mem "udp" ws then Config.Packet.Udp
-        else if List.mem "icmp" ws then Config.Packet.Icmp
+        if mem "tcp" ws then Config.Packet.Tcp
+        else if mem "udp" ws then Config.Packet.Udp
+        else if mem "icmp" ws then Config.Packet.Icmp
         else Config.Packet.Ip
       in
       let _, after_from = split_at "from" ws in
@@ -333,7 +350,7 @@ let parse_acl_prompt text =
         else (src_port, dst_port)
       in
       let established =
-        List.mem "established" ws && protocol = Config.Packet.Tcp
+        mem "established" ws && protocol = Config.Packet.Tcp
       in
       Ok
         {
@@ -347,14 +364,66 @@ let parse_acl_prompt text =
         }
 
 (* ------------------------------------------------------------------ *)
+(* Range checks                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The numbers the config language holds in fixed widths, checked with
+   the config parser's messages, so an intent that no config can
+   express is a spec error before any stanza or rule is built from it.
+   An as-path match's AS number goes into a regex, where a sign is a
+   syntax error, so it is held to the 32-bit AS range. *)
+
+let ( let* ) = Result.bind
+let u32 = 0xFFFF_FFFF
+
+let within what max n =
+  if n >= 0 && n <= max then Ok ()
+  else Error (Out_of_range (Printf.sprintf "%s %d is out of range 0-%d" what n max))
+
+let check_port = function
+  | Config.Acl.Any_port -> Ok ()
+  | Config.Acl.Eq n | Neq n | Lt n | Gt n -> within "port" 65535 n
+  | Config.Acl.Range (a, b) ->
+      let* () = within "port" 65535 a in
+      let* () = within "port" 65535 b in
+      if a > b then
+        Error (Out_of_range (Printf.sprintf "port range %d %d is empty" a b))
+      else Ok ()
+
+let check_acl (i : Intent.acl_intent) =
+  let* () = check_port i.src_port in
+  check_port i.dst_port
+
+let check_route_map (i : Intent.route_map_intent) =
+  let some what = function None -> Ok () | Some n -> within what u32 n in
+  let set = function
+    | Config.Route_map.Set_metric n -> within "metric" u32 n
+    | Config.Route_map.Set_local_pref n -> within "local-preference" u32 n
+    | Config.Route_map.Set_tag n -> within "tag" u32 n
+    | _ -> Ok ()
+  in
+  let* () = some "AS" i.as_path_origin in
+  let* () = some "AS" i.as_path_contains in
+  let* () = some "local-preference" i.local_pref in
+  let* () = some "metric" i.metric_match in
+  let* () = some "tag" i.tag_match in
+  List.fold_left (fun r s -> Result.bind r (fun () -> set s)) (Ok ()) i.sets
+
+(* ------------------------------------------------------------------ *)
 (* Entry points                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let parse_route_map text = parse_route_map_sentences (sentences text)
+let checked check = function
+  | Ok i -> Result.map (fun () -> i) (check i)
+  | Error _ as e -> e
+
+let parse_route_map text =
+  checked check_route_map (parse_route_map_sentences (sentences text))
 
 let parse kind text =
   match kind with
   | `Route_map -> Result.map (fun i -> Intent.Route_map i) (parse_route_map text)
-  | `Acl -> Result.map (fun i -> Intent.Acl i) (parse_acl_prompt text)
+  | `Acl ->
+      Result.map (fun i -> Intent.Acl i) (checked check_acl (parse_acl_prompt text))
 
-let error_message (Unrecognized m) = m
+let error_message (Unrecognized m | Out_of_range m) = m

@@ -24,15 +24,29 @@
     - endpoints: "anywhere"/"any"/"any destination", "host 1.2.3.4",
       "10.0.0.0/8"
     - "with source/destination port 443", "port above/below N",
-      "ports A to B", "for established connections" *)
+      "ports A to B", "for established connections"
 
-type error = Unrecognized of string
+    Numbers the config language holds in fixed widths are range-checked
+    once the intent is read, with the config parser's messages: ports
+    must lie in 0-65535 and "ports A to B" needs A <= B ("port 70000 is
+    out of range 0-65535", "port range 900 80 is empty"); local
+    preference, MED and tag, matched or set, and the AS number of an
+    "originating from" or "passing through" clause must lie in
+    0-4294967295. Such an intent is an [Out_of_range] error, so the
+    pipeline stops with a spec error before it builds a rule or asks
+    for a stanza. Ports of a protocol without ports are dropped, not
+    checked; weights and prepended AS numbers are not checked. *)
+
+type error =
+  | Unrecognized of string  (** the phrasing is not understood *)
+  | Out_of_range of string  (** a number no config can hold *)
 
 val error_message : error -> string
 
 val words : string -> string list
-(** Lowercased tokens with list punctuation stripped (exposed for the
-    classifier). *)
+(** Lowercased tokens with list punctuation (commas, semicolons and
+    both quote marks) stripped, split at blanks and newlines in one pass
+    over the text (exposed for the classifier). *)
 
 val sentences : string -> string list
 (** Split on [". "] boundaries and a trailing period; prefixes like

@@ -27,7 +27,8 @@ let cost ~prompt_tokens ~completion_tokens =
   +. (float_of_int completion_tokens *. completion_token_cost)
 
 (* Labeled counters, one series per call site so `clarify report` can
-   break cost down by endpoint. *)
+   break cost down by endpoint. Resolving one takes the registry mutex,
+   so it is done only while Obs is enabled. *)
 let prompt_counter endpoint =
   Obs.Counter.labeled "llm.tokens.prompt"
     [ ("endpoint", endpoint) ]
@@ -39,5 +40,7 @@ let completion_counter endpoint =
     ~help:"estimated completion tokens"
 
 let account ~endpoint ~prompt_tokens ~completion_tokens =
-  Obs.Counter.incr (prompt_counter endpoint) ~by:prompt_tokens;
-  Obs.Counter.incr (completion_counter endpoint) ~by:completion_tokens
+  if Obs.enabled () then begin
+    Obs.Counter.incr (prompt_counter endpoint) ~by:prompt_tokens;
+    Obs.Counter.incr (completion_counter endpoint) ~by:completion_tokens
+  end

@@ -64,7 +64,8 @@ let make ~rng ~name ~plain ~crossing ~trailing_deny_any =
         (if trailing_deny_any then [ trailing_deny ] else []);
       ]
   in
-  Config.Acl.resequence (Config.Acl.make name rules)
+  Config.Acl.make name
+    (List.mapi (fun i (r : Config.Acl.rule) -> { r with seq = (i + 1) * 10 }) rules)
 
 (** Expected analyzer output for the parameters, used for calibration
     checks. *)

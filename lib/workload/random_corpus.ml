@@ -60,7 +60,9 @@ let acl ~rng ~name ~rules ~overlap_density =
         ~dst_port (action ())
       :: !built
   done;
-  Config.Acl.resequence (Config.Acl.make name (List.rev !built))
+  Config.Acl.make name
+    (List.rev !built
+    |> List.mapi (fun i (r : Config.Acl.rule) -> { r with seq = (i + 1) * 10 }))
 
 (** A random route-map of [stanzas] stanzas over fresh prefix lists;
     each stanza's prefix window overlaps an earlier stanza's with

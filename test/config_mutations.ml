@@ -33,29 +33,31 @@ let splice_numbers =
     "4294967295"; "4294967296"; "18446744073709551616";
   |]
 
+(* One mutation of [text]: a deletion of 1-12 bytes, one of [fragments]
+   inserted, or the first run of digits from a random point on (or from
+   the start) replaced by one of [numbers]. *)
+let mutate ~fragments ~numbers rng text =
+  let n = String.length text in
+  let at = if n = 0 then 0 else Random.State.int rng (n + 1) in
+  let cut a b = String.sub text 0 a ^ String.sub text b (n - b) in
+  let put a b middle = String.sub text 0 a ^ middle ^ String.sub text b (n - b) in
+  match Random.State.int rng 3 with
+  | 0 -> cut at (min n (at + 1 + Random.State.int rng 12))
+  | 1 -> put at at fragments.(Random.State.int rng (Array.length fragments))
+  | _ -> (
+      let is_digit i = text.[i] >= '0' && text.[i] <= '9' in
+      let rec first i = if i >= n then None else if is_digit i then Some i else first (i + 1) in
+      match (match first at with None -> first 0 | found -> found) with
+      | None -> text
+      | Some a ->
+          let rec stop b = if b < n && is_digit b then stop (b + 1) else b in
+          put a (stop a) numbers.(Random.State.int rng (Array.length numbers)))
+
 let gen : string QCheck.Gen.t =
-  let mutate rng text =
-    let n = String.length text in
-    let at = if n = 0 then 0 else Random.State.int rng (n + 1) in
-    let cut a b = String.sub text 0 a ^ String.sub text b (n - b) in
-    let put a b middle = String.sub text 0 a ^ middle ^ String.sub text b (n - b) in
-    match Random.State.int rng 3 with
-    | 0 -> cut at (min n (at + 1 + Random.State.int rng 12))
-    | 1 -> put at at fragments.(Random.State.int rng (Array.length fragments))
-    | _ -> (
-        let is_digit i = text.[i] >= '0' && text.[i] <= '9' in
-        let rec first i = if i >= n then None else if is_digit i then Some i else first (i + 1) in
-        match (match first at with None -> first 0 | found -> found) with
-        | None -> text
-        | Some a ->
-            let rec stop b = if b < n && is_digit b then stop (b + 1) else b in
-            put a (stop a)
-              splice_numbers.(Random.State.int rng (Array.length splice_numbers)))
-  in
-  fun rng ->
-    let seeds = Lazy.force seeds in
-    let text = ref seeds.(Random.State.int rng (Array.length seeds)) in
-    for _ = 1 to 1 + Random.State.int rng 3 do
-      text := mutate rng !text
-    done;
-    !text
+ fun rng ->
+  let seeds = Lazy.force seeds in
+  let text = ref seeds.(Random.State.int rng (Array.length seeds)) in
+  for _ = 1 to 1 + Random.State.int rng 3 do
+    text := mutate ~fragments ~numbers:splice_numbers rng !text
+  done;
+  !text

@@ -160,6 +160,8 @@ let test_parse_list_errors () =
         2, "Prefix_list.make: duplicate seq 5 in P" );
       ( "ip prefix-list P permit 10.0.0.0/8\nip prefix-list P seq 10 permit 11.0.0.0/8",
         2, "Prefix_list.make: duplicate seq 10 in P" );
+      ( "ip access-list extended A\n 10 permit ip any any\n 10 deny ip any any",
+        3, "Acl.make: duplicate seq 10 in A" );
       ( "ip community-list standard C permit 1:1\nip community-list expanded C permit _1:.*_",
         2, "community-list C mixes standard and expanded entries" );
       ( "ip community-list standard C permit 1:1\nip community-list standard C permit 1:2 foo",
@@ -685,7 +687,7 @@ let gen_acl =
   QCheck.Gen.(
     map
       (fun rules ->
-        Acl.resequence (Acl.make "GEN" rules))
+        Acl.make "GEN" (List.mapi (fun i (r : Acl.rule) -> { r with seq = (i + 1) * 10 }) rules))
       (list_size (int_range 1 8) gen_acl_rule))
 
 let arb_acl =

@@ -321,6 +321,263 @@ let test_spec_generation () =
       check "has community field" true (Json.member "community" j <> None);
       check "has set field" true (Json.member "set" j <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Prompts: generated, from the README and CI, and mutated            *)
+(* ------------------------------------------------------------------ *)
+
+let gen_acl_intent =
+  QCheck.Gen.(
+    let gen_addr =
+      oneof
+        [
+          return Acl.Any;
+          map (fun k -> Acl.Host (ip (Printf.sprintf "192.168.1.%d" k))) (int_range 1 254);
+          oneofl
+            [ Acl.addr_of_prefix (pfx "10.0.0.0/8"); Acl.addr_of_prefix (pfx "10.20.0.0/16") ];
+        ]
+    in
+    let gen_port =
+      oneof
+        [
+          return Acl.Any_port;
+          map (fun p -> Acl.Eq p) (int_range 0 65535);
+          map (fun p -> Acl.Neq p) (int_range 0 65535);
+          map (fun p -> Acl.Gt p) (int_range 0 65535);
+          map (fun p -> Acl.Lt p) (int_range 0 65535);
+          map2 (fun a b -> Acl.Range (min a b, max a b)) (int_range 0 65535)
+            (int_range 0 65535);
+        ]
+    in
+    oneofl [ Action.Permit; Action.Deny ] >>= fun acl_action ->
+    oneofl [ Packet.Ip; Packet.Tcp; Packet.Udp; Packet.Icmp ] >>= fun protocol ->
+    gen_addr >>= fun src ->
+    gen_addr >>= fun dst ->
+    (if Packet.has_ports protocol then pair gen_port gen_port
+     else return (Acl.Any_port, Acl.Any_port))
+    >>= fun (src_port, dst_port) ->
+    (if protocol = Packet.Tcp then bool else return false) >>= fun established ->
+    return { I.acl_action; protocol; src; src_port; dst; dst_port; established })
+
+(* The prompts the README and the CI workflow type. *)
+let shipped_prompts =
+  [
+    paper_prompt;
+    "Write a route-map stanza that denies routes originating from AS 65010.";
+    "Write a route-map stanza that denies routes containing the prefix \
+     100.0.0.0/18 with mask length less than or equal to 23.";
+    "Write an access list rule that denies tcp traffic from 10.20.0.0/16 to \
+     any destination with destination port 22.";
+    "Write an access list rule that permits tcp traffic from anywhere to any \
+     destination with destination port 443.";
+    "Permit tcp traffic from anywhere to host 10.0.0.5 on port 70000.";
+  ]
+
+let gen_prompt =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun i -> I.to_prompt (I.Route_map i)) gen_route_map_intent);
+        (2, map (fun a -> I.to_prompt (I.Acl a)) gen_acl_intent);
+        (1, oneofl shipped_prompts);
+      ])
+
+(* [k] (1-3) mutations of a prompt from [gen], each drawn by [mutate]. *)
+let mutated gen mutate =
+  QCheck.Gen.(
+    gen >>= fun prompt ->
+    int_range 1 3 >>= fun k ->
+    fun rng ->
+      let text = ref prompt in
+      for _ = 1 to k do
+        text := mutate rng !text
+      done;
+      !text)
+
+let put text at middle =
+  String.sub text 0 at ^ middle ^ String.sub text at (String.length text - at)
+
+let keywords = Array.of_list (Llm_reference.route_map_keywords @ Llm_reference.acl_keywords)
+
+(* Case flips, list punctuation, runs of blanks, newlines and tabs, and
+   keywords of both classes, spliced anywhere: what [words] and the
+   classifier must read as the reference does. *)
+let text_mutation rng text =
+  let n = String.length text in
+  let at = Random.State.int rng (n + 1) in
+  match Random.State.int rng 5 with
+  | 0 when n > 0 ->
+      let len = 1 + Random.State.int rng (min 12 (n - min at (n - 1))) in
+      let at = min at (n - 1) in
+      let flip c =
+        if Char.lowercase_ascii c = c then Char.uppercase_ascii c
+        else Char.lowercase_ascii c
+      in
+      String.mapi (fun i c -> if i >= at && i < at + len then flip c else c) text
+  | 1 -> put text at [| ","; ";"; "\""; "'"; ", "; "\" "; "'s" |].(Random.State.int rng 7)
+  | 2 ->
+      put text at
+        (String.init (1 + Random.State.int rng 4) (fun _ ->
+             [| ' '; '\n'; '\t' |].(Random.State.int rng 3)))
+  | _ ->
+      let k = keywords.(Random.State.int rng (Array.length keywords)) in
+      put text at (if Random.State.bool rng then " " ^ k ^ " " else k)
+
+(* A few keywords of both classes among plain words, so that one
+   keyword often decides the verdict. *)
+let gen_soup =
+  QCheck.Gen.(
+    list_size (int_range 1 8)
+      (frequency [ (3, oneofa keywords); (1, oneofl [ "the"; "and"; "write"; "10.0.0.0/8" ]) ])
+    >|= String.concat " ")
+
+(* Deletions, phrase fragments and spliced numbers at either side of a
+   field's width, as [Config_mutations] mutates configs: what the
+   pipeline's front halves must survive. *)
+let fragments =
+  [|
+    " port "; " ports "; " to "; " source port "; " destination port ";
+    " port above "; " port below "; " port not "; " host "; " from ";
+    " anywhere"; " 10.0.0.0/8"; " tcp"; " udp"; " icmp"; " permits ";
+    " denies "; " with local preference "; " with MED "; " with tag ";
+    " originating from AS "; " passing through AS "; " community ";
+    " 65000:1"; ". Their MED value should be set to "; ". Their tag should be set to ";
+    ". Their local preference should be set to "; ". The AS path should be prepended with ";
+    ". The next hop should be set to "; " with mask length between "; " and ";
+    " less than or equal to "; ". "; "\n"; "/"; ":"; ".";
+  |]
+
+let splice_numbers =
+  [| "0"; "65535"; "65536"; "4294967295"; "4294967296"; "-1"; "18446744073709551616" |]
+
+let intent_mutation = Config_mutations.mutate ~fragments ~numbers:splice_numbers
+
+(* ------------------------------------------------------------------ *)
+(* The one-pass text layer against the reference                      *)
+(* ------------------------------------------------------------------ *)
+
+module Ref = Llm_reference
+
+(* A number of the intent that no config can hold: what the range
+   checks reject and the reference lets through. *)
+let out_of_range = function
+  | I.Acl a ->
+      let port = function
+        | Acl.Any_port -> false
+        | Acl.Eq n | Acl.Neq n | Acl.Lt n | Acl.Gt n -> n < 0 || n > 65535
+        | Acl.Range (lo, hi) -> lo < 0 || hi > 65535 || lo > hi
+      in
+      port a.I.src_port || port a.I.dst_port
+  | I.Route_map i ->
+      let bad n = n < 0 || n > 0xFFFF_FFFF in
+      List.exists (Option.fold ~none:false ~some:bad)
+        [
+          i.I.as_path_origin; i.I.as_path_contains; i.I.local_pref; i.I.metric_match;
+          i.I.tag_match;
+        ]
+      || List.exists
+           (function
+             | Route_map.Set_metric n | Route_map.Set_local_pref n | Route_map.Set_tag n ->
+                 bad n
+             | _ -> false)
+           i.I.sets
+
+let prop_same_as_reference =
+  QCheck.Test.make ~name:"words, classify and parse read prompts as the reference"
+    ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (mutated (QCheck.Gen.frequency [ (4, gen_prompt); (1, gen_soup) ]) text_mutation))
+    (fun prompt ->
+      let words = Llm.Nl_parser.words prompt and words' = Ref.words prompt in
+      if words <> words' then
+        QCheck.Test.fail_reportf "words: [%s], reference [%s]"
+          (String.concat "; " words) (String.concat "; " words');
+      if Llm.Classifier.classify prompt <> Ref.classify prompt then
+        QCheck.Test.fail_reportf "classify differs";
+      List.for_all
+        (fun kind ->
+          match (Llm.Nl_parser.parse kind prompt, Ref.parse kind prompt) with
+          | Ok i, Ok i' -> i = i' || QCheck.Test.fail_reportf "parsed intents differ"
+          | Error e, Error e' ->
+              Llm.Nl_parser.error_message e = Ref.error_message e'
+              || QCheck.Test.fail_reportf "errors differ: %s / %s"
+                   (Llm.Nl_parser.error_message e) (Ref.error_message e')
+          | Error (Llm.Nl_parser.Out_of_range _), Ok i' when out_of_range i' -> true
+          | Error e, Ok _ ->
+              QCheck.Test.fail_reportf "parse fails (%s), the reference does not"
+                (Llm.Nl_parser.error_message e)
+          | Ok _, Error e' ->
+              QCheck.Test.fail_reportf "the reference fails (%s), parse does not"
+                (Ref.error_message e'))
+        [ `Route_map; `Acl ])
+
+let test_range_errors () =
+  let acl_error p =
+    match Llm.Nl_parser.parse `Acl p with
+    | Error (Llm.Nl_parser.Out_of_range m) -> m
+    | Error e -> Alcotest.failf "not a range error: %s" (Llm.Nl_parser.error_message e)
+    | Ok _ -> Alcotest.failf "accepted: %s" p
+  in
+  let rm_error p =
+    match Llm.Nl_parser.parse_route_map p with
+    | Error (Llm.Nl_parser.Out_of_range m) -> m
+    | Error e -> Alcotest.failf "not a range error: %s" (Llm.Nl_parser.error_message e)
+    | Ok _ -> Alcotest.failf "accepted: %s" p
+  in
+  let check_msg = Alcotest.(check string) in
+  let to_host = "Permit tcp traffic from anywhere to host 10.0.0.5 " in
+  check_msg "port" "port 70000 is out of range 0-65535" (acl_error (to_host ^ "on port 70000."));
+  check_msg "negative port" "port -5 is out of range 0-65535" (acl_error (to_host ^ "on port -5."));
+  check_msg "source port" "port 65536 is out of range 0-65535"
+    (acl_error (to_host ^ "with source port 65536."));
+  check_msg "empty range" "port range 900 80 is empty"
+    (acl_error (to_host ^ "with destination ports 900 to 80."));
+  check "icmp drops its ports" true
+    (Result.is_ok
+       (Llm.Nl_parser.parse `Acl
+          "Permit icmp traffic from anywhere to host 10.0.0.5 on port 70000."));
+  check_msg "local preference" "local-preference 99999999999 is out of range 0-4294967295"
+    (rm_error "Permit routes with local preference 99999999999.");
+  check_msg "set metric" "metric 4294967296 is out of range 0-4294967295"
+    (rm_error "Permit routes. Their MED value should be set to 4294967296.");
+  check_msg "match tag" "tag -1 is out of range 0-4294967295"
+    (rm_error "Permit routes with tag -1.");
+  check_msg "origin AS" "AS -65535 is out of range 0-4294967295"
+    (rm_error "Deny routes originating from AS -65535.");
+  check "edges are in range" true
+    (Result.is_ok
+       (Llm.Nl_parser.parse_route_map
+          "Permit routes with local preference 4294967295. Their tag should be set to 0."))
+
+(* ------------------------------------------------------------------ *)
+(* Mutated intents: located errors, never exceptions                  *)
+(* ------------------------------------------------------------------ *)
+
+let demo_db =
+  lazy (Result.get_ok (Parser.parse (Config_mutations.read_file "../examples/batch_demo.conf")))
+
+let prop_mutated_intents =
+  QCheck.Test.make ~name:"mutated intents give Ok or Error, never an exception"
+    ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%S") (mutated gen_prompt intent_mutation))
+    (fun prompt ->
+      let db = Lazy.force demo_db and max_attempts = Clarify.Pipeline.default_max_attempts in
+      let raises what f =
+        match f () with
+        | _ -> false
+        | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+      in
+      not
+        (raises "classify" (fun () -> Llm.Classifier.classify prompt)
+        || raises "parse route-map" (fun () -> Llm.Nl_parser.parse `Route_map prompt)
+        || raises "parse acl" (fun () -> Llm.Nl_parser.parse `Acl prompt)
+        || raises "route_map_front" (fun () ->
+               Clarify.Pipeline.route_map_front ~llm:(Llm.Mock_llm.create ())
+                 ~max_attempts ~db ~target:"ISP_OUT" ~prompt)
+        || raises "acl_front" (fun () ->
+               Clarify.Pipeline.acl_front ~llm:(Llm.Mock_llm.create ()) ~max_attempts
+                 ~db ~target:"LAB_EDGE" ~prompt)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "llm"
@@ -348,4 +605,10 @@ let () =
         ] );
       ( "spec-gen",
         [ Alcotest.test_case "paper spec" `Quick test_spec_generation ] );
+      ( "equivalence",
+        [
+          q prop_same_as_reference;
+          Alcotest.test_case "range errors" `Quick test_range_errors;
+        ] );
+      ("mutations", [ q prop_mutated_intents ]);
     ]

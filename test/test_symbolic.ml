@@ -85,7 +85,9 @@ let gen_acl_rule =
 
 let gen_acl =
   QCheck.Gen.(
-    map (fun rules -> Acl.resequence (Acl.make "GEN" rules))
+    map
+      (fun rules ->
+        Acl.make "GEN" (List.mapi (fun i (r : Acl.rule) -> { r with seq = (i + 1) * 10 }) rules))
       (list_size (int_range 1 8) gen_acl_rule))
 
 let gen_packet =
