@@ -19,34 +19,7 @@ let router t =
   in
   Option.value from_ctx ~default:t.name
 
-(* Tolerant parsing skips a malformed FINAL line only: a crashed or
-   still-running recorder leaves at most one truncated line at the end
-   of the file, while garbage earlier in the log means the file is not
-   a recording and should be rejected loudly. *)
-let parse_lines ~tolerant src =
-  let lines = String.split_on_char '\n' src in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) acc rest
-        else
-          let last_content =
-            List.for_all (fun l -> String.trim l = "") rest
-          in
-          let err m = Error (Printf.sprintf "line %d: %s" lineno m) in
-          let parsed =
-            match Json.parse line with
-            | Error m -> Error m
-            | Ok j -> E.of_json j
-          in
-          (match parsed with
-          | Ok e -> go (lineno + 1) (e :: acc) rest
-          | Error m ->
-              if tolerant && last_content then Ok (List.rev acc) else err m)
-  in
-  go 1 [] lines
-
-let load_file ?(tolerant = false) path =
+let load_file ?tolerant path =
   match open_in_bin path with
   | exception Sys_error m -> Error m
   | ic ->
@@ -55,7 +28,7 @@ let load_file ?(tolerant = false) path =
       close_in ic;
       Result.map
         (fun events -> { name = base_name path; path; events })
-        (parse_lines ~tolerant src)
+        (Telemetry.parse_events ?tolerant src)
 
 (* Expand each argument: a directory contributes its *.jsonl files in
    name order, anything else is taken as a log file. *)

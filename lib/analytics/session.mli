@@ -1,5 +1,8 @@
-(** A recorded session: one JSONL flight-recorder log loaded back as
-    events, with enough identity for aggregation. *)
+(** A recorded session: one JSONL flight-recorder log loaded back
+    whole as events, with enough identity for aggregation. It is the
+    whole-file reader the tests hold {!Stream}'s incremental reader to;
+    both apply the tolerant final-line rule of
+    {!Telemetry.parse_events}. *)
 
 type t = {
   name : string; (* file basename without extension, e.g. "e4_R1" *)
@@ -12,9 +15,10 @@ val router : t -> string
     its events ({!Telemetry.with_context}), else the session name. *)
 
 val load_file : ?tolerant:bool -> string -> (t, string) result
-(** [tolerant] additionally accepts a log whose {e final} line is
-    truncated or malformed (a crashed or still-running recorder) by
-    dropping that line; garbage anywhere earlier is still an error. *)
+(** Parses with {!Telemetry.parse_events}: [tolerant] (default [false])
+    additionally accepts a log whose {e final} line is truncated or
+    malformed (a crashed or still-running recorder) by dropping that
+    line; garbage anywhere earlier is still an error. *)
 
 val expand_paths : string list -> string list
 (** Expand arguments into log files: a directory contributes its

@@ -52,7 +52,8 @@ let process_line f line added =
     match f.held with
     | Some (ln, msg) ->
         (* Garbage earlier than the final content line means the file
-           is not a recording: reject loudly, like Session.parse_lines. *)
+           is not a recording: reject loudly, like
+           Telemetry.parse_events. *)
         ignore (fail f (Printf.sprintf "line %d: %s" ln msg))
     | None -> (
         let parsed =

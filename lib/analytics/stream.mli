@@ -5,7 +5,7 @@
     {!poll_file} reads only the bytes appended since the previous poll,
     feeds every complete line through {!Report.Acc.add}, and holds back
     a trailing partial or malformed line under the same tolerant rule
-    as {!Session.load_file} (a crashed or still-running recorder leaves
+    as {!Telemetry.parse_events} (a crashed or still-running recorder leaves
     at most one bad line, at the end; content after a malformed line is
     a fatal error). Peak memory is one accumulator plus one pending
     line per file, independent of log length — where

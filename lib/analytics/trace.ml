@@ -8,163 +8,30 @@
    questions and LLM exchanges line up against the phase that asked
    them. Processes map to routers (the ctx "router" label) and threads
    to the root segment of the span path, with "M"etadata events naming
-   both. *)
+   both.
+
+   The writer streams: one trace event is written per recorded event,
+   so a multi-gigabyte fleet log never has to fit in memory. Metadata
+   events are written at first sight of each lane, just before the
+   event that needed it — position inside traceEvents is irrelevant to
+   the format. *)
 
 module E = Telemetry.Event
 
-type lane = { pid : int; tid : int }
-
-(* Stable small integers per (process, thread) name, metadata emitted
-   on first sight. *)
-type lanes = {
-  mutable procs : (string * int) list;
-  mutable threads : ((int * string) * int) list;
-  mutable meta : Json.t list; (* metadata events, reversed *)
-}
-
-let new_lanes () = { procs = []; threads = []; meta = [] }
-
-let meta_event ~name ~pid ?tid ~value () =
-  Json.Obj
-    ([
-       ("name", Json.String name);
-       ("ph", Json.String "M");
-       ("pid", Json.Int pid);
-     ]
-    @ (match tid with None -> [] | Some t -> [ ("tid", Json.Int t) ])
-    @ [ ("args", Json.Obj [ ("name", Json.String value) ]) ])
-
-let pid_of lanes proc =
-  match List.assoc_opt proc lanes.procs with
-  | Some pid -> pid
-  | None ->
-      let pid = List.length lanes.procs + 1 in
-      lanes.procs <- lanes.procs @ [ (proc, pid) ];
-      lanes.meta <-
-        meta_event ~name:"process_name" ~pid ~value:proc () :: lanes.meta;
-      pid
-
-let tid_of lanes ~pid thread =
-  match List.assoc_opt (pid, thread) lanes.threads with
-  | Some tid -> tid
-  | None ->
-      let tid =
-        1
-        + List.length (List.filter (fun ((p, _), _) -> p = pid) lanes.threads)
-      in
-      lanes.threads <- lanes.threads @ [ ((pid, thread), tid) ];
-      lanes.meta <-
-        meta_event ~name:"thread_name" ~pid ~tid ~value:thread ()
-        :: lanes.meta;
-      tid
-
-let lane lanes ~proc ~thread =
-  let pid = pid_of lanes proc in
-  { pid; tid = tid_of lanes ~pid thread }
-
-let root_segment path =
-  match String.index_opt path '.' with
-  | Some i -> String.sub path 0 i
-  | None -> path
-
-(* Small scalar payload fields make useful hover args; long strings
-   (configs, prompts) would bloat the trace. *)
-let args_of_fields fields =
-  List.filter
-    (fun (_, v) ->
-      match v with
-      | Json.Int _ | Json.Float _ | Json.Bool _ -> true
-      | Json.String s -> String.length s <= 80
-      | _ -> false)
-    fields
-
-let us ns = ns /. 1e3
-
-let span_event lanes ~proc e =
-  match
-    (E.str_field "path" e, E.field "start_ns" e, E.field "duration_ns" e)
-  with
-  | Some path, Some start_j, Some dur_j ->
-      let f = function
-        | Json.Float f -> f
-        | Json.Int i -> float_of_int i
-        | _ -> 0.
-      in
-      let { pid; tid } = lane lanes ~proc ~thread:(root_segment path) in
-      Some
-        (Json.Obj
-           [
-             ("name", Json.String path);
-             ("ph", Json.String "X");
-             ("ts", Json.Float (us (f start_j)));
-             ("dur", Json.Float (us (f dur_j)));
-             ("pid", Json.Int pid);
-             ("tid", Json.Int tid);
-             ( "args",
-               Json.Obj
-                 [
-                   ( "depth",
-                     Json.Int
-                       (Option.value ~default:0 (E.int_field "depth" e)) );
-                 ] );
-           ])
-  | _ -> None
-
-let instant_event lanes ~proc e =
-  let { pid; tid } = lane lanes ~proc ~thread:"events" in
-  (* Logs from before event timestamps existed have ts_ns = 0; spread
-     those events out by sequence number (1 us apart) so they remain
-     distinguishable on the timeline. *)
-  let ts = if e.E.ts_ns > 0. then us e.E.ts_ns else float_of_int e.E.seq in
-  Json.Obj
-    [
-      ("name", Json.String e.E.kind);
-      ("ph", Json.String "i");
-      ("ts", Json.Float ts);
-      ("pid", Json.Int pid);
-      ("tid", Json.Int tid);
-      ("s", Json.String "t");
-      ("args", Json.Obj (args_of_fields e.E.fields));
-    ]
-
-let wrap lanes events =
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.rev lanes.meta @ events));
-      ("displayTimeUnit", Json.String "ms");
-    ]
-
-let of_events ?(process = "clarify") events =
-  let lanes = new_lanes () in
-  let body =
-    List.filter_map
-      (fun e ->
-        let proc =
-          Option.value ~default:process (List.assoc_opt "router" e.E.ctx)
-        in
-        if e.E.kind = "span" then span_event lanes ~proc e
-        else Some (instant_event lanes ~proc e))
-      events
-  in
-  wrap lanes body
-
-(* Streaming export: one trace event written per recorded event, so a
-   multi-gigabyte fleet log never has to fit in memory. Metadata events
-   are interleaved at first sight of each lane instead of collected up
-   front — position inside traceEvents is irrelevant to the format. *)
 module Writer = struct
   type t = {
     oc : out_channel;
     process : string;
-    lanes : lanes;
+    (* Stable small integers per (process, thread) name. *)
+    mutable procs : (string * int) list;
+    mutable threads : ((int * string) * int) list;
     mutable first : bool;
     mutable closed : bool;
   }
 
   let create ?(process = "clarify") oc =
-    let w = { oc; process; lanes = new_lanes (); first = true; closed = false } in
     output_string oc "{\"traceEvents\": [\n";
-    w
+    { oc; process; procs = []; threads = []; first = true; closed = false }
 
   let emit w j =
     if not w.first then output_string w.oc ",\n";
@@ -172,55 +39,120 @@ module Writer = struct
     output_string w.oc "  ";
     output_string w.oc (Json.to_string j)
 
-  let drain_meta w =
-    let meta = List.rev w.lanes.meta in
-    w.lanes.meta <- [];
-    List.iter (emit w) meta
+  let meta_event w ~name ~pid ?tid value =
+    emit w
+      (Json.Obj
+         ([
+            ("name", Json.String name);
+            ("ph", Json.String "M");
+            ("pid", Json.Int pid);
+          ]
+         @ (match tid with None -> [] | Some t -> [ ("tid", Json.Int t) ])
+         @ [ ("args", Json.Obj [ ("name", Json.String value) ]) ]))
+
+  let pid_of w proc =
+    match List.assoc_opt proc w.procs with
+    | Some pid -> pid
+    | None ->
+        let pid = List.length w.procs + 1 in
+        w.procs <- w.procs @ [ (proc, pid) ];
+        meta_event w ~name:"process_name" ~pid proc;
+        pid
+
+  let tid_of w ~pid thread =
+    match List.assoc_opt (pid, thread) w.threads with
+    | Some tid -> tid
+    | None ->
+        let tid =
+          1 + List.length (List.filter (fun ((p, _), _) -> p = pid) w.threads)
+        in
+        w.threads <- w.threads @ [ ((pid, thread), tid) ];
+        meta_event w ~name:"thread_name" ~pid ~tid thread;
+        tid
+
+  (* The lane of an event: [(pid, tid)], minting (and writing the
+     metadata of) a new process or thread on first sight. *)
+  let lane w ~proc ~thread =
+    let pid = pid_of w proc in
+    (pid, tid_of w ~pid thread)
+
+  let root_segment path =
+    match String.index_opt path '.' with
+    | Some i -> String.sub path 0 i
+    | None -> path
+
+  (* Small scalar payload fields make useful hover args; long strings
+     (configs, prompts) would bloat the trace. *)
+  let args_of_fields fields =
+    List.filter
+      (fun (_, v) ->
+        match v with
+        | Json.Int _ | Json.Float _ | Json.Bool _ -> true
+        | Json.String s -> String.length s <= 80
+        | _ -> false)
+      fields
+
+  let us ns = ns /. 1e3
+
+  (* A span mirror event without its timing fields writes nothing. *)
+  let span_event w ~proc e =
+    match
+      (E.str_field "path" e, E.field "start_ns" e, E.field "duration_ns" e)
+    with
+    | Some path, Some start_j, Some dur_j ->
+        let f = function
+          | Json.Float f -> f
+          | Json.Int i -> float_of_int i
+          | _ -> 0.
+        in
+        let pid, tid = lane w ~proc ~thread:(root_segment path) in
+        emit w
+          (Json.Obj
+             [
+               ("name", Json.String path);
+               ("ph", Json.String "X");
+               ("ts", Json.Float (us (f start_j)));
+               ("dur", Json.Float (us (f dur_j)));
+               ("pid", Json.Int pid);
+               ("tid", Json.Int tid);
+               ( "args",
+                 Json.Obj
+                   [
+                     ( "depth",
+                       Json.Int
+                         (Option.value ~default:0 (E.int_field "depth" e)) );
+                   ] );
+             ])
+    | _ -> ()
+
+  let instant_event w ~proc e =
+    let pid, tid = lane w ~proc ~thread:"events" in
+    (* Logs from before event timestamps existed have ts_ns = 0; spread
+       those events out by sequence number (1 us apart) so they remain
+       distinguishable on the timeline. *)
+    let ts = if e.E.ts_ns > 0. then us e.E.ts_ns else float_of_int e.E.seq in
+    emit w
+      (Json.Obj
+         [
+           ("name", Json.String e.E.kind);
+           ("ph", Json.String "i");
+           ("ts", Json.Float ts);
+           ("pid", Json.Int pid);
+           ("tid", Json.Int tid);
+           ("s", Json.String "t");
+           ("args", Json.Obj (args_of_fields e.E.fields));
+         ])
 
   let event w e =
     let proc =
       Option.value ~default:w.process (List.assoc_opt "router" e.E.ctx)
     in
-    let j =
-      if e.E.kind = "span" then span_event w.lanes ~proc e
-      else Some (instant_event w.lanes ~proc e)
-    in
-    (* The lane lookup above may have minted new pid/tid metadata;
-       write it before the event that needed it. *)
-    match j with
-    | None -> ()
-    | Some j ->
-        drain_meta w;
-        emit w j
+    if e.E.kind = "span" then span_event w ~proc e else instant_event w ~proc e
 
   let close w =
     if not w.closed then begin
       w.closed <- true;
-      drain_meta w;
       output_string w.oc "\n], \"displayTimeUnit\": \"ms\"}\n";
       flush w.oc
     end
 end
-
-(* Live spans (Obs.spans ()) export the same way without a recording. *)
-let of_spans ?(process = "clarify") spans =
-  let lanes = new_lanes () in
-  let body =
-    List.map
-      (fun (s : Obs.Span.t) ->
-        let { pid; tid } =
-          lane lanes ~proc:process ~thread:(root_segment s.Obs.Span.path)
-        in
-        Json.Obj
-          [
-            ("name", Json.String s.Obs.Span.path);
-            ("ph", Json.String "X");
-            ("ts", Json.Float (us s.Obs.Span.start_ns));
-            ("dur", Json.Float (us s.Obs.Span.duration_ns));
-            ("pid", Json.Int pid);
-            ("tid", Json.Int tid);
-            ("args", Json.Obj [ ("depth", Json.Int s.Obs.Span.depth) ]);
-          ])
-      spans
-  in
-  wrap lanes body

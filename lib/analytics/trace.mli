@@ -1,5 +1,5 @@
 (** Chrome-trace (chrome://tracing / Perfetto) export of recorded
-    sessions and live span buffers.
+    sessions.
 
     Output is the Chromium Trace Event JSON format:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}]. Span mirror
@@ -8,26 +8,21 @@
     event becomes an instant ["i"] tick named by its kind, with small
     scalar payload fields as hover args. Processes map to routers (the
     [ctx] ["router"] label, else [process]) and threads to the root
-    segment of the span path, both named via ["M"] metadata events. *)
+    segment of the span path, both named via ["M"] metadata events.
+    Events with [ts_ns = 0] (logs from before timestamps existed) fall
+    back to their sequence number, one microsecond apart. *)
 
-val of_events : ?process:string -> Telemetry.Event.t list -> Json.t
-(** [process] (default ["clarify"]) names the process lane for events
-    without a router context label. Events with [ts_ns = 0] (logs from
-    before timestamps existed) fall back to their sequence number, one
-    microsecond apart. *)
-
-val of_spans : ?process:string -> Obs.Span.t list -> Json.t
-(** Export a live span buffer ([Obs.spans ()]) without a recording. *)
-
-(** Streaming export: events are written as they are fed, so a log
-    never has to fit in memory (pair with {!Stream.iter_file}). The
-    emitted JSON is semantically identical to {!of_events}, with lane
-    metadata interleaved at first sight instead of collected first. *)
+(** The one trace renderer, streaming: events are written as they are
+    fed, so a log never has to fit in memory (pair with
+    {!Stream.iter_file}). Lane metadata is written at first sight of
+    each lane, just before the event that needed it. *)
 module Writer : sig
   type t
 
   val create : ?process:string -> out_channel -> t
-  (** Writes the traceEvents header immediately. *)
+  (** Writes the traceEvents header immediately. [process] (default
+      ["clarify"]) names the process lane for events without a router
+      context label. *)
 
   val event : t -> Telemetry.Event.t -> unit
   val close : t -> unit (* writes the footer; idempotent *)

@@ -288,12 +288,12 @@ let port_spec st ln =
   else Acl.Any_port
 
 (* [SEQ] permit|deny PROTO SRC [PORT] DST [PORT] [established], from
-   token [i]. *)
+   token [i]. Unnumbered: 10 past the highest existing, as IOS does. *)
 let acl_rule st ln g i =
   let numbered = i < st.ntok && decimal st i >= 0 in
   let seq = if numbered then decimal st i else g.last_seq + 10 in
   let i = if numbered then i + 1 else i in
-  g.last_seq <- seq;
+  g.last_seq <- max g.last_seq seq;
   if i + 1 >= st.ntok then fail ln "truncated ACL rule";
   let action = action_arg st ln i in
   let protocol = protocol_arg st ln (i + 1) in

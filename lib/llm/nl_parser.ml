@@ -370,8 +370,9 @@ let parse_acl_prompt text =
 (* The numbers the config language holds in fixed widths, checked with
    the config parser's messages, so an intent that no config can
    express is a spec error before any stanza or rule is built from it.
-   An as-path match's AS number goes into a regex, where a sign is a
-   syntax error, so it is held to the 32-bit AS range. *)
+   An as-path match's AS number goes into a regex, and a weight or a
+   prepended AS number into a set clause, where a sign is a syntax
+   error, so they are held to the 32-bit range too. *)
 
 let ( let* ) = Result.bind
 let u32 = 0xFFFF_FFFF
@@ -395,11 +396,14 @@ let check_acl (i : Intent.acl_intent) =
   check_port i.dst_port
 
 let check_route_map (i : Intent.route_map_intent) =
+  let each f = List.fold_left (fun r x -> Result.bind r (fun () -> f x)) (Ok ()) in
   let some what = function None -> Ok () | Some n -> within what u32 n in
   let set = function
     | Config.Route_map.Set_metric n -> within "metric" u32 n
     | Config.Route_map.Set_local_pref n -> within "local-preference" u32 n
     | Config.Route_map.Set_tag n -> within "tag" u32 n
+    | Config.Route_map.Set_weight n -> within "weight" u32 n
+    | Config.Route_map.Set_as_path_prepend asns -> each (within "AS" u32) asns
     | _ -> Ok ()
   in
   let* () = some "AS" i.as_path_origin in
@@ -407,7 +411,7 @@ let check_route_map (i : Intent.route_map_intent) =
   let* () = some "local-preference" i.local_pref in
   let* () = some "metric" i.metric_match in
   let* () = some "tag" i.tag_match in
-  List.fold_left (fun r s -> Result.bind r (fun () -> set s)) (Ok ()) i.sets
+  each set i.sets
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                       *)

@@ -30,12 +30,13 @@
     once the intent is read, with the config parser's messages: ports
     must lie in 0-65535 and "ports A to B" needs A <= B ("port 70000 is
     out of range 0-65535", "port range 900 80 is empty"); local
-    preference, MED and tag, matched or set, and the AS number of an
-    "originating from" or "passing through" clause must lie in
-    0-4294967295. Such an intent is an [Out_of_range] error, so the
-    pipeline stops with a spec error before it builds a rule or asks
-    for a stanza. Ports of a protocol without ports are dropped, not
-    checked; weights and prepended AS numbers are not checked. *)
+    preference, MED and tag, matched or set, a set weight, every
+    prepended AS number and the AS number of an "originating from" or
+    "passing through" clause must lie in 0-4294967295 ("weight -1 is
+    out of range 0-4294967295"). Such an intent is an [Out_of_range]
+    error, so the pipeline stops with a spec error before it builds a
+    rule or asks for a stanza. Ports of a protocol without ports are
+    dropped, not checked. *)
 
 type error =
   | Unrecognized of string  (** the phrasing is not understood *)

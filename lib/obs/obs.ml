@@ -19,8 +19,8 @@
 let enabled_flag = ref false
 
 (* Guards the metric registries (Hashtbl add/iterate, shard lists) and
-   the span record path (buffer, sequence counter, sink forwarding).
-   Never held while user code runs, and never on the increment path. *)
+   the span record path (sequence counter, sink forwarding). Never held
+   while user code runs, and never on the increment path. *)
 let registry_mutex = Mutex.create ()
 
 let locked f =
@@ -137,7 +137,7 @@ module Labels = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Cardinality guard                                                  *)
+(* The registry                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Labels are data-driven (router names, fault classes); at fleet scale
@@ -160,18 +160,97 @@ let series_limit_ref =
 let series_limit () = !series_limit_ref
 let set_series_limit n = series_limit_ref := max 1 n
 
-(* Must be called with [registry_mutex] held. Decides the label set a
-   new registration is stored under, charging genuine label sets
-   against the per-base budget; the sink itself is exempt. *)
-let resolve_labels ~counts base labels =
-  if labels = [] || labels = overflow_labels then labels
-  else
-    let used = Option.value ~default:0 (Hashtbl.find_opt counts base) in
-    if used >= !series_limit_ref then overflow_labels
-    else begin
-      Hashtbl.replace counts base (used + 1);
-      labels
-    end
+(* What every series carries, whatever its kind. *)
+type meta = {
+  name : string; (* full name, labels encoded *)
+  base : string;
+  labels : Labels.t;
+  help : string;
+}
+
+(* One registry per metric kind, so counters, histograms and gauges
+   keep separate tables and separate label budgets. [clear] returns a
+   kept (zero-label) series to its initial state on [reset]. *)
+module Registry (K : sig
+  type t
+
+  val create : meta -> t
+  val meta : t -> meta
+  val clear : t -> unit
+end) =
+struct
+  let table : (string, K.t) Hashtbl.t = Hashtbl.create 64
+  let budget : (string, int) Hashtbl.t = Hashtbl.create 16
+
+  (* Must be called with [registry_mutex] held. Decides the label set a
+     new registration is stored under, charging genuine label sets
+     against the per-base budget; the sink itself is exempt. *)
+  let resolve base labels =
+    if labels = [] || labels = overflow_labels then labels
+    else
+      let used = Option.value ~default:0 (Hashtbl.find_opt budget base) in
+      if used >= !series_limit_ref then overflow_labels
+      else begin
+        Hashtbl.replace budget base (used + 1);
+        labels
+      end
+
+  let labeled ?(help = "") base kvs =
+    let labels = Labels.canon kvs in
+    locked (fun () ->
+        match Hashtbl.find_opt table (Labels.full_name base labels) with
+        | Some s -> s
+        | None -> (
+            let labels = resolve base labels in
+            let name = Labels.full_name base labels in
+            match Hashtbl.find_opt table name with
+            | Some s -> s (* the overflow sink *)
+            | None ->
+                let s = K.create { name; base; labels; help } in
+                Hashtbl.add table name s;
+                s))
+
+  let make ?help name = labeled ?help name []
+  let name s = (K.meta s).name
+  let base_name s = (K.meta s).base
+  let labels s = (K.meta s).labels
+  let find name = locked (fun () -> Hashtbl.find_opt table name)
+  let find_labeled base kvs = find (Labels.full_name base kvs)
+
+  let all () =
+    locked (fun () -> Hashtbl.fold (fun name s acc -> (name, s) :: acc) table [])
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map snd
+
+  (* Clear the statically declared (zero-label) series, whose handles
+     live in module bodies across resets, and drop the dynamically
+     created labeled series outright: their cardinality is data-driven
+     (per router, per fault class), so keeping dead registrations would
+     leak across runs. *)
+  let reset () =
+    locked (fun () ->
+        Hashtbl.filter_map_inplace
+          (fun _ s ->
+            if (K.meta s).labels = [] then begin
+              K.clear s;
+              Some s
+            end
+            else None)
+          table;
+        Hashtbl.reset budget)
+end
+
+(* The per-domain shards of a counter or histogram. The key's init
+   closure runs on the first [Domain.DLS.get] in each domain (an
+   increment path, never while the registry mutex is held) and links
+   the fresh shard into the series. Shards of kept series stay linked
+   across resets (their owning domains may still hold the DLS slot) and
+   are cleared in place. *)
+let shard_key shards fresh =
+  Domain.DLS.new_key (fun () ->
+      let s = fresh () in
+      locked (fun () -> shards := s :: !shards);
+      s)
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                           *)
@@ -183,46 +262,22 @@ module Counter = struct
   type shard = { mutable v : int }
 
   type t = {
-    name : string; (* full name, labels encoded *)
-    base : string;
-    labels : Labels.t;
-    help : string;
+    meta : meta;
     shards : shard list ref; (* appended under the registry mutex *)
     key : shard Domain.DLS.key;
   }
 
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-  let labeled_bases : (string, int) Hashtbl.t = Hashtbl.create 16
+  include Registry (struct
+    type nonrec t = t
 
-  let new_series ~help ~base ~name labels =
-    let shards = ref [] in
-    let key =
-      (* The init closure runs on the first [Domain.DLS.get] in each
-         domain — i.e. on an increment path, never while the registry
-         mutex is held — and links the fresh shard into the series. *)
-      Domain.DLS.new_key (fun () ->
-          let s = { v = 0 } in
-          locked (fun () -> shards := s :: !shards);
-          s)
-    in
-    { name; base; labels; help; shards; key }
+    let meta c = c.meta
 
-  let labeled ?(help = "") base kvs =
-    let labels = Labels.canon kvs in
-    locked (fun () ->
-        match Hashtbl.find_opt registry (Labels.full_name base labels) with
-        | Some c -> c
-        | None -> (
-            let labels = resolve_labels ~counts:labeled_bases base labels in
-            let name = Labels.full_name base labels in
-            match Hashtbl.find_opt registry name with
-            | Some c -> c (* the overflow sink, or a racing registration *)
-            | None ->
-                let c = new_series ~help ~base ~name labels in
-                Hashtbl.add registry name c;
-                c))
+    let create meta =
+      let shards = ref [] in
+      { meta; shards; key = shard_key shards (fun () -> { v = 0 }) }
 
-  let make ?help name = labeled ?help name []
+    let clear c = List.iter (fun s -> s.v <- 0) !(c.shards)
+  end)
 
   let incr ?(by = 1) c =
     if !enabled_flag then begin
@@ -230,37 +285,7 @@ module Counter = struct
       s.v <- s.v + by
     end
 
-  let value c = List.fold_left (fun acc (s : shard) -> acc + s.v) 0 !(c.shards)
-  let name c = c.name
-  let base_name c = c.base
-  let labels c = c.labels
-  let find name = locked (fun () -> Hashtbl.find_opt registry name)
-
-  let find_labeled base kvs =
-    locked (fun () ->
-        Hashtbl.find_opt registry (Labels.full_name base (Labels.canon kvs)))
-
-  let all () =
-    locked (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) registry [])
-    |> List.sort (fun a b -> String.compare a.name b.name)
-
-  (* Zero the statically declared (zero-label) series, whose handles
-     live in module bodies across resets, and drop the dynamically
-     created labeled series outright: their cardinality is data-driven
-     (per router, per fault class), so keeping dead registrations would
-     leak across runs. Shards of kept series stay linked (their owning
-     domains may still hold the DLS slot) and are zeroed in place. *)
-  let reset () =
-    locked (fun () ->
-        Hashtbl.filter_map_inplace
-          (fun _ c ->
-            if c.labels = [] then begin
-              List.iter (fun (s : shard) -> s.v <- 0) !(c.shards);
-              Some c
-            end
-            else None)
-          registry;
-        Hashtbl.reset labeled_bases)
+  let value c = List.fold_left (fun acc s -> acc + s.v) 0 !(c.shards)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -281,50 +306,29 @@ module Histogram = struct
     fstats : float array; (* [| sum_ns; max_ns |] *)
   }
 
-  type t = {
-    name : string; (* full name, labels encoded *)
-    base : string;
-    labels : Labels.t;
-    help : string;
-    shards : shard list ref;
-    key : shard Domain.DLS.key;
-  }
+  type t = { meta : meta; shards : shard list ref; key : shard Domain.DLS.key }
 
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-  let labeled_bases : (string, int) Hashtbl.t = Hashtbl.create 16
+  include Registry (struct
+    type nonrec t = t
 
-  let new_series ~help ~base ~name labels =
-    let shards = ref [] in
-    let key =
-      Domain.DLS.new_key (fun () ->
-          let s =
-            {
-              counts = Array.make (Array.length bounds) 0;
-              count = 0;
-              fstats = [| 0.; 0. |];
-            }
-          in
-          locked (fun () -> shards := s :: !shards);
-          s)
-    in
-    { name; base; labels; help; shards; key }
+    let meta h = h.meta
 
-  let labeled ?(help = "") base kvs =
-    let labels = Labels.canon kvs in
-    locked (fun () ->
-        match Hashtbl.find_opt registry (Labels.full_name base labels) with
-        | Some h -> h
-        | None -> (
-            let labels = resolve_labels ~counts:labeled_bases base labels in
-            let name = Labels.full_name base labels in
-            match Hashtbl.find_opt registry name with
-            | Some h -> h
-            | None ->
-                let h = new_series ~help ~base ~name labels in
-                Hashtbl.add registry name h;
-                h))
+    let create meta =
+      let shards = ref [] in
+      let fresh () =
+        { counts = Array.make (Array.length bounds) 0; count = 0; fstats = [| 0.; 0. |] }
+      in
+      { meta; shards; key = shard_key shards fresh }
 
-  let make ?help name = labeled ?help name []
+    let clear h =
+      List.iter
+        (fun s ->
+          Array.fill s.counts 0 (Array.length s.counts) 0;
+          s.count <- 0;
+          s.fstats.(0) <- 0.;
+          s.fstats.(1) <- 0.)
+        !(h.shards)
+  end)
 
   let slot ns =
     let rec go i = if ns <= bounds.(i) then i else go (i + 1) in
@@ -349,15 +353,11 @@ module Histogram = struct
   let max_ns h =
     List.fold_left (fun acc s -> Float.max acc s.fstats.(1)) 0. !(h.shards)
 
-  let merged_counts h =
-    let m = Array.make (Array.length bounds) 0 in
-    List.iter
-      (fun s -> Array.iteri (fun i c -> m.(i) <- m.(i) + c) s.counts)
-      !(h.shards);
-    m
-
   let buckets h =
-    let counts = merged_counts h in
+    let counts = Array.make (Array.length bounds) 0 in
+    List.iter
+      (fun s -> Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) s.counts)
+      !(h.shards);
     let cum = ref 0 in
     Array.to_list
       (Array.mapi
@@ -365,39 +365,6 @@ module Histogram = struct
            cum := !cum + counts.(i);
            (b, !cum))
          bounds)
-
-  let name h = h.name
-  let base_name h = h.base
-  let labels h = h.labels
-  let find name = locked (fun () -> Hashtbl.find_opt registry name)
-
-  let find_labeled base kvs =
-    locked (fun () ->
-        Hashtbl.find_opt registry (Labels.full_name base (Labels.canon kvs)))
-
-  let all () =
-    locked (fun () -> Hashtbl.fold (fun _ h acc -> h :: acc) registry [])
-    |> List.sort (fun a b -> String.compare a.name b.name)
-
-  (* Same policy as {!Counter.reset}: zero the zero-label series, drop
-     the data-driven labeled ones. *)
-  let reset () =
-    locked (fun () ->
-        Hashtbl.filter_map_inplace
-          (fun _ h ->
-            if h.labels = [] then begin
-              List.iter
-                (fun s ->
-                  Array.fill s.counts 0 (Array.length s.counts) 0;
-                  s.count <- 0;
-                  s.fstats.(0) <- 0.;
-                  s.fstats.(1) <- 0.)
-                !(h.shards);
-              Some h
-            end
-            else None)
-          registry;
-        Hashtbl.reset labeled_bases)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -410,35 +377,21 @@ module Gauge = struct
      rare (batch boundaries, not per-task), and last-writer-wins is the
      natural gauge semantics. *)
   type t = {
-    name : string; (* full name, labels encoded *)
-    base : string;
-    labels : Labels.t;
-    help : string;
+    meta : meta;
     mutable value : float;
     mutable collect : (unit -> float) option;
   }
 
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 32
-  let labeled_bases : (string, int) Hashtbl.t = Hashtbl.create 16
+  include Registry (struct
+    type nonrec t = t
 
-  let labeled ?(help = "") base kvs =
-    let labels = Labels.canon kvs in
-    locked (fun () ->
-        match Hashtbl.find_opt registry (Labels.full_name base labels) with
-        | Some g -> g
-        | None -> (
-            let labels = resolve_labels ~counts:labeled_bases base labels in
-            let name = Labels.full_name base labels in
-            match Hashtbl.find_opt registry name with
-            | Some g -> g
-            | None ->
-                let g =
-                  { name; base; labels; help; value = 0.; collect = None }
-                in
-                Hashtbl.add registry name g;
-                g))
+    let meta g = g.meta
+    let create meta = { meta; value = 0.; collect = None }
 
-  let make ?help name = labeled ?help name []
+    (* Pushed gauges return to 0; collectors keep collecting (their
+       value is ambient process state, not run state). *)
+    let clear g = if g.collect = None then g.value <- 0.
+  end)
 
   let collector ?help name f =
     let g = make ?help name in
@@ -459,35 +412,7 @@ module Gauge = struct
             v
         | exception _ -> g.value)
 
-  let name g = g.name
-  let base_name g = g.base
-  let labels g = g.labels
-  let find name = locked (fun () -> Hashtbl.find_opt registry name)
-
-  let find_labeled base kvs =
-    locked (fun () ->
-        Hashtbl.find_opt registry (Labels.full_name base (Labels.canon kvs)))
-
-  let all () =
-    locked (fun () -> Hashtbl.fold (fun _ g acc -> g :: acc) registry [])
-    |> List.sort (fun a b -> String.compare a.name b.name)
-
-  let sample_all () = List.map (fun g -> (g.name, value g)) (all ())
-
-  (* Pushed zero-label gauges return to 0; collectors keep collecting
-     (their value is ambient process state, not run state). Labeled
-     gauges are data-driven and dropped, like labeled counters. *)
-  let reset () =
-    locked (fun () ->
-        Hashtbl.filter_map_inplace
-          (fun _ g ->
-            if g.labels = [] then begin
-              if g.collect = None then g.value <- 0.;
-              Some g
-            end
-            else None)
-          registry;
-        Hashtbl.reset labeled_bases)
+  let sample_all () = List.map (fun g -> (name g, value g)) (all ())
 end
 
 (* Built-in runtime collectors: GC pressure for the whole process.
@@ -552,33 +477,9 @@ let text_sink fmt =
           pp_duration s.duration_ns);
   }
 
-let span_to_json (s : Span.t) =
-  Json.Obj
-    [
-      ("path", Json.String s.path);
-      ("depth", Json.Int s.depth);
-      ("start_ns", Json.Float s.start_ns);
-      ("duration_ns", Json.Float s.duration_ns);
-      ("seq", Json.Int s.seq);
-    ]
-
-let jsonl_sink oc =
-  {
-    on_span =
-      (fun (s : Span.t) ->
-        output_string oc (Json.to_string ~indent:0 (span_to_json s));
-        output_char oc '\n';
-        flush oc);
-  }
-
 let current_sink = ref silent
 let set_sink s = current_sink := s
 let add_sink s = current_sink := tee !current_sink s
-
-let max_recorded_spans = 16_384
-let recorded : Span.t list ref = ref [] (* newest first *)
-let recorded_len = ref 0
-let dropped = ref 0
 let next_seq = ref 0
 
 (* Stack of open spans: (path, start seconds). Domain-local, so each
@@ -592,28 +493,15 @@ let stack () = Domain.DLS.get stack_key
 
 let current_path () = match !(stack ()) with [] -> "" | (p, _) :: _ -> p
 
-(* The buffer, the sequence counter and the sink are shared across
-   domains; serialize completions so concurrent workers never corrupt
-   them. Completion (seq) order between domains is scheduling-
-   dependent; within one domain it stays close order. *)
-let record (s : Span.t) =
+(* The sequence counter and the sink are shared across domains;
+   serialize completions so concurrent workers never corrupt them.
+   Completion (seq) order between domains is scheduling-dependent;
+   within one domain it stays close order. *)
+let record path depth start_ns duration_ns =
   locked (fun () ->
-      let s =
-        if !recorded_len < max_recorded_spans then begin
-          let s = { s with Span.seq = !next_seq } in
-          incr next_seq;
-          recorded := s :: !recorded;
-          incr recorded_len;
-          s
-        end
-        else begin
-          let s = { s with Span.seq = !next_seq } in
-          incr next_seq;
-          incr dropped;
-          s
-        end
-      in
-      !current_sink.on_span s)
+      let seq = !next_seq in
+      incr next_seq;
+      !current_sink.on_span { Span.path; depth; start_ns; duration_ns; seq })
 
 let with_span name f =
   if not !enabled_flag then f ()
@@ -633,7 +521,7 @@ let with_span name f =
           let start_ns = (t0 -. !origin) *. 1e9 in
           let start_ns = if start_ns < 0. then 0. else start_ns in
           Histogram.observe_ns (Histogram.make path) duration_ns;
-          record { Span.path; depth; start_ns; duration_ns; seq = 0 }
+          record path depth start_ns duration_ns
       | _ -> () (* disabled or reset mid-span: drop silently *)
     in
     match f () with
@@ -645,25 +533,18 @@ let with_span name f =
         raise e
   end
 
-let spans () = locked (fun () -> List.rev !recorded)
-let dropped_spans () = locked (fun () -> !dropped)
-
 (* Clears *every* piece of mutable state this module accumulates —
    counters, histograms and gauges (labeled series dropped entirely),
-   the span buffer and its overflow count, the span sequence counter,
-   the open-span stack, and the start-offset origin — so two
-   back-to-back identical runs produce identical snapshots (under a
-   deterministic clock). Sinks, subscribers, collectors and the
-   enabled state are configuration, not run state, and are kept. *)
+   the span sequence counter, the open-span stack, and the start-offset
+   origin — so two back-to-back identical runs produce identical
+   snapshots and spans (under a deterministic clock). Sinks,
+   subscribers, collectors and the enabled state are configuration, not
+   run state, and are kept. *)
 let reset () =
   Counter.reset ();
   Histogram.reset ();
   Gauge.reset ();
-  locked (fun () ->
-      recorded := [];
-      recorded_len := 0;
-      dropped := 0;
-      next_seq := 0);
+  locked (fun () -> next_seq := 0);
   stack () := [];
   origin := !clock ()
 
@@ -675,63 +556,15 @@ let reset () =
    exposition ([# HELP] lines). First registration wins per base. *)
 let help_index () =
   let tbl = Hashtbl.create 32 in
-  let remember base help =
-    if help <> "" && not (Hashtbl.mem tbl base) then Hashtbl.add tbl base help
+  let remember m =
+    if m.help <> "" && not (Hashtbl.mem tbl m.base) then
+      Hashtbl.add tbl m.base m.help
   in
-  List.iter (fun (c : Counter.t) -> remember c.Counter.base c.Counter.help)
-    (Counter.all ());
-  List.iter (fun (g : Gauge.t) -> remember g.Gauge.base g.Gauge.help)
-    (Gauge.all ());
-  List.iter (fun (h : Histogram.t) -> remember h.Histogram.base h.Histogram.help)
-    (Histogram.all ());
+  List.iter (fun c -> remember c.Counter.meta) (Counter.all ());
+  List.iter (fun g -> remember g.Gauge.meta) (Gauge.all ());
+  List.iter (fun h -> remember h.Histogram.meta) (Histogram.all ());
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* ------------------------------------------------------------------ *)
-(* Reporting                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let pp_report fmt () =
-  let counters = List.filter (fun c -> Counter.value c > 0) (Counter.all ()) in
-  let hists = List.filter (fun h -> Histogram.count h > 0) (Histogram.all ()) in
-  Format.fprintf fmt "@[<v>=== Observability snapshot ===@,";
-  if counters = [] && hists = [] then
-    Format.fprintf fmt "(no events recorded; is the layer enabled?)@,"
-  else begin
-    if counters <> [] then begin
-      Format.fprintf fmt "counters:@,";
-      List.iter
-        (fun c ->
-          Format.fprintf fmt "  %-48s %10d@," (Counter.name c)
-            (Counter.value c))
-        counters
-    end;
-    (match Gauge.sample_all () with
-    | [] -> ()
-    | gauges ->
-        Format.fprintf fmt "gauges:@,";
-        List.iter
-          (fun (n, v) ->
-            if Float.is_integer v && Float.abs v < 1e15 then
-              Format.fprintf fmt "  %-48s %10.0f@," n v
-            else Format.fprintf fmt "  %-48s %10.2f@," n v)
-          gauges);
-    if hists <> [] then begin
-      Format.fprintf fmt "latencies (per span path):@,";
-      List.iter
-        (fun h ->
-          let n = Histogram.count h in
-          let mean = Histogram.sum_ns h /. float_of_int n in
-          Format.fprintf fmt "  %-48s n=%-6d total=%a mean=%a max=%a@,"
-            (Histogram.name h) n pp_duration (Histogram.sum_ns h) pp_duration
-            mean pp_duration (Histogram.max_ns h))
-        hists
-    end;
-    if !dropped > 0 then
-      Format.fprintf fmt "(%d spans dropped beyond the %d-span buffer)@,"
-        !dropped max_recorded_spans
-  end;
-  Format.fprintf fmt "@]"
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                          *)
@@ -755,20 +588,21 @@ module Snapshot = struct
     let counters =
       List.filter_map
         (fun c ->
-          if Counter.value c = 0 then None
-          else Some (Counter.name c, Counter.value c))
+          let v = Counter.value c in
+          if v = 0 then None else Some (Counter.name c, v))
         (Counter.all ())
     in
     let gauges = Gauge.sample_all () in
     let histograms =
       List.filter_map
         (fun h ->
-          if Histogram.count h = 0 then None
+          let count = Histogram.count h in
+          if count = 0 then None
           else
             Some
               ( Histogram.name h,
                 {
-                  count = Histogram.count h;
+                  count;
                   sum_ns = Histogram.sum_ns h;
                   max_ns = Histogram.max_ns h;
                   buckets = Histogram.buckets h;
@@ -776,8 +610,6 @@ module Snapshot = struct
         (Histogram.all ())
     in
     { counters; gauges; histograms }
-
-  let take = capture
 
   let mean_ns (h : hist) =
     if h.count = 0 then 0. else h.sum_ns /. float_of_int h.count
@@ -1045,45 +877,37 @@ module Snapshot = struct
     Buffer.contents buf
 end
 
-let to_json () =
-  let counters =
-    List.filter_map
-      (fun c ->
-        if Counter.value c = 0 then None
-        else Some (Counter.name c, Json.Int (Counter.value c)))
-      (Counter.all ())
-  in
-  let gauges =
-    List.map (fun (n, v) -> (n, Json.Float v)) (Gauge.sample_all ())
-  in
-  let histograms =
-    List.filter_map
-      (fun h ->
-        if Histogram.count h = 0 then None
-        else
-          Some
-            ( Histogram.name h,
-              Json.Obj
-                [
-                  ("count", Json.Int (Histogram.count h));
-                  ("sum_ns", Json.Float (Histogram.sum_ns h));
-                  ("max_ns", Json.Float (Histogram.max_ns h));
-                  ( "buckets",
-                    Json.List
-                      (List.filter_map
-                         (fun (b, c) ->
-                           if b = infinity then
-                             Some (Json.List [ Json.String "inf"; Json.Int c ])
-                           else Some (Json.List [ Json.Float b; Json.Int c ]))
-                         (Histogram.buckets h)) );
-                ] ))
-      (Histogram.all ())
-  in
-  let spans = List.map span_to_json (spans ()) in
-  Json.Obj
-    [
-      ("counters", Json.Obj counters);
-      ("gauges", Json.Obj gauges);
-      ("histograms", Json.Obj histograms);
-      ("spans", Json.List spans);
-    ]
+(* ------------------------------------------------------------------ *)
+(* Reporting                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let pp_report fmt () =
+  let { Snapshot.counters; gauges; histograms } = Snapshot.capture () in
+  Format.fprintf fmt "@[<v>=== Observability snapshot ===@,";
+  if counters = [] && histograms = [] then
+    Format.fprintf fmt "(no events recorded; is the layer enabled?)@,"
+  else begin
+    if counters <> [] then begin
+      Format.fprintf fmt "counters:@,";
+      List.iter (fun (n, v) -> Format.fprintf fmt "  %-48s %10d@," n v) counters
+    end;
+    if gauges <> [] then begin
+      Format.fprintf fmt "gauges:@,";
+      List.iter
+        (fun (n, v) ->
+          if Float.is_integer v && Float.abs v < 1e15 then
+            Format.fprintf fmt "  %-48s %10.0f@," n v
+          else Format.fprintf fmt "  %-48s %10.2f@," n v)
+        gauges
+    end;
+    if histograms <> [] then begin
+      Format.fprintf fmt "latencies (per span path):@,";
+      List.iter
+        (fun (n, (h : Snapshot.hist)) ->
+          Format.fprintf fmt "  %-48s n=%-6d total=%a mean=%a max=%a@," n
+            h.count pp_duration h.sum_ns pp_duration (Snapshot.mean_ns h)
+            pp_duration h.max_ns)
+        histograms
+    end
+  end;
+  Format.fprintf fmt "@]"

@@ -2,6 +2,13 @@
     and hierarchical spans with pluggable sinks, plus pull-based
     Prometheus/OpenMetrics exposition.
 
+    One registry implementation serves all three metric kinds, each
+    with its own table and label budget. {!Snapshot.capture} is the
+    one reader of every series' value (the report, bench snapshots and
+    the [/metrics] endpoint all render a capture), and a completed span
+    reaches consumers only through the installed {!sink}: nothing is
+    buffered.
+
     The registry is global and zero-dependency (monotonic-ish time via a
     pluggable clock, [Unix.gettimeofday] by default). Instrumented code
     pays a single [if enabled] branch per event while the layer is
@@ -44,8 +51,8 @@ val now : unit -> float
 
 val reset : unit -> unit
 (** Zero every counter, histogram and pushed gauge, drop dynamically
-    created labeled series, drop recorded spans (and the overflow
-    count, sequence counter and open-span stack) and re-anchor the span
+    created labeled series and their label budgets, restart the span
+    sequence counter, clear the open-span stack and re-anchor the span
     start-offset origin. Zero-label metric registrations, gauge
     collectors, sinks, subscribers and the enabled state are kept. *)
 
@@ -200,36 +207,27 @@ end
 val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a span. While disabled this is
     exactly [f ()]. While enabled the span nests under the innermost
-    open span, its duration is recorded (also into a histogram named by
-    the span path) and it is forwarded to the current sink — including
-    when [f] raises. *)
-
-val spans : unit -> Span.t list
-(** Completed spans since the last {!reset}, in completion order. The
-    buffer is capped; [dropped_spans] counts the overflow. *)
+    open span, its duration is recorded into a histogram named by the
+    span path, and the span is forwarded to the current sink — including
+    when [f] raises. The sink is the only consumer of completed spans. *)
 
 val current_path : unit -> string
 (** The dotted path of the innermost open span, or [""] when no span is
     open (or the layer is disabled). Used by the flight recorder to
     correlate events with span latencies. *)
 
-val dropped_spans : unit -> int
-
-(** Where completed spans are streamed. *)
+(** Where completed spans go: [--trace] installs {!text_sink} and a
+    recording installs [Telemetry.span_sink], which mirrors each span
+    into the event log. *)
 type sink = { on_span : Span.t -> unit }
 
 val silent : sink
-(** The default: spans are recorded in the buffer but not streamed. *)
+(** The default: completed spans feed their histograms and go nowhere
+    else. *)
 
 val text_sink : Format.formatter -> sink
 (** One indented line per span as it completes (children close before
     their parents, as in any close-order trace). *)
-
-val jsonl_sink : out_channel -> sink
-(** One compact JSON object per line per span (JSONL), streamed to a
-    channel and flushed after every span, so long runs spill to disk
-    instead of growing an unbounded buffer and a crash loses at most
-    the open spans. *)
 
 val tee : sink -> sink -> sink
 (** [tee a b] forwards each span to [a] then [b]. *)
@@ -245,13 +243,9 @@ val pp_duration : Format.formatter -> float -> unit
 (** Nanoseconds rendered with a human unit (ns/us/ms/s). *)
 
 val pp_report : Format.formatter -> unit -> unit
-(** The full snapshot: every non-zero counter, every gauge, then
-    per-span-path latency aggregates (count, total, mean, max), then
-    any other non-empty histogram. *)
-
-val to_json : unit -> Json.t
-(** The same snapshot as a JSON object: [{"counters": {...},
-    "gauges": {...}, "histograms": {...}, "spans": [...]}]. *)
+(** Renders {!Snapshot.capture}: every non-zero counter, every gauge,
+    then every non-empty histogram (span paths and explicit histograms
+    alike) with its count, total, mean and max. *)
 
 val help_index : unit -> (string * string) list
 (** Base metric name -> help text for every registered family that
@@ -280,10 +274,8 @@ module Snapshot : sig
 
   val capture : unit -> t
   (** Freeze every non-zero counter, every gauge (collectors sampled
-      now) and every non-empty histogram, merging per-domain shards. *)
-
-  val take : unit -> t
-  (** Alias of {!capture} (the pre-sharding name). *)
+      now) and every non-empty histogram, merging per-domain shards.
+      {!pp_report} renders one. *)
 
   val mean_ns : hist -> float
 

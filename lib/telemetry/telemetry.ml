@@ -214,19 +214,20 @@ let span_sink () =
             ]));
   }
 
-let parse_events src =
+(* Tolerant parsing skips a malformed FINAL line only: a crashed or
+   still-running recorder leaves at most one truncated line at the end
+   of the file, while garbage earlier in the log means the file is not
+   a recording and is rejected loudly. *)
+let parse_events ?(tolerant = false) src =
+  let blank l = String.trim l = "" in
   let rec go lineno acc = function
     | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) acc rest
-        else
-          let err m = Error (Printf.sprintf "line %d: %s" lineno m) in
-          (match Json.parse line with
-          | Error m -> err m
-          | Ok j -> (
-              match Event.of_json j with
-              | Error m -> err m
-              | Ok e -> go (lineno + 1) (e :: acc) rest))
+    | line :: rest when blank line -> go (lineno + 1) acc rest
+    | line :: rest -> (
+        match Result.bind (Json.parse line) Event.of_json with
+        | Ok e -> go (lineno + 1) (e :: acc) rest
+        | Error _ when tolerant && List.for_all blank rest -> Ok (List.rev acc)
+        | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
   in
   go 1 [] (String.split_on_char '\n' src)
 

@@ -85,8 +85,13 @@ val span_sink : unit -> Obs.sink
     tree for [clarify trace export]. Install with [Obs.add_sink].
     Replay filters these events out: span timings are wall-clock. *)
 
-val parse_events : string -> (Event.t list, string) result
-(** Parse a JSONL event log; blank lines are skipped. *)
+val parse_events : ?tolerant:bool -> string -> (Event.t list, string) result
+(** Parse a JSONL event log; blank lines are skipped and a malformed
+    line is an error ["line N: ..."]. [tolerant] (default [false], as
+    replay reads logs) additionally accepts a log whose {e final}
+    content line is truncated or malformed — a crashed or still-running
+    recorder — by dropping that line; garbage anywhere earlier is still
+    an error. *)
 
 val load_file : string -> (Event.t list, string) result
 

@@ -2,7 +2,8 @@
     input. The seeds are the configs the examples and E1 ship; each case
     applies 1-3 mutations to one of them: a deletion, a fragment
     insertion, or a number already there replaced by one at either side
-    of a field's width. *)
+    of a field's width. [mutate] and [mutated] serve the properties over
+    prompts and logs too, with their own seeds and fragments. *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -53,11 +54,19 @@ let mutate ~fragments ~numbers rng text =
           let rec stop b = if b < n && is_digit b then stop (b + 1) else b in
           put a (stop a) numbers.(Random.State.int rng (Array.length numbers)))
 
+(* [k] (1-3) mutations of a text from [gen], each drawn by [mutate]. *)
+let mutated gen mutate =
+  QCheck.Gen.(
+    gen >>= fun text ->
+    int_range 1 3 >>= fun k ->
+    fun rng ->
+      let text = ref text in
+      for _ = 1 to k do
+        text := mutate rng !text
+      done;
+      !text)
+
 let gen : string QCheck.Gen.t =
- fun rng ->
-  let seeds = Lazy.force seeds in
-  let text = ref seeds.(Random.State.int rng (Array.length seeds)) in
-  for _ = 1 to 1 + Random.State.int rng 3 do
-    text := mutate ~fragments ~numbers:splice_numbers rng !text
-  done;
-  !text
+  mutated
+    (fun rng -> QCheck.Gen.oneofa (Lazy.force seeds) rng)
+    (mutate ~fragments ~numbers:splice_numbers)

@@ -187,18 +187,15 @@ let parse_port_spec ln toks =
   | _ -> (Acl.Any_port, toks)
 
 let parse_acl_rule ln st name toks =
+  (* Auto-sequence: 10 past the highest existing. *)
+  let highest = Hashtbl.find_opt st.acl_auto_seq name in
   let seq, toks =
     match toks with
     | s :: rest when int_of_string_opt s <> None -> (int_of_string s, rest)
-    | _ ->
-        let next =
-          match Hashtbl.find_opt st.acl_auto_seq name with
-          | Some n -> n + 10
-          | None -> 10
-        in
-        (next, toks)
+    | _ -> ((match highest with Some h -> h + 10 | None -> 10), toks)
   in
-  Hashtbl.replace st.acl_auto_seq name seq;
+  Hashtbl.replace st.acl_auto_seq name
+    (match highest with Some h -> max h seq | None -> seq);
   match toks with
   | act :: proto :: rest ->
       let action = action_arg ln act in

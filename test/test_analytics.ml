@@ -1,8 +1,8 @@
 (* Tests for lib/analytics: session loading (including tolerant
    recovery of truncated logs), the Figure-4 report aggregator checked
    against both the events themselves and the committed golden, and
-   Chrome-trace export re-parsed from its JSON text with the span
-   nesting validated event by event. *)
+   the Chrome-trace writer's output re-parsed from its JSON text with
+   the span nesting validated event by event. *)
 
 module S = Analytics.Session
 module Rp = Analytics.Report
@@ -278,19 +278,31 @@ let contains_interval p c =
 
 let overlaps a b = a.ts < b.ts +. b.dur && b.ts < a.ts +. a.dur
 
-(* The acceptance criterion: export the golden fixture, re-parse the
-   JSON text, and check the complete ("X") events nest properly within
-   each pid/tid lane — no partial overlap, and every child interval
-   lies inside a parent interval one level up. *)
-let test_trace_export_reparses_and_nests () =
-  let s = load_fixture () in
-  let trace = T.of_events ~process:s.S.name s.S.events in
-  let text = Json.to_string ~indent:1 trace in
-  let j =
-    match Json.parse text with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "trace JSON does not re-parse: %s" m
+(* Feed [events] to the trace writer, as [clarify trace export] does,
+   and re-parse the JSON text it wrote. *)
+let export ?process events =
+  let path = Filename.temp_file "analytics_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  let w = T.Writer.create ?process oc in
+  List.iter (T.Writer.event w) events;
+  T.Writer.close w;
+  close_out oc;
+  match Json.parse (read_file path) with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "trace JSON does not re-parse: %s" m
+
+(* Export each golden fixture, re-parse the JSON text, and check the
+   complete ("X") events nest properly within each pid/tid lane — no
+   partial overlap, and every child interval lies inside a parent
+   interval one level up. *)
+let check_trace_nests path =
+  let s =
+    match S.load_file path with
+    | Ok s -> s
+    | Error m -> Alcotest.failf "cannot load %s: %s" path m
   in
+  let j = export ~process:s.S.name s.S.events in
   Alcotest.(check (option string))
     "display unit" (Some "ms")
     (Option.bind (Json.member "displayTimeUnit" j) Json.to_str);
@@ -340,7 +352,7 @@ let test_trace_export_reparses_and_nests () =
          Json.to_str (field "name" e) = Some "process_name"
          && Option.bind (Json.member "args" e) (Json.member "name")
             |> Option.map Json.to_str
-            |> Option.join = Some "acl_session")
+            |> Option.join = Some s.S.name)
        events);
   (* Nesting: group X events by lane and compare pairwise. *)
   let lanes = Hashtbl.create 4 in
@@ -391,6 +403,9 @@ let test_trace_export_reparses_and_nests () =
         xs)
     lanes
 
+let test_trace_export_reparses_and_nests () =
+  List.iter check_trace_nests [ fixture; "../examples/batch_session.jsonl" ]
+
 (* Pre-timestamp logs (ts_ns = 0 everywhere) still export: instants
    fall back to sequence numbers, one microsecond apart. *)
 let test_trace_export_legacy_log () =
@@ -402,7 +417,7 @@ let test_trace_export_legacy_log () =
         else Some { e with E.ts_ns = 0.; E.ctx = [] })
       s.S.events
   in
-  let j = T.of_events stripped in
+  let j = export stripped in
   let events =
     Option.get (Option.bind (Json.member "traceEvents" j) Json.to_list)
   in
@@ -416,25 +431,6 @@ let test_trace_export_legacy_log () =
   in
   check_bool "fallback timestamps strictly increase" true
     (List.for_all2 ( < ) ts (List.tl ts @ [ infinity ]))
-
-(* Live span buffers export without any recording. *)
-let test_trace_of_spans () =
-  Obs.enable ();
-  Obs.reset ();
-  Fun.protect ~finally:Obs.disable @@ fun () ->
-  Obs.with_span "outer" (fun () -> Obs.with_span "inner" (fun () -> ()));
-  let j = T.of_spans ~process:"live" (Obs.spans ()) in
-  let events =
-    Option.get (Option.bind (Json.member "traceEvents" j) Json.to_list)
-  in
-  let xs =
-    List.filter (fun e -> Json.to_str (field "ph" e) = Some "X") events
-  in
-  check_int "one X event per span" 2 (List.length xs);
-  check_bool "span names survive" true
-    (List.exists
-       (fun e -> Json.to_str (field "name" e) = Some "outer.inner")
-       xs)
 
 let () =
   Alcotest.run "analytics"
@@ -464,6 +460,5 @@ let () =
             test_trace_export_reparses_and_nests;
           Alcotest.test_case "legacy log fallback" `Quick
             test_trace_export_legacy_log;
-          Alcotest.test_case "live span buffer" `Quick test_trace_of_spans;
         ] );
     ]

@@ -76,6 +76,17 @@ access-list 101 deny ip any any
   let acl = Option.get (Database.acl d "101") in
   check_int "two rules" 2 (List.length acl.Acl.rules)
 
+(* An unnumbered rule takes 10 past the highest sequence number so far,
+   not past the previous rule's, as prefix-list entries do. *)
+let test_parse_acl_auto_seq_past_highest () =
+  let d = parse_ok "ip access-list extended A\n 20 permit ip any any\n 10 deny ip any any\n permit tcp any any\n" in
+  let acl = Option.get (Database.acl d "A") in
+  Alcotest.(check (list int))
+    "seqs" [ 10; 20; 30 ]
+    (List.map (fun (r : Acl.rule) -> r.seq) acl.Acl.rules);
+  check "the unnumbered rule is seq 30" true
+    ((List.nth acl.Acl.rules 2).protocol = Packet.Tcp)
+
 let test_parse_community_lists () =
   let d =
     parse_ok
@@ -1036,6 +1047,7 @@ let () =
           Alcotest.test_case "ISP_OUT structure" `Quick test_parse_structure;
           Alcotest.test_case "named ACL" `Quick test_parse_acl;
           Alcotest.test_case "numbered ACL" `Quick test_parse_numbered_acl;
+          Alcotest.test_case "ACL auto seq" `Quick test_parse_acl_auto_seq_past_highest;
           Alcotest.test_case "community lists" `Quick test_parse_community_lists;
           Alcotest.test_case "rejects malformed input" `Quick test_parse_errors;
           Alcotest.test_case "bounded numbers" `Quick test_parse_bounded_numbers;

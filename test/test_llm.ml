@@ -381,18 +381,6 @@ let gen_prompt =
         (1, oneofl shipped_prompts);
       ])
 
-(* [k] (1-3) mutations of a prompt from [gen], each drawn by [mutate]. *)
-let mutated gen mutate =
-  QCheck.Gen.(
-    gen >>= fun prompt ->
-    int_range 1 3 >>= fun k ->
-    fun rng ->
-      let text = ref prompt in
-      for _ = 1 to k do
-        text := mutate rng !text
-      done;
-      !text)
-
 let put text at middle =
   String.sub text 0 at ^ middle ^ String.sub text at (String.length text - at)
 
@@ -476,8 +464,10 @@ let out_of_range = function
         ]
       || List.exists
            (function
-             | Route_map.Set_metric n | Route_map.Set_local_pref n | Route_map.Set_tag n ->
+             | Route_map.Set_metric n | Route_map.Set_local_pref n | Route_map.Set_tag n
+             | Route_map.Set_weight n ->
                  bad n
+             | Route_map.Set_as_path_prepend asns -> List.exists bad asns
              | _ -> false)
            i.I.sets
 
@@ -485,7 +475,9 @@ let prop_same_as_reference =
   QCheck.Test.make ~name:"words, classify and parse read prompts as the reference"
     ~count:20_000
     (QCheck.make ~print:(Printf.sprintf "%S")
-       (mutated (QCheck.Gen.frequency [ (4, gen_prompt); (1, gen_soup) ]) text_mutation))
+       (Config_mutations.mutated
+          (QCheck.Gen.frequency [ (4, gen_prompt); (1, gen_soup) ])
+          text_mutation))
     (fun prompt ->
       let words = Llm.Nl_parser.words prompt and words' = Ref.words prompt in
       if words <> words' then
@@ -543,6 +535,10 @@ let test_range_errors () =
     (rm_error "Permit routes with tag -1.");
   check_msg "origin AS" "AS -65535 is out of range 0-4294967295"
     (rm_error "Deny routes originating from AS -65535.");
+  check_msg "set weight" "weight -1 is out of range 0-4294967295"
+    (rm_error "Permit routes. Their weight should be set to -1.");
+  check_msg "prepended AS" "AS -1 is out of range 0-4294967295"
+    (rm_error "Permit routes. The AS path should be prepended with 65000 -1.");
   check "edges are in range" true
     (Result.is_ok
        (Llm.Nl_parser.parse_route_map
@@ -558,7 +554,8 @@ let demo_db =
 let prop_mutated_intents =
   QCheck.Test.make ~name:"mutated intents give Ok or Error, never an exception"
     ~count:20_000
-    (QCheck.make ~print:(Printf.sprintf "%S") (mutated gen_prompt intent_mutation))
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (Config_mutations.mutated gen_prompt intent_mutation))
     (fun prompt ->
       let db = Lazy.force demo_db and max_attempts = Clarify.Pipeline.default_max_attempts in
       let raises what f =

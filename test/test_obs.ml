@@ -13,18 +13,30 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* Every test starts from a clean enabled registry and leaves the layer
-   disabled, so test order cannot matter. *)
+   disabled with the silent sink, so test order cannot matter. *)
 let with_obs f () =
   Obs.enable ();
   Obs.reset ();
-  Fun.protect ~finally:Obs.disable f
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink Obs.silent;
+      Obs.disable ())
+    f
 
 let counter_value name =
   match Obs.Counter.find name with
   | Some c -> Obs.Counter.value c
   | None -> Alcotest.failf "counter %s is not registered" name
 
-let span_paths () = List.map (fun s -> s.Obs.Span.path) (Obs.spans ())
+(* Spans reach consumers only through the sink: install one that
+   collects every completed span; the thunk returns them in completion
+   order. *)
+let collect_spans () =
+  let acc = ref [] in
+  Obs.set_sink { Obs.on_span = (fun s -> acc := s :: !acc) };
+  fun () -> List.rev !acc
+
+let span_paths spans = List.map (fun s -> s.Obs.Span.path) (spans ())
 
 (* ------------------------------------------------------------------ *)
 (* Primitives                                                         *)
@@ -59,12 +71,13 @@ let test_histogram_basics =
 
 let test_spans_nest =
   with_obs @@ fun () ->
+  let spans = collect_spans () in
   let r =
     Obs.with_span "outer" (fun () ->
         Obs.with_span "inner" (fun () -> 21) * 2)
   in
   check_int "value passes through" 42 r;
-  (match Obs.spans () with
+  (match spans () with
   | [ inner; outer ] ->
       Alcotest.(check string) "inner path" "outer.inner" inner.Obs.Span.path;
       check_int "inner depth" 1 inner.Obs.Span.depth;
@@ -79,14 +92,16 @@ let test_spans_nest =
   | None -> Alcotest.fail "no histogram for span path");
   (* A raising body still closes its span. *)
   (try Obs.with_span "outer" (fun () -> failwith "boom") with Failure _ -> ());
-  check_int "span recorded on raise" 3 (List.length (Obs.spans ()))
+  check_int "span recorded on raise" 3 (List.length (spans ()))
 
 let test_disabled_is_passthrough () =
   Obs.disable ();
   Obs.reset ();
+  let spans = collect_spans () in
+  Fun.protect ~finally:(fun () -> Obs.set_sink Obs.silent) @@ fun () ->
   let r = Obs.with_span "ghost" (fun () -> 7) in
   check_int "value passes through" 7 r;
-  check_int "no spans recorded" 0 (List.length (Obs.spans ()))
+  check_int "no spans recorded" 0 (List.length (spans ()))
 
 let test_sinks =
   with_obs @@ fun () ->
@@ -137,29 +152,6 @@ let test_histogram_bucket_edges =
     cum;
   Alcotest.(check (float 0.)) "max" 2e10 (Obs.Histogram.max_ns h)
 
-let test_jsonl_sink =
-  with_obs @@ fun () ->
-  let path = Filename.temp_file "obs_spans" ".jsonl" in
-  let oc = open_out path in
-  Obs.set_sink (Obs.jsonl_sink oc);
-  Obs.with_span "streamed" (fun () -> Obs.with_span "inner" (fun () -> ()));
-  Obs.set_sink Obs.silent;
-  close_out oc;
-  let ic = open_in path in
-  let lines = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  let parsed =
-    List.filter_map
-      (fun l -> if String.trim l = "" then None else Some (Json.parse_exn l))
-      (String.split_on_char '\n' lines)
-  in
-  check_int "one line per span" 2 (List.length parsed);
-  Alcotest.(check (option string))
-    "first line is the inner span (children close first)"
-    (Some "streamed.inner")
-    (Option.bind (Json.member "path" (List.hd parsed)) Json.to_str)
-
 let test_current_path =
   with_obs @@ fun () ->
   Alcotest.(check string) "empty outside spans" "" (Obs.current_path ());
@@ -175,7 +167,7 @@ let test_snapshot_roundtrip =
   (* Edge values exercise every bucket including +inf in the buckets
      list, whose bound must survive the "inf" JSON encoding. *)
   List.iter (Obs.Histogram.observe_ns h) [ 1e3; 5e5; 2e10; 123.456 ];
-  let snap = Obs.Snapshot.take () in
+  let snap = Obs.Snapshot.capture () in
   let json_text = Json.to_string (Obs.Snapshot.to_json snap) in
   (match Result.bind (Json.parse json_text) Obs.Snapshot.of_json with
   | Error m -> Alcotest.failf "snapshot does not round-trip: %s" m
@@ -262,7 +254,7 @@ let test_labeled_snapshot_roundtrip =
   (* 2e10 lands beyond the last finite bound: the +inf bucket must
      survive to_json/of_json via the "inf" string encoding. *)
   List.iter (Obs.Histogram.observe_ns h) [ 1e3; 2e10 ];
-  let snap = Obs.Snapshot.take () in
+  let snap = Obs.Snapshot.capture () in
   check_bool "labeled counter snapshotted under its full name" true
     (List.mem_assoc
        (Obs.Labels.full_name "test.lsr.calls" [ ("endpoint", "classify") ])
@@ -288,9 +280,9 @@ let test_labeled_snapshot_roundtrip =
       check_bool "inf bound decoded" true (inf_bound = infinity);
       check_int "overflow observation survives" 2 inf_count)
 
-(* Satellite audit: Obs.reset clears *every* piece of mutable state, so
-   two back-to-back identical runs — under a deterministic clock —
-   produce identical snapshots and identical span buffers. *)
+(* Obs.reset clears *every* piece of mutable state, so two back-to-back
+   identical runs — under a deterministic clock — produce identical
+   snapshots and identical spans (sequence numbers included). *)
 let test_reset_determinism () =
   Obs.enable ();
   (* Whole-second ticks: small-integer differences are exact in
@@ -303,10 +295,12 @@ let test_reset_determinism () =
   Fun.protect
     ~finally:(fun () ->
       Obs.set_clock Unix.gettimeofday;
+      Obs.set_sink Obs.silent;
       Obs.disable ())
     (fun () ->
       let workload () =
         Obs.reset ();
+        let spans = collect_spans () in
         Obs.Counter.incr ~by:2 (Obs.Counter.make "test.det.plain");
         Obs.Counter.incr
           (Obs.Counter.labeled "test.det.lab" [ ("router", "R1") ]);
@@ -315,7 +309,7 @@ let test_reset_determinism () =
             Obs.with_span "det.inner" (fun () -> ()));
         (try Obs.with_span "det.raising" (fun () -> failwith "boom")
          with Failure _ -> ());
-        ( Obs.Snapshot.take (),
+        ( Obs.Snapshot.capture (),
           List.map
             (fun s ->
               ( s.Obs.Span.path,
@@ -323,85 +317,33 @@ let test_reset_determinism () =
                 s.Obs.Span.seq,
                 s.Obs.Span.start_ns,
                 s.Obs.Span.duration_ns ))
-            (Obs.spans ()) )
+            (spans ()) )
       in
       let snap1, spans1 = workload () in
       let snap2, spans2 = workload () in
       check_bool "snapshots identical across runs" true
         (Obs.Snapshot.equal snap1 snap2);
-      check_bool "span buffers identical across runs" true (spans1 = spans2);
+      check_bool "spans identical across runs" true (spans1 = spans2);
       check_bool "runs actually recorded spans" true (spans1 <> []))
 
-(* A crash can cut the jsonl stream anywhere, but because the sink
-   flushes line by line, every line before the cut stays valid JSON:
-   the damage is confined to at most the final line. *)
-let test_jsonl_sink_partial_write =
-  with_obs @@ fun () ->
-  let path = Filename.temp_file "obs_partial" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      Obs.set_sink (Obs.jsonl_sink oc);
-      Obs.with_span "p1" (fun () -> ());
-      (* The line is flushed before the next span even starts: a reader
-         sees it complete while the channel is still open. *)
-      let flushed_early =
-        let ic = open_in path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        String.length s > 0 && s.[String.length s - 1] = '\n'
-      in
-      check_bool "line flushed while channel open" true flushed_early;
-      Obs.with_span "p2" (fun () -> ());
-      Obs.with_span "p3" (fun () -> ());
-      Obs.set_sink Obs.silent;
-      close_out oc;
-      (* Simulate the crash: truncate mid final line. *)
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let content = really_input_string ic n in
-      close_in ic;
-      let cut = String.length content - 9 in
-      let oc = open_out path in
-      output_string oc (String.sub content 0 cut);
-      close_out oc;
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let damaged = really_input_string ic n in
-      close_in ic;
-      let lines = String.split_on_char '\n' damaged in
-      let complete, tail =
-        match List.rev lines with
-        | last :: rest -> (List.rev rest, last)
-        | [] -> ([], "")
-      in
-      check_int "two complete lines survive" 2 (List.length complete);
-      List.iter
-        (fun l ->
-          match Json.parse l with
-          | Ok j ->
-              check_bool "line has a span path" true
-                (Json.member "path" j <> None)
-          | Error m -> Alcotest.failf "surviving line damaged: %s" m)
-        complete;
-      check_bool "only the cut line is damaged" true
-        (Result.is_error (Json.parse tail)))
-
+(* The registry's JSON is the snapshot's: a counter and the latency
+   histogram of a span, while the span itself reaches only the sink. *)
 let test_snapshot_json =
   with_obs @@ fun () ->
+  let spans = collect_spans () in
   Obs.Counter.incr ~by:3 (Obs.Counter.make "test.snapshot.events");
   Obs.with_span "snap" (fun () -> ());
-  let j = Obs.to_json () in
+  let j = Obs.Snapshot.to_json (Obs.Snapshot.capture ()) in
+  let member path =
+    List.fold_left (fun j name -> Option.bind j (Json.member name)) (Some j) path
+  in
   Alcotest.(check (option int))
     "counter in snapshot" (Some 3)
-    (Option.bind
-       (Option.bind (Json.member "counters" j)
-          (Json.member "test.snapshot.events"))
-       Json.to_int);
-  let spans = Option.bind (Json.member "spans" j) Json.to_list in
-  check_int "span in snapshot" 1 (List.length (Option.get spans))
+    (Option.bind (member [ "counters"; "test.snapshot.events" ]) Json.to_int);
+  Alcotest.(check (option int))
+    "span latency in snapshot" (Some 1)
+    (Option.bind (member [ "histograms"; "snap"; "count" ]) Json.to_int);
+  check_int "span in sink" 1 (List.length (spans ()))
 
 (* ------------------------------------------------------------------ *)
 (* Gauges                                                             *)
@@ -731,8 +673,9 @@ let route_map_stage_spans =
 
 let test_pipeline_emits_stage_spans =
   with_obs @@ fun () ->
+  let spans = collect_spans () in
   let _report = run_e1 () in
-  let paths = span_paths () in
+  let paths = span_paths spans in
   List.iter
     (fun stage ->
       check_bool ("span " ^ stage) true (List.mem stage paths))
@@ -806,6 +749,7 @@ let fw_config =
 
 let test_acl_pipeline_spans_and_counters =
   with_obs @@ fun () ->
+  let spans = collect_spans () in
   let llm = Llm.Mock_llm.create () in
   let report =
     match
@@ -821,7 +765,7 @@ let test_acl_pipeline_spans_and_counters =
     | Ok report -> report
     | Error e -> Alcotest.failf "pipeline: %s" (P.error_to_string e)
   in
-  let paths = span_paths () in
+  let paths = span_paths spans in
   List.iter
     (fun stage -> check_bool ("span " ^ stage) true (List.mem stage paths))
     [
@@ -848,8 +792,10 @@ let test_acl_pipeline_spans_and_counters =
 let test_disabled_pipeline_records_nothing () =
   Obs.disable ();
   Obs.reset ();
+  let spans = collect_spans () in
+  Fun.protect ~finally:(fun () -> Obs.set_sink Obs.silent) @@ fun () ->
   let _report = run_e1 () in
-  check_int "no spans" 0 (List.length (Obs.spans ()));
+  check_int "no spans" 0 (List.length (spans ()));
   check_int "no counters"
     0
     (counter_value "pipeline.runs" + counter_value "llm.calls.synthesize")
@@ -891,7 +837,6 @@ let () =
             test_default_clock_sees_sleep;
           Alcotest.test_case "histogram bucket edges" `Quick
             test_histogram_bucket_edges;
-          Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
           Alcotest.test_case "current path" `Quick test_current_path;
           Alcotest.test_case "snapshot round-trip" `Quick
             test_snapshot_roundtrip;
@@ -904,8 +849,6 @@ let () =
             test_labeled_snapshot_roundtrip;
           Alcotest.test_case "reset determinism" `Quick
             test_reset_determinism;
-          Alcotest.test_case "jsonl sink partial write" `Quick
-            test_jsonl_sink_partial_write;
         ] );
       ( "gauges",
         [

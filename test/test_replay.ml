@@ -266,6 +266,80 @@ let test_golden_fixture_matches_live_pipeline () =
     (Config.Parser.to_string report.P.db);
   check_int "placement position" 1 report.P.position
 
+(* ------------------------------------------------------------------ *)
+(* Mutated logs and bench snapshots: located errors, never exceptions *)
+(* ------------------------------------------------------------------ *)
+
+(* The structure of an event line or a bench snapshot, and the keys and
+   values its readers look up, for [Config_mutations.mutate] to insert. *)
+let json_fragments =
+  [|
+    "\n"; " "; "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "null"; "true";
+    "false"; "-"; "."; "e"; "\"seq\":"; "\"kind\":"; "\"span\":"; "\"ts_ns\":";
+    "\"data\":{}"; "\"ctx\":{\"router\":\"R1\"}"; "\"kind\":\"span\"";
+    "\"kind\":\"question\""; "\"answer\":\"old\""; "\"ok\":false";
+    "\"mode\":\"linear\""; "\"pipeline\":\"batch\""; "\"items\":[]";
+    "\"counters\":"; "\"gauges\":"; "\"histograms\":"; "\"buckets\":[[\"inf\",1]]";
+    "\"schema\":\"clarify-bench/1\""; "\"domains\":";
+  |]
+
+let json_numbers =
+  Array.append Config_mutations.splice_numbers [| "-1"; "0.5"; "1e308"; "1e999" |]
+
+let mutated seeds =
+  Config_mutations.mutated
+    (fun rng -> QCheck.Gen.oneofa (Lazy.force seeds) rng)
+    (Config_mutations.mutate ~fragments:json_fragments ~numbers:json_numbers)
+
+let raises what f =
+  match f () with
+  | _ -> false
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+let log_seeds =
+  lazy
+    (Array.map Config_mutations.read_file
+       [| "../examples/acl_session.jsonl"; "../examples/batch_session.jsonl" |])
+
+let prop_mutated_logs =
+  QCheck.Test.make ~name:"mutated logs give Ok or Error, never an exception" ~count:2_000
+    (QCheck.make ~print:(Printf.sprintf "%S") (mutated log_seeds))
+    (fun text ->
+      let path = Filename.temp_file "mutated_log" ".jsonl" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      not
+        (raises "parse_events and replay" (fun () ->
+             Result.map R.run_events (Telemetry.parse_events text))
+        || raises "Session.load_file" (fun () ->
+               Analytics.Session.load_file ~tolerant:true path)
+        || raises "Stream.fold_file" (fun () -> Analytics.Stream.fold_file path)))
+
+(* A snapshot holding every kind of series, a labeled one and the
+   "inf" bucket bound, as [bench/main.exe --json] writes it. *)
+let bench_seeds =
+  lazy
+    (Obs.enable ();
+     Obs.reset ();
+     Fun.protect ~finally:Obs.disable @@ fun () ->
+     Obs.Counter.incr ~by:3 (Obs.Counter.labeled "test.mut.calls" [ ("k", "v") ]);
+     Obs.Gauge.set (Obs.Gauge.make "test.mut.depth") 4.5;
+     List.iter (Obs.Histogram.observe_ns (Obs.Histogram.make "test.mut.lat")) [ 500.; 2e10 ];
+     let snapshot = Obs.Snapshot.capture () in
+     let bench =
+       {
+         Telemetry.Bench.domains = 1;
+         experiments = [ ("E1", { Telemetry.Bench.snapshot; events = 7 }) ];
+         benchmarks = [ ("llm/classify", 3200.5) ];
+       }
+     in
+     [| Json.to_string (Telemetry.Bench.to_json bench) |])
+
+let prop_mutated_bench =
+  QCheck.Test.make ~name:"mutated bench snapshots give Ok or Error" ~count:10_000
+    (QCheck.make ~print:(Printf.sprintf "%S") (mutated bench_seeds))
+    (fun text -> not (raises "Bench.of_string" (fun () -> Telemetry.Bench.of_string text)))
+
 let () =
   Alcotest.run "replay"
     [
@@ -292,5 +366,10 @@ let () =
             test_golden_fixture_matches_live_pipeline;
           Alcotest.test_case "batch session replays identically" `Quick
             test_golden_batch_fixture_replays;
+        ] );
+      ( "mutations",
+        [
+          QCheck_alcotest.to_alcotest prop_mutated_logs;
+          QCheck_alcotest.to_alcotest prop_mutated_bench;
         ] );
     ]

@@ -141,7 +141,7 @@ let sample_bench () =
   Obs.Counter.incr ~by:11 (Obs.Counter.make "test.bench.llm_calls");
   let h = Obs.Histogram.make "test.bench.verify" in
   List.iter (Obs.Histogram.observe_ns h) [ 1e6; 3e6 ];
-  let snapshot = Obs.Snapshot.take () in
+  let snapshot = Obs.Snapshot.capture () in
   Obs.disable ();
   {
     B.domains = 1;
