@@ -712,6 +712,12 @@ let run_batch_comparison () =
 (* Observability overhead: the sharded recording hot path             *)
 (* ------------------------------------------------------------------ *)
 
+(* The middle of an odd number of samples. *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
 (* The per-op cost of the sharded hot path (per-domain DLS shard, no
    lock), serial and with four domains hammering the same series; then
    the end-to-end cost of leaving the layer ON during the width-128
@@ -764,8 +770,8 @@ let run_obs_overhead () =
   Format.printf "histogram observe   sharded %6.1f ns/op  (serial)@."
     (per_op hist_ns iters);
   (* End to end: the width-128 incremental sweep with the layer off vs
-     on, interleaved min-of-25 to shed scheduler noise. Both sides run
-     once first to warm the manager's nodes and memos. *)
+     on, the median of 101 rounds. Both sides run once first to warm the
+     manager's nodes and memos. *)
   let db, target, stanza = ablation_scenario 128 in
   let sweep () =
     ignore
@@ -773,43 +779,58 @@ let run_obs_overhead () =
          stanza)
   in
   sweep ();
-  (* The sweep is now about a millisecond, so scheduler noise of the
-     same order would decide single rounds: 25 interleaved rounds keep
-     the 5% overhead gate from flaking (9 rounds spread from -6% to
-     +5% on a 2-core container, 25 rounds from -1% to +4%). One sweep
-     allocates just under one minor heap (259k of 262k words), so each
-     timed sweep starts from an empty one and collects nothing:
-     otherwise nearly every sweep would contain one collection, and
-     the min-of-25 would be decided by which side got the one sweep
-     without (at --jobs 4 a collection also stops the parked worker
-     domains). *)
-  let min_of = 25 in
-  let off = ref infinity and on = ref infinity in
-  for _ = 1 to min_of do
+  (* The sweep is about a millisecond, so scheduler noise of the same
+     order decides single rounds. Each round times both sides, the
+     first side alternating between rounds so neither always runs
+     second (on a warmer cache, or after a sibling process woke), and
+     each side reports its median: a minimum is decided by one lucky
+     round. On a 2-core container the overhead's interquartile range
+     over eight runs was 4.9 points at 25 rounds and 1.9 at 101, which
+     cost about 0.2 s. One sweep allocates just under one minor heap
+     (259k of 262k words), so each timed sweep starts from an empty one
+     and collects nothing: otherwise nearly every sweep would contain
+     one collection (at --jobs 4 a collection also stops the parked
+     worker domains). *)
+  let rounds = 101 in
+  let time_off () =
     Obs.disable ();
     Gc.minor ();
-    let (), t_off = wall_ns sweep in
+    snd (wall_ns sweep)
+  in
+  let time_on () =
     Obs.enable ();
     Obs.reset ();
     Gc.minor ();
-    let (), t_on = wall_ns sweep in
-    off := Float.min !off t_off;
-    on := Float.min !on t_on
+    snd (wall_ns sweep)
+  in
+  let offs = ref [] and ons = ref [] in
+  for round = 1 to rounds do
+    let t_off, t_on =
+      if round mod 2 = 1 then
+        let t_off = time_off () in
+        (t_off, time_on ())
+      else
+        let t_on = time_on () in
+        (time_off (), t_on)
+    in
+    offs := t_off :: !offs;
+    ons := t_on :: !ons
   done;
   Obs.reset ();
   Obs.disable ();
+  let off = median !offs and on = median !ons in
   Format.printf
-    "disambig w128       off %9.2f ms   on %9.2f ms   overhead %+.1f%%  (min \
-     of %d)@.@."
-    (!off /. 1e6) (!on /. 1e6)
-    ((!on -. !off) /. !off *. 100.)
-    min_of;
+    "disambig w128       off %9.2f ms   on %9.2f ms   overhead %+.1f%%  \
+     (median of %d, alternating order)@.@."
+    (off /. 1e6) (on /. 1e6)
+    ((on -. off) /. off *. 100.)
+    rounds;
   [
     ("obs/counter-incr", per_op sharded_ns iters);
     ("obs/counter-incr-contended", per_op sharded_par_ns (contenders * iters));
     ("obs/histogram-observe", per_op hist_ns iters);
-    ("obs/disambig-w128-off", !off);
-    ("obs/disambig-w128-on", !on);
+    ("obs/disambig-w128-off", off);
+    ("obs/disambig-w128-on", on);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -860,6 +881,20 @@ let run_fleet_scaling () =
 (* Scheduler skew: coarse fork-join chunks vs per-item claims         *)
 (* ------------------------------------------------------------------ *)
 
+(* The legs below compare schedules, so they need a core per domain:
+   with more domains than cores, domains time-share and the comparison
+   times the OS scheduler instead. Such a run prints why it skipped and
+   reports no keys. *)
+let oversubscribed title =
+  let d = Parallel.Pool.domains pool in
+  let cores = Domain.recommended_domain_count () in
+  if d <= cores then false
+  else begin
+    Format.printf "=== %s ===@.skipped: %d domains on %d cores@.@." title d
+      cores;
+    true
+  end
+
 (* 64 boundary-sweep scenarios, the first 8 at full width [w] and the
    remaining 56 at [w/8]: under the pre-scheduler one-contiguous-
    chunk-per-worker split (reconstructed here with a fat grain) the
@@ -869,10 +904,10 @@ let run_fleet_scaling () =
    [-steal] key names the per-item leg); results are asserted
    identical to the serial sweep on every timed attempt. *)
 let run_sched_skew () =
-  if Parallel.Pool.domains pool <= 1 then []
+  let title = "Scheduler skew: coarse chunks vs per-item claims" in
+  if Parallel.Pool.domains pool <= 1 || oversubscribed title then []
   else begin
-    Format.printf
-      "=== Scheduler skew: coarse chunks vs per-item claims ===@.";
+    Format.printf "=== %s ===@." title;
     let nscen = 64 and heavy = 8 in
     let timings = ref [] in
     List.iter
@@ -937,9 +972,10 @@ let run_sched_skew () =
    shared task cursor). CI holds the tail to <= 1.5: even the p99
    router costs at most 1.5x its undisturbed serial latency. *)
 let run_fleet_skew () =
-  if Parallel.Pool.domains pool <= 1 then []
+  let title = "Fleet skew: 5% of routers carry 10x stanzas" in
+  if Parallel.Pool.domains pool <= 1 || oversubscribed title then []
   else begin
-    Format.printf "=== Fleet skew: 5%% of routers carry 10x stanzas ===@.";
+    Format.printf "=== %s ===@." title;
     let routers = 256 in
     let skew = Some (routers / 20, 10) in
     let view (r : Evaluation.E5_fleet.result) =

@@ -482,11 +482,7 @@ let replay_cmd =
     Term.(const run $ log)
 
 (* ------------------------------------------------------------------ *)
-(* clarify obs diff                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* Experiments (shared by `clarify eval` and `clarify obs serve`)      *)
+(* Experiments (`clarify eval`)                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* e4 and e5 manage their own per-router logs; e1 records as one
@@ -546,6 +542,10 @@ let experiment_enum =
     ("e5", `E5);
     ("all", `All);
   ]
+
+(* ------------------------------------------------------------------ *)
+(* clarify obs diff                                                   *)
+(* ------------------------------------------------------------------ *)
 
 let obs_cmd =
   (* Plain strings, not Arg.file: a missing snapshot must exit 2 as the
@@ -612,199 +612,9 @@ let obs_cmd =
            ])
       Term.(const diff $ old_file $ new_file $ threshold $ all)
   in
-  let serve_cmd =
-    let port =
-      Arg.(
-        value & opt int 9217
-        & info [ "port"; "p" ] ~docv:"PORT"
-            ~doc:"TCP port for the /metrics endpoint (0 picks a free port).")
-    in
-    let host =
-      Arg.(
-        value
-        & opt string "127.0.0.1"
-        & info [ "host" ] ~docv:"IP"
-            ~doc:"Address to bind (an IP literal; default loopback).")
-    in
-    let which =
-      Arg.(
-        value
-        & pos 0 (enum (("idle", `Idle) :: experiment_enum)) `Idle
-        & info [] ~docv:"EXPERIMENT"
-            ~doc:
-              "Workload to run while serving: one of e1, e2, e3, e4, all, or \
-               idle (serve an empty registry until interrupted).")
-    in
-    let linger =
-      Arg.(
-        value & flag
-        & info [ "linger" ]
-            ~doc:
-              "Keep serving after the experiment finishes (until \
-               interrupted) instead of exiting; final counter totals and \
-               gauge samples stay scrapeable.")
-    in
-    let jobs =
-      Arg.(
-        value
-        & opt (some int) None
-        & info [ "jobs"; "j" ] ~docv:"N"
-            ~doc:
-              "Worker domains for the experiment's parallel sweeps \
-               (defaults to $(b,CLARIFY_JOBS), or 1).")
-    in
-    let serve port host which linger jobs =
-      Obs.enable ();
-      match Obs_serve.Server.start ~host ~port () with
-      | Error m ->
-          prerr_endline ("error: cannot serve metrics: " ^ m);
-          exit 2
-      | Ok server ->
-          (* stderr, so piping the experiment's stdout stays clean. *)
-          Printf.eprintf "serving OpenMetrics on http://%s:%d/metrics\n%!" host
-            (Obs_serve.Server.port server);
-          let pool = Parallel.Pool.create ?domains:jobs () in
-          (match which with
-          | `Idle -> ()
-          | (`E1 | `E2 | `E3 | `E4 | `E5 | `All) as w ->
-              run_experiments ~pool Format.std_formatter w);
-          if linger || which = `Idle then begin
-            Printf.eprintf "experiment done; still serving (Ctrl-C to stop)\n%!";
-            let rec forever () =
-              Unix.sleep 3600;
-              forever ()
-            in
-            forever ()
-          end
-          else Obs_serve.Server.stop server
-    in
-    Cmd.v
-      (Cmd.info "serve"
-         ~doc:
-           "Serve live metrics over HTTP while running an experiment: a \
-            background thread answers $(b,GET /metrics) with the \
-            Prometheus/OpenMetrics text rendering of a fresh snapshot \
-            (counters, latency histograms, runtime gauges). Pair with \
-            $(b,clarify top) or any Prometheus scraper."
-         ~exits:
-           [
-             Cmd.Exit.info 0 ~doc:"the experiment completed.";
-             Cmd.Exit.info 2 ~doc:"the endpoint could not be bound.";
-           ])
-      Term.(const serve $ port $ host $ which $ linger $ jobs)
-  in
   Cmd.group
-    (Cmd.info "obs"
-       ~doc:
-         "Observability: compare bench snapshots, serve live metrics.")
-    [ diff_cmd; serve_cmd ]
-
-(* ------------------------------------------------------------------ *)
-
-let top_cmd =
-  let port =
-    Arg.(
-      value & opt int 9217
-      & info [ "port"; "p" ] ~docv:"PORT"
-          ~doc:"Port of the $(b,clarify obs serve) endpoint to watch.")
-  in
-  let host =
-    Arg.(
-      value
-      & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"IP" ~doc:"Endpoint address (an IP literal).")
-  in
-  let interval =
-    Arg.(
-      value & opt float 2.0
-      & info [ "interval"; "i" ] ~docv:"SECONDS"
-          ~doc:"Seconds between scrapes (rates are computed per window).")
-  in
-  let samples =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "samples"; "n" ] ~docv:"N"
-          ~doc:"Render N frames, then exit (default: until interrupted).")
-  in
-  let fleet =
-    Arg.(
-      value & flag
-      & info [ "fleet" ]
-          ~doc:
-            "Prepend a fleet pane built from the e5 fleet gauges: router \
-             progress bar, pending/running/done counts, stragglers, \
-             per-router wall p50/p99 with completion rate and ETA, and \
-             fleet-wide question/token/cost totals.")
-  in
-  let run port host interval samples fleet =
-    let scrape () =
-      match Obs_serve.Scrape.fetch ~host ~port "/metrics" with
-      | Error e -> Error e
-      | Ok body -> (
-          match Obs_serve.Scrape.parse body with
-          | Error e -> Error ("bad exposition text: " ^ e)
-          | Ok s -> Ok (Obs_serve.Top.of_scrape ~at:(Unix.gettimeofday ()) s))
-    in
-    (* The first scrape must succeed — a refused connection here means
-       there is nothing to watch. Later failures are tolerated (the
-       serving process may be between experiments or briefly saturated)
-       up to a few in a row. *)
-    let first =
-      match scrape () with
-      | Ok s -> s
-      | Error e ->
-          Printf.eprintf "error: cannot scrape http://%s:%d/metrics: %s\n" host
-            port e;
-          exit 1
-    in
-    let clear = Unix.isatty Unix.stdout in
-    let rec loop prev rendered failures =
-      let finished =
-        match samples with Some n -> rendered >= n | None -> false
-      in
-      if not finished then begin
-        Unix.sleepf interval;
-        match scrape () with
-        | Error e ->
-            if failures + 1 >= 5 then begin
-              Printf.eprintf "error: %d scrapes failed in a row (%s)\n"
-                (failures + 1) e;
-              exit 1
-            end
-            else loop prev rendered (failures + 1)
-        | Ok cur ->
-            if clear then print_string "\x1b[2J\x1b[H";
-            (* Token pricing lives in the LLM layer; obs_serve takes it
-               as a closure so it never depends on that library. *)
-            let cost_of_tokens ~prompt ~completion =
-              Some
-                (Llm.Tokens.cost
-                   ~prompt_tokens:(int_of_float prompt)
-                   ~completion_tokens:(int_of_float completion))
-            in
-            print_string
-              (Obs_serve.Top.render ~fleet ~cost_of_tokens ~prev ~cur ());
-            flush stdout;
-            loop cur (rendered + 1) 0
-      end
-    in
-    loop first 0 0
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Watch a $(b,clarify obs serve) endpoint like top(1): scrape \
-          /metrics every interval and render counter rates, histogram \
-          p50/p99 latencies, per-domain worker utilization and runtime \
-          gauges over the last window."
-       ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"the requested number of frames rendered.";
-           Cmd.Exit.info 1
-             ~doc:"the first scrape failed, or five in a row did.";
-         ])
-    Term.(const run $ port $ host $ interval $ samples $ fleet)
+    (Cmd.info "obs" ~doc:"Observability: compare bench snapshots.")
+    [ diff_cmd ]
 
 (* ------------------------------------------------------------------ *)
 (* clarify trace                                                      *)
@@ -1092,7 +902,7 @@ let fleet_cmd =
       and running = ref 0
       and done_ = ref 0
       and errors = ref 0 in
-      let walls = ref [] in
+      let walls = ref [] and running_spans = ref [] in
       let questions = ref 0
       and tokens = ref 0
       and cost = ref 0. in
@@ -1122,6 +932,10 @@ let fleet_cmd =
                         ("done", pp_ms fl.wall_ns)
                     | _ ->
                         incr running;
+                        running_spans :=
+                          Analytics.Report.Acc.last_ts_ns
+                            (Analytics.Stream.file_acc f)
+                          :: !running_spans;
                         ("running", "-"))
               in
               let toks = stats.prompt_tokens + stats.completion_tokens in
@@ -1134,8 +948,26 @@ let fleet_cmd =
                 (Printf.sprintf "$%.4f" stats.cost_usd)
                 wall)
         nodes;
-      Printf.bprintf b "\npending %d  running %d  done %d/%d%s\n" !pending
-        !running !done_ (List.length nodes)
+      (* A running router is a straggler once its log spans more than
+         twice the mean wall of the done routers, and at least 100 ms so
+         a small fleet does not flap. The span runs to the log's last
+         event (each event's ts_ns is its offset from the router's
+         recorder start), so a router that has gone quiet counts only
+         once it writes again. Before any router is done there is no
+         baseline. *)
+      let stragglers =
+        match !walls with
+        | [] -> 0
+        | ws ->
+            let n = float_of_int (List.length ws) in
+            let threshold =
+              Float.max 1e8 (2. *. List.fold_left ( +. ) 0. ws /. n)
+            in
+            List.length (List.filter (fun t -> t > threshold) !running_spans)
+      in
+      Printf.bprintf b
+        "\npending %d  running %d  done %d/%d  stragglers %d%s\n" !pending
+        !running !done_ (List.length nodes) stragglers
         (if !errors > 0 then Printf.sprintf "  errors %d" !errors else "");
       (if !walls <> [] then
          let arr = Array.of_list !walls in
@@ -1168,8 +1000,11 @@ let fleet_cmd =
          ~doc:
            "Per-router fleet progress from a $(b,clarify eval e5) record \
             directory: phase (pending/running/done), stanzas placed vs \
-            planned, questions, token usage and wall time per router, with \
-            straggler percentiles — live with $(b,--follow). Reads the \
+            planned, questions, token usage and wall time per router, the \
+            count of stragglers (running routers whose log, up to its last \
+            event, already spans more than twice the mean wall of the done \
+            ones, and 100 ms; a router that has gone quiet counts once it \
+            writes again) and wall percentiles — live with $(b,--follow). Reads the \
             fleet.json manifest, so routers whose logs do not exist yet \
             show as pending."
          ~exits:
@@ -1375,7 +1210,6 @@ let () =
             batch_cmd;
             replay_cmd;
             obs_cmd;
-            top_cmd;
             trace_cmd;
             report_cmd;
             fleet_cmd;

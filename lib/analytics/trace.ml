@@ -33,11 +33,11 @@ module Writer = struct
     output_string oc "{\"traceEvents\": [\n";
     { oc; process; procs = []; threads = []; first = true; closed = false }
 
+  (* One compact event per line. *)
   let emit w j =
     if not w.first then output_string w.oc ",\n";
     w.first <- false;
-    output_string w.oc "  ";
-    output_string w.oc (Json.to_string j)
+    output_string w.oc (Json.to_string ~indent:0 j)
 
   let meta_event w ~name ~pid ?tid value =
     emit w

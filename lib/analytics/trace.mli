@@ -13,9 +13,9 @@
     back to their sequence number, one microsecond apart. *)
 
 (** The one trace renderer, streaming: events are written as they are
-    fed, so a log never has to fit in memory (pair with
-    {!Stream.iter_file}). Lane metadata is written at first sight of
-    each lane, just before the event that needed it. *)
+    fed, one compact event per line, so a log never has to fit in
+    memory (pair with {!Stream.iter_file}). Lane metadata is written at
+    first sight of each lane, just before the event that needed it. *)
 module Writer : sig
   type t
 

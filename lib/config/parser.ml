@@ -504,13 +504,21 @@ let community_list name entries =
         fail (List.find bad entries).at "community regex: %s" m)
 
 (* Each kind's groups go in reverse order of first appearance, as they
-   always have: that order decides which of two lists' errors is
-   reported, and the shape of the database's maps. Entries are checked
-   in source order. *)
+   always have: that order gives the database's maps their shape.
+   Entries are checked in source order. When several groups fail, the
+   error on the earliest line is reported, once every group is built. *)
 let finalize st =
+  let first_error = ref None in
   let add k f =
     List.fold_left
-      (fun m g -> Database.Smap.add g.name (f g) m)
+      (fun m g ->
+        match f g with
+        | v -> Database.Smap.add g.name v m
+        | exception (Syntax_error { line; _ } as e) ->
+            (match !first_error with
+            | Some (Syntax_error { line = l; _ }) when l <= line -> ()
+            | _ -> first_error := Some e);
+            m)
       Database.Smap.empty k.order
   in
   let prefix_lists =
@@ -551,6 +559,7 @@ let finalize st =
           ~seq:(fun ((r : Acl.rule), _) -> r.seq)
           ~line:snd Acl.make (List.rev_map fst g.items))
   in
+  Option.iter raise !first_error;
   { Database.prefix_lists; community_lists; as_path_lists; route_maps; acls }
 
 let parse_exn source =

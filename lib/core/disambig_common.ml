@@ -33,17 +33,16 @@ type family = {
 }
 
 let family ~subsystem ~prefix =
-  let counter name help = Obs.Counter.make (prefix ^ name) ~help in
-  let questions =
-    counter ".questions" "differential questions shown to the user"
-  in
-  let boundaries =
-    counter ".boundaries" "differing insertion boundaries (overlaps) found"
-  in
-  let probes =
-    counter ".binary_search.probes" "binary-search iterations (search depth)"
-  in
-  { subsystem; questions; boundaries; probes }
+  let counter name = Obs.Counter.make (prefix ^ name) in
+  {
+    subsystem;
+    (* differential questions shown to the user *)
+    questions = counter ".questions";
+    (* differing insertion boundaries (overlaps) found *)
+    boundaries = counter ".boundaries";
+    (* binary-search iterations (search depth) *)
+    probes = counter ".binary_search.probes";
+  }
 
 (* What every question looks like to the flight recorder: where the
    boundary is, the differential example, and the two behaviours the

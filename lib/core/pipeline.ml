@@ -89,27 +89,20 @@ let emit_session_end ~final_config result =
 
 (* Observability (see DESIGN.md §Observability for the naming scheme).
    Stage latencies are recorded automatically by the spans below. *)
-let runs_counter =
-  Obs.Counter.make "pipeline.runs" ~help:"end-to-end pipeline invocations"
+let runs_counter = Obs.Counter.make "pipeline.runs"
+let errors_counter = Obs.Counter.make "pipeline.errors"
 
-let errors_counter =
-  Obs.Counter.make "pipeline.errors" ~help:"pipeline runs ending in an error"
+(* LLM calls consumed by pipeline runs, all endpoints. *)
+let llm_calls_counter = Obs.Counter.make "pipeline.llm_calls"
 
-let llm_calls_counter =
-  Obs.Counter.make "pipeline.llm_calls"
-    ~help:"LLM calls consumed by pipeline runs (all endpoints)"
+(* At least one per run. *)
+let attempts_counter = Obs.Counter.make "pipeline.synthesis_attempts"
 
-let attempts_counter =
-  Obs.Counter.make "pipeline.synthesis_attempts"
-    ~help:"synthesis attempts (>=1 per run)"
+(* Verifier invocations on parsed candidate snippets. *)
+let verification_counter = Obs.Counter.make "pipeline.verification_attempts"
 
-let verification_counter =
-  Obs.Counter.make "pipeline.verification_attempts"
-    ~help:"verifier invocations on parsed candidate snippets"
-
-let cex_loops_counter =
-  Obs.Counter.make "pipeline.counterexample_loops"
-    ~help:"failed attempts fed back to the LLM as counterexamples"
+(* Failed attempts fed back to the LLM as counterexamples. *)
+let cex_loops_counter = Obs.Counter.make "pipeline.counterexample_loops"
 
 (* What a family's check makes of one parsed snippet: accept it, ask
    the LLM again with [feedback] (recording [line] in the history), or

@@ -56,7 +56,7 @@ val cache_misses : Obs.Counter.t
 
 val manager_nodes : Obs.Gauge.t
 (** Live nodes in the sampling domain's BDD unique table, collected at
-    read time (snapshots and /metrics scrapes need no publish step). *)
+    read time (a snapshot needs no publish step). *)
 
 val manager_memo : Obs.Gauge.t
 (** Entries across the sampling domain's BDD operation memo tables. *)

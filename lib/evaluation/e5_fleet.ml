@@ -8,94 +8,12 @@
     memory is per-router, not per-fleet), and — with [--record-dir] —
     its own JSONL telemetry log ([e5_<router>.jsonl]) that the
     streaming analytics ({!Analytics.Stream}) can tail while the run is
-    live. Fleet progress is published through gauges
-    ([fleet.routers.{pending,running,done}], [fleet.stragglers]) and a
-    [fleet.router_ns] wall-time histogram, so [clarify top --fleet]
-    can watch a thousand-router run without touching the logs. *)
+    live: [clarify fleet status --follow] rebuilds the fleet's progress
+    (pending, running, done, stragglers) from those logs and the
+    [fleet.json] manifest. *)
 
 module D = Clarify.Disambiguator
 module P = Clarify.Pipeline
-
-(* ------------------------------------------------------------------ *)
-(* Fleet gauges. Workers on pool domains bump plain atomics; the
-   gauges are pull-mode collectors sampled at scrape time. (Gauge.set
-   is last-write-wins per series, so concurrent workers must not set
-   gauges directly.)                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let pending_n = Atomic.make 0
-let running_n = Atomic.make 0
-let done_n = Atomic.make 0
-let done_ns_total = Atomic.make 0 (* int nanoseconds, fetch_and_add *)
-
-(* Start times of in-flight routers, for the straggler probe. *)
-let starts_mu = Mutex.create ()
-let starts : (string, float) Hashtbl.t = Hashtbl.create 64
-
-let now () = Unix.gettimeofday ()
-
-let stragglers_now () =
-  (* A straggler is an in-flight router that has already taken more
-     than twice the mean completed wall time (and at least 100ms, so
-     tiny fleets don't flap). Before anything completes there is no
-     baseline and nothing is a straggler. *)
-  let completed = Atomic.get done_n in
-  if completed = 0 then 0
-  else
-    let mean_s =
-      float_of_int (Atomic.get done_ns_total) /. float_of_int completed /. 1e9
-    in
-    let threshold = Float.max 0.1 (2. *. mean_s) in
-    let t = now () in
-    Mutex.lock starts_mu;
-    let n =
-      Hashtbl.fold
-        (fun _ started acc -> if t -. started > threshold then acc + 1 else acc)
-        starts 0
-    in
-    Mutex.unlock starts_mu;
-    n
-
-let metrics =
-  lazy
-    (let g name help f = ignore (Obs.Gauge.collector ~help name f) in
-     g "fleet.routers.pending" "routers not yet started in the current E5 run"
-       (fun () -> float_of_int (Atomic.get pending_n));
-     g "fleet.routers.running" "routers currently synthesizing" (fun () ->
-         float_of_int (Atomic.get running_n));
-     g "fleet.routers.done" "routers completed in the current E5 run"
-       (fun () -> float_of_int (Atomic.get done_n));
-     g "fleet.stragglers"
-       "in-flight routers over 2x the mean completed wall time"
-       (fun () -> float_of_int (stragglers_now ()));
-     Obs.Histogram.make ~help:"per-router synthesis wall time"
-       "fleet.router_ns")
-
-let reset_fleet ~routers =
-  ignore (Lazy.force metrics);
-  Atomic.set pending_n routers;
-  Atomic.set running_n 0;
-  Atomic.set done_n 0;
-  Atomic.set done_ns_total 0;
-  Mutex.lock starts_mu;
-  Hashtbl.reset starts;
-  Mutex.unlock starts_mu
-
-let router_started name =
-  Atomic.decr pending_n;
-  Atomic.incr running_n;
-  Mutex.lock starts_mu;
-  Hashtbl.replace starts name (now ());
-  Mutex.unlock starts_mu
-
-let router_finished name wall_ns =
-  Atomic.decr running_n;
-  Atomic.incr done_n;
-  ignore (Atomic.fetch_and_add done_ns_total (int_of_float wall_ns));
-  Obs.Histogram.observe_ns (Lazy.force metrics) wall_ns;
-  Mutex.lock starts_mu;
-  Hashtbl.remove starts name;
-  Mutex.unlock starts_mu
 
 (* ------------------------------------------------------------------ *)
 (* Per-router synthesis.                                               *)
@@ -145,11 +63,11 @@ let with_router_recording ~record_dir ~(plan : Netgen.Policy.plan) f =
                     ( "steps",
                       Json.Int (List.length plan.Netgen.Policy.steps) );
                   ]);
-              let r, wall_ns = f () in
+              let (r : router_result) = f () in
               Telemetry.emit ~kind:"fleet_router_done" (fun () ->
                   [
                     ("router", Json.String plan.Netgen.Policy.router);
-                    ("wall_ns", Json.Float wall_ns);
+                    ("wall_ns", Json.Float r.wall_ns);
                   ]);
               (* Same close-out idiom as E4: a point-in-time gauge
                  sample, JSON-only in reports. *)
@@ -157,77 +75,69 @@ let with_router_recording ~record_dir ~(plan : Netgen.Policy.plan) f =
                   List.map
                     (fun (n, v) -> (n, Json.Float v))
                     (Obs.Gauge.sample_all ()));
-              (r, wall_ns)))
+              r))
 
 let build_router ?record_dir ?bdd_base (plan : Netgen.Policy.plan) =
   let open Netgen.Policy in
-  router_started plan.router;
-  let (result : router_result), wall_ns =
-        with_router_recording ~record_dir ~plan @@ fun () ->
-        let t0 = Unix.gettimeofday () in
-        (* A scratch manager per router bounds BDD memory by the
-           largest single router, not the fleet. When the run supplies
-           a frozen base (the prewarmed shared prefix ranges), the
-           scratch manager is a delta layered on it, so the shared
-           structure is compiled once per run instead of per router. *)
-        let manager =
-          match bdd_base with
-          | Some base -> Symbdd.Bdd.Manager.create_delta base
-          | None -> Symbdd.Bdd.Manager.create ()
-        in
-        let db, questions, llm =
-          Symbdd.Bdd.with_manager manager @@ fun () ->
-          let llm = Llm.Mock_llm.create () in
-          let questions = ref 0 in
-          let db =
-            List.fold_left
-              (fun db { map; intent } ->
-                let db =
-                  if Config.Database.route_map db map = None then
-                    Config.Database.add_route_map db
-                      (Config.Route_map.make map [])
-                  else db
-                in
-                let reference_map =
-                  Option.get (Config.Database.route_map plan.reference map)
-                in
-                let oracle =
-                  D.intent_driven (fun route ->
-                      Config.Semantics.eval_route_map plan.reference
-                        reference_map route)
-                in
-                let prompt = Llm.Intent.to_prompt intent in
-                match
-                  P.run_route_map_update ~llm ~oracle ~db ~target:map ~prompt ()
-                with
-                | Ok report ->
-                    questions := !questions + List.length report.P.questions;
-                    report.P.db
-                | Error e ->
-                    failwith
-                      (Printf.sprintf "E5 %s %s: %s" plan.router map
-                         (P.error_to_string e)))
-              Config.Database.empty plan.steps
-          in
-          (db, !questions, llm)
-        in
-        let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-        ( {
-            router = plan.router;
-            role = plan.role;
-            site = plan.site;
-            steps = List.length plan.steps;
-            questions;
-            synthesis_calls =
-              (Llm.Mock_llm.stats llm).Llm.Mock_llm.synthesis_calls;
-            total_llm_calls = Llm.Mock_llm.total_calls llm;
-            wall_ns;
-            config = db;
-          },
-          wall_ns )
+  with_router_recording ~record_dir ~plan @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  (* A scratch manager per router bounds BDD memory by the largest
+     single router, not the fleet. When the run supplies a frozen base
+     (the prewarmed shared prefix ranges), the scratch manager is a
+     delta layered on it, so the shared structure is compiled once per
+     run instead of per router. *)
+  let manager =
+    match bdd_base with
+    | Some base -> Symbdd.Bdd.Manager.create_delta base
+    | None -> Symbdd.Bdd.Manager.create ()
   in
-  router_finished plan.router wall_ns;
-  result
+  let db, questions, llm =
+    Symbdd.Bdd.with_manager manager @@ fun () ->
+    let llm = Llm.Mock_llm.create () in
+    let questions = ref 0 in
+    let db =
+      List.fold_left
+        (fun db { map; intent } ->
+          let db =
+            if Config.Database.route_map db map = None then
+              Config.Database.add_route_map db
+                (Config.Route_map.make map [])
+            else db
+          in
+          let reference_map =
+            Option.get (Config.Database.route_map plan.reference map)
+          in
+          let oracle =
+            D.intent_driven (fun route ->
+                Config.Semantics.eval_route_map plan.reference
+                  reference_map route)
+          in
+          let prompt = Llm.Intent.to_prompt intent in
+          match
+            P.run_route_map_update ~llm ~oracle ~db ~target:map ~prompt ()
+          with
+          | Ok report ->
+              questions := !questions + List.length report.P.questions;
+              report.P.db
+          | Error e ->
+              failwith
+                (Printf.sprintf "E5 %s %s: %s" plan.router map
+                   (P.error_to_string e)))
+        Config.Database.empty plan.steps
+    in
+    (db, !questions, llm)
+  in
+  {
+    router = plan.router;
+    role = plan.role;
+    site = plan.site;
+    steps = List.length plan.steps;
+    questions;
+    synthesis_calls = (Llm.Mock_llm.stats llm).Llm.Mock_llm.synthesis_calls;
+    total_llm_calls = Llm.Mock_llm.total_calls llm;
+    wall_ns = (Unix.gettimeofday () -. t0) *. 1e9;
+    config = db;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The fleet manifest: written before any router starts so a watcher
@@ -281,7 +191,6 @@ let run ?record_dir ?(pool = Parallel.Pool.serial) ?(simulate = false)
     | None -> plans
     | Some (heavy, factor) -> Netgen.Policy.skew ~heavy ~factor plans
   in
-  reset_fleet ~routers:(List.length plans);
   Option.iter (fun dir -> write_manifest ~dir net plans) record_dir;
   (* Every plan's intents reference the same handful of prefix ranges;
      compile them once into a frozen base shared by all routers. *)

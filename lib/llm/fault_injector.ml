@@ -39,8 +39,7 @@ let fault_to_string = function
 (* Observability: total injections plus one labeled series per fault
    class, so a breakdown by class is one label dimension rather than
    seven unrelated metric names. *)
-let injected_total =
-  Obs.Counter.make "llm.faults.injected" ~help:"faults injected into completions"
+let injected_total = Obs.Counter.make "llm.faults.injected"
 
 let class_counter fault =
   Obs.Counter.labeled "llm.faults.injected"

@@ -15,8 +15,7 @@ let is_catch_all (s : Config.Route_map.stanza) = s.Config.Route_map.matches = []
 (* Call accounting: the baseline counts as one LLM round trip whose
    prompt is the rendered target plus the candidate stanza and whose
    answer is a single position token. *)
-let calls_counter =
-  Obs.Counter.make "llm.calls.placement" ~help:"placement-guess calls"
+let calls_counter = Obs.Counter.make "llm.calls.placement"
 
 let account ~target ~stanza =
   if Obs.enabled () then begin

@@ -33,14 +33,9 @@ type t = {
 }
 
 (* Observability: one counter per endpoint, shared by every instance. *)
-let classify_counter =
-  Obs.Counter.make "llm.calls.classify" ~help:"classification calls"
-
-let synthesize_counter =
-  Obs.Counter.make "llm.calls.synthesize" ~help:"synthesis calls"
-
-let spec_counter =
-  Obs.Counter.make "llm.calls.spec" ~help:"spec-extraction calls"
+let classify_counter = Obs.Counter.make "llm.calls.classify"
+let synthesize_counter = Obs.Counter.make "llm.calls.synthesize"
+let spec_counter = Obs.Counter.make "llm.calls.spec" (* spec extraction *)
 
 (* Token accounting: per-call estimates go to the stats record (always)
    and the labeled per-endpoint counters (while Obs is enabled), and are

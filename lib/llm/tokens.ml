@@ -26,18 +26,14 @@ let cost ~prompt_tokens ~completion_tokens =
   (float_of_int prompt_tokens *. prompt_token_cost)
   +. (float_of_int completion_tokens *. completion_token_cost)
 
-(* Labeled counters, one series per call site so `clarify report` can
-   break cost down by endpoint. Resolving one takes the registry mutex,
-   so it is done only while Obs is enabled. *)
+(* Labeled counters of estimated tokens, one series per call site so
+   `clarify report` can break cost down by endpoint. Resolving one takes
+   the registry mutex, so it is done only while Obs is enabled. *)
 let prompt_counter endpoint =
-  Obs.Counter.labeled "llm.tokens.prompt"
-    [ ("endpoint", endpoint) ]
-    ~help:"estimated prompt tokens"
+  Obs.Counter.labeled "llm.tokens.prompt" [ ("endpoint", endpoint) ]
 
 let completion_counter endpoint =
-  Obs.Counter.labeled "llm.tokens.completion"
-    [ ("endpoint", endpoint) ]
-    ~help:"estimated completion tokens"
+  Obs.Counter.labeled "llm.tokens.completion" [ ("endpoint", endpoint) ]
 
 let account ~endpoint ~prompt_tokens ~completion_tokens =
   if Obs.enabled () then begin

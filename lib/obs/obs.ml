@@ -8,9 +8,9 @@
    registry mutex), so an increment is a plain field update on memory
    no other domain writes. Reads ([value], [Snapshot.capture]) merge
    the shards lazily; merging a shard owned by a still-running domain
-   is a racy-but-memory-safe int read, so live snapshots (the /metrics
-   endpoint) see slightly stale values, while post-join snapshots (the
-   bench/eval path, which joins worker domains first) are exact. *)
+   is a racy-but-memory-safe int read, so a snapshot taken mid-run sees
+   slightly stale values, while post-join snapshots (the bench/eval
+   path, which joins worker domains first) are exact. *)
 
 (* ------------------------------------------------------------------ *)
 (* State and lifecycle                                                *)
@@ -91,49 +91,6 @@ module Labels = struct
   (* Canonicalize here too, so a name rebuilt from an unsorted label
      list still matches the registered series. *)
   let full_name name kvs = name ^ encode (canon kvs)
-
-  (* Inverse of {!full_name} on well-formed names. A name that does not
-     parse (no closing brace, bad pair syntax) is treated as label-free
-     so exposition never drops a series. *)
-  let parse full =
-    match String.index_opt full '{' with
-    | None -> (full, [])
-    | Some i -> (
-        let n = String.length full in
-        if n = 0 || full.[n - 1] <> '}' then (full, [])
-        else
-          let base = String.sub full 0 i in
-          let buf = Buffer.create 16 in
-          let labels = ref [] in
-          let rec pair j =
-            match String.index_from_opt full j '=' with
-            | None -> raise Exit
-            | Some eq ->
-                if eq >= n - 1 || full.[eq + 1] <> '"' then raise Exit;
-                let k = String.sub full j (eq - j) in
-                Buffer.clear buf;
-                value k (eq + 2)
-          and value k j =
-            if j >= n then raise Exit
-            else
-              match full.[j] with
-              | '\\' when j + 1 < n ->
-                  Buffer.add_char buf full.[j + 1];
-                  value k (j + 2)
-              | '"' ->
-                  labels := (k, Buffer.contents buf) :: !labels;
-                  next (j + 1)
-              | c ->
-                  Buffer.add_char buf c;
-                  value k (j + 1)
-          and next j =
-            if j = n - 1 && full.[j] = '}' then ()
-            else if j < n - 1 && full.[j] = ',' then pair (j + 1)
-            else raise Exit
-          in
-          match pair (i + 1) with
-          | () -> (base, List.rev !labels)
-          | exception Exit -> (full, []))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -145,7 +102,7 @@ end
    Each base name may register at most [series_limit] labeled series;
    further label sets collapse into one [{overflow="true"}] sink series
    per base, so totals stay correct and the overflow is visible in
-   every snapshot and scrape. *)
+   every snapshot. *)
 let overflow_labels = [ ("overflow", "true") ]
 
 let series_limit_ref =
@@ -165,7 +122,6 @@ type meta = {
   name : string; (* full name, labels encoded *)
   base : string;
   labels : Labels.t;
-  help : string;
 }
 
 (* One registry per metric kind, so counters, histograms and gauges
@@ -195,7 +151,7 @@ struct
         labels
       end
 
-  let labeled ?(help = "") base kvs =
+  let labeled base kvs =
     let labels = Labels.canon kvs in
     locked (fun () ->
         match Hashtbl.find_opt table (Labels.full_name base labels) with
@@ -206,11 +162,11 @@ struct
             match Hashtbl.find_opt table name with
             | Some s -> s (* the overflow sink *)
             | None ->
-                let s = K.create { name; base; labels; help } in
+                let s = K.create { name; base; labels } in
                 Hashtbl.add table name s;
                 s))
 
-  let make ?help name = labeled ?help name []
+  let make name = labeled name []
   let name s = (K.meta s).name
   let base_name s = (K.meta s).base
   let labels s = (K.meta s).labels
@@ -393,8 +349,8 @@ module Gauge = struct
     let clear g = if g.collect = None then g.value <- 0.
   end)
 
-  let collector ?help name f =
-    let g = make ?help name in
+  let collector name f =
+    let g = make name in
     g.collect <- Some f;
     g
 
@@ -417,24 +373,22 @@ end
 
 (* Built-in runtime collectors: GC pressure for the whole process.
    [Gc.quick_stat] reads cached counters without forcing a collection,
-   so sampling these on every scrape is safe during a run. *)
+   so sampling these in a mid-run snapshot is safe. The collection
+   counts run from program start; the heap sizes are in words, live
+   words as of the last major slice. *)
 let () =
   let qs f () = f (Gc.quick_stat ()) in
   ignore
     (Gauge.collector "runtime.gc.minor_collections"
-       ~help:"minor GC collections since program start"
        (qs (fun s -> float_of_int s.Gc.minor_collections)));
   ignore
     (Gauge.collector "runtime.gc.major_collections"
-       ~help:"major GC collections since program start"
        (qs (fun s -> float_of_int s.Gc.major_collections)));
   ignore
     (Gauge.collector "runtime.gc.heap_words"
-       ~help:"major heap size in words"
        (qs (fun s -> float_of_int s.Gc.heap_words)));
   ignore
     (Gauge.collector "runtime.gc.live_words"
-       ~help:"live words in the major heap at the last GC slice"
        (qs (fun s -> float_of_int s.Gc.live_words)))
 
 (* ------------------------------------------------------------------ *)
@@ -547,24 +501,6 @@ let reset () =
   locked (fun () -> next_seq := 0);
   stack () := [];
   origin := !clock ()
-
-(* ------------------------------------------------------------------ *)
-(* Help index                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Base name -> help text over every registered metric family, for
-   exposition ([# HELP] lines). First registration wins per base. *)
-let help_index () =
-  let tbl = Hashtbl.create 32 in
-  let remember m =
-    if m.help <> "" && not (Hashtbl.mem tbl m.base) then
-      Hashtbl.add tbl m.base m.help
-  in
-  List.iter (fun c -> remember c.Counter.meta) (Counter.all ());
-  List.iter (fun g -> remember g.Gauge.meta) (Gauge.all ());
-  List.iter (fun h -> remember h.Histogram.meta) (Histogram.all ());
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                          *)
@@ -756,125 +692,6 @@ module Snapshot = struct
         gauges;
         histograms = List.rev histograms;
       }
-
-  (* ---------------------------------------------------------------- *)
-  (* Prometheus / OpenMetrics text exposition                         *)
-  (* ---------------------------------------------------------------- *)
-
-  let prom_metric_name base =
-    "clarify_"
-    ^ String.map
-        (fun c ->
-          match c with
-          | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-          | _ -> '_')
-        base
-
-  (* Label values escape backslash, double quote and newline; help text
-     escapes backslash and newline (Prometheus text format rules). *)
-  let prom_escape ~quote s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '"' when quote -> Buffer.add_string buf "\\\""
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let prom_number v =
-    if v <> v then "NaN"
-    else if v = infinity then "+Inf"
-    else if v = neg_infinity then "-Inf"
-    else if Float.is_integer v && Float.abs v < 1e15 then
-      Printf.sprintf "%.0f" v
-    else
-      let s = Printf.sprintf "%.12g" v in
-      if float_of_string s = v then s else Printf.sprintf "%.17g" v
-
-  (* Group a full-name-sorted series list into families: bases sorted,
-     series inside a family kept in full-name order (deterministic). *)
-  let families series =
-    let tbl = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (full, v) ->
-        let base, labels = Labels.parse full in
-        (match Hashtbl.find_opt tbl base with
-        | None ->
-            order := base :: !order;
-            Hashtbl.add tbl base [ (labels, v) ]
-        | Some prev -> Hashtbl.replace tbl base ((labels, v) :: prev)))
-      series;
-    List.sort String.compare !order
-    |> List.map (fun base -> (base, List.rev (Hashtbl.find tbl base)))
-
-  let to_prometheus ?(help = []) t =
-    let buf = Buffer.create 4096 in
-    let label_block kvs =
-      match kvs with
-      | [] -> ""
-      | kvs ->
-          "{"
-          ^ String.concat ","
-              (List.map
-                 (fun (k, v) -> k ^ "=\"" ^ prom_escape ~quote:true v ^ "\"")
-                 kvs)
-          ^ "}"
-    in
-    let header ~typ ~family base =
-      (match List.assoc_opt base help with
-      | Some h when h <> "" ->
-          Buffer.add_string buf
-            ("# HELP " ^ family ^ " " ^ prom_escape ~quote:false h ^ "\n")
-      | _ -> ());
-      Buffer.add_string buf ("# TYPE " ^ family ^ " " ^ typ ^ "\n")
-    in
-    List.iter
-      (fun (base, series) ->
-        let family = prom_metric_name base ^ "_total" in
-        header ~typ:"counter" ~family base;
-        List.iter
-          (fun (labels, v) ->
-            Buffer.add_string buf
-              (family ^ label_block labels ^ " " ^ string_of_int v ^ "\n"))
-          series)
-      (families t.counters);
-    List.iter
-      (fun (base, series) ->
-        let family = prom_metric_name base in
-        header ~typ:"gauge" ~family base;
-        List.iter
-          (fun (labels, v) ->
-            Buffer.add_string buf
-              (family ^ label_block labels ^ " " ^ prom_number v ^ "\n"))
-          series)
-      (families t.gauges);
-    List.iter
-      (fun (base, series) ->
-        let family = prom_metric_name base in
-        header ~typ:"histogram" ~family base;
-        List.iter
-          (fun (labels, (h : hist)) ->
-            List.iter
-              (fun (b, cum) ->
-                Buffer.add_string buf
-                  (family ^ "_bucket"
-                  ^ label_block (labels @ [ ("le", prom_number b) ])
-                  ^ " " ^ string_of_int cum ^ "\n"))
-              h.buckets;
-            Buffer.add_string buf
-              (family ^ "_sum" ^ label_block labels ^ " "
-             ^ prom_number h.sum_ns ^ "\n");
-            Buffer.add_string buf
-              (family ^ "_count" ^ label_block labels ^ " "
-             ^ string_of_int h.count ^ "\n"))
-          series)
-      (families t.histograms);
-    Buffer.add_string buf "# EOF\n";
-    Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)

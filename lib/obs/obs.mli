@@ -1,13 +1,12 @@
 (** Process-wide observability: counters, latency histograms, gauges
-    and hierarchical spans with pluggable sinks, plus pull-based
-    Prometheus/OpenMetrics exposition.
+    and hierarchical spans with pluggable sinks.
 
     One registry implementation serves all three metric kinds, each
     with its own table and label budget. {!Snapshot.capture} is the
-    one reader of every series' value (the report, bench snapshots and
-    the [/metrics] endpoint all render a capture), and a completed span
-    reaches consumers only through the installed {!sink}: nothing is
-    buffered.
+    one reader of every series' value (the [--metrics] report, bench
+    snapshots and a recorded router's closing [gauges] event all render
+    a capture), and a completed span reaches consumers only through the
+    installed {!sink}: nothing is buffered.
 
     The registry is global and zero-dependency (monotonic-ish time via a
     pluggable clock, [Unix.gettimeofday] by default). Instrumented code
@@ -20,7 +19,7 @@
     increments and histogram observations never take a lock and never
     race between domains. Reads merge the shards lazily — exact once
     worker domains are joined, best-effort (racy-but-safe stale reads)
-    while they run, which is what live scrapes want.
+    while they run.
 
     Naming scheme (see DESIGN.md §Observability): counters and spans are
     dot-separated, [<subsystem>.<event>], e.g. [llm.calls.synthesize],
@@ -82,28 +81,22 @@ module Labels : sig
   val canon : (string * string) list -> t
   (** Sort by key. *)
 
-  val encode : t -> string
-  (** The empty string for the empty set, [{k="v",k2="v2"}] otherwise,
-      with double quotes and backslashes escaped inside values. *)
-
   val full_name : string -> t -> string
-  (** [full_name base labels = base ^ encode labels]. *)
-
-  val parse : string -> string * t
-  (** Inverse of {!full_name} on well-formed full names; a name that
-      does not parse is returned unchanged with no labels. *)
+  (** [base] alone for the empty set, [base{k="v",k2="v2"}] otherwise,
+      keys sorted, with double quotes and backslashes escaped inside
+      values. *)
 end
 
 (** Monotonic event counters. *)
 module Counter : sig
   type t
 
-  val make : ?help:string -> string -> t
+  val make : string -> t
   (** Register (or look up) the counter with this name. [make] is
       idempotent: a second call with the same name returns the same
       counter. Equivalent to [labeled name []]. *)
 
-  val labeled : ?help:string -> string -> (string * string) list -> t
+  val labeled : string -> (string * string) list -> t
   (** [labeled base kvs] registers (or looks up) one series of the
       [base] family per distinct label set. Idempotent per label set,
       and atomic under concurrent registration: two domains racing on
@@ -134,10 +127,10 @@ end
 module Histogram : sig
   type t
 
-  val make : ?help:string -> string -> t
+  val make : string -> t
   (** Idempotent, like {!Counter.make}. *)
 
-  val labeled : ?help:string -> string -> (string * string) list -> t
+  val labeled : string -> (string * string) list -> t
   (** One series per label set, like {!Counter.labeled}. *)
 
   val observe_ns : t -> float -> unit
@@ -162,20 +155,20 @@ end
 (** Point-in-time samples: pushed with {!Gauge.set} or pulled from a
     collector closure on every read. Built-in collectors sample GC
     pressure ([runtime.gc.*]); [lib/parallel] and the engine register
-    pool-occupancy and BDD-manager collectors. Gauges appear in
-    snapshots and exposition but are excluded from {!Snapshot.equal}
-    (they are ambient state, not run state). *)
+    pool-occupancy and BDD-manager collectors. Gauges appear in every
+    snapshot but are excluded from {!Snapshot.equal} (they are ambient
+    state, not run state). *)
 module Gauge : sig
   type t
 
-  val make : ?help:string -> string -> t
+  val make : string -> t
   (** Idempotent, like {!Counter.make}. *)
 
-  val labeled : ?help:string -> string -> (string * string) list -> t
+  val labeled : string -> (string * string) list -> t
   (** One series per label set, like {!Counter.labeled}, under the same
       cardinality guard. *)
 
-  val collector : ?help:string -> string -> (unit -> float) -> t
+  val collector : string -> (unit -> float) -> t
   (** [collector name f] registers a gauge whose value is [f ()] at
       every read. A raising collector keeps the last good sample. *)
 
@@ -247,15 +240,9 @@ val pp_report : Format.formatter -> unit -> unit
     then every non-empty histogram (span paths and explicit histograms
     alike) with its count, total, mean and max. *)
 
-val help_index : unit -> (string * string) list
-(** Base metric name -> help text for every registered family that
-    declared one, sorted by base name. Feeds the [# HELP] lines of
-    {!Snapshot.to_prometheus}. *)
-
 (** A frozen copy of the registry's aggregates, serializable to the
-    stable schema used by bench snapshots ([BENCH.json]), compared by
-    [clarify obs diff], and renderable as Prometheus text for the
-    [/metrics] endpoint. *)
+    stable schema used by bench snapshots ([BENCH.json]) and compared
+    by [clarify obs diff]. *)
 module Snapshot : sig
   type hist = {
     count : int;
@@ -288,15 +275,4 @@ module Snapshot : sig
   val of_json : Json.t -> (t, string) result
   (** Inverse of {!to_json}: [of_json (to_json s) = Ok s]. Snapshots
       written before gauges existed load with [gauges = []]. *)
-
-  val to_prometheus : ?help:(string * string) list -> t -> string
-  (** Render the snapshot in the Prometheus text exposition format
-      (version 0.0.4, with a trailing [# EOF] line). Metric names gain
-      a [clarify_] prefix with non-alphanumerics mapped to [_];
-      counters gain the [_total] suffix; histograms render cumulative
-      [_bucket{le="..."}] series (the overflow bound as [+Inf]) plus
-      [_sum]/[_count]. Families are emitted counters-gauges-histograms,
-      each sorted by base name, series in full-name order, so the
-      rendering is deterministic for a given snapshot. [help] maps base
-      names to [# HELP] text (see {!help_index}). *)
 end

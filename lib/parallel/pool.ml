@@ -76,15 +76,11 @@ type worker_metrics = {
 let worker_metrics i =
   let l = [ ("domain", string_of_int i) ] in
   {
-    tasks =
-      Obs.Counter.labeled "parallel.tasks" l ~help:"tasks run per worker domain";
-    task_ns =
-      Obs.Histogram.labeled "parallel.task_ns" l
-        ~help:"per-task wall time per worker domain";
+    tasks = Obs.Counter.labeled "parallel.tasks" l;
+    task_ns = Obs.Histogram.labeled "parallel.task_ns" l;
     queue_wait_ns = Obs.Histogram.labeled "parallel.queue_wait_ns" l;
-    busy =
-      Obs.Gauge.labeled "parallel.worker.busy" l
-        ~help:"1 while this worker domain is running batch tasks";
+    (* 1 while this worker domain is running batch tasks. *)
+    busy = Obs.Gauge.labeled "parallel.worker.busy" l;
     bdd_nodes = Obs.Counter.labeled "bdd.nodes_allocated" l;
     cache_hits = Obs.Counter.labeled "bdd.compile_cache.hits" l;
     cache_misses = Obs.Counter.labeled "bdd.compile_cache.misses" l;
@@ -92,25 +88,17 @@ let worker_metrics i =
 
 let batches = lazy (Obs.Counter.make "parallel.batches")
 
-let spawned =
-  lazy
-    (Obs.Counter.make "parallel.domains_spawned"
-       ~help:"worker domains spawned since process start (flat = reuse works)")
+(* Worker domains spawned since process start: flat means reuse works. *)
+let spawned = lazy (Obs.Counter.make "parallel.domains_spawned")
 
-let park_ns =
-  lazy
-    (Obs.Histogram.make "parallel.park_ns"
-       ~help:"worker parked-idle intervals between batches")
+(* Worker parked-idle intervals between batches. *)
+let park_ns = lazy (Obs.Histogram.make "parallel.park_ns")
 
-let pool_domains =
-  lazy
-    (Obs.Gauge.make "parallel.pool.domains"
-       ~help:"configured worker domains of the last batch's pool")
+(* Configured worker domains of the last batch's pool. *)
+let pool_domains = lazy (Obs.Gauge.make "parallel.pool.domains")
 
-let active_workers =
-  lazy
-    (Obs.Gauge.make "parallel.pool.active_workers"
-       ~help:"worker domains currently inside a batch")
+(* Worker domains currently inside a batch. *)
+let active_workers = lazy (Obs.Gauge.make "parallel.pool.active_workers")
 
 (* Count BDD work into this worker's own labeled series. The hooks go
    on the worker's installed manager (its batch delta or scratch);
@@ -153,7 +141,7 @@ type batch = {
 (* [mu] guards [generation]/[shutting_down] and orders the publish /
    park handshake; [batch_lock] serializes submitters end-to-end, so at
    most one batch is ever in flight. [current] is an Atomic only so the
-   metrics-serving thread's gauge collector can read it lock-free. *)
+   queue-depth gauge collector can read it lock-free from any domain. *)
 let mu = Mutex.create ()
 let cv_work = Condition.create () (* new batch published, or shutdown *)
 let cv_done = Condition.create () (* task count or active count dropped *)
@@ -166,11 +154,10 @@ let workers_spawned = ref 0
 
 let spawned_workers () = !workers_spawned
 
+(* Unclaimed tasks of the in-flight batch. *)
 let () =
   ignore
-    (Obs.Gauge.collector "parallel.queue.depth"
-       ~help:"unclaimed tasks of the in-flight batch"
-       (fun () ->
+    (Obs.Gauge.collector "parallel.queue.depth" (fun () ->
          match Atomic.get current with
          | None -> 0.
          | Some b -> float_of_int (max 0 (b.ntasks - Atomic.get b.next))))

@@ -93,21 +93,20 @@ type recorder = { write : Event.t -> unit; t0 : float; mutable seq : int }
 
 (* Process-wide recording volume, visible as built-in gauge collectors
    (telemetry.log.events / telemetry.log.bytes) so log growth shows up
-   in `clarify top` and /metrics during long fleet runs. Events counts
-   every recorded event (memory recorders included); bytes counts what
-   channel recorders actually wrote, across all domains. *)
+   in [--metrics] and in each recorded router's closing [gauges] event.
+   Both run from process start. Events counts every recorded event
+   (memory recorders included); bytes counts what channel recorders
+   actually wrote, across all domains. *)
 let recorded_events = Atomic.make 0
 let recorded_bytes = Atomic.make 0
 
 let () =
   ignore
-    (Obs.Gauge.collector "telemetry.log.events"
-       ~help:"events recorded by telemetry recorders since process start"
-       (fun () -> float_of_int (Atomic.get recorded_events)));
+    (Obs.Gauge.collector "telemetry.log.events" (fun () ->
+         float_of_int (Atomic.get recorded_events)));
   ignore
-    (Obs.Gauge.collector "telemetry.log.bytes"
-       ~help:"bytes written to telemetry channel recorders since process start"
-       (fun () -> float_of_int (Atomic.get recorded_bytes)))
+    (Obs.Gauge.collector "telemetry.log.bytes" (fun () ->
+         float_of_int (Atomic.get recorded_bytes)))
 
 (* The installed recorder and the ambient context are domain-local:
    each worker domain records to its own log (or not at all) without

@@ -279,8 +279,8 @@ let contains_interval p c =
 let overlaps a b = a.ts < b.ts +. b.dur && b.ts < a.ts +. a.dur
 
 (* Feed [events] to the trace writer, as [clarify trace export] does,
-   and re-parse the JSON text it wrote. *)
-let export ?process events =
+   and return the JSON text it wrote. *)
+let export_text ?process events =
   let path = Filename.temp_file "analytics_trace" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out_bin path in
@@ -288,7 +288,11 @@ let export ?process events =
   List.iter (T.Writer.event w) events;
   T.Writer.close w;
   close_out oc;
-  match Json.parse (read_file path) with
+  read_file path
+
+(* ... and re-parse it. *)
+let export ?process events =
+  match Json.parse (export_text ?process events) with
   | Ok j -> j
   | Error m -> Alcotest.failf "trace JSON does not re-parse: %s" m
 
@@ -406,6 +410,37 @@ let check_trace_nests path =
 let test_trace_export_reparses_and_nests () =
   List.iter check_trace_nests [ fixture; "../examples/batch_session.jsonl" ]
 
+(* Between its opening and closing lines, each golden fixture's export
+   holds one line per trace event: that event, compact, then the
+   separating comma. *)
+let test_trace_export_one_event_per_line () =
+  List.iter
+    (fun path ->
+      let s = Result.get_ok (S.load_file path) in
+      let text = export_text ~process:s.S.name s.S.events in
+      let events =
+        Option.get (Json.to_list (field "traceEvents" (Json.parse_exn text)))
+      in
+      let lines =
+        match List.rev (String.split_on_char '\n' text) with
+        | "" :: "], \"displayTimeUnit\": \"ms\"}" :: rest -> (
+            match List.rev rest with
+            | "{\"traceEvents\": [" :: lines -> lines
+            | _ -> Alcotest.failf "%s: no opening line" path)
+        | _ -> Alcotest.failf "%s: no closing line" path
+      in
+      check_int (path ^ ": one line per trace event") (List.length events)
+        (List.length lines);
+      List.iteri
+        (fun i (line, e) ->
+          let sep = if i = List.length events - 1 then "" else "," in
+          Alcotest.(check string)
+            (Printf.sprintf "%s: line %d" path (i + 2))
+            (Json.to_string ~indent:0 e ^ sep)
+            line)
+        (List.combine lines events))
+    [ fixture; "../examples/batch_session.jsonl" ]
+
 (* Pre-timestamp logs (ts_ns = 0 everywhere) still export: instants
    fall back to sequence numbers, one microsecond apart. *)
 let test_trace_export_legacy_log () =
@@ -460,5 +495,7 @@ let () =
             test_trace_export_reparses_and_nests;
           Alcotest.test_case "legacy log fallback" `Quick
             test_trace_export_legacy_log;
+          Alcotest.test_case "one event per line" `Quick
+            test_trace_export_one_event_per_line;
         ] );
     ]

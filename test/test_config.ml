@@ -145,6 +145,16 @@ let test_parse_errors () =
       ("ip access-list extended A\n permit tcp any any eq -1", "line 2: port -1 is out of range 0-65535");
     ]
 
+(* Two lists that fail [finalize]'s checks, A on line 2 and a later
+   list on line 4: the error on the earliest line wins, whatever the
+   order or kind of the lists. *)
+let two_failing_lists =
+  [
+    "route-map A permit 10\nroute-map A permit 10\nroute-map B permit 5\nroute-map B permit 5";
+    "route-map A permit 10\nroute-map A permit 10\nip prefix-list P seq 5 permit 10.0.0.0/8\n\
+     ip prefix-list P seq 5 deny 11.0.0.0/8";
+  ]
+
 (* Errors found only once every line is read (a duplicate sequence
    number, a community list mixing kinds, a bad standard community, a
    malformed regex) are located too, at the offending entry's line
@@ -162,7 +172,7 @@ let test_parse_list_errors () =
           check_str "message" message e.message
       | exception e -> Alcotest.failf "%S raised %s" src (Printexc.to_string e)
       | _ -> Alcotest.failf "expected Syntax_error for %S" src)
-    [
+    ([
       ( "route-map M permit 10\nroute-map M deny 10",
         2, "Route_map.make: duplicate seq 10 in M" );
       ( "route-map M permit 20\nroute-map M permit 10\n match tag 1\nroute-map M deny 20\nroute-map M deny 10",
@@ -183,6 +193,7 @@ let test_parse_list_errors () =
       ( "ip community-list expanded C permit _1:2_\nip community-list expanded C permit (1:2",
         2, "community regex: expected ')' in \"(1:2\"" );
     ]
+    @ List.map (fun src -> (src, 2, "Route_map.make: duplicate seq 10 in A")) two_failing_lists)
 
 (* Numbers the symbolic encodings hold in a fixed width (ports in 16
    bits, local-preference, metric and tag in 32) are checked when
@@ -868,8 +879,10 @@ let has_non_decimal line =
    print byte for byte, or the reference's error text. It may differ in
    two ways only, each a located error: on a line holding a number the
    old readers took and IOS does not write, no later than any line the
-   reference located; or with the reference's unlocated text, the errors
-   the old [finalize] gave no line. *)
+   reference located; or where the old [finalize] gave no line. There
+   the text is the reference's, or, when several lists fail, that of
+   the list whose error is on the earliest line: the error the
+   reference gives on the config's lines up to that one. *)
 let agrees_with_reference text =
   let fail fmt = QCheck.Test.fail_reportf "%s@.reference: %s@.scanner:   %s@.input:@.%s" fmt in
   let show = function Ok _ -> "Ok" | Error m -> "Error " ^ m in
@@ -897,9 +910,16 @@ let agrees_with_reference text =
                 match split_located m with Some (r, _) -> line <= r | None -> true)
             | Ok _ -> true
           in
+          let through line =
+            String.split_on_char '\n' text
+            |> List.filteri (fun i _ -> i < line)
+            |> String.concat "\n"
+          in
           let unlocated_text =
             match reference with
-            | Error m -> split_located m = None && m = text'
+            | Error m ->
+                split_located m = None
+                && (m = text' || Ref.parse (through line) = Error text')
             | Ok _ -> false
           in
           if (non_decimal && no_later) || unlocated_text then true
@@ -999,6 +1019,17 @@ ip access-list extended E
       | Ok db -> check "prints as the reference" true (prints_like_reference db)
       | Error m -> Alcotest.failf "example does not parse: %s" m)
     texts
+
+(* The reference reports the later list's error with no line; the
+   scanner reports A's, the error the reference gives on lines 1-2. *)
+let test_reference_earliest_error () =
+  List.iter
+    (fun text ->
+      (match (Ref.parse text, Parser.parse text) with
+      | Error m, Error m' -> check "texts differ" false (String.ends_with ~suffix:m m')
+      | _ -> Alcotest.failf "expected both to reject %S" text);
+      check "parses as the reference" true (agrees_with_reference text))
+    two_failing_lists
 
 (* A 512-stanza map and its 512 prefix lists, the wide shape the bench
    times, with deny stanzas, ge/le ranges and every set clause form. *)
@@ -1100,6 +1131,7 @@ let () =
         [
           Alcotest.test_case "example configs" `Quick test_reference_examples;
           Alcotest.test_case "512-stanza map" `Quick test_reference_wide;
+          Alcotest.test_case "earliest list error" `Quick test_reference_earliest_error;
           q prop_reference_generated;
           q prop_reference_mutated;
         ] );

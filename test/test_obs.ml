@@ -501,144 +501,6 @@ let test_cardinality_guard =
     (Obs.Gauge.labels g3 = Obs.overflow_labels)
 
 (* ------------------------------------------------------------------ *)
-(* Prometheus exposition                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Exact-text golden over a hand-built snapshot: family grouping and
-   ordering (counters, then gauges, then histograms, bases sorted),
-   label escaping, the [_total] suffix, [+Inf] bucket bound, HELP
-   wiring, and the trailing [# EOF]. *)
-let test_prometheus_golden () =
-  let labeled =
-    Obs.Labels.full_name "p.calls" [ ("q", {|say "hi"|}); ("r", {|a\b|}) ]
-  in
-  let snap =
-    {
-      Obs.Snapshot.counters = [ ("a.z", 1); ("p.calls", 2); (labeled, 3) ];
-      gauges =
-        [
-          ("g.depth", 4.5);
-          (Obs.Labels.full_name "g.util" [ ("domain", "0") ], 1.);
-        ];
-      histograms =
-        [
-          ( "h.lat",
-            {
-              Obs.Snapshot.count = 2;
-              sum_ns = 2600.5;
-              max_ns = 2000.;
-              buckets = [ (1000., 1); (infinity, 2) ];
-            } );
-        ];
-    }
-  in
-  let expected =
-    String.concat "\n"
-      [
-        {|# TYPE clarify_a_z_total counter|};
-        {|clarify_a_z_total 1|};
-        {|# HELP clarify_p_calls_total demo calls|};
-        {|# TYPE clarify_p_calls_total counter|};
-        {|clarify_p_calls_total 2|};
-        {|clarify_p_calls_total{q="say \"hi\"",r="a\\b"} 3|};
-        {|# TYPE clarify_g_depth gauge|};
-        {|clarify_g_depth 4.5|};
-        {|# TYPE clarify_g_util gauge|};
-        {|clarify_g_util{domain="0"} 1|};
-        {|# TYPE clarify_h_lat histogram|};
-        {|clarify_h_lat_bucket{le="1000"} 1|};
-        {|clarify_h_lat_bucket{le="+Inf"} 2|};
-        {|clarify_h_lat_sum 2600.5|};
-        {|clarify_h_lat_count 2|};
-        {|# EOF|};
-        "";
-      ]
-  in
-  Alcotest.(check string)
-    "exposition text" expected
-    (Obs.Snapshot.to_prometheus ~help:[ ("p.calls", "demo calls") ] snap)
-
-(* A captured snapshot's exposition parses back, and the parsed samples
-   agree with the snapshot's own values — the sanity loop behind
-   `clarify top`. *)
-let test_prometheus_scrape_roundtrip =
-  with_obs @@ fun () ->
-  Obs.Counter.incr ~by:7 (Obs.Counter.make "test.prt.calls");
-  Obs.Counter.incr ~by:3
-    (Obs.Counter.labeled "test.prt.calls" [ ("endpoint", "x") ]);
-  let h = Obs.Histogram.make "test.prt.lat" in
-  List.iter (Obs.Histogram.observe_ns h) [ 500.; 2e10 ];
-  let snap = Obs.Snapshot.capture () in
-  let text = Obs.Snapshot.to_prometheus ~help:(Obs.help_index ()) snap in
-  match Obs_serve.Scrape.parse text with
-  | Error m -> Alcotest.failf "exposition does not parse: %s" m
-  | Ok scrape ->
-      let value metric labels =
-        match
-          List.find_opt
-            (fun s ->
-              s.Obs_serve.Scrape.metric = metric
-              && s.Obs_serve.Scrape.labels = labels)
-            scrape.Obs_serve.Scrape.samples
-        with
-        | Some s -> s.Obs_serve.Scrape.value
-        | None -> Alcotest.failf "sample %s missing from scrape" metric
-      in
-      check_float "plain counter value" 7.
-        (value "clarify_test_prt_calls_total" []);
-      check_float "labeled counter value" 3.
-        (value "clarify_test_prt_calls_total" [ ("endpoint", "x") ]);
-      check_float "histogram count" 2. (value "clarify_test_prt_lat_count" []);
-      check_float "overflow bucket" 2.
-        (value "clarify_test_prt_lat_bucket" [ ("le", "+Inf") ]);
-      check_float "histogram sum" (2e10 +. 500.)
-        (value "clarify_test_prt_lat_sum" []);
-      Alcotest.(check (option string))
-        "counter TYPE declared" (Some "counter")
-        (List.assoc_opt "clarify_test_prt_calls_total"
-           scrape.Obs_serve.Scrape.types);
-      Alcotest.(check (option string))
-        "histogram TYPE declared" (Some "histogram")
-        (List.assoc_opt "clarify_test_prt_lat" scrape.Obs_serve.Scrape.types);
-      (* Every snapshot counter has a corresponding parsed sample. *)
-      check_bool "scrape covers the snapshot" true
-        (List.length scrape.Obs_serve.Scrape.samples
-        >= List.length snap.Obs.Snapshot.counters)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let test_metrics_server_smoke =
-  with_obs @@ fun () ->
-  Obs.Counter.incr ~by:2 (Obs.Counter.make "test.srv.hits");
-  match Obs_serve.Server.start ~port:0 () with
-  | Error m -> Alcotest.failf "server did not start: %s" m
-  | Ok server ->
-      Fun.protect ~finally:(fun () -> Obs_serve.Server.stop server)
-      @@ fun () ->
-      let port = Obs_serve.Server.port server in
-      check_bool "picked a real port" true (port > 0);
-      (match Obs_serve.Scrape.fetch ~port "/metrics" with
-      | Error m -> Alcotest.failf "fetch failed: %s" m
-      | Ok body -> (
-          check_bool "body carries the counter" true
-            (contains body "clarify_test_srv_hits_total 2");
-          check_bool "body carries a gauge family" true
-            (contains body "# TYPE clarify_runtime_gc_minor_collections gauge");
-          match Obs_serve.Scrape.parse body with
-          | Error m -> Alcotest.failf "served text does not parse: %s" m
-          | Ok scrape ->
-              check_bool "samples served" true
-                (scrape.Obs_serve.Scrape.samples <> [])));
-      (match Obs_serve.Scrape.fetch ~port "/nope" with
-      | Ok _ -> Alcotest.fail "unknown path should not answer 200"
-      | Error _ -> ());
-      (* stop is idempotent: the Fun.protect finalizer stops again. *)
-      Obs_serve.Server.stop server
-
-(* ------------------------------------------------------------------ *)
 (* Pipeline integration                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -863,13 +725,6 @@ let () =
           Alcotest.test_case "labeled registration race" `Quick
             test_labeled_registration_race;
           Alcotest.test_case "cardinality guard" `Quick test_cardinality_guard;
-        ] );
-      ( "prometheus",
-        [
-          Alcotest.test_case "golden text" `Quick test_prometheus_golden;
-          Alcotest.test_case "scrape round-trip" `Quick
-            test_prometheus_scrape_roundtrip;
-          Alcotest.test_case "metrics server" `Quick test_metrics_server_smoke;
         ] );
       ( "pipeline",
         [
