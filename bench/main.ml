@@ -841,13 +841,17 @@ let run_obs_overhead () =
    must not grow with fleet size: the BDD manager is scratch per
    router and the analytics fold is constant-memory, so there is no
    shared state to congest. CI holds per-router@256 <= 1.25x
-   per-router@64 (min-of-3 each). *)
+   per-router@64 (min-of-3 each). Beside each wall, the major-heap
+   words and major collections per router, from [Gc.quick_stat] over
+   the three runs: a router's scratch manager is most of its major
+   heap. *)
 let run_fleet_scaling () =
   Format.printf "=== Fleet scaling: per-router cost vs fleet size ===@.";
   let min_of = 3 in
   let time routers =
     let best = ref infinity in
     let questions = ref 0 in
+    let gc0 = Gc.quick_stat () in
     for _ = 1 to min_of do
       let r, ns =
         wall_ns (fun () -> Evaluation.E5_fleet.run ~pool ~routers ())
@@ -858,17 +862,24 @@ let run_fleet_scaling () =
           0 r.Evaluation.E5_fleet.results;
       best := Float.min !best ns
     done;
-    (!best, !questions)
+    let gc1 = Gc.quick_stat () in
+    ( !best,
+      !questions,
+      (gc1.Gc.major_words -. gc0.Gc.major_words)
+      /. float_of_int (min_of * routers),
+      gc1.Gc.major_collections - gc0.Gc.major_collections )
   in
-  let t64, q64 = time 64 in
-  let t256, q256 = time 256 in
+  let t64, q64, w64, c64 = time 64 in
+  let t256, q256, w256, c256 = time 256 in
   let per64 = t64 /. 64. and per256 = t256 /. 256. in
   Format.printf
-    "e5 fat-tree  64 routers %8.1f ms (%6.2f ms/router, %d questions)@."
-    (t64 /. 1e6) (per64 /. 1e6) q64;
+    "e5 fat-tree  64 routers %8.1f ms (%6.2f ms/router, %d questions; \
+     %5.0f major words a router, %d major GCs in %d routers)@."
+    (t64 /. 1e6) (per64 /. 1e6) q64 w64 c64 (min_of * 64);
   Format.printf
-    "e5 fat-tree 256 routers %8.1f ms (%6.2f ms/router, %d questions)@."
-    (t256 /. 1e6) (per256 /. 1e6) q256;
+    "e5 fat-tree 256 routers %8.1f ms (%6.2f ms/router, %d questions; \
+     %5.0f major words a router, %d major GCs in %d routers)@."
+    (t256 /. 1e6) (per256 /. 1e6) q256 w256 c256 (min_of * 256);
   Format.printf "per-router growth 64 -> 256: %.2fx@.@." (per256 /. per64);
   [
     ("fleet/e5-64", t64);

@@ -6,9 +6,9 @@
    triple of ints in a flat growable [Bigarray.Array1], hash-conses
    through an open-addressing unique table (linear probing over a
    packed [int array], no allocation on the probe path) and memoizes
-   the binary operators in open-addressing tables with
-   generation-tagged eviction, so long runs stop growing memos without
-   a full [reset].
+   every operation in one open-addressing computed table with
+   generation-tagged eviction, so long runs stop growing it without a
+   full [reset].
 
    Managers can be {e frozen} into read-only bases: a frozen manager
    refuses fresh allocations, and [Manager.create_delta] layers a
@@ -23,98 +23,114 @@ type t = int
 let zero = 0
 let one = 1
 
+(* One multiplicative hash for both tables: a node's (var, lo, hi) in
+   the unique table, an entry's (operation, k1, k2) in the computed
+   table, each term under its own odd constant. *)
+let[@inline] hash3 a b c =
+  let h = (a * 0x65CC5C97) lxor (b * 0x9E3779B1) lxor (c * 0x85EBCA77) in
+  h lxor (h lsr 16)
+
 (* ------------------------------------------------------------------ *)
-(* Open-addressing operation memos with generation-tagged eviction     *)
+(* The computed table: every operation's memo in one table            *)
 (* ------------------------------------------------------------------ *)
 
-(* Fixed-size-entry memo: key = two ints, value = one int, stored in
-   parallel packed arrays. A slot is live iff its generation tag equals
-   the table's current generation, so [clear] (and wholesale eviction
-   when a bounded table fills up) is a single counter bump — no
-   clearing pass, no allocation. Within one generation the standard
-   linear-probing invariant holds (the probe chain from a key's home
-   slot to its entry contains only live slots), so lookups can stop at
-   the first stale slot. Losing memo entries is correctness-neutral:
-   the tables only cache deterministic recomputations. *)
+(* One open-addressing table per manager caches the results of every
+   operation, as CUDD's computed table does. A slot is four consecutive
+   ints (tag, k1, k2, value); the tag packs the generation that wrote
+   the entry above the three bits of its operation, and the operation
+   enters the hash as its own term. A slot is live iff its tag's
+   generation is the table's, so [clear] (and wholesale eviction when a
+   bounded table fills up) is a single counter bump: no clearing pass,
+   no allocation. Within one generation the linear-probing invariant
+   holds (the probe chain from a key's home slot to its entry contains
+   only live slots), so lookups stop at the first stale slot. Losing
+   entries is correctness-neutral: the table only caches deterministic
+   recomputations. *)
 module Memo = struct
   type t = {
-    mutable keys : int array; (* 2 ints per slot *)
-    mutable vals : int array;
-    mutable gens : int array; (* slot live iff gens.(i) = gen *)
-    mutable mask : int; (* capacity - 1, capacity a power of two *)
+    mutable slots : int array; (* 4 ints per slot: tag, k1, k2, value *)
+    mutable mask : int; (* 4 * (capacity - 1), capacity a power of two *)
     mutable count : int; (* live entries in the current generation *)
     mutable gen : int;
     max_cap : int; (* growth ceiling; beyond it, evict by generation *)
     mutable evictions : int;
   }
 
+  (* Operation tags. [diff] shares [op_and] under the key [(x, lnot y)]:
+     a conjunction's keys are both interior handles, so the negative
+     key never meets one. *)
+  let op_neg = 0
+  let op_and = 1
+  let op_or = 2
+  let op_xor = 3
+  let op_restrict = 4
+
   let pow2_ge n =
     let rec go c = if c >= n then c else go (c * 2) in
     go 16
 
-  let create ~bound =
+  let create ~bound ~cap =
     let max_cap = pow2_ge bound in
-    let cap = min 256 max_cap in
+    let cap = min cap max_cap in
     {
-      keys = Array.make (2 * cap) 0;
-      vals = Array.make cap 0;
-      gens = Array.make cap 0;
-      mask = cap - 1;
+      slots = Array.make (4 * cap) 0;
+      mask = 4 * (cap - 1);
       count = 0;
       gen = 1;
       max_cap;
       evictions = 0;
     }
 
-  let[@inline] hash2 k1 k2 =
-    let h = (k1 * 0x9E3779B1) lxor (k2 * 0x85EBCA77) in
-    h lxor (h lsr 16)
+  let[@inline] home m op k1 k2 = (hash3 op k1 k2 lsl 2) land m.mask
 
-  let rec find_loop m k1 k2 i =
-    if Array.unsafe_get m.gens i <> m.gen then -1
-    else if
-      Array.unsafe_get m.keys (2 * i) = k1
-      && Array.unsafe_get m.keys ((2 * i) + 1) = k2
-    then Array.unsafe_get m.vals i
-    else find_loop m k1 k2 ((i + 1) land m.mask)
+  let rec find_loop m tag k1 k2 i =
+    let s = Array.unsafe_get m.slots i in
+    if
+      s = tag
+      && Array.unsafe_get m.slots (i + 1) = k1
+      && Array.unsafe_get m.slots (i + 2) = k2
+    then Array.unsafe_get m.slots (i + 3)
+    else if s lsr 3 <> m.gen then -1
+    else find_loop m tag k1 k2 ((i + 4) land m.mask)
 
   (* Returns the memoized handle, or -1 on a miss. *)
-  let[@inline] find m k1 k2 = find_loop m k1 k2 (hash2 k1 k2 land m.mask)
+  let[@inline] find m op k1 k2 =
+    find_loop m ((m.gen lsl 3) lor op) k1 k2 (home m op k1 k2)
 
-  let rec insert_loop m k1 k2 v i =
-    if Array.unsafe_get m.gens i <> m.gen then begin
-      Array.unsafe_set m.keys (2 * i) k1;
-      Array.unsafe_set m.keys ((2 * i) + 1) k2;
-      Array.unsafe_set m.vals i v;
-      Array.unsafe_set m.gens i m.gen;
+  let rec insert_loop m tag k1 k2 v i =
+    let s = Array.unsafe_get m.slots i in
+    if s lsr 3 <> m.gen then begin
+      Array.unsafe_set m.slots i tag;
+      Array.unsafe_set m.slots (i + 1) k1;
+      Array.unsafe_set m.slots (i + 2) k2;
+      Array.unsafe_set m.slots (i + 3) v;
       m.count <- m.count + 1
     end
     else if
-      Array.unsafe_get m.keys (2 * i) = k1
-      && Array.unsafe_get m.keys ((2 * i) + 1) = k2
+      s = tag
+      && Array.unsafe_get m.slots (i + 1) = k1
+      && Array.unsafe_get m.slots (i + 2) = k2
     then ()
-    else insert_loop m k1 k2 v ((i + 1) land m.mask)
+    else insert_loop m tag k1 k2 v ((i + 4) land m.mask)
 
+  (* Live entries keep their tags: the fresh slots read generation 0,
+     which no live generation equals. *)
   let grow m =
-    let ocap = m.mask + 1 in
-    let okeys = m.keys and ovals = m.vals and ogens = m.gens in
-    let ogen = m.gen in
-    let ncap = ocap * 2 in
-    m.keys <- Array.make (2 * ncap) 0;
-    m.vals <- Array.make ncap 0;
-    m.gens <- Array.make ncap 0;
-    m.mask <- ncap - 1;
-    m.gen <- 1;
+    let old = m.slots in
+    m.slots <- Array.make (2 * Array.length old) 0;
+    m.mask <- (2 * m.mask) + 4;
     m.count <- 0;
-    for i = 0 to ocap - 1 do
-      if Array.unsafe_get ogens i = ogen then begin
-        let k1 = okeys.(2 * i) and k2 = okeys.((2 * i) + 1) in
-        insert_loop m k1 k2 ovals.(i) (hash2 k1 k2 land m.mask)
+    for j = 0 to (Array.length old / 4) - 1 do
+      let i = 4 * j in
+      let tag = old.(i) in
+      if tag lsr 3 = m.gen then begin
+        let k1 = old.(i + 1) and k2 = old.(i + 2) in
+        insert_loop m tag k1 k2 old.(i + 3) (home m (tag land 7) k1 k2)
       end
     done
 
-  let add m k1 k2 v =
-    let cap = m.mask + 1 in
+  let add m op k1 k2 v =
+    let cap = (m.mask lsr 2) + 1 in
     (* Keep the load factor under 3/4: grow while allowed, otherwise
        evict the whole generation in O(1). *)
     if m.count >= cap - (cap lsr 2) then
@@ -124,7 +140,7 @@ module Memo = struct
         m.count <- 0;
         m.evictions <- m.evictions + 1
       end;
-    insert_loop m k1 k2 v (hash2 k1 k2 land m.mask)
+    insert_loop m ((m.gen lsl 3) lor op) k1 k2 v (home m op k1 k2)
 
   let clear m =
     m.gen <- m.gen + 1;
@@ -163,15 +179,20 @@ module Arena = struct
     mutable ucount : int;
     mutable probes : int; (* slots inspected across unique lookups *)
     mutable lookups : int;
-    neg_memo : Memo.t;
-    and_memo : Memo.t;
-    or_memo : Memo.t;
-    xor_memo : Memo.t;
-    restrict_memo : Memo.t;
+    memo : Memo.t; (* the computed table *)
     mutable frozen : bool; (* the manager's flag: [mk] refuses to allocate *)
     mutable alloc_hook : (unit -> unit) option;
   }
 
+  (* Initial sizes, from [Manager.stats] on the benchmark's jobs;
+     tables grow at 3/4 load. A router's delta ([fleet], E5) ends near
+     570 nodes (at most 603) and 620 computed entries (at most 693), so
+     its 768-node store and 1,024-slot tables never grow. A root manager
+     made per batch ([batch-mixed]) holds about 850 computed entries
+     when the batch asks its first question (p90 870) and 2,800 at its
+     end (p90 3,900). Its table starts at 2,048 slots, so nothing is
+     rehashed before the first question; allocating the whole batch's
+     8,192 slots up front cost that question more than the rehashes. *)
   let create ~memo_bound () =
     {
       start = 2;
@@ -188,11 +209,7 @@ module Arena = struct
       ucount = 0;
       probes = 0;
       lookups = 0;
-      neg_memo = Memo.create ~bound:memo_bound;
-      and_memo = Memo.create ~bound:memo_bound;
-      or_memo = Memo.create ~bound:memo_bound;
-      xor_memo = Memo.create ~bound:memo_bound;
-      restrict_memo = Memo.create ~bound:memo_bound;
+      memo = Memo.create ~bound:memo_bound ~cap:2048;
       frozen = false;
       alloc_hook = None;
     }
@@ -203,24 +220,20 @@ module Arena = struct
   let create_delta ~memo_bound (b : t) =
     {
       start = b.next;
-      store = make_store 1024;
-      cap = 1024;
+      store = make_store 768;
+      cap = 768;
       next = b.next;
       base_store = b.store;
       base_start = b.start;
       base_limit = b.next;
       base_uniq = b.uniq;
       base_umask = b.umask;
-      uniq = Array.make 2048 0;
-      umask = 2047;
+      uniq = Array.make 1024 0;
+      umask = 1023;
       ucount = 0;
       probes = 0;
       lookups = 0;
-      neg_memo = Memo.create ~bound:memo_bound;
-      and_memo = Memo.create ~bound:memo_bound;
-      or_memo = Memo.create ~bound:memo_bound;
-      xor_memo = Memo.create ~bound:memo_bound;
-      restrict_memo = Memo.create ~bound:memo_bound;
+      memo = Memo.create ~bound:memo_bound ~cap:1024;
       frozen = false;
       alloc_hook = None;
     }
@@ -240,10 +253,6 @@ module Arena = struct
     else Bigarray.Array1.unsafe_get a.base_store ((3 * (h - a.base_start)) + 2)
 
   let[@inline] level a h = if h <= 1 then max_int else node_v a h
-
-  let[@inline] hash3 v lo hi =
-    let h = (v * 0x65CC5C97) lxor (lo * 0x9E3779B1) lxor (hi * 0x85EBCA77) in
-    h lxor (h lsr 16)
 
   let rec probe_base a v lo hi i =
     let h = Array.unsafe_get a.base_uniq i in
@@ -330,14 +339,14 @@ module Arena = struct
   let rec neg a t =
     if t <= 1 then 1 - t
     else
-      let r = Memo.find a.neg_memo t 0 in
+      let r = Memo.find a.memo Memo.op_neg t 0 in
       if r >= 0 then r
       else begin
         let v = node_v a t in
         let lo = neg a (node_lo a t) in
         let hi = neg a (node_hi a t) in
         let r = mk a v lo hi in
-        Memo.add a.neg_memo t 0 r;
+        Memo.add a.memo Memo.op_neg t 0 r;
         r
       end
 
@@ -349,7 +358,7 @@ module Arena = struct
     else begin
       let k1 = if x < y then x else y in
       let k2 = if x < y then y else x in
-      let r = Memo.find a.and_memo k1 k2 in
+      let r = Memo.find a.memo Memo.op_and k1 k2 in
       if r >= 0 then r
       else begin
         let vx = node_v a x and vy = node_v a y in
@@ -361,12 +370,12 @@ module Arena = struct
         let lo = conj a xlo ylo in
         let hi = conj a xhi yhi in
         let r = mk a v lo hi in
-        Memo.add a.and_memo k1 k2 r;
+        Memo.add a.memo Memo.op_and k1 k2 r;
         r
       end
     end
 
-  (* Direct disjunction with its own memo, so no complement nodes are
+  (* Direct disjunction under its own tag, so no complement nodes are
      built on the way. *)
   let rec disj a x y =
     if x = y then x
@@ -376,7 +385,7 @@ module Arena = struct
     else begin
       let k1 = if x < y then x else y in
       let k2 = if x < y then y else x in
-      let r = Memo.find a.or_memo k1 k2 in
+      let r = Memo.find a.memo Memo.op_or k1 k2 in
       if r >= 0 then r
       else begin
         let vx = node_v a x and vy = node_v a y in
@@ -388,7 +397,7 @@ module Arena = struct
         let lo = disj a xlo ylo in
         let hi = disj a xhi yhi in
         let r = mk a v lo hi in
-        Memo.add a.or_memo k1 k2 r;
+        Memo.add a.memo Memo.op_or k1 k2 r;
         r
       end
     end
@@ -402,7 +411,7 @@ module Arena = struct
     else begin
       let k1 = if x < y then x else y in
       let k2 = if x < y then y else x in
-      let r = Memo.find a.xor_memo k1 k2 in
+      let r = Memo.find a.memo Memo.op_xor k1 k2 in
       if r >= 0 then r
       else begin
         let vx = node_v a x and vy = node_v a y in
@@ -414,21 +423,20 @@ module Arena = struct
         let lo = xor a xlo ylo in
         let hi = xor a xhi yhi in
         let r = mk a v lo hi in
-        Memo.add a.xor_memo k1 k2 r;
+        Memo.add a.memo Memo.op_xor k1 k2 r;
         r
       end
     end
 
-  (* [x ∧ ¬y] without building [¬y]. Memoized in the conjunction memo
-     under the key [(x, lnot y)]: a conjunction's keys are both
-     interior handles, so the negative tag never meets one. *)
+  (* [x ∧ ¬y] without building [¬y], memoized under the conjunction's
+     tag with the key [(x, lnot y)] (see [Memo.op_and]). *)
   let rec diff a x y =
     if x = 0 || y = 1 || x = y then 0
     else if y = 0 then x
     else if x = 1 then neg a y
     else begin
       let k2 = lnot y in
-      let r = Memo.find a.and_memo x k2 in
+      let r = Memo.find a.memo Memo.op_and x k2 in
       if r >= 0 then r
       else begin
         let vx = node_v a x and vy = node_v a y in
@@ -440,7 +448,7 @@ module Arena = struct
         let lo = diff a xlo ylo in
         let hi = diff a xhi yhi in
         let r = mk a v lo hi in
-        Memo.add a.and_memo x k2 r;
+        Memo.add a.memo Memo.op_and x k2 r;
         r
       end
     end
@@ -453,22 +461,17 @@ module Arena = struct
       else if tv = v then (if b then node_hi a t else node_lo a t)
       else
         let k2 = (v * 2) + Bool.to_int b in
-        let r = Memo.find a.restrict_memo t k2 in
+        let r = Memo.find a.memo Memo.op_restrict t k2 in
         if r >= 0 then r
         else begin
           let lo = restrict a v b (node_lo a t) in
           let hi = restrict a v b (node_hi a t) in
           let r = mk a tv lo hi in
-          Memo.add a.restrict_memo t k2 r;
+          Memo.add a.memo Memo.op_restrict t k2 r;
           r
         end
 
-  let clear_caches a =
-    Memo.clear a.neg_memo;
-    Memo.clear a.and_memo;
-    Memo.clear a.or_memo;
-    Memo.clear a.xor_memo;
-    Memo.clear a.restrict_memo
+  let clear_caches a = Memo.clear a.memo
 
   (* Reset drops own nodes only: a delta rewinds to its base boundary
      and the base (shared, frozen) is untouched. *)
@@ -553,20 +556,21 @@ module Manager = struct
       arena = Arena.create_delta ~memo_bound:base.memo_bound base.arena;
       base = Some base;
       memo_bound = base.memo_bound;
-      compile_cache = Hashtbl.create 256;
+      compile_cache = Hashtbl.create 16;
       cache_hits = 0;
       cache_misses = 0;
       cache_hook = None;
     }
 
-  (* Drop the operation memo tables only; hash-consed nodes (and the
+  (* Drop the computed table only; hash-consed nodes (and the
      compilation cache, which pins them) survive. *)
   let clear_caches m = Arena.clear_caches m.arena
 
-  (* Full reset: unique table, id allocator, memos and the compilation
-     cache. Every BDD built by this manager is invalidated — only call
-     between independent analyses when none of them is still live. On a
-     delta this rewinds to the base boundary; the shared base survives. *)
+  (* Full reset: unique table, id allocator, computed table and the
+     compilation cache. Every BDD built by this manager is invalidated —
+     only call between independent analyses when none of them is still
+     live. On a delta this rewinds to the base boundary; the shared base
+     survives. *)
   let reset m =
     if frozen m then invalid_arg "Bdd.Manager.reset: manager is frozen";
     Arena.reset m.arena;
@@ -575,11 +579,7 @@ module Manager = struct
   type stats = {
     nodes : int; (* live entries in the own unique table *)
     next_id : int;
-    neg_memo : int;
-    and_memo : int;
-    or_memo : int;
-    xor_memo : int;
-    restrict_memo : int;
+    memo : int; (* live computed-table entries *)
     cache_entries : int;
     cache_hits : int;
     cache_misses : int;
@@ -596,11 +596,7 @@ module Manager = struct
     {
       nodes = a.Arena.ucount;
       next_id = a.Arena.next;
-      neg_memo = a.Arena.neg_memo.Memo.count;
-      and_memo = a.Arena.and_memo.Memo.count;
-      or_memo = a.Arena.or_memo.Memo.count;
-      xor_memo = a.Arena.xor_memo.Memo.count;
-      restrict_memo = a.Arena.restrict_memo.Memo.count;
+      memo = a.Arena.memo.Memo.count;
       cache_entries = Hashtbl.length m.compile_cache;
       cache_hits = m.cache_hits;
       cache_misses = m.cache_misses;
@@ -609,12 +605,7 @@ module Manager = struct
       uniq_slots = a.Arena.umask + 1;
       uniq_lookups = a.Arena.lookups;
       uniq_probes = a.Arena.probes;
-      memo_evictions =
-        a.Arena.neg_memo.Memo.evictions
-        + a.Arena.and_memo.Memo.evictions
-        + a.Arena.or_memo.Memo.evictions
-        + a.Arena.xor_memo.Memo.evictions
-        + a.Arena.restrict_memo.Memo.evictions;
+      memo_evictions = a.Arena.memo.Memo.evictions;
     }
 
   let key = Domain.DLS.new_key (fun () -> create ())

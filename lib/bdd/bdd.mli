@@ -9,11 +9,11 @@
     manager's node store, an {e arena}: nodes are int-packed (var, lo,
     hi) triples in a flat growable bigarray, hash-consed through
     open-addressing tables that never allocate on the probe path, with
-    bounded generation-tagged operation memos
-    ([CLARIFY_BDD_MEMO_BOUND], default 2{^20} entries per memo).
+    one bounded generation-tagged computed table memoizing every
+    operation ([CLARIFY_BDD_MEMO_BOUND], default 2{^20} slots).
 
     {b Managers and domains.} All mutable state (the node store, the
-    operation memo tables, the compilation cache, the hooks) lives in a
+    computed table, the compilation cache, the hooks) lives in a
     {!Manager.t}. The module-level operations act on a {e domain-local}
     default manager — one per [Domain], allocated lazily — so every
     domain owns an isolated, race-free BDD universe and parallel
@@ -35,18 +35,19 @@
 
 type t
 
-(** The mutable BDD universe: node store, memo tables, compilation
+(** The mutable BDD universe: node store, computed table, compilation
     cache and observability hooks. *)
 module Manager : sig
   type bdd = t
   type t
 
   val create : ?memo_bound:int -> unit -> t
-  (** [create ()] makes a fresh root manager. [memo_bound] caps each
-      operation-memo table at that many entries (rounded up to a power
-      of two, min 16); when a bounded memo fills up it is evicted
-      wholesale by a generation bump instead of growing. Default:
-      [CLARIFY_BDD_MEMO_BOUND] or 2{^20}. *)
+  (** [create ()] makes a fresh root manager. [memo_bound] caps its
+      computed table, the one memo every operation shares, at that many
+      slots (rounded up to a power of two, min 16); once the table holds
+      3/4 of the bound it is evicted wholesale by a generation bump
+      instead of growing. Default: [CLARIFY_BDD_MEMO_BOUND] or 2{^20}.
+      The table starts at 2,048 slots (or the bound, if smaller). *)
 
   val current : unit -> t
   (** The calling domain's default manager (created on first use). *)
@@ -64,16 +65,19 @@ module Manager : sig
       frozen root manager [base]: node and compilation-cache lookups
       fall through [base] first, fresh allocations go only to the
       delta, and [base]'s handles remain valid (and equal) in the
-      delta. The delta inherits [base]'s memo bound.
+      delta. The delta inherits [base]'s memo bound. It starts sized
+      for one E5 router's work (768 nodes, 1,024 unique and
+      computed-table slots, 16 compilation-cache buckets), so a
+      router's delta never grows.
       @raise Invalid_argument if [base] is not frozen, or is itself a
       delta. *)
 
   val clear_caches : t -> unit
-  (** Drop the operation memo tables only; hash-consed nodes and the
-      compilation cache are kept. *)
+  (** Drop the computed table only (one generation bump); hash-consed
+      nodes and the compilation cache are kept. *)
 
   val reset : t -> unit
-  (** Full reset: unique table, id allocator, memo tables and the
+  (** Full reset: unique table, id allocator, computed table and the
       compilation cache. Invalidates {e every} BDD the manager has
       built — only call between independent analyses when none of
       their results is still live. On a delta this rewinds to the base
@@ -85,11 +89,7 @@ module Manager : sig
   type stats = {
     nodes : int; (* live entries in the own unique table *)
     next_id : int; (* next fresh node handle *)
-    neg_memo : int;
-    and_memo : int; (* conjunctions and and-nots ([diff]) *)
-    or_memo : int;
-    xor_memo : int;
-    restrict_memo : int;
+    memo : int; (* live computed-table entries, every operation's *)
     cache_entries : int; (* own compilation-cache entries *)
     cache_hits : int; (* compilation-cache hits since creation *)
     cache_misses : int;
@@ -104,7 +104,8 @@ module Manager : sig
   val stats : t -> stats
 
   val memo_bound_env : string
-  (** ["CLARIFY_BDD_MEMO_BOUND"] — default per-memo entry bound. *)
+  (** ["CLARIFY_BDD_MEMO_BOUND"] — the default bound, in slots, of each
+      manager's one computed table. *)
 end
 
 val manager : unit -> Manager.t
@@ -146,7 +147,7 @@ val diff : t -> t -> t
     [¬b]. Memoized with the conjunctions. *)
 
 val disj : t -> t -> t
-(** Direct recursive disjunction with its own memo table. *)
+(** Direct recursive disjunction, memoized under its own tag. *)
 
 val xor : t -> t -> t
 val imp : t -> t -> t
@@ -235,7 +236,7 @@ val get_cache_hook : unit -> (bool -> unit) option
 
 val clear_caches : unit -> unit
 (** [Manager.clear_caches] on the current domain's manager: drop
-    operation memo tables (unique table is kept). Useful between large
+    the computed table (unique table is kept). Useful between large
     independent analyses to bound memo growth; use {!Manager.reset}
     to also bound the unique table. *)
 

@@ -465,18 +465,24 @@ let rejects compile source =
 
 (* [make g.name values], [values] being the group's items in source
    order. [make] fails only on a duplicate sequence number; that is
-   located at the second entry holding the least seq two entries share,
-   the pair a stable sort puts first. *)
+   located at the first entry whose seq an earlier entry holds, with the
+   error [make] gives for the entries up to it, which is the error of
+   the config's lines up to that one. *)
 let sequenced ~seq ~line g make values =
   try make g.name values
-  with Invalid_argument m as e ->
-    let rec second = function
-      | a :: (b :: _ as rest) ->
-          if seq a = seq b then fail (line b) "%s" m else second rest
-      | _ -> raise e
+  with Invalid_argument _ as e ->
+    let seen = Hashtbl.create 8 in
+    let rec first_repeat i = function
+      | [] -> raise e
+      | x :: _ when Hashtbl.mem seen (seq x) -> (
+          match make g.name (List.filteri (fun j _ -> j <= i) values) with
+          | _ -> raise e
+          | exception Invalid_argument m -> fail (line x) "%s" m)
+      | x :: rest ->
+          Hashtbl.replace seen (seq x) ();
+          first_repeat (i + 1) rest
     in
-    let by_seq a b = Int.compare (seq a) (seq b) in
-    second (List.stable_sort by_seq (List.rev g.items))
+    first_repeat 0 (List.rev g.items)
 
 (* A clause list in source order. Most hold one clause, kept as it is. *)
 let rev = function ([] | [ _ ]) as l -> l | l -> List.rev l

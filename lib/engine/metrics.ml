@@ -75,11 +75,7 @@ let manager_nodes =
 
 let manager_memo =
   Obs.Gauge.collector "bdd.manager.memo_entries" (fun () ->
-      let s = manager_stats () in
-      float_of_int
-        (s.Symbdd.Bdd.Manager.neg_memo + s.Symbdd.Bdd.Manager.and_memo
-       + s.Symbdd.Bdd.Manager.or_memo + s.Symbdd.Bdd.Manager.xor_memo
-       + s.Symbdd.Bdd.Manager.restrict_memo))
+      float_of_int (manager_stats ()).Symbdd.Bdd.Manager.memo)
 
 let manager_cache_entries =
   Obs.Gauge.collector "bdd.manager.cache_entries" (fun () ->

@@ -59,7 +59,8 @@ val manager_nodes : Obs.Gauge.t
     read time (a snapshot needs no publish step). *)
 
 val manager_memo : Obs.Gauge.t
-(** Entries across the sampling domain's BDD operation memo tables. *)
+(** Live entries in the sampling domain's BDD computed table, the one
+    memo every operation shares. *)
 
 val manager_cache_entries : Obs.Gauge.t
 (** Entries in the sampling domain's symbolic compilation cache. *)
@@ -72,5 +73,5 @@ val manager_probe_length : Obs.Gauge.t
     sampling domain's arena. *)
 
 val manager_memo_evictions : Obs.Gauge.t
-(** Generation-tag evictions forced by the bounded BDD operation memos
+(** Generation-tag evictions forced by the bounded BDD computed table
     ([CLARIFY_BDD_MEMO_BOUND]). *)

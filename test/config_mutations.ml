@@ -1,8 +1,9 @@
 (** Test helper: mutated example configs, for properties over malformed
     input. The seeds are the configs the examples and E1 ship; each case
     applies 1-3 mutations to one of them: a deletion, a fragment
-    insertion, or a number already there replaced by one at either side
-    of a field's width. [mutate] and [mutated] serve the properties over
+    insertion, a number already there replaced by one at either side
+    of a field's width, or a list entry or stanza header copied to
+    another line. [mutate] and [mutated] serve the properties over
     prompts and logs too, with their own seeds and fragments. *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -66,7 +67,27 @@ let mutated gen mutate =
       done;
       !text)
 
+(* One line that opens a list entry or a stanza ([ip ...] or
+   [route-map ...]) copied to the start of a random line, before or
+   after it. Its list then holds a duplicate seq, or its map a
+   duplicate stanza header, which [finalize] locates at the later of
+   the two lines. Two copies make two lists fail, and the list with the
+   earliest error need not be the one the reference checks first, as
+   when a stanza header's copy lands above a prefix-list entry's. *)
+let copy_line rng text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let opens l = String.starts_with ~prefix:"ip " l || String.starts_with ~prefix:"route-map " l in
+  match List.filter (fun i -> opens lines.(i)) (List.init (Array.length lines) Fun.id) with
+  | [] -> text
+  | heads ->
+      let src = lines.(List.nth heads (Random.State.int rng (List.length heads))) in
+      let at = Random.State.int rng (Array.length lines + 1) in
+      String.concat "\n"
+        (Array.to_list (Array.sub lines 0 at) @ (src :: Array.to_list (Array.sub lines at (Array.length lines - at))))
+
 let gen : string QCheck.Gen.t =
   mutated
     (fun rng -> QCheck.Gen.oneofa (Lazy.force seeds) rng)
-    (mutate ~fragments ~numbers:splice_numbers)
+    (fun rng text ->
+      if Random.State.int rng 4 = 0 then copy_line rng text
+      else mutate ~fragments ~numbers:splice_numbers rng text)

@@ -1,7 +1,7 @@
 (* Tests for the BDD arena's manager contracts: the frozen-base/delta
-   sharing, bounded memos and the stats surface. DESIGN.md §15. The
-   operations themselves are checked against brute-force semantics in
-   test_bdd. *)
+   sharing, the bounded computed table and the stats surface. DESIGN.md
+   §15. The operations themselves are checked against brute-force
+   semantics in test_bdd. *)
 
 open Symbdd
 
@@ -149,6 +149,70 @@ let test_memo_eviction () =
     (Bdd.Manager.stats big).Bdd.Manager.memo_evictions
 
 (* ------------------------------------------------------------------ *)
+(* One computed table: its operation tags keep results apart.         *)
+(* ------------------------------------------------------------------ *)
+
+(* The function whose truth table over [nvars] variables is [bits],
+   laid node by node, so building it computes no operation. *)
+let of_table bits =
+  let rec go v i =
+    if v = nvars then if bits land (1 lsl i) <> 0 then Bdd.one else Bdd.zero
+    else Bdd.node v ~lo:(go (v + 1) i) ~hi:(go (v + 1) (i lor (1 lsl v)))
+  in
+  go 0 0
+
+let table b =
+  List.init (1 lsl nvars) (fun i -> Bdd.eval (fun v -> i land (1 lsl v) <> 0) b)
+
+(* Every operation the computed table memoizes, on the functions [f],
+   [g], [h] and a restriction [(v, b)]. [conj], [disj] and [xor] memoize
+   under the key [(f, g)], so under one tag any of them would answer
+   for another. *)
+let operations =
+  [
+    ("conj", fun (f, g, _, _) -> Bdd.conj f g);
+    ("disj", fun (f, g, _, _) -> Bdd.disj f g);
+    ("xor", fun (f, g, _, _) -> Bdd.xor f g);
+    ("diff", fun (f, g, _, _) -> Bdd.diff f g);
+    ("neg", fun (f, _, _, _) -> Bdd.neg f);
+    ("restrict", fun (f, _, _, (v, b)) -> Bdd.restrict v b f);
+    ("ite", fun (f, g, h, _) -> Bdd.ite f g h);
+  ]
+
+(* All seven operations in a shuffled order in one manager, each result
+   against the same operation alone in a fresh manager, by truth
+   table. *)
+let prop_operations_apart ?memo_bound name =
+  let gen =
+    QCheck.Gen.(
+      let bits = int_bound 0xFFFF_FFFF in
+      triple (triple bits bits bits)
+        (pair (int_bound (nvars - 1)) bool)
+        (shuffle_l (List.map fst operations)))
+  in
+  let print ((f, g, h), (v, b), order) =
+    Printf.sprintf "f=%#x g=%#x h=%#x restrict x%d=%b order=%s" f g h v b
+      (String.concat "," order)
+  in
+  QCheck.Test.make ~name ~count:500 (QCheck.make ~print gen)
+    (fun ((f, g, h), r, order) ->
+      let args () = (of_table f, of_table g, of_table h, r) in
+      let shared =
+        Bdd.with_manager (Bdd.Manager.create ?memo_bound ()) (fun () ->
+            let a = args () in
+            List.map (fun op -> (op, table (List.assoc op operations a))) order)
+      in
+      List.for_all
+        (fun (op, got) ->
+          let alone =
+            Bdd.with_manager (Bdd.Manager.create ()) (fun () ->
+                table (List.assoc op operations (args ())))
+          in
+          got = alone
+          || QCheck.Test.fail_reportf "%s differs from %s alone" op op)
+        shared)
+
+(* ------------------------------------------------------------------ *)
 (* Stats surface sanity for the new gauges.                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -190,5 +254,8 @@ let () =
         [
           Alcotest.test_case "bounded eviction" `Quick test_memo_eviction;
           Alcotest.test_case "stats surface" `Quick test_stats_surface;
+          QCheck_alcotest.to_alcotest (prop_operations_apart "operations kept apart");
+          QCheck_alcotest.to_alcotest
+            (prop_operations_apart ~memo_bound:64 "operations kept apart, bound 64");
         ] );
     ]

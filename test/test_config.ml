@@ -158,8 +158,9 @@ let two_failing_lists =
 (* Errors found only once every line is read (a duplicate sequence
    number, a community list mixing kinds, a bad standard community, a
    malformed regex) are located too, at the offending entry's line
-   (the second of a duplicate pair), with the text they had before they
-   had a line; and [parse_exn] raises them as [Syntax_error]. *)
+   (the first entry repeating an earlier entry's seq), with the text
+   its list's constructor gives for the entries up to it; and
+   [parse_exn] raises them as [Syntax_error]. *)
 let test_parse_list_errors () =
   List.iter
     (fun (src, line, message) ->
@@ -176,7 +177,7 @@ let test_parse_list_errors () =
       ( "route-map M permit 10\nroute-map M deny 10",
         2, "Route_map.make: duplicate seq 10 in M" );
       ( "route-map M permit 20\nroute-map M permit 10\n match tag 1\nroute-map M deny 20\nroute-map M deny 10",
-        5, "Route_map.make: duplicate seq 10 in M" );
+        4, "Route_map.make: duplicate seq 20 in M" );
       ( "ip prefix-list P seq 5 permit 10.0.0.0/8\nip prefix-list P seq 5 deny 11.0.0.0/8",
         2, "Prefix_list.make: duplicate seq 5 in P" );
       ( "ip prefix-list P permit 10.0.0.0/8\nip prefix-list P seq 10 permit 11.0.0.0/8",
