@@ -463,7 +463,10 @@ let replay_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"LOG"
-          ~doc:"JSONL event log recorded with $(b,clarify update --record).")
+          ~doc:
+            "JSONL event log recorded with $(b,clarify update --record) or \
+             $(b,clarify batch --record), or one router's log from \
+             $(b,clarify eval e4|e5 --record-dir).")
   in
   let run log =
     match Clarify.Replay.run_file log with

@@ -19,7 +19,8 @@ type fleet_info = {
 type router_stats = {
   router : string;
   sessions : int; (* session_start events *)
-  route_maps : int; (* distinct session_start targets *)
+  route_maps : int;
+      (* distinct targets: of session_start, or of batch_item in a batch *)
   stanzas : int; (* placement events *)
   questions : int;
   probes : int;
@@ -154,6 +155,11 @@ module Acc = struct
 
   let int_field f e = Option.value ~default:0 (E.int_field f e)
 
+  let add_target acc e =
+    match E.str_field "target" e with
+    | Some t -> { acc with targets = insert_target acc.targets t }
+    | None -> acc
+
   let add acc e =
     let acc =
       {
@@ -169,18 +175,14 @@ module Acc = struct
     in
     match e.E.kind with
     | "session_start" ->
-        let acc =
-          match E.str_field "target" e with
-          | Some t -> { acc with targets = insert_target acc.targets t }
-          | None -> acc
-        in
-        let batch =
-          if E.str_field "pipeline" e = Some "batch" then 1 else 0
-        in
+        (* A batch session's policies are its items' targets, counted
+           at its batch_item events, not its "*" target. *)
+        let batch = E.str_field "pipeline" e = Some "batch" in
+        let acc = if batch then acc else add_target acc e in
         {
           acc with
           sessions = acc.sessions + 1;
-          batch_sessions = acc.batch_sessions + batch;
+          batch_sessions = acc.batch_sessions + Bool.to_int batch;
         }
     | "placement" ->
         {
@@ -253,6 +255,7 @@ module Acc = struct
             acc.batch_conflict_pairs + int_field "conflict_pairs" e;
         }
     | "batch_item" ->
+        let acc = add_target acc e in
         if E.field "fast_path" e = Some (Json.Bool true) then
           { acc with batch_fast_path = acc.batch_fast_path + 1 }
         else acc
@@ -456,8 +459,8 @@ let cost_markdown t =
     t.routers;
   Buffer.contents b
 
-(* Only rendered when batch sessions are present, so reports over
-   single-intent logs (e.g. the committed E4 golden) are unchanged. *)
+(* Only rendered when batch sessions are present: E4's and E5's logs
+   and [clarify batch] recordings, not single-intent [update] logs. *)
 let batch_markdown t =
   let b = Buffer.create 256 in
   Buffer.add_string b

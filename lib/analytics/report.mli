@@ -18,7 +18,8 @@ type fleet_info = {
 type router_stats = {
   router : string;
   sessions : int; (* session_start events *)
-  route_maps : int; (* distinct session_start targets *)
+  route_maps : int;
+      (* distinct targets: of session_start, or of batch_item in a batch *)
   stanzas : int; (* placement events *)
   questions : int;
   probes : int;

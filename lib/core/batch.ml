@@ -80,6 +80,23 @@ let view = function
 (* Flight recorder                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The item targets [db] holds with no stanzas or rules. The printer
+   writes no empty route-map, so [config] can drop them; replay
+   re-creates every target on this list. *)
+let empty_targets ~db items =
+  List.filter_map
+    (function
+      | Route_map_update { target; _ } -> (
+          match Config.Database.route_map db target with
+          | Some { stanzas = []; _ } -> Some target
+          | _ -> None)
+      | Acl_update { target; _ } -> (
+          match Config.Database.acl db target with
+          | Some { rules = []; _ } -> Some target
+          | _ -> None))
+    items
+  |> List.sort_uniq String.compare
+
 let emit_session_start ~items ~rm_mode ~acl_mode ~max_attempts ~db =
   Telemetry.emit ~kind:"session_start" (fun () ->
       [
@@ -101,7 +118,15 @@ let emit_session_start ~items ~rm_mode ~acl_mode ~max_attempts ~db =
                      ("prompt", Json.String (item_prompt it));
                    ])
                items) );
-      ])
+      ]
+      @
+      match empty_targets ~db items with
+      | [] -> []
+      | ts ->
+          [
+            ( "empty_targets",
+              Json.List (List.map (fun t -> Json.String t) ts) );
+          ])
 
 let emit_plan ~intents ~groups ~overlaps ~conflicts =
   Telemetry.emit ~kind:"batch_plan" (fun () ->

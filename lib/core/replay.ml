@@ -47,14 +47,13 @@ let required e name =
 let run_events recorded =
   let ( let* ) r f = Result.bind r f in
   (* Span mirror events (Telemetry.span_sink) carry wall-clock timings
-     that never reproduce, and gauge samples are point-in-time runtime
-     state; drop both from the streams before comparing. The replay
-     side never emits them anyway (no sink is installed, gauges are
-     only sampled by the evaluation harness), but recordings made with
-     --record-dir contain them. *)
-  let recorded =
-    List.filter (fun e -> e.E.kind <> "span" && e.E.kind <> "gauges") recorded
-  in
+     that never reproduce, gauge samples are point-in-time runtime
+     state, and E5's fleet_router events frame a router's session from
+     outside it; drop them from the streams before comparing. The
+     replay side never emits them, but --record-dir recordings hold
+     them. *)
+  let outside = [ "span"; "gauges"; "fleet_router"; "fleet_router_done" ] in
+  let recorded = List.filter (fun e -> not (List.mem e.E.kind outside)) recorded in
   let* start =
     match recorded with
     | e :: _ when e.E.kind = "session_start" -> Ok e
@@ -165,6 +164,22 @@ let run_events recorded =
                 (Ok []) items
               |> Result.map List.rev
           | _ -> Error "batch session_start: missing items list"
+        in
+        (* Re-create the empty targets the recorded config could not
+           print. *)
+        let empty =
+          Option.fold ~none:[] ~some:(List.filter_map Json.to_str)
+            (Option.bind (E.field "empty_targets" start) Json.to_list)
+        in
+        let db =
+          List.fold_left
+            (fun db -> function
+              | Batch.Route_map_update { target = t; _ } when List.mem t empty ->
+                  Config.Database.add_route_map db (Config.Route_map.make t [])
+              | Batch.Acl_update { target = t; _ } when List.mem t empty ->
+                  Config.Database.add_acl db (Config.Acl.make t [])
+              | _ -> db)
+            db items
         in
         Ok
           (fun () ->

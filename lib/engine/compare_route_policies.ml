@@ -260,37 +260,38 @@ let cell_boundaries p k =
         else Option.map (fun d -> (i, Some d)) (decode p k i c))
     (List.init (Array.length cells - 1) Fun.id)
 
+(* One route decoded per pair: where the two outcomes may differ,
+   [sample_route] finds a route of the shared region exactly when
+   [Ctx.is_sat] would, so its [None] means the regions are disjoint. *)
 let classify p i j =
   let db = p.db and si = p.cands.(i) and sj = p.cands.(j) in
   let region = Bdd.conj p.matches.(i) p.matches.(j) in
-  if not (Ctx.is_sat p.ctx region) then First_match.Disjoint
+  let ti = p.transforms.(i) and tj = p.transforms.(j) in
+  if not (may_differ db (si.action, ti) (sj.action, tj)) then
+    if Ctx.is_sat p.ctx region then First_match.Overlap
+    else First_match.Disjoint
   else
-    let ti = p.transforms.(i) and tj = p.transforms.(j) in
-    if not (may_differ db (si.action, ti) (sj.action, tj)) then
-      First_match.Overlap
-    else
-      match
-        sample_route p.ctx ~db_a:db ~db_b:db ti.communities tj.communities
-          region
-      with
-      | None -> First_match.Overlap
-      | Some route ->
-          (* The witness matches both candidates. *)
-          let result_of (s : Config.Route_map.stanza) =
-            Config.Semantics.apply_action db s.action s.sets route
-          in
-          let result_a = result_of si and result_b = result_of sj in
-          if Config.Semantics.route_result_equal result_a result_b then
-            First_match.Overlap
-          else
-            First_match.Conflict
-              {
-                route;
-                result_a;
-                result_b;
-                stanza_a = Some si.seq;
-                stanza_b = Some sj.seq;
-              }
+    match
+      sample_route p.ctx ~db_a:db ~db_b:db ti.communities tj.communities region
+    with
+    | None -> First_match.Disjoint
+    | Some route ->
+        (* The witness matches both candidates. *)
+        let result_of (s : Config.Route_map.stanza) =
+          Config.Semantics.apply_action db s.action s.sets route
+        in
+        let result_a = result_of si and result_b = result_of sj in
+        if Config.Semantics.route_result_equal result_a result_b then
+          First_match.Overlap
+        else
+          First_match.Conflict
+            {
+              route;
+              result_a;
+              result_b;
+              stanza_a = Some si.seq;
+              stanza_b = Some sj.seq;
+            }
 
 module Sweep = First_match.Sweep (struct
   type target = Config.Database.t * Config.Route_map.t

@@ -1,15 +1,14 @@
 (** Experiment E4 — the paper's Section 5 evaluation (Figures 3 and 4):
     incrementally synthesize the route-maps of routers M, R1 and R2 from
-    natural-language intents with the full Clarify pipeline, install
-    them on the Figure 3 topology, and check the five global policies.
+    natural-language intents, one {!Clarify.Batch.run} per router,
+    install them on the Figure 3 topology, and check the five global
+    policies.
 
     The global policies are decomposed Lightyear-style into per-router,
     per-interface local intents, each of which becomes one stanza
     insertion. The simulated user answering disambiguation questions is
     driven by the hand-written reference configuration. *)
 
-module D = Clarify.Disambiguator
-module P = Clarify.Pipeline
 module I = Llm.Intent
 
 let bogon_ranges =
@@ -48,52 +47,44 @@ let permit_service_lp200 =
     Config.Action.Permit
 
 (* One update step: which map, in which order, built from which intent. *)
-type step = { map : string; intent : I.t }
+let step map intent = { Netgen.Policy.map; intent }
 
-let border_steps ~prefix_name ~own_community ~other_community =
+let border_steps ~prefix_name ~isp ~own_community ~other_community =
   let m n = prefix_name ^ "_" ^ n in
   [
     (* import from the ISP: drop bogons, tag the rest. *)
-    { map = m "FROM_ISP"; intent = deny_bogons };
-    { map = m "FROM_ISP"; intent = permit_all_tagging own_community };
+    step (m ("FROM_" ^ isp)) deny_bogons;
+    step (m ("FROM_" ^ isp)) (permit_all_tagging own_community);
     (* export to the ISP: drop bogons, then everything else, then learn
        that routes from the other ISP must not leak (inserted last, so
        it must be disambiguated above the catch-all). *)
-    { map = m "TO_ISP"; intent = deny_bogons };
-    { map = m "TO_ISP"; intent = permit_all };
-    { map = m "TO_ISP"; intent = deny_community other_community };
+    step (m ("TO_" ^ isp)) deny_bogons;
+    step (m ("TO_" ^ isp)) permit_all;
+    step (m ("TO_" ^ isp)) (deny_community other_community);
     (* import from the datacenter: service first, reused blocked. *)
-    { map = m "FROM_DC"; intent = permit_service };
-    { map = m "FROM_DC"; intent = deny_reused };
-    { map = m "FROM_DC"; intent = permit_all };
+    step (m "FROM_DC") permit_service;
+    step (m "FROM_DC") deny_reused;
+    step (m "FROM_DC") permit_all;
     (* import from management: reused blocked. *)
-    { map = m "FROM_M"; intent = deny_reused };
-    { map = m "FROM_M"; intent = permit_all };
+    step (m "FROM_M") deny_reused;
+    step (m "FROM_M") permit_all;
     (* export to management: reused blocked. *)
-    { map = m "TO_M"; intent = deny_reused };
-    { map = m "TO_M"; intent = permit_all };
+    step (m "TO_M") deny_reused;
+    step (m "TO_M") permit_all;
   ]
 
 let m_steps =
   [
-    { map = "M_FROM_R1"; intent = permit_service_lp200 };
-    { map = "M_FROM_R1"; intent = permit_all };
-    { map = "M_FROM_R1"; intent = deny_reused };
-    { map = "M_FROM_R2"; intent = deny_reused };
-    { map = "M_FROM_R2"; intent = permit_all };
-    { map = "M_TO_R1"; intent = deny_reused };
-    { map = "M_TO_R1"; intent = permit_all };
-    { map = "M_TO_R2"; intent = deny_reused };
-    { map = "M_TO_R2"; intent = permit_all };
+    step "M_FROM_R1" permit_service_lp200;
+    step "M_FROM_R1" permit_all;
+    step "M_FROM_R1" deny_reused;
+    step "M_FROM_R2" deny_reused;
+    step "M_FROM_R2" permit_all;
+    step "M_TO_R1" deny_reused;
+    step "M_TO_R1" permit_all;
+    step "M_TO_R2" deny_reused;
+    step "M_TO_R2" permit_all;
   ]
-
-(* Rename border step maps to the topology's names. *)
-let rename_map = function
-  | "R1_FROM_ISP" -> "R1_FROM_ISP1"
-  | "R1_TO_ISP" -> "R1_TO_ISP1"
-  | "R2_FROM_ISP" -> "R2_FROM_ISP2"
-  | "R2_TO_ISP" -> "R2_TO_ISP2"
-  | other -> other
 
 type router_stats = {
   router : string;
@@ -101,7 +92,6 @@ type router_stats = {
   synthesis_calls : int; (* the paper's "#LLM calls" *)
   total_llm_calls : int; (* including classification and spec extraction *)
   questions : int; (* the paper's "#Disambiguation" *)
-  steps : int;
 }
 
 type result = {
@@ -111,81 +101,48 @@ type result = {
   rounds : int;
 }
 
-(* With --record-dir, each router's steps run under their own channel
-   recorder (one log per router, D/e4_<router>.jsonl) tagged with a
-   router context label, so `clarify report D` can rebuild Figure 4
-   from the logs alone. *)
-let with_router_recording ~record_dir ~router f =
-  match record_dir with
-  | None -> f ()
-  | Some dir ->
-      let path = Filename.concat dir ("e4_" ^ router ^ ".jsonl") in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Telemetry.with_channel_recorder oc @@ fun () ->
-          Telemetry.with_context [ ("router", router) ] (fun () ->
-              let r = f () in
-              (* Close each router log with a point-in-time gauge
-                 sample (GC pressure, BDD manager sizes, pool
-                 occupancy) so `clarify report --format json` can show
-                 runtime state per router. The event kind is unknown to
-                 the deterministic md/csv renderings, which ignore it
-                 by construction. *)
-              Telemetry.emit ~kind:"gauges" (fun () ->
-                  List.map
-                    (fun (n, v) -> (n, Json.Float v))
-                    (Obs.Gauge.sample_all ()));
-              r))
-
-(* Build one router's config by running every step through the
-   pipeline, with the oracle answering from the reference semantics. *)
+(* One router's config: its steps placed with one batch, the user
+   answering from the router's reference config. With --record-dir the
+   batch is recorded to D/e4_<router>.jsonl, so `clarify report D`
+   rebuilds Figure 4 from the logs alone. *)
 let build_router ?record_dir ~router ~map_names ~steps ~reference_db () =
-  with_router_recording ~record_dir ~router @@ fun () ->
-  let llm = Llm.Mock_llm.create () in
-  let questions = ref 0 in
-  let db =
-    List.fold_left
-      (fun db { map; intent } ->
-        let map = rename_map map in
-        (* Ensure the target map exists (placeholder when first touched). *)
-        let db =
-          if Config.Database.route_map db map = None then
-            Config.Database.add_route_map db (Config.Route_map.make map [])
-          else db
-        in
-        let reference_map =
-          Option.get (Config.Database.route_map reference_db map)
-        in
-        let oracle =
-          D.intent_driven (fun route ->
-              Config.Semantics.eval_route_map reference_db reference_map route)
-        in
-        let prompt = I.to_prompt intent in
-        match
-          P.run_route_map_update ~llm ~oracle ~db ~target:map ~prompt ()
-        with
-        | Ok report ->
-            questions := !questions + List.length report.P.questions;
-            report.P.db
-        | Error e ->
-            failwith
-              (Printf.sprintf "E4 %s %s: %s" router map
-                 (P.error_to_string e)))
-      Config.Database.empty steps
+  Router_batch.with_recording ~record_dir ~log:("e4_" ^ router ^ ".jsonl")
+    ~router
+  @@ fun () ->
+  let b =
+    Router_batch.build ~experiment:"E4" ~router ~reference:reference_db steps
   in
-  let stats =
+  ( b.config,
     {
       router;
       route_maps = List.length map_names;
-      synthesis_calls = (Llm.Mock_llm.stats llm).Llm.Mock_llm.synthesis_calls;
-      total_llm_calls = Llm.Mock_llm.total_calls llm;
-      questions = !questions;
-      steps = List.length steps;
-    }
-  in
-  (db, stats)
+      synthesis_calls = b.synthesis_calls;
+      total_llm_calls = b.total_llm_calls;
+      questions = b.questions;
+    } )
+
+(* Each router's name, route-maps, steps and reference config. *)
+let routers () =
+  let reference = Netsim.Figure3.reference () in
+  List.map
+    (fun (router, map_names, steps) ->
+      ( router,
+        map_names,
+        steps,
+        (Netsim.Topology.find reference router).Netsim.Topology.config ))
+    [
+      ("M", Netsim.Figure3.m_maps, m_steps);
+      ( "R1",
+        Netsim.Figure3.r1_maps,
+        border_steps ~prefix_name:"R1" ~isp:"ISP1"
+          ~own_community:Netsim.Figure3.from_isp1_community
+          ~other_community:Netsim.Figure3.from_isp2_community );
+      ( "R2",
+        Netsim.Figure3.r2_maps,
+        border_steps ~prefix_name:"R2" ~isp:"ISP2"
+          ~own_community:Netsim.Figure3.from_isp2_community
+          ~other_community:Netsim.Figure3.from_isp1_community );
+    ]
 
 (* The three routers are synthesized independently (each from its own
    reference config, with its own mock LLM and oracle), so a pool runs
@@ -195,29 +152,11 @@ let build_router ?record_dir ~router ~map_names ~steps ~reference_db () =
    per-router results are assembled in fixed M, R1, R2 order, so the
    report is identical at every pool size. *)
 let run ?record_dir ?(pool = Parallel.Pool.serial) () =
-  let reference = Netsim.Figure3.reference () in
-  let ref_db name = (Netsim.Topology.find reference name).Netsim.Topology.config in
-  let specs =
-    [
-      ("M", Netsim.Figure3.m_maps, m_steps);
-      ( "R1",
-        Netsim.Figure3.r1_maps,
-        border_steps ~prefix_name:"R1"
-          ~own_community:Netsim.Figure3.from_isp1_community
-          ~other_community:Netsim.Figure3.from_isp2_community );
-      ( "R2",
-        Netsim.Figure3.r2_maps,
-        border_steps ~prefix_name:"R2"
-          ~own_community:Netsim.Figure3.from_isp2_community
-          ~other_community:Netsim.Figure3.from_isp1_community );
-    ]
-  in
   let built =
     Parallel.Pool.map pool
-      ~f:(fun (router, map_names, steps) ->
-        build_router ?record_dir ~router ~map_names ~steps
-          ~reference_db:(ref_db router) ())
-      specs
+      ~f:(fun (router, map_names, steps, reference_db) ->
+        build_router ?record_dir ~router ~map_names ~steps ~reference_db ())
+      (routers ())
   in
   let (m_db, m_stats), (r1_db, r1_stats), (r2_db, r2_stats) =
     match built with [ m; r1; r2 ] -> (m, r1, r2) | _ -> assert false

@@ -1,7 +1,7 @@
 (** Experiment E5 — fleet-scale synthesis: generate a whole topology
     with {!Netgen}, expand the global policies into per-router intent
-    worklists, and run every router's synthesis through the full
-    Clarify pipeline, sharded across the domain pool.
+    worklists, and place every router's worklist with one
+    {!Clarify.Batch.run}, sharded across the domain pool.
 
     Each router is an independent unit of work: its own mock LLM, its
     own reference-driven oracle, its own scratch BDD manager (so peak
@@ -11,9 +11,6 @@
     live: [clarify fleet status --follow] rebuilds the fleet's progress
     (pending, running, done, stragglers) from those logs and the
     [fleet.json] manifest. *)
-
-module D = Clarify.Disambiguator
-module P = Clarify.Pipeline
 
 (* ------------------------------------------------------------------ *)
 (* Per-router synthesis.                                               *)
@@ -41,45 +38,26 @@ type result = {
   wall_ns : float;
 }
 
-let with_router_recording ~record_dir ~(plan : Netgen.Policy.plan) f =
-  match record_dir with
-  | None -> f ()
-  | Some dir ->
-      let path = Filename.concat dir ("e5_" ^ plan.Netgen.Policy.router ^ ".jsonl") in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Telemetry.with_channel_recorder oc @@ fun () ->
-          Telemetry.with_context [ ("router", plan.Netgen.Policy.router) ]
-            (fun () ->
-              Telemetry.emit ~kind:"fleet_router" (fun () ->
-                  [
-                    ("router", Json.String plan.Netgen.Policy.router);
-                    ( "role",
-                      Json.String (Netgen.role_to_string plan.Netgen.Policy.role)
-                    );
-                    ("site", Json.Int plan.Netgen.Policy.site);
-                    ( "steps",
-                      Json.Int (List.length plan.Netgen.Policy.steps) );
-                  ]);
-              let (r : router_result) = f () in
-              Telemetry.emit ~kind:"fleet_router_done" (fun () ->
-                  [
-                    ("router", Json.String plan.Netgen.Policy.router);
-                    ("wall_ns", Json.Float r.wall_ns);
-                  ]);
-              (* Same close-out idiom as E4: a point-in-time gauge
-                 sample, JSON-only in reports. *)
-              Telemetry.emit ~kind:"gauges" (fun () ->
-                  List.map
-                    (fun (n, v) -> (n, Json.Float v))
-                    (Obs.Gauge.sample_all ()));
-              r))
+(* A plan as the fleet manifest and each log's fleet_router event list
+   it. *)
+let plan_fields (p : Netgen.Policy.plan) =
+  [
+    ("router", Json.String p.router);
+    ("role", Json.String (Netgen.role_to_string p.role));
+    ("site", Json.Int p.site);
+    ("steps", Json.Int (List.length p.steps));
+  ]
 
+(* With [--record-dir] the router's batch is recorded to
+   DIR/e5_<router>.jsonl between a [fleet_router] event, its plan, and
+   a [fleet_router_done] event, its wall time, which is what
+   [clarify fleet status] follows. *)
 let build_router ?record_dir ?bdd_base (plan : Netgen.Policy.plan) =
   let open Netgen.Policy in
-  with_router_recording ~record_dir ~plan @@ fun () ->
+  Router_batch.with_recording ~record_dir ~log:("e5_" ^ plan.router ^ ".jsonl")
+    ~router:plan.router
+  @@ fun () ->
+  Telemetry.emit ~kind:"fleet_router" (fun () -> plan_fields plan);
   let t0 = Unix.gettimeofday () in
   (* A scratch manager per router bounds BDD memory by the largest
      single router, not the fleet. When the run supplies a frozen base
@@ -91,52 +69,24 @@ let build_router ?record_dir ?bdd_base (plan : Netgen.Policy.plan) =
     | Some base -> Symbdd.Bdd.Manager.create_delta base
     | None -> Symbdd.Bdd.Manager.create ()
   in
-  let db, questions, llm =
+  let b =
     Symbdd.Bdd.with_manager manager @@ fun () ->
-    let llm = Llm.Mock_llm.create () in
-    let questions = ref 0 in
-    let db =
-      List.fold_left
-        (fun db { map; intent } ->
-          let db =
-            if Config.Database.route_map db map = None then
-              Config.Database.add_route_map db
-                (Config.Route_map.make map [])
-            else db
-          in
-          let reference_map =
-            Option.get (Config.Database.route_map plan.reference map)
-          in
-          let oracle =
-            D.intent_driven (fun route ->
-                Config.Semantics.eval_route_map plan.reference
-                  reference_map route)
-          in
-          let prompt = Llm.Intent.to_prompt intent in
-          match
-            P.run_route_map_update ~llm ~oracle ~db ~target:map ~prompt ()
-          with
-          | Ok report ->
-              questions := !questions + List.length report.P.questions;
-              report.P.db
-          | Error e ->
-              failwith
-                (Printf.sprintf "E5 %s %s: %s" plan.router map
-                   (P.error_to_string e)))
-        Config.Database.empty plan.steps
-    in
-    (db, !questions, llm)
+    Router_batch.build ~experiment:"E5" ~router:plan.router
+      ~reference:plan.reference plan.steps
   in
+  let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  Telemetry.emit ~kind:"fleet_router_done" (fun () ->
+      [ ("router", Json.String plan.router); ("wall_ns", Json.Float wall_ns) ]);
   {
     router = plan.router;
     role = plan.role;
     site = plan.site;
     steps = List.length plan.steps;
-    questions;
-    synthesis_calls = (Llm.Mock_llm.stats llm).Llm.Mock_llm.synthesis_calls;
-    total_llm_calls = Llm.Mock_llm.total_calls llm;
-    wall_ns = (Unix.gettimeofday () -. t0) *. 1e9;
-    config = db;
+    questions = b.questions;
+    synthesis_calls = b.synthesis_calls;
+    total_llm_calls = b.total_llm_calls;
+    wall_ns;
+    config = b.config;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -148,18 +98,7 @@ let build_router ?record_dir ?bdd_base (plan : Netgen.Policy.plan) =
 let manifest_name = "fleet.json"
 
 let write_manifest ~dir (net : Netgen.t) (plans : Netgen.Policy.plan list) =
-  let nodes =
-    List.map
-      (fun (p : Netgen.Policy.plan) ->
-        Json.Obj
-          [
-            ("router", Json.String p.Netgen.Policy.router);
-            ("role", Json.String (Netgen.role_to_string p.Netgen.Policy.role));
-            ("site", Json.Int p.Netgen.Policy.site);
-            ("steps", Json.Int (List.length p.Netgen.Policy.steps));
-          ])
-      plans
-  in
+  let nodes = List.map (fun p -> Json.Obj (plan_fields p)) plans in
   let doc =
     Json.Obj
       [

@@ -193,9 +193,10 @@ let test_report_renderings () =
   | _ -> Alcotest.fail "json lacks the routers array"
 
 (* The batch fixture aggregates into the batch columns: one batch
-   session of three intents with one genuine conflict pair, and the
-   markdown gains its batch section (absent from single-intent
-   reports like the committed E4 golden). *)
+   session of three intents with one genuine conflict pair on two
+   policies (its items' targets, not the session's "*"), and the
+   markdown gains its batch section, which single-intent reports
+   lack. *)
 let test_batch_fixture_report () =
   let s =
     match S.load_file "../examples/batch_session.jsonl" with
@@ -206,6 +207,7 @@ let test_batch_fixture_report () =
   match report.Rp.routers with
   | [ r ] ->
       check_int "one batch session" 1 r.Rp.batch_sessions;
+      check_int "two policies: ISP_OUT and LAB_EDGE" 2 r.Rp.route_maps;
       check_int "three intents" 3 r.Rp.batch_intents;
       check_int "one conflict pair" 1 r.Rp.batch_conflict_pairs;
       check_bool "some intents overlap no other intent" true

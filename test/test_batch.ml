@@ -9,7 +9,9 @@
    its conflict graph, match-disjoint intents shown the examples of
    their own sequential runs, and the answer-cache dedup regression
    (policy/position are part of the key, not just the rendered
-   text). *)
+   text). Route-map conflict witnesses are checked against the concrete
+   semantics, and the experiments' routers, each one batch, against the
+   per-step fold they replaced (test/router_fold.ml). *)
 
 open Config
 module I = Llm.Intent
@@ -39,14 +41,17 @@ let pd_key target q = (target, PD.view q)
 
 let subset ~of_:ys xs = List.for_all (fun x -> List.mem x ys) xs
 
-(* [f ()] and the boundary witnesses it decodes, counted with the
+(* [f ()] and how far it moves [counter], counted with the
    observability layer on. *)
-let decoding f =
+let counting counter f =
   Obs.enable ();
   Fun.protect ~finally:Obs.disable @@ fun () ->
-  let before = Obs.Counter.value Engine.Metrics.witnesses_decoded in
+  let before = Obs.Counter.value counter in
   let r = f () in
-  (r, Obs.Counter.value Engine.Metrics.witnesses_decoded - before)
+  (r, Obs.Counter.value counter - before)
+
+(* [f ()] and the boundary witnesses it decodes. *)
+let decoding f = counting Engine.Metrics.witnesses_decoded f
 
 (* A batch decodes the witnesses its intents decode one by one: only
    the questions it asks, plus those a sweep needs to decide a
@@ -209,6 +214,36 @@ let prop_rm_batch_equals_sequential ~pooled ~count =
       (* With the always-new user the question streams are in fact
          identical, not just contained. *)
       same_multiset batch_qs seq_qs)
+
+(* Every route-map conflict edge's witness is matched by both intents'
+   stanzas, and the two stanzas treat it differently, with the
+   outcomes the edge reports. *)
+let prop_rm_conflict_witnesses ~count =
+  QCheck.Test.make ~name:"route-map conflict witnesses differ" ~count
+    arb_rm_scenario (fun (rm, intents) ->
+      let prompts = List.map (fun i -> I.to_prompt (I.Route_map i)) intents in
+      let report, _ = batch_route_maps ~pooled:false (rm_setup rm) prompts in
+      let db = report.B.db and items = Array.of_list report.B.items in
+      let stanza k =
+        match items.(k) with
+        | B.Route_map_result r -> r.P.stanza
+        | B.Acl_result _ -> QCheck.Test.fail_report "an ACL item"
+      in
+      List.for_all
+        (fun (c : B.conflict) ->
+          match c.witness with
+          | B.Route_witness d ->
+              let a = stanza c.intent_a and b = stanza c.intent_b in
+              let outcome (s : Route_map.stanza) =
+                Semantics.apply_action db s.action s.sets d.route
+              in
+              Semantics.stanza_matches db a d.route
+              && Semantics.stanza_matches db b d.route
+              && Semantics.route_result_equal (outcome a) d.result_a
+              && Semantics.route_result_equal (outcome b) d.result_b
+              && not (Semantics.route_result_equal d.result_a d.result_b)
+          | B.Acl_witness _ | B.Prefix_witness _ -> false)
+        report.B.conflicts)
 
 (* ------------------------------------------------------------------ *)
 (* ACL scenarios                                                      *)
@@ -667,6 +702,60 @@ let test_cache_saves_repeated_questions () =
         (asked - r.B.questions_saved)
         !consulted
 
+(* ------------------------------------------------------------------ *)
+(* The experiments' routers                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* E4's three routers and a 64-router E5 fleet, each router placed with
+   one batch, equal the per-step fold they replaced: config text,
+   questions, synthesis calls and total LLM calls. No question is
+   answered from the batch cache, so Figure 4 counts every question a
+   user answered. *)
+let test_experiment_routers_equal_fold () =
+  let check_router name (got : Evaluation.Router_batch.built)
+      (want : Evaluation.Router_batch.built) =
+    Alcotest.(check string)
+      (name ^ " config") (config_string want.config) (config_string got.config);
+    check_int (name ^ " questions") want.questions got.questions;
+    check_int (name ^ " synthesis calls") want.synthesis_calls
+      got.synthesis_calls;
+    check_int (name ^ " LLM calls") want.total_llm_calls got.total_llm_calls
+  in
+  let (), saved =
+    counting Engine.Metrics.batch_questions_saved @@ fun () ->
+    List.iter
+      (fun (router, map_names, steps, reference_db) ->
+        let config, (s : Evaluation.E4_lightyear.router_stats) =
+          Evaluation.E4_lightyear.build_router ~router ~map_names ~steps
+            ~reference_db ()
+        in
+        check_router ("E4 " ^ router)
+          {
+            config;
+            questions = s.questions;
+            synthesis_calls = s.synthesis_calls;
+            total_llm_calls = s.total_llm_calls;
+          }
+          (Router_fold.build ~reference:reference_db steps))
+      (Evaluation.E4_lightyear.routers ());
+    let routers = 64 in
+    let fleet = Evaluation.E5_fleet.run ~routers () in
+    List.iter2
+      (fun (plan : Netgen.Policy.plan) (r : Evaluation.E5_fleet.router_result) ->
+        check_router ("E5 " ^ r.router)
+          {
+            config = r.config;
+            questions = r.questions;
+            synthesis_calls = r.synthesis_calls;
+            total_llm_calls = r.total_llm_calls;
+          }
+          (Router_fold.build ~reference:plan.reference plan.steps))
+      (Netgen.Policy.compile
+         (Netgen.generate ~profile:Netgen.Fat_tree ~routers))
+      fleet.results
+  in
+  check_int "questions answered from the batch cache" 0 saved
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "batch"
@@ -678,6 +767,7 @@ let () =
           q (prop_acl_batch_equals_sequential ~pooled:false ~count:200);
           q (prop_acl_batch_equals_sequential ~pooled:true ~count:60);
           q (prop_prefix_batch_equals_sequential ~count:200);
+          q (prop_rm_conflict_witnesses ~count:200);
         ] );
       ( "pinned",
         [
@@ -691,5 +781,10 @@ let () =
             test_answer_cache_dedup;
           Alcotest.test_case "cache saves repeated questions" `Quick
             test_cache_saves_repeated_questions;
+        ] );
+      ( "experiments",
+        [
+          Alcotest.test_case "E4 and E5-64 routers equal the fold" `Quick
+            test_experiment_routers_equal_fold;
         ] );
     ]

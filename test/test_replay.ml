@@ -1,7 +1,8 @@
 (* Deterministic replay: a session recorded by the flight recorder must
    re-run bit-for-bit from its own log, and any tampering must surface
    as a divergence at the first differing event. Also pins the golden
-   fixture in examples/ to the behaviour of the live pipeline. *)
+   fixture in examples/ to the behaviour of the live pipeline, and
+   replays every router log of E4 and of a small E5 fleet. *)
 
 module P = Clarify.Pipeline
 module D = Clarify.Disambiguator
@@ -194,6 +195,36 @@ let test_batch_roundtrip () =
   let r = expect_identical events in
   Alcotest.(check string) "pipeline" "batch" r.R.pipeline
 
+(* Every router log of E4 and of a 6-router E5 fleet is one batch
+   session, and each replays bit-for-bit: the empty target maps the
+   printer drops come back from [empty_targets], and E5's
+   fleet_router events are not part of the session. *)
+let test_experiment_logs_replay () =
+  let dir = Filename.temp_file "experiment_logs" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let logs () =
+    List.filter
+      (fun f -> Filename.check_suffix f ".jsonl")
+      (Array.to_list (Sys.readdir dir))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  ignore (Evaluation.E4_lightyear.run ~record_dir:dir ());
+  ignore (Evaluation.E5_fleet.run ~record_dir:dir ~routers:6 ());
+  check_int "3 E4 and 6 E5 logs" 9 (List.length (logs ()));
+  List.iter
+    (fun f ->
+      match R.run_file (Filename.concat dir f) with
+      | Error m -> Alcotest.failf "replay refused %s: %s" f m
+      | Ok r ->
+          if not (R.identical r) then
+            Alcotest.failf "%s diverged:@.%a" f R.pp_report r)
+    (logs ())
+
 (* ------------------------------------------------------------------ *)
 (* Golden fixtures                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -357,6 +388,8 @@ let () =
             test_unusable_logs_rejected;
           Alcotest.test_case "batch session with a conflict" `Quick
             test_batch_roundtrip;
+          Alcotest.test_case "E4 and E5 router logs" `Quick
+            test_experiment_logs_replay;
         ] );
       ( "golden fixture",
         [
