@@ -834,6 +834,36 @@ let run_obs_overhead () =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Fleet generation: set-up must grow linearly with the fleet         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Netgen.generate] at 1,024 and 4,096 fat-tree routers, min of 3 each.
+   Generation builds and validates the topology in O(routers +
+   sessions), so four times the routers may cost at most eight times
+   the wall (CI's generation-scaling gate). *)
+let run_netgen_scaling () =
+  Format.printf "=== Fleet generation: Netgen.generate vs fleet size ===@.";
+  let timings =
+    List.map
+      (fun routers ->
+        let net, ns =
+          cold_min ~runs:3 (fun () ->
+              Netgen.generate ~profile:Netgen.Fat_tree ~routers)
+        in
+        Format.printf "fat-tree %4d routers %8.2f ms (%d sessions)@." routers
+          (ns /. 1e6)
+          (List.fold_left
+             (fun a (r : Netsim.Topology.router) -> a + List.length r.neighbors)
+             0 net.Netgen.topology.Netsim.Topology.routers);
+        (Printf.sprintf "netgen/generate-%d" routers, ns))
+      [ 1024; 4096 ]
+  in
+  Format.printf "growth 1024 -> 4096: %.2fx@.@."
+    (List.assoc "netgen/generate-4096" timings
+    /. List.assoc "netgen/generate-1024" timings);
+  timings
+
+(* ------------------------------------------------------------------ *)
 (* Fleet scaling: per-router synthesis cost must stay flat            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1248,6 +1278,7 @@ let () =
   let batch_timings = run_batch_comparison () in
   let parallel_timings = run_parallel_comparison () in
   let obs_timings = run_obs_overhead () in
+  let netgen_timings = run_netgen_scaling () in
   let fleet_timings = run_fleet_scaling () in
   let sched_timings = run_sched_skew () in
   let fleet_skew_timings = run_fleet_skew () in
@@ -1256,6 +1287,6 @@ let () =
     (fun path ->
       write_bench_json path
         (timings @ bdd_timings @ disambig_timings @ config_timings @ llm_timings
-       @ batch_timings @ parallel_timings @ obs_timings @ fleet_timings
-       @ sched_timings @ fleet_skew_timings))
+       @ batch_timings @ parallel_timings @ obs_timings @ netgen_timings
+       @ fleet_timings @ sched_timings @ fleet_skew_timings))
     json_out

@@ -76,6 +76,10 @@ let view = function
   | Route_map_q q -> Disambiguator.view q
   | Acl_q q -> Acl_disambiguator.view q
 
+let coords = function
+  | Route_map_q q -> (q.Disambiguator.position, q.boundary_seq)
+  | Acl_q q -> (q.Acl_disambiguator.position, q.boundary_seq)
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -178,12 +182,18 @@ let emit_session_end result =
    cache sits between the disambiguator's asker and the user: the
    question event is still emitted (telemetry parity with a sequential
    run), but a repeated question — same policy, same coordinates, same
-   rendered content — is answered from the cache. A "batch_cache_hit"
-   marker is emitted BEFORE the asker's own question event so replay
-   can tell which recorded answers never reached the user. *)
-let cached_answer cache ~intent ~target view_of consult q =
-  let v = view_of q in
-  match Disambig_common.Answer_cache.find cache ~policy:target v with
+   rendered content — is answered from the cache. The question is
+   rendered only when an earlier one shares its coordinates. A
+   "batch_cache_hit" marker is emitted BEFORE the asker's own question
+   event so replay can tell which recorded answers never reached the
+   user. *)
+let cached_answer cache ~intent ~target ~coords view_of consult q =
+  let position, boundary_seq = coords q in
+  let v = lazy (view_of q) in
+  match
+    Disambig_common.Answer_cache.find_at cache ~policy:target ~position
+      ~boundary_seq v
+  with
   | Some a ->
       Obs.Counter.incr Engine.Metrics.batch_questions_saved;
       Telemetry.emit ~kind:"batch_cache_hit" (fun () ->
@@ -191,7 +201,8 @@ let cached_answer cache ~intent ~target view_of consult q =
       a
   | None ->
       let a = consult q in
-      Disambig_common.Answer_cache.add cache ~policy:target v a;
+      Disambig_common.Answer_cache.add_at cache ~policy:target ~position
+        ~boundary_seq v a;
       a
 
 (* ------------------------------------------------------------------ *)
@@ -363,7 +374,7 @@ let run ?(max_attempts = default_max_attempts)
             emit_item ~intent:k ~disjoint:(not overlapping.(k)) it;
             let db = !db_cur in
             let ask target =
-              cached_answer cache ~intent:k ~target view
+              cached_answer cache ~intent:k ~target ~coords view
                 (oracle ~intent:k ~target)
             in
             match synths.(k) with
@@ -460,6 +471,8 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
             in
             let ask =
               cached_answer cache ~intent:k ~target
+                ~coords:(fun (q : Prefix_list_disambiguator.question) ->
+                  (q.position, q.boundary_seq))
                 Prefix_list_disambiguator.view (fun q ->
                   oracle ~intent:k ~target q)
             in

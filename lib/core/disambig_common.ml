@@ -188,44 +188,57 @@ let place (fam : family) ~mode ~width ~view ~position ~top ~oracle bs =
    surface the *same* placement question against the same policy, the
    user's first answer is reused instead of asking again.
 
-   The key deliberately includes the policy name and the question's
-   (position, boundary_seq) coordinates, not just the rendered text:
+   A question matches an earlier one when it has the same coordinates
+   (policy name, position, boundary_seq) and the same rendered content:
    two intents can produce byte-identical question text against
    different policies or at different positions, and those are
    different questions — merging them on text alone would silently
-   answer one intent's question with another's. *)
+   answer one intent's question with another's. The table is keyed on
+   the coordinates alone and each stored view is lazy, so a question is
+   rendered only when an earlier one shares its coordinates. *)
 module Answer_cache = struct
-  type key = {
-    policy : string;
-    position : int;
-    boundary_seq : int;
-    example : string;
-    if_new_first : string;
-    if_old_first : string;
-  }
+  type coords = { policy : string; position : int; boundary_seq : int }
 
-  type t = { tbl : (key, answer) Hashtbl.t; mutable hits : int }
+  type t = {
+    tbl : (coords, (view Lazy.t * answer) list) Hashtbl.t;
+    mutable hits : int;
+  }
 
   let create () = { tbl = Hashtbl.create 16; hits = 0 }
 
-  let key ~policy (v : view) =
-    {
-      policy;
-      position = v.position;
-      boundary_seq = v.boundary_seq;
-      example = v.example;
-      if_new_first = v.if_new_first;
-      if_old_first = v.if_old_first;
-    }
+  let same_content (a : view) (b : view) =
+    a.example = b.example
+    && a.if_new_first = b.if_new_first
+    && a.if_old_first = b.if_old_first
 
-  let find t ~policy v =
-    match Hashtbl.find_opt t.tbl (key ~policy v) with
-    | Some a ->
-        t.hits <- t.hits + 1;
-        Some a
+  let find_at t ~policy ~position ~boundary_seq view =
+    match Hashtbl.find_opt t.tbl { policy; position; boundary_seq } with
     | None -> None
+    | Some stored -> (
+        let v = Lazy.force view in
+        match
+          List.find_opt (fun (v', _) -> same_content (Lazy.force v') v) stored
+        with
+        | Some (_, a) ->
+            t.hits <- t.hits + 1;
+            Some a
+        | None -> None)
 
-  let add t ~policy v a = Hashtbl.replace t.tbl (key ~policy v) a
+  (* The newest entry comes first, so re-adding a question replaces
+     its answer. *)
+  let add_at t ~policy ~position ~boundary_seq view a =
+    let k = { policy; position; boundary_seq } in
+    let stored = Option.value ~default:[] (Hashtbl.find_opt t.tbl k) in
+    Hashtbl.replace t.tbl k ((view, a) :: stored)
+
+  let find t ~policy (v : view) =
+    find_at t ~policy ~position:v.position ~boundary_seq:v.boundary_seq
+      (Lazy.from_val v)
+
+  let add t ~policy (v : view) a =
+    add_at t ~policy ~position:v.position ~boundary_seq:v.boundary_seq
+      (Lazy.from_val v) a
+
   let hits t = t.hits
 
   (* Wrap an oracle so repeated questions (same policy, same

@@ -90,11 +90,11 @@ val scripted : answer list -> 'q -> answer
 (** Answers drawn from a fixed list; raises [Failure] when
     exhausted. *)
 
-(** Shared answer cache for batch runs ({!Batch}). Keys include the
-    policy name and the question's (position, boundary_seq) pair in
-    addition to the rendered text, so two identical-text questions from
-    different intents against different policies or positions are never
-    silently merged. *)
+(** Shared answer cache for batch runs ({!Batch}). A question matches
+    an earlier one when the policy name, its (position, boundary_seq)
+    pair and its rendered text all agree, so two identical-text
+    questions from different intents against different policies or
+    positions are never silently merged. *)
 module Answer_cache : sig
   type t
 
@@ -105,6 +105,28 @@ module Answer_cache : sig
       hit. *)
 
   val add : t -> policy:string -> view -> answer -> unit
+
+  val find_at :
+    t ->
+    policy:string ->
+    position:int ->
+    boundary_seq:int ->
+    view Lazy.t ->
+    answer option
+  (** {!find} for a question given by its coordinates and its view,
+      which is forced only when an earlier question has the same
+      coordinates. *)
+
+  val add_at :
+    t ->
+    policy:string ->
+    position:int ->
+    boundary_seq:int ->
+    view Lazy.t ->
+    answer ->
+    unit
+  (** {!add} for a question given by its coordinates; the view is
+      stored unforced. *)
 
   val hits : t -> int
   (** Questions served from the cache so far. *)

@@ -243,12 +243,18 @@ let generate ~profile ~routers =
   in
   { profile; routers; k; pods; nodes; topology; external_router = external_name }
 
-let find_node t name = List.find_opt (fun n -> n.name = name) t.nodes
-
 let install t configs =
-  List.fold_left
-    (fun topo (name, db) -> Netsim.Topology.with_config topo name db)
-    t.topology configs
+  let by_name = Hashtbl.create (List.length configs) in
+  List.iter (fun (name, db) -> Hashtbl.replace by_name name db) configs;
+  {
+    Netsim.Topology.routers =
+      List.map
+        (fun (r : Netsim.Topology.router) ->
+          match Hashtbl.find_opt by_name r.name with
+          | Some config -> { r with config }
+          | None -> r)
+        t.topology.Netsim.Topology.routers;
+  }
 
 let site_community _t node =
   (* Cores and backbone routers share the spine tag; each pod/site gets

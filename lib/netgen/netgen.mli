@@ -47,8 +47,6 @@ val generate : profile:profile -> routers:int -> t
 (** Exactly [routers] internal routers. @raise Invalid_profile when
     [routers < 1] or the fleet exceeds the generator's budget. *)
 
-val find_node : t -> string -> node option
-
 val install : t -> (string * Config.Database.t) list -> Netsim.Topology.t
 (** Replace the placeholder configs of the named routers with
     synthesized ones (for simulation). *)

@@ -123,6 +123,18 @@ let offer ~(sender : Topology.router) ~(receiver : Topology.router)
 let default_max_rounds = 64
 
 let run ?(max_rounds = default_max_rounds) (t : Topology.t) =
+  (* Every session's receiver and every learned-from router are looked
+     up each round, so index the routers by name once. *)
+  let by_name = Hashtbl.create (List.length t.routers) in
+  List.iter
+    (fun (r : Topology.router) ->
+      if not (Hashtbl.mem by_name r.name) then Hashtbl.add by_name r.name r)
+    t.routers;
+  let find name =
+    match Hashtbl.find_opt by_name name with
+    | Some r -> r
+    | None -> raise (Topology.Invalid_topology ("no router named " ^ name))
+  in
   let ribs =
     ref
       (List.fold_left
@@ -142,11 +154,11 @@ let run ?(max_rounds = default_max_rounds) (t : Topology.t) =
         let rib = Smap.find sender.name snapshot in
         List.iter
           (fun (out : Topology.neighbor) ->
-            let receiver = Topology.find t out.peer in
+            let receiver = find out.peer in
             let learned_via_ibgp entry =
               match entry.learned_from with
               | None -> false
-              | Some l -> (Topology.find t l).Topology.asn = sender.Topology.asn
+              | Some l -> (find l).Topology.asn = sender.Topology.asn
             in
             Pmap.iter
               (fun _ entry ->

@@ -28,30 +28,38 @@ let router ?(originated = []) ?(neighbors = [])
 
 let neighbor ?(import = []) ?(export = []) peer = { peer; import; export }
 
+(* One name index and one set of directed sessions make validation
+   O(routers + sessions). The checks run in a fixed order — duplicate
+   names first, then each router's neighbors in turn: unknown peer,
+   missing back session, undefined route-map — so the first failure
+   raised is well defined. *)
 let make routers =
-  let names = List.map (fun r -> r.name) routers in
-  let dup =
-    List.exists
-      (fun n -> List.length (List.filter (( = ) n) names) > 1)
-      names
+  let n = List.length routers in
+  let names = Hashtbl.create n and sessions = Hashtbl.create n in
+  List.iter
+    (fun r ->
+      if Hashtbl.mem names r.name then fail "duplicate router name";
+      Hashtbl.add names r.name ();
+      List.iter
+        (fun nb -> Hashtbl.replace sessions (r.name, nb.peer) ())
+        r.neighbors)
+    routers;
+  let defined r m =
+    if Config.Database.route_map r.config m = None then
+      fail "router %s references undefined route-map %s" r.name m
   in
-  if dup then fail "duplicate router name";
   List.iter
     (fun r ->
       List.iter
         (fun nb ->
-          if not (List.mem nb.peer names) then
+          if not (Hashtbl.mem names nb.peer) then
             fail "router %s has unknown neighbor %s" r.name nb.peer;
           (* Sessions must be bidirectional. *)
-          let peer = List.find (fun x -> x.name = nb.peer) routers in
-          if not (List.exists (fun nb' -> nb'.peer = r.name) peer.neighbors)
-          then fail "session %s -> %s is not bidirectional" r.name nb.peer;
+          if not (Hashtbl.mem sessions (nb.peer, r.name)) then
+            fail "session %s -> %s is not bidirectional" r.name nb.peer;
           (* Referenced route-maps must exist on this router. *)
-          List.iter
-            (fun m ->
-              if Config.Database.route_map r.config m = None then
-                fail "router %s references undefined route-map %s" r.name m)
-            (nb.import @ nb.export))
+          List.iter (defined r) nb.import;
+          List.iter (defined r) nb.export)
         r.neighbors)
     routers;
   { routers }
@@ -72,9 +80,6 @@ let with_config t name config =
         (fun r -> if r.name = name then { r with config } else r)
         t.routers;
   }
-
-let with_router t (r : router) =
-  { routers = List.map (fun x -> if x.name = r.name then r else x) t.routers }
 
 let pp fmt t =
   List.iter

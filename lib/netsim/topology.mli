@@ -41,5 +41,4 @@ val find : t -> string -> router
 
 val router_names : t -> string list
 val with_config : t -> string -> Config.Database.t -> t
-val with_router : t -> router -> t
 val pp : Format.formatter -> t -> unit

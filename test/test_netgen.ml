@@ -58,6 +58,51 @@ let test_invalid_sizes () =
     (Netgen.Invalid_profile "routers must be >= 1 (got 0)") (fun () ->
       ignore (Netgen.generate ~profile:Netgen.Fat_tree ~routers:0))
 
+(* [install] against the fold it replaced, one [Topology.with_config]
+   per config: every other router gets its reference config, one router
+   is named twice (the later config wins) and one name is unknown (no
+   router changes). The generated fleet also validates under the
+   reference [make]. *)
+let test_install_matches_fold () =
+  List.iter
+    (fun (profile, routers) ->
+      let t = Netgen.generate ~profile ~routers in
+      ignore (Topology_reference.make t.Netgen.topology.Netsim.Topology.routers);
+      let plans = Netgen.Policy.compile t in
+      let configs =
+        List.filteri (fun i _ -> i mod 2 = 0) plans
+        |> List.map (fun (p : Netgen.Policy.plan) ->
+               (p.Netgen.Policy.router, p.Netgen.Policy.reference))
+      in
+      let configs =
+        configs
+        @ [
+            (fst (List.hd configs), Config.Database.empty);
+            ("no-such-router", Config.Database.empty);
+          ]
+      in
+      let fold =
+        List.fold_left
+          (fun topo (name, db) -> Netsim.Topology.with_config topo name db)
+          t.Netgen.topology configs
+      in
+      let installed = Netgen.install t configs in
+      let same (a : Netsim.Topology.router) (b : Netsim.Topology.router) =
+        a.name = b.name && a.asn = b.asn && a.router_ip = b.router_ip
+        && a.originated = b.originated && a.neighbors = b.neighbors
+        && a.config == b.config
+      in
+      checkb
+        (Printf.sprintf "%s %d: install = with_config fold"
+           (Netgen.profile_to_string profile) routers)
+        true
+        (List.equal same fold.Netsim.Topology.routers
+           installed.Netsim.Topology.routers))
+    [
+      (Netgen.Fat_tree, 13); (Netgen.Fat_tree, 20); (Netgen.Fat_tree, 64);
+      (Netgen.Wan, 13); (Netgen.Wan, 25); (Netgen.Wan, 64);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Policy compiler                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -135,6 +180,8 @@ let () =
           Alcotest.test_case "wan shape" `Quick test_wan_shape;
           Alcotest.test_case "deterministic" `Quick test_generate_deterministic;
           Alcotest.test_case "invalid sizes" `Quick test_invalid_sizes;
+          Alcotest.test_case "install = with_config fold" `Quick
+            test_install_matches_fold;
         ] );
       ( "policy",
         [ Alcotest.test_case "plans" `Quick test_policy_plans ] );

@@ -41,6 +41,92 @@ let test_topology_validation () =
     Alcotest.fail "expected Invalid_topology"
   with Topology.Invalid_topology _ -> ()
 
+(* Random router lists for validation, most of them invalid in some
+   way: 1–12 routers whose names come from a pool of 14, so duplicates
+   occur; sessions that are sometimes one-way; now and then a peer no
+   router is named; import/export chains over three map names that
+   each router may or may not define. *)
+let name_pool = Array.init 14 (fun i -> String.make 1 (Char.chr (65 + i)))
+let map_pool = [| "M1"; "M2"; "M3" |]
+
+let gen_router_list st =
+  let int k = Random.State.int st k in
+  let n = 1 + int 12 in
+  let names =
+    if int 4 = 0 then Array.init n (fun _ -> name_pool.(int (n + 2)))
+    else begin
+      let pool = Array.sub name_pool 0 (n + 2) in
+      for i = Array.length pool - 1 downto 1 do
+        let j = int (i + 1) in
+        let x = pool.(i) in
+        pool.(i) <- pool.(j);
+        pool.(j) <- x
+      done;
+      Array.sub pool 0 n
+    end
+  in
+  let one_way = int 2 = 0 and partial_maps = int 2 = 0 in
+  let peers = Array.make n [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if int 3 = 0 then
+        match if one_way then int 5 else 2 with
+        | 0 -> peers.(i) <- names.(j) :: peers.(i)
+        | 1 -> peers.(j) <- names.(i) :: peers.(j)
+        | _ ->
+            peers.(i) <- names.(j) :: peers.(i);
+            peers.(j) <- names.(i) :: peers.(j)
+    done
+  done;
+  if int 4 = 0 then begin
+    let i = int n in
+    peers.(i) <- "Z" :: peers.(i)
+  end;
+  let chain () = List.init (int 3) (fun _ -> map_pool.(int 3)) in
+  List.init n (fun i ->
+      let defined =
+        List.filter
+          (fun _ -> (not partial_maps) || int 4 > 0)
+          (Array.to_list map_pool)
+      in
+      Topology.router names.(i) ~asn:(1 + i)
+        ~router_ip:(Netaddr.Ipv4.of_octets 10 0 i 1)
+        ~config:(Figure3.placeholder_maps defined)
+        ~neighbors:
+          (List.map
+             (fun p -> Topology.neighbor p ~import:(chain ()) ~export:(chain ()))
+             (List.rev peers.(i))))
+
+let print_router_list routers =
+  String.concat "\n"
+    (List.map
+       (fun (r : Topology.router) ->
+         Printf.sprintf "%s maps [%s]: %s" r.name
+           (String.concat ","
+              (List.map
+                 (fun (m : Config.Route_map.t) -> m.name)
+                 (Config.Database.route_maps r.config)))
+           (String.concat "; "
+              (List.map
+                 (fun (nb : Topology.neighbor) ->
+                   Printf.sprintf "%s in [%s] out [%s]" nb.peer
+                     (String.concat "," nb.import)
+                     (String.concat "," nb.export))
+                 r.neighbors)))
+       routers)
+
+let validate make routers =
+  match make routers with
+  | (_ : Topology.t) -> Ok ()
+  | exception Topology.Invalid_topology m -> Error m
+
+let prop_make_matches_reference =
+  QCheck.Test.make ~name:"make agrees with the reference" ~count:1000
+    (QCheck.make ~print:print_router_list gen_router_list)
+    (fun routers ->
+      validate Topology.make routers
+      = validate Topology_reference.make routers)
+
 (* ------------------------------------------------------------------ *)
 (* Basic propagation                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -408,7 +494,10 @@ let () =
   Alcotest.run "netsim"
     [
       ( "topology",
-        [ Alcotest.test_case "validation" `Quick test_topology_validation ] );
+        [
+          Alcotest.test_case "validation" `Quick test_topology_validation;
+          QCheck_alcotest.to_alcotest prop_make_matches_reference;
+        ] );
       ( "simulator",
         [
           Alcotest.test_case "line propagation" `Quick test_line_propagation;
