@@ -38,9 +38,6 @@ let file_acc f = f.acc
 let file_events f = f.events
 let file_error f = f.error
 
-let file_router f =
-  Option.value ~default:f.name (Report.Acc.router_label f.acc)
-
 let fail f msg =
   f.error <- Some msg;
   f.error

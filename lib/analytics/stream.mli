@@ -36,10 +36,6 @@ val poll_file : file -> (int, string) result
 val file_path : file -> string
 val file_name : file -> string (* basename without extension *)
 
-val file_router : file -> string
-(** First ctx ["router"] label seen, else {!file_name} — the same
-    resolution as {!Session.router}. *)
-
 val file_acc : file -> Report.Acc.t
 val file_events : file -> int
 val file_error : file -> string option

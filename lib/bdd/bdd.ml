@@ -517,23 +517,10 @@ module Manager = struct
     mutable cache_hook : (bool -> unit) option; (* arg: was it a hit? *)
   }
 
-  let memo_bound_env = "CLARIFY_BDD_MEMO_BOUND"
   let default_memo_bound = 1 lsl 20
 
-  let memo_bound_from_env () =
-    match Sys.getenv_opt memo_bound_env with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 16 -> n
-        | _ -> default_memo_bound)
-    | None -> default_memo_bound
-
-  let create ?memo_bound () =
-    let memo_bound =
-      match memo_bound with
-      | Some b -> max 16 b
-      | None -> memo_bound_from_env ()
-    in
+  let create ?(memo_bound = default_memo_bound) () =
+    let memo_bound = max 16 memo_bound in
     {
       arena = Arena.create ~memo_bound ();
       base = None;
@@ -827,5 +814,3 @@ let pp fmt t =
       Format.fprintf fmt "@[<hv 1>(x%d?%a:%a)@]" v go hi go lo
   in
   go fmt t
-
-let node_count () = (arena ()).Arena.ucount

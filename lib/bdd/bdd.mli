@@ -10,7 +10,7 @@
     hi) triples in a flat growable bigarray, hash-consed through
     open-addressing tables that never allocate on the probe path, with
     one bounded generation-tagged computed table memoizing every
-    operation ([CLARIFY_BDD_MEMO_BOUND], default 2{^20} slots).
+    operation (2{^20} slots).
 
     {b Managers and domains.} All mutable state (the node store, the
     computed table, the compilation cache, the hooks) lives in a
@@ -46,8 +46,8 @@ module Manager : sig
       computed table, the one memo every operation shares, at that many
       slots (rounded up to a power of two, min 16); once the table holds
       3/4 of the bound it is evicted wholesale by a generation bump
-      instead of growing. Default: [CLARIFY_BDD_MEMO_BOUND] or 2{^20}.
-      The table starts at 2,048 slots (or the bound, if smaller). *)
+      instead of growing. Default 2{^20}. The table starts at 2,048
+      slots (or the bound, if smaller). *)
 
   val current : unit -> t
   (** The calling domain's default manager (created on first use). *)
@@ -102,10 +102,6 @@ module Manager : sig
   }
 
   val stats : t -> stats
-
-  val memo_bound_env : string
-  (** ["CLARIFY_BDD_MEMO_BOUND"] — the default bound, in slots, of each
-      manager's one computed table. *)
 end
 
 val manager : unit -> Manager.t
@@ -211,10 +207,6 @@ val support : t -> int list
 
 val eval : (int -> bool) -> t -> bool
 (** Evaluate under a total assignment. *)
-
-val node_count : unit -> int
-(** Number of live nodes in the current domain's unique table
-    (diagnostic); [Manager.stats] gives the full picture. *)
 
 val set_alloc_hook : (unit -> unit) option -> unit
 (** Install (or clear) a callback on the {e current domain's} manager,

@@ -18,12 +18,6 @@ let eval t as_path =
 
 let matches t as_path = eval t as_path = Some Action.Permit
 
-let permitted_regexes t =
-  List.filter_map
-    (fun e ->
-      if Action.equal e.action Action.Permit then Some e.regex else None)
-    t.entries
-
 let rename t name = { t with name }
 
 let write b t =

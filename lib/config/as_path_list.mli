@@ -14,7 +14,6 @@ val eval : t -> int list -> Action.t option
 val matches : t -> int list -> bool
 (** [eval] returned [Some Permit]. *)
 
-val permitted_regexes : t -> Sre.As_path_regex.t list
 val rename : t -> string -> t
 
 val write : Buffer.t -> t -> unit

@@ -50,23 +50,6 @@ let eval t (communities : Bgp.Community.t list) =
 
 let matches t communities = eval t communities = Some Action.Permit
 
-(** The permit-entry regexes/communities, used by the symbolic engine. *)
-let permitted_patterns t =
-  match t.body with
-  | Standard entries ->
-      `Standard
-        (List.filter_map
-           (fun (e : standard_entry) ->
-             if Action.equal e.action Action.Permit then Some e.communities
-             else None)
-           entries)
-  | Expanded entries ->
-      `Expanded
-        (List.filter_map
-           (fun e ->
-             if Action.equal e.action Action.Permit then Some e.regex else None)
-           entries)
-
 let rename t name = { t with name }
 
 let write b t =

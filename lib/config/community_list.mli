@@ -31,12 +31,6 @@ val eval : t -> Bgp.Community.t list -> Action.t option
 val matches : t -> Bgp.Community.t list -> bool
 (** [eval] returned [Some Permit]. *)
 
-val permitted_patterns :
-  t ->
-  [ `Standard of Bgp.Community.t list list
-  | `Expanded of Sre.Community_regex.t list ]
-(** The permit entries' payloads, for symbolic analysis. *)
-
 val rename : t -> string -> t
 
 val write : Buffer.t -> t -> unit

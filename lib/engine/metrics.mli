@@ -74,4 +74,4 @@ val manager_probe_length : Obs.Gauge.t
 
 val manager_memo_evictions : Obs.Gauge.t
 (** Generation-tag evictions forced by the bounded BDD computed table
-    ([CLARIFY_BDD_MEMO_BOUND]). *)
+    (2{^20} slots by default). *)

@@ -121,15 +121,10 @@ let write_manifest ~dir (net : Netgen.t) (plans : Netgen.Policy.plan list) =
 (* ------------------------------------------------------------------ *)
 
 let run ?record_dir ?(pool = Parallel.Pool.serial) ?(simulate = false)
-    ?(profile = Netgen.Fat_tree) ?(grain = 1) ?skew ~routers () =
+    ?(profile = Netgen.Fat_tree) ~routers () =
   let t0 = Unix.gettimeofday () in
   let net = Netgen.generate ~profile ~routers in
   let plans = Netgen.Policy.compile net in
-  let plans =
-    match skew with
-    | None -> plans
-    | Some (heavy, factor) -> Netgen.Policy.skew ~heavy ~factor plans
-  in
   Option.iter (fun dir -> write_manifest ~dir net plans) record_dir;
   (* Every plan's intents reference the same handful of prefix ranges;
      compile them once into a frozen base shared by all routers. *)
@@ -139,13 +134,11 @@ let run ?record_dir ?(pool = Parallel.Pool.serial) ?(simulate = false)
         (fun r -> ignore (Symbolic.Route_ctx.of_prefix_range r))
         (Netgen.Policy.shared_ranges ()));
   Symbdd.Bdd.Manager.freeze bdd_base;
-  (* One router per task (grain 1): a router that carries 10x the
-     stanzas delays only itself — idle workers keep claiming its
-     pod-mates, which is what keeps the fleet's p99/p50 tail flat.
-     [?grain] exists so the bench can reconstruct the coarse
-     chunked-fork-join baseline it compares against. *)
+  (* One router per claim: a router that carries 10x the stanzas
+     delays only itself — idle workers keep claiming its pod-mates,
+     which is what keeps the fleet's p99/p50 tail flat. *)
   let results =
-    Parallel.Pool.map ~grain pool
+    Parallel.Pool.map pool
       ~f:(fun plan -> build_router ?record_dir ~bdd_base plan)
       plans
   in

@@ -251,7 +251,6 @@ let member key = function
   | _ -> None
 
 let to_int = function Int n -> Some n | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_str = function String s -> Some s | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let equal = ( = )

@@ -26,7 +26,6 @@ val member : string -> t -> t option
 (** Object field lookup; [None] for missing fields or non-objects. *)
 
 val to_int : t -> int option
-val to_bool : t -> bool option
 val to_str : t -> string option
 val to_list : t -> t list option
 val equal : t -> t -> bool

@@ -79,8 +79,3 @@ let render_acl (i : Intent.acl_intent) =
 let render = function
   | Intent.Route_map i -> render_route_map i
   | Intent.Acl i -> render_acl i
-
-(* The name under which the snippet's route-map appears in its parse. *)
-let map_name_of = function
-  | Intent.Route_map i -> snippet_map_name i
-  | Intent.Acl _ -> "SYNTH_ACL"

@@ -6,5 +6,3 @@
     (PREFIX_100). *)
 
 val render : Intent.t -> string
-val map_name_of : Intent.t -> string
-(** The name under which the snippet's route-map (or ACL) appears. *)

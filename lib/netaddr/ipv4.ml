@@ -70,7 +70,6 @@ let mask len =
 
 let wildcard_of_mask m = lnot m land max_addr
 let logand = ( land )
-let logor = ( lor )
 let succ a = (a + 1) land max_addr
 let compare = Int.compare
 let equal = Int.equal

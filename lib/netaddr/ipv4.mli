@@ -47,7 +47,6 @@ val wildcard_of_mask : t -> t
 (** Bitwise complement, i.e. the Cisco wildcard form of a netmask. *)
 
 val logand : t -> t -> t
-val logor : t -> t -> t
 val succ : t -> t
 (** Successor, wrapping at the top of the address space. *)
 

@@ -4,11 +4,6 @@ type profile = Fat_tree | Wan
 
 let profile_to_string = function Fat_tree -> "fat-tree" | Wan -> "wan"
 
-let profile_of_string = function
-  | "fat-tree" | "fattree" | "ft" -> Ok Fat_tree
-  | "wan" | "abilene" -> Ok Wan
-  | s -> Error (Printf.sprintf "unknown profile %S (expected fat-tree|wan)" s)
-
 type role = Core | Aggregation | Edge | Backbone | Site
 
 let role_to_string = function
@@ -396,57 +391,6 @@ route-map %s permit 20
           reference = reference_config ~name:node.name ~community ~service;
         })
       t.nodes
-
-  (* A pathological fleet: the first [heavy] plans carry [factor]x the
-     policy work — their step sequence is replayed [factor - 1] extra
-     times under fresh map names (suffix __Sk), with the reference
-     config extended to answer for the copies. Heavies are contiguous
-     (compile order = generation order), modelling one pod of fat edge
-     routers, which is exactly the shape that straggles a scheduler
-     dealing contiguous chunks. *)
-  let skew ~heavy ~factor plans =
-    if factor <= 1 || heavy <= 0 then plans
-    else
-      List.mapi
-        (fun idx (p : plan) ->
-          if idx >= heavy then p
-          else
-            let copy_name m k = Printf.sprintf "%s__S%d" m k in
-            let copies =
-              List.concat_map
-                (fun k ->
-                  List.map
-                    (fun s -> { s with map = copy_name s.map k })
-                    p.steps)
-                (List.init (factor - 1) (fun k -> k + 1))
-            in
-            let reference =
-              List.fold_left
-                (fun db k ->
-                  List.fold_left
-                    (fun db m ->
-                      match Config.Database.route_map p.reference m with
-                      | None -> db
-                      | Some rm ->
-                          Config.Database.add_route_map db
-                            (Config.Route_map.make (copy_name m k)
-                               rm.Config.Route_map.stanzas))
-                    db p.maps)
-                p.reference
-                (List.init (factor - 1) (fun k -> k + 1))
-            in
-            let extra_maps =
-              List.concat_map
-                (fun k -> List.map (fun m -> copy_name m k) p.maps)
-                (List.init (factor - 1) (fun k -> k + 1))
-            in
-            {
-              p with
-              maps = p.maps @ extra_maps;
-              steps = p.steps @ copies;
-              reference;
-            })
-        plans
 end
 
 (* ------------------------------------------------------------------ *)

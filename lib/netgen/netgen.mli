@@ -19,7 +19,6 @@
 type profile = Fat_tree | Wan
 
 val profile_to_string : profile -> string
-val profile_of_string : string -> (profile, string) result
 
 type role = Core | Aggregation | Edge | Backbone | Site
 
@@ -87,14 +86,6 @@ module Policy : sig
       routers additionally pin the service prefix at LP 200 (5 steps,
       inserted after the catch-all so it must be disambiguated above
       it). *)
-
-  val skew : heavy:int -> factor:int -> plan list -> plan list
-  (** A pathological fleet for straggler benchmarks: the first [heavy]
-      plans (contiguous, like one pod of fat edge routers) have their
-      step sequence replayed [factor - 1] extra times under fresh map
-      names, with the reference config extended to answer for the
-      copies — [factor]x the synthesis work on 100·heavy/n percent of
-      routers. Identity when [factor <= 1] or [heavy <= 0]. *)
 end
 
 type check = { name : string; ok : bool; detail : string }

@@ -236,12 +236,3 @@ let lookup state ~router ~prefix =
 (** Does [router] have any route covering [prefix] (exact entry)? *)
 let reaches state ~router ~prefix = lookup state ~router ~prefix <> None
 
-let pp_rib fmt state router =
-  List.iter
-    (fun (p, e) ->
-      Format.fprintf fmt "%-20s via %-8s path [%s] lp %d med %d@."
-        (Netaddr.Prefix.to_string p)
-        (match e.learned_from with Some n -> n | None -> "local")
-        (String.concat " " (List.map string_of_int e.route.Bgp.Route.as_path))
-        e.route.Bgp.Route.local_pref e.route.Bgp.Route.metric)
-    (rib state router)

@@ -35,4 +35,3 @@ val rib : state -> string -> (Netaddr.Prefix.t * rib_entry) list
 
 val lookup : state -> router:string -> prefix:Netaddr.Prefix.t -> rib_entry option
 val reaches : state -> router:string -> prefix:Netaddr.Prefix.t -> bool
-val pp_rib : Format.formatter -> state -> string -> unit

@@ -97,26 +97,6 @@ end
 (* The registry                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Labels are data-driven (router names, fault classes); at fleet scale
-   an unbounded label space would grow the registry without limit.
-   Each base name may register at most [series_limit] labeled series;
-   further label sets collapse into one [{overflow="true"}] sink series
-   per base, so totals stay correct and the overflow is visible in
-   every snapshot. *)
-let overflow_labels = [ ("overflow", "true") ]
-
-let series_limit_ref =
-  ref
-    (match Sys.getenv_opt "CLARIFY_OBS_SERIES_LIMIT" with
-    | None -> 256
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ -> 256))
-
-let series_limit () = !series_limit_ref
-let set_series_limit n = series_limit_ref := max 1 n
-
 (* What every series carries, whatever its kind. *)
 type meta = {
   name : string; (* full name, labels encoded *)
@@ -125,8 +105,8 @@ type meta = {
 }
 
 (* One registry per metric kind, so counters, histograms and gauges
-   keep separate tables and separate label budgets. [clear] returns a
-   kept (zero-label) series to its initial state on [reset]. *)
+   keep separate tables. [clear] returns a kept (zero-label) series to
+   its initial state on [reset]. *)
 module Registry (K : sig
   type t
 
@@ -136,35 +116,17 @@ module Registry (K : sig
 end) =
 struct
   let table : (string, K.t) Hashtbl.t = Hashtbl.create 64
-  let budget : (string, int) Hashtbl.t = Hashtbl.create 16
-
-  (* Must be called with [registry_mutex] held. Decides the label set a
-     new registration is stored under, charging genuine label sets
-     against the per-base budget; the sink itself is exempt. *)
-  let resolve base labels =
-    if labels = [] || labels = overflow_labels then labels
-    else
-      let used = Option.value ~default:0 (Hashtbl.find_opt budget base) in
-      if used >= !series_limit_ref then overflow_labels
-      else begin
-        Hashtbl.replace budget base (used + 1);
-        labels
-      end
 
   let labeled base kvs =
     let labels = Labels.canon kvs in
+    let name = Labels.full_name base labels in
     locked (fun () ->
-        match Hashtbl.find_opt table (Labels.full_name base labels) with
+        match Hashtbl.find_opt table name with
         | Some s -> s
-        | None -> (
-            let labels = resolve base labels in
-            let name = Labels.full_name base labels in
-            match Hashtbl.find_opt table name with
-            | Some s -> s (* the overflow sink *)
-            | None ->
-                let s = K.create { name; base; labels } in
-                Hashtbl.add table name s;
-                s))
+        | None ->
+            let s = K.create { name; base; labels } in
+            Hashtbl.add table name s;
+            s)
 
   let make name = labeled name []
   let name s = (K.meta s).name
@@ -179,10 +141,10 @@ struct
     |> List.map snd
 
   (* Clear the statically declared (zero-label) series, whose handles
-     live in module bodies across resets, and drop the dynamically
-     created labeled series outright: their cardinality is data-driven
-     (per router, per fault class), so keeping dead registrations would
-     leak across runs. *)
+     live in module bodies across resets, and drop the labeled series
+     outright: their users register them again per run (per pool
+     domain, per LLM endpoint), so a reset keeps no series of a label
+     set the next run does not use. *)
   let reset () =
     locked (fun () ->
         Hashtbl.filter_map_inplace
@@ -192,8 +154,7 @@ struct
               Some s
             end
             else None)
-          table;
-        Hashtbl.reset budget)
+          table)
 end
 
 (* The per-domain shards of a counter or histogram. The key's init

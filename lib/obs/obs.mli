@@ -2,11 +2,11 @@
     and hierarchical spans with pluggable sinks.
 
     One registry implementation serves all three metric kinds, each
-    with its own table and label budget. {!Snapshot.capture} is the
-    one reader of every series' value (the [--metrics] report, bench
-    snapshots and a recorded router's closing [gauges] event all render
-    a capture), and a completed span reaches consumers only through the
-    installed {!sink}: nothing is buffered.
+    with its own table. {!Snapshot.capture} is the one reader of every
+    series' value (the [--metrics] report, bench snapshots and a
+    recorded router's closing [gauges] event all render a capture), and
+    a completed span reaches consumers only through the installed
+    {!sink}: nothing is buffered.
 
     The registry is global and zero-dependency (monotonic-ish time via a
     pluggable clock, [Unix.gettimeofday] by default). Instrumented code
@@ -50,25 +50,10 @@ val now : unit -> float
 
 val reset : unit -> unit
 (** Zero every counter, histogram and pushed gauge, drop dynamically
-    created labeled series and their label budgets, restart the span
-    sequence counter, clear the open-span stack and re-anchor the span
-    start-offset origin. Zero-label metric registrations, gauge
-    collectors, sinks, subscribers and the enabled state are kept. *)
-
-val series_limit : unit -> int
-(** The cardinality guard: the maximum number of labeled series one
-    base name may register. Initialized from [CLARIFY_OBS_SERIES_LIMIT]
-    (default 256). Beyond the limit, new label sets collapse into the
-    per-base [{overflow="true"}] sink series. *)
-
-val set_series_limit : int -> unit
-(** Set the per-base labeled-series budget (clamped to [>= 1]). Applies
-    to registrations made after the call. *)
-
-val overflow_labels : (string * string) list
-(** The label set of the cardinality-overflow sink series,
-    [[("overflow", "true")]]. Registering it explicitly addresses the
-    sink directly; it is exempt from the series budget. *)
+    created labeled series, restart the span sequence counter, clear
+    the open-span stack and re-anchor the span start-offset origin.
+    Zero-label metric registrations, gauge collectors, sinks,
+    subscribers and the enabled state are kept. *)
 
 (** Metric dimensions. A label set is a list of [key, value] pairs
     (canonically sorted by key); a labeled metric is registered under
@@ -101,9 +86,7 @@ module Counter : sig
       [base] family per distinct label set. Idempotent per label set,
       and atomic under concurrent registration: two domains racing on
       the same (base, labels) receive the same series. The label list
-      is canonicalized, so order does not matter. Once the per-base
-      budget ({!series_limit}) is spent, further label sets all resolve
-      to the [{overflow="true"}] sink series. *)
+      is canonicalized, so order does not matter. *)
 
   val incr : ?by:int -> t -> unit
   (** No-op while the layer is disabled. Lock-free: writes this
@@ -165,8 +148,7 @@ module Gauge : sig
   (** Idempotent, like {!Counter.make}. *)
 
   val labeled : string -> (string * string) list -> t
-  (** One series per label set, like {!Counter.labeled}, under the same
-      cardinality guard. *)
+  (** One series per label set, like {!Counter.labeled}. *)
 
   val collector : string -> (unit -> float) -> t
   (** [collector name f] registers a gauge whose value is [f ()] at

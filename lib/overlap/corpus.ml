@@ -115,27 +115,3 @@ let summarize_route_maps ?(threshold = default_threshold) ?pool db
         (fun acc (s : Route_map_overlap.stats) -> acc + s.conflict_pairs)
         0 stats;
   }
-
-let pct part whole =
-  if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
-
-let pp_acl_summary fmt s =
-  Format.fprintf fmt
-    "@[<v>ACLs analyzed: %d@ with >=1 overlap: %d (%.1f%%)@ with >%d \
-     overlaps: %d@ with conflicting overlaps: %d (%.1f%%)@ conflicting and \
-     >%d: %d (%.1f%% of conflicting)@ with non-trivial conflicts: %d \
-     (%.1f%%)@ non-trivial and >%d: %d (%.1f%% of non-trivial)@ max overlap \
-     count: %d@]"
-    s.total s.with_overlaps (pct s.with_overlaps s.total) default_threshold
-    s.heavy_overlaps s.with_conflicts (pct s.with_conflicts s.total)
-    default_threshold s.heavy_conflicts (pct s.heavy_conflicts s.with_conflicts)
-    s.with_nontrivial (pct s.with_nontrivial s.total) default_threshold
-    s.heavy_nontrivial (pct s.heavy_nontrivial s.with_nontrivial)
-    s.max_overlaps
-
-let pp_route_map_summary fmt s =
-  Format.fprintf fmt
-    "@[<v>route-maps analyzed: %d@ with overlaps: %d@ with >%d overlaps: %d@ \
-     max overlap count: %d@ conflicting stanza pairs: %d@]"
-    s.rm_total s.rm_with_overlaps default_threshold s.rm_heavy_overlaps
-    s.rm_max_overlaps s.rm_conflicting_pairs_total

@@ -47,6 +47,3 @@ val summarize_route_maps :
   route_map_summary
 (** Same parallelization and memory-bounding contract as
     {!summarize_acls}. *)
-
-val pp_acl_summary : Format.formatter -> acl_summary -> unit
-val pp_route_map_summary : Format.formatter -> route_map_summary -> unit

@@ -8,20 +8,21 @@
    exactly once. [shutdown] (also registered [at_exit]) wakes and joins
    them.
 
-   Work distribution is per *item group* (the [?grain] of {!map}), not
-   per contiguous worker-sized chunk: every participant claims the next
-   unclaimed task id from the batch's one atomic cursor until the
-   cursor passes the end. A straggling item therefore delays only
-   itself — the idle participants keep claiming its neighbours — which
-   is what flattens the E5 fleet p99/p50 tail. A batch is a flat list
-   of independent tasks (no task adds work, a nested map runs inline),
-   so one shared counter is all the distribution it needs.
+   Work distribution is per *item*, not per contiguous worker-sized
+   chunk: every participant claims the next unclaimed item from the
+   batch's one atomic cursor until the cursor passes the end. A
+   straggling item therefore delays only itself — the idle
+   participants keep claiming its neighbours — which is what flattens
+   the E5 fleet p99/p50 tail. A batch is a flat list of independent
+   items (no item adds work, a nested map runs inline), so one shared
+   counter is all the distribution it needs. A caller whose items are
+   too cheap for per-item bookkeeping maps over lists of them.
 
    Determinism is unchanged from the fork-join pool this replaces:
-   results land in per-item slots indexed by input position and are
-   reassembled in input order, and the first failure in *input* order
-   wins exception priority, so a parallel map is observationally
-   [List.map] whatever the claim order.
+   results and failures land in per-item slots indexed by input
+   position and are reassembled in input order, and the first failure
+   in *input* order wins exception priority, so a parallel map is
+   observationally [List.map] whatever the claim order.
 
    BDD layering: tasks must return plain data, never BDD values. With
    [?bdd_base] (a frozen root manager) every participant runs under a
@@ -128,11 +129,11 @@ let with_worker_hooks m f =
 
 type batch = {
   parts : int; (* participants; slot 0 = submitter *)
-  next : int Atomic.t; (* next unclaimed task id *)
+  next : int Atomic.t; (* next unclaimed item *)
   metrics : worker_metrics array; (* empty when observability was off *)
-  run : worker_metrics option -> int -> unit; (* execute one task id *)
-  ntasks : int;
-  completed : int Atomic.t; (* tasks fully run (or failed) *)
+  run : worker_metrics option -> int -> unit; (* run one item *)
+  nitems : int;
+  completed : int Atomic.t; (* items fully run (or failed) *)
   active : int Atomic.t; (* persistent workers inside [participate] *)
   bdd_base : Symbdd.Bdd.Manager.t option;
   submitted : float; (* Obs.now () at publish; 0. when obs off *)
@@ -144,7 +145,7 @@ type batch = {
    queue-depth gauge collector can read it lock-free from any domain. *)
 let mu = Mutex.create ()
 let cv_work = Condition.create () (* new batch published, or shutdown *)
-let cv_done = Condition.create () (* task count or active count dropped *)
+let cv_done = Condition.create () (* item count or active count dropped *)
 let generation = ref 0 (* bumped per batch, under mu *)
 let shutting_down = ref false
 let current : batch option Atomic.t = Atomic.make None
@@ -154,13 +155,13 @@ let workers_spawned = ref 0
 
 let spawned_workers () = !workers_spawned
 
-(* Unclaimed tasks of the in-flight batch. *)
+(* Unclaimed items of the in-flight batch. *)
 let () =
   ignore
     (Obs.Gauge.collector "parallel.queue.depth" (fun () ->
          match Atomic.get current with
          | None -> 0.
-         | Some b -> float_of_int (max 0 (b.ntasks - Atomic.get b.next))))
+         | Some b -> float_of_int (max 0 (b.nitems - Atomic.get b.next))))
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain BDD managers                                            *)
@@ -207,7 +208,7 @@ let scratch_manager () =
       cell := Some m;
       m
 
-(* Serial path (pool of 1, single task, or nested submission): same
+(* Serial path (pool of 1, single item, or nested submission): same
    manager layering, fresh delta per call as before. *)
 let with_base_delta bdd_base f =
   match bdd_base with
@@ -219,9 +220,9 @@ let with_base_delta bdd_base f =
 (* The work loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Claim task ids from the shared cursor until it passes the end. A
-   claim cannot fail and never waits, so a participant leaves as soon
-   as no unclaimed task remains. *)
+(* Claim items from the shared cursor until it passes the end. A claim
+   cannot fail and never waits, so a participant leaves as soon as no
+   unclaimed item remains. *)
 let work_loop b m =
   (match m with
   | Some mm ->
@@ -230,9 +231,9 @@ let work_loop b m =
   | None -> ());
   let rec loop () =
     let g = Atomic.fetch_and_add b.next 1 in
-    if g < b.ntasks then begin
+    if g < b.nitems then begin
       b.run m g;
-      if 1 + Atomic.fetch_and_add b.completed 1 >= b.ntasks then begin
+      if 1 + Atomic.fetch_and_add b.completed 1 >= b.nitems then begin
         Mutex.lock mu;
         Condition.broadcast cv_done;
         Mutex.unlock mu
@@ -319,7 +320,7 @@ let worker_main slot gen0 () =
               ((Obs.now () -. t_park) *. 1e9);
           (try participate b slot
            with _ ->
-             (* Task exceptions are captured per task inside [b.run];
+             (* Item exceptions are captured per item inside [b.run];
                 anything reaching here is a scheduler-infrastructure
                 failure. Swallow it so [active] still drops — a hung
                 submitter would be strictly worse. *)
@@ -366,105 +367,86 @@ let () = at_exit shutdown
 (* map                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let map ?(grain = 1) ?bdd_base pool ~f items =
+let map ?bdd_base pool ~f items =
   let n = List.length items in
   if n = 0 then []
+  else if pool.domains <= 1 || n = 1 || in_worker () then
+    (* Serial path: pool of 1, a single item, or a nested submission
+       from inside a worker task (running it inline avoids deadlock on
+       the one-batch-at-a-time lock and keeps determinism trivially).
+       Same manager layering as the parallel path. *)
+    with_base_delta bdd_base (fun () -> List.map f items)
   else begin
-    let grain = max 1 grain in
-    let ntasks = (n + grain - 1) / grain in
-    if pool.domains <= 1 || ntasks <= 1 || in_worker () then
-      (* Serial path: pool of 1, a single task, or a nested submission
-         from inside a worker task (running it inline avoids deadlock
-         on the one-batch-at-a-time lock and keeps determinism
-         trivially). Same manager layering as the parallel path. *)
-      with_base_delta bdd_base (fun () -> List.map f items)
-    else begin
-      (match bdd_base with
-      | Some base when not (Symbdd.Bdd.Manager.frozen base) ->
-          invalid_arg "Parallel.Pool.map: ~bdd_base must be frozen"
-      | _ -> ());
-      Mutex.lock batch_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock batch_lock) @@ fun () ->
-      let parts = min pool.domains ntasks in
-      ensure_workers (parts - 1);
-      let enabled = Obs.enabled () in
-      let input = Array.of_list items in
-      let results = Array.make n None in
-      let fails : (int * exn) option array = Array.make ntasks None in
-      let run m g =
-        let start = g * grain in
-        let stop = min n (start + grain) in
-        let i = ref start in
-        try
-          while !i < stop do
-            let t0 = match m with Some _ -> Obs.now () | None -> 0. in
-            let r = f input.(!i) in
-            results.(!i) <- Some r;
-            (match m with
-            | Some mm ->
-                Obs.Counter.incr mm.tasks;
-                Obs.Histogram.observe_ns mm.task_ns ((Obs.now () -. t0) *. 1e9)
-            | None -> ());
-            incr i
-          done
-        with e -> fails.(g) <- Some (!i, e)
-      in
-      let metrics = if enabled then Array.init parts worker_metrics else [||] in
-      let b =
-        {
-          parts;
-          next = Atomic.make 0;
-          metrics;
-          run;
-          ntasks;
-          completed = Atomic.make 0;
-          active = Atomic.make 0;
-          bdd_base;
-          submitted = (if enabled then Obs.now () else 0.);
-        }
-      in
-      if enabled then begin
-        Obs.Counter.incr (Lazy.force batches);
-        ignore (Lazy.force park_ns);
-        Obs.Gauge.set (Lazy.force pool_domains) (float_of_int pool.domains);
-        Obs.Gauge.set (Lazy.force active_workers) (float_of_int parts)
-      end;
-      Mutex.lock mu;
-      incr generation;
-      Atomic.set current (Some b);
-      Condition.broadcast cv_work;
-      Mutex.unlock mu;
-      (* The submitting domain participates as slot 0. *)
-      let submitter_exn = ref None in
-      (try participate b 0 with e -> submitter_exn := Some e);
-      (* Wait for all tasks, close the join window, then wait for every
-         joined worker to leave the batch, so that no worker still
-         touches this batch's gauges, hooks or managers once [map]
-         returns. *)
-      Mutex.lock mu;
-      while Atomic.get b.completed < b.ntasks do
-        Condition.wait cv_done mu
-      done;
-      Atomic.set current None;
-      while Atomic.get b.active > 0 do
-        Condition.wait cv_done mu
-      done;
-      Mutex.unlock mu;
-      if enabled then Obs.Gauge.set (Lazy.force active_workers) 0.;
-      (match !submitter_exn with Some e -> raise e | None -> ());
-      let worst =
-        Array.fold_left
-          (fun acc cur ->
-            match (acc, cur) with
-            | None, c -> c
-            | Some _, None -> acc
-            | Some (i, _), Some (j, _) -> if j < i then cur else acc)
-          None fails
-      in
-      match worst with
-      | Some (_, e) -> raise e
-      | None ->
-          Array.to_list results
-          |> List.map (function Some r -> r | None -> assert false)
-    end
+    (match bdd_base with
+    | Some base when not (Symbdd.Bdd.Manager.frozen base) ->
+        invalid_arg "Parallel.Pool.map: ~bdd_base must be frozen"
+    | _ -> ());
+    Mutex.lock batch_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock batch_lock) @@ fun () ->
+    let parts = min pool.domains n in
+    ensure_workers (parts - 1);
+    let enabled = Obs.enabled () in
+    let input = Array.of_list items in
+    let results = Array.make n None in
+    let fails : exn option array = Array.make n None in
+    let run m i =
+      let t0 = match m with Some _ -> Obs.now () | None -> 0. in
+      match f input.(i) with
+      | r -> (
+          results.(i) <- Some r;
+          match m with
+          | Some mm ->
+              Obs.Counter.incr mm.tasks;
+              Obs.Histogram.observe_ns mm.task_ns ((Obs.now () -. t0) *. 1e9)
+          | None -> ())
+      | exception e -> fails.(i) <- Some e
+    in
+    let metrics = if enabled then Array.init parts worker_metrics else [||] in
+    let b =
+      {
+        parts;
+        next = Atomic.make 0;
+        metrics;
+        run;
+        nitems = n;
+        completed = Atomic.make 0;
+        active = Atomic.make 0;
+        bdd_base;
+        submitted = (if enabled then Obs.now () else 0.);
+      }
+    in
+    if enabled then begin
+      Obs.Counter.incr (Lazy.force batches);
+      ignore (Lazy.force park_ns);
+      Obs.Gauge.set (Lazy.force pool_domains) (float_of_int pool.domains);
+      Obs.Gauge.set (Lazy.force active_workers) (float_of_int parts)
+    end;
+    Mutex.lock mu;
+    incr generation;
+    Atomic.set current (Some b);
+    Condition.broadcast cv_work;
+    Mutex.unlock mu;
+    (* The submitting domain participates as slot 0. *)
+    let submitter_exn = ref None in
+    (try participate b 0 with e -> submitter_exn := Some e);
+    (* Wait for all items, close the join window, then wait for every
+       joined worker to leave the batch, so that no worker still
+       touches this batch's gauges, hooks or managers once [map]
+       returns. *)
+    Mutex.lock mu;
+    while Atomic.get b.completed < b.nitems do
+      Condition.wait cv_done mu
+    done;
+    Atomic.set current None;
+    while Atomic.get b.active > 0 do
+      Condition.wait cv_done mu
+    done;
+    Mutex.unlock mu;
+    if enabled then Obs.Gauge.set (Lazy.force active_workers) 0.;
+    (match !submitter_exn with Some e -> raise e | None -> ());
+    match Array.find_map Fun.id fails with
+    | Some e -> raise e
+    | None ->
+        Array.to_list results
+        |> List.map (function Some r -> r | None -> assert false)
   end

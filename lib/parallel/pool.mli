@@ -9,10 +9,10 @@
     condition variable between batches and reused — watch
     [parallel.domains_spawned] stay flat across a multi-batch run.
 
-    Distribution is per item group ([?grain] items per task): every
-    participant claims the next unclaimed task from one shared atomic
-    cursor until none remain, so one straggling item delays only itself
-    while the others keep claiming the rest.
+    Distribution is per item: every participant claims the next
+    unclaimed item from one shared atomic cursor until none remain, so
+    one straggling item delays only itself while the others keep
+    claiming the rest.
 
     Every worker domain runs under a private BDD manager, so tasks may
     freely build BDDs — but must return only plain data (stats records,
@@ -45,25 +45,15 @@ val serial : t
 (** A pool of one domain; [map serial ~f] is [List.map f]. *)
 
 val map :
-  ?grain:int ->
-  ?bdd_base:Symbdd.Bdd.Manager.t ->
-  t ->
-  f:('a -> 'b) ->
-  'a list ->
-  'b list
+  ?bdd_base:Symbdd.Bdd.Manager.t -> t -> f:('a -> 'b) -> 'a list -> 'b list
 (** [map pool ~f items] applies [f] to every item across the pool's
-    domains and returns the results in input order.
-
-    [?grain] (default 1) is the number of consecutive items per
-    task — a {e granularity} knob, not a balance knob: balance comes
-    from claiming one task at a time. Leave it at 1 for coarse items
-    (routers, corpus sweeps); raise it only when single items are so
-    cheap that per-task bookkeeping would dominate (e.g. 64 for
-    microbenchmark-sized closures).
+    domains and returns the results in input order. Each item is one
+    claim; items so cheap that per-claim bookkeeping would dominate
+    are better mapped as lists of them.
 
     [?bdd_base] must be a {e frozen} root manager
     ({!Symbdd.Bdd.Manager.freeze}); see the module docs for the delta
-    lifecycle. The serial fallback (one domain, a single task, or a
+    lifecycle. The serial fallback (one domain, a single item, or a
     nested call from inside a worker task — which runs inline, serial)
     applies the same layering with a fresh delta per call.
 
@@ -75,12 +65,12 @@ val map :
     [bdd.nodes_allocated{domain=N}] and compile-cache hit/miss counters
     via the worker's BDD hooks; [parallel.park_ns] records how long
     workers slept between batches, and the [parallel.queue.depth]
-    collector reads the in-flight batch's unclaimed tasks. Labeled
+    collector reads the in-flight batch's unclaimed items. Labeled
     handles are acquired per batch (never cached across {!Obs.reset}),
     and slot 0's previous BDD hooks are restored when the batch
     completes.
 
-    If any task raises, the batch still drains, and the exception from
+    If any item raises, the batch still drains, and the exception from
     the smallest input position is re-raised. *)
 
 val in_worker : unit -> bool

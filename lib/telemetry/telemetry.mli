@@ -113,7 +113,12 @@ module Bench : sig
             [clarify obs diff] refuses to compare snapshots taken at
             different parallelism — timings would not be comparable. *)
     experiments : (string * experiment) list; (* e.g. "E1" .. "E4" *)
-    benchmarks : (string * float) list; (* Bechamel name -> ns/run *)
+    benchmarks : (string * float) list;
+        (** Bench leg name -> its value: ns per run for a timed leg (the
+            fastest of its attempts, through the bench's one clock
+            helper), a plain number for a count or ratio leg
+            ([batch/questions-*], [obs/disambig-w128-overhead],
+            [fleet/e5-skewed-p99-p50]). *)
   }
 
   val to_json : t -> Json.t

@@ -16,7 +16,7 @@ let test_sizing () =
   check_int "clamped to 1" 1 Parallel.Pool.(domains (create ~domains:0 ()));
   check_int "serial pool" 1 Parallel.Pool.(domains serial)
 
-(* map must equal List.map at every pool size, grain, and input length
+(* map must equal List.map at every pool size and input length
    (empty, shorter than the pool, longer than it). *)
 let test_ordering () =
   let f x = (x * 2) + 1 in
@@ -26,13 +26,10 @@ let test_ordering () =
       List.iter
         (fun n ->
           let items = List.init n (fun i -> i) in
-          List.iter
-            (fun grain ->
-              Alcotest.(check (list int))
-                (Printf.sprintf "d=%d n=%d grain=%d" domains n grain)
-                (List.map f items)
-                (Parallel.Pool.map ~grain pool ~f items))
-            [ 1; 3 ])
+          Alcotest.(check (list int))
+            (Printf.sprintf "d=%d n=%d" domains n)
+            (List.map f items)
+            (Parallel.Pool.map pool ~f items))
         [ 0; 1; 2; 5; 17; 64 ])
     [ 1; 2; 4 ]
 
@@ -48,21 +45,21 @@ let test_exception_propagation () =
   | exception Boom x -> check_int "earliest failure re-raised" 3 x
 
 (* Each item runs exactly once however the participants race for
-   tasks: [f] counts its calls per item, so a task claimed twice or
+   items: [f] counts its calls per item, so an item claimed twice or
    never shows up as a count other than 1 even where the results would
    still equal [List.map]. A failing batch still runs every item once
-   (at grain 1 a failure ends only its own task) and re-raises the
-   failure at the smallest input position. *)
+   (a failure ends only its own item) and re-raises the failure at the
+   smallest input position. *)
 let test_exactly_once () =
   let pool = Parallel.Pool.create ~domains:4 () in
-  let run ~grain ~fail n =
+  let run ~fail n =
     let calls = Array.init n (fun _ -> Atomic.make 0) in
     let f i =
       Atomic.incr calls.(i);
       if fail i then raise (Boom i) else (i * 3) + 1
     in
     let r =
-      match Parallel.Pool.map ~grain pool ~f (List.init n Fun.id) with
+      match Parallel.Pool.map pool ~f (List.init n Fun.id) with
       | r -> Ok r
       | exception Boom i -> Error i
     in
@@ -71,16 +68,13 @@ let test_exactly_once () =
   in
   List.iter
     (fun n ->
-      List.iter
-        (fun grain ->
-          let r, once = run ~grain ~fail:(fun _ -> false) n in
-          let label = Printf.sprintf "n=%d grain=%d" n grain in
-          check_bool (label ^ ": every item ran once") true once;
-          check_bool (label ^ ": results in input order") true
-            (r = Ok (List.init n (fun i -> (i * 3) + 1))))
-        [ 1; 3 ];
+      let r, once = run ~fail:(fun _ -> false) n in
+      let label = Printf.sprintf "n=%d" n in
+      check_bool (label ^ ": every item ran once") true once;
+      check_bool (label ^ ": results in input order") true
+        (r = Ok (List.init n (fun i -> (i * 3) + 1)));
       if n >= 7 then begin
-        let r, once = run ~grain:1 ~fail:(fun i -> i mod 7 = 6) n in
+        let r, once = run ~fail:(fun i -> i mod 7 = 6) n in
         let label = Printf.sprintf "n=%d failing" n in
         check_bool (label ^ ": every item ran once") true once;
         check_bool (label ^ ": smallest failing index re-raised") true
