@@ -62,7 +62,11 @@ let sum_family snapshot base =
       else acc)
     0 snapshot.Obs.Snapshot.counters
 
+(* Each window opens on a collected heap, so no experiment pays a major
+   slice for the garbage an earlier one left: E3 leaves about 11.8M dead
+   words, whose collection otherwise lands inside one of E4's spans. *)
 let with_metrics name f =
+  Gc.full_major ();
   Obs.enable ();
   Obs.reset ();
   let recorded = Telemetry.record_to_memory () in

@@ -23,6 +23,15 @@ let load_config path =
       prerr_endline ("error: cannot parse " ^ path ^ ": " ^ m);
       exit 1
 
+(* An as-path regex whose automaton outgrows the regex engine's bound
+   surfaces when an analysis first reads it; it is an error in the
+   config, named by its line. *)
+let with_config_errors f =
+  try f ()
+  with Symbolic.Route_ctx.Too_complex m ->
+    prerr_endline ("error: " ^ m);
+    exit 1
+
 (* ------------------------------------------------------------------ *)
 (* Observability                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -117,12 +126,17 @@ let scripted_answers script =
         c
 
 let parse_script s =
-  List.filter_map
-    (fun c ->
+  List.mapi
+    (fun i c ->
       match c with
-      | '1' -> Some `New
-      | '2' -> Some `Old
-      | _ -> None)
+      | '1' -> `New
+      | '2' -> `Old
+      | c ->
+          Printf.eprintf
+            "error: --answers: %C at position %d is not 1 (new first) or 2 \
+             (keep existing)\n"
+            c (i + 1);
+          exit 1)
     (List.init (String.length s) (String.get s))
 
 (* Answers from the [--answers] script when given, else from stdin.
@@ -172,7 +186,7 @@ let update_cmd =
           ~doc:
             "Answer disambiguation questions from this script instead of \
              stdin: a string of 1s (new first) and 2s (keep existing), \
-             e.g. --answers 12.")
+             e.g. --answers 12. Any other character is an error.")
   in
   let acl =
     Arg.(
@@ -200,6 +214,7 @@ let update_cmd =
   let run config target prompt answers acl faults record obs =
     with_obs obs @@ fun () ->
     with_recorder record @@ fun () ->
+    with_config_errors @@ fun () ->
     let db = load_config config in
     let llm =
       Llm.Mock_llm.create
@@ -322,7 +337,8 @@ let batch_cmd =
       & info [ "answers" ] ~docv:"SCRIPT"
           ~doc:
             "Answer disambiguation questions from this script instead of \
-             stdin: a string of 1s (new first) and 2s (keep existing).")
+             stdin: a string of 1s (new first) and 2s (keep existing). \
+             Any other character is an error.")
   in
   let faults =
     Arg.(
@@ -344,6 +360,7 @@ let batch_cmd =
   let run config intents intents_file answers faults record obs =
     with_obs obs @@ fun () ->
     with_recorder record @@ fun () ->
+    with_config_errors @@ fun () ->
     let db = load_config config in
     let specs =
       intents
@@ -1033,6 +1050,7 @@ let audit_cmd =
       & info [ "c"; "config" ] ~docv:"FILE" ~doc:"Configuration file to audit.")
   in
   let run config =
+    with_config_errors @@ fun () ->
     let db = load_config config in
     List.iter
       (fun (acl : Config.Acl.t) ->
@@ -1083,6 +1101,7 @@ let verify_cmd =
       & info [ "s"; "spec" ] ~docv:"FILE" ~doc:"JSON behavioural specification.")
   in
   let run config map_name spec =
+    with_config_errors @@ fun () ->
     let db = load_config config in
     let rm =
       match Config.Database.route_map db map_name with

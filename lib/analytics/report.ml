@@ -65,8 +65,8 @@ let phase_of_span e =
    event at a time in constant space. [add] consumes events in log
    order; [merge] combines two accumulators whose event ranges are
    ordered left-before-right, and is associative, so a pooled fold over
-   file shards finishes byte-identically to a serial fold. Streaming
-   (Stream) and batch (of_sessions) reports share this fold, which is
+   file shards finishes byte-identically to a serial fold. Every report,
+   streaming (Stream) or whole-file, goes through this fold, which is
    what makes them byte-for-byte interchangeable.                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -100,7 +100,6 @@ module Acc = struct
     fleet_done : bool;
     fleet_wall_ns : float;
     last_ts_ns : float;
-    last_kind : string option;
   }
 
   let empty =
@@ -133,7 +132,6 @@ module Acc = struct
       fleet_done = false;
       fleet_wall_ns = 0.;
       last_ts_ns = 0.;
-      last_kind = None;
     }
 
   let duration_ns e =
@@ -166,7 +164,6 @@ module Acc = struct
         acc with
         events = acc.events + 1;
         last_ts_ns = Float.max acc.last_ts_ns e.E.ts_ns;
-        last_kind = Some e.E.kind;
         ctx_router =
           (match acc.ctx_router with
           | Some _ as r -> r
@@ -342,13 +339,10 @@ module Acc = struct
       fleet_done = a.fleet_done || b.fleet_done;
       fleet_wall_ns = Float.max a.fleet_wall_ns b.fleet_wall_ns;
       last_ts_ns = Float.max a.last_ts_ns b.last_ts_ns;
-      last_kind = (match b.last_kind with Some _ -> b.last_kind | None -> a.last_kind);
     }
 
-  let router_label acc = acc.ctx_router
   let events acc = acc.events
   let last_ts_ns acc = acc.last_ts_ns
-  let last_kind acc = acc.last_kind
   let questions acc = acc.questions
   let stanzas acc = acc.stanzas
 
@@ -392,8 +386,6 @@ module Acc = struct
                 wall_ns = acc.fleet_wall_ns;
               });
     }
-
-  let of_events events = List.fold_left add empty events
 end
 
 (* Accumulators for the same router (one log per policy step, say)
@@ -404,7 +396,7 @@ let of_accs named =
   let groups = Hashtbl.create 8 in
   List.iter
     (fun (fallback, acc) ->
-      let r = Option.value ~default:fallback (Acc.router_label acc) in
+      let r = Option.value ~default:fallback acc.Acc.ctx_router in
       (match Hashtbl.find_opt groups r with
       | None ->
           order := r :: !order;
@@ -418,12 +410,6 @@ let of_accs named =
     |> List.sort (fun a b -> String.compare a.router b.router)
   in
   { routers }
-
-let of_sessions sessions =
-  of_accs
-    (List.map
-       (fun s -> (s.Session.name, Acc.of_events s.Session.events))
-       sessions)
 
 (* ------------------------------------------------------------------ *)
 (* Renderings                                                         *)

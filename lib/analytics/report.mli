@@ -65,25 +65,20 @@ type t = { routers : router_stats list }
     [add] folds one event in constant space; [merge a b] combines two
     accumulators whose event ranges are ordered a-before-b and is
     associative, so a pooled fold over file shards finishes
-    byte-identically to a serial fold. {!of_sessions} and the streaming
-    reader ({!Stream}) both go through this fold, which is what makes
-    batch and streaming reports byte-for-byte interchangeable. *)
+    byte-identically to a serial fold. The streaming reader ({!Stream})
+    goes through this fold, and so does any whole-file reader, which is
+    what makes their reports byte-for-byte interchangeable. *)
 module Acc : sig
   type t
 
   val empty : t
   val add : t -> Telemetry.Event.t -> t
   val merge : t -> t -> t
-  val of_events : Telemetry.Event.t list -> t
 
   val finish : router:string -> t -> router_stats
 
-  val router_label : t -> string option
-  (** First ctx ["router"] label seen, as in {!Session.router}. *)
-
   val events : t -> int
   val last_ts_ns : t -> float (* 0. before any event *)
-  val last_kind : t -> string option
   val questions : t -> int
   val stanzas : t -> int
 end
@@ -93,12 +88,9 @@ val llm_calls : router_stats -> int
 
 val of_accs : (string * Acc.t) list -> t
 (** [(fallback_name, acc)] per log, in log order; accumulators resolve
-    to {!Acc.router_label}[ | fallback] and merge per router in input
-    order. Rows are sorted by router name. *)
-
-val of_sessions : Session.t list -> t
-(** Sessions with the same {!Session.router} merge into one row; rows
-    are sorted by router name. *)
+    to the first ctx ["router"] label they saw (else [fallback_name])
+    and merge per router in input order. Rows are sorted by router
+    name. *)
 
 val figure4_markdown : t -> string
 (** Just the paper's Figure-4 table (route-maps, stanzas, synthesis

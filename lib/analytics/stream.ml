@@ -18,9 +18,9 @@ type file = {
   on_event : E.t -> unit; (* extra per-event sink (streaming trace) *)
 }
 
-let open_file ?(on_event = fun _ -> ()) path =
+let open_file path =
   {
-    on_event;
+    on_event = ignore;
     path;
     name = Filename.remove_extension (Filename.basename path);
     offset = 0;
@@ -175,13 +175,18 @@ let fold_file path =
   | Error m -> Error (Printf.sprintf "%s: %s" path m)
 
 let iter_file path sink =
-  let f = open_file ~on_event:sink path in
+  let f = { (open_file path) with on_event = sink } in
   match poll_file f with
   | Ok _ -> Ok f.events
   | Error m -> Error (Printf.sprintf "%s: %s" path m)
 
+let expand_paths paths =
+  List.concat_map
+    (fun p -> if Sys.file_exists p && Sys.is_directory p then scan p else [ p ])
+    paths
+
 let report_paths ?pool paths =
-  let paths = Session.expand_paths paths in
+  let paths = expand_paths paths in
   let folds =
     match pool with
     | Some pool when Parallel.Pool.domains pool > 1 ->

@@ -8,8 +8,7 @@
     as {!Telemetry.parse_events} (a crashed or still-running recorder leaves
     at most one bad line, at the end; content after a malformed line is
     a fatal error). Peak memory is one accumulator plus one pending
-    line per file, independent of log length — where
-    {!Session.load_file} slurps the whole log.
+    line per file, independent of log length.
 
     A {!dir} follows every [*.jsonl] in a directory, in sorted name
     order (new files are picked up on every poll), so a live E5 fleet
@@ -17,15 +16,13 @@
 
     Because {!Report.Acc.merge} is associative and file order is
     sorted, {!report_paths} folds file shards across a domain pool and
-    still finishes byte-identically to a serial fold — and to the
-    {!Session.load_file}-based {!Report.of_sessions}. *)
+    still finishes byte-identically to a serial fold — and to a fold
+    over whole logs loaded at once. *)
 
 type file
 
-val open_file : ?on_event:(Telemetry.Event.t -> unit) -> string -> file
-(** No I/O happens until the first {!poll_file}. [on_event] is called
-    on every parsed event, in log order, in addition to the fold (used
-    by the streaming trace export). *)
+val open_file : string -> file
+(** No I/O happens until the first {!poll_file}. *)
 
 val poll_file : file -> (int, string) result
 (** Read everything appended since the last poll; returns the number
@@ -54,7 +51,7 @@ val files : dir -> file list
 
 val report_of_dir : dir -> Report.t
 (** The report over everything folded so far. Byte-identical to
-    [Report.of_sessions] over the same (complete) logs. *)
+    {!report_paths} over the same (complete) logs. *)
 
 val fold_file : string -> (string * Report.Acc.t, string) result
 (** One-shot streaming fold of a whole log: [(file_name, acc)]. *)
@@ -64,9 +61,15 @@ val iter_file : string -> (Telemetry.Event.t -> unit) -> (int, string) result
     {!Trace.Writer}); returns the event count. Same tolerant final-line
     rule as the fold. *)
 
+val expand_paths : string list -> string list
+(** Expand arguments into log files: a directory contributes its
+    [*.jsonl] files sorted by name (so downstream reports are
+    byte-stable regardless of filesystem readdir order), anything else
+    passes through unchanged. *)
+
 val report_paths :
   ?pool:Parallel.Pool.t -> string list -> (Report.t, string) result
-(** One-shot report over logs and/or directories (directories expand to
-    their [*.jsonl] files in sorted name order, as in {!Session.load}).
+(** One-shot report over logs and/or directories (directories expand
+    as in {!expand_paths}).
     With a pool, files are folded in parallel and merged in input
     order; the result is byte-identical at every pool size. *)

@@ -64,5 +64,3 @@ val value : valuation -> int -> bool option
 val read : t -> valuation -> int
 (** The vector's value under the valuation; unassigned bits read as 0. *)
 
-val check_const : t -> int -> unit
-(** @raise Invalid_argument if the constant does not fit the width. *)

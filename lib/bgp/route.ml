@@ -15,8 +15,7 @@ type t = {
 let normalize_communities cs = List.sort_uniq Community.compare cs
 
 let make ?(as_path = []) ?(communities = []) ?(local_pref = 100) ?(metric = 0)
-    ?(next_hop = Netaddr.Ipv4.of_int 1) ?(origin = Igp) ?(tag = 0)
-    ?(weight = 0) prefix =
+    ?(next_hop = Netaddr.Ipv4.of_int 1) ?(tag = 0) prefix =
   {
     prefix;
     as_path;
@@ -24,9 +23,9 @@ let make ?(as_path = []) ?(communities = []) ?(local_pref = 100) ?(metric = 0)
     local_pref;
     metric;
     next_hop;
-    origin;
+    origin = Igp;
     tag;
-    weight;
+    weight = 0;
   }
 
 let with_communities r cs = { r with communities = normalize_communities cs }

@@ -24,9 +24,7 @@ val make :
   ?local_pref:int ->
   ?metric:int ->
   ?next_hop:Netaddr.Ipv4.t ->
-  ?origin:origin ->
   ?tag:int ->
-  ?weight:int ->
   Netaddr.Prefix.t ->
   t
 (** Defaults match the paper's example route: empty AS path, no

@@ -54,8 +54,6 @@ val rule :
 (** Defaults: seq 0 (assign on {!append}), protocol [Ip], everything
     unconstrained. *)
 
-val match_addr : addr_spec -> Netaddr.Ipv4.t -> bool
-val match_port : port_spec -> int -> bool
 val match_rule : rule -> Packet.t -> bool
 
 val first_match : t -> Packet.t -> rule option

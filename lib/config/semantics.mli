@@ -10,7 +10,6 @@ val match_clause : Database.t -> Bgp.Route.t -> Route_map.match_clause -> bool
 (** A clause referring to an undefined list never matches. *)
 
 val stanza_matches : Database.t -> Route_map.stanza -> Bgp.Route.t -> bool
-val apply_set : Database.t -> Bgp.Route.t -> Route_map.set_clause -> Bgp.Route.t
 val apply_sets : Database.t -> Bgp.Route.t -> Route_map.set_clause list -> Bgp.Route.t
 
 val apply_action :

@@ -31,8 +31,6 @@ let pp_question fmt q =
     q.boundary_seq Config.Packet.pp q.packet Config.Action.pp q.if_new_first
     Config.Action.pp q.if_old_first
 
-let insert_rule_at = Config.Acl.insert_at
-
 (* Observability (see DESIGN.md §Observability for the naming scheme). *)
 let family =
   Disambig_common.family ~subsystem:"acl" ~prefix:"acl_disambiguator"
@@ -85,7 +83,7 @@ let run ?(mode = Binary_search) ?pool:_ ?precomputed ~(target : Config.Acl.t)
   Disambig_common.place family ~mode ~width:(Array.length rules) ~view
     ~position ~top ~oracle bounds
   |> Result.map (fun (position, questions, boundaries) ->
-         let acl = insert_rule_at target position rule in
+         let acl = Config.Acl.insert_at target position rule in
          { acl; position; questions; boundaries })
   |> Result.map_error (fun qs -> Inconsistent_intent qs)
 

@@ -29,10 +29,6 @@ val view : question -> Disambig_common.view
 (** The telemetry rendering of a question — also the batch answer
     cache's key material. *)
 
-val insert_rule_at : Config.Acl.t -> int -> Config.Acl.rule -> Config.Acl.t
-(** Insert at a position (0 = first) and resequence; alias of
-    {!Config.Acl.insert_at}. *)
-
 val boundaries :
   ?pool:Parallel.Pool.t -> target:Config.Acl.t -> Config.Acl.rule -> question list
 (** All differing boundaries in position order, from one sweep of

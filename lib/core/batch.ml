@@ -437,7 +437,7 @@ type prefix_report = {
 (* Prefix-list entries are not LLM-synthesized, so the batch here is
    the live sequential loop plus the shared answer cache and each
    target's conflict graph, classified from the entries alone. *)
-let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
+let insert_prefix_list_entries
     ~(oracle :
        intent:int ->
        target:string ->
@@ -477,7 +477,7 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
                   oracle ~intent:k ~target q)
             in
             match
-              Prefix_list_disambiguator.run ~mode ~target:cur ~entry
+              Prefix_list_disambiguator.run ~target:cur ~entry
                 ~oracle:ask ()
             with
             | Error (Prefix_list_disambiguator.Inconsistent_intent _) ->

@@ -95,7 +95,6 @@ type prefix_report = {
 }
 
 val insert_prefix_list_entries :
-  ?mode:Prefix_list_disambiguator.mode ->
   oracle:
     (intent:int ->
     target:string ->

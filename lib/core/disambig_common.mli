@@ -9,10 +9,6 @@
 
 type answer = Prefer_new | Prefer_old
 
-val answer_to_string : answer -> string
-(** ["new"] / ["old"], as recorded in telemetry and given to
-    [clarify replay]. *)
-
 type mode =
   | Binary_search  (** the paper's Section 4 algorithm *)
   | Top_bottom  (** the paper's prototype: only positions 0 and n *)
@@ -100,12 +96,6 @@ module Answer_cache : sig
 
   val create : unit -> t
 
-  val find : t -> policy:string -> view -> answer option
-  (** Cached answer for an identical earlier question, if any; counts a
-      hit. *)
-
-  val add : t -> policy:string -> view -> answer -> unit
-
   val find_at :
     t ->
     policy:string ->
@@ -113,8 +103,9 @@ module Answer_cache : sig
     boundary_seq:int ->
     view Lazy.t ->
     answer option
-  (** {!find} for a question given by its coordinates and its view,
-      which is forced only when an earlier question has the same
+  (** Cached answer for an identical earlier question (same policy,
+      coordinates and rendered content), if any; counts a hit. The view
+      is forced only when an earlier question has the same
       coordinates. *)
 
   val add_at :
@@ -125,8 +116,8 @@ module Answer_cache : sig
     view Lazy.t ->
     answer ->
     unit
-  (** {!add} for a question given by its coordinates; the view is
-      stored unforced. *)
+  (** Cache an answer for a question given by its coordinates; the view
+      is stored unforced. *)
 
   val hits : t -> int
   (** Questions served from the cache so far. *)

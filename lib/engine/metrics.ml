@@ -61,40 +61,24 @@ let () =
 
 (* The sampling domain's manager sizes, as gauges collected at read
    time: every snapshot sees the live unique table, memo and
-   compile-cache occupancy with no publish step. (These replace the old
-   high-water [bdd.manager.*] counters and their explicit
-   [publish_manager_stats] call.) Each domain has its own manager; a
-   snapshot samples the domain it is taken on, while worker-domain BDD
-   churn still shows up through the per-domain
+   compile-cache occupancy with no publish step. Each domain has its own
+   manager; a snapshot samples the domain it is taken on, while
+   worker-domain BDD churn still shows up through the per-domain
    [bdd.nodes_allocated{domain=N}] counters. *)
-let manager_stats () = Symbdd.Bdd.Manager.stats (Symbdd.Bdd.manager ())
-
-let manager_nodes =
-  Obs.Gauge.collector "bdd.manager.nodes" (fun () ->
-      float_of_int (manager_stats ()).Symbdd.Bdd.Manager.nodes)
-
-let manager_memo =
-  Obs.Gauge.collector "bdd.manager.memo_entries" (fun () ->
-      float_of_int (manager_stats ()).Symbdd.Bdd.Manager.memo)
-
-let manager_cache_entries =
-  Obs.Gauge.collector "bdd.manager.cache_entries" (fun () ->
-      float_of_int (manager_stats ()).Symbdd.Bdd.Manager.cache_entries)
-
-let manager_arena_occupancy =
-  Obs.Gauge.collector "bdd.manager.arena_occupancy" (fun () ->
-      let s = manager_stats () in
-      float_of_int s.Symbdd.Bdd.Manager.nodes
-      /. float_of_int s.Symbdd.Bdd.Manager.arena_capacity)
-
-let manager_probe_length =
-  Obs.Gauge.collector "bdd.manager.uniq_probe_len" (fun () ->
-      let s = manager_stats () in
-      if s.Symbdd.Bdd.Manager.uniq_lookups = 0 then 0.
-      else
-        float_of_int s.Symbdd.Bdd.Manager.uniq_probes
-        /. float_of_int s.Symbdd.Bdd.Manager.uniq_lookups)
-
-let manager_memo_evictions =
-  Obs.Gauge.collector "bdd.manager.memo_evictions" (fun () ->
-      float_of_int (manager_stats ()).Symbdd.Bdd.Manager.memo_evictions)
+let () =
+  let gauge name f = ignore (Obs.Gauge.collector name f : Obs.Gauge.t) in
+  let open Symbdd.Bdd.Manager in
+  let stats () = stats (Symbdd.Bdd.manager ()) in
+  gauge "bdd.manager.nodes" (fun () -> float_of_int (stats ()).nodes);
+  gauge "bdd.manager.memo_entries" (fun () -> float_of_int (stats ()).memo);
+  gauge "bdd.manager.cache_entries" (fun () ->
+      float_of_int (stats ()).cache_entries);
+  gauge "bdd.manager.arena_occupancy" (fun () ->
+      let s = stats () in
+      float_of_int s.nodes /. float_of_int s.arena_capacity);
+  gauge "bdd.manager.uniq_probe_len" (fun () ->
+      let s = stats () in
+      if s.uniq_lookups = 0 then 0.
+      else float_of_int s.uniq_probes /. float_of_int s.uniq_lookups);
+  gauge "bdd.manager.memo_evictions" (fun () ->
+      float_of_int (stats ()).memo_evictions)

@@ -1,6 +1,9 @@
 (** Observability counters for the symbolic engine. Referencing this
     module also wires the BDD allocation and compile-cache hooks to the
-    [obs] lifecycle. *)
+    [obs] lifecycle, and registers the [bdd.manager.*] gauges: the
+    sampling domain's unique-table nodes, computed-table entries,
+    compile-cache entries, arena occupancy, mean unique-table probe
+    length and computed-table evictions, each read at snapshot time. *)
 
 val search_filters_calls : Obs.Counter.t
 val search_route_policies_calls : Obs.Counter.t
@@ -53,25 +56,3 @@ val batch_ns : Obs.Histogram.t
 val bdd_nodes : Obs.Counter.t
 val cache_hits : Obs.Counter.t
 val cache_misses : Obs.Counter.t
-
-val manager_nodes : Obs.Gauge.t
-(** Live nodes in the sampling domain's BDD unique table, collected at
-    read time (a snapshot needs no publish step). *)
-
-val manager_memo : Obs.Gauge.t
-(** Live entries in the sampling domain's BDD computed table, the one
-    memo every operation shares. *)
-
-val manager_cache_entries : Obs.Gauge.t
-(** Entries in the sampling domain's symbolic compilation cache. *)
-
-val manager_arena_occupancy : Obs.Gauge.t
-(** Fraction of the sampling domain's arena node-store capacity in use. *)
-
-val manager_probe_length : Obs.Gauge.t
-(** Mean open-addressing probe length per unique-table lookup in the
-    sampling domain's arena. *)
-
-val manager_memo_evictions : Obs.Gauge.t
-(** Generation-tag evictions forced by the bounded BDD computed table
-    (2{^20} slots by default). *)

@@ -1,18 +1,9 @@
 (** Route-policy search and stanza verification — the analogue of
     Batfish's [searchRoutePolicies]. *)
 
-val spec_as_path_list : Sre.As_path_regex.t -> Config.As_path_list.t
-(** A spec's as-path regex as an anonymous single-entry permit list, so
-    it can become a context atom. *)
-
 val spec_space : Symbolic.Route_ctx.t -> Spec.t -> Symbdd.Bdd.t
 (** Compile a spec's match condition into the route space. The context
-    must have been created with the spec's regexes in scope (use
-    {!context_for}). *)
-
-val context_for :
-  Config.Database.t -> Config.Route_map.t -> Spec.t -> Symbolic.Route_ctx.t
-(** A context covering both the route-map and the spec. *)
+    must have been created with the spec's regexes in scope. *)
 
 val search :
   Config.Database.t ->

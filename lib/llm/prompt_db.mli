@@ -7,6 +7,4 @@ type entry = {
   few_shot : (string * string) list; (* (user prompt, assistant answer) *)
 }
 
-val route_map_entry : entry
-val acl_entry : entry
 val retrieve : [ `Acl | `Route_map ] -> entry

@@ -16,14 +16,9 @@ val estimate_request :
   int
 (** Sum of {!estimate} over every part of a chat request. *)
 
-val prompt_token_cost : float
-(** USD per prompt token. *)
-
-val completion_token_cost : float
-(** USD per completion token. *)
-
 val cost : prompt_tokens:int -> completion_tokens:int -> float
-(** Estimated USD for one call (or one aggregated total). *)
+(** Estimated USD for one call (or one aggregated total): $3 per
+    million prompt tokens and $15 per million completion tokens. *)
 
 val account :
   endpoint:string -> prompt_tokens:int -> completion_tokens:int -> unit

@@ -251,7 +251,7 @@ let install t configs =
         t.topology.Netsim.Topology.routers;
   }
 
-let site_community _t node =
+let site_community node =
   (* Cores and backbone routers share the spine tag; each pod/site gets
      its own. Pod counts are bounded by max_routers, so the value fits
      comfortably in 16 bits. *)
@@ -263,16 +263,6 @@ let site_community _t node =
 (* ------------------------------------------------------------------ *)
 
 module Policy = struct
-  let global_intents =
-    [
-      "drop bogon routes at every import";
-      "tag every accepted route with its pod/site community";
-      "prefer the shared service prefix (local-preference 200) on edge and \
-       site routers";
-      "never export the reserved 192.168.0.0/16 space";
-      "export everything else";
-    ]
-
   type step = { map : string; intent : Llm.Intent.t }
 
   type plan = {
@@ -364,7 +354,7 @@ route-map %s permit 20
   let compile t =
     List.map
       (fun node ->
-        let community = site_community t node in
+        let community = site_community node in
         let service = wants_service node.role in
         let min_ = map_in node.name and mout = map_out node.name in
         let steps =

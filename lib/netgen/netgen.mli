@@ -55,14 +55,14 @@ val service_prefix : Netaddr.Prefix.t (* originated by EXT, wants LP 200 at edge
 val bogon_probe : Netaddr.Prefix.t (* originated by EXT, must be filtered *)
 val reserved_prefix : Netaddr.Prefix.t (* must never be exported *)
 val edge_prefix : int -> Netaddr.Prefix.t (* the /24 originated by the i-th edge *)
-val site_community : t -> node -> Bgp.Community.t
 
 (** The global-policy compiler: a handful of network-wide intents
-    expanded into an ordered per-router synthesis worklist. *)
+    expanded into an ordered per-router synthesis worklist. The
+    intents: drop bogon routes at every import; tag every accepted
+    route with its pod/site community; prefer the shared service prefix
+    (local-preference 200) on edge and site routers; never export the
+    reserved 192.168.0.0/16 space; export everything else. *)
 module Policy : sig
-  val global_intents : string list
-  (** Human-readable statement of the network-wide policies. *)
-
   type step = { map : string; intent : Llm.Intent.t }
 
   type plan = {

@@ -120,9 +120,9 @@ let offer ~(sender : Topology.router) ~(receiver : Topology.router)
             | Config.Semantics.Accept accepted ->
                 Some { route = accepted; learned_from = Some sender.name }))
 
-let default_max_rounds = 64
+let max_rounds = 64
 
-let run ?(max_rounds = default_max_rounds) (t : Topology.t) =
+let run (t : Topology.t) =
   (* Every session's receiver and every learned-from router are looked
      up each round, so index the routers by name once. *)
   let by_name = Hashtbl.create (List.length t.routers) in

@@ -23,12 +23,10 @@ type state = {
   topology : Topology.t;
   ribs : rib_entry Pmap.t Smap.t; (* router -> prefix -> best *)
   rounds : int; (* rounds to convergence *)
-  converged : bool; (* false when max_rounds was hit *)
+  converged : bool; (* false when the 64-round cap was hit *)
 }
 
-val default_max_rounds : int
-
-val run : ?max_rounds:int -> Topology.t -> state
+val run : Topology.t -> state
 
 val rib : state -> string -> (Netaddr.Prefix.t * rib_entry) list
 (** @raise Topology.Invalid_topology for unknown routers. *)

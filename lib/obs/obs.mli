@@ -63,9 +63,6 @@ val reset : unit -> unit
 module Labels : sig
   type t = (string * string) list
 
-  val canon : (string * string) list -> t
-  (** Sort by key. *)
-
   val full_name : string -> t -> string
   (** [base] alone for the empty set, [base{k="v",k2="v2"}] otherwise,
       keys sorted, with double quotes and backslashes escaped inside
@@ -147,9 +144,6 @@ module Gauge : sig
   val make : string -> t
   (** Idempotent, like {!Counter.make}. *)
 
-  val labeled : string -> (string * string) list -> t
-  (** One series per label set, like {!Counter.labeled}. *)
-
   val collector : string -> (unit -> float) -> t
   (** [collector name f] registers a gauge whose value is [f ()] at
       every read. A raising collector keeps the last good sample. *)
@@ -162,7 +156,6 @@ module Gauge : sig
   val base_name : t -> string
   val labels : t -> Labels.t
   val find : string -> t option
-  val find_labeled : string -> (string * string) list -> t option
 
   val sample_all : unit -> (string * float) list
   (** Every registered gauge, sampled, sorted by full name. *)
@@ -204,18 +197,13 @@ val text_sink : Format.formatter -> sink
 (** One indented line per span as it completes (children close before
     their parents, as in any close-order trace). *)
 
-val tee : sink -> sink -> sink
-(** [tee a b] forwards each span to [a] then [b]. *)
-
 val set_sink : sink -> unit
 
 val add_sink : sink -> unit
-(** [add_sink s] composes [s] onto the current sink with {!tee}, so
-    e.g. the flight recorder can capture spans without displacing a
-    trace printer the user asked for. *)
-
-val pp_duration : Format.formatter -> float -> unit
-(** Nanoseconds rendered with a human unit (ns/us/ms/s). *)
+(** [add_sink s] composes [s] onto the current sink: each span goes to
+    the current sink, then to [s]. So e.g. the flight recorder can
+    capture spans without displacing a trace printer the user asked
+    for. *)
 
 val pp_report : Format.formatter -> unit -> unit
 (** Renders {!Snapshot.capture}: every non-zero counter, every gauge,

@@ -12,7 +12,9 @@ type acl_summary = {
   max_overlaps : int; (* largest per-ACL overlap count *)
 }
 
-let default_threshold = 20
+(* The paper's reporting threshold: an ACL or route-map is "heavy" past
+   this many pairs. *)
+let threshold = 20
 let reset_period = 512
 
 (* Per-domain count of analyses since that domain's last manager reset.
@@ -38,29 +40,14 @@ let bounded analyze x =
    path and every pool worker run under private deltas layered on it,
    so the shared structure is compiled once per sweep instead of once
    per domain, and the caller's default manager is not bloated by
-   sweep-sized unique tables. [progress] fires only on the serial
-   path: parallel completion order is nondeterministic, and per-index
-   callbacks from worker domains would race. *)
-let sweep ?(pool = Parallel.Pool.serial) ?progress ?prewarm ~f items =
+   sweep-sized unique tables. *)
+let sweep ?(pool = Parallel.Pool.serial) ~prewarm ~f items =
   let base = Symbdd.Bdd.Manager.create () in
-  (match prewarm with
-  | Some warm -> Symbdd.Bdd.with_manager base warm
-  | None -> ());
+  Symbdd.Bdd.with_manager base prewarm;
   Symbdd.Bdd.Manager.freeze base;
-  match progress with
-  | Some p when Parallel.Pool.domains pool <= 1 ->
-      Symbdd.Bdd.with_manager
-        (Symbdd.Bdd.Manager.create_delta base)
-        (fun () ->
-          List.mapi
-            (fun i x ->
-              p i;
-              bounded f x)
-            items)
-  | _ -> Parallel.Pool.map ~bdd_base:base pool ~f:(bounded f) items
+  Parallel.Pool.map ~bdd_base:base pool ~f:(bounded f) items
 
-let summarize_acls ?(threshold = default_threshold) ?pool ?progress
-    (acls : Config.Acl.t list) =
+let summarize_acls ?pool (acls : Config.Acl.t list) =
   let prewarm () =
     List.iter
       (fun (acl : Config.Acl.t) ->
@@ -69,7 +56,7 @@ let summarize_acls ?(threshold = default_threshold) ?pool ?progress
           acl.Config.Acl.rules)
       acls
   in
-  let stats = sweep ?pool ?progress ~prewarm ~f:Acl_overlap.analyze acls in
+  let stats = sweep ?pool ~prewarm ~f:Acl_overlap.analyze acls in
   let count f = List.length (List.filter f stats) in
   {
     total = List.length stats;
@@ -91,7 +78,7 @@ type route_map_summary = {
   rm_conflicting_pairs_total : int;
 }
 
-let summarize_route_maps ?(threshold = default_threshold) ?pool db
+let summarize_route_maps ?pool db
     (rms : Config.Route_map.t list) =
   let prewarm () =
     Config.Database.Smap.iter

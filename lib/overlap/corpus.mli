@@ -4,7 +4,7 @@
 type acl_summary = {
   total : int;
   with_overlaps : int; (* >= 1 overlapping pair *)
-  heavy_overlaps : int; (* > threshold overlapping pairs *)
+  heavy_overlaps : int; (* > 20 overlapping pairs, the paper's threshold *)
   with_conflicts : int;
   heavy_conflicts : int;
   with_nontrivial : int;
@@ -12,15 +12,7 @@ type acl_summary = {
   max_overlaps : int; (* largest per-ACL overlap count *)
 }
 
-val default_threshold : int
-(** 20, the paper's reporting threshold. *)
-
-val summarize_acls :
-  ?threshold:int ->
-  ?pool:Parallel.Pool.t ->
-  ?progress:(int -> unit) ->
-  Config.Acl.t list ->
-  acl_summary
+val summarize_acls : ?pool:Parallel.Pool.t -> Config.Acl.t list -> acl_summary
 (** Per-ACL analyses are independent, so a [pool] of N domains analyzes
     N ACLs concurrently; results are aggregated in input order, so the
     summary is identical at every pool size. Every distinct rule in the
@@ -28,8 +20,7 @@ val summarize_acls :
     domain analyzes under a private delta layered on it (no per-domain
     recompilation). Deltas are reset periodically, bounding memory on
     very large corpora without touching the shared base or any BDD the
-    caller holds. [progress] fires only on the serial path (pool absent
-    or of one domain): parallel completion order is nondeterministic. *)
+    caller holds. *)
 
 type route_map_summary = {
   rm_total : int;
@@ -40,7 +31,6 @@ type route_map_summary = {
 }
 
 val summarize_route_maps :
-  ?threshold:int ->
   ?pool:Parallel.Pool.t ->
   Config.Database.t ->
   Config.Route_map.t list ->

@@ -67,51 +67,3 @@ let witness db rm (s1 : Config.Route_map.stanza) (s2 : Config.Route_map.stanza)
   let ctx = Ctx.create [ (db, [ rm ]) ] in
   Ctx.to_route ctx
     (Bdd.conj (Ctx.of_stanza ctx db s1) (Ctx.of_stanza ctx db s2))
-
-(* ------------------------------------------------------------------ *)
-(* Cross-map chain overlaps                                           *)
-(* ------------------------------------------------------------------ *)
-
-type chain_pair = {
-  map_a : string;
-  map_b : string;
-  chain_stanza_a : Config.Route_map.stanza;
-  chain_stanza_b : Config.Route_map.stanza;
-}
-
-(** Overlaps between stanzas of {e different} route-maps applied in
-    sequence to the same neighbor — the paper notes these are common in
-    cloud routers, where "it was more common to use a sequence of
-    multiple route maps". *)
-let chain_pairs db (rms : Config.Route_map.t list) =
-  let ctx = Ctx.create [ (db, rms) ] in
-  let feas = Ctx.valid ctx in
-  let tagged =
-    List.concat_map
-      (fun (rm : Config.Route_map.t) ->
-        List.map
-          (fun s ->
-            (rm.Config.Route_map.name, s, Bdd.conj feas (Ctx.of_stanza ctx db s)))
-          rm.Config.Route_map.stanzas)
-      rms
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (name1, s1, b1) :: rest ->
-        let acc =
-          List.fold_left
-            (fun acc (name2, s2, b2) ->
-              if name1 <> name2 && Ctx.is_sat ctx (Bdd.conj b1 b2) then
-                {
-                  map_a = name1;
-                  map_b = name2;
-                  chain_stanza_a = s1;
-                  chain_stanza_b = s2;
-                }
-                :: acc
-              else acc)
-            acc rest
-        in
-        go acc rest
-  in
-  go [] tagged

@@ -30,16 +30,3 @@ val witness :
   Config.Route_map.stanza ->
   Bgp.Route.t option
 (** A route matching both stanzas. *)
-
-type chain_pair = {
-  map_a : string;
-  map_b : string;
-  chain_stanza_a : Config.Route_map.stanza;
-  chain_stanza_b : Config.Route_map.stanza;
-}
-
-val chain_pairs :
-  Config.Database.t -> Config.Route_map.t list -> chain_pair list
-(** Overlaps between stanzas of {e different} route-maps applied in
-    sequence to the same neighbor — the paper notes these are common in
-    cloud routers using chains of route-maps. *)

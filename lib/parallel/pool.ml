@@ -68,7 +68,6 @@ type worker_metrics = {
   tasks : Obs.Counter.t; (* parallel.tasks{domain=N} *)
   task_ns : Obs.Histogram.t; (* parallel.task_ns{domain=N} *)
   queue_wait_ns : Obs.Histogram.t; (* parallel.queue_wait_ns{domain=N} *)
-  busy : Obs.Gauge.t; (* parallel.worker.busy{domain=N} *)
   bdd_nodes : Obs.Counter.t; (* bdd.nodes_allocated{domain=N} *)
   cache_hits : Obs.Counter.t; (* bdd.compile_cache.hits{domain=N} *)
   cache_misses : Obs.Counter.t;
@@ -80,8 +79,6 @@ let worker_metrics i =
     tasks = Obs.Counter.labeled "parallel.tasks" l;
     task_ns = Obs.Histogram.labeled "parallel.task_ns" l;
     queue_wait_ns = Obs.Histogram.labeled "parallel.queue_wait_ns" l;
-    (* 1 while this worker domain is running batch tasks. *)
-    busy = Obs.Gauge.labeled "parallel.worker.busy" l;
     bdd_nodes = Obs.Counter.labeled "bdd.nodes_allocated" l;
     cache_hits = Obs.Counter.labeled "bdd.compile_cache.hits" l;
     cache_misses = Obs.Counter.labeled "bdd.compile_cache.misses" l;
@@ -94,12 +91,6 @@ let spawned = lazy (Obs.Counter.make "parallel.domains_spawned")
 
 (* Worker parked-idle intervals between batches. *)
 let park_ns = lazy (Obs.Histogram.make "parallel.park_ns")
-
-(* Configured worker domains of the last batch's pool. *)
-let pool_domains = lazy (Obs.Gauge.make "parallel.pool.domains")
-
-(* Worker domains currently inside a batch. *)
-let active_workers = lazy (Obs.Gauge.make "parallel.pool.active_workers")
 
 (* Count BDD work into this worker's own labeled series. The hooks go
    on the worker's installed manager (its batch delta or scratch);
@@ -140,28 +131,20 @@ type batch = {
 }
 
 (* [mu] guards [generation]/[shutting_down] and orders the publish /
-   park handshake; [batch_lock] serializes submitters end-to-end, so at
-   most one batch is ever in flight. [current] is an Atomic only so the
-   queue-depth gauge collector can read it lock-free from any domain. *)
+   park handshake, and [current] is read and written only under it;
+   [batch_lock] serializes submitters end-to-end, so at most one batch
+   is ever in flight. *)
 let mu = Mutex.create ()
 let cv_work = Condition.create () (* new batch published, or shutdown *)
 let cv_done = Condition.create () (* item count or active count dropped *)
 let generation = ref 0 (* bumped per batch, under mu *)
 let shutting_down = ref false
-let current : batch option Atomic.t = Atomic.make None
+let current : batch option ref = ref None
 let batch_lock = Mutex.create ()
 let worker_handles : unit Domain.t list ref = ref [] (* under batch_lock *)
 let workers_spawned = ref 0
 
 let spawned_workers () = !workers_spawned
-
-(* Unclaimed items of the in-flight batch. *)
-let () =
-  ignore
-    (Obs.Gauge.collector "parallel.queue.depth" (fun () ->
-         match Atomic.get current with
-         | None -> 0.
-         | Some b -> float_of_int (max 0 (b.nitems - Atomic.get b.next))))
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain BDD managers                                            *)
@@ -256,15 +239,10 @@ let participate b slot =
       let instrumented () =
         match m with
         | Some mm ->
-            Obs.Gauge.set mm.busy 1.;
-            Fun.protect
-              ~finally:(fun () -> Obs.Gauge.set mm.busy 0.)
-              (fun () ->
-                with_worker_hooks mm (fun () ->
-                    (* Root span per worker: a separate thread lane in
-                       the Chrome-trace export of any recording
-                       session. *)
-                    Obs.with_span (Printf.sprintf "domain%d" slot) body))
+            with_worker_hooks mm (fun () ->
+                (* Root span per worker: a separate thread lane in the
+                   Chrome-trace export of any recording session. *)
+                Obs.with_span (Printf.sprintf "domain%d" slot) body)
         | None -> body ()
       in
       (* Install the participant's manager before the hooks, so the
@@ -301,7 +279,7 @@ let worker_main slot gen0 () =
          same lock, so it can never miss us. Slots beyond the batch's
          participant count sit this one out. *)
       let joined =
-        match Atomic.get current with
+        match !current with
         | Some b when slot < b.parts ->
             Atomic.incr b.active;
             Some b
@@ -417,13 +395,11 @@ let map ?bdd_base pool ~f items =
     in
     if enabled then begin
       Obs.Counter.incr (Lazy.force batches);
-      ignore (Lazy.force park_ns);
-      Obs.Gauge.set (Lazy.force pool_domains) (float_of_int pool.domains);
-      Obs.Gauge.set (Lazy.force active_workers) (float_of_int parts)
+      ignore (Lazy.force park_ns)
     end;
     Mutex.lock mu;
     incr generation;
-    Atomic.set current (Some b);
+    current := Some b;
     Condition.broadcast cv_work;
     Mutex.unlock mu;
     (* The submitting domain participates as slot 0. *)
@@ -431,18 +407,17 @@ let map ?bdd_base pool ~f items =
     (try participate b 0 with e -> submitter_exn := Some e);
     (* Wait for all items, close the join window, then wait for every
        joined worker to leave the batch, so that no worker still
-       touches this batch's gauges, hooks or managers once [map]
+       touches this batch's series, hooks or managers once [map]
        returns. *)
     Mutex.lock mu;
     while Atomic.get b.completed < b.nitems do
       Condition.wait cv_done mu
     done;
-    Atomic.set current None;
+    current := None;
     while Atomic.get b.active > 0 do
       Condition.wait cv_done mu
     done;
     Mutex.unlock mu;
-    if enabled then Obs.Gauge.set (Lazy.force active_workers) 0.;
     (match !submitter_exn with Some e -> raise e | None -> ());
     match Array.find_map Fun.id fails with
     | Some e -> raise e

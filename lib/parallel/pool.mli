@@ -36,9 +36,6 @@ val create : ?domains:int -> unit -> t
     domains beyond the largest [domains] actually used by a {!map}. A
     pool of 1 domain runs everything serially in the calling domain. *)
 
-val default_domains : unit -> int
-(** The [CLARIFY_JOBS] value (>= 1), or 1. *)
-
 val domains : t -> int
 
 val serial : t
@@ -60,12 +57,10 @@ val map :
     While observability is enabled, each participant runs under a root
     span [domainN] (a separate thread lane in the Chrome-trace export)
     and feeds per-domain labeled series: [parallel.tasks{domain=N}],
-    [parallel.task_ns{domain=N}], [parallel.queue_wait_ns{domain=N}],
-    [parallel.worker.busy{domain=N}], plus
-    [bdd.nodes_allocated{domain=N}] and compile-cache hit/miss counters
-    via the worker's BDD hooks; [parallel.park_ns] records how long
-    workers slept between batches, and the [parallel.queue.depth]
-    collector reads the in-flight batch's unclaimed items. Labeled
+    [parallel.task_ns{domain=N}] and [parallel.queue_wait_ns{domain=N}],
+    plus [bdd.nodes_allocated{domain=N}] and compile-cache hit/miss
+    counters via the worker's BDD hooks; [parallel.park_ns] records how
+    long workers slept between batches. Labeled
     handles are acquired per batch (never cached across {!Obs.reset}),
     and slot 0's previous BDD hooks are restored when the batch
     completes.

@@ -28,11 +28,6 @@ val regex : t -> R.re
 val matches : t -> int * int -> bool
 (** Does the community (asn, value) match? *)
 
-val matches_string : t -> string -> bool
-
-val parse_community : string -> (int * int) option
-(** Parse ["A:B"] with 16-bit bounds checking. *)
-
 val sat_witness : pos:t list -> neg:t list -> (int * int) option
 (** A concrete community matching all of [pos] and none of [neg], if one
     can be found. Complete up to the witness-enumeration budget: a

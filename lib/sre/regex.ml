@@ -148,10 +148,10 @@ module Make (A : Alphabet.S) = struct
     trans : (A.pred * int) list array; (* total: minterms cover alphabet *)
   }
 
-  let default_state_limit = 20_000
+  let state_limit = 20_000
 
   (* Lazy breadth-first determinization. *)
-  let build_dfa ?(state_limit = default_state_limit) r0 =
+  let build_dfa r0 =
     let ids = ref (Re_map.singleton r0 0) in
     let rev = ref [ r0 ] in
     let n = ref 1 in
@@ -205,8 +205,8 @@ module Make (A : Alphabet.S) = struct
     go 0 word
 
   (* Shortest accepted word, by BFS over the DFA. *)
-  let shortest_witness ?state_limit r0 =
-    let dfa = build_dfa ?state_limit r0 in
+  let shortest_witness r0 =
+    let dfa = build_dfa r0 in
     let n = Array.length dfa.states in
     let visited = Array.make n false in
     let queue = Queue.create () in
@@ -233,13 +233,11 @@ module Make (A : Alphabet.S) = struct
      with Exit -> ());
     !result
 
-  let is_empty_lang ?state_limit r = Option.is_none (shortest_witness ?state_limit r)
-
   (* Up to [limit] accepted words in breadth-first (shortest-first)
      order. Each DFA edge contributes one representative symbol, so this
      enumerates distinct witness *shapes* rather than all words. *)
-  let witnesses ?state_limit ~limit r0 =
-    let dfa = build_dfa ?state_limit r0 in
+  let witnesses ~limit r0 =
+    let dfa = build_dfa r0 in
     let out = ref [] in
     let count = ref 0 in
     let queue = Queue.create () in

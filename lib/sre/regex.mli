@@ -18,9 +18,6 @@ exception Too_many_states
 module Make (A : Alphabet.S) : sig
   type re
 
-  val compare_re : re -> re -> int
-  val equal_re : re -> re -> bool
-
   (** {2 Constructors (normalizing)} *)
 
   val empty : re (* ∅ *)
@@ -30,7 +27,6 @@ module Make (A : Alphabet.S) : sig
   val pred : A.pred -> re
   val cat : re -> re -> re
   val alt : re -> re -> re
-  val alt_list : re list -> re
   val inter : re -> re -> re
   val inter_list : re list -> re
   val star : re -> re
@@ -40,8 +36,6 @@ module Make (A : Alphabet.S) : sig
 
   (** {2 Semantics} *)
 
-  val nullable : re -> bool
-  val deriv : A.sym -> re -> re
   val matches : re -> A.sym list -> bool
 
   (** {2 Symbolic DFA} *)
@@ -52,20 +46,19 @@ module Make (A : Alphabet.S) : sig
     trans : (A.pred * int) list array; (* minterms: total per state *)
   }
 
-  val default_state_limit : int
+  val state_limit : int
+  (** 20,000: the most states {!build_dfa} builds. *)
 
-  val build_dfa : ?state_limit:int -> re -> dfa
+  val build_dfa : re -> dfa
   (** Lazy breadth-first determinization over local minterms.
-      @raise Too_many_states past the limit. *)
+      @raise Too_many_states past {!state_limit} states. *)
 
   val dfa_accepts : dfa -> A.sym list -> bool
 
-  val shortest_witness : ?state_limit:int -> re -> A.sym list option
+  val shortest_witness : re -> A.sym list option
   (** Shortest accepted word, by BFS over the DFA. *)
 
-  val is_empty_lang : ?state_limit:int -> re -> bool
-
-  val witnesses : ?state_limit:int -> limit:int -> re -> A.sym list list
+  val witnesses : limit:int -> re -> A.sym list list
   (** Up to [limit] accepted words in shortest-first order; each DFA
       edge contributes one representative symbol, so this enumerates
       distinct witness shapes rather than all words. *)

@@ -12,10 +12,6 @@ val src_port : Bvec.t
 val dst_port : Bvec.t
 val established_var : int
 
-val of_addr_spec : Bvec.t -> Config.Acl.addr_spec -> Bdd.t
-val of_port_spec : Bvec.t -> Config.Acl.port_spec -> Bdd.t
-val of_protocol : Config.Packet.protocol -> Bdd.t
-
 val of_rule : Config.Acl.rule -> Bdd.t
 (** The match condition of one ACL rule (ignoring its action). *)
 

@@ -407,6 +407,45 @@ let accepted ctx db rm =
 (* Model extraction                                                   *)
 (* ------------------------------------------------------------------ *)
 
+exception Too_complex of string
+
+(* The config lines behind an automaton past the regex engine's bound:
+   every as-path entry in scope whose regex alone needs that many
+   states, or else every list in scope, whose combination does. *)
+let too_complex ctx =
+  let alone (e : Config.As_path_list.entry) =
+    match R.shortest_witness (Apr.regex e.regex) with
+    | _ -> false
+    | exception Sre.Regex.Too_many_states -> true
+  in
+  let lists = Array.to_list ctx.as_path_lists in
+  let culprits =
+    List.filter_map
+      (fun (al : Config.As_path_list.t) ->
+        match List.filter alone al.entries with
+        | [] -> None
+        | entries -> Some { al with entries })
+      lists
+  in
+  let what =
+    match culprits with
+    | [] ->
+        "the as-path access-lists "
+        ^ String.concat ", "
+            (List.map (fun (al : Config.As_path_list.t) -> al.name) lists)
+    | _ ->
+        List.concat_map
+          (fun al ->
+            String.split_on_char '\n'
+              (Config.Text.to_string Config.As_path_list.write al))
+          culprits
+        |> String.concat "; "
+  in
+  Too_complex
+    (Printf.sprintf
+       "%s: deciding which AS paths match needs more than %d automaton states"
+       what R.state_limit)
+
 (* Witness path for a full as-path atom valuation, or None if
    infeasible; memoized. *)
 let combo_witness ctx combo =
@@ -420,7 +459,10 @@ let combo_witness ctx combo =
                if b then ctx.accept_langs.(i) else R.compl ctx.accept_langs.(i))
              combo)
       in
-      let w = R.shortest_witness lang in
+      let w =
+        try R.shortest_witness lang
+        with Sre.Regex.Too_many_states -> raise (too_complex ctx)
+      in
       Hashtbl.add ctx.combo_table combo w;
       w
 

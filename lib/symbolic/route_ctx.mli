@@ -24,10 +24,17 @@
 
     BDDs built against one context must not be mixed with another's. *)
 
+exception Too_complex of string
+(** Deciding as-path feasibility needed an automaton past the regex
+    engine's 20,000-state bound ({!Sre.Regex.Too_many_states}). The
+    message names the config lines at fault: each [ip as-path
+    access-list] entry in scope whose regex alone needs that many
+    states, else every list in scope. Raised by whatever first reads a
+    route region's as-path atoms: model extraction and satisfiability
+    checks. *)
+
 open Symbdd
 
-val pfx_ip : Bvec.t
-val pfx_len : Bvec.t
 val local_pref : Bvec.t
 val metric : Bvec.t
 val tag : Bvec.t
@@ -56,9 +63,6 @@ val create :
 val comm_var : t -> Bgp.Community.t -> int option
 (** The atom variable of a universe community. *)
 
-val as_path_var : t -> Config.As_path_list.t -> int option
-val accept_language : Config.As_path_list.t -> Sre.As_path_regex.R.re
-
 val valid : t -> Bdd.t
 (** Routes representable in this context (prefix length at most 32). *)
 
@@ -71,12 +75,9 @@ val of_comm_regex : t -> Sre.Community_regex.t -> Bdd.t
 (** "The route carries at least one community in the regex's language",
     relative to the universe. *)
 
-val of_community_list : t -> Config.Community_list.t -> Bdd.t
-
 val of_as_path_list : t -> Config.As_path_list.t -> Bdd.t
 (** @raise Invalid_argument if the list was not in scope at creation. *)
 
-val of_match_clause : t -> Config.Database.t -> Config.Route_map.match_clause -> Bdd.t
 val of_stanza : t -> Config.Database.t -> Config.Route_map.stanza -> Bdd.t
 
 (** {2 Symbolic execution} *)

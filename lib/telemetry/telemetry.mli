@@ -150,8 +150,6 @@ module Bench : sig
 
   val regressed : delta list -> bool
 
-  val pp_delta : Format.formatter -> delta -> unit
-
   val pp_diff : ?all:bool -> Format.formatter -> delta list -> unit
   (** A one-line [N regressed / N improved / N unchanged] summary,
       then the changed metrics only (plus added/removed) unless

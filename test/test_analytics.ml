@@ -4,7 +4,7 @@
    the Chrome-trace writer's output re-parsed from its JSON text with
    the span nesting validated event by event. *)
 
-module S = Analytics.Session
+module S = Session_reference
 module Rp = Analytics.Report
 module T = Analytics.Trace
 module E = Telemetry.Event
@@ -114,7 +114,7 @@ let test_tolerant_rejects_mid_file_garbage () =
 let test_report_matches_fixture_events () =
   let s = load_fixture () in
   let events = s.S.events in
-  let report = Rp.of_sessions [ s ] in
+  let report = S.report [ s ] in
   match report.Rp.routers with
   | [ r ] ->
       check_string "router" "acl_session" r.Rp.router;
@@ -157,7 +157,7 @@ let test_report_matches_fixture_events () =
 
 let test_report_renderings () =
   let s = load_fixture () in
-  let report = Rp.of_sessions [ s ] in
+  let report = S.report [ s ] in
   let md = Rp.to_markdown report in
   let contains hay needle =
     let nl = String.length needle and hl = String.length hay in
@@ -203,7 +203,7 @@ let test_batch_fixture_report () =
     | Ok s -> s
     | Error m -> Alcotest.failf "cannot load batch fixture: %s" m
   in
-  let report = Rp.of_sessions [ s ] in
+  let report = S.report [ s ] in
   match report.Rp.routers with
   | [ r ] ->
       check_int "one batch session" 1 r.Rp.batch_sessions;
@@ -247,7 +247,7 @@ let test_e4_report_matches_run_and_golden () =
         | Error m -> Alcotest.failf "cannot load %s: %s" dir m
       in
       check_int "one session per router" 3 (List.length sessions);
-      let report = Rp.of_sessions sessions in
+      let report = S.report sessions in
       check_int "one row per router" 3 (List.length report.Rp.routers);
       List.iter2
         (fun (s : Evaluation.E4_lightyear.router_stats)

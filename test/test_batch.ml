@@ -635,6 +635,10 @@ let test_disjoint_intents_own_examples () =
    the question's coordinates, never on the rendered text alone. *)
 let test_answer_cache_dedup () =
   let cache = DC.Answer_cache.create () in
+  let find ~policy (v : DC.view) =
+    DC.Answer_cache.find_at cache ~policy ~position:v.position
+      ~boundary_seq:v.boundary_seq (Lazy.from_val v)
+  in
   let v =
     {
       DC.position = 1;
@@ -644,23 +648,21 @@ let test_answer_cache_dedup () =
       if_old_first = "ACTION: deny";
     }
   in
-  DC.Answer_cache.add cache ~policy:"ISP_OUT" v DC.Prefer_new;
+  DC.Answer_cache.add_at cache ~policy:"ISP_OUT" ~position:1 ~boundary_seq:10
+    (Lazy.from_val v) DC.Prefer_new;
   Alcotest.(check bool)
     "identical text, other policy: miss" true
-    (DC.Answer_cache.find cache ~policy:"ISP_IN" v = None);
+    (find ~policy:"ISP_IN" v = None);
   Alcotest.(check bool)
     "identical text, other position: miss" true
-    (DC.Answer_cache.find cache ~policy:"ISP_OUT" { v with DC.position = 2 }
-    = None);
+    (find ~policy:"ISP_OUT" { v with DC.position = 2 } = None);
   Alcotest.(check bool)
     "identical text, other boundary seq: miss" true
-    (DC.Answer_cache.find cache ~policy:"ISP_OUT"
-       { v with DC.boundary_seq = 20 }
-    = None);
+    (find ~policy:"ISP_OUT" { v with DC.boundary_seq = 20 } = None);
   check_int "misses are not hits" 0 (DC.Answer_cache.hits cache);
   Alcotest.(check bool)
     "same policy and coordinates: hit" true
-    (DC.Answer_cache.find cache ~policy:"ISP_OUT" v = Some DC.Prefer_new);
+    (find ~policy:"ISP_OUT" v = Some DC.Prefer_new);
   check_int "one hit counted" 1 (DC.Answer_cache.hits cache)
 
 (* The cache in action: the same entry inserted twice into the same

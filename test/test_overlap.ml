@@ -309,33 +309,6 @@ let test_campus_route_maps () =
   check_int "2 with overlaps" 2 s.Overlap.Corpus.rm_with_overlaps;
   check_int "max 3 pairs" 3 s.Overlap.Corpus.rm_max_overlaps
 
-let test_chain_overlaps () =
-  (* Two maps applied in sequence to the same neighbor, overlapping
-     across maps but not within either (the paper's cloud observation). *)
-  let db =
-    parse_ok
-      {|
-ip prefix-list A1 permit 10.0.0.0/16 le 24
-ip prefix-list B1 permit 10.0.0.0/16 le 20
-ip prefix-list C1 permit 99.0.0.0/24
-route-map FIRST permit 10
- match ip address prefix-list A1
-route-map SECOND deny 10
- match ip address prefix-list B1
-route-map SECOND permit 20
- match ip address prefix-list C1
-|}
-  in
-  let rms =
-    [ Option.get (Database.route_map db "FIRST");
-      Option.get (Database.route_map db "SECOND") ]
-  in
-  let pairs = Overlap.Route_map_overlap.chain_pairs db rms in
-  check_int "one cross-map overlap" 1 (List.length pairs);
-  let p = List.hd pairs in
-  check "maps differ" true
-    (p.Overlap.Route_map_overlap.map_a <> p.Overlap.Route_map_overlap.map_b)
-
 let test_determinism () =
   let a1 = Workload.Cloud.acls ~seed:7 () in
   let a2 = Workload.Cloud.acls ~seed:7 () in
@@ -369,10 +342,9 @@ let () =
           q prop_route_map_gen_calibrated;
           Alcotest.test_case "triple overlap map" `Quick test_triple_overlap_map;
           Alcotest.test_case "determinism" `Quick test_determinism;
-          Alcotest.test_case "chain overlaps" `Quick test_chain_overlaps;
+          q prop_density_route_maps;
           q prop_density_zero_disjoint;
           q prop_density_one_overlaps;
-          q prop_density_route_maps;
           q prop_random_corpus_witnesses_sound;
         ] );
       ( "corpus",

@@ -271,35 +271,6 @@ let test_labeled_registration_race_in_pool () =
   Obs.disable ();
   check_int "one series holds all 64 increments" 64 v
 
-(* Pool gauges: after a batch the queue is drained and no worker is
-   marked busy; the domain-count gauge reflects the pool that ran. *)
-let test_pool_gauges_settle () =
-  Obs.enable ();
-  Obs.reset ();
-  let pool = Parallel.Pool.create ~domains:2 () in
-  ignore
-    (Parallel.Pool.map pool ~f:(fun x -> x * x) (List.init 16 Fun.id));
-  let gauge name =
-    match Obs.Gauge.find name with
-    | Some g -> Obs.Gauge.value g
-    | None -> Alcotest.failf "gauge %s is not registered" name
-  in
-  let busy =
-    List.fold_left
-      (fun acc d ->
-        match
-          Obs.Gauge.find_labeled "parallel.worker.busy"
-            [ ("domain", string_of_int d) ]
-        with
-        | Some g -> acc +. Obs.Gauge.value g
-        | None -> acc)
-      0. [ 0; 1 ]
-  in
-  Obs.disable ();
-  Alcotest.(check (float 0.)) "no worker busy after the batch" 0. busy;
-  Alcotest.(check (float 0.)) "queue drained" 0. (gauge "parallel.queue.depth");
-  Alcotest.(check (float 0.)) "pool size published" 2. (gauge "parallel.pool.domains")
-
 (* The submitting domain's hooks must be restored after a batch: the
    engine's process-wide bdd.nodes_allocated counter keeps working. *)
 let test_hooks_restored () =
@@ -355,8 +326,6 @@ let () =
             test_per_domain_series;
           Alcotest.test_case "labeled registration race" `Quick
             test_labeled_registration_race_in_pool;
-          Alcotest.test_case "pool gauges settle" `Quick
-            test_pool_gauges_settle;
           Alcotest.test_case "hooks restored after batch" `Quick
             test_hooks_restored;
         ] );

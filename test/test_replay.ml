@@ -342,8 +342,8 @@ let prop_mutated_logs =
       not
         (raises "parse_events and replay" (fun () ->
              Result.map R.run_events (Telemetry.parse_events text))
-        || raises "Session.load_file" (fun () ->
-               Analytics.Session.load_file ~tolerant:true path)
+        || raises "Session_reference.load_file" (fun () ->
+               Session_reference.load_file ~tolerant:true path)
         || raises "Stream.fold_file" (fun () -> Analytics.Stream.fold_file path)))
 
 (* A snapshot holding every kind of series, a labeled one and the

@@ -2,12 +2,12 @@
    behind `clarify report --follow` and `clarify fleet status`.
 
    The load-bearing property is the merge law: fold(serial) ==
-   fold(pooled) == the Session.load_file-based report, byte for byte,
+   fold(pooled) == the whole-file Session_reference report, byte for byte,
    because all three go through the same Report.Acc fold and Acc.merge
    is associative. *)
 
 module St = Analytics.Stream
-module S = Analytics.Session
+module S = Session_reference
 module Rp = Analytics.Report
 
 let checki = Alcotest.(check int)
@@ -168,7 +168,7 @@ let test_dir_scan_sorted () =
   with_temp_dir @@ fun dir ->
   let text = read_file fixture in
   (* Created in anti-sorted order; both the streaming scan and the
-     Session path expansion must still visit them name-sorted, so
+     path expansion must still visit them name-sorted, so
      reports are byte-stable across filesystems. *)
   List.iter
     (fun name -> write_file (Filename.concat dir name) text)
@@ -179,9 +179,9 @@ let test_dir_scan_sorted () =
     "stream scan sorted, *.jsonl only" [ "r0"; "r1"; "r2" ]
     (List.map St.file_name (St.files d));
   Alcotest.(check (list string))
-    "Session.expand_paths sorted, *.jsonl only"
+    "expand_paths sorted, *.jsonl only"
     [ "r0.jsonl"; "r1.jsonl"; "r2.jsonl" ]
-    (List.map Filename.basename (S.expand_paths [ dir ]))
+    (List.map Filename.basename (St.expand_paths [ dir ]))
 
 (* A file appearing between polls is picked up by the next poll. *)
 let test_dir_picks_up_new_files () =
@@ -220,7 +220,7 @@ let test_fleet_report_serial_pooled_batch_identical () =
   in
   let batch =
     match S.load ~tolerant:true [ dir ] with
-    | Ok sessions -> render (Rp.of_sessions sessions)
+    | Ok sessions -> render (S.report sessions)
     | Error m -> Alcotest.failf "session load failed: %s" m
   in
   checks "pooled md == serial md" (fst serial) (fst pooled);

@@ -360,6 +360,29 @@ let test_prefix_range_bdd () =
   check "too long" false (Bdd.eval (Ctx.route_env ctx bad_len) b);
   check "wrong bits" false (Bdd.eval (Ctx.route_env ctx bad_bits) b)
 
+(* An as-path regex whose automaton passes the regex engine's bound of
+   20,000 states is an error naming its config line, raised by the
+   first analysis that reads the list, never the engine's bare
+   [Too_many_states]: 16 tokens after an unanchored [_1_] need 2^16
+   states. *)
+let test_as_path_too_complex () =
+  let line =
+    "ip as-path access-list BIG permit _1_._._._._._._._._._._._._._._.$"
+  in
+  let d =
+    parse_ok
+      (line
+     ^ "\nroute-map BIGMAP permit 10\n match as-path BIG\nroute-map BIGMAP permit 20\n"
+      )
+  in
+  match
+    Overlap.Route_map_overlap.analyze d (Option.get (Database.route_map d "BIGMAP"))
+  with
+  | _ -> Alcotest.fail "overlap analysis decided a 2^16-state automaton"
+  | exception Ctx.Too_complex m ->
+      check "names the config line" true
+        (String.starts_with ~prefix:(line ^ ": ") m)
+
 (* ------------------------------------------------------------------ *)
 (* Mutated configs                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -409,6 +432,8 @@ let () =
           Alcotest.test_case "community universe" `Quick
             test_community_universe_covers;
           Alcotest.test_case "prefix-range encoding" `Quick test_prefix_range_bdd;
+          Alcotest.test_case "as-path automaton bound" `Quick
+            test_as_path_too_complex;
         ] );
       ("mutations", [ q prop_mutated_configs ]);
     ]
